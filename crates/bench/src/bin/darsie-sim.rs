@@ -12,7 +12,6 @@
 //! darsie-sim prove [ABBR ...] [--workload NAME] [--scale test|eval] [--json] [--threads N]
 //! darsie-sim profile [ABBR ...] [--workload NAME] [--scale test|eval] [--json] [--perfetto PATH]
 //! darsie-sim estimate [ABBR ...] [--workload NAME] [--scale test|eval] [--json]
-//! darsie-sim bench [ABBR ...] [--workload NAME] [--scale test|eval] [--json]
 //! darsie-sim replay-diff [ABBR ...] [--scale test|eval] [--json] [--technique T] [--sms N]
 //!            [--scheduler gto|lrr] [--against KEY=VALUE ...] [--perturb CYCLE]
 //! darsie-sim lints [--json]
@@ -21,7 +20,10 @@
 //! Every subcommand (and the bare benchmark mode) additionally accepts
 //! `--manifest PATH`: a structured run manifest — tool version, config
 //! fingerprint, per-phase wall/allocation spans, result counters and
-//! digest roots — is written there on exit, success or failure.
+//! digest roots — is written there on exit, success or failure. All modes
+//! parse through one shared parser ([`Command::parse`]), so a repeated
+//! single-valued flag is a usage error everywhere, and every document is
+//! built as a [`Json`] tree.
 //!
 //! The `verify` subcommand runs the `simt-verify` static checks (including
 //! the shared-memory race detector) and the differential marking-soundness
@@ -83,18 +85,11 @@
 //! the baseline and DARSIE, and exits non-zero if any measured cycle
 //! count falls outside its static `[min, max]` bracket (`E202`).
 //! Unboundable loop trip counts (`E201`) leave the upper bound open and
-//! are reported as warnings, not failures.
-//!
-//! The `bench` subcommand takes one benchmark-trajectory snapshot:
-//! per workload and technique it records simulated cycles, wall time,
-//! simulated cycles per second, skip counts and the static cycle bracket,
-//! plus the DARSIE-over-Base speedup. With `--json` the snapshot is also
-//! written to `BENCH_<date>.json` for CI to archive as an artifact. Each
-//! technique record carries its digest root — so silent behavioral drift
-//! (same speedup, different state) is visible between snapshots — and the
-//! digest layer's wall-time overhead is measured via interleaved
-//! digest-on/digest-off catalog sweeps, reported on stderr and in the run
-//! manifest.
+//! are reported as warnings, not failures. Its `--json` document also
+//! carries each run's digest root and the DARSIE-over-Base speedup per
+//! workload, which CI compares against the committed `BENCH_*.json`
+//! baseline to catch speedup regressions and silent behavioral drift
+//! (same speedup, different state).
 //!
 //! The `replay-diff` subcommand is the first-divergence bisector of the
 //! determinism observatory: it runs each selected workload twice and
@@ -111,37 +106,24 @@
 //! generated from the `LintCode` enum itself so it can never go stale.
 
 use darsie::DarsieConfig;
+use darsie_bench::json::Json;
 use darsie_bench::manifest::{json_header, RunManifest};
 use darsie_bench::replay::{replay_diff, RunSpec};
 use gpu_energy::EnergyModel;
-use gpu_sim::{DigestConfig, GpuConfig, Perturb, SchedulerPolicy, Technique, TracePhase};
+use gpu_sim::{GpuConfig, Perturb, SchedulerPolicy, Technique, TracePhase};
 use simt_compiler::LaunchPlan;
-use simt_verify::parallel_map;
+use simt_isa::Dim3;
 use simt_verify::perf::{MemPredKind, MemPrediction};
+use simt_verify::{parallel_map, Diagnostic, Diagnostics};
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::slice::Iter;
 use workloads::{by_abbr, catalog, Scale, Workload};
 
 /// Count allocation traffic so manifest phase spans carry
 /// `alloc_bytes`/`allocs` alongside wall time.
 #[global_allocator]
 static ALLOC: darsie_bench::manifest::CountingAlloc = darsie_bench::manifest::CountingAlloc;
-
-/// Writes the run manifest (when `--manifest PATH` was given) carrying
-/// the exit code the process is about to return, then exits when that
-/// code is non-zero. Every subcommand funnels its exit through here so a
-/// failing run still leaves its telemetry behind.
-fn finish_run(mf: &mut RunManifest, path: Option<&str>, code: i32) {
-    mf.exit_code = code;
-    if let Some(p) = path {
-        if let Err(e) = mf.write(p) {
-            eprintln!("cannot write manifest {p}: {e}");
-            std::process::exit(2);
-        }
-    }
-    if code != 0 {
-        std::process::exit(code);
-    }
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -156,7 +138,6 @@ fn usage() -> ! {
          darsie-sim profile [ABBR ...] [--workload NAME] [--scale test|eval] [--json] \
          [--perfetto PATH]   |   \
          darsie-sim estimate [ABBR ...] [--workload NAME] [--scale test|eval] [--json]   |   \
-         darsie-sim bench [ABBR ...] [--workload NAME] [--scale test|eval] [--json]   |   \
          darsie-sim replay-diff [ABBR ...] [--workload NAME] [--scale test|eval] [--json] \
          [--technique T] [--sms N] [--scheduler gto|lrr] [--against KEY=VALUE ...] \
          [--perturb CYCLE]   |   \
@@ -177,23 +158,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Comma-separated catalog abbreviations for "unknown workload" errors.
 fn known_abbrs() -> String {
     catalog(Scale::Test).iter().map(|w| w.abbr).collect::<Vec<_>>().join(", ")
@@ -205,21 +169,6 @@ fn unknown_workload(kind: &str, name: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Shared subcommand options: scale, output mode and workload selection
-/// (positional abbreviations and/or `--workload NAME` filters matching
-/// the abbreviation or full name, case-insensitively). Every subcommand
-/// goes through this one parser so unknown-abbreviation rejection (exit
-/// 2, listing the valid names) and `--workload` semantics cannot drift
-/// between them. `--threads` is parsed here too — `verify`, `certify`
-/// and `prove` consume it; everything else warns and ignores it.
-struct SubcommandArgs {
-    json: bool,
-    selected: Vec<Workload>,
-    threads: Option<usize>,
-    scale: Scale,
-    manifest: Option<String>,
-}
-
 /// Rejects a repeated single-valued flag: taking the last occurrence
 /// silently hides a typo in scripts, so it is a usage error instead.
 fn duplicate_flag(flag: &str) -> ! {
@@ -227,103 +176,298 @@ fn duplicate_flag(flag: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The subcommands that consume `--threads`; everywhere else the parser
-/// itself warns and drops the flag, so the acceptance/warn-ignore
-/// behavior cannot drift between subcommands.
-const THREADED_SUBCOMMANDS: &[&str] = &["verify", "certify", "prove"];
-
-fn parse_subcommand_args(subcommand: &str, args: &[String]) -> SubcommandArgs {
-    parse_subcommand_args_with(subcommand, args, |_, _| false)
+/// The value after a flag; a missing one is a usage error.
+fn value(it: &mut Iter<String>) -> String {
+    it.next().cloned().unwrap_or_else(|| usage())
 }
 
-/// The shared parser, with a hook for subcommand-specific flags: `extra`
-/// sees every otherwise-unknown `--flag` (plus the argument iterator, so
-/// it can consume a value) and returns whether it recognized it. Flags
-/// the hook rejects are a usage error, same as everywhere else.
-fn parse_subcommand_args_with(
-    subcommand: &str,
-    args: &[String],
-    mut extra: impl FnMut(&str, &mut std::slice::Iter<String>) -> bool,
-) -> SubcommandArgs {
-    let mut scale: Option<Scale> = None;
-    let mut json = false;
-    let mut threads: Option<usize> = None;
-    let mut manifest: Option<String> = None;
-    let mut abbrs: Vec<String> = Vec::new();
-    let mut names: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--manifest" => {
-                if manifest.is_some() {
-                    duplicate_flag("--manifest");
+/// The value after a flag, parsed; a missing or malformed one is a usage
+/// error.
+fn number<T: std::str::FromStr>(it: &mut Iter<String>) -> T {
+    value(it).parse().unwrap_or_else(|_| usage())
+}
+
+/// A count that must be at least 1. Zero threads, samples, SMs or
+/// skip-table ports leave nothing to run on — an empty GPU panics and a
+/// portless skip table never grants a probe — so anything else exits 2
+/// with a message.
+fn positive(flag: &str, v: Option<&str>) -> usize {
+    match v.and_then(|n| n.parse::<usize>().ok()).filter(|&n| n >= 1) {
+        Some(n) => n,
+        None => {
+            eprintln!("{flag} expects a positive integer");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Parses a technique name; the DARSIE variants start from `dcfg`.
+fn parse_technique(name: &str, dcfg: DarsieConfig) -> Technique {
+    match name {
+        "base" => Technique::Base,
+        "uv" => Technique::Uv,
+        "dac" | "dac-ideal" => Technique::DacIdeal,
+        "darsie" => Technique::Darsie(dcfg),
+        "darsie-ignore-store" => Technique::Darsie(DarsieConfig { ignore_store: true, ..dcfg }),
+        "darsie-no-cf-sync" => Technique::Darsie(DarsieConfig { no_cf_sync: true, ..dcfg }),
+        "silicon-sync" => Technique::SiliconSync,
+        _ => usage(),
+    }
+}
+
+fn parse_scheduler(name: &str) -> SchedulerPolicy {
+    match name {
+        "gto" => SchedulerPolicy::Gto,
+        "lrr" => SchedulerPolicy::Lrr,
+        _ => usage(),
+    }
+}
+
+/// One `darsie-sim` mode: which shared flags it takes, and its body.
+struct Command {
+    name: &'static str,
+    /// Default `--scale`; `None` when the mode takes no `--scale`.
+    scale: Option<Scale>,
+    /// Takes a workload selection (positional abbreviations and/or
+    /// `--workload NAME` filters matching the abbreviation or full name,
+    /// case-insensitively; the whole catalog when empty) and `--threads`.
+    select: bool,
+    /// Consumes `--threads`; other selecting modes warn and ignore it.
+    threaded: bool,
+    /// Takes `--json`.
+    json: bool,
+    run: fn(&Command, &[String]),
+}
+
+/// What the shared parser hands a mode: the selection, output mode and
+/// thread count, plus the run manifest every exit goes through.
+struct Ctx {
+    json: bool,
+    selected: Vec<Workload>,
+    threads: usize,
+    scale: Scale,
+    mf: RunManifest,
+    manifest: Option<String>,
+}
+
+impl Command {
+    /// A workload-selecting subcommand with `--json` and `--scale`
+    /// (default test).
+    const fn sub(name: &'static str, threaded: bool, run: fn(&Command, &[String])) -> Command {
+        Command { name, scale: Some(Scale::Test), select: true, threaded, json: true, run }
+    }
+
+    /// The shared parser. Every mode goes through it, so
+    /// unknown-abbreviation rejection (exit 2, listing the valid names),
+    /// `--workload` semantics, the `--threads` warn-and-ignore rule and
+    /// duplicate rejection cannot drift between modes. `extra` sees every
+    /// flag the mode does not share (plus the argument iterator, so it can
+    /// consume a value) and returns whether it recognized it; flags it
+    /// rejects are a usage error. Only `--workload` and `--against` may
+    /// repeat.
+    fn parse(
+        &self,
+        args: &[String],
+        mut extra: impl FnMut(&str, &mut Iter<String>) -> bool,
+    ) -> Ctx {
+        let mut scale: Option<Scale> = None;
+        let mut json = false;
+        let mut threads: Option<usize> = None;
+        let mut manifest: Option<String> = None;
+        let mut abbrs: Vec<&str> = Vec::new();
+        let mut names: Vec<String> = Vec::new();
+        let mut seen: Vec<&str> = Vec::new();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            let flag = a.as_str();
+            if flag.starts_with("--") && !matches!(flag, "--workload" | "--against") {
+                if seen.contains(&flag) {
+                    duplicate_flag(flag);
                 }
-                manifest = Some(it.next().cloned().unwrap_or_else(|| usage()));
+                seen.push(flag);
             }
-            "--scale" => {
-                if scale.is_some() {
-                    duplicate_flag("--scale");
+            match flag {
+                "--manifest" => manifest = Some(value(&mut it)),
+                "--scale" if self.scale.is_some() => {
+                    scale = match value(&mut it).as_str() {
+                        "test" => Some(Scale::Test),
+                        "eval" => Some(Scale::Eval),
+                        _ => usage(),
+                    }
                 }
-                scale = match it.next().map(String::as_str) {
-                    Some("test") => Some(Scale::Test),
-                    Some("eval") => Some(Scale::Eval),
-                    _ => usage(),
+                "--json" if self.json => json = true,
+                "--threads" if self.select => {
+                    threads = Some(positive(flag, it.next().map(String::as_str)));
                 }
-            }
-            "--json" => {
-                if json {
-                    duplicate_flag("--json");
-                }
-                json = true;
-            }
-            "--threads" => {
-                if threads.is_some() {
-                    duplicate_flag("--threads");
-                }
-                match it.next().and_then(|n| n.parse::<usize>().ok()).filter(|&n| n >= 1) {
-                    Some(n) => threads = Some(n),
-                    None => {
-                        eprintln!("--threads expects a positive integer");
-                        std::process::exit(2);
+                "--workload" if self.select => names.push(value(&mut it)),
+                s if self.select && !s.starts_with("--") => abbrs.push(s),
+                s => {
+                    if !extra(s, &mut it) {
+                        usage()
                     }
                 }
             }
-            "--workload" => names.push(it.next().cloned().unwrap_or_else(|| usage())),
-            s if !s.starts_with("--") => abbrs.push(s.to_string()),
-            s => {
-                if !extra(s, &mut it) {
-                    usage()
-                }
+        }
+        let scale = scale.or(self.scale).unwrap_or(Scale::Test);
+        let mut selected: Vec<Workload> = abbrs
+            .iter()
+            .map(|a| by_abbr(a, scale).unwrap_or_else(|| unknown_workload("benchmark", a)))
+            .collect();
+        for n in &names {
+            let nl = n.to_lowercase();
+            let matched: Vec<Workload> = catalog(scale)
+                .into_iter()
+                .filter(|w| w.abbr.to_lowercase() == nl || w.name.to_lowercase() == nl)
+                .collect();
+            if matched.is_empty() {
+                unknown_workload("workload", n);
+            }
+            selected.extend(matched);
+        }
+        if self.select && selected.is_empty() {
+            selected = catalog(scale);
+        }
+        if threads.is_some() && !self.threaded {
+            eprintln!(
+                "warning: --threads is only used by `verify`, `certify` and `prove`; \
+                 `{}` ignores it",
+                self.name
+            );
+            threads = None;
+        }
+        Ctx {
+            json,
+            selected,
+            threads: threads.unwrap_or(1),
+            scale,
+            mf: RunManifest::new(self.name, args),
+            manifest,
+        }
+    }
+}
+
+/// The subcommand table; anything else is the bare benchmark mode.
+static COMMANDS: [Command; 8] = [
+    Command::sub("verify", true, verify),
+    Command::sub("certify", true, certify),
+    Command::sub("analyze", false, analyze),
+    Command::sub("prove", true, prove),
+    Command::sub("profile", false, profile),
+    Command::sub("estimate", false, estimate),
+    Command::sub("replay-diff", false, replay),
+    Command { name: "lints", scale: None, select: false, threaded: false, json: true, run: lints },
+];
+
+/// The bare benchmark mode: `darsie-sim ABBR [options]`.
+static RUN: Command = Command {
+    name: "run",
+    scale: Some(Scale::Eval),
+    select: false,
+    threaded: false,
+    json: false,
+    run,
+};
+
+impl Ctx {
+    /// Writes the run manifest (when `--manifest PATH` was given) carrying
+    /// the exit code the process is about to return, then exits when that
+    /// code is non-zero. Every mode funnels its exit through here so a
+    /// failing run still leaves its telemetry behind.
+    fn finish(&mut self, code: i32) {
+        self.mf.exit_code = code;
+        if let Some(p) = &self.manifest {
+            if let Err(e) = self.mf.write(p) {
+                eprintln!("cannot write manifest {p}: {e}");
+                std::process::exit(2);
             }
         }
-    }
-    let scale = scale.unwrap_or(Scale::Test);
-    let mut selected: Vec<Workload> = abbrs
-        .iter()
-        .map(|a| by_abbr(a, scale).unwrap_or_else(|| unknown_workload("benchmark", a)))
-        .collect();
-    for n in &names {
-        let nl = n.to_lowercase();
-        let matched: Vec<Workload> = catalog(scale)
-            .into_iter()
-            .filter(|w| w.abbr.to_lowercase() == nl || w.name.to_lowercase() == nl)
-            .collect();
-        if matched.is_empty() {
-            unknown_workload("workload", n);
+        if code != 0 {
+            std::process::exit(code);
         }
-        selected.extend(matched);
     }
-    if selected.is_empty() {
-        selected = catalog(scale);
+}
+
+/// The `abbr`/`kernel` pair every per-workload record starts with.
+fn workload_json(w: &Workload) -> Json {
+    Json::obj().field("abbr", w.abbr).field("kernel", w.ck.kernel.name.as_str())
+}
+
+fn dim3_json(d: Dim3) -> Json {
+    Json::arr([d.x, d.y, d.z])
+}
+
+fn diagnostics_json<'a>(items: impl IntoIterator<Item = &'a Diagnostic>) -> Json {
+    Json::arr(items.into_iter().map(|d| {
+        Json::obj()
+            .field("code", d.code.to_string())
+            .field("severity", d.severity.to_string())
+            .field("pc", d.pc)
+            .field("message", d.message.as_str())
+    }))
+}
+
+fn witness_json(w: simt_verify::blocks::RaceWitness) -> Json {
+    Json::obj()
+        .field("pc_a", w.pc_a)
+        .field("pc_b", w.pc_b)
+        .field("block_a", dim3_json(w.block_a))
+        .field("block_b", dim3_json(w.block_b))
+        .field("word", w.word)
+}
+
+/// A count histogram as a JSON object, keys in map order.
+fn counts_json<K: Display>(counts: &BTreeMap<K, usize>) -> Json {
+    counts.iter().map(|(k, &n)| (k.to_string(), n)).collect()
+}
+
+/// A count histogram for humans: `K×N, K×N, ...`.
+fn counts_human<K: Display, N: Display>(counts: impl IntoIterator<Item = (K, N)>) -> String {
+    counts.into_iter().map(|(k, n)| format!("{k}\u{d7}{n}")).collect::<Vec<_>>().join(", ")
+}
+
+/// Error/warning totals and per-lint-code counts over a run's reports.
+#[derive(Default)]
+struct Tally {
+    errors: usize,
+    warnings: usize,
+    by_code: BTreeMap<&'static str, usize>,
+}
+
+impl Tally {
+    fn add(&mut self, report: &Diagnostics) {
+        self.errors += report.error_count();
+        self.warnings += report.warning_count();
+        for d in &report.items {
+            *self.by_code.entry(d.code.code()).or_insert(0) += 1;
+        }
     }
-    if threads.is_some() && !THREADED_SUBCOMMANDS.contains(&subcommand) {
-        eprintln!(
-            "warning: --threads is only used by `verify`, `certify` and `prove`; \
-             `{subcommand}` ignores it"
-        );
-        threads = None;
+
+    /// Prints the `verify`/`certify` document (`records` plus the totals),
+    /// or the human footer, and records the counters in the manifest.
+    fn finish(&self, cx: &mut Ctx, records: Vec<Json>, verb: &str) {
+        if cx.json {
+            let doc = json_header(cx.mf.subcommand.as_str(), None)
+                .field("workloads", records)
+                .field("by_code", counts_json(&self.by_code))
+                .field("total_errors", self.errors)
+                .field("total_warnings", self.warnings);
+            println!("{doc}");
+        } else {
+            println!(
+                "{verb} {} workload(s): {} error(s), {} warning(s)",
+                cx.selected.len(),
+                self.errors,
+                self.warnings
+            );
+            if !self.by_code.is_empty() {
+                println!("by code: {}", counts_human(&self.by_code));
+            }
+        }
+        cx.mf.count("workloads", cx.selected.len() as u64);
+        cx.mf.count("total_errors", self.errors as u64);
+        cx.mf.count("total_warnings", self.warnings as u64);
+        cx.finish(i32::from(self.errors > 0));
     }
-    SubcommandArgs { json, selected, threads, scale, manifest }
 }
 
 /// `darsie-sim verify`: run every `simt-verify` pass over the selected
@@ -332,52 +476,26 @@ fn parse_subcommand_args_with(
 /// the human report. `--threads N` shards the workloads across scoped
 /// worker threads; rendering stays sequential, so output is
 /// byte-identical whatever the thread count.
-fn verify_command(args: &[String]) {
-    let SubcommandArgs { json, selected, threads, manifest, .. } =
-        parse_subcommand_args("verify", args);
-    let mut mf = RunManifest::new("verify", args);
-    let reports = mf.phase("verify", || {
-        parallel_map(&selected, threads.unwrap_or(1), |w| {
+fn verify(cmd: &Command, args: &[String]) {
+    let mut cx = cmd.parse(args, |_, _| false);
+    let reports = cx.mf.phase("verify", || {
+        parallel_map(&cx.selected, cx.threads, |w| {
             simt_verify::verify_full(&w.ck, &w.launch, w.memory.clone())
         })
     });
 
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut by_code: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut records: Vec<String> = Vec::new();
-    for (w, report) in selected.iter().zip(&reports) {
-        errors += report.error_count();
-        warnings += report.warning_count();
-        for d in &report.items {
-            *by_code.entry(d.code.code()).or_insert(0) += 1;
-        }
-        if json {
-            let diags: Vec<String> = report
-                .items
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{{\"code\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-                        d.code,
-                        d.severity,
-                        d.pc.map_or_else(|| "null".to_string(), |pc| pc.to_string()),
-                        json_escape(&d.message)
-                    )
-                })
-                .collect();
-            records.push(format!(
-                "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\"block\":[{},{},{}],\
-                 \"diagnostics\":[{}],\"errors\":{},\"warnings\":{}}}",
-                json_escape(w.abbr),
-                json_escape(&w.ck.kernel.name),
-                w.block.x,
-                w.block.y,
-                w.block.z,
-                diags.join(","),
-                report.error_count(),
-                report.warning_count()
-            ));
+    let mut tally = Tally::default();
+    let mut records: Vec<Json> = Vec::new();
+    for (w, report) in cx.selected.iter().zip(&reports) {
+        tally.add(report);
+        if cx.json {
+            records.push(
+                workload_json(w)
+                    .field("block", dim3_json(w.block))
+                    .field("diagnostics", diagnostics_json(&report.items))
+                    .field("errors", report.error_count())
+                    .field("warnings", report.warning_count()),
+            );
         } else if report.items.is_empty() {
             println!(
                 "verify {:8} ({}, TB=({},{},{})): clean",
@@ -387,29 +505,7 @@ fn verify_command(args: &[String]) {
             print!("{}", report.render());
         }
     }
-    let code_totals: Vec<String> = by_code.iter().map(|(c, n)| format!("\"{c}\":{n}")).collect();
-    if json {
-        println!(
-            "{{{},\"workloads\":[{}],\"by_code\":{{{}}},\"total_errors\":{errors},\
-             \"total_warnings\":{warnings}}}",
-            json_header("verify", None),
-            records.join(","),
-            code_totals.join(",")
-        );
-    } else {
-        println!(
-            "verified {} workload(s): {errors} error(s), {warnings} warning(s)",
-            selected.len()
-        );
-        if !by_code.is_empty() {
-            let human: Vec<String> = by_code.iter().map(|(c, n)| format!("{c}\u{d7}{n}")).collect();
-            println!("by code: {}", human.join(", "));
-        }
-    }
-    mf.count("workloads", selected.len() as u64);
-    mf.count("total_errors", errors as u64);
-    mf.count("total_warnings", warnings as u64);
-    finish_run(&mut mf, manifest.as_deref(), i32::from(errors > 0));
+    tally.finish(&mut cx, records, "verified");
 }
 
 /// `darsie-sim certify`: the inter-thread-block independence certifier
@@ -418,119 +514,57 @@ fn verify_command(args: &[String]) {
 /// the global-memory shadow sanitizer, prints the classification and
 /// any `V310`–`V313` findings, and exits 1 on any error-severity
 /// finding. `--threads N` shards the workloads with byte-identical
-/// output.
-fn certify_command(args: &[String]) {
+/// output. `--family` switches to [`certify_family`].
+fn certify(cmd: &Command, args: &[String]) {
     let mut family = false;
     let mut samples: Option<usize> = None;
-    let SubcommandArgs { json, selected, threads, manifest, .. } =
-        parse_subcommand_args_with("certify", args, |flag, it| match flag {
-            "--family" => {
-                if family {
-                    duplicate_flag("--family");
-                }
-                family = true;
-                true
-            }
-            "--samples" => {
-                if samples.is_some() {
-                    duplicate_flag("--samples");
-                }
-                match it.next().and_then(|n| n.parse::<usize>().ok()).filter(|&n| n >= 1) {
-                    Some(n) => samples = Some(n),
-                    None => {
-                        eprintln!("--samples expects a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-                true
-            }
-            _ => false,
-        });
+    let mut cx = cmd.parse(args, |flag, it| match flag {
+        "--family" => {
+            family = true;
+            true
+        }
+        "--samples" => {
+            samples = Some(positive(flag, it.next().map(String::as_str)));
+            true
+        }
+        _ => false,
+    });
     if let Some(n) = samples {
         if !family {
             eprintln!("--samples {n} only applies to `certify --family`");
             std::process::exit(2);
         }
     }
-    let mut mf = RunManifest::new(if family { "certify-family" } else { "certify" }, args);
     if family {
-        let code = certify_family_command(
-            &selected,
-            json,
-            threads.unwrap_or(1),
-            samples.unwrap_or(25),
-            &mut mf,
-        );
-        finish_run(&mut mf, manifest.as_deref(), code);
+        cx.mf.subcommand = "certify-family".to_string();
+        let code = certify_family(&mut cx, samples.unwrap_or(25));
+        cx.finish(code);
         return;
     }
-    let results = mf.phase("certify", || {
-        parallel_map(&selected, threads.unwrap_or(1), |w| {
+    let results = cx.mf.phase("certify", || {
+        parallel_map(&cx.selected, cx.threads, |w| {
             simt_verify::blocks::certify(&w.ck, &w.launch, w.memory.clone())
         })
     });
 
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut by_code: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut records: Vec<String> = Vec::new();
-    for (w, (cert, report)) in selected.iter().zip(&results) {
-        errors += report.error_count();
-        warnings += report.warning_count();
-        for d in &report.items {
-            *by_code.entry(d.code.code()).or_insert(0) += 1;
-        }
-        if json {
-            let diags: Vec<String> = report
-                .items
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{{\"code\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-                        d.code,
-                        d.severity,
-                        d.pc.map_or_else(|| "null".to_string(), |pc| pc.to_string()),
-                        json_escape(&d.message)
-                    )
-                })
-                .collect();
-            let witness = cert.witness.map_or_else(
-                || "null".to_string(),
-                |wit| {
-                    format!(
-                        "{{\"pc_a\":{},\"pc_b\":{},\"block_a\":[{},{},{}],\
-                         \"block_b\":[{},{},{}],\"word\":{}}}",
-                        wit.pc_a,
-                        wit.pc_b,
-                        wit.block_a.x,
-                        wit.block_a.y,
-                        wit.block_a.z,
-                        wit.block_b.x,
-                        wit.block_b.y,
-                        wit.block_b.z,
-                        wit.word
-                    )
-                },
+    let mut tally = Tally::default();
+    let mut records: Vec<Json> = Vec::new();
+    for (w, (cert, report)) in cx.selected.iter().zip(&results) {
+        tally.add(report);
+        if cx.json {
+            records.push(
+                workload_json(w)
+                    .field("grid", dim3_json(w.launch.grid))
+                    .field("classification", cert.classification.label())
+                    .field("global_accesses", cert.global_accesses)
+                    .field("unanalyzable", cert.unanalyzable)
+                    .field("checked_pairs", cert.checked_pairs)
+                    .field("dynamically_discharged", cert.dynamically_discharged)
+                    .field("witness", cert.witness.map(witness_json))
+                    .field("diagnostics", diagnostics_json(&report.items))
+                    .field("errors", report.error_count())
+                    .field("warnings", report.warning_count()),
             );
-            records.push(format!(
-                "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\"grid\":[{},{},{}],\
-                 \"classification\":\"{}\",\"global_accesses\":{},\"unanalyzable\":{},\
-                 \"checked_pairs\":{},\"dynamically_discharged\":{},\"witness\":{witness},\
-                 \"diagnostics\":[{}],\"errors\":{},\"warnings\":{}}}",
-                json_escape(w.abbr),
-                json_escape(&w.ck.kernel.name),
-                w.launch.grid.x,
-                w.launch.grid.y,
-                w.launch.grid.z,
-                cert.classification.label(),
-                cert.global_accesses,
-                cert.unanalyzable,
-                cert.checked_pairs,
-                cert.dynamically_discharged,
-                diags.join(","),
-                report.error_count(),
-                report.warning_count()
-            ));
         } else {
             println!(
                 "certify {:8} ({}, grid=({},{},{})): {} ({} global access(es), \
@@ -552,34 +586,7 @@ fn certify_command(args: &[String]) {
             }
         }
     }
-    let code_totals: Vec<String> = by_code.iter().map(|(c, n)| format!("\"{c}\":{n}")).collect();
-    if json {
-        println!(
-            "{{{},\"workloads\":[{}],\"by_code\":{{{}}},\"total_errors\":{errors},\
-             \"total_warnings\":{warnings}}}",
-            json_header("certify", None),
-            records.join(","),
-            code_totals.join(",")
-        );
-    } else {
-        println!(
-            "certified {} workload(s): {errors} error(s), {warnings} warning(s)",
-            selected.len()
-        );
-        if !by_code.is_empty() {
-            let human: Vec<String> = by_code.iter().map(|(c, n)| format!("{c}\u{d7}{n}")).collect();
-            println!("by code: {}", human.join(", "));
-        }
-    }
-    mf.count("workloads", selected.len() as u64);
-    mf.count("total_errors", errors as u64);
-    mf.count("total_warnings", warnings as u64);
-    finish_run(&mut mf, manifest.as_deref(), i32::from(errors > 0));
-}
-
-/// One axis of a launch-family region as a JSON object.
-fn axis_json(a: &simt_isa::AxisRange) -> String {
-    format!("{{\"lo\":{},\"hi\":{},\"step\":{}}}", a.lo, a.hi, a.step)
+    tally.finish(&mut cx, records, "certified");
 }
 
 /// `darsie-sim certify --family`: launch-family-parametric certification.
@@ -588,27 +595,20 @@ fn axis_json(a: &simt_isa::AxisRange) -> String {
 /// region — one certificate per kernel covering the whole grid sweep —
 /// and then runs the sampled differential gate (`--samples N` member
 /// launches, default 25, each certified concretely) against the family
-/// verdict. Exits 1 on any `PerLaunchOnly` refutation or any
+/// verdict. Returns 1 on any `PerLaunchOnly` refutation or any
 /// family-vs-concrete disagreement.
-fn certify_family_command(
-    selected: &[Workload],
-    json: bool,
-    threads: usize,
-    samples: usize,
-    mf: &mut RunManifest,
-) -> i32 {
+fn certify_family(cx: &mut Ctx, samples: usize) -> i32 {
+    use simt_verify::family::{self, FamilyVerdict};
     let cfg = GpuConfig::test_small();
-    mf.set_config(&cfg);
-    let results = mf.phase("certify-family", || {
-        parallel_map(selected, threads, |w| {
-            simt_verify::family::certify_family(&w.ck, &w.family, &w.launch, &w.memory, &cfg).map(
-                |cert| {
-                    let disagreements = simt_verify::family::differential_check(
-                        &w.ck, &w.family, &w.launch, &w.memory, &cert, samples, 1,
-                    );
-                    (cert, disagreements)
-                },
-            )
+    cx.mf.set_config(&cfg);
+    let results = cx.mf.phase("certify-family", || {
+        parallel_map(&cx.selected, cx.threads, |w| {
+            family::certify_family(&w.ck, &w.family, &w.launch, &w.memory, &cfg).map(|cert| {
+                let disagreements = family::differential_check(
+                    &w.ck, &w.family, &w.launch, &w.memory, &cert, samples, 1,
+                );
+                (cert, disagreements)
+            })
         })
     });
 
@@ -616,8 +616,8 @@ fn certify_family_command(
     let mut sampled = 0usize;
     let mut refuted = 0usize;
     let mut total_disagreements = 0usize;
-    let mut records: Vec<String> = Vec::new();
-    for (w, result) in selected.iter().zip(&results) {
+    let mut records: Vec<Json> = Vec::new();
+    for (w, result) in cx.selected.iter().zip(&results) {
         let (cert, disagreements) = match result {
             Ok(pair) => pair,
             Err(e) => {
@@ -626,97 +626,57 @@ fn certify_family_command(
             }
         };
         match cert.verdict {
-            simt_verify::family::FamilyVerdict::FamilyProved => proved += 1,
-            simt_verify::family::FamilyVerdict::FamilySampled => sampled += 1,
-            simt_verify::family::FamilyVerdict::PerLaunchOnly => refuted += 1,
+            FamilyVerdict::FamilyProved => proved += 1,
+            FamilyVerdict::FamilySampled => sampled += 1,
+            FamilyVerdict::PerLaunchOnly => refuted += 1,
         }
         total_disagreements += disagreements.len();
-        if json {
-            let region = format!(
-                "{{\"grid_x\":{},\"grid_y\":{},\"block_x\":{},\"block_y\":{},\"block_z\":{}}}",
-                axis_json(&cert.region.grid_x),
-                axis_json(&cert.region.grid_y),
-                axis_json(&cert.region.block_x),
-                axis_json(&cert.region.block_y),
-                axis_json(&cert.region.block_z),
+        if cx.json {
+            let r = &cert.region;
+            let region: Json = [
+                ("grid_x", &r.grid_x),
+                ("grid_y", &r.grid_y),
+                ("block_x", &r.block_x),
+                ("block_y", &r.block_y),
+                ("block_z", &r.block_z),
+            ]
+            .into_iter()
+            .map(|(k, a)| {
+                (k, Json::obj().field("lo", a.lo).field("hi", a.hi).field("step", a.step))
+            })
+            .collect();
+            let unresolved = cert.unresolved.iter().map(|p| {
+                Json::obj().field("pc_a", p.pc_a).field("pc_b", p.pc_b).field("reason", p.reason)
+            });
+            let witness_launch = cert.witness_launch.as_ref().map(|wl| {
+                Json::obj().field("grid", dim3_json(wl.grid)).field("block", dim3_json(wl.block))
+            });
+            let cost = cert.cost.iter().map(|b| {
+                Json::obj()
+                    .field("technique", b.technique.as_str())
+                    .field("min_cycles", b.min_cycles)
+                    .field("max_cycles", b.max_cycles)
+            });
+            records.push(
+                Json::obj()
+                    .field("abbr", w.abbr)
+                    .field("kernel", cert.kernel.as_str())
+                    .field("region", region)
+                    .field("member_count", cert.member_count)
+                    .field("verdict", cert.verdict.label())
+                    .field("classification", cert.classification.label())
+                    .field("global_accesses", cert.global_accesses)
+                    .field("checked_pairs", cert.checked_pairs)
+                    .field("proved_pairs", cert.proved_pairs)
+                    .field("unanalyzable", cert.unanalyzable)
+                    .field("unresolved", Json::arr(unresolved))
+                    .field("sampled_corners", cert.sampled_corners)
+                    .field("witness_launch", witness_launch)
+                    .field("witness", cert.witness.map(witness_json))
+                    .field("cost", Json::arr(cost))
+                    .field("notes", Json::arr(cert.notes.iter().map(String::as_str)))
+                    .field("disagreements", Json::arr(disagreements.iter().map(String::as_str))),
             );
-            let unresolved: Vec<String> = cert
-                .unresolved
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"pc_a\":{},\"pc_b\":{},\"reason\":\"{}\"}}",
-                        p.pc_a,
-                        p.pc_b,
-                        json_escape(p.reason)
-                    )
-                })
-                .collect();
-            let witness_launch = cert.witness_launch.as_ref().map_or_else(
-                || "null".to_string(),
-                |wl| {
-                    format!(
-                        "{{\"grid\":[{},{},{}],\"block\":[{},{},{}]}}",
-                        wl.grid.x, wl.grid.y, wl.grid.z, wl.block.x, wl.block.y, wl.block.z
-                    )
-                },
-            );
-            let witness = cert.witness.map_or_else(
-                || "null".to_string(),
-                |wit| {
-                    format!(
-                        "{{\"pc_a\":{},\"pc_b\":{},\"block_a\":[{},{},{}],\
-                         \"block_b\":[{},{},{}],\"word\":{}}}",
-                        wit.pc_a,
-                        wit.pc_b,
-                        wit.block_a.x,
-                        wit.block_a.y,
-                        wit.block_a.z,
-                        wit.block_b.x,
-                        wit.block_b.y,
-                        wit.block_b.z,
-                        wit.word
-                    )
-                },
-            );
-            let cost: Vec<String> = cert
-                .cost
-                .iter()
-                .map(|b| {
-                    format!(
-                        "{{\"technique\":\"{}\",\"min_cycles\":{},\"max_cycles\":{}}}",
-                        json_escape(&b.technique),
-                        b.min_cycles,
-                        b.max_cycles.map_or_else(|| "null".to_string(), |m| m.to_string())
-                    )
-                })
-                .collect();
-            let notes: Vec<String> =
-                cert.notes.iter().map(|n| format!("\"{}\"", json_escape(n))).collect();
-            let disputes: Vec<String> =
-                disagreements.iter().map(|d| format!("\"{}\"", json_escape(d))).collect();
-            records.push(format!(
-                "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\"region\":{region},\
-                 \"member_count\":{},\"verdict\":\"{}\",\"classification\":\"{}\",\
-                 \"global_accesses\":{},\"checked_pairs\":{},\"proved_pairs\":{},\
-                 \"unanalyzable\":{},\"unresolved\":[{}],\"sampled_corners\":{},\
-                 \"witness_launch\":{witness_launch},\"witness\":{witness},\"cost\":[{}],\
-                 \"notes\":[{}],\"disagreements\":[{}]}}",
-                json_escape(w.abbr),
-                json_escape(&cert.kernel),
-                cert.member_count,
-                cert.verdict.label(),
-                cert.classification.label(),
-                cert.global_accesses,
-                cert.checked_pairs,
-                cert.proved_pairs,
-                cert.unanalyzable,
-                unresolved.join(","),
-                cert.sampled_corners,
-                cost.join(","),
-                notes.join(","),
-                disputes.join(",")
-            ));
         } else {
             println!(
                 "family {:8} ({}): {} over {} [{} member(s)] — {}/{} pair(s) proved, \
@@ -738,27 +698,28 @@ fn certify_family_command(
             }
         }
     }
-    if json {
-        println!(
-            "{{{},\"workloads\":[{}],\"samples\":{samples},\"proved\":{proved},\
-             \"sampled\":{sampled},\"refuted\":{refuted},\
-             \"disagreements\":{total_disagreements}}}",
-            json_header("certify-family", Some(&cfg)),
-            records.join(",")
-        );
+    if cx.json {
+        let doc = json_header("certify-family", Some(&cfg))
+            .field("workloads", records)
+            .field("samples", samples)
+            .field("proved", proved)
+            .field("sampled", sampled)
+            .field("refuted", refuted)
+            .field("disagreements", total_disagreements);
+        println!("{doc}");
     } else {
         println!(
             "certified {} family region(s): {proved} proved, {sampled} sampled, \
              {refuted} refuted, {total_disagreements} differential disagreement(s) \
              over {samples} sample(s) each",
-            selected.len()
+            cx.selected.len()
         );
     }
-    mf.count("workloads", selected.len() as u64);
-    mf.count("proved", proved as u64);
-    mf.count("sampled", sampled as u64);
-    mf.count("refuted", refuted as u64);
-    mf.count("disagreements", total_disagreements as u64);
+    cx.mf.count("workloads", cx.selected.len() as u64);
+    cx.mf.count("proved", proved as u64);
+    cx.mf.count("sampled", sampled as u64);
+    cx.mf.count("refuted", refuted as u64);
+    cx.mf.count("disagreements", total_disagreements as u64);
     i32::from(refuted > 0 || total_disagreements > 0)
 }
 
@@ -766,21 +727,18 @@ fn certify_family_command(
 /// every redundancy-marking and branch-sync claim of the selected
 /// workloads over their full quantified launch families and exits 1 on
 /// any `S401` disproof or `S403` branch-sync violation.
-fn prove_command(args: &[String]) {
-    let SubcommandArgs { json, selected, threads, manifest, .. } =
-        parse_subcommand_args("prove", args);
-    let threads = threads.unwrap_or(1);
-    let mut mf = RunManifest::new("prove", args);
+fn prove(cmd: &Command, args: &[String]) {
+    use simt_verify::symex::{prove_with_threads, Verdict};
+    let mut cx = cmd.parse(args, |_, _| false);
 
-    let mut errors = 0usize;
-    let mut by_code: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut tally = Tally::default();
     let mut unknown_reasons: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut totals = (0usize, 0usize, 0usize);
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     let wall = std::time::Instant::now();
-    for w in &selected {
-        let p = mf.phase(&format!("prove:{}", w.abbr), || {
-            simt_verify::symex::prove_with_threads(&w.ck, Some((&w.launch, &w.memory)), threads)
+    for w in &cx.selected {
+        let p = cx.mf.phase(&format!("prove:{}", w.abbr), || {
+            prove_with_threads(&w.ck, Some((&w.launch, &w.memory)), cx.threads)
         });
         let s = &p.stats;
         for c in &p.claims {
@@ -788,73 +746,45 @@ fn prove_command(args: &[String]) {
                 *unknown_reasons.entry(r.label()).or_insert(0) += 1;
             }
         }
-        errors += p.report.error_count();
+        tally.add(&p.report);
         totals.0 += s.proved;
         totals.1 += s.disproved;
         totals.2 += s.unknown;
-        for d in &p.report.items {
-            *by_code.entry(d.code.code()).or_insert(0) += 1;
-        }
-        if json {
-            let diags: Vec<String> = p
-                .report
-                .items
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{{\"code\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-                        d.code,
-                        d.severity,
-                        d.pc.map_or_else(|| "null".to_string(), |pc| pc.to_string()),
-                        json_escape(&d.message)
+        if cx.json {
+            let claims = p.claims.iter().map(|c| {
+                let verdict = match c.verdict {
+                    Verdict::Proved => "proved",
+                    Verdict::Disproved => "disproved",
+                    Verdict::Unknown => "unknown",
+                };
+                Json::obj()
+                    .field("pc", c.pc)
+                    .field("kind", c.kind.to_string())
+                    .field("family", c.family.to_string())
+                    .field("verdict", verdict)
+                    .field("unknown_reason", c.unknown_reason.map(|r| r.label()))
+                    .field("evals", c.evals)
+                    .field(
+                        "covered_region",
+                        c.covers
+                            .covered_region(&w.family, w.launch.warp_size)
+                            .map(|r| r.to_string()),
                     )
-                })
-                .collect();
-            let claims: Vec<String> = p
-                .claims
-                .iter()
-                .map(|c| {
-                    let verdict = match c.verdict {
-                        simt_verify::symex::Verdict::Proved => "proved",
-                        simt_verify::symex::Verdict::Disproved => "disproved",
-                        simt_verify::symex::Verdict::Unknown => "unknown",
-                    };
-                    let reason = c
-                        .unknown_reason
-                        .map_or_else(|| "null".to_string(), |r| format!("\"{}\"", r.label()));
-                    let covered =
-                        c.covers.covered_region(&w.family, w.launch.warp_size).map_or_else(
-                            || "null".to_string(),
-                            |r| format!("\"{}\"", json_escape(&r.to_string())),
-                        );
-                    format!(
-                        "{{\"pc\":{},\"kind\":\"{}\",\"family\":\"{}\",\"verdict\":\"{}\",\
-                         \"unknown_reason\":{},\"evals\":{},\"covered_region\":{covered}}}",
-                        c.pc, c.kind, c.family, verdict, reason, c.evals
-                    )
-                })
-                .collect();
-            records.push(format!(
-                "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\"block\":[{},{},{}],\
-                 \"value_claims\":{},\"branch_claims\":{},\"proved\":{},\"disproved\":{},\
-                 \"unknown\":{},\"complete\":{},\"fuel_used\":{},\"terms\":{},\
-                 \"claims\":[{}],\"diagnostics\":[{}]}}",
-                json_escape(w.abbr),
-                json_escape(&w.ck.kernel.name),
-                w.block.x,
-                w.block.y,
-                w.block.z,
-                s.value_claims,
-                s.branch_claims,
-                s.proved,
-                s.disproved,
-                s.unknown,
-                s.complete,
-                s.fuel_used,
-                s.terms,
-                claims.join(","),
-                diags.join(",")
-            ));
+            });
+            records.push(
+                workload_json(w)
+                    .field("block", dim3_json(w.block))
+                    .field("value_claims", s.value_claims)
+                    .field("branch_claims", s.branch_claims)
+                    .field("proved", s.proved)
+                    .field("disproved", s.disproved)
+                    .field("unknown", s.unknown)
+                    .field("complete", s.complete)
+                    .field("fuel_used", s.fuel_used)
+                    .field("terms", s.terms)
+                    .field("claims", Json::arr(claims))
+                    .field("diagnostics", diagnostics_json(&p.report.items)),
+            );
         } else {
             println!(
                 "prove {:8} ({}, TB=({},{},{})): {} claim(s): {} proved, {} disproved, \
@@ -876,25 +806,19 @@ fn prove_command(args: &[String]) {
         }
     }
     let elapsed = wall.elapsed();
-    let code_totals: Vec<String> = by_code.iter().map(|(c, n)| format!("\"{c}\":{n}")).collect();
-    let reason_totals: Vec<String> =
-        unknown_reasons.iter().map(|(r, n)| format!("\"{r}\":{n}")).collect();
-    if json {
-        println!(
-            "{{{},\"workloads\":[{}],\"by_code\":{{{}}},\"unknown_reasons\":{{{}}},\
-             \"total_proved\":{},\"total_disproved\":{},\"total_unknown\":{}}}",
-            json_header("prove", None),
-            records.join(","),
-            code_totals.join(","),
-            reason_totals.join(","),
-            totals.0,
-            totals.1,
-            totals.2
-        );
+    if cx.json {
+        let doc = json_header("prove", None)
+            .field("workloads", records)
+            .field("by_code", counts_json(&tally.by_code))
+            .field("unknown_reasons", counts_json(&unknown_reasons))
+            .field("total_proved", totals.0)
+            .field("total_disproved", totals.1)
+            .field("total_unknown", totals.2);
+        println!("{doc}");
     } else {
         println!(
             "proved {} workload(s): {} proved, {} disproved, {} unknown",
-            selected.len(),
+            cx.selected.len(),
             totals.0,
             totals.1,
             totals.2
@@ -903,60 +827,35 @@ fn prove_command(args: &[String]) {
             let mut ranked: Vec<(&str, usize)> =
                 unknown_reasons.iter().map(|(r, n)| (*r, *n)).collect();
             ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-            let human: Vec<String> = ranked.iter().map(|(r, n)| format!("{r}\u{d7}{n}")).collect();
-            println!("top unknown reasons: {}", human.join(", "));
+            println!("top unknown reasons: {}", counts_human(ranked));
         }
     }
     // Wall time goes to stderr so `--json` stdout stays byte-identical
     // across `--threads N`.
-    eprintln!("prover wall time: {:.3}s ({} thread(s))", elapsed.as_secs_f64(), threads);
-    mf.count("workloads", selected.len() as u64);
-    mf.count("total_proved", totals.0 as u64);
-    mf.count("total_disproved", totals.1 as u64);
-    mf.count("total_unknown", totals.2 as u64);
-    finish_run(&mut mf, manifest.as_deref(), i32::from(errors > 0));
+    eprintln!("prover wall time: {:.3}s ({} thread(s))", elapsed.as_secs_f64(), cx.threads);
+    cx.mf.count("workloads", cx.selected.len() as u64);
+    cx.mf.count("total_proved", totals.0 as u64);
+    cx.mf.count("total_disproved", totals.1 as u64);
+    cx.mf.count("total_unknown", totals.2 as u64);
+    cx.finish(i32::from(tally.errors > 0));
 }
 
-/// `darsie-sim lints`: the lint registry, generated from [`LintCode`]
-/// itself — code, severity, producing pass and one-line description.
-fn lints_command(args: &[String]) {
+/// `darsie-sim lints`: the lint registry, generated from
+/// [`simt_verify::LintCode`] itself — code, severity, producing pass and
+/// one-line description.
+fn lints(cmd: &Command, args: &[String]) {
     use simt_verify::LintCode;
-    let mut json = false;
-    let mut manifest: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => {
-                if json {
-                    duplicate_flag("--json");
-                }
-                json = true;
-            }
-            "--manifest" => {
-                if manifest.is_some() {
-                    duplicate_flag("--manifest");
-                }
-                manifest = Some(it.next().cloned().unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
-        }
-    }
-    let mut mf = RunManifest::new("lints", args);
-    mf.phase("render", || {
-        if json {
-            let rows: Vec<String> = LintCode::ALL
-                .iter()
-                .map(|l| {
-                    format!(
-                        "{{\"code\":\"{}\",\"severity\":\"{}\",\"pass\":\"{}\",\"doc\":\"{}\"}}",
-                        l.code(),
-                        l.severity(),
-                        l.pass(),
-                        json_escape(l.doc())
-                    )
-                })
-                .collect();
-            println!("{{{},\"lints\":[{}]}}", json_header("lints", None), rows.join(","));
+    let mut cx = cmd.parse(args, |_, _| false);
+    cx.mf.phase("render", || {
+        if cx.json {
+            let rows = LintCode::ALL.iter().map(|l| {
+                Json::obj()
+                    .field("code", l.code())
+                    .field("severity", l.severity().to_string())
+                    .field("pass", l.pass().to_string())
+                    .field("doc", l.doc())
+            });
+            println!("{}", json_header("lints", None).field("lints", Json::arr(rows)));
         } else {
             for l in LintCode::ALL {
                 println!(
@@ -969,46 +868,48 @@ fn lints_command(args: &[String]) {
             }
         }
     });
-    mf.count("lints", LintCode::ALL.len() as u64);
-    finish_run(&mut mf, manifest.as_deref(), 0);
+    cx.mf.count("lints", LintCode::ALL.len() as u64);
+    cx.finish(0);
 }
 
 /// Serializes one memory prediction plus its validation outcome.
-fn mem_check_json(p: &MemPrediction, v: Option<&simt_verify::perf::Validation>) -> String {
-    let kind = match &p.kind {
-        MemPredKind::SharedConflict { min_degree, max_degree } => format!(
-            "\"kind\":\"shared-conflict\",\"min_degree\":{min_degree},\"max_degree\":{max_degree}"
-        ),
-        MemPredKind::GlobalCoalesce { min_lines, max_lines, ideal_lines } => format!(
-            "\"kind\":\"global-coalesce\",\"min_lines\":{min_lines},\"max_lines\":{max_lines},\
-             \"ideal_lines\":{ideal_lines}"
-        ),
+fn mem_check_json(p: &MemPrediction, v: Option<&simt_verify::perf::Validation>) -> Json {
+    let o = Json::obj().field("pc", p.pc).field("store", p.is_store);
+    let o = match &p.kind {
+        MemPredKind::SharedConflict { min_degree, max_degree } => o
+            .field("kind", "shared-conflict")
+            .field("min_degree", *min_degree)
+            .field("max_degree", *max_degree),
+        MemPredKind::GlobalCoalesce { min_lines, max_lines, ideal_lines } => o
+            .field("kind", "global-coalesce")
+            .field("min_lines", *min_lines)
+            .field("max_lines", *max_lines)
+            .field("ideal_lines", *ideal_lines),
         MemPredKind::Unpredictable { reason } => {
-            format!("\"kind\":\"unpredictable\",\"reason\":\"{}\"", json_escape(reason))
+            o.field("kind", "unpredictable").field("reason", reason.to_string())
         }
     };
-    let check = v.map_or_else(String::new, |v| {
-        format!(",\"ok\":{},\"measured\":\"{}\"", v.ok, json_escape(&v.detail))
-    });
-    format!("{{\"pc\":{},\"store\":{},{kind}{check}}}", p.pc, p.is_store)
+    match v {
+        Some(v) => o.field("ok", v.ok).field("measured", v.detail.as_str()),
+        None => o,
+    }
 }
 
 /// `darsie-sim analyze`: the static skip-coverage and memory-performance
 /// report. Exits 1 when refined markings fail the soundness oracle or a
 /// measured memory counter falls outside its predicted bounds.
-fn analyze_command(args: &[String]) {
-    let SubcommandArgs { json, selected, manifest, .. } = parse_subcommand_args("analyze", args);
+fn analyze(cmd: &Command, args: &[String]) {
+    let mut cx = cmd.parse(args, |_, _| false);
     let cfg = GpuConfig::test_small();
-    let mut mf = RunManifest::new("analyze", args);
-    mf.set_config(&cfg);
+    cx.mf.set_config(&cfg);
 
     let mut total_oracle_errors = 0usize;
     let mut total_mem_violations = 0usize;
     let mut coverage_wins = 0usize;
     let mut marking_wins = 0usize;
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
 
-    for w in &selected {
+    for w in &cx.selected {
         let bz = w.launch.block.z.max(1);
         let refined = simt_compiler::refine(&w.ck, bz);
         let base_plan = LaunchPlan::new(&w.ck, &w.launch);
@@ -1050,8 +951,8 @@ fn analyze_command(args: &[String]) {
         // simulator under the baseline technique, check the bounds.
         let predictions = simt_verify::perf::predict(&w.ck, &w.launch, cfg.warp_size);
         let result =
-            mf.phase(&format!("simulate:{}", w.abbr), || w.run_unchecked(&cfg, Technique::Base));
-        mf.digest_root(&format!("{}/BASE", w.abbr), result.stats.digest_root);
+            cx.mf.phase(&format!("simulate:{}", w.abbr), || w.run_unchecked(&cfg, Technique::Base));
+        cx.mf.digest_root(&format!("{}/BASE", w.abbr), result.stats.digest_root);
         let checks = simt_verify::perf::validate(&predictions, &result.stats);
         let violations = checks.iter().filter(|c| !c.ok).count();
         total_mem_violations += violations;
@@ -1061,48 +962,47 @@ fn analyze_command(args: &[String]) {
             .count();
         let lints = simt_verify::perf::lint(&w.ck, &predictions);
 
-        if json {
-            let upgrade_fields: Vec<String> =
-                upgrades.iter().map(|(r, n)| format!("\"{r}\":{n}")).collect();
-            let seed_fields: Vec<String> =
-                seeds.iter().map(|(s, n)| format!("\"{s}\":{n}")).collect();
-            let mem_fields: Vec<String> = predictions
-                .iter()
-                .map(|p| mem_check_json(p, checks.iter().find(|c| c.pc == p.pc)))
-                .collect();
-            let lint_fields: Vec<String> = lints
-                .items
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{{\"code\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-                        d.code,
-                        d.pc.map_or_else(|| "null".to_string(), |pc| pc.to_string()),
-                        json_escape(&d.message)
+        if cx.json {
+            let marking = |v: usize, c: usize, d: usize, skippable: usize| {
+                Json::obj()
+                    .field("vector", v)
+                    .field("cond", c)
+                    .field("def", d)
+                    .field("skippable", skippable)
+            };
+            let checks_json =
+                predictions.iter().map(|p| mem_check_json(p, checks.iter().find(|c| c.pc == p.pc)));
+            let lints_json = lints.items.iter().map(|d| {
+                Json::obj()
+                    .field("code", d.code.to_string())
+                    .field("pc", d.pc)
+                    .field("message", d.message.as_str())
+            });
+            records.push(
+                workload_json(w)
+                    .field("baseline", marking(bv, bc, bd, base_skip))
+                    .field(
+                        "refined",
+                        marking(rv, rc, rd, ref_skip).field("upgrades", counts_json(&upgrades)),
                     )
-                })
-                .collect();
-            records.push(format!(
-                "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\
-                 \"baseline\":{{\"vector\":{bv},\"cond\":{bc},\"def\":{bd},\
-                 \"skippable\":{base_skip}}},\
-                 \"refined\":{{\"vector\":{rv},\"cond\":{rc},\"def\":{rd},\
-                 \"skippable\":{ref_skip},\"upgrades\":{{{}}}}},\
-                 \"oracle_errors\":{oracle_errors},\
-                 \"headroom\":{{\"dynamically_redundant\":{},\"never_aligned\":{}}},\
-                 \"blame\":{{{}}},\
-                 \"mem\":{{\"accesses\":{},\"unpredictable\":{unpredictable},\
-                 \"violations\":{violations},\"checks\":[{}],\"lints\":[{}]}}}}",
-                json_escape(w.abbr),
-                json_escape(&w.ck.kernel.name),
-                upgrade_fields.join(","),
-                headroom.dynamically_redundant.len(),
-                headroom.never_aligned.len(),
-                seed_fields.join(","),
-                predictions.len(),
-                mem_fields.join(","),
-                lint_fields.join(",")
-            ));
+                    .field("oracle_errors", oracle_errors)
+                    .field(
+                        "headroom",
+                        Json::obj()
+                            .field("dynamically_redundant", headroom.dynamically_redundant.len())
+                            .field("never_aligned", headroom.never_aligned.len()),
+                    )
+                    .field("blame", counts_json(&seeds))
+                    .field(
+                        "mem",
+                        Json::obj()
+                            .field("accesses", predictions.len())
+                            .field("unpredictable", unpredictable)
+                            .field("violations", violations)
+                            .field("checks", Json::arr(checks_json))
+                            .field("lints", Json::arr(lints_json)),
+                    ),
+            );
         } else {
             println!(
                 "analyze {:8} ({}, TB=({},{},{}))",
@@ -1113,9 +1013,7 @@ fn analyze_command(args: &[String]) {
                  skippable {base_skip} -> {ref_skip}"
             );
             if !upgrades.is_empty() {
-                let ups: Vec<String> =
-                    upgrades.iter().map(|(r, n)| format!("{r}\u{d7}{n}")).collect();
-                println!("  upgrades             {}", ups.join(", "));
+                println!("  upgrades             {}", counts_human(&upgrades));
             }
             println!("  oracle               {} error(s) on refined markings", oracle_errors);
             println!(
@@ -1124,8 +1022,7 @@ fn analyze_command(args: &[String]) {
                 headroom.never_aligned.len()
             );
             if !seeds.is_empty() {
-                let bl: Vec<String> = seeds.iter().map(|(s, n)| format!("{s}\u{d7}{n}")).collect();
-                println!("  vector blame         {}", bl.join(", "));
+                println!("  vector blame         {}", counts_human(&seeds));
             }
             println!(
                 "  memory               {} access(es), {unpredictable} unpredictable, \
@@ -1141,30 +1038,27 @@ fn analyze_command(args: &[String]) {
         }
     }
 
-    if json {
-        println!(
-            "{{{},\"workloads\":[{}],\"totals\":{{\"oracle_errors\":{total_oracle_errors},\
-             \"mem_violations\":{total_mem_violations},\"coverage_wins\":{coverage_wins},\
-             \"marking_wins\":{marking_wins}}}}}",
-            json_header("analyze", Some(&cfg)),
-            records.join(",")
-        );
+    if cx.json {
+        let totals = Json::obj()
+            .field("oracle_errors", total_oracle_errors)
+            .field("mem_violations", total_mem_violations)
+            .field("coverage_wins", coverage_wins)
+            .field("marking_wins", marking_wins);
+        let doc =
+            json_header("analyze", Some(&cfg)).field("workloads", records).field("totals", totals);
+        println!("{doc}");
     } else {
         println!(
             "analyzed {} workload(s): {total_oracle_errors} oracle error(s), \
              {total_mem_violations} memory-bound violation(s), {coverage_wins} skip-coverage \
              win(s), {marking_wins} marking-precision win(s)",
-            selected.len()
+            cx.selected.len()
         );
     }
-    mf.count("workloads", selected.len() as u64);
-    mf.count("oracle_errors", total_oracle_errors as u64);
-    mf.count("mem_violations", total_mem_violations as u64);
-    finish_run(
-        &mut mf,
-        manifest.as_deref(),
-        i32::from(total_oracle_errors > 0 || total_mem_violations > 0),
-    );
+    cx.mf.count("workloads", cx.selected.len() as u64);
+    cx.mf.count("oracle_errors", total_oracle_errors as u64);
+    cx.mf.count("mem_violations", total_mem_violations as u64);
+    cx.finish(i32::from(total_oracle_errors > 0 || total_mem_violations > 0));
 }
 
 /// Serializes one technique's profile (plus the run's headline stats) as
@@ -1174,7 +1068,7 @@ fn profile_record_json(
     technique: &Technique,
     r: &gpu_sim::SimResult,
     prof: &gpu_sim::SimProfile,
-) -> (String, bool) {
+) -> (Json, bool) {
     let slots = prof.slots();
     let reused = r.stats.instrs_reused.total();
     let skipped = r.stats.instrs_skipped.total();
@@ -1185,39 +1079,28 @@ fn profile_record_json(
     let crosscheck = slots.get(gpu_sim::StallCause::Issued) == r.stats.instrs_executed + reused;
     let ok = balanced && crosscheck;
 
-    let slot_fields: Vec<String> =
-        slots.iter().map(|(c, n)| format!("\"{}\":{n}", c.label())).collect();
-
     // Hot PCs: top 5 by total slot involvement (issued + skipped + blamed
     // stalls).
     let per_pc = prof.per_pc();
     let mut hot: Vec<(usize, &gpu_sim::PcProfile)> =
         per_pc.iter().map(|(&pc, p)| (pc, p)).collect();
     hot.sort_by_key(|(pc, p)| (std::cmp::Reverse(p.issued + p.skipped + p.stalls.total()), *pc));
-    let hot_fields: Vec<String> = hot
-        .iter()
-        .take(5)
-        .map(|(pc, p)| {
-            let (top_cause, _) = p
-                .stalls
-                .iter()
-                .filter(|&(c, _)| c != gpu_sim::StallCause::Issued)
-                .max_by_key(|&(_, n)| n)
-                .unwrap_or((gpu_sim::StallCause::IdleNoWarp, 0));
-            format!(
-                "{{\"pc\":{pc},\"issued\":{},\"skipped\":{},\"stall_slots\":{},\
-                 \"top_stall\":\"{}\"}}",
-                p.issued,
-                p.skipped,
-                p.stalls.total(),
-                top_cause.label()
-            )
-        })
-        .collect();
+    let hot_pcs = hot.iter().take(5).map(|(pc, p)| {
+        let (top_cause, _) = p
+            .stalls
+            .iter()
+            .filter(|&(c, _)| c != gpu_sim::StallCause::Issued)
+            .max_by_key(|&(_, n)| n)
+            .unwrap_or((gpu_sim::StallCause::IdleNoWarp, 0));
+        Json::obj()
+            .field("pc", *pc)
+            .field("issued", p.issued)
+            .field("skipped", p.skipped)
+            .field("stall_slots", p.stalls.total())
+            .field("top_stall", top_cause.label())
+    });
 
     let hist = prof.leader_latency();
-    let buckets: Vec<String> = hist.buckets().iter().map(u64::to_string).collect();
-
     let (mut samples, mut dropped) = (0u64, 0u64);
     let (mut peak_skip, mut peak_vers, mut peak_wait) = (0u32, 0u32, 0u32);
     for sm in &prof.sms {
@@ -1231,34 +1114,41 @@ fn profile_record_json(
     }
 
     let d = &r.stats.darsie;
-    let record = format!(
-        "{{\"technique\":\"{}\",\"cycles\":{},\"issue_slots\":{},\"identity_ok\":{ok},\
-         \"slots\":{{{}}},\"executed\":{},\"reused\":{reused},\"skipped\":{skipped},\
-         \"hot_pcs\":[{}],\
-         \"leader_latency\":{{\"count\":{},\"buckets\":[{}]}},\
-         \"occupancy\":{{\"samples\":{samples},\"dropped\":{dropped},\
-         \"peak_skip_entries\":{peak_skip},\"peak_live_versions\":{peak_vers},\
-         \"peak_waiting_warps\":{peak_wait}}},\
-         \"darsie\":{{\"leaders_elected\":{},\"instructions_skipped\":{},\
-         \"leader_giveups\":{},\"wait_for_leader_cycles\":{},\"branch_sync_cycles\":{}}},\
-         \"trace_dropped\":{},\"trace_capacity\":{},\"digest_root\":\"{:#018x}\"}}",
-        technique.label(),
-        r.cycles,
-        prof.issue_slots(),
-        slot_fields.join(","),
-        r.stats.instrs_executed,
-        hot_fields.join(","),
-        hist.count(),
-        buckets.join(","),
-        d.leaders_elected,
-        d.instructions_skipped,
-        d.leader_giveups,
-        d.wait_for_leader_cycles,
-        d.branch_sync_cycles,
-        r.events.dropped,
-        r.events.capacity(),
-        r.stats.digest_root,
-    );
+    let record = Json::obj()
+        .field("technique", technique.label())
+        .field("cycles", r.cycles)
+        .field("issue_slots", prof.issue_slots())
+        .field("identity_ok", ok)
+        .field("slots", slots.iter().map(|(c, n)| (c.label(), n)).collect::<Json>())
+        .field("executed", r.stats.instrs_executed)
+        .field("reused", reused)
+        .field("skipped", skipped)
+        .field("hot_pcs", Json::arr(hot_pcs))
+        .field(
+            "leader_latency",
+            Json::obj().field("count", hist.count()).field("buckets", Json::arr(*hist.buckets())),
+        )
+        .field(
+            "occupancy",
+            Json::obj()
+                .field("samples", samples)
+                .field("dropped", dropped)
+                .field("peak_skip_entries", peak_skip)
+                .field("peak_live_versions", peak_vers)
+                .field("peak_waiting_warps", peak_wait),
+        )
+        .field(
+            "darsie",
+            Json::obj()
+                .field("leaders_elected", d.leaders_elected)
+                .field("instructions_skipped", d.instructions_skipped)
+                .field("leader_giveups", d.leader_giveups)
+                .field("wait_for_leader_cycles", d.wait_for_leader_cycles)
+                .field("branch_sync_cycles", d.branch_sync_cycles),
+        )
+        .field("trace_dropped", r.events.dropped)
+        .field("trace_capacity", r.events.capacity())
+        .field("digest_root", Json::hex(r.stats.digest_root));
     (record, ok)
 }
 
@@ -1282,26 +1172,23 @@ fn perfetto_path(base: &str, abbr: &str, single: bool) -> String {
 /// (`Σ slot causes == cycles × schedulers × issue_width`, and
 /// `issued == executed + reused`). With `--perfetto PATH`, also writes a
 /// Chrome trace-event JSON of the DARSIE run's pipeline events.
-fn profile_command(args: &[String]) {
+fn profile(cmd: &Command, args: &[String]) {
     let mut perfetto: Option<String> = None;
-    let SubcommandArgs { json, selected, manifest, .. } =
-        parse_subcommand_args_with("profile", args, |flag, it| {
-            if flag != "--perfetto" {
-                return false;
-            }
-            if perfetto.is_some() {
-                duplicate_flag("--perfetto");
-            }
-            perfetto = Some(it.next().cloned().unwrap_or_else(|| usage()));
-            true
-        });
+    let mut cx = cmd.parse(args, |flag, it| {
+        if flag != "--perfetto" {
+            return false;
+        }
+        perfetto = Some(value(it));
+        true
+    });
+    // Owned here so a failed trace write can still finish the run.
+    let selected = std::mem::take(&mut cx.selected);
     let single = selected.len() == 1;
-    let mut mf = RunManifest::new("profile", args);
 
     let mut violations = 0usize;
-    let mut records: Vec<String> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     for w in &selected {
-        let mut tech_records: Vec<String> = Vec::new();
+        let mut tech_records: Vec<Json> = Vec::new();
         for technique in [Technique::Base, Technique::darsie()] {
             let is_darsie = matches!(technique, Technique::Darsie(_));
             let trace = perfetto.is_some() && is_darsie;
@@ -1311,17 +1198,17 @@ fn profile_command(args: &[String]) {
                 trace_events: trace,
                 ..GpuConfig::test_small()
             };
-            mf.set_config(&cfg);
-            let r = mf.phase(&format!("profile:{}/{}", w.abbr, technique.label()), || {
+            cx.mf.set_config(&cfg);
+            let r = cx.mf.phase(&format!("profile:{}/{}", w.abbr, technique.label()), || {
                 w.run_unchecked(&cfg, technique.clone())
             });
-            mf.digest_root(&format!("{}/{}", w.abbr, technique.label()), r.stats.digest_root);
+            cx.mf.digest_root(&format!("{}/{}", w.abbr, technique.label()), r.stats.digest_root);
             let prof = r.profile.as_ref().expect("profiling was enabled");
             let (record, ok) = profile_record_json(&technique, &r, prof);
             if !ok {
                 violations += 1;
             }
-            if json {
+            if cx.json {
                 tech_records.push(record);
             } else {
                 let slots = prof.slots();
@@ -1352,7 +1239,8 @@ fn profile_command(args: &[String]) {
                     perfetto_path(perfetto.as_deref().expect("perfetto path set"), w.abbr, single);
                 // Host phase spans completed so far ride along in the
                 // trace on their own process track.
-                let phases: Vec<TracePhase> = mf
+                let phases: Vec<TracePhase> = cx
+                    .mf
                     .phases
                     .iter()
                     .map(|p| TracePhase {
@@ -1365,47 +1253,28 @@ fn profile_command(args: &[String]) {
                     gpu_sim::chrome_trace_json_with_phases(&r.events, Some(prof), &phases);
                 if let Err(e) = std::fs::write(&path, json_trace) {
                     eprintln!("cannot write perfetto trace {path}: {e}");
-                    finish_run(&mut mf, manifest.as_deref(), 1);
+                    cx.finish(1);
                 }
-                if !json {
+                if !cx.json {
                     println!("    perfetto trace     {path}");
                 }
             }
         }
-        if json {
-            records.push(format!(
-                "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\"techniques\":[{}]}}",
-                json_escape(w.abbr),
-                json_escape(&w.ck.kernel.name),
-                tech_records.join(",")
-            ));
+        if cx.json {
+            records.push(workload_json(w).field("techniques", tech_records));
         }
     }
-    if json {
-        println!(
-            "{{{},\"workloads\":[{}],\"totals\":{{\"workloads\":{},\
-             \"identity_violations\":{violations}}}}}",
-            json_header("profile", None),
-            records.join(","),
-            selected.len()
-        );
+    if cx.json {
+        let totals =
+            Json::obj().field("workloads", selected.len()).field("identity_violations", violations);
+        let doc = json_header("profile", None).field("workloads", records).field("totals", totals);
+        println!("{doc}");
     } else {
         println!("profiled {} workload(s): {violations} identity violation(s)", selected.len());
     }
-    mf.count("workloads", selected.len() as u64);
-    mf.count("identity_violations", violations as u64);
-    finish_run(&mut mf, manifest.as_deref(), i32::from(violations > 0));
-}
-
-/// Serializes one lint diagnostic the same way `verify --json` does.
-fn diag_json(d: &simt_verify::Diagnostic) -> String {
-    format!(
-        "{{\"code\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-        d.code,
-        d.severity,
-        d.pc.map_or_else(|| "null".to_string(), |pc| pc.to_string()),
-        json_escape(&d.message)
-    )
+    cx.mf.count("workloads", selected.len() as u64);
+    cx.mf.count("identity_violations", violations as u64);
+    cx.finish(i32::from(violations > 0));
 }
 
 /// `darsie-sim estimate`: the differential gate for the static
@@ -1413,30 +1282,33 @@ fn diag_json(d: &simt_verify::Diagnostic) -> String {
 /// side by side for each selected workload under Base and DARSIE, and
 /// exits 1 if any measured cycle count escapes its static `[min, max]`
 /// bracket (`E202`). Unboundable trip counts (`E201`) leave the bracket
-/// one-sided and are reported but do not fail the gate.
-fn estimate_command(args: &[String]) {
-    let SubcommandArgs { json, selected, manifest, .. } = parse_subcommand_args("estimate", args);
+/// one-sided and are reported but do not fail the gate. The `--json`
+/// document also carries each run's digest root and the DARSIE speedup.
+fn estimate(cmd: &Command, args: &[String]) {
+    let mut cx = cmd.parse(args, |_, _| false);
     let cfg = GpuConfig::test_small();
-    let mut mf = RunManifest::new("estimate", args);
-    mf.set_config(&cfg);
+    cx.mf.set_config(&cfg);
 
     let mut violations = 0usize;
     let mut unbounded = 0usize;
     let mut width_sum = 0f64;
     let mut width_n = 0usize;
-    let mut records: Vec<String> = Vec::new();
-    for w in &selected {
-        let mut tech_records: Vec<String> = Vec::new();
-        for technique in [Technique::Base, Technique::darsie()] {
-            let est = mf.phase(&format!("estimate:{}/{}", w.abbr, technique.label()), || {
+    let mut records: Vec<Json> = Vec::new();
+    for w in &cx.selected {
+        let mut cycles_by_tech = [0u64; 2];
+        let mut tech_records: Vec<Json> = Vec::new();
+        for (i, technique) in [Technique::Base, Technique::darsie()].into_iter().enumerate() {
+            let est = cx.mf.phase(&format!("estimate:{}/{}", w.abbr, technique.label()), || {
                 simt_verify::cost::estimate(&w.ck, &w.launch, &cfg, &technique)
             });
-            let measured = mf
+            let stats = cx
+                .mf
                 .phase(&format!("simulate:{}/{}", w.abbr, technique.label()), || {
                     w.run_unchecked(&cfg, technique.clone())
                 })
-                .stats
-                .cycles;
+                .stats;
+            let measured = stats.cycles;
+            cycles_by_tech[i] = measured;
             let violation = simt_verify::cost::validate(&est, measured);
             if violation.is_some() {
                 violations += 1;
@@ -1446,55 +1318,48 @@ fn estimate_command(args: &[String]) {
                 width_sum += (hi - est.min_cycles) as f64 / measured.max(1) as f64;
                 width_n += 1;
             }
-            if json {
-                let loops: Vec<String> = est
-                    .loops
-                    .iter()
-                    .map(|l| match &l.trips {
-                        Ok((lo, hi)) => format!(
-                            "{{\"back_edge_pc\":{},\"min_trips\":{lo},\"max_trips\":{hi}}}",
-                            l.back_edge_pc
-                        ),
-                        Err(e) => format!(
-                            "{{\"back_edge_pc\":{},\"unbounded\":\"{}\"}}",
-                            l.back_edge_pc,
-                            json_escape(e)
-                        ),
-                    })
-                    .collect();
-                let diags: Vec<String> =
-                    est.report.items.iter().chain(violation.iter()).map(diag_json).collect();
+            if cx.json {
+                let loops = est.loops.iter().map(|l| {
+                    let o = Json::obj().field("back_edge_pc", l.back_edge_pc);
+                    match &l.trips {
+                        Ok((lo, hi)) => o.field("min_trips", *lo).field("max_trips", *hi),
+                        Err(e) => o.field("unbounded", e.to_string()),
+                    }
+                });
                 let b = est.breakdown;
-                tech_records.push(format!(
-                    "{{\"technique\":\"{}\",\"min_cycles\":{},\"max_cycles\":{},\
-                     \"measured_cycles\":{measured},\"in_bracket\":{},\
-                     \"predicted_skip_fraction\":{:.4},\"loops\":[{}],\
-                     \"breakdown\":{{\"fetch_bound\":{},\"issue_bound\":{},\"lsu_bound\":{},\
-                     \"chain_bound\":{},\"fetch_serial\":{},\"issue_serial\":{},\
-                     \"lsu_serial\":{},\"sfu_serial\":{},\"dram_serial\":{},\"exposed\":{},\
-                     \"darsie_slack\":{},\"tbs_per_sm\":{},\"waves\":{}}},\
-                     \"diagnostics\":[{}]}}",
-                    technique.label(),
-                    est.min_cycles,
-                    est.max_cycles.map_or_else(|| "null".to_string(), |h| h.to_string()),
-                    est.contains(measured),
-                    est.predicted_skip_fraction,
-                    loops.join(","),
-                    b.fetch_bound,
-                    b.issue_bound,
-                    b.lsu_bound,
-                    b.chain_bound,
-                    b.fetch_serial,
-                    b.issue_serial,
-                    b.lsu_serial,
-                    b.sfu_serial,
-                    b.dram_serial,
-                    b.exposed,
-                    b.darsie_slack,
-                    b.tbs_per_sm,
-                    b.waves,
-                    diags.join(",")
-                ));
+                let breakdown = Json::obj()
+                    .field("fetch_bound", b.fetch_bound)
+                    .field("issue_bound", b.issue_bound)
+                    .field("lsu_bound", b.lsu_bound)
+                    .field("chain_bound", b.chain_bound)
+                    .field("fetch_serial", b.fetch_serial)
+                    .field("issue_serial", b.issue_serial)
+                    .field("lsu_serial", b.lsu_serial)
+                    .field("sfu_serial", b.sfu_serial)
+                    .field("dram_serial", b.dram_serial)
+                    .field("exposed", b.exposed)
+                    .field("darsie_slack", b.darsie_slack)
+                    .field("tbs_per_sm", b.tbs_per_sm)
+                    .field("waves", b.waves);
+                tech_records.push(
+                    Json::obj()
+                        .field("technique", technique.label())
+                        .field("min_cycles", est.min_cycles)
+                        .field("max_cycles", est.max_cycles)
+                        .field("measured_cycles", measured)
+                        .field("in_bracket", est.contains(measured))
+                        .field(
+                            "predicted_skip_fraction",
+                            Json::num(format_args!("{:.4}", est.predicted_skip_fraction)),
+                        )
+                        .field("loops", Json::arr(loops))
+                        .field("breakdown", breakdown)
+                        .field(
+                            "diagnostics",
+                            diagnostics_json(est.report.items.iter().chain(&violation)),
+                        )
+                        .field("digest_root", Json::hex(stats.digest_root)),
+                );
             } else {
                 let bracket = est.max_cycles.map_or_else(
                     || format!("[{}, unbounded)", est.min_cycles),
@@ -1521,289 +1386,105 @@ fn estimate_command(args: &[String]) {
                 }
             }
         }
-        if json {
-            records.push(format!(
-                "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\"techniques\":[{}]}}",
-                json_escape(w.abbr),
-                json_escape(&w.ck.kernel.name),
-                tech_records.join(",")
-            ));
+        if cx.json {
+            let speedup = cycles_by_tech[0] as f64 / cycles_by_tech[1].max(1) as f64;
+            records.push(
+                workload_json(w)
+                    .field("techniques", tech_records)
+                    .field("darsie_speedup", Json::num(format_args!("{speedup:.4}"))),
+            );
         }
     }
     let mean_width = if width_n > 0 { width_sum / width_n as f64 } else { 0.0 };
-    if json {
-        println!(
-            "{{{},\"workloads\":[{}],\"totals\":{{\"bound_violations\":{violations},\
-             \"unbounded_loops\":{unbounded},\"mean_bracket_width\":{mean_width:.3}}}}}",
-            json_header("estimate", Some(&cfg)),
-            records.join(",")
-        );
+    if cx.json {
+        let totals = Json::obj()
+            .field("bound_violations", violations)
+            .field("unbounded_loops", unbounded)
+            .field("mean_bracket_width", Json::num(format_args!("{mean_width:.3}")));
+        let doc =
+            json_header("estimate", Some(&cfg)).field("workloads", records).field("totals", totals);
+        println!("{doc}");
     } else {
         println!(
             "estimated {} workload(s) x 2 technique(s): {violations} bound violation(s), \
              {unbounded} unbounded loop(s), mean bracket width {mean_width:.1}x measured",
-            selected.len()
+            cx.selected.len()
         );
     }
-    mf.count("workloads", selected.len() as u64);
-    mf.count("bound_violations", violations as u64);
-    mf.count("unbounded_loops", unbounded as u64);
-    mf.metric("mean_bracket_width", mean_width);
-    finish_run(&mut mf, manifest.as_deref(), i32::from(violations > 0));
+    cx.mf.count("workloads", cx.selected.len() as u64);
+    cx.mf.count("bound_violations", violations as u64);
+    cx.mf.count("unbounded_loops", unbounded as u64);
+    cx.mf.metric("mean_bracket_width", mean_width);
+    cx.finish(i32::from(violations > 0));
 }
 
-/// The current UTC date as `YYYY-MM-DD`, from the system clock via the
-/// standard civil-from-days conversion (no date-crate dependency).
-fn utc_date() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// `darsie-sim bench`: one point on the benchmark trajectory. Runs each
-/// selected workload under Base and DARSIE, recording simulated cycles,
-/// wall time, simulated cycles per second, skip counts and the static
-/// cycle bracket, plus the DARSIE speedup. With `--json` the snapshot is
-/// printed to stdout *and* written to `BENCH_<date>.json` so CI can
-/// archive it as an artifact.
-fn bench_command(args: &[String]) {
-    let SubcommandArgs { json, selected, scale, manifest, .. } =
-        parse_subcommand_args("bench", args);
-    let cfg = GpuConfig::test_small();
-    let cfg_nodigest = GpuConfig { digest: DigestConfig::off(), ..GpuConfig::test_small() };
-    let mut mf = RunManifest::new("bench", args);
-    mf.set_config(&cfg);
-
-    let mut records: Vec<String> = Vec::new();
-    for w in &selected {
-        let mut cycles_by_tech = [0u64; 2];
-        let mut tech_records: Vec<String> = Vec::new();
-        for (i, technique) in [Technique::Base, Technique::darsie()].into_iter().enumerate() {
-            let est = simt_verify::cost::estimate(&w.ck, &w.launch, &cfg, &technique);
-            let start = std::time::Instant::now();
-            let r = mf.phase(&format!("bench:{}/{}", w.abbr, technique.label()), || {
-                w.run_unchecked(&cfg, technique.clone())
-            });
-            let wall = start.elapsed().as_secs_f64();
-            mf.digest_root(&format!("{}/{}", w.abbr, technique.label()), r.stats.digest_root);
-            let cycles = r.stats.cycles;
-            cycles_by_tech[i] = cycles;
-            let rate = cycles as f64 / wall.max(1e-9);
-            if json {
-                tech_records.push(format!(
-                    "{{\"technique\":\"{}\",\"cycles\":{cycles},\"wall_seconds\":{wall:.6},\
-                     \"sim_cycles_per_sec\":{rate:.0},\"instructions_skipped\":{},\
-                     \"instructions_executed\":{},\"static_min_cycles\":{},\
-                     \"static_max_cycles\":{},\"digest_root\":\"{:#018x}\"}}",
-                    technique.label(),
-                    r.stats.instrs_skipped.total(),
-                    r.stats.instrs_executed,
-                    est.min_cycles,
-                    est.max_cycles.map_or_else(|| "null".to_string(), |h| h.to_string()),
-                    r.stats.digest_root,
-                ));
-            } else {
-                println!(
-                    "bench {:8} {:12} {:>8} cycles  {:>8.3}s wall  {:>10.0} cyc/s  \
-                     bracket [{}, {}]  digest {:#018x}",
-                    w.abbr,
-                    technique.label(),
-                    cycles,
-                    wall,
-                    rate,
-                    est.min_cycles,
-                    est.max_cycles.map_or_else(|| "?".to_string(), |h| h.to_string()),
-                    r.stats.digest_root,
-                );
-            }
-        }
-        let speedup = cycles_by_tech[0] as f64 / cycles_by_tech[1].max(1) as f64;
-        if json {
-            records.push(format!(
-                "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\"techniques\":[{}],\
-                 \"darsie_speedup\":{speedup:.4}}}",
-                json_escape(w.abbr),
-                json_escape(&w.ck.kernel.name),
-                tech_records.join(",")
-            ));
-        } else {
-            println!("bench {:8} {:12} speedup {speedup:.2}x", w.abbr, "darsie/base");
-        }
+/// Applies one replay setting (`--KEY VALUE` or `--against KEY=VALUE`)
+/// to a spec; returns false for an unknown key.
+fn set_spec(spec: &mut RunSpec, key: &str, value: &str) -> bool {
+    match key {
+        "technique" => spec.technique = parse_technique(value, DarsieConfig::default()),
+        "scheduler" => spec.scheduler = parse_scheduler(value),
+        "sms" => spec.sms = positive("--sms", Some(value)),
+        _ => return false,
     }
-    // Extra timing passes with and without the digest layer so the
-    // snapshot's stderr line (and the manifest) record how much the
-    // observatory itself costs. Individual test-scale runs are
-    // sub-millisecond and noise-dominated, so each sweep times the whole
-    // catalog under both techniques at once; the sweeps interleave
-    // on/off (so slow drift on a busy machine hits both sides equally)
-    // and each side keeps its min, the standard wall-time noise floor.
-    let sweep = |sweep_cfg: &GpuConfig| {
-        let t = std::time::Instant::now();
-        for w in &selected {
-            for technique in [Technique::Base, Technique::darsie()] {
-                let _ = w.run_unchecked(sweep_cfg, technique);
-            }
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let (wall_digest, wall_nodigest) = mf.phase("bench:digest-overhead", || {
-        let mut on = f64::INFINITY;
-        let mut off = f64::INFINITY;
-        for _ in 0..5 {
-            on = on.min(sweep(&cfg));
-            off = off.min(sweep(&cfg_nodigest));
-        }
-        (on, off)
-    });
-    let overhead =
-        if wall_nodigest > 0.0 { 100.0 * (wall_digest / wall_nodigest - 1.0) } else { 0.0 };
-    mf.count("workloads", selected.len() as u64);
-    mf.metric("digest_overhead_percent", overhead);
-    if json {
-        let date = utc_date();
-        let doc = format!(
-            "{{{},\"date\":\"{date}\",\"scale\":\"{}\",\"workloads\":[{}]}}",
-            json_header("bench", Some(&cfg)),
-            if matches!(scale, Scale::Test) { "test" } else { "eval" },
-            records.join(",")
-        );
-        let path = format!("BENCH_{date}.json");
-        if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-            eprintln!("cannot write benchmark snapshot {path}: {e}");
-            finish_run(&mut mf, manifest.as_deref(), 1);
-        }
-        println!("{doc}");
-        eprintln!("benchmark snapshot written to {path}");
-        eprintln!("digest overhead: {overhead:.2}% wall-time");
-    } else {
-        println!(
-            "benchmarked {} workload(s), digest overhead {overhead:.2}% wall-time",
-            selected.len()
-        );
-    }
-    finish_run(&mut mf, manifest.as_deref(), 0);
-}
-
-/// Parses the technique names `replay-diff` accepts (the simple subset —
-/// DARSIE knob flags belong to the bare benchmark mode).
-fn parse_technique_name(name: &str) -> Option<Technique> {
-    Some(match name {
-        "base" => Technique::Base,
-        "uv" => Technique::Uv,
-        "dac" | "dac-ideal" => Technique::DacIdeal,
-        "darsie" => Technique::darsie(),
-        "silicon-sync" => Technique::SiliconSync,
-        _ => return None,
-    })
-}
-
-fn parse_scheduler_name(name: &str) -> Option<SchedulerPolicy> {
-    Some(match name {
-        "gto" => SchedulerPolicy::Gto,
-        "lrr" => SchedulerPolicy::Lrr,
-        _ => return None,
-    })
+    true
 }
 
 /// Serializes a [`gpu_sim::Divergence`] for `replay-diff --json`.
-fn divergence_json(d: &gpu_sim::Divergence) -> String {
-    let subs: Vec<String> = d
-        .subs
-        .iter()
-        .map(|(label, a, b)| {
-            format!(
-                "{{\"component\":\"{}\",\"a\":\"{a:#018x}\",\"b\":\"{b:#018x}\"}}",
-                json_escape(label)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"chain\":\"{}\",\"sm\":{},\"epoch\":{},\"cycle\":{},\"component\":\"{}\",\
-         \"warp\":{},\"subs\":[{}]}}",
-        json_escape(&d.chain),
-        d.sm.map_or_else(|| "null".to_string(), |s| s.to_string()),
-        d.epoch,
-        d.cycle,
-        json_escape(&d.component),
-        d.warp.map_or_else(|| "null".to_string(), |w| w.to_string()),
-        subs.join(",")
-    )
+fn divergence_json(d: &gpu_sim::Divergence) -> Json {
+    let subs = d.subs.iter().map(|(label, a, b)| {
+        Json::obj()
+            .field("component", label.as_str())
+            .field("a", Json::hex(*a))
+            .field("b", Json::hex(*b))
+    });
+    Json::obj()
+        .field("chain", d.chain.as_str())
+        .field("sm", d.sm)
+        .field("epoch", d.epoch)
+        .field("cycle", d.cycle)
+        .field("component", d.component.as_str())
+        .field("warp", d.warp)
+        .field("subs", Json::arr(subs))
 }
 
 /// `darsie-sim replay-diff`: the first-divergence bisector. Runs each
 /// selected workload twice and compares the epoch-chained state digests.
 /// Plain `replay-diff` is the determinism gate: both runs use the same
 /// spec, any divergence is a bug and exits 1. `--against KEY=VALUE`
-/// (repeatable; keys `technique`, `scheduler`, `sms`) varies the second
-/// run's spec, and `--perturb CYCLE` injects a one-word global-memory
-/// flip at that cycle into run B — both are divergence *hunts*, so a
-/// found divergence is the expected result and exits 0.
-fn replay_diff_command(args: &[String]) {
+/// (repeatable, once per key; keys `technique`, `scheduler`, `sms`)
+/// varies the second run's spec, and `--perturb CYCLE` injects a one-word
+/// global-memory flip at that cycle into run B — both are divergence
+/// *hunts*, so a found divergence is the expected result and exits 0.
+fn replay(cmd: &Command, args: &[String]) {
     let mut spec_a = RunSpec::default();
     let mut against: Vec<(String, String)> = Vec::new();
     let mut perturb_cycle: Option<u64> = None;
-    let SubcommandArgs { json, selected, manifest, .. } =
-        parse_subcommand_args_with("replay-diff", args, |flag, it| {
-            let mut next = |flag: &str| {
-                it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("{flag} expects a value");
-                    std::process::exit(2);
-                })
+    let mut cx = cmd.parse(args, |flag, it| match flag {
+        "--technique" | "--scheduler" | "--sms" => set_spec(&mut spec_a, &flag[2..], &value(it)),
+        "--against" => {
+            let kv = value(it);
+            let Some((k, v)) = kv.split_once('=') else {
+                eprintln!("--against expects KEY=VALUE (technique|scheduler|sms)");
+                std::process::exit(2);
             };
-            match flag {
-                "--technique" => {
-                    spec_a.technique =
-                        parse_technique_name(&next("--technique")).unwrap_or_else(|| usage());
-                }
-                "--scheduler" => {
-                    spec_a.scheduler =
-                        parse_scheduler_name(&next("--scheduler")).unwrap_or_else(|| usage());
-                }
-                "--sms" => {
-                    spec_a.sms = next("--sms").parse().unwrap_or_else(|_| usage());
-                }
-                "--against" => {
-                    let kv = next("--against");
-                    let Some((k, v)) = kv.split_once('=') else {
-                        eprintln!("--against expects KEY=VALUE (technique|scheduler|sms)");
-                        std::process::exit(2);
-                    };
-                    against.push((k.to_string(), v.to_string()));
-                }
-                "--perturb" => {
-                    if perturb_cycle.is_some() {
-                        duplicate_flag("--perturb");
-                    }
-                    perturb_cycle = Some(next("--perturb").parse().unwrap_or_else(|_| usage()));
-                }
-                _ => return false,
+            if against.iter().any(|(seen, _)| seen == k) {
+                duplicate_flag(&format!("--against {k}"));
             }
+            against.push((k.to_string(), v.to_string()));
             true
-        });
+        }
+        "--perturb" => {
+            perturb_cycle = Some(number(it));
+            true
+        }
+        _ => false,
+    });
     let mut spec_b = spec_a.clone();
     for (k, v) in &against {
-        match k.as_str() {
-            "technique" => {
-                spec_b.technique = parse_technique_name(v).unwrap_or_else(|| usage());
-            }
-            "scheduler" => {
-                spec_b.scheduler = parse_scheduler_name(v).unwrap_or_else(|| usage());
-            }
-            "sms" => spec_b.sms = v.parse().unwrap_or_else(|_| usage()),
-            _ => {
-                eprintln!("--against key must be technique, scheduler or sms (got {k})");
-                std::process::exit(2);
-            }
+        if !set_spec(&mut spec_b, k, v) {
+            eprintln!("--against key must be technique, scheduler or sms (got {k})");
+            std::process::exit(2);
         }
     }
     // A deliberately perturbed or cross-config pair is a divergence hunt;
@@ -1812,34 +1493,29 @@ fn replay_diff_command(args: &[String]) {
     let perturb =
         perturb_cycle.map(|cycle| Perturb::GlobalWord { cycle, addr: 0x1000, xor: 0x5555_5555 });
 
-    let mut mf = RunManifest::new("replay-diff", args);
-    mf.set_config(&spec_a.gpu_config(gpu_sim::DigestConfig::default(), None));
+    cx.mf.set_config(&spec_a.gpu_config(gpu_sim::DigestConfig::default(), None));
     let mut divergent = 0usize;
-    let mut records: Vec<String> = Vec::new();
-    for w in &selected {
-        let r = mf.phase(&format!("replay:{}", w.abbr), || {
-            replay_diff(w, &spec_a, &spec_b, perturb.clone())
-        });
-        mf.digest_root(&format!("{}/A", w.abbr), r.root_a);
-        mf.digest_root(&format!("{}/B", w.abbr), r.root_b);
+    let mut records: Vec<Json> = Vec::new();
+    for w in &cx.selected {
+        let r = cx
+            .mf
+            .phase(&format!("replay:{}", w.abbr), || replay_diff(w, &spec_a, &spec_b, perturb));
+        cx.mf.digest_root(&format!("{}/A", w.abbr), r.root_a);
+        cx.mf.digest_root(&format!("{}/B", w.abbr), r.root_b);
         if !r.identical {
             divergent += 1;
         }
-        if json {
-            records.push(format!(
-                "{{\"abbr\":\"{}\",\"kernel\":\"{}\",\"identical\":{},\
-                 \"root_a\":\"{:#018x}\",\"root_b\":\"{:#018x}\",\"cycles_a\":{},\
-                 \"cycles_b\":{},\"epochs\":{},\"divergence\":{}}}",
-                json_escape(w.abbr),
-                json_escape(&w.ck.kernel.name),
-                r.identical,
-                r.root_a,
-                r.root_b,
-                r.cycles_a,
-                r.cycles_b,
-                r.epochs,
-                r.divergence.as_ref().map_or_else(|| "null".to_string(), divergence_json)
-            ));
+        if cx.json {
+            records.push(
+                workload_json(w)
+                    .field("identical", r.identical)
+                    .field("root_a", Json::hex(r.root_a))
+                    .field("root_b", Json::hex(r.root_b))
+                    .field("cycles_a", r.cycles_a)
+                    .field("cycles_b", r.cycles_b)
+                    .field("epochs", r.epochs)
+                    .field("divergence", r.divergence.as_ref().map(divergence_json)),
+            );
         } else if r.identical {
             println!(
                 "replay {:8} identical  root {:#018x}  {} cycles, {} epochs",
@@ -1866,18 +1542,18 @@ fn replay_diff_command(args: &[String]) {
             }
         }
     }
-    if json {
-        println!(
-            "{{{},\"self_compare\":{self_compare},\"workloads\":[{}],\
-             \"totals\":{{\"workloads\":{},\"divergent\":{divergent}}}}}",
-            json_header("replay-diff", None),
-            records.join(","),
-            selected.len()
-        );
+    if cx.json {
+        let totals =
+            Json::obj().field("workloads", cx.selected.len()).field("divergent", divergent);
+        let doc = json_header("replay-diff", None)
+            .field("self_compare", self_compare)
+            .field("workloads", records)
+            .field("totals", totals);
+        println!("{doc}");
     } else {
         println!(
             "replayed {} workload(s): {divergent} divergent{}",
-            selected.len(),
+            cx.selected.len(),
             if self_compare {
                 " (self-comparison: any divergence is a determinism bug)"
             } else {
@@ -1885,125 +1561,39 @@ fn replay_diff_command(args: &[String]) {
             }
         );
     }
-    mf.count("workloads", selected.len() as u64);
-    mf.count("divergent", divergent as u64);
-    finish_run(&mut mf, manifest.as_deref(), i32::from(self_compare && divergent > 0));
+    cx.mf.count("workloads", cx.selected.len() as u64);
+    cx.mf.count("divergent", divergent as u64);
+    cx.finish(i32::from(self_compare && divergent > 0));
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
-        for w in catalog(Scale::Test) {
-            println!(
-                "{:8} {:24} TB=({},{}) [{}]",
-                w.abbr,
-                w.name,
-                w.block.x,
-                w.block.y,
-                if w.is_2d { "2D" } else { "1D" }
-            );
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("verify") {
-        verify_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("certify") {
-        certify_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("analyze") {
-        analyze_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("prove") {
-        prove_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        profile_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("estimate") {
-        estimate_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        bench_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("lints") {
-        lints_command(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("replay-diff") {
-        replay_diff_command(&args[1..]);
-        return;
-    }
+/// The bare benchmark mode: `darsie-sim ABBR [options]` runs one workload
+/// on the Table-2 machine and prints its statistics and energy.
+fn run(cmd: &Command, args: &[String]) {
     let Some(abbr) = args.first().filter(|a| !a.starts_with("--")) else { usage() };
-
-    let mut scale = Scale::Eval;
+    let mut tech_name = "darsie".to_string();
     let mut sms = 4usize;
     let mut scheduler = SchedulerPolicy::Gto;
-    let mut tech_name = "darsie".to_string();
     let mut dcfg = DarsieConfig::default();
     let mut validate = true;
     let mut trace = 0usize;
-    let mut manifest: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        let mut next = || it.next().cloned().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--manifest" => {
-                if manifest.is_some() {
-                    duplicate_flag("--manifest");
-                }
-                manifest = Some(next());
-            }
-            "--technique" => tech_name = next(),
-            "--scale" => {
-                scale = match next().as_str() {
-                    "test" => Scale::Test,
-                    "eval" => Scale::Eval,
-                    _ => usage(),
-                }
-            }
-            "--sms" => sms = next().parse().unwrap_or_else(|_| usage()),
-            "--scheduler" => {
-                scheduler = match next().as_str() {
-                    "gto" => SchedulerPolicy::Gto,
-                    "lrr" => SchedulerPolicy::Lrr,
-                    _ => usage(),
-                }
-            }
-            "--skip-entries" => {
-                dcfg.skip_entries_per_tb = next().parse().unwrap_or_else(|_| usage());
-            }
-            "--rename-regs" => {
-                dcfg.rename_regs_per_tb = next().parse().unwrap_or_else(|_| usage());
-            }
-            "--skip-ports" => dcfg.skip_table_ports = next().parse().unwrap_or_else(|_| usage()),
-            "--max-leader-stall" => {
-                dcfg.max_leader_stall = next().parse().unwrap_or_else(|_| usage());
-            }
+    let mut cx = cmd.parse(&args[1..], |flag, it| {
+        match flag {
+            "--technique" => tech_name = value(it),
+            "--sms" => sms = positive(flag, it.next().map(String::as_str)),
+            "--scheduler" => scheduler = parse_scheduler(&value(it)),
+            "--skip-entries" => dcfg.skip_entries_per_tb = number(it),
+            "--rename-regs" => dcfg.rename_regs_per_tb = number(it),
+            "--skip-ports" => dcfg.skip_table_ports = positive(flag, it.next().map(String::as_str)),
+            "--max-leader-stall" => dcfg.max_leader_stall = number(it),
             "--no-validate" => validate = false,
-            "--trace" => trace = next().parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
+            "--trace" => trace = number(it),
+            _ => return false,
         }
-    }
-    let technique = match tech_name.as_str() {
-        "base" => Technique::Base,
-        "uv" => Technique::Uv,
-        "dac" | "dac-ideal" => Technique::DacIdeal,
-        "darsie" => Technique::Darsie(dcfg),
-        "darsie-ignore-store" => Technique::Darsie(DarsieConfig { ignore_store: true, ..dcfg }),
-        "darsie-no-cf-sync" => Technique::Darsie(DarsieConfig { no_cf_sync: true, ..dcfg }),
-        "silicon-sync" => Technique::SiliconSync,
-        _ => usage(),
-    };
+        true
+    });
+    let technique = parse_technique(&tech_name, dcfg);
 
-    let Some(w) = by_abbr(abbr, scale) else { unknown_workload("benchmark", abbr) };
+    let Some(w) = by_abbr(abbr, cx.scale) else { unknown_workload("benchmark", abbr) };
     let cfg = GpuConfig {
         num_sms: sms,
         scheduler,
@@ -2012,10 +1602,9 @@ fn main() {
         ..GpuConfig::pascal_gtx1080ti()
     };
 
-    let mut mf = RunManifest::new("run", &args[1..]);
-    mf.set_config(&cfg);
+    cx.mf.set_config(&cfg);
     let start = std::time::Instant::now();
-    let mut r = mf.phase(&format!("run:{}", w.abbr), || {
+    let mut r = cx.mf.phase(&format!("run:{}", w.abbr), || {
         if validate {
             w.run(&cfg, technique.clone())
         } else {
@@ -2023,7 +1612,7 @@ fn main() {
         }
     });
     let wall = start.elapsed();
-    mf.digest_root(&format!("{}/{}", w.abbr, technique.label()), r.stats.digest_root);
+    cx.mf.digest_root(&format!("{}/{}", w.abbr, technique.label()), r.stats.digest_root);
     let s = &r.stats;
 
     println!("{} under {} ({} SMs, {:?}):", w.name, technique.label(), sms, scheduler);
@@ -2087,5 +1676,26 @@ fn main() {
     if validate {
         println!("  validation           OK (matches CPU reference)");
     }
-    finish_run(&mut mf, manifest.as_deref(), 0);
+    cx.finish(0);
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--list") {
+        for w in catalog(Scale::Test) {
+            println!(
+                "{:8} {:24} TB=({},{}) [{}]",
+                w.abbr,
+                w.name,
+                w.block.x,
+                w.block.y,
+                if w.is_2d { "2D" } else { "1D" }
+            );
+        }
+        return;
+    }
+    match COMMANDS.iter().find(|c| args.first().is_some_and(|a| a == c.name)) {
+        Some(cmd) => (cmd.run)(cmd, &args[1..]),
+        None => (RUN.run)(&RUN, &args),
+    }
 }

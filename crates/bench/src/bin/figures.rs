@@ -4,11 +4,15 @@
 //! cargo run --release -p darsie-bench --bin figures -- all
 //! cargo run --release -p darsie-bench --bin figures -- fig8 fig11
 //! cargo run --release -p darsie-bench --bin figures -- --scale test fig2
+//! cargo run --release -p darsie-bench --bin figures -- --scale test --sms 2 ablations
 //! ```
+//!
+//! `all` prints the paper's artifacts; `ablations` (DESIGN.md's
+//! design-choice probes) is requested by name.
 
 use darsie_bench::{
-    collect, eval_gpu, fig12_techniques, fig8_techniques, limit_study, render_fig1, render_fig2,
-    render_table1, render_table2, render_table3, Report,
+    collect, eval_gpu, fig12_techniques, fig8_techniques, limit_study, render_ablations,
+    render_fig1, render_fig2, render_table1, render_table2, render_table3, Report,
 };
 use gpu_energy::{AreaEstimate, AreaParams};
 use gpu_sim::trace_redundancy;
@@ -20,7 +24,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: figures [--scale eval|test] [--sms N] <artifact>...\n\
          artifacts: fig1 fig2 fig3 fig6 fig8 fig9 fig10 fig11 fig12 \
-         table1 table2 table3 area all"
+         table1 table2 table3 area ablations all"
     );
     std::process::exit(2);
 }
@@ -40,7 +44,11 @@ fn main() {
                 }
             }
             "--sms" => {
-                sms = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
+                sms = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage());
             }
             "-h" | "--help" => usage(),
             other => artifacts.push(other.to_string()),
@@ -81,6 +89,7 @@ fn main() {
                 let rows = limit.get_or_insert_with(|| limit_study(scale));
                 println!("{}", render_fig2(rows));
             }
+            "ablations" => println!("{}", render_ablations(scale, &cfg)),
             "fig3" => println!("{}", fig3_walkthrough()),
             "fig6" => println!("{}", fig6_markings()),
             "fig8" => {

@@ -2,17 +2,17 @@
 //!
 //! Every paper artifact is regenerated from the same pipeline: run the 13
 //! Table-1 workloads under each technique, then render the figure's
-//! rows/series from the collected [`SimStats`]. The criterion benches and
-//! the `figures` binary both call into this module, so
-//! `cargo bench -p darsie-bench` and
-//! `cargo run -p darsie-bench --bin figures` agree by construction.
+//! rows/series from the collected [`SimStats`]. The `figures` binary
+//! renders every figure, table and ablation from this module, and the
+//! `darsie-sim` CLI writes its documents with [`json`].
 
+pub mod json;
 pub mod manifest;
 pub mod replay;
 
 use darsie::DarsieConfig;
 use gpu_energy::EnergyModel;
-use gpu_sim::{trace_redundancy, GpuConfig, SimStats, Technique};
+use gpu_sim::{trace_redundancy, GpuConfig, SchedulerPolicy, SimStats, Technique};
 use workloads::{catalog, Scale, Workload};
 
 /// The evaluation machine: the Table-2 Pascal SM configuration with a
@@ -243,6 +243,46 @@ impl Report {
         }
         out
     }
+}
+
+/// Renders DESIGN.md's design-choice ablations: register versioning vs
+/// write-synchronization, skip-table sizing, coalescer ports, rename pool
+/// size and warp-scheduler policy, each as the gmean-2D speedup of the
+/// DARSIE variant over BASE on `cfg`.
+#[must_use]
+pub fn render_ablations(scale: Scale, cfg: &GpuConfig) -> String {
+    let two_d: Vec<Workload> = catalog(scale).into_iter().filter(|w| w.is_2d).collect();
+    let mut out = String::from("Ablations: gmean-2D speedup over BASE\n");
+    let mut sweep = |label: &str, cfg: &GpuConfig, tech: Technique| {
+        let speedup = gmean(two_d.iter().map(|w| {
+            let base = w.run_unchecked(cfg, Technique::Base).cycles as f64;
+            base / (w.run_unchecked(cfg, tech.clone()).cycles as f64).max(1.0)
+        }));
+        out.push_str(&format!("{label:28} {speedup:.3}\n"));
+    };
+    // Versioning vs write-synchronization (paper Section 4.1 options).
+    sweep("versioning (default)", cfg, Technique::darsie());
+    sweep("no-versioning", cfg, Technique::Darsie(DarsieConfig::no_versioning()));
+    // Skip-table entries per TB.
+    for entries in [1usize, 2, 4, 8, 16] {
+        let d = DarsieConfig { skip_entries_per_tb: entries, ..DarsieConfig::default() };
+        sweep(&format!("skip_entries={entries}"), cfg, Technique::Darsie(d));
+    }
+    // PC-coalescer / skip-table ports.
+    for ports in [1usize, 2, 4] {
+        let d = DarsieConfig { skip_table_ports: ports, ..DarsieConfig::default() };
+        sweep(&format!("skip_ports={ports}"), cfg, Technique::Darsie(d));
+    }
+    // Rename registers per TB.
+    for regs in [8usize, 16, 32] {
+        let d = DarsieConfig { rename_regs_per_tb: regs, ..DarsieConfig::default() };
+        sweep(&format!("rename_regs={regs}"), cfg, Technique::Darsie(d));
+    }
+    // Scheduler policy.
+    let lrr = GpuConfig { scheduler: SchedulerPolicy::Lrr, ..cfg.clone() };
+    sweep("scheduler=GTO", cfg, Technique::darsie());
+    sweep("scheduler=LRR", &lrr, Technique::darsie());
+    out
 }
 
 /// The Figure-1 / Figure-2 limit study for one workload.

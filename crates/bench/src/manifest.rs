@@ -5,16 +5,17 @@
 //! exact subcommand and arguments, a fingerprint of the GPU configuration
 //! the run used, per-phase spans (wall time plus allocation deltas from
 //! the [`CountingAlloc`] global allocator), integer counters (lint
-//! totals, workload counts), floating-point metrics (digest overhead),
+//! totals, workload counts), floating-point metrics (bracket widths),
 //! and the per-run digest roots of every simulation the subcommand
 //! performed. CI archives manifests as artifacts so a regression can be
 //! traced to the phase that slowed down or the run whose root drifted.
 //!
-//! Like every other machine-readable document in this workspace the
-//! manifest is hand-rolled JSON (no serde); digest roots and fingerprints
-//! are emitted as `"0x..."` hex strings because they are full 64-bit
-//! values and JSON numbers only carry 53 bits of integer precision.
+//! Like every other machine-readable document of the CLI the manifest is
+//! built as a [`Json`] tree; digest roots and fingerprints are emitted as
+//! `"0x..."` hex strings because they are full 64-bit values and JSON
+//! numbers only carry 53 bits of integer precision.
 
+use crate::json::Json;
 use gpu_sim::digest::{fold, splitmix64, FNV_OFFSET};
 use gpu_sim::GpuConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,17 +83,18 @@ pub fn config_fingerprint(cfg: &GpuConfig) -> u64 {
 }
 
 /// The shared `--json` document header: every machine-readable document
-/// the CLI prints starts with these fields, so CI consumers can check
-/// they are parsing the document shape they expect. `cfg` is `None` for
-/// subcommands that never construct a GPU (e.g. `lints`).
+/// the CLI prints is an object that starts with these fields, so CI
+/// consumers can check they are parsing the document shape they expect.
+/// `cfg` is `None` for subcommands that never construct a GPU (e.g.
+/// `lints`).
 #[must_use]
-pub fn json_header(subcommand: &str, cfg: Option<&GpuConfig>) -> String {
-    let fp =
-        cfg.map_or_else(|| "null".to_string(), |c| format!("\"{:#018x}\"", config_fingerprint(c)));
-    format!(
-        "\"tool\":\"{TOOL}\",\"version\":\"{VERSION}\",\"schema_version\":{SCHEMA_VERSION},\
-         \"subcommand\":\"{subcommand}\",\"config_fingerprint\":{fp}"
-    )
+pub fn json_header(subcommand: &str, cfg: Option<&GpuConfig>) -> Json {
+    Json::obj()
+        .field("tool", TOOL)
+        .field("version", VERSION)
+        .field("schema_version", SCHEMA_VERSION)
+        .field("subcommand", subcommand)
+        .field("config_fingerprint", cfg.map(|c| Json::hex(config_fingerprint(c))))
 }
 
 /// One timed phase of a run.
@@ -110,28 +112,10 @@ pub struct PhaseSpan {
     pub allocs: u64,
 }
 
-/// Escapes a string for a JSON string literal (local copy: the CLI binary
-/// has its own, but the manifest renders from the library).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Structured telemetry for one CLI invocation.
 #[derive(Debug)]
 pub struct RunManifest {
-    /// Subcommand name (`verify`, `bench`, `replay-diff`, ... or `run`
+    /// Subcommand name (`verify`, `estimate`, `replay-diff`, ... or `run`
     /// for the bare benchmark mode).
     pub subcommand: String,
     /// Arguments after the subcommand, verbatim.
@@ -217,49 +201,41 @@ impl RunManifest {
     /// Renders the manifest as a JSON document (with trailing newline).
     #[must_use]
     pub fn render_json(&self) -> String {
-        let args: Vec<String> = self.args.iter().map(|a| format!("\"{}\"", esc(a))).collect();
-        let fp = self
-            .config_fingerprint
-            .map_or_else(|| "null".to_string(), |f| format!("\"{f:#018x}\""));
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"name\":\"{}\",\"start_seconds\":{:.6},\"wall_seconds\":{:.6},\
-                     \"alloc_bytes\":{},\"allocs\":{}}}",
-                    esc(&p.name),
-                    p.start_seconds,
-                    p.wall_seconds,
-                    p.alloc_bytes,
-                    p.allocs
-                )
-            })
-            .collect();
-        let counters: Vec<String> =
-            self.counters.iter().map(|(k, v)| format!("\"{}\":{v}", esc(k))).collect();
-        let metrics: Vec<String> =
-            self.metrics.iter().map(|(k, v)| format!("\"{}\":{v:.6}", esc(k))).collect();
-        let roots: Vec<String> = self
-            .digest_roots
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{v:#018x}\"", esc(k)))
-            .collect();
-        format!(
-            "{{\"tool\":\"{TOOL}\",\"version\":\"{VERSION}\",\
-             \"schema_version\":{SCHEMA_VERSION},\"subcommand\":\"{}\",\"args\":[{}],\
-             \"config_fingerprint\":{fp},\"wall_seconds\":{:.6},\"exit_code\":{},\
-             \"phases\":[{}],\"counters\":{{{}}},\"metrics\":{{{}}},\
-             \"digest_roots\":{{{}}}}}\n",
-            esc(&self.subcommand),
-            args.join(","),
-            self.elapsed_seconds(),
-            self.exit_code,
-            phases.join(","),
-            counters.join(","),
-            metrics.join(","),
-            roots.join(","),
-        )
+        let fixed6 = |v: f64| Json::num(format_args!("{v:.6}"));
+        let phases = self.phases.iter().map(|p| {
+            Json::obj()
+                .field("name", p.name.as_str())
+                .field("start_seconds", fixed6(p.start_seconds))
+                .field("wall_seconds", fixed6(p.wall_seconds))
+                .field("alloc_bytes", p.alloc_bytes)
+                .field("allocs", p.allocs)
+        });
+        let doc = Json::obj()
+            .field("tool", TOOL)
+            .field("version", VERSION)
+            .field("schema_version", SCHEMA_VERSION)
+            .field("subcommand", self.subcommand.as_str())
+            .field("args", Json::arr(self.args.iter().map(String::as_str)))
+            .field("config_fingerprint", self.config_fingerprint.map(Json::hex))
+            .field("wall_seconds", fixed6(self.elapsed_seconds()))
+            .field("exit_code", self.exit_code)
+            .field("phases", Json::arr(phases))
+            .field(
+                "counters",
+                self.counters.iter().map(|(k, &v)| (k.as_str(), v)).collect::<Json>(),
+            )
+            .field(
+                "metrics",
+                self.metrics.iter().map(|(k, &v)| (k.as_str(), fixed6(v))).collect::<Json>(),
+            )
+            .field(
+                "digest_roots",
+                self.digest_roots
+                    .iter()
+                    .map(|(k, &v)| (k.as_str(), Json::hex(v)))
+                    .collect::<Json>(),
+            );
+        format!("{doc}\n")
     }
 
     /// Writes the manifest to `path`.
@@ -306,7 +282,7 @@ mod tests {
         assert_eq!(out, 7);
         m.count("total_errors", 0);
         m.count("workloads", 13);
-        m.metric("digest_overhead_percent", 1.25);
+        m.metric("mean_bracket_width", 1.25);
         m.digest_root("BIN/DARSIE", 0xdead_beef_0000_0001);
         m.exit_code = 0;
         let json = m.render_json();
@@ -320,7 +296,7 @@ mod tests {
             "\"wall_seconds\":",
             "\"alloc_bytes\":",
             "\"counters\":{\"total_errors\":0,\"workloads\":13}",
-            "\"metrics\":{\"digest_overhead_percent\":1.250000}",
+            "\"metrics\":{\"mean_bracket_width\":1.250000}",
             "\"digest_roots\":{\"BIN/DARSIE\":\"0xdeadbeef00000001\"}",
             "\"exit_code\":0",
         ] {
@@ -331,12 +307,12 @@ mod tests {
 
     #[test]
     fn header_has_the_shared_fields() {
-        let h = json_header("verify", Some(&GpuConfig::test_small()));
-        assert!(h.contains("\"tool\":\"darsie-sim\""));
+        let h = json_header("verify", Some(&GpuConfig::test_small())).to_string();
+        assert!(h.starts_with("{\"tool\":\"darsie-sim\""));
         assert!(h.contains("\"schema_version\":1"));
         assert!(h.contains("\"subcommand\":\"verify\""));
         assert!(h.contains("\"config_fingerprint\":\"0x"));
-        let h2 = json_header("lints", None);
+        let h2 = json_header("lints", None).to_string();
         assert!(h2.contains("\"config_fingerprint\":null"));
     }
 }

@@ -1,10 +1,10 @@
 //! Integration tests for the `darsie-sim` CLI: workload-selection
 //! robustness (unknown names must fail fast and list the valid ones) and
-//! golden schemas for every `--json` document, parsed with a minimal
+//! golden schemas for every `--json` document, parsed with the library's
 //! validating JSON reader so a malformed or restructured document fails
 //! loudly rather than by substring accident.
 
-use std::collections::BTreeMap;
+use darsie_bench::json::{parse, Json};
 use std::process::Command;
 
 fn run(args: &[&str]) -> (Option<i32>, String, String) {
@@ -19,67 +19,52 @@ fn run(args: &[&str]) -> (Option<i32>, String, String) {
     )
 }
 
-/// A minimal JSON value — the workspace deliberately has no serde, and
-/// the CLI emits its documents by hand, so the test parses them by hand
-/// too.
-#[derive(Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
+/// Parses a document the CLI wrote; a malformed one fails the test.
+#[track_caller]
+fn read(text: &str) -> Json {
+    parse(text.trim()).unwrap_or_else(|e| panic!("invalid JSON document: {e}"))
 }
 
-impl Json {
-    fn parse(text: &str) -> Json {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos);
-        skip_ws(bytes, &mut pos);
-        assert_eq!(pos, bytes.len(), "trailing garbage after JSON document");
-        v
+/// Panicking accessors, so a restructured document fails a schema test
+/// loudly, naming the key or type that did not match.
+trait Doc {
+    fn at(&self, key: &str) -> &Json;
+    fn list(&self) -> &[Json];
+    fn object(&self) -> &[(String, Json)];
+    fn number(&self) -> f64;
+    fn string(&self) -> &str;
+    fn boolean(&self) -> bool;
+}
+
+impl Doc for Json {
+    #[track_caller]
+    fn at(&self, key: &str) -> &Json {
+        self.get(key).unwrap_or_else(|| panic!("missing key `{key}` in {self}"))
     }
 
     #[track_caller]
-    fn get(&self, key: &str) -> &Json {
-        match self {
-            Json::Obj(m) => m.get(key).unwrap_or_else(|| panic!("missing key `{key}`")),
-            other => panic!("expected object with `{key}`, got {other:?}"),
-        }
+    fn list(&self) -> &[Json] {
+        self.as_array().unwrap_or_else(|| panic!("expected array, got {self}"))
     }
 
     #[track_caller]
-    fn arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(a) => a,
-            other => panic!("expected array, got {other:?}"),
-        }
+    fn object(&self) -> &[(String, Json)] {
+        self.as_object().unwrap_or_else(|| panic!("expected object, got {self}"))
     }
 
     #[track_caller]
-    fn num(&self) -> f64 {
-        match self {
-            Json::Num(n) => *n,
-            other => panic!("expected number, got {other:?}"),
-        }
+    fn number(&self) -> f64 {
+        self.as_f64().unwrap_or_else(|| panic!("expected number, got {self}"))
     }
 
     #[track_caller]
-    fn str(&self) -> &str {
-        match self {
-            Json::Str(s) => s,
-            other => panic!("expected string, got {other:?}"),
-        }
+    fn string(&self) -> &str {
+        self.as_str().unwrap_or_else(|| panic!("expected string, got {self}"))
     }
 
     #[track_caller]
-    fn bool(&self) -> bool {
-        match self {
-            Json::Bool(b) => *b,
-            other => panic!("expected bool, got {other:?}"),
-        }
+    fn boolean(&self) -> bool {
+        self.as_bool().unwrap_or_else(|| panic!("expected bool, got {self}"))
     }
 }
 
@@ -89,147 +74,22 @@ impl Json {
 /// that build no GPU configuration).
 #[track_caller]
 fn assert_header(doc: &Json, subcommand: &str) {
-    assert_eq!(doc.get("tool").str(), "darsie-sim");
-    assert!(!doc.get("version").str().is_empty());
-    assert_eq!(doc.get("schema_version").num(), 1.0);
-    assert_eq!(doc.get("subcommand").str(), subcommand);
-    match doc.get("config_fingerprint") {
+    assert_eq!(doc.at("tool").string(), "darsie-sim");
+    assert!(!doc.at("version").string().is_empty());
+    assert_eq!(doc.at("schema_version").number(), 1.0);
+    assert_eq!(doc.at("subcommand").string(), subcommand);
+    match doc.at("config_fingerprint") {
         Json::Null => {}
-        fp => assert!(fp.str().starts_with("0x"), "fingerprint is a hex string"),
+        fp => assert!(fp.string().starts_with("0x"), "fingerprint is a hex string"),
     }
 }
 
 /// Asserts a `"0x"`-prefixed 16-digit hex digest string.
 #[track_caller]
 fn assert_hex_digest(v: &Json) {
-    let s = v.str();
+    let s = v.string();
     assert!(s.starts_with("0x") && s.len() == 18, "digest `{s}` is 0x + 16 hex digits");
     assert!(s[2..].bytes().all(|b| b.is_ascii_hexdigit()), "digest `{s}`");
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && (b[*pos] as char).is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, lit: &str) {
-    assert!(b[*pos..].starts_with(lit.as_bytes()), "expected `{lit}` at byte {pos}");
-    *pos += lit.len();
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Json {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut m = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Json::Obj(m);
-            }
-            loop {
-                skip_ws(b, pos);
-                let k = parse_string(b, pos);
-                skip_ws(b, pos);
-                expect(b, pos, ":");
-                let v = parse_value(b, pos);
-                assert!(m.insert(k.clone(), v).is_none(), "duplicate key `{k}`");
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Json::Obj(m);
-                    }
-                    other => panic!("expected `,` or `}}`, got {other:?}"),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut a = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Json::Arr(a);
-            }
-            loop {
-                a.push(parse_value(b, pos));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Json::Arr(a);
-                    }
-                    other => panic!("expected `,` or `]`, got {other:?}"),
-                }
-            }
-        }
-        Some(b'"') => Json::Str(parse_string(b, pos)),
-        Some(b't') => {
-            expect(b, pos, "true");
-            Json::Bool(true)
-        }
-        Some(b'f') => {
-            expect(b, pos, "false");
-            Json::Bool(false)
-        }
-        Some(b'n') => {
-            expect(b, pos, "null");
-            Json::Null
-        }
-        _ => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).unwrap();
-            Json::Num(s.parse().unwrap_or_else(|_| panic!("bad number `{s}`")))
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> String {
-    expect(b, pos, "\"");
-    let mut s = String::new();
-    loop {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return s;
-            }
-            b'\\' => {
-                *pos += 1;
-                match b[*pos] {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'n' => s.push('\n'),
-                    b't' => s.push('\t'),
-                    b'r' => s.push('\r'),
-                    b'u' => {
-                        let hex = std::str::from_utf8(&b[*pos + 1..*pos + 5]).unwrap();
-                        let c = u32::from_str_radix(hex, 16).unwrap();
-                        s.push(char::from_u32(c).unwrap());
-                        *pos += 4;
-                    }
-                    e => panic!("unsupported escape `\\{}`", e as char),
-                }
-                *pos += 1;
-            }
-            _ => {
-                let start = *pos;
-                while b[*pos] != b'"' && b[*pos] != b'\\' {
-                    *pos += 1;
-                }
-                s.push_str(std::str::from_utf8(&b[start..*pos]).unwrap());
-            }
-        }
-    }
 }
 
 /// Every subcommand that selects workloads rejects an unknown
@@ -237,7 +97,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> String {
 /// abbreviations so the caller never has to guess.
 #[test]
 fn unknown_workload_name_fails_and_lists_valid_names() {
-    for sub in ["verify", "analyze", "prove", "profile", "estimate", "bench"] {
+    for sub in ["verify", "analyze", "prove", "profile", "estimate", "replay-diff"] {
         let (code, _, err) = run(&[sub, "--workload", "nosuch"]);
         assert_eq!(code, Some(2), "{sub}: exit code");
         assert!(err.contains("unknown workload `nosuch`"), "{sub}: {err}");
@@ -250,7 +110,7 @@ fn unknown_workload_name_fails_and_lists_valid_names() {
 /// Positional abbreviations get the same treatment.
 #[test]
 fn unknown_positional_abbr_fails_and_lists_valid_names() {
-    for sub in ["verify", "analyze", "prove", "profile", "estimate", "bench"] {
+    for sub in ["verify", "analyze", "prove", "profile", "estimate", "replay-diff"] {
         let (code, _, err) = run(&[sub, "NOSUCH"]);
         assert_eq!(code, Some(2), "{sub}: exit code");
         assert!(err.contains("unknown benchmark `NOSUCH`"), "{sub}: {err}");
@@ -263,25 +123,25 @@ fn unknown_positional_abbr_fails_and_lists_valid_names() {
 fn verify_json_schema() {
     let (code, out, _) = run(&["verify", "BIN", "--scale", "test", "--json"]);
     assert_eq!(code, Some(0));
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "verify");
-    let ws = doc.get("workloads").arr();
+    let ws = doc.at("workloads").list();
     assert_eq!(ws.len(), 1);
     let w = &ws[0];
-    assert_eq!(w.get("abbr").str(), "BIN");
-    assert!(!w.get("kernel").str().is_empty());
-    assert_eq!(w.get("block").arr().len(), 3);
-    for d in w.get("diagnostics").arr() {
-        d.get("code").str();
-        d.get("severity").str();
-        d.get("message").str();
-        assert!(matches!(d.get("pc"), Json::Num(_) | Json::Null));
+    assert_eq!(w.at("abbr").string(), "BIN");
+    assert!(!w.at("kernel").string().is_empty());
+    assert_eq!(w.at("block").list().len(), 3);
+    for d in w.at("diagnostics").list() {
+        d.at("code").string();
+        d.at("severity").string();
+        d.at("message").string();
+        assert!(matches!(d.at("pc"), Json::Num(_) | Json::Null));
     }
-    w.get("errors").num();
-    w.get("warnings").num();
-    assert!(matches!(doc.get("by_code"), Json::Obj(_)));
-    assert_eq!(doc.get("total_errors").num(), 0.0);
-    doc.get("total_warnings").num();
+    w.at("errors").number();
+    w.at("warnings").number();
+    assert!(matches!(doc.at("by_code"), Json::Obj(_)));
+    assert_eq!(doc.at("total_errors").number(), 0.0);
+    doc.at("total_warnings").number();
 }
 
 /// Golden schema for `analyze --json`.
@@ -289,33 +149,33 @@ fn verify_json_schema() {
 fn analyze_json_schema() {
     let (code, out, _) = run(&["analyze", "BIN", "--scale", "test", "--json"]);
     assert_eq!(code, Some(0));
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "analyze");
-    let w = &doc.get("workloads").arr()[0];
-    assert_eq!(w.get("abbr").str(), "BIN");
+    let w = &doc.at("workloads").list()[0];
+    assert_eq!(w.at("abbr").string(), "BIN");
     for side in ["baseline", "refined"] {
-        let s = w.get(side);
-        s.get("vector").num();
-        s.get("cond").num();
-        s.get("def").num();
-        s.get("skippable").num();
+        let s = w.at(side);
+        s.at("vector").number();
+        s.at("cond").number();
+        s.at("def").number();
+        s.at("skippable").number();
     }
-    assert!(matches!(w.get("refined").get("upgrades"), Json::Obj(_)));
-    assert_eq!(w.get("oracle_errors").num(), 0.0);
-    w.get("headroom").get("dynamically_redundant").num();
-    w.get("headroom").get("never_aligned").num();
-    assert!(matches!(w.get("blame"), Json::Obj(_)));
-    let mem = w.get("mem");
-    mem.get("accesses").num();
-    mem.get("unpredictable").num();
-    mem.get("violations").num();
-    mem.get("checks").arr();
-    mem.get("lints").arr();
-    let t = doc.get("totals");
-    assert_eq!(t.get("oracle_errors").num(), 0.0);
-    assert_eq!(t.get("mem_violations").num(), 0.0);
-    t.get("coverage_wins").num();
-    t.get("marking_wins").num();
+    assert!(matches!(w.at("refined").at("upgrades"), Json::Obj(_)));
+    assert_eq!(w.at("oracle_errors").number(), 0.0);
+    w.at("headroom").at("dynamically_redundant").number();
+    w.at("headroom").at("never_aligned").number();
+    assert!(matches!(w.at("blame"), Json::Obj(_)));
+    let mem = w.at("mem");
+    mem.at("accesses").number();
+    mem.at("unpredictable").number();
+    mem.at("violations").number();
+    mem.at("checks").list();
+    mem.at("lints").list();
+    let t = doc.at("totals");
+    assert_eq!(t.at("oracle_errors").number(), 0.0);
+    assert_eq!(t.at("mem_violations").number(), 0.0);
+    t.at("coverage_wins").number();
+    t.at("marking_wins").number();
 }
 
 /// Golden schema for `prove --json`, plus the headline property: the
@@ -324,38 +184,38 @@ fn analyze_json_schema() {
 fn prove_json_schema() {
     let (code, out, _) = run(&["prove", "BIN", "--scale", "test", "--json"]);
     assert_eq!(code, Some(0));
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "prove");
-    let w = &doc.get("workloads").arr()[0];
-    assert_eq!(w.get("abbr").str(), "BIN");
-    assert!(!w.get("kernel").str().is_empty());
-    assert_eq!(w.get("block").arr().len(), 3);
-    let claims = w.get("value_claims").num() + w.get("branch_claims").num();
+    let w = &doc.at("workloads").list()[0];
+    assert_eq!(w.at("abbr").string(), "BIN");
+    assert!(!w.at("kernel").string().is_empty());
+    assert_eq!(w.at("block").list().len(), 3);
+    let claims = w.at("value_claims").number() + w.at("branch_claims").number();
     assert!(claims > 0.0);
-    assert_eq!(w.get("proved").num(), claims);
-    assert_eq!(w.get("disproved").num(), 0.0);
-    assert_eq!(w.get("unknown").num(), 0.0);
-    assert!(w.get("complete").bool());
-    assert_eq!(w.get("diagnostics").arr().len(), 0);
-    assert!(matches!(doc.get("by_code"), Json::Obj(_)));
-    assert!(doc.get("total_proved").num() > 0.0);
-    assert_eq!(doc.get("total_disproved").num(), 0.0);
-    assert_eq!(doc.get("total_unknown").num(), 0.0);
+    assert_eq!(w.at("proved").number(), claims);
+    assert_eq!(w.at("disproved").number(), 0.0);
+    assert_eq!(w.at("unknown").number(), 0.0);
+    assert!(w.at("complete").boolean());
+    assert_eq!(w.at("diagnostics").list().len(), 0);
+    assert!(matches!(doc.at("by_code"), Json::Obj(_)));
+    assert!(doc.at("total_proved").number() > 0.0);
+    assert_eq!(doc.at("total_disproved").number(), 0.0);
+    assert_eq!(doc.at("total_unknown").number(), 0.0);
     // Per-claim ledger: one entry per obligation, every verdict proved on
     // this catalog workload, reasons null, with deterministic eval costs.
-    assert!(w.get("fuel_used").num() > 0.0);
-    assert!(w.get("terms").num() > 0.0);
-    let ledger = w.get("claims").arr();
+    assert!(w.at("fuel_used").number() > 0.0);
+    assert!(w.at("terms").number() > 0.0);
+    let ledger = w.at("claims").list();
     assert_eq!(ledger.len() as f64, claims);
     for c in ledger {
-        c.get("pc").num();
-        assert!(matches!(c.get("kind").str(), "value" | "branch"));
-        assert!(!c.get("family").str().is_empty());
-        assert_eq!(c.get("verdict").str(), "proved");
-        assert_eq!(*c.get("unknown_reason"), Json::Null);
-        c.get("evals").num();
+        c.at("pc").number();
+        assert!(matches!(c.at("kind").string(), "value" | "branch"));
+        assert!(!c.at("family").string().is_empty());
+        assert_eq!(c.at("verdict").string(), "proved");
+        assert_eq!(*c.at("unknown_reason"), Json::Null);
+        c.at("evals").number();
     }
-    assert!(matches!(doc.get("unknown_reasons"), Json::Obj(_)));
+    assert!(matches!(doc.at("unknown_reasons"), Json::Obj(_)));
 }
 
 /// `--threads N` must not change the document: the discharge engine
@@ -383,6 +243,10 @@ fn flag_validation_rejects_duplicates_and_bad_thread_counts() {
         &["prove", "BIN", "--scale", "test", "--json", "--json"][..],
         &["prove", "BIN", "--scale", "test", "--scale", "test"][..],
         &["prove", "BIN", "--scale", "test", "--threads", "2", "--threads", "2"][..],
+        &["BIN", "--scale", "test", "--sms", "2", "--sms", "3"][..],
+        &["BIN", "--scale", "test", "--no-validate", "--no-validate"][..],
+        &["replay-diff", "BIN", "--scale", "test", "--sms", "2", "--sms", "3"][..],
+        &["replay-diff", "BIN", "--scale", "test", "--against", "sms=2", "--against", "sms=3"][..],
     ] {
         let (code, _, err) = run(args);
         assert_eq!(code, Some(2), "{args:?} must exit 2");
@@ -392,6 +256,18 @@ fn flag_validation_rejects_duplicates_and_bad_thread_counts() {
         let (code, _, err) = run(&["prove", "BIN", "--scale", "test", "--threads", bad]);
         assert_eq!(code, Some(2), "--threads {bad} must exit 2");
         assert!(err.contains("positive integer"), "--threads {bad}: {err}");
+    }
+    // Zero SMs or skip-table ports used to panic or spin until
+    // `max_cycles`; they are usage errors like a zero thread count.
+    for args in [
+        &["BIN", "--scale", "test", "--sms", "0"][..],
+        &["BIN", "--scale", "test", "--skip-ports", "0"][..],
+        &["replay-diff", "BIN", "--scale", "test", "--sms", "0"][..],
+        &["replay-diff", "BIN", "--scale", "test", "--against", "sms=0"][..],
+    ] {
+        let (code, _, err) = run(args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2");
+        assert!(err.contains("positive integer"), "{args:?}: {err}");
     }
     let (code, _, err) = run(&["analyze", "BIN", "--scale", "test", "--threads", "4"]);
     assert_eq!(code, Some(0));
@@ -408,34 +284,34 @@ fn flag_validation_rejects_duplicates_and_bad_thread_counts() {
 fn certify_json_schema_and_catalog_certifies() {
     let (code, out, _) = run(&["certify", "--scale", "test", "--json"]);
     assert_eq!(code, Some(0));
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "certify");
-    let ws = doc.get("workloads").arr();
+    let ws = doc.at("workloads").list();
     assert_eq!(ws.len(), 13, "all catalog workloads certified");
     for w in ws {
-        assert!(!w.get("abbr").str().is_empty());
-        assert!(!w.get("kernel").str().is_empty());
-        assert_eq!(w.get("grid").arr().len(), 3);
-        let class = w.get("classification").str();
+        assert!(!w.at("abbr").string().is_empty());
+        assert!(!w.at("kernel").string().is_empty());
+        assert_eq!(w.at("grid").list().len(), 3);
+        let class = w.at("classification").string();
         assert!(
             class == "block-independent" || class == "commutative-atomics-only",
             "{} must certify, got {class}",
-            w.get("abbr").str()
+            w.at("abbr").string()
         );
-        w.get("global_accesses").num();
-        w.get("unanalyzable").num();
-        w.get("checked_pairs").num();
+        w.at("global_accesses").number();
+        w.at("unanalyzable").number();
+        w.at("checked_pairs").number();
         assert!(
-            !w.get("dynamically_discharged").bool(),
+            !w.at("dynamically_discharged").boolean(),
             "test scale certifies statically, no replay discharge"
         );
-        assert!(matches!(w.get("witness"), Json::Obj(_) | Json::Null));
-        for d in w.get("diagnostics").arr() {
-            let code = d.get("code").str();
+        assert!(matches!(w.at("witness"), Json::Obj(_) | Json::Null));
+        for d in w.at("diagnostics").list() {
+            let code = d.at("code").string();
             assert!(code != "V310" && code != "V312", "no races in the catalog: {code}");
         }
     }
-    assert_eq!(doc.get("total_errors").num(), 0.0);
+    assert_eq!(doc.at("total_errors").number(), 0.0);
 }
 
 /// `verify --threads N` and `certify --threads N` shard workloads across
@@ -461,59 +337,59 @@ fn verify_and_certify_threads_output_is_byte_identical() {
 fn certify_family_json_schema_and_catalog_proves() {
     let (code, out, _) = run(&["certify", "--family", "--scale", "test", "--json"]);
     assert_eq!(code, Some(0));
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "certify-family");
-    let ws = doc.get("workloads").arr();
+    let ws = doc.at("workloads").list();
     assert_eq!(ws.len(), 13, "one family certificate per catalog workload");
     let mut proved = 0usize;
     for w in ws {
-        assert!(!w.get("abbr").str().is_empty());
-        assert!(!w.get("kernel").str().is_empty());
-        let region = w.get("region");
+        assert!(!w.at("abbr").string().is_empty());
+        assert!(!w.at("kernel").string().is_empty());
+        let region = w.at("region");
         for axis in ["grid_x", "grid_y", "block_x", "block_y", "block_z"] {
-            let a = region.get(axis);
-            let lo = a.get("lo").num();
-            let hi = a.get("hi").num();
+            let a = region.at(axis);
+            let lo = a.at("lo").number();
+            let hi = a.at("hi").number();
             assert!(1.0 <= lo && lo <= hi, "{axis}: [{lo}, {hi}]");
-            assert!(a.get("step").num() >= 1.0);
+            assert!(a.at("step").number() >= 1.0);
         }
-        assert!(w.get("member_count").num() >= 1.0);
-        let verdict = w.get("verdict").str();
+        assert!(w.at("member_count").number() >= 1.0);
+        let verdict = w.at("verdict").string();
         assert!(
             verdict == "FamilyProved" || verdict == "FamilySampled",
             "{} must not be refuted, got {verdict}",
-            w.get("abbr").str()
+            w.at("abbr").string()
         );
         if verdict == "FamilyProved" {
             proved += 1;
-            assert_eq!(w.get("unresolved").arr().len(), 0);
-            assert_eq!(w.get("sampled_corners").num(), 0.0);
+            assert_eq!(w.at("unresolved").list().len(), 0);
+            assert_eq!(w.at("sampled_corners").number(), 0.0);
         } else {
-            assert!(!w.get("unresolved").arr().is_empty());
-            assert!(w.get("sampled_corners").num() > 0.0);
+            assert!(!w.at("unresolved").list().is_empty());
+            assert!(w.at("sampled_corners").number() > 0.0);
         }
-        assert_eq!(w.get("checked_pairs").num(), w.get("proved_pairs").num());
-        assert_eq!(*w.get("witness_launch"), Json::Null);
-        assert_eq!(*w.get("witness"), Json::Null);
-        let costs = w.get("cost").arr();
+        assert_eq!(w.at("checked_pairs").number(), w.at("proved_pairs").number());
+        assert_eq!(*w.at("witness_launch"), Json::Null);
+        assert_eq!(*w.at("witness"), Json::Null);
+        let costs = w.at("cost").list();
         assert_eq!(costs.len(), 2, "Base and DARSIE brackets");
-        let labels: Vec<&str> = costs.iter().map(|c| c.get("technique").str()).collect();
+        let labels: Vec<&str> = costs.iter().map(|c| c.at("technique").string()).collect();
         assert_eq!(labels, ["BASE", "DARSIE"]);
         for c in costs {
-            let min = c.get("min_cycles").num();
-            match c.get("max_cycles") {
-                Json::Num(max) => assert!(min <= *max),
+            let min = c.at("min_cycles").number();
+            match c.at("max_cycles") {
+                max @ Json::Num(_) => assert!(min <= max.number()),
                 Json::Null => {}
                 other => panic!("max_cycles: {other:?}"),
             }
         }
-        assert_eq!(w.get("disagreements").arr().len(), 0, "differential gate clean");
+        assert_eq!(w.at("disagreements").list().len(), 0, "differential gate clean");
     }
     assert!(proved >= 9, "only {proved}/13 workloads reached FamilyProved");
-    assert_eq!(doc.get("proved").num(), proved as f64);
-    assert_eq!(doc.get("refuted").num(), 0.0);
-    assert_eq!(doc.get("disagreements").num(), 0.0);
-    assert_eq!(doc.get("samples").num(), 25.0);
+    assert_eq!(doc.at("proved").number(), proved as f64);
+    assert_eq!(doc.at("refuted").number(), 0.0);
+    assert_eq!(doc.at("disagreements").number(), 0.0);
+    assert_eq!(doc.at("samples").number(), 25.0);
 }
 
 /// `certify --family --threads N` shards workloads but must render
@@ -555,7 +431,7 @@ fn certify_family_threads_and_samples_validation() {
 #[test]
 fn threads_warning_is_identical_across_non_threaded_subcommands() {
     let mut warnings: Vec<String> = Vec::new();
-    for sub in ["analyze", "profile", "estimate", "bench"] {
+    for sub in ["analyze", "profile", "estimate", "replay-diff"] {
         let (code, _, err) = run(&[sub, "BIN", "--scale", "test", "--threads", "4"]);
         assert_eq!(code, Some(0), "{sub}: exit code");
         let warn = err
@@ -582,23 +458,20 @@ fn threads_warning_is_identical_across_non_threaded_subcommands() {
 fn profile_json_schema() {
     let (code, out, _) = run(&["profile", "BIN", "--scale", "test", "--json"]);
     assert_eq!(code, Some(0));
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "profile");
-    let ws = doc.get("workloads").arr();
+    let ws = doc.at("workloads").list();
     assert_eq!(ws.len(), 1);
     let w = &ws[0];
-    assert_eq!(w.get("abbr").str(), "BIN");
-    assert!(!w.get("kernel").str().is_empty());
-    let techs = w.get("techniques").arr();
+    assert_eq!(w.at("abbr").string(), "BIN");
+    assert!(!w.at("kernel").string().is_empty());
+    let techs = w.at("techniques").list();
     assert_eq!(techs.len(), 2, "Base and DARSIE");
-    let labels: Vec<&str> = techs.iter().map(|t| t.get("technique").str()).collect();
+    let labels: Vec<&str> = techs.iter().map(|t| t.at("technique").string()).collect();
     assert_eq!(labels, ["BASE", "DARSIE"]);
     for t in techs {
-        assert!(t.get("identity_ok").bool());
-        let slots = match t.get("slots") {
-            Json::Obj(m) => m,
-            other => panic!("expected slots object, got {other:?}"),
-        };
+        assert!(t.at("identity_ok").boolean());
+        let slots = t.at("slots").object();
         assert_eq!(slots.len(), 12, "one key per stall cause");
         for key in [
             "issued",
@@ -614,46 +487,46 @@ fn profile_json_schema() {
             "majority_evict",
             "idle_no_warp",
         ] {
-            assert!(slots.contains_key(key), "missing slot cause `{key}`");
+            assert!(slots.iter().any(|(k, _)| k == key), "missing slot cause `{key}`");
         }
-        let sum: f64 = slots.values().map(Json::num).sum();
-        assert_eq!(sum, t.get("issue_slots").num(), "accounting identity in the document");
+        let sum: f64 = slots.iter().map(|(_, n)| n.number()).sum();
+        assert_eq!(sum, t.at("issue_slots").number(), "accounting identity in the document");
         assert_eq!(
-            t.get("slots").get("issued").num(),
-            t.get("executed").num() + t.get("reused").num(),
+            t.at("slots").at("issued").number(),
+            t.at("executed").number() + t.at("reused").number(),
             "issued slots cross-check"
         );
-        for h in t.get("hot_pcs").arr() {
-            h.get("pc").num();
-            h.get("issued").num();
-            h.get("skipped").num();
-            h.get("stall_slots").num();
-            h.get("top_stall").str();
+        for h in t.at("hot_pcs").list() {
+            h.at("pc").number();
+            h.at("issued").number();
+            h.at("skipped").number();
+            h.at("stall_slots").number();
+            h.at("top_stall").string();
         }
-        let lat = t.get("leader_latency");
-        lat.get("count").num();
-        assert_eq!(lat.get("buckets").arr().len(), 16);
-        let occ = t.get("occupancy");
-        occ.get("samples").num();
-        occ.get("dropped").num();
-        occ.get("peak_skip_entries").num();
-        occ.get("peak_live_versions").num();
-        occ.get("peak_waiting_warps").num();
-        let d = t.get("darsie");
-        d.get("leaders_elected").num();
-        d.get("instructions_skipped").num();
-        d.get("leader_giveups").num();
-        t.get("trace_dropped").num();
-        t.get("trace_capacity").num();
-        assert_hex_digest(t.get("digest_root"));
+        let lat = t.at("leader_latency");
+        lat.at("count").number();
+        assert_eq!(lat.at("buckets").list().len(), 16);
+        let occ = t.at("occupancy");
+        occ.at("samples").number();
+        occ.at("dropped").number();
+        occ.at("peak_skip_entries").number();
+        occ.at("peak_live_versions").number();
+        occ.at("peak_waiting_warps").number();
+        let d = t.at("darsie");
+        d.at("leaders_elected").number();
+        d.at("instructions_skipped").number();
+        d.at("leader_giveups").number();
+        t.at("trace_dropped").number();
+        t.at("trace_capacity").number();
+        assert_hex_digest(t.at("digest_root"));
     }
     // DARSIE actually skips on BIN: the slots and counters show it.
     let dars = &techs[1];
-    assert!(dars.get("slots").get("skipped_by_darsie").num() > 0.0);
-    assert!(dars.get("darsie").get("leaders_elected").num() > 0.0);
-    let t = doc.get("totals");
-    assert_eq!(t.get("workloads").num(), 1.0);
-    assert_eq!(t.get("identity_violations").num(), 0.0);
+    assert!(dars.at("slots").at("skipped_by_darsie").number() > 0.0);
+    assert!(dars.at("darsie").at("leaders_elected").number() > 0.0);
+    let t = doc.at("totals");
+    assert_eq!(t.at("workloads").number(), 1.0);
+    assert_eq!(t.at("identity_violations").number(), 0.0);
 }
 
 /// `profile --perfetto` writes a valid Chrome trace-event document:
@@ -669,36 +542,36 @@ fn profile_perfetto_trace_round_trips() {
     assert_eq!(code, Some(0), "{err}");
     let text = std::fs::read_to_string(&path).expect("trace file written");
     std::fs::remove_file(&path).ok();
-    let doc = Json::parse(text.trim());
-    let evs = doc.get("traceEvents").arr();
+    let doc = read(&text);
+    let evs = doc.at("traceEvents").list();
     assert!(!evs.is_empty(), "trace has events");
     let mut complete = 0usize;
     let mut meta = 0usize;
     let mut phases = 0usize;
     for e in evs {
-        match e.get("ph").str() {
+        match e.at("ph").string() {
             "X" => {
                 complete += 1;
-                e.get("ts").num();
-                e.get("dur").num();
-                e.get("pid").num();
-                e.get("tid").num();
-                assert!(!e.get("name").str().is_empty());
-                if e.get("cat").str() == "phase" {
+                e.at("ts").number();
+                e.at("dur").number();
+                e.at("pid").number();
+                e.at("tid").number();
+                assert!(!e.at("name").string().is_empty());
+                if e.at("cat").string() == "phase" {
                     // Host phase spans live on their own synthetic process
                     // and carry no pc.
                     phases += 1;
-                    assert!(e.get("dur").num() >= 1.0);
+                    assert!(e.at("dur").number() >= 1.0);
                 } else {
-                    e.get("args").get("pc").num();
+                    e.at("args").at("pc").number();
                 }
             }
             "M" => {
                 meta += 1;
-                assert!(!e.get("args").get("name").str().is_empty());
+                assert!(!e.at("args").at("name").string().is_empty());
             }
             "C" => {
-                e.get("args").get("skip_entries").num();
+                e.at("args").at("skip_entries").number();
             }
             other => panic!("unexpected phase `{other}`"),
         }
@@ -706,7 +579,7 @@ fn profile_perfetto_trace_round_trips() {
     assert!(complete > 0, "at least one complete event");
     assert!(meta > 0, "process/thread name metadata present");
     assert!(phases > 0, "host phase spans exported into the trace");
-    doc.get("otherData").get("dropped_events").num();
+    doc.at("otherData").at("dropped_events").number();
 }
 
 /// Golden schema for `lints --json`: one row per `LintCode` variant with
@@ -715,16 +588,16 @@ fn profile_perfetto_trace_round_trips() {
 fn lints_json_schema() {
     let (code, out, _) = run(&["lints", "--json"]);
     assert_eq!(code, Some(0));
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "lints");
-    let rows = doc.get("lints").arr();
+    let rows = doc.at("lints").list();
     let codes: Vec<&str> = rows
         .iter()
         .map(|r| {
-            r.get("severity").str();
-            r.get("pass").str();
-            assert!(!r.get("doc").str().is_empty());
-            r.get("code").str()
+            r.at("severity").string();
+            r.at("pass").string();
+            assert!(!r.at("doc").string().is_empty());
+            r.at("code").string()
         })
         .collect();
     for c in ["V001", "V201", "V301", "P101", "S401", "S402", "S403", "E201", "E202"] {
@@ -739,32 +612,32 @@ fn lints_json_schema() {
 fn estimate_json_schema() {
     let (code, out, _) = run(&["estimate", "BIN", "--scale", "test", "--json"]);
     assert_eq!(code, Some(0));
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "estimate");
-    let ws = doc.get("workloads").arr();
+    let ws = doc.at("workloads").list();
     assert_eq!(ws.len(), 1);
     let w = &ws[0];
-    assert_eq!(w.get("abbr").str(), "BIN");
-    assert!(!w.get("kernel").str().is_empty());
-    let techs = w.get("techniques").arr();
+    assert_eq!(w.at("abbr").string(), "BIN");
+    assert!(!w.at("kernel").string().is_empty());
+    let techs = w.at("techniques").list();
     assert_eq!(techs.len(), 2, "Base and DARSIE");
-    let labels: Vec<&str> = techs.iter().map(|t| t.get("technique").str()).collect();
+    let labels: Vec<&str> = techs.iter().map(|t| t.at("technique").string()).collect();
     assert_eq!(labels, ["BASE", "DARSIE"]);
     for t in techs {
-        let min = t.get("min_cycles").num();
-        let max = t.get("max_cycles").num();
-        let measured = t.get("measured_cycles").num();
-        assert!(t.get("in_bracket").bool());
+        let min = t.at("min_cycles").number();
+        let max = t.at("max_cycles").number();
+        let measured = t.at("measured_cycles").number();
+        assert!(t.at("in_bracket").boolean());
         assert!(min <= measured && measured <= max, "{measured} outside [{min}, {max}]");
-        let skip = t.get("predicted_skip_fraction").num();
+        let skip = t.at("predicted_skip_fraction").number();
         assert!((0.0..=1.0).contains(&skip));
-        for l in t.get("loops").arr() {
-            l.get("back_edge_pc").num();
-            let lo = l.get("min_trips").num();
-            let hi = l.get("max_trips").num();
+        for l in t.at("loops").list() {
+            l.at("back_edge_pc").number();
+            let lo = l.at("min_trips").number();
+            let hi = l.at("max_trips").number();
             assert!(lo >= 1.0 && lo <= hi);
         }
-        let b = t.get("breakdown");
+        let b = t.at("breakdown");
         for key in [
             "fetch_bound",
             "issue_bound",
@@ -780,62 +653,22 @@ fn estimate_json_schema() {
             "tbs_per_sm",
             "waves",
         ] {
-            b.get(key).num();
+            b.at(key).number();
         }
-        assert_eq!(t.get("diagnostics").arr().len(), 0, "BIN estimates clean");
+        assert_eq!(t.at("diagnostics").list().len(), 0, "BIN estimates clean");
+        assert_hex_digest(t.at("digest_root"));
     }
+    assert_ne!(techs[0].at("digest_root"), techs[1].at("digest_root"));
+    let cycles: Vec<f64> = techs.iter().map(|t| t.at("measured_cycles").number()).collect();
+    let speedup = w.at("darsie_speedup").number();
+    assert!(speedup > 0.0);
+    assert!((speedup - cycles[0] / cycles[1]).abs() < 5e-5, "speedup {speedup} vs {cycles:?}");
     // DARSIE predicts actual savings on BIN.
-    assert!(techs[1].get("predicted_skip_fraction").num() > 0.0);
-    let t = doc.get("totals");
-    assert_eq!(t.get("bound_violations").num(), 0.0);
-    assert_eq!(t.get("unbounded_loops").num(), 0.0);
-    assert!(t.get("mean_bracket_width").num() > 0.0);
-}
-
-/// Golden schema for `bench --json`, and the snapshot side effect: the
-/// document on stdout is also written verbatim to `BENCH_<date>.json` in
-/// the working directory.
-#[test]
-fn bench_json_schema_and_snapshot_file() {
-    let dir = std::env::temp_dir().join("darsie-sim-bench-test");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_darsie-sim"))
-        .args(["bench", "BIN", "--scale", "test", "--json"])
-        .current_dir(&dir)
-        .output()
-        .expect("spawn darsie-sim");
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    let doc = Json::parse(stdout.trim());
-    assert_header(&doc, "bench");
-    let date = doc.get("date").str().to_string();
-    assert_eq!(date.len(), 10, "YYYY-MM-DD");
-    assert_eq!(doc.get("scale").str(), "test");
-    let ws = doc.get("workloads").arr();
-    assert_eq!(ws.len(), 1);
-    let w = &ws[0];
-    assert_eq!(w.get("abbr").str(), "BIN");
-    assert!(!w.get("kernel").str().is_empty());
-    assert!(w.get("darsie_speedup").num() > 0.0);
-    let techs = w.get("techniques").arr();
-    assert_eq!(techs.len(), 2, "Base and DARSIE");
-    let labels: Vec<&str> = techs.iter().map(|t| t.get("technique").str()).collect();
-    assert_eq!(labels, ["BASE", "DARSIE"]);
-    for t in techs {
-        assert!(t.get("cycles").num() > 0.0);
-        assert!(t.get("wall_seconds").num() >= 0.0);
-        assert!(t.get("sim_cycles_per_sec").num() > 0.0);
-        t.get("instructions_skipped").num();
-        assert!(t.get("instructions_executed").num() > 0.0);
-        let min = t.get("static_min_cycles").num();
-        let max = t.get("static_max_cycles").num();
-        assert!(min <= t.get("cycles").num() && t.get("cycles").num() <= max);
-        assert_hex_digest(t.get("digest_root"));
-    }
-    let snapshot = dir.join(format!("BENCH_{date}.json"));
-    let text = std::fs::read_to_string(&snapshot).expect("snapshot file written");
-    std::fs::remove_file(&snapshot).ok();
-    assert_eq!(text.trim(), stdout.trim(), "snapshot must match stdout document");
+    assert!(techs[1].at("predicted_skip_fraction").number() > 0.0);
+    let t = doc.at("totals");
+    assert_eq!(t.at("bound_violations").number(), 0.0);
+    assert_eq!(t.at("unbounded_loops").number(), 0.0);
+    assert!(t.at("mean_bracket_width").number() > 0.0);
 }
 
 /// Golden schema for `replay-diff --json` in self-comparison mode: two
@@ -844,23 +677,23 @@ fn bench_json_schema_and_snapshot_file() {
 fn replay_diff_self_comparison_is_identical() {
     let (code, out, err) = run(&["replay-diff", "BIN", "--scale", "test", "--json"]);
     assert_eq!(code, Some(0), "{err}");
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "replay-diff");
-    assert!(doc.get("self_compare").bool());
-    let ws = doc.get("workloads").arr();
+    assert!(doc.at("self_compare").boolean());
+    let ws = doc.at("workloads").list();
     assert_eq!(ws.len(), 1);
     let w = &ws[0];
-    assert_eq!(w.get("abbr").str(), "BIN");
-    assert!(!w.get("kernel").str().is_empty());
-    assert!(w.get("identical").bool());
-    assert_hex_digest(w.get("root_a"));
-    assert_eq!(w.get("root_a"), w.get("root_b"));
-    assert_eq!(w.get("cycles_a").num(), w.get("cycles_b").num());
-    assert!(w.get("epochs").num() >= 1.0);
-    assert_eq!(*w.get("divergence"), Json::Null);
-    let t = doc.get("totals");
-    assert_eq!(t.get("workloads").num(), 1.0);
-    assert_eq!(t.get("divergent").num(), 0.0);
+    assert_eq!(w.at("abbr").string(), "BIN");
+    assert!(!w.at("kernel").string().is_empty());
+    assert!(w.at("identical").boolean());
+    assert_hex_digest(w.at("root_a"));
+    assert_eq!(w.at("root_a"), w.at("root_b"));
+    assert_eq!(w.at("cycles_a").number(), w.at("cycles_b").number());
+    assert!(w.at("epochs").number() >= 1.0);
+    assert_eq!(*w.at("divergence"), Json::Null);
+    let t = doc.at("totals");
+    assert_eq!(t.at("workloads").number(), 1.0);
+    assert_eq!(t.at("divergent").number(), 0.0);
 }
 
 /// `replay-diff --perturb CYCLE` flips one global-memory word in run B;
@@ -871,25 +704,25 @@ fn replay_diff_perturbation_is_bisected_to_memory_at_cycle() {
     let (code, out, err) =
         run(&["replay-diff", "BIN", "--scale", "test", "--json", "--perturb", "10"]);
     assert_eq!(code, Some(0), "a hunt that finds its divergence succeeds: {err}");
-    let doc = Json::parse(out.trim());
+    let doc = read(&out);
     assert_header(&doc, "replay-diff");
-    assert!(!doc.get("self_compare").bool());
-    let w = &doc.get("workloads").arr()[0];
-    assert!(!w.get("identical").bool());
-    assert_ne!(w.get("root_a"), w.get("root_b"));
-    let d = w.get("divergence");
-    assert_eq!(d.get("chain").str(), "memory");
-    assert_eq!(*d.get("sm"), Json::Null);
-    assert_eq!(d.get("component").str(), "memory");
-    assert_eq!(d.get("cycle").num(), 10.0, "fine mode pins the perturbation cycle");
-    let subs = d.get("subs").arr();
+    assert!(!doc.at("self_compare").boolean());
+    let w = &doc.at("workloads").list()[0];
+    assert!(!w.at("identical").boolean());
+    assert_ne!(w.at("root_a"), w.at("root_b"));
+    let d = w.at("divergence");
+    assert_eq!(d.at("chain").string(), "memory");
+    assert_eq!(*d.at("sm"), Json::Null);
+    assert_eq!(d.at("component").string(), "memory");
+    assert_eq!(d.at("cycle").number(), 10.0, "fine mode pins the perturbation cycle");
+    let subs = d.at("subs").list();
     assert!(!subs.is_empty());
     for s in subs {
-        s.get("component").str();
-        assert_hex_digest(s.get("a"));
-        assert_hex_digest(s.get("b"));
+        s.at("component").string();
+        assert_hex_digest(s.at("a"));
+        assert_hex_digest(s.at("b"));
     }
-    assert_eq!(doc.get("totals").get("divergent").num(), 1.0);
+    assert_eq!(doc.at("totals").at("divergent").number(), 1.0);
 }
 
 /// `--against technique=base` compares DARSIE to the baseline pipeline:
@@ -899,10 +732,46 @@ fn replay_diff_against_differing_technique_diverges() {
     let (code, out, _) =
         run(&["replay-diff", "BIN", "--scale", "test", "--json", "--against", "technique=base"]);
     assert_eq!(code, Some(0));
-    let doc = Json::parse(out.trim());
-    let w = &doc.get("workloads").arr()[0];
-    assert!(!w.get("identical").bool());
-    assert!(matches!(w.get("divergence"), Json::Obj(_)));
+    let doc = read(&out);
+    let w = &doc.at("workloads").list()[0];
+    assert!(!w.at("identical").boolean());
+    assert!(matches!(w.at("divergence"), Json::Obj(_)));
+    // `--against` takes the run mode's whole technique name set.
+    let (code, _, err) = run(&[
+        "replay-diff",
+        "BIN",
+        "--scale",
+        "test",
+        "--against",
+        "technique=darsie-ignore-store",
+    ]);
+    assert_eq!(code, Some(0), "{err}");
+}
+
+/// Every `--json` document is already in canonical form: parsing it and
+/// writing it back gives the same bytes.
+#[test]
+fn json_documents_are_canonical() {
+    let mut runs: Vec<Vec<&str>> = [
+        &["verify"][..],
+        &["certify"],
+        &["certify", "--family"],
+        &["analyze"],
+        &["prove"],
+        &["profile"],
+        &["estimate"],
+        &["replay-diff"],
+    ]
+    .iter()
+    .map(|sub| [sub, &["BIN", "--scale", "test", "--json"][..]].concat())
+    .collect();
+    runs.push(vec!["lints", "--json"]);
+    for args in runs {
+        let (code, out, err) = run(&args);
+        assert_eq!(code, Some(0), "{args:?}: {err}");
+        let text = out.strip_suffix('\n').expect("one document line");
+        assert_eq!(read(text).to_string(), text, "{args:?} is not canonical");
+    }
 }
 
 /// Golden schema for the run manifest every subcommand emits under
@@ -919,30 +788,26 @@ fn manifest_golden_schema() {
     assert_eq!(code, Some(0), "{err}");
     let text = std::fs::read_to_string(&path).expect("manifest written");
     std::fs::remove_file(&path).ok();
-    let doc = Json::parse(text.trim());
-    assert_eq!(doc.get("tool").str(), "darsie-sim");
-    assert!(!doc.get("version").str().is_empty());
-    assert_eq!(doc.get("schema_version").num(), 1.0);
-    assert_eq!(doc.get("subcommand").str(), "verify");
-    assert!(doc.get("args").arr().iter().any(|a| a.str() == "BIN"));
-    assert!(doc.get("wall_seconds").num() >= 0.0);
-    assert_eq!(doc.get("exit_code").num(), 0.0);
-    let phases = doc.get("phases").arr();
+    let doc = read(&text);
+    assert_eq!(doc.at("tool").string(), "darsie-sim");
+    assert!(!doc.at("version").string().is_empty());
+    assert_eq!(doc.at("schema_version").number(), 1.0);
+    assert_eq!(doc.at("subcommand").string(), "verify");
+    assert!(doc.at("args").list().iter().any(|a| a.string() == "BIN"));
+    assert!(doc.at("wall_seconds").number() >= 0.0);
+    assert_eq!(doc.at("exit_code").number(), 0.0);
+    let phases = doc.at("phases").list();
     assert!(!phases.is_empty(), "at least one phase span");
     for p in phases {
-        assert!(!p.get("name").str().is_empty());
-        assert!(p.get("start_seconds").num() >= 0.0);
-        assert!(p.get("wall_seconds").num() >= 0.0);
-        p.get("alloc_bytes").num();
-        p.get("allocs").num();
+        assert!(!p.at("name").string().is_empty());
+        assert!(p.at("start_seconds").number() >= 0.0);
+        assert!(p.at("wall_seconds").number() >= 0.0);
+        p.at("alloc_bytes").number();
+        p.at("allocs").number();
     }
-    let counters = match doc.get("counters") {
-        Json::Obj(m) => m,
-        other => panic!("expected counters object, got {other:?}"),
-    };
-    assert!(counters.contains_key("workloads"));
-    assert!(matches!(doc.get("metrics"), Json::Obj(_)));
-    assert!(matches!(doc.get("digest_roots"), Json::Obj(_)));
+    doc.at("counters").at("workloads").number();
+    assert!(matches!(doc.at("metrics"), Json::Obj(_)));
+    assert!(matches!(doc.at("digest_roots"), Json::Obj(_)));
 }
 
 /// The manifest of a digest-bearing subcommand records per-run digest
@@ -958,12 +823,9 @@ fn manifest_records_digest_roots() {
     assert_eq!(code, Some(0), "{err}");
     let text = std::fs::read_to_string(&path).expect("manifest written");
     std::fs::remove_file(&path).ok();
-    let doc = Json::parse(text.trim());
-    assert_hex_digest(doc.get("config_fingerprint"));
-    let roots = match doc.get("digest_roots") {
-        Json::Obj(m) => m,
-        other => panic!("expected digest_roots object, got {other:?}"),
-    };
-    assert_hex_digest(roots.get("BIN/A").expect("run A root recorded"));
-    assert_eq!(roots.get("BIN/A"), roots.get("BIN/B"), "self-comparison roots match");
+    let doc = read(&text);
+    assert_hex_digest(doc.at("config_fingerprint"));
+    let roots = doc.at("digest_roots");
+    assert_hex_digest(roots.at("BIN/A"));
+    assert_eq!(roots.at("BIN/A"), roots.at("BIN/B"), "self-comparison roots match");
 }
