@@ -210,31 +210,75 @@ impl TagCache {
     }
 }
 
+/// Lanes in one warp access: the most distinct lines or words
+/// [`coalesce_lines`] and [`smem_conflict_degree`] accept.
+const MAX_LANES: usize = 32;
+
+/// Shared-memory banks (four bytes wide).
+const SMEM_BANKS: u64 = 32;
+
+/// The distinct 128-byte lines of one warp access, ascending
+/// ([`coalesce_lines`]). Derefs to a slice; holds them inline.
+#[derive(Debug, Clone)]
+pub struct Lines {
+    lines: [u64; MAX_LANES],
+    len: usize,
+}
+
+impl std::ops::Deref for Lines {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.lines[..self.len]
+    }
+}
+
 /// Coalesces per-lane byte addresses into distinct 128-byte line
-/// transactions (the global memory coalescer of the LSU).
+/// transactions (the global memory coalescer of the LSU), ascending.
+///
+/// # Panics
+///
+/// Panics if the addresses span more than 32 distinct lines (more than
+/// one warp's worth).
 #[must_use]
-pub fn coalesce_lines(addrs: impl Iterator<Item = u64>) -> Vec<u64> {
-    let mut lines: Vec<u64> = addrs.map(|a| a / GpuConfig::LINE_BYTES).collect();
-    lines.sort_unstable();
-    lines.dedup();
-    lines
+pub fn coalesce_lines(addrs: impl Iterator<Item = u64>) -> Lines {
+    let mut out = Lines { lines: [0; MAX_LANES], len: 0 };
+    for a in addrs {
+        let line = a / GpuConfig::LINE_BYTES;
+        if let Err(i) = out.lines[..out.len].binary_search(&line) {
+            assert!(out.len < MAX_LANES, "a warp access spans at most {MAX_LANES} lines");
+            out.lines.copy_within(i..out.len, i + 1);
+            out.lines[i] = line;
+            out.len += 1;
+        }
+    }
+    out
 }
 
 /// Shared-memory bank-conflict degree: with 32 four-byte banks, the number
 /// of serialized passes is the maximum count of *distinct word addresses*
 /// mapping to one bank (same-word access broadcasts for free).
+///
+/// # Panics
+///
+/// Panics if the addresses name more than 32 distinct words (more than
+/// one warp's worth).
 #[must_use]
 pub fn smem_conflict_degree(addrs: impl Iterator<Item = u64>) -> u32 {
-    let mut per_bank: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut words = [0u64; MAX_LANES];
+    let mut distinct = 0;
+    let mut per_bank = [0u32; SMEM_BANKS as usize];
     for a in addrs {
         let word = a / 4;
-        let bank = word % 32;
-        let v = per_bank.entry(bank).or_default();
-        if !v.contains(&word) {
-            v.push(word);
+        if words[..distinct].contains(&word) {
+            continue;
         }
+        assert!(distinct < MAX_LANES, "a warp access names at most {MAX_LANES} words");
+        words[distinct] = word;
+        distinct += 1;
+        per_bank[(word % SMEM_BANKS) as usize] += 1;
     }
-    per_bank.values().map(|v| v.len() as u32).max().unwrap_or(1).max(1)
+    per_bank.into_iter().max().unwrap_or(0).max(1)
 }
 
 /// The shared L2 + DRAM service model: a token-bucket bandwidth limiter

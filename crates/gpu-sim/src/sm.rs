@@ -52,10 +52,13 @@ impl KernelData {
 }
 
 /// An instruction in flight between issue and writeback.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct InFlight {
     done: u64,
     warp: usize,
+    /// Age of the issuing warp: a completion whose slot has since been
+    /// recycled by a younger warp is stale and must not touch it.
+    age: u64,
     dst: Option<Reg>,
     pdst: Option<simt_isa::Pred>,
     /// `(pc, instance)` when this is a DARSIE leader execution.
@@ -86,6 +89,13 @@ pub struct Sm {
     used_regs: u32,
     used_smem: u32,
     next_age: u64,
+    /// Occupied entries of `warps` (an SM with none and nothing in flight
+    /// takes the O(1) idle cycle).
+    resident_warps: usize,
+    /// Per-cycle register-bank use (operand-collector conflicts), reused.
+    banks_used: Vec<u32>,
+    /// One scheduler's ordered issue candidates, reused.
+    candidates: Vec<usize>,
     /// Statistics for this SM.
     pub stats: SimStats,
     /// Pipeline event trace (empty unless `cfg.trace_events`).
@@ -127,6 +137,9 @@ impl Sm {
             used_regs: 0,
             used_smem: 0,
             next_age: 0,
+            resident_warps: 0,
+            banks_used: vec![0; cfg.rf_banks],
+            candidates: Vec::new(),
             stats: SimStats::default(),
             events: EventLog::new(if cfg.trace_events { cfg.trace_capacity } else { 0 }),
             profile: SmProfile::new(
@@ -178,7 +191,7 @@ impl Sm {
         // warp- and slot-limited)? The spare registers are shared among
         // them so none loses its seat to renaming space.
         let free_tb_slots = self.tbs.iter().filter(|t| t.is_none()).count() as u32;
-        let free_warps = self.warps.iter().filter(|w| w.is_none()).count() as u32;
+        let free_warps = (self.warps.len() - self.resident_warps) as u32;
         let wpb = self.kd.launch.warps_per_block().max(1);
         let placeable = (regs_free / base).min(free_tb_slots).min(free_warps / wpb).max(1);
         let spare_after = regs_free - placeable * base;
@@ -190,7 +203,7 @@ impl Sm {
     #[must_use]
     pub fn can_accept_tb(&self) -> bool {
         let warps_needed = self.kd.launch.warps_per_block() as usize;
-        let free_warps = self.warps.iter().filter(|w| w.is_none()).count();
+        let free_warps = self.warps.len() - self.resident_warps;
         let free_tbs = self.tbs.iter().any(|t| t.is_none());
         free_warps >= warps_needed
             && free_tbs
@@ -207,7 +220,7 @@ impl Sm {
     /// True while any warp is resident.
     #[must_use]
     pub fn busy(&self) -> bool {
-        self.warps.iter().any(|w| w.is_some()) || !self.inflight.is_empty()
+        self.resident_warps > 0 || !self.inflight.is_empty()
     }
 
     /// Folds one warp's architectural and scheduling state into `h` (the
@@ -477,6 +490,7 @@ impl Sm {
             );
             self.next_age += 1;
             self.warps[slot] = Some(warp);
+            self.resident_warps += 1;
             slots.push(slot);
         }
         let mut dc = self.darsie().cloned().unwrap_or_default();
@@ -490,6 +504,9 @@ impl Sm {
 
     /// Advances the SM one cycle. Returns the number of TBs that completed
     /// this cycle (freeing capacity for the dispatcher).
+    ///
+    /// Steady-state cycles allocate nothing: per-cycle scratch lives in
+    /// reused buffers and instructions are borrowed from [`KernelData`].
     pub fn cycle(
         &mut self,
         now: u64,
@@ -504,11 +521,31 @@ impl Sm {
                 self.sample_occupancy(now);
             }
         }
+        if self.resident_warps == 0 && self.inflight.is_empty() {
+            self.idle_cycle();
+            return 0;
+        }
+        let kd = Arc::clone(&self.kd);
         self.count_stall_cycles();
         self.writeback(now);
-        let completed = self.issue(now, global, l2, dram);
+        let completed = self.issue(now, &kd, global, l2, dram);
         self.fetch(now);
         completed
+    }
+
+    /// The cycle of an SM with no resident warp and nothing in flight, in
+    /// O(1): exactly the state a full cycle would change. Issue finds no
+    /// candidate, so every greedy pointer clears and every slot is
+    /// idle-no-warp; fetch finds no eligible warp, so only the coalescer's
+    /// port grants and the fetch round-robin pointer move.
+    fn idle_cycle(&mut self) {
+        self.gto_last.fill(None);
+        if self.cfg.profile {
+            let slots = self.cfg.schedulers_per_sm * self.cfg.issue_width;
+            self.profile.slots.add(StallCause::IdleNoWarp, slots as u64);
+        }
+        self.pc_coalescer.begin_cycle();
+        self.fetch_rr = (self.fetch_rr + 1) % self.warps.len();
     }
 
     /// Snapshots skip-table/renaming occupancy and warp population for the
@@ -543,6 +580,10 @@ impl Sm {
     }
 
     fn count_stall_cycles(&mut self) {
+        // Only DARSIE parks warps in these states.
+        if self.darsie().is_none() {
+            return;
+        }
         for w in self.warps.iter().flatten() {
             match w.state {
                 WarpState::WaitLeader(..) => self.stats.darsie.wait_for_leader_cycles += 1,
@@ -554,46 +595,56 @@ impl Sm {
 
     // ----- writeback ---------------------------------------------------------
 
+    /// Completes every due in-flight instruction in issue order, compacting
+    /// the rest in place.
     fn writeback(&mut self, now: u64) {
-        let mut done: Vec<InFlight> = Vec::new();
-        self.inflight.retain(|f| {
+        let mut kept = 0;
+        for i in 0..self.inflight.len() {
+            let f = self.inflight[i];
             if f.done <= now {
-                done.push(f.clone());
-                false
+                self.complete(f, now);
             } else {
-                true
+                self.inflight[kept] = f;
+                kept += 1;
             }
-        });
-        for f in done {
-            if self.cfg.trace_events {
-                let pc = f.leader.map_or(usize::MAX, |(pc, _)| pc);
-                self.trace(f.warp, pc, EventKind::Writeback);
-            }
-            let Some(w) = self.warps[f.warp].as_mut() else { continue };
-            if let Some(d) = f.dst {
-                w.clear_pending(d);
-                self.stats.rf_writes += 1;
-            }
-            if let Some(p) = f.pdst {
-                w.clear_pending_pred(p);
-            }
-            if let Some((pc, instance)) = f.leader {
-                let tb_idx = w.tb;
-                let warp_in_tb = w.warp_in_tb;
-                if self.cfg.profile {
-                    let latency = self.tbs[tb_idx]
-                        .as_ref()
-                        .and_then(|tb| tb.skip_table.find(pc, instance))
-                        .filter(|e| e.leader == warp_in_tb)
-                        .map(|e| now.saturating_sub(e.created));
-                    if let Some(lat) = latency {
-                        self.profile.leader_latency.record(lat);
-                    }
+        }
+        self.inflight.truncate(kept);
+    }
+
+    fn complete(&mut self, f: InFlight, now: u64) {
+        if self.cfg.trace_events {
+            let pc = f.leader.map_or(usize::MAX, |(pc, _)| pc);
+            self.trace(f.warp, pc, EventKind::Writeback);
+        }
+        // The issuing warp exited (exit does not wait for pending writes);
+        // its slot may now hold a younger warp whose scoreboard and skip
+        // table this completion must not touch.
+        let Some(w) = self.warps[f.warp].as_mut().filter(|w| w.age == f.age) else { return };
+        if let Some(d) = f.dst {
+            w.clear_pending(d);
+            self.stats.rf_writes += 1;
+        }
+        if let Some(p) = f.pdst {
+            w.clear_pending_pred(p);
+        }
+        if let Some((pc, instance)) = f.leader {
+            let tb_idx = w.tb;
+            let warp_in_tb = w.warp_in_tb;
+            if self.cfg.profile {
+                let latency = self.tbs[tb_idx]
+                    .as_ref()
+                    .and_then(|tb| tb.skip_table.find(pc, instance))
+                    .filter(|e| e.leader == warp_in_tb)
+                    .map(|e| now.saturating_sub(e.created));
+                if let Some(lat) = latency {
+                    self.profile.leader_latency.record(lat);
                 }
-                if let Some(tb) = self.tbs[tb_idx].as_mut() {
-                    let released = tb.skip_table.leader_writeback(pc, instance, warp_in_tb, now);
-                    release_waiting(&mut self.warps, tb, released, pc, instance);
-                }
+            }
+            if let Some(tb) = self.tbs[tb_idx].as_mut() {
+                let released = tb.skip_table.leader_writeback(pc, instance, warp_in_tb, now);
+                release_warps(&mut self.warps, &tb.warp_slots, released, |s| {
+                    s == WarpState::WaitLeader(pc, instance)
+                });
             }
         }
     }
@@ -604,6 +655,7 @@ impl Sm {
     fn issue(
         &mut self,
         now: u64,
+        kd: &KernelData,
         global: &mut GlobalMemory,
         l2: &mut TagCache,
         dram: &mut DramModel,
@@ -612,21 +664,24 @@ impl Sm {
         let mut issued_any = false;
         let width = self.cfg.issue_width;
         // Register banks touched this cycle (operand-collector conflicts).
-        let mut banks_used: Vec<u32> = vec![0; self.cfg.rf_banks];
+        let mut banks_used = std::mem::take(&mut self.banks_used);
+        banks_used.fill(0);
+        let mut candidates = std::mem::take(&mut self.candidates);
         for s in 0..self.cfg.schedulers_per_sm {
-            let candidates = self.warp_candidates(s);
+            self.warp_candidates(s, &mut candidates);
             let mut issued_from = None;
             let mut sched_issued = 0usize;
             // `(cause, head pc, warp slot)` blamed for the scheduler's
             // unfilled slots this cycle (accounting identity: every slot
             // gets exactly one cause).
             let mut blame: Option<(StallCause, Option<usize>, Option<usize>)> = None;
-            for wslot in candidates {
+            for &wslot in &candidates {
                 let mut issued = 0;
                 let mut stop: Option<(StallCause, Option<usize>)> = None;
                 let mut control = false;
                 while issued < width {
-                    match self.try_issue_head(now, wslot, s, global, l2, dram, &mut banks_used) {
+                    match self.try_issue_head(now, kd, wslot, s, global, l2, dram, &mut banks_used)
+                    {
                         IssueOutcome::Issued => {
                             issued += 1;
                             issued_any = true;
@@ -678,6 +733,8 @@ impl Sm {
                 self.stats.rf_bank_conflicts += u64::from(n - 1);
             }
         }
+        self.banks_used = banks_used;
+        self.candidates = candidates;
         completed
     }
 
@@ -730,7 +787,7 @@ impl Sm {
     /// highest-priority parked state among its warps, or idle-no-warp.
     fn idle_cause(&self, s: usize) -> (StallCause, Option<usize>, Option<usize>) {
         let mut best: Option<(u32, StallCause, Option<usize>, usize)> = None;
-        for slot in (0..self.warps.len()).filter(|slot| slot % self.cfg.schedulers_per_sm == s) {
+        for slot in (s..self.warps.len()).step_by(self.cfg.schedulers_per_sm) {
             let Some(w) = self.warps[slot].as_ref() else { continue };
             let (rank, cause, pc) = match w.state {
                 WarpState::WaitLeader(pc, _) => (0, StallCause::WaitLeader, Some(pc)),
@@ -751,44 +808,41 @@ impl Sm {
         }
     }
 
-    /// Ordered candidate warps for scheduler `s` this cycle (highest
-    /// priority first).
-    fn warp_candidates(&mut self, s: usize) -> Vec<usize> {
-        let mut candidates: Vec<usize> = (0..self.warps.len())
-            .filter(|slot| slot % self.cfg.schedulers_per_sm == s)
-            .filter(|&slot| {
-                self.warps[slot].as_ref().is_some_and(|w| {
-                    matches!(w.state, WarpState::Ready | WarpState::WaitLeader(..))
-                        && !w.ibuffer.is_empty()
-                })
+    /// Fills `candidates` with scheduler `s`'s issue candidates this cycle
+    /// (highest priority first). Scheduler `s` owns warp slots `s`,
+    /// `s + schedulers`, ...
+    fn warp_candidates(&mut self, s: usize, candidates: &mut Vec<usize>) {
+        let warps = &self.warps;
+        candidates.clear();
+        candidates.extend((s..warps.len()).step_by(self.cfg.schedulers_per_sm).filter(|&slot| {
+            warps[slot].as_ref().is_some_and(|w| {
+                matches!(w.state, WarpState::Ready | WarpState::WaitLeader(..))
+                    && !w.ibuffer.is_empty()
             })
-            .collect();
+        }));
         if candidates.is_empty() {
-            return candidates;
+            return;
         }
         match self.cfg.scheduler {
             SchedulerPolicy::Gto => {
-                // Oldest first; the greedy warp (last issued) leads.
+                // Oldest first (ages are unique); the greedy warp (last
+                // issued) leads.
                 candidates
-                    .sort_by_key(|&slot| self.warps[slot].as_ref().map_or(u64::MAX, |w| w.age));
+                    .sort_unstable_by_key(|&slot| warps[slot].as_ref().map_or(u64::MAX, |w| w.age));
                 if let Some(last) = self.gto_last[s] {
                     if let Some(pos) = candidates.iter().position(|&c| c == last) {
-                        candidates.remove(pos);
-                        candidates.insert(0, last);
+                        candidates[..=pos].rotate_right(1);
                     }
                 }
             }
             SchedulerPolicy::Lrr => {
+                // Slots are already ascending.
                 let start = self.lrr_next[s];
-                candidates.sort_unstable();
                 let split = candidates.iter().position(|&c| c >= start).unwrap_or(0);
                 candidates.rotate_left(split);
-                if let Some(&first) = candidates.first() {
-                    self.lrr_next[s] = first + 1;
-                }
+                self.lrr_next[s] = candidates[0] + 1;
             }
         }
-        candidates
     }
 
     /// Attempts to issue the head of `wslot`'s I-buffer (after absorbing
@@ -797,6 +851,7 @@ impl Sm {
     fn try_issue_head(
         &mut self,
         now: u64,
+        kd: &KernelData,
         wslot: usize,
         sched: usize,
         global: &mut GlobalMemory,
@@ -856,8 +911,8 @@ impl Sm {
                 }
                 Some(IBufEntry::Ghost { .. }) => {
                     let Some(&IBufEntry::Ghost { pc }) = w.ibuffer.front() else { unreachable!() };
-                    let instr = self.kd.instr(pc).clone();
-                    if !w.scoreboard_ready(&instr) {
+                    let instr = kd.instr(pc);
+                    if !w.scoreboard_ready(instr) {
                         return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
                     }
                     w.ibuffer.pop_front();
@@ -881,7 +936,7 @@ impl Sm {
                         block: self.kd.launch.block,
                         ctaid: tb.ctaid,
                     };
-                    let _ = execute(warp, &instr, &mut ctx);
+                    let _ = execute(warp, instr, &mut ctx);
                     warp.reconverge();
                 }
                 _ => break,
@@ -911,8 +966,8 @@ impl Sm {
         let Some(&IBufEntry::Instr { pc, leader }) = w.ibuffer.front() else {
             return IssueOutcome::Stall { cause: drained, pc: None };
         };
-        let instr = self.kd.instr(pc).clone();
-        if !w.scoreboard_ready(&instr) {
+        let instr = kd.instr(pc);
+        if !w.scoreboard_ready(instr) {
             return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
         }
 
@@ -952,15 +1007,13 @@ impl Sm {
             && instr.guard.is_none()
             && !matches!(instr.op, Op::Sel(_))
         {
-            match self.try_uv_reuse(now, wslot, pc, &instr, global, banks_used) {
+            match self.try_uv_reuse(now, wslot, pc, instr, global, banks_used) {
                 Ok(()) => return IssueOutcome::Issued,
                 Err(key) => uv_key = Some(key),
             }
         }
 
-        self.issue_instr(
-            now, wslot, sched, pc, leader, uv_key, &instr, global, l2, dram, banks_used,
-        )
+        self.issue_instr(now, wslot, sched, pc, leader, uv_key, instr, global, l2, dram, banks_used)
     }
 
     /// SILICON-SYNC gate: returns true when the warp must stall.
@@ -982,22 +1035,16 @@ impl Sm {
         // crossing count; treating it as satisfied avoids deadlock between
         // the instrumentation barrier and the kernel's own barriers
         // (divergent paths cross different numbers of block boundaries).
-        let slots = tb.warp_slots.clone();
-        let live = tb.live_mask;
-        let counts = tb.bb_crossings.clone();
-        let all_reached = slots.iter().enumerate().all(|(i, &slot)| {
-            if live & (1 << i) == 0 || counts[i] >= my {
-                return true;
-            }
-            self.warps[slot].as_ref().is_none_or(|other| other.state == WarpState::AtBarrier)
+        let warps = &self.warps;
+        let all_reached = tb.warp_slots.iter().enumerate().all(|(i, &slot)| {
+            tb.live_mask & (1 << i) == 0
+                || tb.bb_crossings[i] >= my
+                || warps[slot].as_ref().is_none_or(|other| other.state == WarpState::AtBarrier)
         });
-        let w = self.warps[wslot].as_mut().expect("warp exists");
         if all_reached {
-            w.bb_pending = false;
-            false
-        } else {
-            true
+            self.warps[wslot].as_mut().expect("warp exists").bb_pending = false;
         }
+        !all_reached
     }
 
     /// UV reuse attempt; `Ok(())` when the instruction was satisfied from
@@ -1199,17 +1246,8 @@ impl Sm {
                     Some(mask) => {
                         self.barrier_marks += 1;
                         // Everyone (including this warp) proceeds.
-                        for (i, &slot) in
-                            self.tbs[tb_idx].as_ref().expect("TB").warp_slots.iter().enumerate()
-                        {
-                            if mask & (1 << i) != 0 {
-                                if let Some(w) = self.warps[slot].as_mut() {
-                                    if w.state == WarpState::AtBarrier {
-                                        w.state = WarpState::Ready;
-                                    }
-                                }
-                            }
-                        }
+                        let slots = &self.tbs[tb_idx].as_ref().expect("TB").warp_slots;
+                        release_warps(&mut self.warps, slots, mask, |s| s == WarpState::AtBarrier);
                     }
                     None => {
                         let w = self.warps[wslot].as_mut().expect("warp exists");
@@ -1235,6 +1273,7 @@ impl Sm {
                         self.after_majority_change(tb_idx);
                     }
                     self.warps[wslot] = None;
+                    self.resident_warps -= 1;
                 }
                 IssueOutcome::IssuedControl { tb_done }
             }
@@ -1269,6 +1308,7 @@ impl Sm {
         self.inflight.push(InFlight {
             done,
             warp: wslot,
+            age: w.age,
             dst: instr.dst,
             pdst: instr.pdst,
             leader: leader.map(|i| (pc, i)),
@@ -1333,19 +1373,8 @@ impl Sm {
     fn apply_branch_sync_resolution(&mut self, tb_idx: usize, resolved: Option<(u32, Vec<u32>)>) {
         let Some((released, evicted)) = resolved else { return };
         self.stats.darsie.majority_evictions += evicted.len() as u64;
-        let slots: Vec<(usize, usize)> = {
-            let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-            tb.warp_slots.iter().copied().enumerate().collect()
-        };
-        for (i, slot) in slots {
-            if released & (1 << i) != 0 {
-                if let Some(w) = self.warps[slot].as_mut() {
-                    if matches!(w.state, WarpState::BranchSync(_)) {
-                        w.state = WarpState::Ready;
-                    }
-                }
-            }
-        }
+        let slots = &self.tbs[tb_idx].as_ref().expect("TB exists").warp_slots;
+        release_warps(&mut self.warps, slots, released, |s| matches!(s, WarpState::BranchSync(_)));
     }
 
     /// Re-evaluates pending synchronizations after the majority mask or
@@ -1373,19 +1402,8 @@ impl Sm {
         };
         if let Some(mask) = released {
             self.barrier_marks += 1;
-            let slots: Vec<(usize, usize)> = {
-                let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-                tb.warp_slots.iter().copied().enumerate().collect()
-            };
-            for (i, slot) in slots {
-                if mask & (1 << i) != 0 {
-                    if let Some(w) = self.warps[slot].as_mut() {
-                        if w.state == WarpState::AtBarrier {
-                            w.state = WarpState::Ready;
-                        }
-                    }
-                }
-            }
+            let slots = &self.tbs[tb_idx].as_ref().expect("TB exists").warp_slots;
+            release_warps(&mut self.warps, slots, mask, |s| s == WarpState::AtBarrier);
         }
         let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
         let must = tb.must_pass_mask();
@@ -1435,7 +1453,7 @@ impl Sm {
                 by_pc.global_transactions += lines.len() as u64;
                 self.lsu_busy = now + timing::global_occupancy(lines.len() as u64);
                 let mut worst = now + timing::l1_hit_latency(&self.cfg);
-                for &line in &lines {
+                for &line in lines.iter() {
                     let t = if is_store || is_atomic {
                         // Write-through: invalidate L1, go to L2.
                         self.l1d.invalidate(line);
@@ -1482,7 +1500,7 @@ impl Sm {
     /// Paper Section 4.4: stores flush this TB's load entries; global
     /// communication primitives (atomics) flush load entries SM-wide.
     fn invalidate_load_skips(&mut self, tb_idx: usize, is_atomic: bool, space: MemSpace) {
-        let Some(d) = self.darsie().cloned() else { return };
+        let Some(d) = self.darsie() else { return };
         if d.ignore_store && !is_atomic {
             return;
         }
@@ -1490,29 +1508,15 @@ impl Sm {
         // conservatively flush the TB bank either way (the table does not
         // distinguish spaces beyond IsLoad).
         let _ = space;
-        let targets: Vec<usize> = if is_atomic {
-            (0..self.tbs.len()).filter(|&i| self.tbs[i].is_some()).collect()
-        } else {
-            vec![tb_idx]
-        };
-        for t in targets {
-            let (released, slots): (u32, Vec<usize>) = {
-                let tb = self.tbs[t].as_mut().expect("TB exists");
-                let (n, released) = tb.skip_table.invalidate_loads(&mut self.stats.darsie);
-                if n > 0 {
-                    tb.gc_versions();
-                }
-                (released, tb.warp_slots.clone())
-            };
-            for (i, slot) in slots.iter().enumerate() {
-                if released & (1 << i) != 0 {
-                    if let Some(w) = self.warps[*slot].as_mut() {
-                        if matches!(w.state, WarpState::WaitLeader(..)) {
-                            w.state = WarpState::Ready;
-                        }
-                    }
-                }
+        for (t, tb) in self.tbs.iter_mut().enumerate() {
+            let Some(tb) = tb.as_mut().filter(|_| is_atomic || t == tb_idx) else { continue };
+            let (n, released) = tb.skip_table.invalidate_loads(&mut self.stats.darsie);
+            if n > 0 {
+                tb.gc_versions();
             }
+            release_warps(&mut self.warps, &tb.warp_slots, released, |s| {
+                matches!(s, WarpState::WaitLeader(..))
+            });
         }
     }
 
@@ -1533,11 +1537,9 @@ impl Sm {
         values: &[u32],
         global: &mut GlobalMemory,
     ) {
-        let instr = self.kd.instr(pc).clone();
-        let (tb_idx,) = {
-            let w = self.warps[wslot].as_ref().expect("warp exists");
-            (w.tb,)
-        };
+        let kd = Arc::clone(&self.kd);
+        let instr = kd.instr(pc);
+        let tb_idx = self.warps[wslot].as_ref().expect("warp exists").tb;
         let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
         let w = self.warps[wslot].as_mut().expect("warp exists");
         let before = w.reg_vector(dst);
@@ -1549,7 +1551,7 @@ impl Sm {
             block: self.kd.launch.block,
             ctaid: tb.ctaid,
         };
-        let _ = execute(w, &instr, &mut ctx);
+        let _ = execute(w, instr, &mut ctx);
         let recomputed = w.reg_vector(dst);
         w.set_reg_vector(dst, &before);
         assert_eq!(
@@ -1629,11 +1631,8 @@ impl Sm {
 
     /// Returns false when the warp blocked (no fetch this cycle).
     fn pre_fetch_eliminate(&mut self, now: u64, wslot: usize) -> bool {
-        match &self.technique {
-            Technique::Darsie(d) => {
-                let d = d.clone();
-                self.darsie_skip_loop(now, wslot, &d)
-            }
+        match self.technique {
+            Technique::Darsie(_) => self.darsie_skip_loop(now, wslot),
             Technique::DacIdeal => {
                 self.dac_ghost_loop(wslot);
                 true
@@ -1742,8 +1741,13 @@ impl Sm {
     /// skip-table ports, or out of per-cycle skip budget with a skippable
     /// instruction still at the frontier — it retries next cycle rather
     /// than fetching the redundant instruction).
-    fn darsie_skip_loop(&mut self, now: u64, wslot: usize, d: &DarsieConfig) -> bool {
-        for iter in 0..=d.max_skips_per_warp_cycle {
+    fn darsie_skip_loop(&mut self, now: u64, wslot: usize) -> bool {
+        let Some(&DarsieConfig { max_skips_per_warp_cycle: max_skips, versioning, .. }) =
+            self.darsie()
+        else {
+            return true;
+        };
+        for iter in 0..=max_skips {
             let (tb_idx, warp_in_tb, pc) = {
                 let w = self.warps[wslot].as_ref().expect("warp exists");
                 if w.fetch_blocked {
@@ -1761,7 +1765,7 @@ impl Sm {
             if self.tbs[tb_idx].as_ref().expect("TB exists").rename.capacity() == 0 {
                 return true;
             }
-            if iter == d.max_skips_per_warp_cycle {
+            if iter == max_skips {
                 // Budget exhausted with a skippable frontier: retry next
                 // cycle instead of fetching the redundant instruction.
                 return false;
@@ -1841,7 +1845,7 @@ impl Sm {
                     // option 1): a new version of a register may not be
                     // created while an older skip entry for the same
                     // register is live — wait for the TB to drain it.
-                    if !d.versioning {
+                    if !versioning {
                         let conflict = tb.skip_table.iter().any(|e| {
                             tb.entry_versions
                                 .get(&(e.pc, e.instance))
@@ -1916,18 +1920,18 @@ enum IssueOutcome {
     Stall { cause: StallCause, pc: Option<usize> },
 }
 
-/// Releases warps that were waiting on a leader writeback.
-fn release_waiting(
+/// Readies the warps of one TB (`slots`, indexed by warp-in-TB) that
+/// `mask` selects and whose state `parked` accepts.
+fn release_warps(
     warps: &mut [Option<Warp>],
-    tb: &TbState,
-    released: u32,
-    pc: usize,
-    instance: u32,
+    slots: &[usize],
+    mask: u32,
+    parked: impl Fn(WarpState) -> bool,
 ) {
-    for (i, &slot) in tb.warp_slots.iter().enumerate() {
-        if released & (1 << i) != 0 {
+    for (i, &slot) in slots.iter().enumerate() {
+        if mask & (1 << i) != 0 {
             if let Some(w) = warps[slot].as_mut() {
-                if w.state == WarpState::WaitLeader(pc, instance) {
+                if parked(w.state) {
                     w.state = WarpState::Ready;
                 }
             }

@@ -185,14 +185,9 @@ impl Warp {
     /// this frontier, which runs ahead of the issue-stage `next_pc`.
     #[must_use]
     pub fn fetch_pc(&self) -> Option<usize> {
-        let top = self.stack.last()?;
-        let buffered = self.ibuffer.iter().filter(|e| matches!(e, IBufEntry::Instr { .. })).count()
-            + self
-                .ibuffer
-                .iter()
-                .filter(|e| matches!(e, IBufEntry::SkipMarker { .. } | IBufEntry::Ghost { .. }))
-                .count();
-        Some(top.next_pc + buffered)
+        // Every buffered entry (instruction, skip marker or ghost) stands
+        // for one sequential PC.
+        Some(self.stack.last()?.next_pc + self.ibuffer.len())
     }
 
     /// Number of real (fetched-instruction) entries in the I-buffer.
@@ -356,14 +351,10 @@ impl Warp {
                 return false;
             }
         }
-        let mut preds_needed = instr.guard.map(|g| g.pred).into_iter().collect::<Vec<_>>();
-        if let Some(p) = instr.pdst {
-            preds_needed.push(p);
-        }
-        if let simt_isa::Op::Sel(p) = instr.op {
-            preds_needed.push(p);
-        }
-        preds_needed.iter().all(|p| self.pending_preds & (1 << p.index()) == 0)
+        let pred_pending = |p: Pred| self.pending_preds & (1 << p.index()) != 0;
+        !(instr.guard.is_some_and(|g| pred_pending(g.pred))
+            || instr.pdst.is_some_and(pred_pending)
+            || matches!(instr.op, simt_isa::Op::Sel(p) if pred_pending(p)))
     }
 
     /// Dynamic occurrences of `pc` this warp has completed (issued or

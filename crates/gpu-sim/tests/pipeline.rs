@@ -398,3 +398,62 @@ fn event_trace_shows_the_skip_protocol() {
         }
     }
 }
+
+/// `exit` does not wait for pending writes, so a warp can leave with a
+/// load in flight and its slot go to the next TB's warp. The old load's
+/// completion must not clear the new warp's scoreboard: the consumer of
+/// the new warp's own load may issue only once that load is back.
+#[test]
+fn stale_writeback_does_not_touch_a_recycled_warp_slot() {
+    let mut b = KernelBuilder::new("recycle");
+    let ctaid = b.special(SpecialReg::CtaidX);
+    let inp = b.param(0);
+    let out = b.param(1);
+    // One 512-byte stride per TB: each TB's load misses to DRAM.
+    let off = b.shl_imm(ctaid, 9);
+    let a_in = b.iadd(inp, off);
+    let v = b.load(MemSpace::Global, a_in, 0);
+    // TB 0 leaves its load dead and exits with it still in flight.
+    let first = b.setp(CmpOp::Eq, ctaid, 0u32);
+    b.if_then(Guard::if_true(first), |b| b.exit());
+    let w = b.iadd(v, 1u32);
+    let a_out = b.iadd(out, off);
+    b.store(MemSpace::Global, a_out, w, 0);
+    let ck = simt_compiler::compile(b.finish());
+    let load_pc = ck.kernel.instrs.iter().position(|i| i.dst == Some(v)).expect("load");
+    let use_pc = ck.kernel.instrs.iter().position(|i| i.dst == Some(w)).expect("consumer");
+
+    let mut mem = GlobalMemory::new();
+    let a_in = mem.alloc(2 * 512);
+    let a_out = mem.alloc(2 * 512);
+    mem.write_u32(a_in + 512, 41);
+    // Two one-warp TBs, one at a time, so TB 1 reuses TB 0's warp slot.
+    let launch =
+        LaunchConfig::new(2u32, 32u32).with_params(vec![Value(a_in as u32), Value(a_out as u32)]);
+    let cfg = GpuConfig { max_tbs_per_sm: 1, trace_events: true, ..cfg() };
+    let mut res = Gpu::new(cfg.clone(), Technique::Base).launch(&ck, &launch, mem);
+    assert_eq!(res.memory.read_u32(a_out + 512), 42);
+
+    let events = res.events.events();
+    let issue_at = |pc: usize| -> Vec<u64> {
+        events
+            .iter()
+            .filter(|e| e.pc == pc && e.kind == gpu_sim::EventKind::Issue)
+            .map(|e| e.cycle)
+            .collect()
+    };
+    let loads = issue_at(load_pc);
+    let uses = issue_at(use_pc);
+    assert_eq!((loads.len(), uses.len()), (2, 1), "both TBs load, only TB 1 consumes");
+    assert!(events.iter().all(|e| e.warp == 0), "TB 1 runs in TB 0's warp slot");
+    let dram_load = cfg.l1_latency + cfg.dram_latency;
+    // The fixture only tests something if TB 0's load is still in flight
+    // when TB 1 issues its own.
+    assert!(loads[0] + dram_load > loads[1], "TB 0's load completes after TB 1's issues");
+    assert!(
+        uses[0] >= loads[1] + dram_load,
+        "consumer issued at cycle {} before TB 1's load (issued at {}) could complete",
+        uses[0],
+        loads[1]
+    );
+}

@@ -99,7 +99,7 @@ fn commutative_counter_certifies_commutative_atomics_only() {
 /// racy kernel for the sharded engine.
 #[test]
 fn mixed_op_atomics_are_not_discharged_as_commutative() {
-    use simt_isa::{AtomOp, KernelBuilder, MemSpace, SpecialReg, Value};
+    use simt_isa::{AtomOp, KernelBuilder, SpecialReg, Value};
     let build = |second: AtomOp| {
         let mut b = KernelBuilder::new("mixed");
         let tx = b.special(SpecialReg::TidX);
