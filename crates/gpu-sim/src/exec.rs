@@ -7,7 +7,7 @@
 
 use crate::mem::GlobalMemory;
 use crate::warp::{LaneMask, Warp};
-use simt_isa::{AtomOp, CmpOp, Dim3, Instruction, MemSpace, Op, SpecialReg, Value};
+use simt_isa::{AtomOp, CmpOp, Dim3, Instruction, MemSpace, Op, Operand, SpecialReg, Value};
 
 /// Launch-wide context a warp executes against.
 #[derive(Debug)]
@@ -27,6 +27,9 @@ pub struct ExecContext<'a> {
 }
 
 /// Timing-relevant outcome of executing an instruction.
+// `Memory` holds its lane addresses inline: boxing them would put a heap
+// allocation back on every memory instruction.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecEffect {
     /// Ordinary ALU/move work; destination(s) written.
@@ -49,12 +52,54 @@ pub enum ExecEffect {
         /// Address space accessed.
         space: MemSpace,
         /// `(lane, byte address)` for each participating lane.
-        addrs: Vec<(u32, u64)>,
+        addrs: LaneAddrs,
         /// True for stores.
         is_store: bool,
         /// True for atomics.
         is_atomic: bool,
     },
+}
+
+/// The `(lane, byte address)` pairs of one warp memory access in
+/// ascending lane order, held inline (a warp has at most 32 lanes).
+/// Derefs to a slice.
+#[derive(Clone)]
+pub struct LaneAddrs {
+    pairs: [(u32, u64); LaneMask::BITS as usize],
+    len: usize,
+}
+
+impl LaneAddrs {
+    fn push(&mut self, lane: u32, addr: u64) {
+        self.pairs[self.len] = (lane, addr);
+        self.len += 1;
+    }
+}
+
+impl Default for LaneAddrs {
+    fn default() -> LaneAddrs {
+        LaneAddrs { pairs: [(0, 0); LaneMask::BITS as usize], len: 0 }
+    }
+}
+
+impl std::ops::Deref for LaneAddrs {
+    type Target = [(u32, u64)];
+
+    fn deref(&self) -> &[(u32, u64)] {
+        &self.pairs[..self.len]
+    }
+}
+
+impl PartialEq for LaneAddrs {
+    fn eq(&self, other: &LaneAddrs) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for LaneAddrs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 fn special_value(s: SpecialReg, ctx: &ExecContext<'_>, warp: &Warp, lane: u32) -> u32 {
@@ -96,19 +141,25 @@ fn shared_word(addr: u64, shared_len: usize, what: &str) -> usize {
     w
 }
 
-fn operand(warp: &Warp, o: simt_isa::Operand, lane: u32) -> u32 {
-    match o {
-        simt_isa::Operand::Reg(r) => warp.reg(r, lane),
-        simt_isa::Operand::Imm(v) => v,
-    }
-}
-
 /// The per-lane ALU function. Public so the symbolic translation
 /// validator's constant folder (`simt_compiler::term::fold_alu`) can be
 /// parity-tested against the executor it models, and so counterexample
 /// replay tooling can evaluate single operations outside a warp context.
+///
+/// Never inlined: Rust leaves NaN payloads unspecified, and a caller
+/// that constant-folds a float op can see other NaN bits than the
+/// executor computes at run time. Out of line, every caller gets the
+/// executor's bits.
 #[must_use]
+#[inline(never)]
 pub fn alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
+    lane_alu(op, a, b, c)
+}
+
+/// The body of [`alu`], inlined into the executor's per-opcode lane
+/// loops, where operands are never compile-time constants.
+#[inline(always)]
+fn lane_alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
     let (ai, bi) = (a as i32, b as i32);
     let (af, bf, cf) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
     match op {
@@ -160,21 +211,77 @@ fn compare(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
     }
 }
 
-/// Executes `instr` for every active lane of `warp` whose guard passes.
-/// Returns the timing-relevant effect. Does **not** move the warp's PC;
-/// the pipeline does that (branches via [`Warp::take_branch`]).
+/// Lanes of `mask` in ascending order.
+fn lanes(mask: LaneMask) -> impl Iterator<Item = u32> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let lane = rest.trailing_zeros();
+            rest &= rest - 1;
+            lane
+        })
+    })
+}
+
+/// A source operand decoded once per instruction: a register's offset
+/// into the warp's flat register file, or an immediate.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    Reg(usize),
+    Imm(u32),
+}
+
+impl Src {
+    fn new(warp: &Warp, o: Operand) -> Src {
+        match o {
+            Operand::Reg(r) => Src::Reg(r.index() * warp.warp_size() as usize),
+            Operand::Imm(v) => Src::Imm(v),
+        }
+    }
+
+    /// Operand `i` of `instr`, or the immediate 0 when it has none.
+    fn nth(warp: &Warp, instr: &Instruction, i: usize) -> Src {
+        instr.srcs.get(i).map_or(Src::Imm(0), |&o| Src::new(warp, o))
+    }
+
+    fn get(self, warp: &Warp, lane: u32) -> u32 {
+        match self {
+            Src::Reg(base) => warp.regs[base + lane as usize],
+            Src::Imm(v) => v,
+        }
+    }
+}
+
+/// Writes `f` of the `srcs` operands into register offset `dst` for
+/// every lane of `mask`, ascending.
+#[inline(always)]
+fn alu_lanes(
+    warp: &mut Warp,
+    mask: LaneMask,
+    dst: usize,
+    [a, b, c]: [Src; 3],
+    f: impl Fn(u32, u32, u32) -> u32,
+) {
+    for lane in lanes(mask) {
+        let v = f(a.get(warp, lane), b.get(warp, lane), c.get(warp, lane));
+        warp.regs[dst + lane as usize] = v;
+    }
+}
+
+/// Executes `instr` for every active lane of `warp` whose guard passes,
+/// visiting lanes in ascending order. Returns the timing-relevant effect.
+/// Does **not** move the warp's PC; the pipeline does that (branches via
+/// [`Warp::take_branch`]).
 pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> ExecEffect {
-    let active = warp.active_mask();
     let ws = warp.warp_size();
     // Lanes that exist, are on the active path, and pass the guard.
-    let mut eff_mask: LaneMask = 0;
-    for lane in 0..ws {
-        if active & (1 << lane) == 0 {
-            continue;
-        }
-        let g = instr.guard.is_none_or(|g| g.accepts(warp.pred(g.pred, lane)));
-        if g {
-            eff_mask |= 1 << lane;
+    let lane_bits = if ws >= LaneMask::BITS { LaneMask::MAX } else { (1 << ws) - 1 };
+    let mut eff_mask = warp.active_mask() & lane_bits;
+    if let Some(g) = instr.guard {
+        for lane in lanes(eff_mask) {
+            if !g.accepts(warp.pred(g.pred, lane)) {
+                eff_mask &= !(1 << lane);
+            }
         }
     }
 
@@ -185,35 +292,25 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         Op::Setp(cmp) | Op::SetpF(cmp) => {
             let float = matches!(instr.op, Op::SetpF(_));
             let p = instr.pdst.expect("setp has a pdst");
-            for lane in 0..ws {
-                if eff_mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let a = operand(warp, instr.srcs[0], lane);
-                let b = operand(warp, instr.srcs[1], lane);
-                warp.set_pred(p, lane, compare(cmp, float, a, b));
+            let (a, b) = (Src::new(warp, instr.srcs[0]), Src::new(warp, instr.srcs[1]));
+            for lane in lanes(eff_mask) {
+                let v = compare(cmp, float, a.get(warp, lane), b.get(warp, lane));
+                warp.set_pred(p, lane, v);
             }
             ExecEffect::None
         }
         Op::Sel(p) => {
             let d = instr.dst.expect("sel has a dst");
-            for lane in 0..ws {
-                if eff_mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let a = operand(warp, instr.srcs[0], lane);
-                let b = operand(warp, instr.srcs[1], lane);
-                let v = if warp.pred(p, lane) { a } else { b };
+            let (a, b) = (Src::new(warp, instr.srcs[0]), Src::new(warp, instr.srcs[1]));
+            for lane in lanes(eff_mask) {
+                let v = if warp.pred(p, lane) { a.get(warp, lane) } else { b.get(warp, lane) };
                 warp.set_reg(d, lane, v);
             }
             ExecEffect::None
         }
         Op::S2R(s) => {
             let d = instr.dst.expect("s2r has a dst");
-            for lane in 0..ws {
-                if eff_mask & (1 << lane) == 0 {
-                    continue;
-                }
+            for lane in lanes(eff_mask) {
                 let v = special_value(s, ctx, warp, lane);
                 warp.set_reg(d, lane, v);
             }
@@ -221,13 +318,10 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         }
         Op::Ld(space) => {
             let d = instr.dst.expect("ld has a dst");
-            let mut addrs = Vec::new();
-            for lane in 0..ws {
-                if eff_mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let base = operand(warp, instr.srcs[0], lane);
-                let addr = effective_address(base, instr.offset);
+            let base = Src::new(warp, instr.srcs[0]);
+            let mut addrs = LaneAddrs::default();
+            for lane in lanes(eff_mask) {
+                let addr = effective_address(base.get(warp, lane), instr.offset);
                 let v = match space {
                     MemSpace::Global => ctx.global.read_u32(addr),
                     MemSpace::Shared => ctx.shared[shared_word(addr, ctx.shared.len(), "load")],
@@ -237,19 +331,16 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
                         .map_or(0, |v| v.as_u32()),
                 };
                 warp.set_reg(d, lane, v);
-                addrs.push((lane, addr));
+                addrs.push(lane, addr);
             }
             ExecEffect::Memory { space, addrs, is_store: false, is_atomic: false }
         }
         Op::St(space) => {
-            let mut addrs = Vec::new();
-            for lane in 0..ws {
-                if eff_mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let base = operand(warp, instr.srcs[0], lane);
-                let addr = effective_address(base, instr.offset);
-                let v = operand(warp, instr.srcs[1], lane);
+            let (base, value) = (Src::new(warp, instr.srcs[0]), Src::new(warp, instr.srcs[1]));
+            let mut addrs = LaneAddrs::default();
+            for lane in lanes(eff_mask) {
+                let addr = effective_address(base.get(warp, lane), instr.offset);
+                let v = value.get(warp, lane);
                 match space {
                     MemSpace::Global => ctx.global.write_u32(addr, v),
                     MemSpace::Shared => {
@@ -257,40 +348,47 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
                     }
                     MemSpace::Param => panic!("stores to parameter space are not allowed"),
                 }
-                addrs.push((lane, addr));
+                addrs.push(lane, addr);
             }
             ExecEffect::Memory { space, addrs, is_store: true, is_atomic: false }
         }
         Op::Atom(aop) => {
             let d = instr.dst.expect("atom has a dst");
-            let mut addrs = Vec::new();
+            let (base, value) = (Src::new(warp, instr.srcs[0]), Src::new(warp, instr.srcs[1]));
+            let mut addrs = LaneAddrs::default();
             // Lanes apply in lane order (deterministic serialization).
-            for lane in 0..ws {
-                if eff_mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let base = operand(warp, instr.srcs[0], lane);
-                let addr = effective_address(base, instr.offset);
-                let v = operand(warp, instr.srcs[1], lane);
+            for lane in lanes(eff_mask) {
+                let addr = effective_address(base.get(warp, lane), instr.offset);
+                let v = value.get(warp, lane);
                 let old = ctx.global.read_u32(addr);
                 ctx.global.write_u32(addr, AtomOp::apply(aop, old, v));
                 warp.set_reg(d, lane, old);
-                addrs.push((lane, addr));
+                addrs.push(lane, addr);
             }
             ExecEffect::Memory { space: MemSpace::Global, addrs, is_store: true, is_atomic: true }
         }
         // Everything else is a lane-wise ALU op.
         _ => {
             let d = instr.dst.expect("ALU op has a dst");
-            for lane in 0..ws {
-                if eff_mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let a = operand(warp, instr.srcs[0], lane);
-                let b = instr.srcs.get(1).map_or(0, |&o| operand(warp, o, lane));
-                let c = instr.srcs.get(2).map_or(0, |&o| operand(warp, o, lane));
-                warp.set_reg(d, lane, alu(instr.op, a, b, c));
+            let srcs =
+                [Src::new(warp, instr.srcs[0]), Src::nth(warp, instr, 1), Src::nth(warp, instr, 2)];
+            let dst = d.index() * ws as usize;
+            // One lane loop per opcode, so the opcode dispatch happens
+            // once per instruction instead of once per lane.
+            macro_rules! per_op {
+                ($($op:ident)*) => {
+                    match instr.op {
+                        $(Op::$op => alu_lanes(warp, eff_mask, dst, srcs, |a, b, c| {
+                            lane_alu(Op::$op, a, b, c)
+                        }),)*
+                        op => alu_lanes(warp, eff_mask, dst, srcs, |a, b, c| {
+                            lane_alu(op, a, b, c)
+                        }),
+                    }
+                };
             }
+            per_op!(IAdd ISub IMul IMulHi IMad IMin IMax Shl Shr Sra And Or Xor Not
+                FAdd FSub FMul FFma FMin FMax FDiv FRcp FSqrt FExp2 FLog2 Mov I2F F2I);
             ExecEffect::None
         }
     }

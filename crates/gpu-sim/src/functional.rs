@@ -10,11 +10,12 @@
 //! no pipeline model — one instruction per warp per scheduling pass.
 
 use crate::exec::{execute, ExecContext, ExecEffect};
-use crate::mem::GlobalMemory;
+use crate::fasthash::FastMap;
+use crate::mem::{GlobalMemory, PAGE_WORDS};
 use crate::warp::{Warp, WarpState};
 use simt_compiler::CompiledKernel;
 use simt_isa::{AtomOp, Dim3, Instruction, LaunchConfig, MemSpace};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Hooks invoked around every dynamic warp instruction of a headless run.
 ///
@@ -118,7 +119,9 @@ pub fn run_tb_functional<O: FunctionalObserver>(
             Warp::new(w, 0, w as u32, ck.kernel.num_regs, ws, full, w as u64)
         })
         .collect();
-    let mut occurrences: Vec<HashMap<usize, u32>> = vec![HashMap::new(); num_warps];
+    // occurrences[w * n + pc]: how often warp `w` has executed `pc`.
+    let n = ck.kernel.instrs.len();
+    let mut occurrences = vec![0u32; num_warps * n];
     let mut at_barrier = vec![false; num_warps];
 
     loop {
@@ -131,12 +134,12 @@ pub fn run_tb_functional<O: FunctionalObserver>(
                 warps[w].state = WarpState::Done;
                 continue;
             };
-            let instr = ck.kernel.instrs[pc].clone();
-            let o = occurrences[w].entry(pc).or_insert(0);
+            let instr = &ck.kernel.instrs[pc];
+            let o = &mut occurrences[w * n + pc];
             *o += 1;
             let occurrence = *o;
 
-            observer.before_instruction(w, pc, occurrence, &instr, &warps[w]);
+            observer.before_instruction(w, pc, occurrence, instr, &warps[w]);
 
             warps[w].advance();
             let effect = {
@@ -148,7 +151,7 @@ pub fn run_tb_functional<O: FunctionalObserver>(
                     block: launch.block,
                     ctaid,
                 };
-                execute(&mut warps[w], &instr, &mut ctx)
+                execute(&mut warps[w], instr, &mut ctx)
             };
             progressed = true;
 
@@ -164,7 +167,7 @@ pub fn run_tb_functional<O: FunctionalObserver>(
                 }
             }
 
-            observer.after_instruction(w, pc, occurrence, &instr, &warps[w]);
+            observer.after_instruction(w, pc, occurrence, instr, &warps[w]);
 
             match effect {
                 ExecEffect::Branch { taken, target } => {
@@ -253,7 +256,8 @@ struct ShadowCell {
 pub struct RaceSanitizer {
     warp_size: u32,
     epoch: u32,
-    cells: HashMap<u64, ShadowCell>,
+    /// Probed per lane, never iterated.
+    cells: FastMap<u64, ShadowCell>,
     tainted: HashSet<u64>,
     races: Vec<SharedRace>,
     reported: HashSet<(usize, usize)>,
@@ -303,40 +307,13 @@ impl RaceSanitizer {
         for &(lane, addr) in addrs {
             let thread = warp_index as u32 * self.warp_size + lane;
             let word = addr / 4;
-            let seen = self.cells.get(&word).copied().unwrap_or_default();
-            if let Some((we, wt, wpc)) = seen.write {
-                if we == self.epoch && wt != thread {
-                    self.report(SharedRace {
-                        first_pc: wpc,
-                        first_thread: wt,
-                        second_pc: pc,
-                        second_thread: thread,
-                        word,
-                        write_write: is_store,
-                    });
-                }
-            }
+            // One probe per lane: update the cell in place, then judge the
+            // access against its state from before the update.
+            let cell = self.cells.entry(word).or_default();
+            let seen = *cell;
             if is_store {
-                if seen.read_epoch == self.epoch {
-                    let other = [seen.min_reader, seen.max_reader]
-                        .into_iter()
-                        .flatten()
-                        .find(|&(t, _)| t != thread);
-                    if let Some((rt, rpc)) = other {
-                        self.report(SharedRace {
-                            first_pc: rpc,
-                            first_thread: rt,
-                            second_pc: pc,
-                            second_thread: thread,
-                            word,
-                            write_write: false,
-                        });
-                    }
-                }
-                let cell = self.cells.entry(word).or_default();
                 cell.write = Some((self.epoch, thread, pc));
             } else {
-                let cell = self.cells.entry(word).or_default();
                 if cell.read_epoch != self.epoch {
                     cell.read_epoch = self.epoch;
                     cell.min_reader = None;
@@ -349,6 +326,34 @@ impl RaceSanitizer {
                 match cell.max_reader {
                     Some((t, _)) if t >= thread => {}
                     _ => cell.max_reader = Some((thread, pc)),
+                }
+            }
+            if let Some((we, wt, wpc)) = seen.write {
+                if we == self.epoch && wt != thread {
+                    self.report(SharedRace {
+                        first_pc: wpc,
+                        first_thread: wt,
+                        second_pc: pc,
+                        second_thread: thread,
+                        word,
+                        write_write: is_store,
+                    });
+                }
+            }
+            if is_store && seen.read_epoch == self.epoch {
+                let other = [seen.min_reader, seen.max_reader]
+                    .into_iter()
+                    .flatten()
+                    .find(|&(t, _)| t != thread);
+                if let Some((rt, rpc)) = other {
+                    self.report(SharedRace {
+                        first_pc: rpc,
+                        first_thread: rt,
+                        second_pc: pc,
+                        second_thread: thread,
+                        word,
+                        write_write: false,
+                    });
                 }
             }
         }
@@ -430,7 +435,9 @@ struct GlobalShadowCell {
 #[derive(Debug, Default)]
 pub struct GlobalRaceSanitizer {
     block: u64,
-    cells: HashMap<u64, GlobalShadowCell>,
+    /// Shadow pages mirroring [`GlobalMemory`]'s: one cell per word,
+    /// probed per lane, never iterated.
+    cells: FastMap<u64, Box<[GlobalShadowCell]>>,
     tainted: HashSet<u64>,
     races: Vec<GlobalRace>,
     reported: HashSet<(usize, usize)>,
@@ -498,28 +505,45 @@ impl GlobalRaceSanitizer {
         let block = self.block;
         for &(_lane, addr) in addrs {
             let word = addr / 4;
-            let seen = self.cells.get(&word).copied().unwrap_or_default();
+            // One probe per lane: update the cell in place, then judge the
+            // access against its state from before the update.
+            let page = self.cells.entry(word / PAGE_WORDS as u64).or_insert_with(|| {
+                vec![GlobalShadowCell::default(); PAGE_WORDS].into_boxed_slice()
+            });
+            let cell = &mut page[(word % PAGE_WORDS as u64) as usize];
+            let seen = *cell;
             if is_store {
-                if let Some((wb, wpc, watom)) = seen.write {
-                    if wb != block {
-                        let same_commuting = matches!(
-                            (atom, watom),
-                            (Some(x), Some(y)) if x == y && x != AtomOp::Exch
-                        );
-                        if same_commuting {
-                            self.commutative_overlap = true;
-                        } else {
-                            self.report(GlobalRace {
-                                first_pc: wpc,
-                                first_block: wb,
-                                second_pc: pc,
-                                second_block: block,
-                                word,
-                                write_write: true,
-                            });
-                        }
-                    }
+                cell.write = Some((block, pc, atom));
+            } else {
+                match cell.min_reader {
+                    Some((b, _)) if b <= block => {}
+                    _ => cell.min_reader = Some((block, pc)),
                 }
+                match cell.max_reader {
+                    Some((b, _)) if b >= block => {}
+                    _ => cell.max_reader = Some((block, pc)),
+                }
+            }
+            if let Some((wb, wpc, watom)) = seen.write.filter(|&(wb, _, _)| wb != block) {
+                // Only two writes with the same commuting op may collide;
+                // a plain read of a word another block wrote — even
+                // atomically — observes an order-dependent value.
+                let same_commuting = is_store
+                    && matches!((atom, watom), (Some(x), Some(y)) if x == y && x != AtomOp::Exch);
+                if same_commuting {
+                    self.commutative_overlap = true;
+                } else {
+                    self.report(GlobalRace {
+                        first_pc: wpc,
+                        first_block: wb,
+                        second_pc: pc,
+                        second_block: block,
+                        word,
+                        write_write: is_store,
+                    });
+                }
+            }
+            if is_store {
                 let other = [seen.min_reader, seen.max_reader]
                     .into_iter()
                     .flatten()
@@ -533,32 +557,6 @@ impl GlobalRaceSanitizer {
                         word,
                         write_write: false,
                     });
-                }
-                let cell = self.cells.entry(word).or_default();
-                cell.write = Some((block, pc, atom));
-            } else {
-                if let Some((wb, wpc, _)) = seen.write {
-                    // A plain read of a word any other block wrote — even
-                    // atomically — observes an order-dependent value.
-                    if wb != block {
-                        self.report(GlobalRace {
-                            first_pc: wpc,
-                            first_block: wb,
-                            second_pc: pc,
-                            second_block: block,
-                            word,
-                            write_write: false,
-                        });
-                    }
-                }
-                let cell = self.cells.entry(word).or_default();
-                match cell.min_reader {
-                    Some((b, _)) if b <= block => {}
-                    _ => cell.min_reader = Some((block, pc)),
-                }
-                match cell.max_reader {
-                    Some((b, _)) if b >= block => {}
-                    _ => cell.max_reader = Some((block, pc)),
                 }
             }
         }

@@ -58,6 +58,7 @@ pub mod config;
 pub mod digest;
 pub mod events;
 pub mod exec;
+pub mod fasthash;
 pub mod functional;
 pub mod gpu;
 pub mod mem;
@@ -79,6 +80,7 @@ pub use digest::{
 };
 pub use events::{EventKind, EventLog, PipeEvent};
 pub use exec::alu;
+pub use fasthash::{FastMap, FastSet};
 pub use functional::{
     ctaid_at, run_tb_functional, FunctionalObserver, GlobalRace, GlobalRaceSanitizer, NullObserver,
     RaceSanitizer, SharedRace,

@@ -3,22 +3,28 @@
 
 use crate::config::GpuConfig;
 use crate::digest::{fold, splitmix64, FNV_OFFSET};
-use std::collections::{BTreeSet, HashMap};
+use crate::fasthash::FastMap;
+use std::collections::BTreeSet;
 
 /// Words per allocation page of [`GlobalMemory`].
-const PAGE_WORDS: usize = 1024;
+pub(crate) const PAGE_WORDS: usize = 1024;
 
 /// Sparse word-addressable global memory. Addresses are byte addresses;
 /// accesses are 32-bit and must be 4-byte aligned (the simulator's ISA is
 /// word-oriented, like PTXPlus `u32` accesses).
 #[derive(Debug, Clone, Default)]
 pub struct GlobalMemory {
-    pages: HashMap<u64, Box<[u32; PAGE_WORDS]>>,
+    /// Never iterated in hash order: [`GlobalMemory::fingerprint`] sorts
+    /// the keys first.
+    pages: FastMap<u64, Box<[u32; PAGE_WORDS]>>,
     next_alloc: u64,
     /// Pages written since the last digest epoch (see
     /// [`GlobalMemory::epoch_digest`]). Sorted so the digest never
     /// observes hash order.
     touched: BTreeSet<u64>,
+    /// The page last inserted into `touched` this epoch: consecutive
+    /// writes to one page skip the set insert.
+    last_touched: Option<u64>,
 }
 
 impl GlobalMemory {
@@ -26,7 +32,7 @@ impl GlobalMemory {
     /// null-ish addresses fault loudly in tests).
     #[must_use]
     pub fn new() -> GlobalMemory {
-        GlobalMemory { pages: HashMap::new(), next_alloc: 0x1000, touched: BTreeSet::new() }
+        GlobalMemory { next_alloc: 0x1000, ..GlobalMemory::default() }
     }
 
     /// Reserves `bytes` of memory, returning the base address
@@ -62,7 +68,10 @@ impl GlobalMemory {
         let (page, idx) =
             (addr / (PAGE_WORDS as u64 * 4), ((addr / 4) % PAGE_WORDS as u64) as usize);
         self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE_WORDS]))[idx] = value;
-        self.touched.insert(page);
+        if self.last_touched != Some(page) {
+            self.touched.insert(page);
+            self.last_touched = Some(page);
+        }
     }
 
     /// Digest of the pages written since the last call (the digest
@@ -70,6 +79,7 @@ impl GlobalMemory {
     /// epochs fold nothing and return a constant.
     pub fn epoch_digest(&mut self) -> u64 {
         let mut h = FNV_OFFSET;
+        self.last_touched = None;
         for page in std::mem::take(&mut self.touched) {
             fold(&mut h, page);
             if let Some(words) = self.pages.get(&page) {
@@ -368,6 +378,40 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         b.write_u32(0x1000, 2);
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn epoch_digest_folds_every_page_written_since_the_last_epoch() {
+        const A: u64 = 0x1000;
+        const B: u64 = 0x8000;
+        let quiet = GlobalMemory::new().epoch_digest();
+        // The digest of a fresh memory holding `writes`: it folds exactly
+        // the pages written.
+        let fresh = |writes: &[(u64, u32)]| {
+            let mut m = GlobalMemory::new();
+            for &(addr, v) in writes {
+                m.write_u32(addr, v);
+            }
+            m.epoch_digest()
+        };
+
+        // A, digest, A again: the second epoch still folds A.
+        let mut m = GlobalMemory::new();
+        m.write_u32(A, 1);
+        assert_eq!(m.epoch_digest(), fresh(&[(A, 1)]));
+        m.write_u32(A + 4, 2);
+        let again = m.epoch_digest();
+        assert_ne!(again, quiet, "a rewritten page must not look like a quiet epoch");
+        assert_eq!(again, fresh(&[(A, 1), (A + 4, 2)]));
+        assert_eq!(m.epoch_digest(), quiet);
+
+        // A, B, A within one epoch folds {A, B}.
+        let mut m = GlobalMemory::new();
+        m.write_u32(A, 1);
+        m.write_u32(B, 2);
+        m.write_u32(A + 4, 3);
+        assert_eq!(m.epoch_digest(), fresh(&[(A, 1), (A + 4, 3), (B, 2)]));
+        assert_ne!(fresh(&[(A, 1), (A + 4, 3), (B, 2)]), fresh(&[(A, 1), (A + 4, 3)]));
     }
 
     #[test]

@@ -1,0 +1,290 @@
+//! Parity of the shadow race sanitizers with their original formulation:
+//! a `std` (SipHash) map of per-word cells probed with `get` and then
+//! `entry` per lane. The sanitizers now probe once per lane, the
+//! inter-block one through a paged shadow; on random access streams they
+//! must report the same races, in the same order, the same taint and the
+//! same commutative overlap.
+
+use gpu_sim::{FunctionalObserver, GlobalRace, GlobalRaceSanitizer, RaceSanitizer, SharedRace};
+use proptest::prelude::*;
+use simt_isa::AtomOp;
+use std::collections::{HashMap, HashSet};
+
+const WARP_SIZE: u32 = 32;
+/// Words the generated streams touch: few, so collisions are common, on
+/// both sides of shadow-page boundaries (1,024 words) and far apart.
+const WORDS: [u64; 10] = [0, 1, 2, 1023, 1024, 1025, 4096, 1 << 20, (1 << 30) + 7, 3];
+
+/// Reference shared-memory sanitizer (the original per-lane `get` +
+/// `entry` over a SipHash map).
+#[derive(Default)]
+struct RefShared {
+    epoch: u32,
+    cells: HashMap<u64, RefCell>,
+    tainted: HashSet<u64>,
+    races: Vec<SharedRace>,
+    reported: HashSet<(usize, usize)>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct RefCell {
+    write: Option<(u32, u32, usize)>,
+    read_epoch: u32,
+    min_reader: Option<(u32, usize)>,
+    max_reader: Option<(u32, usize)>,
+}
+
+impl RefShared {
+    fn report(&mut self, race: SharedRace) {
+        self.tainted.insert(race.word);
+        let key = (race.first_pc.min(race.second_pc), race.first_pc.max(race.second_pc));
+        if self.reported.insert(key) {
+            self.races.push(race);
+        }
+    }
+
+    fn access(&mut self, warp_index: usize, pc: usize, addrs: &[(u32, u64)], is_store: bool) {
+        for &(lane, addr) in addrs {
+            let thread = warp_index as u32 * WARP_SIZE + lane;
+            let word = addr / 4;
+            let seen = self.cells.get(&word).copied().unwrap_or_default();
+            if let Some((we, wt, wpc)) = seen.write {
+                if we == self.epoch && wt != thread {
+                    self.report(SharedRace {
+                        first_pc: wpc,
+                        first_thread: wt,
+                        second_pc: pc,
+                        second_thread: thread,
+                        word,
+                        write_write: is_store,
+                    });
+                }
+            }
+            if is_store {
+                if seen.read_epoch == self.epoch {
+                    let other = [seen.min_reader, seen.max_reader]
+                        .into_iter()
+                        .flatten()
+                        .find(|&(t, _)| t != thread);
+                    if let Some((rt, rpc)) = other {
+                        self.report(SharedRace {
+                            first_pc: rpc,
+                            first_thread: rt,
+                            second_pc: pc,
+                            second_thread: thread,
+                            word,
+                            write_write: false,
+                        });
+                    }
+                }
+                let cell = self.cells.entry(word).or_default();
+                cell.write = Some((self.epoch, thread, pc));
+            } else {
+                let cell = self.cells.entry(word).or_default();
+                if cell.read_epoch != self.epoch {
+                    cell.read_epoch = self.epoch;
+                    cell.min_reader = None;
+                    cell.max_reader = None;
+                }
+                match cell.min_reader {
+                    Some((t, _)) if t <= thread => {}
+                    _ => cell.min_reader = Some((thread, pc)),
+                }
+                match cell.max_reader {
+                    Some((t, _)) if t >= thread => {}
+                    _ => cell.max_reader = Some((thread, pc)),
+                }
+            }
+        }
+    }
+}
+
+/// Reference inter-block sanitizer (the original per-lane `get` +
+/// `entry` over a SipHash map).
+#[derive(Default)]
+struct RefGlobal {
+    block: u64,
+    cells: HashMap<u64, RefGlobalCell>,
+    tainted: HashSet<u64>,
+    races: Vec<GlobalRace>,
+    reported: HashSet<(usize, usize)>,
+    commutative_overlap: bool,
+}
+
+#[derive(Clone, Copy, Default)]
+struct RefGlobalCell {
+    write: Option<(u64, usize, Option<AtomOp>)>,
+    min_reader: Option<(u64, usize)>,
+    max_reader: Option<(u64, usize)>,
+}
+
+impl RefGlobal {
+    fn report(&mut self, race: GlobalRace) {
+        self.tainted.insert(race.word);
+        let key = (race.first_pc.min(race.second_pc), race.first_pc.max(race.second_pc));
+        if self.reported.insert(key) {
+            self.races.push(race);
+        }
+    }
+
+    fn access(&mut self, pc: usize, addrs: &[(u32, u64)], is_store: bool, atom: Option<AtomOp>) {
+        let block = self.block;
+        for &(_lane, addr) in addrs {
+            let word = addr / 4;
+            let seen = self.cells.get(&word).copied().unwrap_or_default();
+            if is_store {
+                if let Some((wb, wpc, watom)) = seen.write {
+                    if wb != block {
+                        let same_commuting = matches!(
+                            (atom, watom),
+                            (Some(x), Some(y)) if x == y && x != AtomOp::Exch
+                        );
+                        if same_commuting {
+                            self.commutative_overlap = true;
+                        } else {
+                            self.report(GlobalRace {
+                                first_pc: wpc,
+                                first_block: wb,
+                                second_pc: pc,
+                                second_block: block,
+                                word,
+                                write_write: true,
+                            });
+                        }
+                    }
+                }
+                let other = [seen.min_reader, seen.max_reader]
+                    .into_iter()
+                    .flatten()
+                    .find(|&(b, _)| b != block);
+                if let Some((rb, rpc)) = other {
+                    self.report(GlobalRace {
+                        first_pc: rpc,
+                        first_block: rb,
+                        second_pc: pc,
+                        second_block: block,
+                        word,
+                        write_write: false,
+                    });
+                }
+                let cell = self.cells.entry(word).or_default();
+                cell.write = Some((block, pc, atom));
+            } else {
+                if let Some((wb, wpc, _)) = seen.write {
+                    if wb != block {
+                        self.report(GlobalRace {
+                            first_pc: wpc,
+                            first_block: wb,
+                            second_pc: pc,
+                            second_block: block,
+                            word,
+                            write_write: false,
+                        });
+                    }
+                }
+                let cell = self.cells.entry(word).or_default();
+                match cell.min_reader {
+                    Some((b, _)) if b <= block => {}
+                    _ => cell.min_reader = Some((block, pc)),
+                }
+                match cell.max_reader {
+                    Some((b, _)) if b >= block => {}
+                    _ => cell.max_reader = Some((block, pc)),
+                }
+            }
+        }
+    }
+}
+
+/// One warp access: `(lane, byte address)` pairs over [`WORDS`], any
+/// byte within a word.
+fn arb_addrs() -> impl Strategy<Value = Vec<(u32, u64)>> {
+    let addr = (prop::sample::select(WORDS.to_vec()), 0u64..4).prop_map(|(w, b)| 4 * w + b);
+    prop::collection::vec((0u32..WARP_SIZE, addr), 1..=6)
+}
+
+/// Shared stream event: `Some((warp, pc, addrs, is_store))` or a barrier.
+type SharedEvent = Option<(usize, usize, Vec<(u32, u64)>, bool)>;
+
+fn arb_shared_event() -> impl Strategy<Value = SharedEvent> {
+    prop_oneof![
+        8 => (0usize..3, 0usize..5, arb_addrs(), any::<bool>()).prop_map(Some),
+        1 => Just(None),
+    ]
+}
+
+/// Global stream event: a block switch, or `(pc, addrs, is_store, atom)`.
+#[derive(Debug, Clone)]
+enum GlobalEvent {
+    Block(u64),
+    Access(usize, Vec<(u32, u64)>, bool, Option<AtomOp>),
+}
+
+fn arb_global_event() -> impl Strategy<Value = GlobalEvent> {
+    let atom = prop::sample::select(vec![
+        None,
+        Some(AtomOp::Add),
+        Some(AtomOp::Max),
+        Some(AtomOp::Min),
+        Some(AtomOp::Exch),
+    ]);
+    prop_oneof![
+        1 => (0u64..4).prop_map(GlobalEvent::Block),
+        3 => (0usize..5, arb_addrs()).prop_map(|(pc, a)| GlobalEvent::Access(pc, a, false, None)),
+        4 => (0usize..5, arb_addrs(), atom)
+            .prop_map(|(pc, a, atom)| GlobalEvent::Access(pc, a, true, atom)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn shared_sanitizer_matches_its_reference(
+        events in prop::collection::vec(arb_shared_event(), 1..40),
+    ) {
+        let mut got = RaceSanitizer::new(WARP_SIZE);
+        let mut want = RefShared::default();
+        for e in &events {
+            match e {
+                Some((warp, pc, addrs, is_store)) => {
+                    got.shared_access(*warp, *pc, 1, addrs, *is_store);
+                    want.access(*warp, *pc, addrs, *is_store);
+                }
+                None => {
+                    got.barrier_release();
+                    want.epoch += 1;
+                }
+            }
+        }
+        prop_assert_eq!(got.races(), &want.races[..]);
+        for word in WORDS {
+            prop_assert_eq!(got.is_tainted(word), want.tainted.contains(&word));
+        }
+    }
+
+    #[test]
+    fn global_sanitizer_matches_its_reference(
+        events in prop::collection::vec(arb_global_event(), 1..40),
+    ) {
+        let mut got = GlobalRaceSanitizer::new();
+        let mut want = RefGlobal::default();
+        for e in &events {
+            match e {
+                GlobalEvent::Block(b) => {
+                    got.set_block(*b);
+                    want.block = *b;
+                }
+                GlobalEvent::Access(pc, addrs, is_store, atom) => {
+                    got.record_access(*pc, addrs, *is_store, *atom);
+                    want.access(*pc, addrs, *is_store, *atom);
+                }
+            }
+        }
+        prop_assert_eq!(got.races(), &want.races[..]);
+        prop_assert_eq!(got.commutative_overlap(), want.commutative_overlap);
+        for word in WORDS {
+            prop_assert_eq!(got.is_tainted(word), want.tainted.contains(&word));
+        }
+    }
+}

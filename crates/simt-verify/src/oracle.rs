@@ -40,8 +40,8 @@
 
 use crate::{Diagnostic, Diagnostics, LintCode};
 use gpu_sim::{
-    ctaid_at, run_tb_functional, FunctionalObserver, GlobalMemory, GlobalRaceSanitizer,
-    RaceSanitizer,
+    ctaid_at, run_tb_functional, FastMap, FastSet, FunctionalObserver, GlobalMemory,
+    GlobalRaceSanitizer, RaceSanitizer,
 };
 use simt_compiler::{promotes_tid_y, CompiledKernel, Red};
 use simt_isa::{AtomOp, Dim3, Instruction, LaunchConfig, Marking, MemSpace, Op};
@@ -90,10 +90,12 @@ struct OracleObserver<'a> {
     checked: &'a [Option<LintCode>],
     ws: u32,
     num_warps: usize,
-    records: HashMap<(usize, u32), Vec<Option<Rec>>>,
+    /// Visited in sorted `(pc, occurrence)` order.
+    records: FastMap<(usize, u32), Vec<Option<Rec>>>,
     sanitizer: RaceSanitizer,
-    /// Shared words each *checked* load pc read during this TB.
-    shared_reads: HashMap<usize, HashSet<u64>>,
+    /// Shared words each *checked* load pc read during this TB. Each pc
+    /// is judged on its own, so visiting order does not matter.
+    shared_reads: FastMap<usize, FastSet<u64>>,
     /// Launch-wide global shadow (one epoch across all TBs).
     gsan: &'a mut GlobalRaceSanitizer,
     /// `atoms[pc]`: the instruction's atomic op (`None` for plain
@@ -101,7 +103,7 @@ struct OracleObserver<'a> {
     /// collisions (`add`/`max`/`min`, not `exch`).
     atoms: &'a [Option<AtomOp>],
     /// Global words each *checked* load pc read, launch-wide.
-    global_reads: &'a mut HashMap<usize, HashSet<u64>>,
+    global_reads: &'a mut FastMap<usize, FastSet<u64>>,
 }
 
 impl FunctionalObserver for OracleObserver<'_> {
@@ -159,6 +161,12 @@ impl FunctionalObserver for OracleObserver<'_> {
     }
 }
 
+/// The smallest of `words` that `tainted` accepts: the word a downgrade
+/// names, independent of the set's iteration order.
+fn min_tainted(words: &FastSet<u64>, tainted: impl Fn(u64) -> bool) -> Option<u64> {
+    words.iter().copied().filter(|&w| tainted(w)).min()
+}
+
 /// Accumulated evidence against one static instruction.
 struct Mismatch {
     code: LintCode,
@@ -204,7 +212,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
     // The global shadow lives across the whole launch: block replay
     // order is exactly what the sharded engine is free to permute.
     let mut gsan = GlobalRaceSanitizer::new();
-    let mut global_reads: HashMap<usize, HashSet<u64>> = HashMap::new();
+    let mut global_reads: FastMap<usize, FastSet<u64>> = FastMap::default();
 
     for i in 0..launch.num_blocks() {
         let ctaid = ctaid_at(launch.grid, i);
@@ -213,9 +221,9 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
             checked: &checked,
             ws: launch.warp_size,
             num_warps,
-            records: HashMap::new(),
+            records: FastMap::default(),
             sanitizer: RaceSanitizer::new(launch.warp_size),
-            shared_reads: HashMap::new(),
+            shared_reads: FastMap::default(),
             gsan: &mut gsan,
             atoms: &atoms,
             global_reads: &mut global_reads,
@@ -228,12 +236,16 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
             }
         }
         for (&pc, words) in &obs.shared_reads {
-            if let Some(&w) = words.iter().find(|&&w| obs.sanitizer.is_tainted(w)) {
+            if let Some(w) = min_tainted(words, |w| obs.sanitizer.is_tainted(w)) {
                 tainted_claims.entry(pc).or_insert((checked[pc].expect("pc is checked"), w));
             }
         }
 
-        for ((pc, occurrence), recs) in obs.records {
+        // Sorted, so the first mismatch of a pc (its example) is its
+        // earliest occurrence in this TB.
+        let mut records: Vec<_> = obs.records.into_iter().collect();
+        records.sort_unstable_by_key(|&(key, _)| key);
+        for ((pc, occurrence), recs) in records {
             // Only aligned occurrence groups: every warp, full masks.
             if !recs.iter().all(|r| r.as_ref().is_some_and(|r| r.full)) {
                 continue;
@@ -361,7 +373,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
         if mismatches.contains_key(&pc) || tainted_claims.contains_key(&pc) {
             continue;
         }
-        let Some(&word) = global_reads[&pc].iter().find(|&&w| gsan.is_tainted(w)) else {
+        let Some(word) = min_tainted(&global_reads[&pc], |w| gsan.is_tainted(w)) else {
             continue;
         };
         let code = checked[pc].expect("pc is checked");
@@ -403,7 +415,8 @@ pub struct Headroom {
 struct HeadroomObserver {
     ws: u32,
     num_warps: usize,
-    records: HashMap<(usize, u32), Vec<Option<Rec>>>,
+    /// Folded order-independently (every group must match).
+    records: FastMap<(usize, u32), Vec<Option<Rec>>>,
 }
 
 impl FunctionalObserver for HeadroomObserver {
@@ -451,7 +464,7 @@ pub fn dynamic_headroom(
         let mut obs = HeadroomObserver {
             ws: launch.warp_size,
             num_warps: launch.warps_per_block() as usize,
-            records: HashMap::new(),
+            records: FastMap::default(),
         };
         run_tb_functional(ck, launch, ctaid, &mut memory, &mut obs);
         for ((pc, _occ), recs) in obs.records {
@@ -839,6 +852,108 @@ mod tests {
         let plan = simt_compiler::LaunchPlan::new(&ck, &launch);
         let h = dynamic_headroom(&ck, &launch, &plan.skippable, mem);
         assert!(h.dynamically_redundant.is_empty(), "{h:?}");
+    }
+
+    /// Reaches each diagnostic site of [`check`] that picks one of
+    /// several candidates: a tampered vector add inside a loop mismatches
+    /// at every occurrence, and two uniform loads in the same loop read
+    /// four shared and four global words, each tainted by a race (threads
+    /// `t` and `t + 4` store to word `t % 4`; both blocks store to the
+    /// same global words).
+    fn multi_candidate() -> (CompiledKernel, LaunchConfig, GlobalMemory, [usize; 3], u64, u64) {
+        let mut b = KernelBuilder::new("multi_candidate");
+        let t = b.special(SpecialReg::TidX);
+        let smem = b.alloc_shared(4 * 4);
+        let out = b.param(0);
+        let res = b.param(1);
+        let word = b.and(t, 3u32);
+        let woff = b.shl_imm(word, 2);
+        b.store(MemSpace::Shared, woff, t, smem as i32);
+        let gaddr = b.iadd(out, woff);
+        b.store(MemSpace::Global, gaddr, t, 0);
+        let acc = b.mov(0u32);
+        b.for_count(4u32, |b, i| {
+            let off = b.shl_imm(i, 2);
+            let sv = b.load(MemSpace::Shared, off, smem as i32);
+            let ga = b.iadd(out, off);
+            let gv = b.load(MemSpace::Global, ga, 0);
+            let lv = b.iadd(t, i);
+            let s = b.iadd(sv, gv);
+            let s = b.iadd(s, lv);
+            b.iadd_to(acc, acc, s);
+        });
+        let cx = b.special(SpecialReg::CtaidX);
+        let lin = b.imad(cx, 64u32, t);
+        let roff = b.shl_imm(lin, 2);
+        let raddr = b.iadd(res, roff);
+        b.store(MemSpace::Global, raddr, acc, 0);
+        let mut ck = simt_compiler::compile(b.finish());
+
+        let pc_of = |f: &dyn Fn(&Instruction) -> bool| {
+            ck.kernel.instrs.iter().position(f).expect("fixture instruction present")
+        };
+        let shared_pc = pc_of(&|i| matches!(i.op, Op::Ld(MemSpace::Shared)));
+        let global_pc = pc_of(&|i| matches!(i.op, Op::Ld(MemSpace::Global)));
+        // The first add after the global load is `t + i`.
+        let lane_pc = global_pc + 1;
+        assert_eq!(ck.kernel.instrs[lane_pc].op, Op::IAdd, "{}", ck.annotated_disassembly());
+        assert_ne!(ck.markings[lane_pc], Marking::Redundant, "{}", ck.annotated_disassembly());
+        for pc in [shared_pc, global_pc] {
+            assert_eq!(ck.markings[pc], Marking::Redundant, "{}", ck.annotated_disassembly());
+        }
+        ck.markings[lane_pc] = Marking::Redundant;
+
+        let mut mem = GlobalMemory::new();
+        let out_buf = mem.alloc(4 * 4);
+        let res_buf = mem.alloc(2 * 64 * 4);
+        let launch = LaunchConfig::new(2u32, Dim3::one_d(64))
+            .with_params(vec![Value(out_buf as u32), Value(res_buf as u32)]);
+        (ck, launch, mem, [lane_pc, shared_pc, global_pc], u64::from(smem / 4), out_buf / 4)
+    }
+
+    #[test]
+    fn multi_candidate_diagnostics_are_deterministic_and_name_the_minimum() {
+        let (ck, launch, mem, [lane_pc, shared_pc, global_pc], shared_word, global_word) =
+            multi_candidate();
+        let first = check(&ck, &launch, mem.clone());
+        let message = |pc: usize| {
+            let hits = first.with_code(LintCode::UnsoundMarking);
+            let hits: Vec<_> = hits.iter().filter(|d| d.pc == Some(pc)).collect();
+            assert_eq!(hits.len(), 1, "one V201 at pc {pc}:\n{}", first.render());
+            hits[0].message.clone()
+        };
+        // Every occurrence of the tampered add mismatches in warp 1 first
+        // at lane 0 (thread 32 + i against thread i); the first occurrence
+        // is the example.
+        assert!(
+            message(lane_pc).contains(
+                "first: TB (0,0,0) occurrence 1: warp 1 lane 0 produced 0x20, \
+                 leader warp 0 produced 0x0"
+            ),
+            "{}",
+            first.render()
+        );
+        assert!(
+            message(shared_pc).contains(&format!("reads shared word {shared_word},")),
+            "{}",
+            first.render()
+        );
+        assert!(
+            message(global_pc).contains(&format!("reads global word {global_word},")),
+            "{}",
+            first.render()
+        );
+        for _ in 1..16 {
+            assert_eq!(check(&ck, &launch, mem.clone()).render(), first.render());
+        }
+    }
+
+    #[test]
+    fn min_tainted_names_the_smallest_tainted_word() {
+        let words: FastSet<u64> = (0..256).rev().collect();
+        assert_eq!(min_tainted(&words, |w| w % 7 == 3), Some(3));
+        assert_eq!(min_tainted(&words, |w| w > 250), Some(251));
+        assert_eq!(min_tainted(&words, |_| false), None);
     }
 
     #[test]
