@@ -14,7 +14,7 @@ use crate::fasthash::FastMap;
 use crate::mem::{GlobalMemory, PAGE_WORDS};
 use crate::warp::{Warp, WarpState};
 use simt_compiler::CompiledKernel;
-use simt_isa::{AtomOp, Dim3, Instruction, LaunchConfig, MemSpace};
+use simt_isa::{AtomOp, Dim3, Instruction, Kernel, LaunchConfig, MemSpace, Op};
 use std::collections::HashSet;
 
 /// Hooks invoked around every dynamic warp instruction of a headless run.
@@ -426,15 +426,17 @@ struct GlobalShadowCell {
 /// [`AtomOp`] (or `None` for a plain store) via
 /// [`record_access`](GlobalRaceSanitizer::record_access).
 ///
-/// Callers drive it explicitly (not as a [`FunctionalObserver`], since
-/// commutativity needs the kernel's opcode): call
-/// [`set_block`](GlobalRaceSanitizer::set_block) before replaying each
-/// threadblock, then forward every `global_access` hook. Raced-on words
-/// stay *tainted* for the rest of the launch so redundancy claims that
-/// read them can be downgraded.
+/// Built with [`for_kernel`](GlobalRaceSanitizer::for_kernel), it is the
+/// replay's [`FunctionalObserver`]: it reads each pc's atomic op from the
+/// kernel. Call [`set_block`](GlobalRaceSanitizer::set_block) before
+/// replaying each threadblock. Raced-on words stay *tainted* for the rest
+/// of the launch so redundancy claims that read them can be downgraded.
 #[derive(Debug, Default)]
 pub struct GlobalRaceSanitizer {
     block: u64,
+    /// `atoms[pc]`: the kernel's atomic op at `pc`, `None` elsewhere;
+    /// empty for a [`new`](GlobalRaceSanitizer::new) sanitizer.
+    atoms: Vec<Option<AtomOp>>,
     /// Shadow pages mirroring [`GlobalMemory`]'s: one cell per word,
     /// probed per lane, never iterated.
     cells: FastMap<u64, Box<[GlobalShadowCell]>>,
@@ -445,10 +447,23 @@ pub struct GlobalRaceSanitizer {
 }
 
 impl GlobalRaceSanitizer {
-    /// Fresh sanitizer for one kernel launch.
+    /// Fresh sanitizer for one kernel launch, driven through
+    /// [`record_access`](GlobalRaceSanitizer::record_access).
     #[must_use]
     pub fn new() -> GlobalRaceSanitizer {
         GlobalRaceSanitizer::default()
+    }
+
+    /// Fresh sanitizer for one launch of `kernel`, ready to observe its
+    /// functional replay.
+    #[must_use]
+    pub fn for_kernel(kernel: &Kernel) -> GlobalRaceSanitizer {
+        let atoms = kernel
+            .instrs
+            .iter()
+            .map(|i| if let Op::Atom(aop) = i.op { Some(aop) } else { None })
+            .collect();
+        GlobalRaceSanitizer { atoms, ..GlobalRaceSanitizer::default() }
     }
 
     /// Declares the linear block index about to be replayed.
@@ -560,6 +575,21 @@ impl GlobalRaceSanitizer {
                 }
             }
         }
+    }
+}
+
+impl FunctionalObserver for GlobalRaceSanitizer {
+    fn global_access(
+        &mut self,
+        _warp_index: usize,
+        pc: usize,
+        _occurrence: u32,
+        addrs: &[(u32, u64)],
+        is_store: bool,
+        is_atomic: bool,
+    ) {
+        let atom = if is_atomic { self.atoms[pc] } else { None };
+        self.record_access(pc, addrs, is_store, atom);
     }
 }
 

@@ -41,6 +41,7 @@
 
 use crate::races::block_conditions;
 use crate::{Diagnostic, Diagnostics, LintCode};
+use gpu_sim::GlobalRace;
 use simt_compiler::affine::{
     fixpoint_clamped, fixpoint_with_divergence, resolve, transfer_divergent, Affine, AffineVal,
     GridCtx, PredVal,
@@ -359,13 +360,6 @@ pub fn analyze(ck: &CompiledKernel, launch: &LaunchConfig) -> (Certificate, Diag
     (cert, report)
 }
 
-/// The `V310`/`V311`/`V313` findings alone, for [`crate::verify_full`]
-/// merging (the certificate rides on [`Diagnostics::certificate`]).
-#[must_use]
-pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
-    analyze(ck, launch).1
-}
-
 /// One access pair the family-level static pass could not prove disjoint
 /// for the whole region.
 #[derive(Debug, Clone)]
@@ -563,27 +557,27 @@ pub(crate) fn family_static(
     out
 }
 
-/// Drives the launch-wide global shadow through a functional replay.
-struct SanitizerObserver<'a> {
-    gsan: &'a mut gpu_sim::GlobalRaceSanitizer,
-    /// `atoms[pc]`: the instruction's atomic op (`None` for plain
-    /// loads/stores); the sanitizer exempts only same-op commutative
-    /// collisions (`add`/`max`/`min`, not `exch`).
-    atoms: &'a [Option<AtomOp>],
+/// True when a replay of `launch` can observe an inter-block hazard: a
+/// peer block to race with and a global store or atomic to race on.
+pub(crate) fn has_global_hazard(ck: &CompiledKernel, launch: &LaunchConfig) -> bool {
+    launch.num_blocks() > 1
+        && ck.kernel.instrs.iter().any(|i| matches!(i.op, Op::St(MemSpace::Global) | Op::Atom(_)))
 }
 
-impl gpu_sim::FunctionalObserver for SanitizerObserver<'_> {
-    fn global_access(
-        &mut self,
-        _w: usize,
-        pc: usize,
-        _occurrence: u32,
-        addrs: &[(u32, u64)],
-        is_store: bool,
-        is_atomic: bool,
-    ) {
-        self.gsan.record_access(pc, addrs, is_store, if is_atomic { self.atoms[pc] } else { None });
-    }
+/// The `V312` error for one inter-block race the global shadow observed
+/// during a replay of a launch over `grid`.
+pub(crate) fn dynamic_race(r: &GlobalRace, grid: Dim3) -> Diagnostic {
+    let (a, b) = (gpu_sim::ctaid_at(grid, r.first_block), gpu_sim::ctaid_at(grid, r.second_block));
+    let kinds = if r.write_write { "both writing" } else { "a write racing a read" };
+    Diagnostic::new(
+        LintCode::InterBlockRaceDynamic,
+        Some(r.second_pc),
+        format!(
+            "dynamic inter-block race: block ({},{},{}) at pc {} and block \
+             ({},{},{}) at pc {} touched global word {} in one launch ({kinds})",
+            a.x, a.y, a.z, r.first_pc, b.x, b.y, b.z, r.second_pc, r.word,
+        ),
+    )
 }
 
 /// The full certifier: the static analysis of [`analyze`] plus a dynamic
@@ -600,21 +594,14 @@ pub fn certify(
     mut memory: gpu_sim::GlobalMemory,
 ) -> (Certificate, Diagnostics) {
     let (mut cert, mut report) = analyze(ck, launch);
-    let instrs = &ck.kernel.instrs;
-    let has_hazard = launch.num_blocks() > 1
-        && instrs.iter().any(|i| matches!(i.op, Op::St(MemSpace::Global) | Op::Atom(_)));
-    if !has_hazard {
-        report.certificate = Some(cert.clone());
+    if !has_global_hazard(ck, launch) {
         return (cert, report);
     }
-    let atoms: Vec<Option<AtomOp>> =
-        instrs.iter().map(|i| if let Op::Atom(aop) = i.op { Some(aop) } else { None }).collect();
-    let mut gsan = gpu_sim::GlobalRaceSanitizer::new();
+    let mut gsan = gpu_sim::GlobalRaceSanitizer::for_kernel(&ck.kernel);
     for i in 0..launch.num_blocks() {
         gsan.set_block(i);
-        let mut obs = SanitizerObserver { gsan: &mut gsan, atoms: &atoms };
         let ctaid = gpu_sim::ctaid_at(launch.grid, i);
-        gpu_sim::run_tb_functional(ck, launch, ctaid, &mut memory, &mut obs);
+        gpu_sim::run_tb_functional(ck, launch, ctaid, &mut memory, &mut gsan);
     }
     // A collision-free exhaustive replay is a per-launch proof: every
     // thread of every block ran, and no block read or wrote another
@@ -647,32 +634,18 @@ pub fn certify(
         ));
     }
     for r in gsan.races() {
-        let (a, b) = (
-            gpu_sim::ctaid_at(launch.grid, r.first_block),
-            gpu_sim::ctaid_at(launch.grid, r.second_block),
-        );
-        let kinds = if r.write_write { "both writing" } else { "a write racing a read" };
-        report.push(Diagnostic::new(
-            LintCode::InterBlockRaceDynamic,
-            Some(r.second_pc),
-            format!(
-                "dynamic inter-block race: block ({},{},{}) at pc {} and block \
-                 ({},{},{}) at pc {} touched global word {} in one launch ({kinds})",
-                a.x, a.y, a.z, r.first_pc, b.x, b.y, b.z, r.second_pc, r.word,
-            ),
-        ));
+        report.push(dynamic_race(r, launch.grid));
         cert.classification = BlockIndependence::PotentiallyRacy;
         if cert.witness.is_none() {
             cert.witness = i64::try_from(r.word).ok().map(|word| RaceWitness {
                 pc_a: r.first_pc,
                 pc_b: r.second_pc,
-                block_a: a,
-                block_b: b,
+                block_a: gpu_sim::ctaid_at(launch.grid, r.first_block),
+                block_b: gpu_sim::ctaid_at(launch.grid, r.second_block),
                 word,
             });
         }
     }
-    report.certificate = Some(cert.clone());
     (cert, report)
 }
 

@@ -33,7 +33,7 @@
 
 use crate::blocks::{self, BlockIndependence, RaceWitness};
 use crate::cost::{estimate_family, FamilyCostBracket};
-use crate::{parallel_map, LintCode};
+use crate::{parallel_map, Diagnostics, LintCode};
 use gpu_sim::config::{GpuConfig, Technique};
 use gpu_sim::GlobalMemory;
 use simt_compiler::CompiledKernel;
@@ -124,6 +124,15 @@ pub fn sample_seed(kernel: &str) -> u64 {
     h
 }
 
+/// True when a concrete certification found an inter-block race, static
+/// (`V310`) or dynamic (`V312`).
+fn reproduces_race(report: &Diagnostics) -> bool {
+    report
+        .items
+        .iter()
+        .any(|d| matches!(d.code, LintCode::InterBlockRace | LintCode::InterBlockRaceDynamic))
+}
+
 /// Certifies inter-thread-block independence of `ck` over every launch
 /// in `family`, tiering the outcome as described in the module docs.
 /// `reference` supplies the kernel parameters and warp size every member
@@ -193,9 +202,7 @@ pub fn certify_family(
             reference,
         );
         let (concrete, rep) = blocks::certify(ck, &wl, memory.clone());
-        let confirmed = !rep.with_code(LintCode::InterBlockRace).is_empty()
-            || !rep.with_code(LintCode::InterBlockRaceDynamic).is_empty();
-        if confirmed {
+        if reproduces_race(&rep) {
             cert.verdict = FamilyVerdict::PerLaunchOnly;
             cert.classification = BlockIndependence::PotentiallyRacy;
             cert.witness = concrete.witness.or(Some(w));
@@ -306,9 +313,7 @@ pub fn differential_check(
                 return out;
             };
             let (_c, rep) = blocks::certify(ck, wl, memory.clone());
-            let reproduced = !rep.with_code(LintCode::InterBlockRace).is_empty()
-                || !rep.with_code(LintCode::InterBlockRaceDynamic).is_empty();
-            if !reproduced {
+            if !reproduces_race(&rep) {
                 out.push(format!(
                     "refutation witness launch grid ({},{}) block ({},{},{}) does not \
                      reproduce any V310/V312 finding",

@@ -418,16 +418,13 @@ pub struct Diagnostics {
     pub kernel: String,
     /// All findings, in pass order.
     pub items: Vec<Diagnostic>,
-    /// The inter-block independence certificate, when the blocks pass
-    /// ran (full verification and `darsie-sim certify`).
-    pub certificate: Option<blocks::Certificate>,
 }
 
 impl Diagnostics {
     /// Empty report for `kernel`.
     #[must_use]
     pub fn new(kernel: impl Into<String>) -> Diagnostics {
-        Diagnostics { kernel: kernel.into(), items: Vec::new(), certificate: None }
+        Diagnostics { kernel: kernel.into(), items: Vec::new() }
     }
 
     /// Appends a finding.
@@ -502,8 +499,10 @@ pub fn verify_launch(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics 
 
 /// Runs every pass: the static checks, the static shared-memory race
 /// detector for this launch's block shape, and the differential marking
-/// oracle (with its dynamic race sanitizer) over `memory` (consumed; the
-/// oracle executes the kernel).
+/// oracle (with its dynamic race sanitizers) over `memory` (consumed; the
+/// oracle executes the kernel). The report carries the static and
+/// dynamic inter-block findings; the launch's one block-independence
+/// certificate, with its `V314` discharge, is [`blocks::certify`]'s.
 #[must_use]
 pub fn verify_full(
     ck: &CompiledKernel,
@@ -512,11 +511,9 @@ pub fn verify_full(
 ) -> Diagnostics {
     let mut report = verify_launch(ck, launch);
     report.merge(races::check(ck, launch));
-    let (certificate, block_report) = blocks::analyze(ck, launch);
-    report.merge(block_report);
-    report.certificate = Some(certificate);
+    report.merge(blocks::analyze(ck, launch).1);
     report.merge(cost::check(ck, launch));
-    report.merge(symex::check(ck, launch, &memory));
+    report.merge(symex::prove(ck, Some((launch, &memory))).report);
     report.merge(oracle::check(ck, launch, memory));
     report
 }

@@ -38,13 +38,13 @@
 //! a shared-race taint downgrades it — the replay's block order is one
 //! of many the sharded engine may choose.
 
-use crate::{Diagnostic, Diagnostics, LintCode};
+use crate::{blocks, Diagnostic, Diagnostics, LintCode};
 use gpu_sim::{
     ctaid_at, run_tb_functional, FastMap, FastSet, FunctionalObserver, GlobalMemory,
     GlobalRaceSanitizer, RaceSanitizer,
 };
 use simt_compiler::{promotes_tid_y, CompiledKernel, Red};
-use simt_isa::{AtomOp, Dim3, Instruction, LaunchConfig, Marking, MemSpace, Op};
+use simt_isa::{Dim3, Instruction, LaunchConfig, Marking, MemSpace, Op};
 use std::collections::{HashMap, HashSet};
 
 /// Which lint a mismatch at this instruction raises, or `None` when the
@@ -78,30 +78,61 @@ fn checked_kind(ck: &CompiledKernel, pc: usize, px: bool, py: bool) -> Option<Li
     }
 }
 
-/// One warp's execution of a checked `(pc, occurrence)`.
-struct Rec {
-    full: bool,
-    dst: Vec<u32>,
+/// Destination vectors of one TB's register-writing instructions, keyed
+/// by `(pc, occurrence)`: slot `w` holds warp `w`'s vector when it
+/// executed the occurrence with its full lane mask, `None` otherwise.
+struct GroupRecorder {
+    ws: u32,
+    num_warps: usize,
+    groups: FastMap<(usize, u32), Vec<Option<Vec<u32>>>>,
+}
+
+impl GroupRecorder {
+    fn new(launch: &LaunchConfig) -> GroupRecorder {
+        GroupRecorder {
+            ws: launch.warp_size,
+            num_warps: launch.warps_per_block() as usize,
+            groups: FastMap::default(),
+        }
+    }
+
+    /// The aligned occurrence groups, unordered: every warp of the TB
+    /// executed the occurrence with its full lane mask. A group lists the
+    /// warps' destination vectors, leader warp 0 first.
+    fn aligned(self) -> impl Iterator<Item = ((usize, u32), Vec<Vec<u32>>)> {
+        self.groups
+            .into_iter()
+            .filter_map(|(key, dsts)| Some((key, dsts.into_iter().collect::<Option<_>>()?)))
+    }
+}
+
+impl FunctionalObserver for GroupRecorder {
+    fn after_instruction(
+        &mut self,
+        w: usize,
+        pc: usize,
+        occurrence: u32,
+        instr: &Instruction,
+        warp: &gpu_sim::Warp,
+    ) {
+        let Some(dst) = instr.dst else { return };
+        let full = warp.active_mask() == warp.full_mask && warp.full_mask.count_ones() == self.ws;
+        self.groups.entry((pc, occurrence)).or_insert_with(|| vec![None; self.num_warps])[w] =
+            full.then(|| warp.reg_vector(dst));
+    }
 }
 
 /// Records destination vectors of checked instructions for one TB, and
-/// runs the dynamic race sanitizer alongside.
+/// runs the dynamic race sanitizers alongside.
 struct OracleObserver<'a> {
     checked: &'a [Option<LintCode>],
-    ws: u32,
-    num_warps: usize,
-    /// Visited in sorted `(pc, occurrence)` order.
-    records: FastMap<(usize, u32), Vec<Option<Rec>>>,
+    groups: GroupRecorder,
     sanitizer: RaceSanitizer,
     /// Shared words each *checked* load pc read during this TB. Each pc
     /// is judged on its own, so visiting order does not matter.
     shared_reads: FastMap<usize, FastSet<u64>>,
     /// Launch-wide global shadow (one epoch across all TBs).
     gsan: &'a mut GlobalRaceSanitizer,
-    /// `atoms[pc]`: the instruction's atomic op (`None` for plain
-    /// loads/stores); the global shadow exempts only same-op commutative
-    /// collisions (`add`/`max`/`min`, not `exch`).
-    atoms: &'a [Option<AtomOp>],
     /// Global words each *checked* load pc read, launch-wide.
     global_reads: &'a mut FastMap<usize, FastSet<u64>>,
 }
@@ -115,16 +146,9 @@ impl FunctionalObserver for OracleObserver<'_> {
         instr: &Instruction,
         warp: &gpu_sim::Warp,
     ) {
-        if self.checked[pc].is_none() {
-            return;
+        if self.checked[pc].is_some() {
+            self.groups.after_instruction(w, pc, occurrence, instr, warp);
         }
-        let Some(dst) = instr.dst else { return };
-        let full = warp.active_mask() == warp.full_mask && warp.full_mask.count_ones() == self.ws;
-        let slot = &mut self
-            .records
-            .entry((pc, occurrence))
-            .or_insert_with(|| (0..self.num_warps).map(|_| None).collect())[w];
-        *slot = Some(Rec { full, dst: warp.reg_vector(dst) });
     }
 
     fn shared_access(
@@ -147,14 +171,14 @@ impl FunctionalObserver for OracleObserver<'_> {
 
     fn global_access(
         &mut self,
-        _w: usize,
+        w: usize,
         pc: usize,
-        _occurrence: u32,
+        occurrence: u32,
         addrs: &[(u32, u64)],
         is_store: bool,
         is_atomic: bool,
     ) {
-        self.gsan.record_access(pc, addrs, is_store, if is_atomic { self.atoms[pc] } else { None });
+        self.gsan.global_access(w, pc, occurrence, addrs, is_store, is_atomic);
         if !is_store && self.checked[pc].is_some() {
             self.global_reads.entry(pc).or_default().extend(addrs.iter().map(|&(_, a)| a / 4));
         }
@@ -188,20 +212,10 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
         .instrs
         .iter()
         .any(|i| matches!(i.op, Op::Ld(MemSpace::Shared) | Op::St(MemSpace::Shared)));
-    // Inter-block hazards need a global write (or atomic) and a peer
-    // block to race with.
-    let has_global_hazard = launch.num_blocks() > 1
-        && ck.kernel.instrs.iter().any(|i| matches!(i.op, Op::St(MemSpace::Global) | Op::Atom(_)));
+    let has_global_hazard = blocks::has_global_hazard(ck, launch);
     if checked.iter().all(Option::is_none) && !has_shared && !has_global_hazard {
         return report;
     }
-    let atoms: Vec<Option<AtomOp>> = ck
-        .kernel
-        .instrs
-        .iter()
-        .map(|i| if let Op::Atom(aop) = i.op { Some(aop) } else { None })
-        .collect();
-    let num_warps = launch.warps_per_block() as usize;
     let mut mismatches: HashMap<usize, Mismatch> = HashMap::new();
     // Dynamic races deduplicated by static pc pair across all TBs, with
     // the first observing TB kept for the message.
@@ -211,7 +225,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
     let mut tainted_claims: HashMap<usize, (LintCode, u64)> = HashMap::new();
     // The global shadow lives across the whole launch: block replay
     // order is exactly what the sharded engine is free to permute.
-    let mut gsan = GlobalRaceSanitizer::new();
+    let mut gsan = GlobalRaceSanitizer::for_kernel(&ck.kernel);
     let mut global_reads: FastMap<usize, FastSet<u64>> = FastMap::default();
 
     for i in 0..launch.num_blocks() {
@@ -219,13 +233,10 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
         gsan.set_block(i);
         let mut obs = OracleObserver {
             checked: &checked,
-            ws: launch.warp_size,
-            num_warps,
-            records: FastMap::default(),
+            groups: GroupRecorder::new(launch),
             sanitizer: RaceSanitizer::new(launch.warp_size),
             shared_reads: FastMap::default(),
             gsan: &mut gsan,
-            atoms: &atoms,
             global_reads: &mut global_reads,
         };
         run_tb_functional(ck, launch, ctaid, &mut memory, &mut obs);
@@ -243,39 +254,23 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
 
         // Sorted, so the first mismatch of a pc (its example) is its
         // earliest occurrence in this TB.
-        let mut records: Vec<_> = obs.records.into_iter().collect();
-        records.sort_unstable_by_key(|&(key, _)| key);
-        for ((pc, occurrence), recs) in records {
-            // Only aligned occurrence groups: every warp, full masks.
-            if !recs.iter().all(|r| r.as_ref().is_some_and(|r| r.full)) {
-                continue;
-            }
-            let leader = recs[0].as_ref().expect("aligned group has a leader warp");
-            for (w, rec) in recs.iter().enumerate().skip(1) {
-                let rec = rec.as_ref().expect("aligned group checked above");
-                if rec.dst == leader.dst {
+        let mut groups: Vec<_> = obs.groups.aligned().collect();
+        groups.sort_unstable_by_key(|&(key, _)| key);
+        for ((pc, occurrence), dsts) in groups {
+            let leader = &dsts[0];
+            for (w, dst) in dsts.iter().enumerate().skip(1) {
+                if dst == leader {
                     continue;
                 }
-                let lane = rec
-                    .dst
-                    .iter()
-                    .zip(&leader.dst)
-                    .position(|(a, b)| a != b)
-                    .expect("vectors differ");
+                let lane =
+                    dst.iter().zip(leader).position(|(a, b)| a != b).expect("vectors differ");
                 let entry = mismatches.entry(pc).or_insert_with(|| Mismatch {
                     code: checked[pc].expect("pc is checked"),
                     count: 0,
                     example: format!(
                         "TB ({},{},{}) occurrence {}: warp {} lane {} produced {:#x}, \
                          leader warp 0 produced {:#x}",
-                        ctaid.x,
-                        ctaid.y,
-                        ctaid.z,
-                        occurrence,
-                        w,
-                        lane,
-                        rec.dst[lane],
-                        leader.dst[lane],
+                        ctaid.x, ctaid.y, ctaid.z, occurrence, w, lane, dst[lane], leader[lane],
                     ),
                 });
                 entry.count += 1;
@@ -351,17 +346,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
     // Inter-block races observed by the global shadow: each is a concrete
     // witness for the sharded engine's unsoundness under this launch.
     for r in gsan.races() {
-        let (a, b) = (ctaid_at(launch.grid, r.first_block), ctaid_at(launch.grid, r.second_block));
-        let kinds = if r.write_write { "both writing" } else { "a write racing a read" };
-        report.push(Diagnostic::new(
-            LintCode::InterBlockRaceDynamic,
-            Some(r.second_pc),
-            format!(
-                "dynamic inter-block race: block ({},{},{}) at pc {} and block \
-                 ({},{},{}) at pc {} touched global word {} in one launch ({kinds})",
-                a.x, a.y, a.z, r.first_pc, b.x, b.y, b.z, r.second_pc, r.word,
-            ),
-        ));
+        report.push(blocks::dynamic_race(r, launch.grid));
     }
 
     // Downgrade redundancy claims that read an inter-block-raced global
@@ -410,34 +395,6 @@ pub struct Headroom {
     pub never_aligned: Vec<usize>,
 }
 
-/// Records destination vectors of *every* register-writing instruction
-/// (the oracle's observer only records claimed-redundant ones).
-struct HeadroomObserver {
-    ws: u32,
-    num_warps: usize,
-    /// Folded order-independently (every group must match).
-    records: FastMap<(usize, u32), Vec<Option<Rec>>>,
-}
-
-impl FunctionalObserver for HeadroomObserver {
-    fn after_instruction(
-        &mut self,
-        w: usize,
-        pc: usize,
-        occurrence: u32,
-        instr: &Instruction,
-        warp: &gpu_sim::Warp,
-    ) {
-        let Some(dst) = instr.dst else { return };
-        let full = warp.active_mask() == warp.full_mask && warp.full_mask.count_ones() == self.ws;
-        let slot = &mut self
-            .records
-            .entry((pc, occurrence))
-            .or_insert_with(|| (0..self.num_warps).map(|_| None).collect())[w];
-        *slot = Some(Rec { full, dst: warp.reg_vector(dst) });
-    }
-}
-
 /// Measures the dynamic-redundancy headroom of the static skip plan:
 /// replays every TB of `launch` and classifies each unskipped
 /// register-writing pc by whether its aligned occurrence groups were in
@@ -461,20 +418,10 @@ pub fn dynamic_headroom(
     let mut dyn_red: Vec<Option<bool>> = vec![None; n];
     for i in 0..launch.num_blocks() {
         let ctaid = ctaid_at(launch.grid, i);
-        let mut obs = HeadroomObserver {
-            ws: launch.warp_size,
-            num_warps: launch.warps_per_block() as usize,
-            records: FastMap::default(),
-        };
-        run_tb_functional(ck, launch, ctaid, &mut memory, &mut obs);
-        for ((pc, _occ), recs) in obs.records {
-            if !recs.iter().all(|r| r.as_ref().is_some_and(|r| r.full)) {
-                continue;
-            }
-            let leader = recs[0].as_ref().expect("aligned group has a leader warp");
-            let all_match = recs
-                .iter()
-                .all(|r| r.as_ref().expect("aligned group checked above").dst == leader.dst);
+        let mut groups = GroupRecorder::new(launch);
+        run_tb_functional(ck, launch, ctaid, &mut memory, &mut groups);
+        for ((pc, _occ), dsts) in groups.aligned() {
+            let all_match = dsts.iter().all(|d| *d == dsts[0]);
             let e = dyn_red[pc].get_or_insert(true);
             *e = *e && all_match;
         }

@@ -1231,11 +1231,3 @@ fn marking_name(ck: &CompiledKernel, pc: usize) -> String {
         Marking::Vector => format!("class {:?}/{:?}", ck.classes[pc].red, ck.classes[pc].pat),
     }
 }
-
-/// [`prove`] specialized for the `verify_full` pipeline: validates the
-/// kernel's claims over the whole family of the given reference launch,
-/// using its memory image for counterexample evaluation.
-#[must_use]
-pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, memory: &GlobalMemory) -> Diagnostics {
-    prove(ck, Some((launch, memory))).report
-}

@@ -10,7 +10,7 @@ use gpu_sim::{
 use proptest::prelude::*;
 use simt_compiler::{compile, refine, CompiledKernel};
 use simt_isa::{
-    AtomOp, CmpOp, Dim3, Guard, KernelBuilder, LaunchConfig, MemSpace, Op, SpecialReg, Value,
+    AtomOp, CmpOp, Dim3, Guard, KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value,
 };
 use simt_verify::blocks::{self, BlockIndependence};
 use simt_verify::{oracle, LintCode};
@@ -291,40 +291,11 @@ fn replay_races(
     mut mem: GlobalMemory,
     blocks: Option<&[u64]>,
 ) -> Vec<GlobalRace> {
-    struct Obs<'a> {
-        gsan: &'a mut GlobalRaceSanitizer,
-        atoms: &'a [Option<AtomOp>],
-    }
-    impl FunctionalObserver for Obs<'_> {
-        fn global_access(
-            &mut self,
-            _w: usize,
-            pc: usize,
-            _occurrence: u32,
-            addrs: &[(u32, u64)],
-            is_store: bool,
-            is_atomic: bool,
-        ) {
-            self.gsan.record_access(
-                pc,
-                addrs,
-                is_store,
-                if is_atomic { self.atoms[pc] } else { None },
-            );
-        }
-    }
-    let atoms: Vec<Option<AtomOp>> = ck
-        .kernel
-        .instrs
-        .iter()
-        .map(|i| if let Op::Atom(aop) = i.op { Some(aop) } else { None })
-        .collect();
     let all: Vec<u64> = (0..launch.num_blocks()).collect();
-    let mut gsan = GlobalRaceSanitizer::new();
+    let mut gsan = GlobalRaceSanitizer::for_kernel(&ck.kernel);
     for &i in blocks.unwrap_or(&all) {
         gsan.set_block(i);
-        let mut obs = Obs { gsan: &mut gsan, atoms: &atoms };
-        run_tb_functional(ck, launch, ctaid_at(launch.grid, i), &mut mem, &mut obs);
+        run_tb_functional(ck, launch, ctaid_at(launch.grid, i), &mut mem, &mut gsan);
     }
     gsan.races().to_vec()
 }

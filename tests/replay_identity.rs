@@ -15,7 +15,11 @@
 //!   occurrence)` around each instruction with its destination vectors,
 //!   the per-lane addresses of each memory access, and barrier releases.
 //!
-//! The table pins what the replay computes, not how fast: a host-side
+//! A second table pins the replays behind `darsie-sim analyze` for each
+//! catalog workload: the refined kernel's `oracle::check` report and both
+//! `oracle::dynamic_headroom` vectors.
+//!
+//! The tables pin what the replay computes, not how fast: a host-side
 //! optimisation of the replay must leave every row unchanged. A row that
 //! moves means a verdict, a diagnostic or an executed value changed.
 
@@ -23,7 +27,7 @@ use darsie_repro::isa::{Instruction, LaunchConfig};
 use darsie_repro::sim::{ctaid_at, run_tb_functional, FunctionalObserver, GlobalMemory, Warp};
 use darsie_repro::workloads::{catalog, fixtures, Scale};
 use simt_compiler::CompiledKernel;
-use simt_verify::{blocks, family, verify_full};
+use simt_verify::{blocks, family, oracle, verify_full};
 
 /// Family members replayed per catalog workload.
 const MEMBERS: usize = 25;
@@ -536,4 +540,66 @@ const PINNED: &[Row] = &[
     ("racy_same_word", "block-independent", false, 0x95243289f6cd1015, 0xe7c39cb499fd97d4, 0x1374e1c511cd89ec, 0xcb49533d774bcd63),
     ("racy_nonaffine", "block-independent", false, 0xfe923b7379b6d91c, 0x333f52b229ed1d67, 0x5ee700e828975dac, 0xdc4c44ce699ea437),
     ("racy_inter_block", "potentially-racy", false, 0x9d9699fa3d819e74, 0x0e4ced88812a8485, 0x958c292abc6099ec, 0xfaecba51f65a15a5),
+];
+
+/// One pinned `analyze` launch: workload, fingerprint of the refined
+/// kernel's `oracle::check(..).render()`, and the two `Headroom` vectors.
+type AnalyzeRow = (&'static str, u64, &'static [usize], &'static [usize]);
+
+/// The oracle and headroom replays behind `darsie-sim analyze`, computed
+/// as the CLI does: the kernel refined for the launch's block depth, the
+/// headroom measured against the refined plan's `skippable` set.
+#[test]
+fn analyze_replays_match_the_pinned_table() {
+    let mut got = Vec::new();
+    for w in catalog(Scale::Test) {
+        let refined = simt_compiler::refine(&w.ck, w.launch.block.z.max(1));
+        let plan = simt_compiler::LaunchPlan::new(&refined.ck, &w.launch);
+        let oracle = oracle::check(&refined.ck, &w.launch, w.memory.clone());
+        let headroom =
+            oracle::dynamic_headroom(&refined.ck, &w.launch, &plan.skippable, w.memory.clone());
+        got.push((
+            w.abbr.to_string(),
+            fnv_str(&oracle.render()),
+            headroom.dynamically_redundant,
+            headroom.never_aligned,
+        ));
+    }
+
+    let want: Vec<_> = ANALYZE_PINNED
+        .iter()
+        .map(|&(n, of, dr, na)| (n.to_string(), of, dr.to_vec(), na.to_vec()))
+        .collect();
+    if got != want {
+        let mut table = String::new();
+        for (n, of, dr, na) in &got {
+            table.push_str(&format!("    (\"{n}\", {of:#018x}, &{dr:?}, &{na:?}),\n"));
+        }
+        let first = got.iter().zip(&want).position(|(g, w)| g != w);
+        panic!(
+            "analyze replay table moved (first differing row: {first:?}; {} rows vs {} \
+             pinned). Actual table:\n{table}",
+            got.len(),
+            want.len()
+        );
+    }
+}
+
+/// Generated before the oracle, the headroom probe and the block certifier
+/// shared one global shadow and one aligned-group recorder.
+#[rustfmt::skip]
+const ANALYZE_PINNED: &[AnalyzeRow] = &[
+    ("BIN", 0x7c314c0eb6030628, &[], &[]),
+    ("PT", 0x147167e89f060ff9, &[], &[]),
+    ("FW", 0xf4f6210c26c5638a, &[], &[]),
+    ("SR1", 0xc82f1202b4334660, &[], &[]),
+    ("LIB", 0x90a5d2b14cf06f90, &[], &[]),
+    ("IMNLM", 0x60a729821e6c2d9d, &[], &[]),
+    ("BP", 0x236d118f1d883b96, &[], &[62, 63, 64, 65]),
+    ("DCT8x8", 0xec7e215305d6703b, &[], &[]),
+    ("FWS", 0xf0ce8ae9e7f66561, &[], &[]),
+    ("HS", 0x53de9e4e7742d189, &[], &[]),
+    ("CP", 0x28034f465da847e1, &[], &[]),
+    ("CONVTEX", 0xd75f92f30eef7e79, &[], &[]),
+    ("MM", 0x7cc66668915bc008, &[], &[]),
 ];
