@@ -108,9 +108,10 @@
 use darsie::DarsieConfig;
 use darsie_bench::json::Json;
 use darsie_bench::manifest::{json_header, RunManifest};
+use darsie_bench::perfetto::chrome_trace;
 use darsie_bench::replay::{replay_diff, RunSpec};
 use gpu_energy::EnergyModel;
-use gpu_sim::{GpuConfig, Perturb, SchedulerPolicy, Technique, TracePhase};
+use gpu_sim::{GpuConfig, Perturb, SchedulerPolicy, Technique};
 use simt_compiler::LaunchPlan;
 use simt_isa::Dim3;
 use simt_verify::perf::{MemPredKind, MemPrediction};
@@ -1239,19 +1240,8 @@ fn profile(cmd: &Command, args: &[String]) {
                     perfetto_path(perfetto.as_deref().expect("perfetto path set"), w.abbr, single);
                 // Host phase spans completed so far ride along in the
                 // trace on their own process track.
-                let phases: Vec<TracePhase> = cx
-                    .mf
-                    .phases
-                    .iter()
-                    .map(|p| TracePhase {
-                        name: p.name.clone(),
-                        start_us: (p.start_seconds * 1e6) as u64,
-                        dur_us: (p.wall_seconds * 1e6) as u64,
-                    })
-                    .collect();
-                let json_trace =
-                    gpu_sim::chrome_trace_json_with_phases(&r.events, Some(prof), &phases);
-                if let Err(e) = std::fs::write(&path, json_trace) {
+                let json_trace = chrome_trace(&r.events, Some(prof), &cx.mf.phases);
+                if let Err(e) = std::fs::write(&path, json_trace.to_string()) {
                     eprintln!("cannot write perfetto trace {path}: {e}");
                     cx.finish(1);
                 }

@@ -8,6 +8,7 @@
 
 pub mod json;
 pub mod manifest;
+pub mod perfetto;
 pub mod replay;
 
 use darsie::DarsieConfig;

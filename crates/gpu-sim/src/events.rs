@@ -2,7 +2,7 @@
 //! did, for debugging kernels and inspecting the DARSIE protocol in
 //! action. Enabled with [`GpuConfig::trace_events`]; events come back in
 //! [`SimResult::events`](crate::SimResult) ordered by cycle, and export to
-//! Chrome trace-event JSON via [`crate::perfetto`].
+//! Chrome trace-event JSON via `darsie-bench`'s `perfetto` module.
 //!
 //! The log is a bounded ring: it keeps the **last**
 //! [`GpuConfig::trace_capacity`](crate::GpuConfig::trace_capacity) events
@@ -113,12 +113,6 @@ impl EventLog {
     /// Iterates the recorded events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &PipeEvent> {
         self.events.iter()
-    }
-
-    /// Consumes the log.
-    #[must_use]
-    pub fn into_events(self) -> Vec<PipeEvent> {
-        self.events.into()
     }
 
     /// Merges another log, sorts by cycle, and re-applies this ring's

@@ -283,12 +283,6 @@ impl RaceSanitizer {
         self.tainted.contains(&word)
     }
 
-    /// Shared word indices touched by any observed race.
-    #[must_use]
-    pub fn tainted_words(&self) -> &HashSet<u64> {
-        &self.tainted
-    }
-
     fn report(&mut self, race: SharedRace) {
         self.tainted.insert(race.word);
         let key = (race.first_pc.min(race.second_pc), race.first_pc.max(race.second_pc));
@@ -482,12 +476,6 @@ impl GlobalRaceSanitizer {
     #[must_use]
     pub fn is_tainted(&self, word: u64) -> bool {
         self.tainted.contains(&word)
-    }
-
-    /// Global word indices touched by any observed inter-block race.
-    #[must_use]
-    pub fn tainted_words(&self) -> &HashSet<u64> {
-        &self.tainted
     }
 
     /// True when two distinct blocks collided on one word through the

@@ -69,12 +69,6 @@ impl Gpu {
         Gpu { cfg, technique }
     }
 
-    /// Convenience: the Table-2 Pascal baseline.
-    #[must_use]
-    pub fn pascal(technique: Technique) -> Gpu {
-        Gpu::new(GpuConfig::pascal_gtx1080ti(), technique)
-    }
-
     /// Runs `ck` with launch geometry `launch` against `memory`.
     ///
     /// # Panics

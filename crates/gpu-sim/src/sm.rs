@@ -211,12 +211,6 @@ impl Sm {
             && self.used_smem + self.kd.ck.kernel.shared_mem_bytes <= self.cfg.shared_mem_per_sm
     }
 
-    /// Number of resident TBs.
-    #[must_use]
-    pub fn resident_tbs(&self) -> usize {
-        self.tbs.iter().filter(|t| t.is_some()).count()
-    }
-
     /// True while any warp is resident.
     #[must_use]
     pub fn busy(&self) -> bool {

@@ -43,7 +43,7 @@
 //! any value whose bounds leave the representable range collapses to
 //! [`AffineVal::Unknown`], which the race pass escalates conservatively.
 
-use crate::cfg::Cfg;
+use crate::cfg::{reach, Cfg};
 use simt_isa::{
     CmpOp, Instruction, Kernel, LaunchConfig, LaunchFamily, MemSpace, Op, Operand, Reg, SpecialReg,
 };
@@ -336,19 +336,6 @@ impl<'a> GridCtx<'a> {
     #[must_use]
     pub fn family(family: &'a LaunchFamily, reference: &'a LaunchConfig) -> GridCtx<'a> {
         GridCtx { block_z: family.block_z.hi, launch: Some(reference), family: Some(family) }
-    }
-
-    /// The launch this context resolves against, if any (in family mode,
-    /// the reference launch supplying parameter words).
-    #[must_use]
-    pub fn launch_config(self) -> Option<&'a LaunchConfig> {
-        self.launch
-    }
-
-    /// The family region this context quantifies over, if any.
-    #[must_use]
-    pub fn family_region(self) -> Option<&'a LaunchFamily> {
-        self.family
     }
 
     /// `(block_x, block_y, grid_x, grid_y)` extents for interval hulls:
@@ -1253,6 +1240,7 @@ pub fn fixpoint_clamped(
     let npreds = num_preds(&kernel.instrs);
     let nb = cfg.blocks.len();
     let pdoms = crate::dom::PostDoms::compute(cfg);
+    let succs = |b: usize| cfg.blocks[b].succs.iter().copied();
     // Taint is monotone: a branch once seen divergent stays divergent (its
     // predicate can only descend the lattice), so regions only grow.
     let mut divergent = vec![false; nb];
@@ -1284,9 +1272,14 @@ pub fn fixpoint_clamped(
                     // uniformly false, not divergent.
                     let is_divergent = !matches!(pv, PredVal::Top) && !pv.is_tb_uniform();
                     if is_divergent {
-                        for r in divergent_region(cfg, b, pdoms.ipdom[b]) {
-                            if !divergent[r] {
-                                divergent[r] = true;
+                        // The divergent region: everything the branch's
+                        // successors reach before its immediate
+                        // post-dominator.
+                        let join = pdoms.ipdom[b];
+                        let region = reach(nb, block.succs.iter().copied(), succs, |r| r == join);
+                        for (d, &r) in divergent.iter_mut().zip(&region) {
+                            if r && !*d {
+                                *d = true;
                                 changed = true;
                             }
                         }
@@ -1324,27 +1317,6 @@ pub fn fixpoint_clamped(
         }
     }
     (in_states, divergent)
-}
-
-/// Blocks strictly between `branch_block` and its immediate
-/// post-dominator `join`: everything reachable from the branch's
-/// successors without passing through `join`.
-fn divergent_region(cfg: &Cfg, branch_block: usize, join: usize) -> Vec<usize> {
-    let mut seen = vec![false; cfg.len()];
-    seen[join] = true;
-    let mut stack: Vec<usize> = cfg.blocks[branch_block].succs.clone();
-    let mut region = Vec::new();
-    while let Some(b) = stack.pop() {
-        if seen[b] {
-            continue;
-        }
-        seen[b] = true;
-        region.push(b);
-        for &s in &cfg.blocks[b].succs {
-            stack.push(s);
-        }
-    }
-    region
 }
 
 #[cfg(test)]

@@ -154,27 +154,65 @@ impl Cfg {
     /// for forward dataflow).
     #[must_use]
     pub fn reverse_post_order(&self) -> Vec<BlockId> {
-        let mut visited = vec![false; self.blocks.len()];
-        let mut post = Vec::with_capacity(self.blocks.len());
-        // Iterative DFS to avoid recursion limits on long kernels.
-        let mut stack: Vec<(BlockId, usize)> = vec![(0, 0)];
-        visited[0] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < self.blocks[b].succs.len() {
-                let s = self.blocks[b].succs[*i];
-                *i += 1;
-                if !visited[s] {
-                    visited[s] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
+        let mut rpo = postorder(self.len(), 0, |b| self.blocks[b].succs.iter().copied());
+        rpo.reverse();
+        rpo
+    }
+}
+
+/// Postorder of the nodes of an `n`-node graph reachable from `root`
+/// along `edges`, children visited in edge order; `root` comes last. An
+/// iterative DFS, so long kernels cannot overflow the stack. The edge
+/// function makes it serve the forward CFG, the reversed CFG and derived
+/// graphs such as barrier segments alike.
+pub fn postorder<E, I>(n: usize, root: usize, edges: E) -> Vec<usize>
+where
+    E: Fn(usize) -> I,
+    I: IntoIterator<Item = usize>,
+{
+    let mut visited = vec![false; n];
+    let mut post = Vec::with_capacity(n);
+    visited[root] = true;
+    let mut stack = vec![(root, edges(root).into_iter())];
+    while let Some((b, succs)) = stack.last_mut() {
+        match succs.next() {
+            Some(s) if !visited[s] => {
+                visited[s] = true;
+                stack.push((s, edges(s).into_iter()));
+            }
+            Some(_) => {}
+            None => {
+                post.push(*b);
                 stack.pop();
             }
         }
-        post.reverse();
-        post
     }
+    post
+}
+
+/// Nodes of an `n`-node graph reachable from `seeds` along `edges`
+/// without entering a node for which `stop` holds. Seeds count as
+/// reached (unless stopped), so pass a node's successors as the seeds to
+/// ask what lies strictly after it.
+pub fn reach<E, I>(
+    n: usize,
+    seeds: impl IntoIterator<Item = usize>,
+    edges: E,
+    stop: impl Fn(usize) -> bool,
+) -> Vec<bool>
+where
+    E: Fn(usize) -> I,
+    I: IntoIterator<Item = usize>,
+{
+    let mut seen = vec![false; n];
+    let mut work: Vec<usize> = seeds.into_iter().collect();
+    while let Some(b) = work.pop() {
+        if !seen[b] && !stop(b) {
+            seen[b] = true;
+            work.extend(edges(b));
+        }
+    }
+    seen
 }
 
 #[cfg(test)]

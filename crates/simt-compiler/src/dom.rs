@@ -5,8 +5,70 @@
 //! baseline simulator implements. The analysis is the Cooper–Harvey–Kennedy
 //! iterative algorithm run on the reversed CFG.
 
-use crate::cfg::{BlockId, Cfg};
+use crate::cfg::{postorder, reach, BlockId, Cfg};
 use simt_isa::Op;
+
+/// The Cooper–Harvey–Kennedy iterative dominator solver over an `n`-node
+/// graph with edges `succs` (and reversed edges `preds`), rooted at
+/// `root`: the forward CFG from the entry gives dominators, the reversed
+/// CFG from the virtual exit gives post-dominators. `root` is its own
+/// immediate dominator; nodes `root` cannot reach are pinned to `root`.
+fn immediate_dominators<'a>(
+    n: usize,
+    root: BlockId,
+    succs: impl Fn(BlockId) -> &'a [BlockId],
+    preds: impl Fn(BlockId) -> &'a [BlockId],
+) -> Vec<BlockId> {
+    const UNDEF: usize = usize::MAX;
+    // The root finishes last, so it receives the highest postorder
+    // number; intersect() climbs idom links toward higher numbers.
+    let order = postorder(n, root, |b| succs(b).iter().copied());
+    let mut po = vec![UNDEF; n];
+    for (i, &b) in order.iter().enumerate() {
+        po[b] = i;
+    }
+    let mut idom = vec![UNDEF; n];
+    idom[root] = root;
+
+    let intersect = |idom: &[usize], mut a: usize, mut b: usize| -> usize {
+        while a != b {
+            while po[a] < po[b] {
+                a = idom[a];
+            }
+            while po[b] < po[a] {
+                b = idom[b];
+            }
+        }
+        a
+    };
+
+    // Process in reverse postorder (root first).
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in order.iter().rev() {
+            if b == root {
+                continue;
+            }
+            let mut new_idom = UNDEF;
+            for &p in preds(b) {
+                if po[p] != UNDEF && idom[p] != UNDEF {
+                    new_idom = if new_idom == UNDEF { p } else { intersect(&idom, new_idom, p) };
+                }
+            }
+            if new_idom != UNDEF && idom[b] != new_idom {
+                idom[b] = new_idom;
+                changed = true;
+            }
+        }
+    }
+    for d in &mut idom {
+        if *d == UNDEF {
+            *d = root;
+        }
+    }
+    idom
+}
 
 /// Immediate post-dominators of every block, plus per-branch reconvergence
 /// program counters.
@@ -26,80 +88,13 @@ impl PostDoms {
     /// reconvergence purposes.
     #[must_use]
     pub fn compute(cfg: &Cfg) -> PostDoms {
-        let n = cfg.len();
-        let exit = cfg.exit_block();
-        const UNDEF: usize = usize::MAX;
-
-        // Postorder of the reversed graph (edges = CFG predecessors),
-        // rooted at the exit. The root finishes last, so it receives the
-        // highest postorder number; intersect() climbs ipdom links toward
-        // higher numbers.
-        let mut po = vec![UNDEF; n];
-        let mut order: Vec<BlockId> = Vec::with_capacity(n);
-        {
-            let mut visited = vec![false; n];
-            let mut stack: Vec<(BlockId, usize)> = vec![(exit, 0)];
-            visited[exit] = true;
-            while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-                if *i < cfg.blocks[b].preds.len() {
-                    let p = cfg.blocks[b].preds[*i];
-                    *i += 1;
-                    if !visited[p] {
-                        visited[p] = true;
-                        stack.push((p, 0));
-                    }
-                } else {
-                    po[b] = order.len();
-                    order.push(b);
-                    stack.pop();
-                }
-            }
-        }
-
-        let mut ipdom = vec![UNDEF; n];
-        ipdom[exit] = exit;
-
-        let intersect = |ipdom: &[usize], mut a: usize, mut b: usize| -> usize {
-            while a != b {
-                while po[a] < po[b] {
-                    a = ipdom[a];
-                }
-                while po[b] < po[a] {
-                    b = ipdom[b];
-                }
-            }
-            a
-        };
-
-        // Process in reverse postorder (exit first).
-        let rpo: Vec<BlockId> = order.iter().rev().copied().collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &rpo {
-                if b == exit {
-                    continue;
-                }
-                // "Predecessors" in the reversed graph are CFG successors.
-                let mut new_idom = UNDEF;
-                for &s in &cfg.blocks[b].succs {
-                    if po[s] != UNDEF && ipdom[s] != UNDEF {
-                        new_idom =
-                            if new_idom == UNDEF { s } else { intersect(&ipdom, new_idom, s) };
-                    }
-                }
-                if new_idom != UNDEF && ipdom[b] != new_idom {
-                    ipdom[b] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        // Blocks that never reach the exit: pin to the exit.
-        for d in ipdom.iter_mut() {
-            if *d == UNDEF {
-                *d = exit;
-            }
-        }
+        // The reversed graph: its edges are CFG predecessors.
+        let ipdom = immediate_dominators(
+            cfg.len(),
+            cfg.exit_block(),
+            |b| &cfg.blocks[b].preds,
+            |b| &cfg.blocks[b].succs,
+        );
         PostDoms { ipdom }
     }
 
@@ -134,77 +129,8 @@ impl Doms {
     /// algorithm, rooted at block 0.
     #[must_use]
     pub fn compute(cfg: &Cfg) -> Doms {
-        let n = cfg.len();
-        let entry: BlockId = 0;
-        const UNDEF: usize = usize::MAX;
-
-        // Postorder of the forward graph rooted at the entry. The root
-        // finishes last, so it receives the highest postorder number;
-        // intersect() climbs idom links toward higher numbers.
-        let mut po = vec![UNDEF; n];
-        let mut order: Vec<BlockId> = Vec::with_capacity(n);
-        {
-            let mut visited = vec![false; n];
-            let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
-            visited[entry] = true;
-            while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-                if *i < cfg.blocks[b].succs.len() {
-                    let s = cfg.blocks[b].succs[*i];
-                    *i += 1;
-                    if !visited[s] {
-                        visited[s] = true;
-                        stack.push((s, 0));
-                    }
-                } else {
-                    po[b] = order.len();
-                    order.push(b);
-                    stack.pop();
-                }
-            }
-        }
-
-        let mut idom = vec![UNDEF; n];
-        idom[entry] = entry;
-
-        let intersect = |idom: &[usize], mut a: usize, mut b: usize| -> usize {
-            while a != b {
-                while po[a] < po[b] {
-                    a = idom[a];
-                }
-                while po[b] < po[a] {
-                    b = idom[b];
-                }
-            }
-            a
-        };
-
-        let rpo: Vec<BlockId> = order.iter().rev().copied().collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &rpo {
-                if b == entry {
-                    continue;
-                }
-                let mut new_idom = UNDEF;
-                for &p in &cfg.blocks[b].preds {
-                    if po[p] != UNDEF && idom[p] != UNDEF {
-                        new_idom =
-                            if new_idom == UNDEF { p } else { intersect(&idom, new_idom, p) };
-                    }
-                }
-                if new_idom != UNDEF && idom[b] != new_idom {
-                    idom[b] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        // Unreachable blocks: pin to the entry.
-        for d in idom.iter_mut() {
-            if *d == UNDEF {
-                *d = entry;
-            }
-        }
+        let idom =
+            immediate_dominators(cfg.len(), 0, |b| &cfg.blocks[b].succs, |b| &cfg.blocks[b].preds);
         Doms { idom }
     }
 
@@ -291,18 +217,9 @@ impl NaturalLoops {
             }
             // Body = {header} ∪ blocks reaching the latch without passing
             // the header (standard natural-loop body, walked backwards).
-            let mut in_body = vec![false; cfg.len()];
+            let mut in_body =
+                reach(cfg.len(), [latch], |b| cfg.blocks[b].preds.iter().copied(), |b| b == header);
             in_body[header] = true;
-            let mut stack = vec![latch];
-            while let Some(b) = stack.pop() {
-                if in_body[b] {
-                    continue;
-                }
-                in_body[b] = true;
-                for &p in &cfg.blocks[b].preds {
-                    stack.push(p);
-                }
-            }
             // Every edge out of the body must be the back-edge branch's
             // fall-through; any other side exit disqualifies the loop.
             for b in 0..cfg.len() {

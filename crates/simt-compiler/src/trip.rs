@@ -210,60 +210,6 @@ pub fn induction_clamps(
     clamps
 }
 
-/// Trip brackets as a *function of the family symbols*, evaluated at the
-/// region corners: [`infer_trips`] runs once per corner launch of
-/// `family` (parameters from `reference`) and the per-loop bounds hull
-/// (min of mins, max of maxes; `Err` if any corner is unboundable).
-///
-/// The returned flag is true when every corner produced identical
-/// bounds — the trips provably do not vary across the region boundary,
-/// which for the affine/monotone bound chains the solver accepts means
-/// they are member-invariant. A `false` flag says the bracket is only
-/// boundary-instantiated: sound at the corners, interior members covered
-/// by the monotonicity of the solved bound chains in each extent.
-#[must_use]
-pub fn infer_trips_family(
-    kernel: &Kernel,
-    cfg: &Cfg,
-    doms: &Doms,
-    loops: &NaturalLoops,
-    family: &LaunchFamily,
-    reference: &LaunchConfig,
-    in_states: &[FlowState],
-) -> (TripCounts, bool) {
-    let corners = family.corners(reference);
-    let per_corner: Vec<TripCounts> =
-        corners.iter().map(|c| infer_trips(kernel, cfg, doms, loops, c, in_states)).collect();
-    let first = &per_corner[0];
-    let mut invariant = true;
-    let hulled = first
-        .loops
-        .iter()
-        .enumerate()
-        .map(|(li, l0)| {
-            let mut bound = l0.bound.clone();
-            for tc in &per_corner[1..] {
-                let other = &tc.loops[li].bound;
-                if other != &bound {
-                    invariant = false;
-                }
-                bound = match (bound, other) {
-                    (Ok((lo, hi)), Ok((olo, ohi))) => Ok((lo.min(*olo), hi.max(*ohi))),
-                    (Err(e), _) => Err(e),
-                    (_, Err(e)) => Err(e.clone()),
-                };
-            }
-            LoopTrip {
-                back_edge_pc: l0.back_edge_pc,
-                header: l0.header,
-                body: l0.body.clone(),
-                bound,
-            }
-        })
-        .collect();
-    (TripCounts { loops: hulled }, invariant)
-}
-
 /// Family-region induction clamps: [`induction_clamps`] evaluated at
 /// every region corner (corner trips, corner launch for step
 /// resolution, the caller's family-symbolic states/context for

@@ -1,0 +1,251 @@
+//! Parity of the shared graph primitives against naive references.
+//!
+//! Every pass that needs a postorder, a reachability walk or a dominator
+//! tree calls the one implementation in `cfg.rs` / `dom.rs`, so these
+//! properties pin them on arbitrary control flow, not only on the
+//! structured flow `KernelBuilder` produces. The kernels are raw
+//! instruction streams of filler, `Exit`, and guarded or unguarded `Bra`
+//! to any pc, handed straight to `Cfg::build`: irreducible loops, self
+//! loops, blocks unreachable from the entry and blocks that never reach
+//! the exit all occur.
+//!
+//! The references are deliberately different algorithms:
+//!
+//! - reachability is a whole-set fixpoint instead of a worklist;
+//! - the postorder is a recursive DFS instead of an explicit stack;
+//! - dominators are the iterative *set* formulation (every node's full
+//!   dominator set, intersected over predecessors until stable), in both
+//!   directions, and immediate dominators are read off those sets;
+//! - a natural-loop body is every block that reaches the latch *forward*
+//!   without passing the header, instead of a backward walk from the
+//!   latch.
+
+use proptest::prelude::*;
+use simt_compiler::cfg::{postorder, reach};
+use simt_compiler::{BlockId, Cfg, Doms, NaturalLoops, PostDoms};
+use simt_isa::{Guard, Instruction, Kernel, Op, Operand, Pred, Reg};
+
+/// One instruction slot: `(kind, target)`, the target taken modulo the
+/// stream length.
+fn arb_stream() -> impl Strategy<Value = Vec<(u8, u8)>> {
+    prop::collection::vec((0u8..4, any::<u8>()), 1..16)
+}
+
+/// Kind 0 is filler, 1 a guarded branch, 2 an unguarded branch, 3 `Exit`.
+fn kernel_of(stream: &[(u8, u8)]) -> Kernel {
+    let n = stream.len();
+    let instrs = stream
+        .iter()
+        .map(|&(kind, t)| {
+            let target = usize::from(t) % n;
+            match kind {
+                0 => Instruction::new(Op::Mov, Some(Reg(0)), None, vec![Operand::Imm(0)]),
+                1 => Instruction::new(Op::Bra { target }, None, None, vec![])
+                    .with_guard(Guard::if_true(Pred(0))),
+                2 => Instruction::new(Op::Bra { target }, None, None, vec![]),
+                _ => Instruction::new(Op::Exit, None, None, vec![]),
+            }
+        })
+        .collect();
+    Kernel::new("g", instrs)
+}
+
+/// The graph's edges in one direction: successors, or predecessors for
+/// the reversed graph.
+fn edges(cfg: &Cfg, reversed: bool) -> impl Fn(BlockId) -> Vec<BlockId> + '_ {
+    move |b| {
+        let block = &cfg.blocks[b];
+        if reversed {
+            block.preds.clone()
+        } else {
+            block.succs.clone()
+        }
+    }
+}
+
+/// Reachability as a whole-set fixpoint.
+fn reach_ref(
+    n: usize,
+    seeds: &[usize],
+    edges: impl Fn(usize) -> Vec<usize>,
+    stop: impl Fn(usize) -> bool,
+) -> Vec<bool> {
+    let mut seen = vec![false; n];
+    for &s in seeds {
+        seen[s] = !stop(s);
+    }
+    loop {
+        let mut changed = false;
+        for x in 0..n {
+            if !seen[x] {
+                continue;
+            }
+            for y in edges(x) {
+                if !stop(y) && !seen[y] {
+                    seen[y] = true;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return seen;
+        }
+    }
+}
+
+/// Postorder by recursive DFS, children in edge order.
+fn postorder_ref(n: usize, root: usize, edges: &dyn Fn(usize) -> Vec<usize>) -> Vec<usize> {
+    fn visit(
+        b: usize,
+        edges: &dyn Fn(usize) -> Vec<usize>,
+        seen: &mut [bool],
+        out: &mut Vec<usize>,
+    ) {
+        seen[b] = true;
+        for s in edges(b) {
+            if !seen[s] {
+                visit(s, edges, seen, out);
+            }
+        }
+        out.push(b);
+    }
+    let mut seen = vec![false; n];
+    let mut out = Vec::new();
+    visit(root, edges, &mut seen, &mut out);
+    out
+}
+
+/// Iterative dominator sets rooted at `root`: `dom[b][a]` is true when
+/// `a` dominates `b`. Only nodes reachable from `root` get sets; the rest
+/// stay empty.
+fn dominator_sets(
+    n: usize,
+    root: usize,
+    succs: impl Fn(usize) -> Vec<usize>,
+    preds: impl Fn(usize) -> Vec<usize>,
+) -> Vec<Vec<bool>> {
+    let reachable = reach_ref(n, &[root], &succs, |_| false);
+    let mut dom: Vec<Vec<bool>> =
+        (0..n).map(|b| if reachable[b] { vec![true; n] } else { vec![false; n] }).collect();
+    dom[root] = vec![false; n];
+    dom[root][root] = true;
+    loop {
+        let mut changed = false;
+        for b in (0..n).filter(|&b| b != root && reachable[b]) {
+            let mut new = vec![true; n];
+            for p in preds(b).into_iter().filter(|&p| reachable[p]) {
+                for (x, d) in new.iter_mut().zip(&dom[p]) {
+                    *x = *x && *d;
+                }
+            }
+            new[b] = true;
+            if new != dom[b] {
+                dom[b] = new;
+                changed = true;
+            }
+        }
+        if !changed {
+            return dom;
+        }
+    }
+}
+
+/// Immediate dominators read off the sets: the strict dominator of `b`
+/// that every other strict dominator of `b` dominates. Nodes outside the
+/// root's reach are pinned to the root, as the solver pins them.
+fn idoms_ref(dom: &[Vec<bool>], root: usize) -> Vec<usize> {
+    let n = dom.len();
+    (0..n)
+        .map(|b| {
+            if b == root || !dom[b][b] {
+                return root;
+            }
+            let strict: Vec<usize> = (0..n).filter(|&a| a != b && dom[b][a]).collect();
+            *strict
+                .iter()
+                .find(|&&d| strict.iter().all(|&o| dom[d][o]))
+                .expect("a reachable node has an immediate dominator")
+        })
+        .collect()
+}
+
+/// Checks one direction's solver output against the set formulation.
+fn check_dominators(
+    cfg: &Cfg,
+    root: usize,
+    reversed: bool,
+    idom: &[usize],
+    dominates: impl Fn(usize, usize) -> bool,
+) {
+    let n = cfg.len();
+    let dom = dominator_sets(n, root, edges(cfg, reversed), edges(cfg, !reversed));
+    assert_eq!(idom, &idoms_ref(&dom, root)[..], "reversed = {reversed}");
+    for b in (0..n).filter(|&b| dom[b][b]) {
+        for (a, &d) in dom[b].iter().enumerate() {
+            assert_eq!(dominates(a, b), d, "{a} over {b} (reversed = {reversed})");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn reach_matches_the_fixpoint(
+        stream in arb_stream(),
+        seeds in prop::collection::vec(any::<u8>(), 0..4),
+        stops in prop::collection::vec(any::<u8>(), 0..4),
+        reversed in any::<bool>(),
+    ) {
+        let cfg = Cfg::build(&kernel_of(&stream));
+        let n = cfg.len();
+        let seeds: Vec<usize> = seeds.iter().map(|&s| usize::from(s) % n).collect();
+        let stops: Vec<usize> = stops.iter().map(|&s| usize::from(s) % n).collect();
+        let stop = |b: usize| stops.contains(&b);
+        let walked = reach(n, seeds.iter().copied(), edges(&cfg, reversed), stop);
+        prop_assert_eq!(walked, reach_ref(n, &seeds, edges(&cfg, reversed), stop));
+    }
+
+    #[test]
+    fn postorders_match_the_recursive_dfs(stream in arb_stream()) {
+        let cfg = Cfg::build(&kernel_of(&stream));
+        let n = cfg.len();
+        let mut rpo = postorder_ref(n, 0, &edges(&cfg, false));
+        rpo.reverse();
+        prop_assert_eq!(cfg.reverse_post_order(), rpo);
+        let exit = cfg.exit_block();
+        prop_assert_eq!(
+            postorder(n, exit, edges(&cfg, true)),
+            postorder_ref(n, exit, &edges(&cfg, true))
+        );
+    }
+
+    #[test]
+    fn dominators_match_the_set_formulation(stream in arb_stream()) {
+        let cfg = Cfg::build(&kernel_of(&stream));
+        let doms = Doms::compute(&cfg);
+        check_dominators(&cfg, 0, false, &doms.idom, |a, b| doms.dominates(a, b));
+        let pdoms = PostDoms::compute(&cfg);
+        check_dominators(&cfg, cfg.exit_block(), true, &pdoms.ipdom, |a, b| {
+            pdoms.post_dominates(a, b)
+        });
+    }
+
+    #[test]
+    fn natural_loop_bodies_match_forward_reachability(stream in arb_stream()) {
+        let kernel = kernel_of(&stream);
+        let cfg = Cfg::build(&kernel);
+        let n = cfg.len();
+        let doms = Doms::compute(&cfg);
+        for l in &NaturalLoops::compute(&kernel, &cfg, &doms).loops {
+            prop_assert!(doms.dominates(l.header, l.latch));
+            let body: Vec<BlockId> = (0..n)
+                .filter(|&b| {
+                    b == l.header
+                        || reach_ref(n, &[b], edges(&cfg, false), |x| x == l.header)[l.latch]
+                })
+                .collect();
+            prop_assert_eq!(&l.body, &body, "loop at pc {}", l.back_edge_pc);
+        }
+    }
+}

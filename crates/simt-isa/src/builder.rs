@@ -356,13 +356,6 @@ impl KernelBuilder {
         dst
     }
 
-    /// Load into an existing register.
-    pub fn load_to(&mut self, dst: Reg, space: MemSpace, addr: impl Into<Operand>, offset: i32) {
-        self.emit(
-            Instruction::new(Op::Ld(space), Some(dst), None, vec![addr.into()]).with_offset(offset),
-        );
-    }
-
     /// Store `value` to `space` at `addr + offset` (bytes).
     pub fn store(
         &mut self,

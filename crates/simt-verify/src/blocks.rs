@@ -39,7 +39,7 @@
 //! conservative static findings (`V311`/`V313`, note `V314`) and
 //! upgrades the classification for this launch.
 
-use crate::races::block_conditions;
+use crate::races::{block_conditions, guarded_threads, thread_xy};
 use crate::{Diagnostic, Diagnostics, LintCode};
 use gpu_sim::GlobalRace;
 use simt_compiler::affine::{
@@ -833,20 +833,22 @@ fn definite_words(
     if !f.is_exact() {
         return words;
     }
-    let (cx, cy) = (i64::from(block.x), i64::from(block.y));
-    for t in 0..threads {
-        let tx = i64::from(t % bx);
-        let ty = i64::from((t / bx) % by);
-        let executes = conds.iter().all(|&(p, pol)| p.eval_at(tx, ty, cx, cy) == Some(pol));
-        if !executes {
+    for (t, executes) in guarded_threads(conds, bx, by, threads, Some(block)) {
+        if executes != Some(true) {
             continue;
         }
-        if let Some(byte) = f.eval_at(tx, ty, cx, cy) {
+        if let Some(byte) = eval_in(f, t, bx, by, block) {
             words.insert(byte.div_euclid(4));
             words.insert((byte + 3).div_euclid(4));
         }
     }
     words
+}
+
+/// `f`'s byte address for linear thread `t` of block `block`.
+fn eval_in(f: Affine, t: u32, bx: u32, by: u32, block: Dim3) -> Option<i64> {
+    let (tx, ty) = thread_xy(t, bx, by);
+    f.eval_at(tx, ty, i64::from(block.x), i64::from(block.y))
 }
 
 /// Up to two distinct blocks known to touch one word through one access
@@ -943,26 +945,12 @@ fn exact_words(
     if !f.is_exact() {
         return None;
     }
-    let (cx, cy) = (i64::from(block.x), i64::from(block.y));
     let mut words = BTreeSet::new();
-    for t in 0..threads {
-        let tx = i64::from(t % bx);
-        let ty = i64::from((t / bx) % by);
-        let mut executes = true;
-        for &(p, pol) in conds {
-            match p.eval_at(tx, ty, cx, cy) {
-                Some(v) if v == pol => {}
-                Some(_) => {
-                    executes = false;
-                    break;
-                }
-                None => return None,
-            }
-        }
-        if !executes {
+    for (t, executes) in guarded_threads(conds, bx, by, threads, Some(block)) {
+        if !executes? {
             continue;
         }
-        let byte = f.eval_at(tx, ty, cx, cy)?;
+        let byte = eval_in(f, t, bx, by, block)?;
         words.insert(byte.div_euclid(4));
         words.insert((byte + 3).div_euclid(4));
     }

@@ -46,6 +46,7 @@ use gpu_sim::config::{GpuConfig, Technique};
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::timing;
 use simt_compiler::affine::{fixpoint_with_divergence, GridCtx, PredVal};
+use simt_compiler::cfg::reach;
 use simt_compiler::dom::{Doms, NaturalLoops, PostDoms};
 use simt_compiler::trip::{infer_trips, TripCounts};
 use simt_compiler::{CompiledKernel, LaunchPlan};
@@ -724,27 +725,13 @@ fn uniform_diamond(
     }
     let join = pdoms.ipdom[b];
     let leg = |entry: usize| -> Option<Vec<usize>> {
-        if entry == join {
-            return Some(Vec::new());
-        }
-        let mut seen = vec![false; cfg.len()];
-        seen[join] = true;
-        let mut stack = vec![entry];
-        let mut out = Vec::new();
-        while let Some(x) = stack.pop() {
-            if seen[x] {
-                continue;
-            }
-            seen[x] = true;
-            out.push(x);
-            for &s in &cfg.blocks[x].succs {
-                stack.push(s);
-            }
-        }
+        let in_leg =
+            reach(cfg.len(), [entry], |x| cfg.blocks[x].succs.iter().copied(), |x| x == join);
+        let out: Vec<usize> = (0..cfg.len()).filter(|&x| in_leg[x]).collect();
         // Single entry: no edges into the leg from outside except from b.
         for &x in &out {
             for &p in &cfg.blocks[x].preds {
-                if p != b && !out.contains(&p) {
+                if p != b && !in_leg[p] {
                     return None;
                 }
             }

@@ -13,6 +13,7 @@
 //! never kills liveness of the previous value.
 
 use crate::{Diagnostic, Diagnostics, LintCode};
+use simt_compiler::cfg::reach;
 use simt_compiler::CompiledKernel;
 use simt_isa::{Op, Pred, Reg};
 
@@ -106,14 +107,7 @@ pub fn check(ck: &CompiledKernel) -> Diagnostics {
     let mut report = Diagnostics::new(kernel.name.clone());
 
     // --- Reachability (V003) ---
-    let mut reachable = vec![false; nblocks];
-    let mut stack = vec![0usize];
-    while let Some(b) = stack.pop() {
-        if std::mem::replace(&mut reachable[b], true) {
-            continue;
-        }
-        stack.extend(cfg.blocks[b].succs.iter().copied());
-    }
+    let reachable = reach(nblocks, [0], |b| cfg.blocks[b].succs.iter().copied(), |_| false);
     for (b, block) in cfg.blocks.iter().enumerate() {
         if !reachable[b] && !block.is_empty() {
             report.push(Diagnostic::new(

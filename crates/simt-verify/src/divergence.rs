@@ -18,6 +18,7 @@
 //!   kernels built without validation.
 
 use crate::{Diagnostic, Diagnostics, LintCode};
+use simt_compiler::cfg::reach;
 use simt_compiler::{promotes_tid_y, CompiledKernel, RECONVERGE_AT_EXIT};
 use simt_isa::{LaunchConfig, Op};
 
@@ -61,13 +62,13 @@ pub fn check(ck: &CompiledKernel, launch: Option<&LaunchConfig>) -> Diagnostics 
             Some(RECONVERGE_AT_EXIT) | None => cfg.exit_block(),
             Some(r) => cfg.block_of[r],
         };
-        let branch_block = cfg.block_of[pc];
-        let mut visited = vec![false; cfg.blocks.len()];
-        let mut stack: Vec<usize> = cfg.blocks[branch_block].succs.clone();
-        while let Some(b) = stack.pop() {
-            if b == recon_block || std::mem::replace(&mut visited[b], true) {
-                continue;
-            }
+        let region = reach(
+            cfg.len(),
+            cfg.blocks[cfg.block_of[pc]].succs.iter().copied(),
+            |b| cfg.blocks[b].succs.iter().copied(),
+            |b| b == recon_block,
+        );
+        for b in (0..cfg.len()).filter(|&b| region[b]) {
             for bar_pc in cfg.blocks[b].range() {
                 if matches!(kernel.instrs[bar_pc].op, Op::Bar) {
                     report.push(Diagnostic::new(
@@ -87,7 +88,6 @@ pub fn check(ck: &CompiledKernel, launch: Option<&LaunchConfig>) -> Diagnostics 
                     ));
                 }
             }
-            stack.extend(cfg.blocks[b].succs.iter().copied());
         }
     }
 

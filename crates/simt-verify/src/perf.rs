@@ -25,7 +25,7 @@
 //! `P102` guaranteed uncoalesced global access, `P103` statically
 //! unpredictable access.
 
-use crate::races::block_conditions;
+use crate::races::{block_conditions, guarded_threads, thread_xy};
 use crate::{Diagnostic, Diagnostics, LintCode};
 use gpu_sim::mem::{coalesce_lines, smem_conflict_degree};
 use gpu_sim::SimStats;
@@ -99,32 +99,6 @@ struct Access {
     guard: Option<(PredVal, bool)>,
 }
 
-/// Threads that provably execute under `constraints`, or `None` when some
-/// constraint is not exactly evaluable per-thread.
-fn executing_threads(
-    constraints: &[(PredVal, bool)],
-    bx: u32,
-    by: u32,
-    threads: u32,
-) -> Option<Vec<u32>> {
-    let exact = |v: AffineVal| v.affine().is_some_and(Affine::is_exact);
-    if !constraints
-        .iter()
-        .all(|&(pv, _)| matches!(pv, PredVal::Cmp { lhs, rhs, .. } if exact(lhs) && exact(rhs)))
-    {
-        return None;
-    }
-    let mut out = Vec::new();
-    for t in 0..threads {
-        let tx = i64::from(t % bx);
-        let ty = i64::from((t / bx) % by);
-        if constraints.iter().all(|&(pv, pol)| pv.eval(tx, ty) == Some(pol)) {
-            out.push(t);
-        }
-    }
-    Some(out)
-}
-
 /// Feasible residues of the uniform constant modulo the 128-byte period.
 fn residues(f: Affine) -> Vec<i64> {
     let unbounded = f.lo == simt_compiler::affine::NEG_INF
@@ -156,8 +130,7 @@ fn bound_access(
             .iter()
             .filter(|&&t| t / warp_size == w)
             .map(|&t| {
-                let tx = i64::from(t % bx);
-                let ty = i64::from((t / bx) % by);
+                let (tx, ty) = thread_xy(t, bx, by);
                 f.a.checked_mul(tx)
                     .and_then(|x| f.b.checked_mul(ty).and_then(|y| x.checked_add(y)))
                     .ok_or_else(|| "address coefficients overflow the model".to_string())
@@ -268,7 +241,13 @@ fn predict_inner(
             // Mask-free envelope: an unknown mask executes some subset of
             // the block's threads, and any subset's degree/lines are
             // bounded by the full warp's — min widens to 0 (empty mask).
-            let (lanes, masked) = match executing_threads(&constraints, bx, by, threads) {
+            // Threads that provably execute, or `None` when some thread's
+            // conditions cannot be decided.
+            let executing: Option<Vec<u32>> = guarded_threads(&constraints, bx, by, threads, None)
+                .filter(|&(_, executes)| executes != Some(false))
+                .map(|(t, executes)| executes.map(|_| t))
+                .collect();
+            let (lanes, masked) = match executing {
                 Some(lanes) => (Some(lanes), false),
                 None if mask_free => (Some((0..threads).collect()), true),
                 None => (None, false),

@@ -27,6 +27,9 @@
 //!    restricted to the threads that provably execute the access (its
 //!    guard plus the conditions of every dominating divergent branch);
 //!    a provable overlap across two distinct threads is a `V301` error.
+//!    A thread whose conditions cannot all be decided — a guard on the
+//!    block index, which one block shape does not fix — only *may*
+//!    execute the access, so an overlap it joins is at most a `V302`.
 //!    Interval-valued footprints fall back to byte-range disjointness;
 //!    non-affine addresses escalate conservatively to a `V302` warning,
 //!    as do overlaps the pass cannot decide either way.
@@ -40,8 +43,9 @@ use simt_compiler::affine::{
     fixpoint_with_divergence, resolve, transfer_divergent, Affine, AffineVal, FlowState, GridCtx,
     PredVal,
 };
-use simt_compiler::{BlockId, CompiledKernel};
-use simt_isa::{LaunchConfig, MemSpace, Op};
+use simt_compiler::cfg::reach;
+use simt_compiler::{BlockId, CompiledKernel, Doms};
+use simt_isa::{Dim3, LaunchConfig, MemSpace, Op};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One shared-memory access with its converged abstract address.
@@ -101,69 +105,9 @@ impl Epochs {
 
     /// Segments reachable from `seed` via one or more edges.
     fn reach_after(&self, seed: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.count];
-        let mut work: Vec<usize> = self.seg_succs[seed].clone();
-        while let Some(s) = work.pop() {
-            if !seen[s] {
-                seen[s] = true;
-                work.extend(self.seg_succs[s].iter().copied());
-            }
-        }
-        seen
+        let succs = |s: usize| self.seg_succs[s].iter().copied();
+        reach(self.count, succs(seed), succs, |_| false)
     }
-}
-
-/// Blocks reachable from `seed`, inclusive.
-fn reachable_blocks(ck: &CompiledKernel, seed: BlockId) -> Vec<bool> {
-    let mut seen = vec![false; ck.cfg.blocks.len()];
-    let mut work = vec![seed];
-    while let Some(b) = work.pop() {
-        if !seen[b] {
-            seen[b] = true;
-            work.extend(ck.cfg.blocks[b].succs.iter().copied());
-        }
-    }
-    seen
-}
-
-/// Iterative dominator sets over the CFG (entry is block 0).
-fn dominators(ck: &CompiledKernel) -> Vec<Vec<bool>> {
-    let nb = ck.cfg.blocks.len();
-    let mut dom: Vec<Vec<bool>> = vec![vec![true; nb]; nb];
-    dom[0] = vec![false; nb];
-    dom[0][0] = true;
-    let rpo = ck.cfg.reverse_post_order();
-    loop {
-        let mut changed = false;
-        for &b in &rpo {
-            if b == 0 {
-                continue;
-            }
-            let mut new = vec![true; nb];
-            let mut any_pred = false;
-            for &p in &ck.cfg.blocks[b].preds {
-                if !rpo.contains(&p) {
-                    continue; // unreachable predecessor
-                }
-                any_pred = true;
-                for (n, d) in new.iter_mut().zip(&dom[p]) {
-                    *n = *n && *d;
-                }
-            }
-            if !any_pred {
-                new = vec![false; nb];
-            }
-            new[b] = true;
-            if new != dom[b] {
-                dom[b] = new;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    dom
 }
 
 /// Per-block execution conditions from dominating divergent branches:
@@ -191,17 +135,18 @@ pub(crate) fn block_conditions(
             transfer_divergent(&mut st, instr, ctx, divergent[b]);
         }
     }
-    let dom = dominators(ck);
+    let doms = Doms::compute(&ck.cfg);
+    let succs = |b: BlockId| ck.cfg.blocks[b].succs.iter().copied();
     let mut block_conds: Vec<Vec<(PredVal, bool)>> = vec![Vec::new(); nb];
     for (&b, &(pv, taken_polarity)) in &branch_info {
-        let succs = &ck.cfg.blocks[b].succs;
-        if succs.len() != 2 || succs[0] == succs[1] {
+        let bs = &ck.cfg.blocks[b].succs;
+        if bs.len() != 2 || bs[0] == bs[1] {
             continue;
         }
-        let rt = reachable_blocks(ck, succs[0]);
-        let rf = reachable_blocks(ck, succs[1]);
+        let rt = reach(nb, [bs[0]], succs, |_| false);
+        let rf = reach(nb, [bs[1]], succs, |_| false);
         for x in 0..nb {
-            if x == b || !dom[x][b] {
+            if x == b || !doms.dominates(b, x) {
                 continue;
             }
             if rt[x] && !rf[x] {
@@ -214,65 +159,80 @@ pub(crate) fn block_conditions(
     block_conds
 }
 
+/// Thread `t`'s `(tid.x, tid.y)` in a block of `bx × by` threads: the one
+/// linear-id decode of every per-thread evaluation.
+pub(crate) fn thread_xy(t: u32, bx: u32, by: u32) -> (i64, i64) {
+    (i64::from(t % bx), i64::from((t / bx) % by))
+}
+
+/// Every thread of a `bx × by` block of `threads` threads, paired with
+/// whether it executes under the conjunction `conds` — the one per-thread
+/// guard evaluator. The conditions are read at block `block` when it is
+/// given, at an unknown block otherwise (a condition on the block index
+/// is then undecidable). The conjunction is Kleene's three-valued AND:
+/// `Some(false)` when any condition is false for the thread, whatever the
+/// order of `conds`; otherwise `None` when any cannot be decided;
+/// otherwise `Some(true)`.
+pub(crate) fn guarded_threads(
+    conds: &[(PredVal, bool)],
+    bx: u32,
+    by: u32,
+    threads: u32,
+    block: Option<Dim3>,
+) -> impl Iterator<Item = (u32, Option<bool>)> + '_ {
+    (0..threads).map(move |t| {
+        let (tx, ty) = thread_xy(t, bx, by);
+        let mut decided = true;
+        for &(pv, polarity) in conds {
+            let v = match block {
+                Some(c) => pv.eval_at(tx, ty, i64::from(c.x), i64::from(c.y)),
+                None => pv.eval(tx, ty),
+            };
+            match v {
+                Some(v) if v != polarity => return (t, Some(false)),
+                Some(_) => {}
+                None => decided = false,
+            }
+        }
+        (t, decided.then_some(true))
+    })
+}
+
 /// Per-thread execution evidence for one access.
 struct ThreadSets {
     /// Linear thread ids that provably execute the access.
     definite: Vec<u32>,
-    /// Linear thread ids that may execute it.
+    /// Linear thread ids that may execute it: the definite ones plus
+    /// every thread whose conditions cannot all be decided.
     may: Vec<u32>,
-    /// True when every guard/branch condition was exactly evaluable, so
-    /// `definite == may` and "no overlap" is a proof.
-    conclusive: bool,
 }
 
-fn cmp_polarity_holds(pv: PredVal, polarity: bool, tx: i64, ty: i64) -> Option<bool> {
-    pv.eval(tx, ty).map(|v| v == polarity)
-}
-
-fn thread_sets(constraints: &[(PredVal, bool)], bx: u32, by: u32, threads: u32) -> ThreadSets {
-    let evaluable: Vec<bool> = constraints
-        .iter()
-        .map(|&(pv, _)| {
-            matches!(pv, PredVal::Cmp { lhs, rhs, .. }
-            if lhs.affine().is_some_and(Affine::is_exact)
-            && rhs.affine().is_some_and(Affine::is_exact))
-        })
-        .collect();
-    let conclusive = evaluable.iter().all(|&e| e);
-    let mut definite = Vec::new();
-    let mut may = Vec::new();
-    for t in 0..threads {
-        let tx = i64::from(t % bx);
-        let ty = i64::from((t / bx) % by);
-        let mut inc_def = true;
-        let mut inc_may = true;
-        for ((pv, pol), &ev) in constraints.iter().zip(&evaluable) {
-            if ev {
-                if cmp_polarity_holds(*pv, *pol, tx, ty) != Some(true) {
-                    inc_def = false;
-                    inc_may = false;
-                    break;
-                }
-            } else {
-                inc_def = false;
+impl ThreadSets {
+    fn of(conds: &[(PredVal, bool)], bx: u32, by: u32, threads: u32) -> ThreadSets {
+        let (mut definite, mut may) = (Vec::new(), Vec::new());
+        for (t, executes) in guarded_threads(conds, bx, by, threads, None) {
+            if executes == Some(true) {
+                definite.push(t);
+            }
+            if executes != Some(false) {
+                may.push(t);
             }
         }
-        if inc_def {
-            definite.push(t);
-        }
-        if inc_may {
-            may.push(t);
-        }
+        ThreadSets { definite, may }
     }
-    ThreadSets { definite, may, conclusive }
+
+    /// True when every thread's conditions were decided, so
+    /// `definite == may` and "no overlap" is a proof.
+    fn conclusive(&self) -> bool {
+        self.definite.len() == self.may.len()
+    }
 }
 
 /// Word-granularity footprint: shared word index → accessing threads.
 fn footprint(f: Affine, threads: &[u32], bx: u32, by: u32) -> BTreeMap<i64, Vec<u32>> {
     let mut words: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
     for &t in threads {
-        let tx = i64::from(t % bx);
-        let ty = i64::from((t / bx) % by);
+        let (tx, ty) = thread_xy(t, bx, by);
         if let Some(byte) = f.eval(tx, ty) {
             words.entry(byte.div_euclid(4)).or_default().push(t);
         }
@@ -374,7 +334,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
             if let Some(g) = a.guard {
                 cs.push(g);
             }
-            thread_sets(&cs, bx, by, threads)
+            ThreadSets::of(&cs, bx, by, threads)
         })
         .collect();
 
@@ -472,7 +432,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
                     continue;
                 }
                 let may = footprint(phase, &sets[i].may, bx, by);
-                let unproven_self = !sets[i].conclusive && self_collision(&may).is_some();
+                let unproven_self = !sets[i].conclusive() && self_collision(&may).is_some();
                 // A barrier-free cycle lets different instances (with
                 // different constants) of this access share an epoch.
                 let unproven_cycle = cycle && !fa.is_exact();
@@ -510,7 +470,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
                     });
                     continue;
                 }
-                if sets[i].conclusive && sets[j].conclusive {
+                if sets[i].conclusive() && sets[j].conclusive() {
                     continue; // proven disjoint across distinct threads
                 }
                 let (ma, mb) =
@@ -567,7 +527,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
 mod tests {
     use super::*;
     use simt_compiler::compile;
-    use simt_isa::{CmpOp, Dim3, Guard, KernelBuilder, SpecialReg};
+    use simt_isa::{CmpOp, Dim3, Guard, KernelBuilder, Reg, SpecialReg};
 
     fn launch_1d(n: u32) -> LaunchConfig {
         LaunchConfig::new(1u32, Dim3::one_d(n))
@@ -715,6 +675,41 @@ mod tests {
         let ck = compile(b.finish());
         let d = check(&ck, &launch_1d(64));
         assert!(d.items.is_empty(), "{}", d.render());
+    }
+
+    /// Grid 2 × block 32: every thread storing `tid.x` to shared word 0
+    /// under `if (guard < 48)`, the guard built by `guard_of`.
+    fn guarded_word0_store(guard_of: impl FnOnce(&mut KernelBuilder, Reg) -> Reg) -> Diagnostics {
+        let mut b = KernelBuilder::new("guarded_word0");
+        let t = b.special(SpecialReg::TidX);
+        let smem = b.alloc_shared(16);
+        let g = guard_of(&mut b, t);
+        let p = b.setp(CmpOp::Lt, g, 48u32);
+        b.if_then(Guard::if_true(p), |b| b.store(MemSpace::Shared, smem, t, 0));
+        check(&compile(b.finish()), &LaunchConfig::new(2u32, Dim3::one_d(32)))
+    }
+
+    #[test]
+    fn block_index_guard_makes_may_threads() {
+        // Block 0 runs all 32 threads, block 1 the first 16: a race in
+        // every block. The guard is exact but depends on ctaid.x, which a
+        // per-block-shape check cannot decide, so the store's threads are
+        // may-threads — never an empty set that proves the store clean.
+        let d = guarded_word0_store(|b, t| {
+            let c = b.special(SpecialReg::CtaidX);
+            let n = b.special(SpecialReg::NtidX);
+            b.imad(c, n, t)
+        });
+        assert!(d.with_code(LintCode::SharedRaceStatic).is_empty(), "{}", d.render());
+        assert_eq!(d.with_code(LintCode::SharedAddrUnknown).len(), 1, "{}", d.render());
+    }
+
+    #[test]
+    fn thread_index_guard_race_is_v301() {
+        // The same store under `tid.x < 48`: decidable per thread, and
+        // all 32 threads of a block provably collide on word 0.
+        let d = guarded_word0_store(|_, t| t);
+        assert_eq!(d.with_code(LintCode::SharedRaceStatic).len(), 1, "{}", d.render());
     }
 
     #[test]
