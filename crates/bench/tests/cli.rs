@@ -671,6 +671,60 @@ fn estimate_json_schema() {
     assert!(t.at("mean_bracket_width").number() > 0.0);
 }
 
+/// Exact golden for the modelled numbers of `estimate --scale test --json`:
+/// per workload, BASE cycles and digest root, DARSIE cycles and digest
+/// root, and `darsie_speedup` as rendered. Any model change moves a row;
+/// re-pin only when that is the intent, and name the numbers that moved.
+#[test]
+fn estimate_matches_the_pinned_golden() {
+    let (code, out, err) = run(&["estimate", "--scale", "test", "--json"]);
+    assert_eq!(code, Some(0), "{err}");
+    let doc = read(&out);
+    let got: Vec<String> = doc
+        .at("workloads")
+        .list()
+        .iter()
+        .map(|w| {
+            let techs = w.at("techniques").list();
+            let labels: Vec<&str> = techs.iter().map(|t| t.at("technique").string()).collect();
+            assert_eq!(labels, ["BASE", "DARSIE"], "{}", w.at("abbr"));
+            let (base, darsie) = (&techs[0], &techs[1]);
+            format!(
+                "(\"{}\", {}, \"{}\", {}, \"{}\", \"{}\")",
+                w.at("abbr").string(),
+                base.at("measured_cycles"),
+                base.at("digest_root").string(),
+                darsie.at("measured_cycles"),
+                darsie.at("digest_root").string(),
+                w.at("darsie_speedup"),
+            )
+        })
+        .collect();
+    let want: Vec<String> = ESTIMATE_GOLDEN
+        .iter()
+        .map(|(a, bc, br, dc, dr, s)| format!("(\"{a}\", {bc}, \"{br}\", {dc}, \"{dr}\", \"{s}\")"))
+        .collect();
+    assert!(got == want, "estimate golden moved; actual rows:\n    {}", got.join(",\n    "));
+}
+
+/// `(abbr, BASE cycles, BASE root, DARSIE cycles, DARSIE root, speedup)`.
+#[rustfmt::skip]
+const ESTIMATE_GOLDEN: &[(&str, u64, &str, u64, &str, &str)] = &[
+    ("BIN", 1025, "0x6bcec553e0e73152", 943, "0xf76d1f25ca95bd9e", "1.0870"),
+    ("PT", 2148, "0x90a0fc003cfeabfe", 1804, "0xb1ffad486cfd93f0", "1.1907"),
+    ("FW", 2200, "0x3414d144df4e633c", 1814, "0x2dae61397f817f70", "1.2128"),
+    ("SR1", 494, "0xe94bc4623742c161", 443, "0xbe32c4d80de8d430", "1.1151"),
+    ("LIB", 1634, "0x4a0ad075a960a80a", 1222, "0x77f3271d9a54689e", "1.3372"),
+    ("IMNLM", 3206, "0xcb0aa194417d0209", 2398, "0xc007d6a2f6351abe", "1.3369"),
+    ("BP", 458, "0x0ac22a1fe39feefc", 416, "0x234ee89f49ac4374", "1.1010"),
+    ("DCT8x8", 1320, "0xfca0b2c2e8629c85", 1002, "0x7e9089f5f60f9cc3", "1.3174"),
+    ("FWS", 568, "0x8c9ab0cc214f3003", 389, "0x3b3c271ce5617a96", "1.4602"),
+    ("HS", 559, "0x768a05fe3e65df7f", 475, "0x68800cc8fa2ab9ac", "1.1768"),
+    ("CP", 2110, "0x0da7f802087779ad", 1532, "0xcb0cb73c31b80af5", "1.3773"),
+    ("CONVTEX", 1151, "0x254a0a2d3aa7e314", 720, "0x41da86f2fe025cff", "1.5986"),
+    ("MM", 24356, "0xc4c7f1720f782fbe", 16198, "0x65c2df487404990f", "1.5036"),
+];
+
 /// Golden schema for `replay-diff --json` in self-comparison mode: two
 /// runs of the same spec must be digest-identical, exit 0.
 #[test]

@@ -30,11 +30,15 @@ pub struct SimResult {
     /// disabled). The folded root also lands on
     /// [`SimStats::digest_root`](crate::SimStats::digest_root).
     pub digests: Option<RunDigests>,
+    /// SM-cycles actually simulated, summed over SMs: at most
+    /// `cycles × num_sms`, less the cycles sleeping SMs skipped. A host
+    /// work counter, not a modelled number.
+    pub sm_cycles_simulated: u64,
 }
 
 /// Records one digest epoch: every SM's state chain plus the shared
 /// memory-system chain (global pages touched since the previous epoch, L2
-/// tag state, the DRAM queue cursor).
+/// tag state, the DRAM queue cursor). Sleeping SMs must have caught up.
 fn record_epoch(
     d: &mut RunDigests,
     dcfg: &DigestConfig,
@@ -140,6 +144,7 @@ impl Gpu {
                 }
                 Some(Perturb::WarpReg { cycle, sm, warp_slot, word, xor }) if cycle == now => {
                     if let Some(s) = sms.get_mut(sm) {
+                        s.wake(now.saturating_sub(1));
                         s.perturb_warp_reg(warp_slot, word, xor);
                     }
                 }
@@ -163,6 +168,9 @@ impl Gpu {
                     DigestCadence::TbBoundary => completed > 0,
                 };
                 if due && dcfg.in_window(now) {
+                    for sm in &mut sms {
+                        sm.catch_up(now);
+                    }
                     record_epoch(d, &dcfg, now, &sms, &mut global, &l2, &dram);
                 }
             }
@@ -171,6 +179,7 @@ impl Gpu {
             if completed > 0 {
                 for sm in &mut sms {
                     while next_tb < total_tbs && sm.can_accept_tb() {
+                        sm.wake(now);
                         sm.launch_tb(tb_coord(next_tb));
                         next_tb += 1;
                         any_busy = true;
@@ -189,6 +198,10 @@ impl Gpu {
             );
         }
 
+        // Every SM accounts the cycles it slept through up to the last one.
+        for sm in &mut sms {
+            sm.catch_up(now - 1);
+        }
         // Drain epoch: one final snapshot of the fully idle machine, so
         // runs that differ only in lifetime still differ in chain length.
         if let Some(d) = digests.as_mut() {
@@ -201,7 +214,9 @@ impl Gpu {
         let mut stats = SimStats::default();
         let mut events = crate::events::EventLog::new(self.cfg.trace_capacity);
         let mut profile = self.cfg.profile.then(crate::profile::SimProfile::default);
+        let mut sm_cycles_simulated = 0;
         for sm in &mut sms {
+            sm_cycles_simulated += sm.cycles_simulated;
             stats.merge(&sm.stats);
             events.merge(std::mem::take(&mut sm.events));
             if let Some(p) = profile.as_mut() {
@@ -217,7 +232,15 @@ impl Gpu {
             "dispatcher lost threadblocks in {}",
             ck.kernel.name
         );
-        SimResult { cycles: now, stats, memory: global, events, profile, digests }
+        SimResult {
+            cycles: now,
+            stats,
+            memory: global,
+            events,
+            profile,
+            digests,
+            sm_cycles_simulated,
+        }
     }
 }
 

@@ -89,8 +89,7 @@ pub struct Sm {
     used_regs: u32,
     used_smem: u32,
     next_age: u64,
-    /// Occupied entries of `warps` (an SM with none and nothing in flight
-    /// takes the O(1) idle cycle).
+    /// Occupied entries of `warps`.
     resident_warps: usize,
     /// Per-cycle register-bank use (operand-collector conflicts), reused.
     banks_used: Vec<u32>,
@@ -105,7 +104,20 @@ pub struct Sm {
     /// Barrier releases completed on this SM (monotone; the digest layer's
     /// `Barrier` cadence snapshots when this advances).
     pub(crate) barrier_marks: u64,
+    /// The last cycle simulated or caught up to.
     now: u64,
+    /// Set by anything in a cycle that [`Sm::catch_up`] cannot repeat in
+    /// bulk. A cycle that leaves it clear is a fixed point: every later
+    /// cycle repeats it until a wake source fires.
+    progress: bool,
+    /// `Some(t)` while asleep: [`Sm::cycle`] skips cycles before `t`
+    /// (`u64::MAX` when only a dispatch or a perturbation can wake it).
+    sleep_until: Option<u64>,
+    /// Each scheduler's `(cause, head pc, warp slot)` blame in the last
+    /// simulated cycle (profiling only); a skipped cycle repeats it.
+    last_blame: Vec<(StallCause, Option<usize>, Option<usize>)>,
+    /// SM-cycles actually simulated (skipped cycles excluded).
+    pub(crate) cycles_simulated: u64,
 }
 
 impl Sm {
@@ -149,6 +161,10 @@ impl Sm {
             ),
             barrier_marks: 0,
             now: 0,
+            progress: false,
+            sleep_until: None,
+            last_blame: vec![(StallCause::IdleNoWarp, None, None); cfg.schedulers_per_sm],
+            cycles_simulated: 0,
         }
     }
 
@@ -501,6 +517,9 @@ impl Sm {
     ///
     /// Steady-state cycles allocate nothing: per-cycle scratch lives in
     /// reused buffers and instructions are borrowed from [`KernelData`].
+    /// A cycle that makes no progress puts the SM to sleep until its
+    /// earliest wake source; the cycles it sleeps through cost nothing
+    /// here and are accounted by [`Sm::catch_up`].
     pub fn cycle(
         &mut self,
         now: u64,
@@ -508,38 +527,78 @@ impl Sm {
         l2: &mut TagCache,
         dram: &mut DramModel,
     ) -> u32 {
+        match self.sleep_until {
+            Some(t) if now < t => return 0,
+            Some(_) => self.wake(now - 1),
+            None => {}
+        }
         self.now = now;
+        self.cycles_simulated += 1;
+        self.progress = false;
         if self.cfg.profile {
             self.profile.cycles += 1;
             if now.is_multiple_of(self.cfg.profile_sample_interval.max(1)) {
                 self.sample_occupancy(now);
             }
         }
-        if self.resident_warps == 0 && self.inflight.is_empty() {
-            self.idle_cycle();
-            return 0;
-        }
         let kd = Arc::clone(&self.kd);
-        self.count_stall_cycles();
+        self.count_stall_cycles(1);
         self.writeback(now);
         let completed = self.issue(now, &kd, global, l2, dram);
         self.fetch(now);
+        if !self.progress {
+            self.sleep_until = Some(self.wake_cycle(now));
+        }
         completed
     }
 
-    /// The cycle of an SM with no resident warp and nothing in flight, in
-    /// O(1): exactly the state a full cycle would change. Issue finds no
-    /// candidate, so every greedy pointer clears and every slot is
-    /// idle-no-warp; fetch finds no eligible warp, so only the coalescer's
-    /// port grants and the fetch round-robin pointer move.
-    fn idle_cycle(&mut self) {
-        self.gto_last.fill(None);
-        if self.cfg.profile {
-            let slots = self.cfg.schedulers_per_sm * self.cfg.issue_width;
-            self.profile.slots.add(StallCause::IdleNoWarp, slots as u64);
+    /// The earliest cycle after a fixed point at `now` at which the SM can
+    /// act again: a writeback falls due, an I-cache miss resolves, or an
+    /// execution unit or the LSU frees up. Everything else a stalled warp
+    /// waits on changes only when one of these does.
+    fn wake_cycle(&self, now: u64) -> u64 {
+        let timers = self.sp_busy.iter().chain([&self.sfu_busy, &self.lsu_busy]).copied();
+        let fetches = self.warps.iter().flatten().map(|w| w.fetch_ready_at);
+        let writebacks = self.inflight.iter().map(|f| f.done);
+        timers.chain(fetches).chain(writebacks).filter(|&t| t > now).min().unwrap_or(u64::MAX)
+    }
+
+    /// Brings a sleeping SM up to date through cycle `through`, then
+    /// wakes it: the next [`Sm::cycle`] is simulated in full. A TB
+    /// dispatch or a warp perturbation calls this before it touches the
+    /// SM.
+    pub(crate) fn wake(&mut self, through: u64) {
+        self.catch_up(through);
+        self.sleep_until = None;
+    }
+
+    /// Applies the cycles `self.now + 1 ..= through` a sleeping SM
+    /// skipped, in bulk. Each of them repeated the fixed point that put
+    /// it to sleep, so only this changes: the fetch round-robin pointer,
+    /// the parked-warp cycle counters and, when profiling, the clocked
+    /// cycles, the occupancy samples due and each scheduler's blame. A
+    /// no-op for an awake SM.
+    pub(crate) fn catch_up(&mut self, through: u64) {
+        if self.sleep_until.is_none() || through <= self.now {
+            return;
         }
-        self.pc_coalescer.begin_cycle();
-        self.fetch_rr = (self.fetch_rr + 1) % self.warps.len();
+        let k = through - self.now;
+        self.fetch_rr = ((self.fetch_rr as u64 + k) % self.warps.len() as u64) as usize;
+        self.count_stall_cycles(k);
+        if self.cfg.profile {
+            self.profile.cycles += k;
+            let every = self.cfg.profile_sample_interval.max(1);
+            let mut c = (self.now / every + 1) * every;
+            while c <= through {
+                self.sample_occupancy(c);
+                c += every;
+            }
+            for s in 0..self.last_blame.len() {
+                let (cause, pc, wslot) = self.last_blame[s];
+                self.credit_stall(cause, pc, wslot, k * self.cfg.issue_width as u64);
+            }
+        }
+        self.now = through;
     }
 
     /// Snapshots skip-table/renaming occupancy and warp population for the
@@ -573,15 +632,17 @@ impl Sm {
         self.profile.samples.push(s);
     }
 
-    fn count_stall_cycles(&mut self) {
+    /// Charges `k` cycles to every warp parked on a leader or a branch
+    /// sync.
+    fn count_stall_cycles(&mut self, k: u64) {
         // Only DARSIE parks warps in these states.
         if self.darsie().is_none() {
             return;
         }
         for w in self.warps.iter().flatten() {
             match w.state {
-                WarpState::WaitLeader(..) => self.stats.darsie.wait_for_leader_cycles += 1,
-                WarpState::BranchSync(..) => self.stats.darsie.branch_sync_cycles += 1,
+                WarpState::WaitLeader(..) => self.stats.darsie.wait_for_leader_cycles += k,
+                WarpState::BranchSync(..) => self.stats.darsie.branch_sync_cycles += k,
                 _ => {}
             }
         }
@@ -602,6 +663,7 @@ impl Sm {
                 kept += 1;
             }
         }
+        self.progress |= kept < self.inflight.len();
         self.inflight.truncate(kept);
     }
 
@@ -614,6 +676,9 @@ impl Sm {
         // its slot may now hold a younger warp whose scoreboard and skip
         // table this completion must not touch.
         let Some(w) = self.warps[f.warp].as_mut().filter(|w| w.age == f.age) else { return };
+        if f.dst.is_some() || f.pdst.is_some() {
+            w.scoreboard_stall = None;
+        }
         if let Some(d) = f.dst {
             w.clear_pending(d);
             self.stats.rf_writes += 1;
@@ -713,6 +778,8 @@ impl Sm {
                     blame = Some((cause, pc, Some(wslot)));
                 }
             }
+            // An issue, or a greedy pointer letting go, is progress.
+            self.progress |= issued_from.is_some() || self.gto_last[s].is_some();
             self.gto_last[s] = issued_from;
             if self.cfg.profile {
                 self.account_slots(s, sched_issued, width, issued_from, blame);
@@ -752,12 +819,25 @@ impl Sm {
             return;
         }
         let (cause, pc, wslot) = blame.unwrap_or_else(|| self.idle_cause(s));
-        self.profile.slots.add(cause, missing);
+        self.last_blame[s] = (cause, pc, wslot);
+        self.credit_stall(cause, pc, wslot, missing);
+    }
+
+    /// Charges `slots` unfilled issue slots to `cause`, and to the head
+    /// PC and warp slot it blames.
+    fn credit_stall(
+        &mut self,
+        cause: StallCause,
+        pc: Option<usize>,
+        wslot: Option<usize>,
+        slots: u64,
+    ) {
+        self.profile.slots.add(cause, slots);
         if let Some(pc) = pc {
-            self.profile.per_pc.entry(pc).or_default().stalls.add(cause, missing);
+            self.profile.per_pc.entry(pc).or_default().stalls.add(cause, slots);
         }
         if let Some(wslot) = wslot {
-            self.profile.per_warp[wslot].stalls.add(cause, missing);
+            self.profile.per_warp[wslot].stalls.add(cause, slots);
         }
     }
 
@@ -834,6 +914,7 @@ impl Sm {
                 let start = self.lrr_next[s];
                 let split = candidates.iter().position(|&c| c >= start).unwrap_or(0);
                 candidates.rotate_left(split);
+                self.progress |= self.lrr_next[s] != candidates[0] + 1;
                 self.lrr_next[s] = candidates[0] + 1;
             }
         }
@@ -859,6 +940,15 @@ impl Sm {
             let Some(w) = self.warps[wslot].as_mut() else {
                 return IssueOutcome::Stall { cause: StallCause::IdleNoWarp, pc: None };
             };
+            if let Some(pc) = w.scoreboard_stall {
+                debug_assert!(
+                    matches!(w.ibuffer.front(), Some(&IBufEntry::Instr { pc: p, .. }) if p == pc)
+                        && w.next_pc() == Some(pc)
+                        && !w.scoreboard_ready(kd.instr(pc)),
+                    "stale scoreboard-stall record at pc {pc}"
+                );
+                return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
+            }
             let front_pc = w.ibuffer.front().map(|e| match e {
                 IBufEntry::Instr { pc, .. }
                 | IBufEntry::SkipMarker { pc, .. }
@@ -868,6 +958,7 @@ impl Sm {
                 if fpc != npc {
                     w.ibuffer.clear();
                     w.fetch_blocked = false;
+                    self.progress = true;
                     return IssueOutcome::Stall { cause: StallCause::IBufferEmpty, pc: None };
                 }
             }
@@ -899,6 +990,7 @@ impl Sm {
                     w.advance();
                     w.reconverge();
                     absorbed += 1;
+                    self.progress = true;
                     if self.cfg.profile {
                         self.profile.per_pc.entry(pc).or_default().skipped += 1;
                     }
@@ -912,6 +1004,7 @@ impl Sm {
                     w.ibuffer.pop_front();
                     w.advance();
                     absorbed += 1;
+                    self.progress = true;
                     if self.cfg.profile {
                         self.profile.per_pc.entry(pc).or_default().skipped += 1;
                     }
@@ -962,6 +1055,7 @@ impl Sm {
         };
         let instr = kd.instr(pc);
         if !w.scoreboard_ready(instr) {
+            self.warps[wslot].as_mut().expect("warp exists").scoreboard_stall = Some(pc);
             return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
         }
 
@@ -1023,6 +1117,7 @@ impl Sm {
             tb.bb_crossings[warp_in_tb] += 1;
             w.bb_pending = true;
             self.stats.barrier_waits += 1;
+            self.progress = true;
         }
         let my = tb.bb_crossings[warp_in_tb];
         // A warp already parked at a real `bar.sync` cannot advance its
@@ -1037,6 +1132,7 @@ impl Sm {
         });
         if all_reached {
             self.warps[wslot].as_mut().expect("warp exists").bb_pending = false;
+            self.progress = true;
         }
         !all_reached
     }
@@ -1610,6 +1706,7 @@ impl Sm {
                     );
                     w.ibuffer.clear();
                     w.fetch_blocked = false;
+                    self.progress = true;
                 }
             }
         }
@@ -1659,6 +1756,7 @@ impl Sm {
         }
 
         // One I-cache access per fetch (line of the first instruction).
+        self.progress = true;
         self.stats.icache_accesses += 1;
         let line = simt_isa::Kernel::byte_pc(pc) / GpuConfig::LINE_BYTES;
         if !self.icache.access(line) {
@@ -1712,6 +1810,7 @@ impl Sm {
             }
             let w = self.warps[wslot].as_mut().expect("warp exists");
             w.ibuffer.push_back(IBufEntry::Ghost { pc });
+            self.progress = true;
         }
     }
 
@@ -1780,6 +1879,7 @@ impl Sm {
             // Skip-table port arbitration via the PC coalescer. A warp
             // whose probe loses port arbitration retries next cycle; it
             // must not fall through and fetch the (skippable) instruction.
+            self.progress = true;
             if !self.pc_coalescer.request(pc, &mut self.stats.darsie) {
                 return false;
             }

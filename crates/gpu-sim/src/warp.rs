@@ -111,6 +111,11 @@ pub struct Warp {
     /// without resources; bounded to avoid livelock on terminal register
     /// versions that stay bound until warp exit.
     pub leader_stall: u32,
+    /// PC of the I-buffer head `Instr` the scoreboard blocked. A blocked
+    /// warp cannot issue, so only its own writebacks can change its head,
+    /// `next_pc` or scoreboard; they clear this, and until then issue
+    /// repeats the stall without probing.
+    pub(crate) scoreboard_stall: Option<usize>,
     warp_size: u32,
 }
 
@@ -145,6 +150,7 @@ impl Warp {
             fetch_blocked: false,
             bb_pending: false,
             leader_stall: 0,
+            scoreboard_stall: None,
             warp_size,
         }
     }

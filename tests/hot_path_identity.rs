@@ -1,22 +1,39 @@
 //! Identity gate for the SM cycle's hot path: every catalog workload, on
 //! an 8-SM machine where most SMs sit idle, must reproduce a pinned table
 //! of `(cycles, instrs_executed, instrs_skipped, digest_root)` plus a
-//! fingerprint of its cycle-accounted profile and pipeline event trace.
+//! fingerprint of its cycle-accounted profile and pipeline event trace,
+//! and a fingerprint of its whole `SimStats`. BASE and DARSIE also run on
+//! a 28-SM machine, where most SM-cycles are spent waiting, and under the
+//! barrier, TB-boundary and fine-window digest cadences.
 //!
-//! The table pins the simulator's modelled behaviour, not its speed: a
-//! host-side optimisation of `Sm::cycle` (buffer reuse, idle-SM shortcut,
+//! The tables pin the simulator's modelled behaviour, not its speed: a
+//! host-side optimisation of `Sm::cycle` (buffer reuse, sleeping SMs,
 //! borrowed instructions) must leave every row unchanged. A row that moves
 //! means the model changed; re-pin only when that is the intent.
 
-use darsie_repro::sim::{GpuConfig, SchedulerPolicy, SimResult, Technique};
+use darsie_repro::sim::{
+    DigestCadence, DigestConfig, GpuConfig, SchedulerPolicy, SimResult, Technique,
+};
+use std::fmt::Debug;
 use workloads::{catalog, Scale};
 
 /// One pinned run: workload, technique/scheduler, cycles, executed,
 /// skipped, digest root, profile + event-trace fingerprint.
 type Row = (&'static str, &'static str, u64, u64, u64, u64, u64);
 
-fn plain_cfg(scheduler: SchedulerPolicy) -> GpuConfig {
-    GpuConfig { num_sms: 8, shadow_check: false, scheduler, ..GpuConfig::test_small() }
+/// Whole-`SimStats` fingerprint of one `PINNED` run: workload,
+/// technique/scheduler, [`fnv`] of the `Debug` rendering.
+type StatsRow = (&'static str, &'static str, u64);
+
+/// One many-SM run: a [`Row`] plus its whole-`SimStats` fingerprint.
+type WideRow = (&'static str, &'static str, u64, u64, u64, u64, u64, u64);
+
+/// One digest-cadence run: workload, technique, cadence, digest root,
+/// epochs per chain, [`fnv`] of every chain (components included).
+type CadenceRow = (&'static str, &'static str, &'static str, u64, usize, u64);
+
+fn plain_cfg(num_sms: usize, scheduler: SchedulerPolicy) -> GpuConfig {
+    GpuConfig { num_sms, shadow_check: false, scheduler, ..GpuConfig::test_small() }
 }
 
 /// The equivalence suite's techniques under GTO, plus BASE and DARSIE
@@ -40,64 +57,174 @@ fn runs() -> Vec<(String, SchedulerPolicy, Technique)> {
     v
 }
 
-/// FNV-1a over the `Debug` rendering of the profile and event trace (both
-/// are ordered containers, so the rendering is deterministic).
-fn observability_fingerprint(r: &SimResult) -> u64 {
-    let text = format!("{:?}{:?}", r.profile, r.events);
+/// FNV-1a over a rendering.
+fn fnv(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
+/// FNV-1a over the `Debug` rendering of the profile and event trace (both
+/// are ordered containers, so the rendering is deterministic).
+fn observability_fingerprint(r: &SimResult) -> u64 {
+    fnv(&format!("{:?}{:?}", r.profile, r.events))
+}
+
+/// Runs `tech` plain and again with profiling and tracing on, checks that
+/// observation changed nothing, and returns the plain result with the
+/// observed run's [`observability_fingerprint`].
+fn run_observed(
+    w: &workloads::Workload,
+    cfg: &GpuConfig,
+    tech: &Technique,
+    label: &str,
+) -> (SimResult, u64) {
+    let plain = w.run(cfg, tech.clone());
+    let observed_cfg = GpuConfig { profile: true, trace_events: true, ..cfg.clone() };
+    let observed = w.run(&observed_cfg, tech.clone());
+    assert_eq!(
+        observed.stats, plain.stats,
+        "{} {label}: profiling or tracing changed SimStats",
+        w.abbr
+    );
+    let profile = observed.profile.as_ref().expect("profiling enabled");
+    for sm in &profile.sms {
+        assert_eq!(sm.check_identity(), Ok(()), "{} {label}", w.abbr);
+    }
+    (plain, observability_fingerprint(&observed))
+}
+
+/// Compares `got` with a pinned table; on a mismatch returns the message
+/// naming the first differing row, followed by the actual table.
+fn table_diff<T: PartialEq + Debug>(
+    name: &str,
+    got: &[T],
+    want: &[T],
+    render: impl Fn(&T) -> String,
+) -> Option<String> {
+    if got == want {
+        return None;
+    }
+    let first = got.iter().zip(want).position(|(g, w)| g != w);
+    let table: String = got.iter().map(|r| format!("    {},\n", render(r))).collect();
+    Some(format!(
+        "{name} moved (first differing row: {first:?}; {} rows vs {} pinned). Actual \
+         table:\n{table}",
+        got.len(),
+        want.len()
+    ))
+}
+
+fn assert_tables(diffs: &[Option<String>]) {
+    let msgs: Vec<&str> = diffs.iter().flatten().map(String::as_str).collect();
+    assert!(msgs.is_empty(), "{}", msgs.join("\n"));
+}
+
 #[test]
 fn hot_path_runs_match_the_pinned_table() {
-    let mut got: Vec<(String, String, u64, u64, u64, u64, u64)> = Vec::new();
+    let mut got = Vec::new();
+    let mut got_stats = Vec::new();
     for w in catalog(Scale::Test) {
         for (label, scheduler, tech) in runs() {
-            let cfg = plain_cfg(scheduler);
-            let plain = w.run(&cfg, tech.clone());
-            let observed_cfg = GpuConfig { profile: true, trace_events: true, ..cfg };
-            let observed = w.run(&observed_cfg, tech);
-            assert_eq!(
-                observed.stats, plain.stats,
-                "{} {label}: profiling or tracing changed SimStats",
-                w.abbr
-            );
-            let profile = observed.profile.as_ref().expect("profiling enabled");
-            for sm in &profile.sms {
-                assert_eq!(sm.check_identity(), Ok(()), "{} {label}", w.abbr);
-            }
+            let (plain, observed) = run_observed(&w, &plain_cfg(8, scheduler), &tech, &label);
             let s = &plain.stats;
             got.push((
                 w.abbr.to_string(),
-                label,
+                label.clone(),
                 s.cycles,
                 s.instrs_executed,
                 s.instrs_skipped.total(),
                 s.digest_root,
-                observability_fingerprint(&observed),
+                observed,
             ));
+            got_stats.push((w.abbr.to_string(), label, fnv(&format!("{s:?}"))));
         }
     }
     let want: Vec<_> = PINNED
         .iter()
         .map(|&(a, l, c, e, k, d, f)| (a.to_string(), l.to_string(), c, e, k, d, f))
         .collect();
-    if got != want {
-        let mut table = String::new();
-        for (a, l, c, e, k, d, f) in &got {
-            table.push_str(&format!(
-                "    (\"{a}\", \"{l}\", {c}, {e}, {k}, {d:#018x}, {f:#018x}),\n"
+    let want_stats: Vec<_> =
+        PINNED_STATS.iter().map(|&(a, l, f)| (a.to_string(), l.to_string(), f)).collect();
+    assert_tables(&[
+        table_diff("hot-path identity table", &got, &want, |(a, l, c, e, k, d, f)| {
+            format!("(\"{a}\", \"{l}\", {c}, {e}, {k}, {d:#018x}, {f:#018x})")
+        }),
+        table_diff("whole-SimStats table", &got_stats, &want_stats, |(a, l, f)| {
+            format!("(\"{a}\", \"{l}\", {f:#018x})")
+        }),
+    ]);
+}
+
+/// BASE and DARSIE under GTO on 28 SMs: at test scale most SMs hold one
+/// TB or none, so most SM-cycles wait on memory or sit empty.
+#[test]
+fn many_sm_runs_match_the_pinned_table() {
+    let mut got = Vec::new();
+    for w in catalog(Scale::Test) {
+        for tech in [Technique::Base, Technique::darsie()] {
+            let label = tech.label();
+            let (plain, observed) =
+                run_observed(&w, &plain_cfg(28, SchedulerPolicy::Gto), &tech, label);
+            let s = &plain.stats;
+            got.push((
+                w.abbr.to_string(),
+                label.to_string(),
+                s.cycles,
+                s.instrs_executed,
+                s.instrs_skipped.total(),
+                s.digest_root,
+                observed,
+                fnv(&format!("{s:?}")),
             ));
         }
-        let first = got.iter().zip(&want).position(|(g, w)| g != w);
-        panic!(
-            "hot-path identity table moved (first differing row: {first:?}; {} rows vs {} \
-             pinned). Actual table:\n{table}",
-            got.len(),
-            want.len()
-        );
     }
+    let want: Vec<_> = PINNED_MANY_SM
+        .iter()
+        .map(|&(a, l, c, e, k, d, f, s)| (a.to_string(), l.to_string(), c, e, k, d, f, s))
+        .collect();
+    assert_tables(&[table_diff("many-SM table", &got, &want, |(a, l, c, e, k, d, f, s)| {
+        format!("(\"{a}\", \"{l}\", {c}, {e}, {k}, {d:#018x}, {f:#018x}, {s:#018x})")
+    })]);
+}
+
+/// The event-driven digest cadences, and a fine window (every cycle, with
+/// component sub-digests), on the 28-SM machine.
+#[test]
+fn digest_cadences_match_the_pinned_table() {
+    let cadences = [
+        ("barrier", DigestConfig { cadence: DigestCadence::Barrier, ..DigestConfig::default() }),
+        (
+            "tb-boundary",
+            DigestConfig { cadence: DigestCadence::TbBoundary, ..DigestConfig::default() },
+        ),
+        ("fine:100-227", DigestConfig::fine((100, 227))),
+    ];
+    let mut got = Vec::new();
+    for w in catalog(Scale::Test) {
+        for tech in [Technique::Base, Technique::darsie()] {
+            for (name, digest) in cadences {
+                let cfg = GpuConfig { digest, ..plain_cfg(28, SchedulerPolicy::Gto) };
+                let r = w.run(&cfg, tech.clone());
+                let d = r.digests.as_ref().expect("digests enabled");
+                got.push((
+                    w.abbr.to_string(),
+                    tech.label().to_string(),
+                    name.to_string(),
+                    d.root,
+                    d.mem_chain.entries.len(),
+                    fnv(&format!("{d:?}")),
+                ));
+            }
+        }
+    }
+    let want: Vec<_> = PINNED_CADENCES
+        .iter()
+        .map(|&(a, l, c, d, n, f)| (a.to_string(), l.to_string(), c.to_string(), d, n, f))
+        .collect();
+    assert_tables(&[table_diff("digest-cadence table", &got, &want, |(a, l, c, d, n, f)| {
+        format!("(\"{a}\", \"{l}\", \"{c}\", {d:#018x}, {n}, {f:#018x})")
+    })]);
 }
 
 /// Generated on the simulator before the hot-path rework.
@@ -233,4 +360,253 @@ const PINNED: &[Row] = &[
     ("MM", "SILICON-SYNC/GTO", 7888, 36352, 0, 0x558f301046354e1a, 0xcddb03689cbd4ae0),
     ("MM", "BASE/LRR", 6017, 36352, 0, 0xdef8c9c4ccbaeb92, 0x2a313b58f5ad63d4),
     ("MM", "DARSIE/LRR", 4061, 24764, 11588, 0x37fcca29be349bfd, 0x012b21776fb8feb5),
+];
+
+/// Generated on the simulator before the sleeping-SM rework.
+#[rustfmt::skip]
+const PINNED_STATS: &[StatsRow] = &[
+    ("BIN", "BASE/GTO", 0x8fae8b74c6b8ac64),
+    ("BIN", "UV/GTO", 0x18f562a2d7f5032c),
+    ("BIN", "DAC-IDEAL/GTO", 0x8fba7141fd12fecb),
+    ("BIN", "DARSIE/GTO", 0x02075ce97339ac3c),
+    ("BIN", "DARSIE-IGNORE-STORE/GTO", 0x02075ce97339ac3c),
+    ("BIN", "DARSIE-NO-CF-SYNC/GTO", 0x3ead2004044cae67),
+    ("BIN", "DARSIE-NO-VERSIONING/GTO", 0x02075ce97339ac3c),
+    ("BIN", "SILICON-SYNC/GTO", 0xb7e5364c8a6b5369),
+    ("BIN", "BASE/LRR", 0x02b70852fb8a3faa),
+    ("BIN", "DARSIE/LRR", 0xb69bfacc31c053e3),
+    ("PT", "BASE/GTO", 0x613d732604c1651e),
+    ("PT", "UV/GTO", 0x1902099843bc291e),
+    ("PT", "DAC-IDEAL/GTO", 0x6d6b7b18c35dee09),
+    ("PT", "DARSIE/GTO", 0xe58a17e9bdd49af0),
+    ("PT", "DARSIE-IGNORE-STORE/GTO", 0xe58a17e9bdd49af0),
+    ("PT", "DARSIE-NO-CF-SYNC/GTO", 0x9c8484c2a4df4bed),
+    ("PT", "DARSIE-NO-VERSIONING/GTO", 0xe58a17e9bdd49af0),
+    ("PT", "SILICON-SYNC/GTO", 0x184fd77738f1dc40),
+    ("PT", "BASE/LRR", 0x2828f3e20998fb5d),
+    ("PT", "DARSIE/LRR", 0xb7bde902c98fc748),
+    ("FW", "BASE/GTO", 0xb17fe20c5eccf29f),
+    ("FW", "UV/GTO", 0x5be08562b540d3da),
+    ("FW", "DAC-IDEAL/GTO", 0xb60b9b2a60a472f8),
+    ("FW", "DARSIE/GTO", 0x8e76d935d8d23d99),
+    ("FW", "DARSIE-IGNORE-STORE/GTO", 0x8e76d935d8d23d99),
+    ("FW", "DARSIE-NO-CF-SYNC/GTO", 0xa0c0c6deb555bb25),
+    ("FW", "DARSIE-NO-VERSIONING/GTO", 0x8e76d935d8d23d99),
+    ("FW", "SILICON-SYNC/GTO", 0x66e89c6ae27745bf),
+    ("FW", "BASE/LRR", 0x790c06e5851747d5),
+    ("FW", "DARSIE/LRR", 0xc339809dc2968a23),
+    ("SR1", "BASE/GTO", 0x5fd4e82b9a3c5568),
+    ("SR1", "UV/GTO", 0xa1ca2abb7bceed47),
+    ("SR1", "DAC-IDEAL/GTO", 0x90ff2fae88dd4b6f),
+    ("SR1", "DARSIE/GTO", 0x4935953645a9a502),
+    ("SR1", "DARSIE-IGNORE-STORE/GTO", 0x4935953645a9a502),
+    ("SR1", "DARSIE-NO-CF-SYNC/GTO", 0x4935953645a9a502),
+    ("SR1", "DARSIE-NO-VERSIONING/GTO", 0x4935953645a9a502),
+    ("SR1", "SILICON-SYNC/GTO", 0x92555102d5b3e330),
+    ("SR1", "BASE/LRR", 0xd47c77948975c5b9),
+    ("SR1", "DARSIE/LRR", 0x93a721ab6c188d53),
+    ("LIB", "BASE/GTO", 0xf4d75b805a1f0189),
+    ("LIB", "UV/GTO", 0x111af22ab6a490a3),
+    ("LIB", "DAC-IDEAL/GTO", 0xc0cb3c8ad83ff0a8),
+    ("LIB", "DARSIE/GTO", 0x855a6861451b6eb4),
+    ("LIB", "DARSIE-IGNORE-STORE/GTO", 0x855a6861451b6eb4),
+    ("LIB", "DARSIE-NO-CF-SYNC/GTO", 0x785ee927db625c4a),
+    ("LIB", "DARSIE-NO-VERSIONING/GTO", 0x855a6861451b6eb4),
+    ("LIB", "SILICON-SYNC/GTO", 0xc6e788676a20332a),
+    ("LIB", "BASE/LRR", 0x5646b5f7356c9590),
+    ("LIB", "DARSIE/LRR", 0x5d61786beffab398),
+    ("IMNLM", "BASE/GTO", 0x2dd1cc4674636662),
+    ("IMNLM", "UV/GTO", 0xbeb37af8383191ba),
+    ("IMNLM", "DAC-IDEAL/GTO", 0x180ff28e9c4d2a0c),
+    ("IMNLM", "DARSIE/GTO", 0xdba0a93c59871406),
+    ("IMNLM", "DARSIE-IGNORE-STORE/GTO", 0xdba0a93c59871406),
+    ("IMNLM", "DARSIE-NO-CF-SYNC/GTO", 0x1826cb6f5768636e),
+    ("IMNLM", "DARSIE-NO-VERSIONING/GTO", 0xae12fdbc06f4b1fb),
+    ("IMNLM", "SILICON-SYNC/GTO", 0x18aac355c354a300),
+    ("IMNLM", "BASE/LRR", 0x6117db65be7bf87a),
+    ("IMNLM", "DARSIE/LRR", 0x75194a28c1407014),
+    ("BP", "BASE/GTO", 0xa0ce7b863e9dec23),
+    ("BP", "UV/GTO", 0x10c97431deb4dec3),
+    ("BP", "DAC-IDEAL/GTO", 0xb3df58396d5ff7f9),
+    ("BP", "DARSIE/GTO", 0xc68d08f2e592456a),
+    ("BP", "DARSIE-IGNORE-STORE/GTO", 0xc68d08f2e592456a),
+    ("BP", "DARSIE-NO-CF-SYNC/GTO", 0x5cfb3817427e530d),
+    ("BP", "DARSIE-NO-VERSIONING/GTO", 0xc68d08f2e592456a),
+    ("BP", "SILICON-SYNC/GTO", 0x3e8ed13ea41c679e),
+    ("BP", "BASE/LRR", 0xa9a4548e630908f6),
+    ("BP", "DARSIE/LRR", 0xcd8774badbc57ee4),
+    ("DCT8x8", "BASE/GTO", 0xb8ccafad3b11b7dd),
+    ("DCT8x8", "UV/GTO", 0x31e53d1fcb79691b),
+    ("DCT8x8", "DAC-IDEAL/GTO", 0x7de0a62baeaa0a0e),
+    ("DCT8x8", "DARSIE/GTO", 0x17b45ab7fc46a547),
+    ("DCT8x8", "DARSIE-IGNORE-STORE/GTO", 0x17b45ab7fc46a547),
+    ("DCT8x8", "DARSIE-NO-CF-SYNC/GTO", 0x1a9f7ce3b472387b),
+    ("DCT8x8", "DARSIE-NO-VERSIONING/GTO", 0x17b45ab7fc46a547),
+    ("DCT8x8", "SILICON-SYNC/GTO", 0x082f9f7dcdf8b380),
+    ("DCT8x8", "BASE/LRR", 0xf23d8f9814ee25ec),
+    ("DCT8x8", "DARSIE/LRR", 0xa1b9b43bfee68eab),
+    ("FWS", "BASE/GTO", 0x34864a28ea9c3fd2),
+    ("FWS", "UV/GTO", 0x2180e462229eaf0c),
+    ("FWS", "DAC-IDEAL/GTO", 0xad28b548b8f2155f),
+    ("FWS", "DARSIE/GTO", 0x9e001f42ff7c38ab),
+    ("FWS", "DARSIE-IGNORE-STORE/GTO", 0x350b3e21a5365b0d),
+    ("FWS", "DARSIE-NO-CF-SYNC/GTO", 0x9e001f42ff7c38ab),
+    ("FWS", "DARSIE-NO-VERSIONING/GTO", 0x9e001f42ff7c38ab),
+    ("FWS", "SILICON-SYNC/GTO", 0xade598b8ab641908),
+    ("FWS", "BASE/LRR", 0x71391bd6077c1f0a),
+    ("FWS", "DARSIE/LRR", 0x3a71b8d45c49d9c7),
+    ("HS", "BASE/GTO", 0x8ea8788bba74cd8e),
+    ("HS", "UV/GTO", 0xc4b1075486370f30),
+    ("HS", "DAC-IDEAL/GTO", 0x8d1549a63bd3999d),
+    ("HS", "DARSIE/GTO", 0x01d22fe77d7402fa),
+    ("HS", "DARSIE-IGNORE-STORE/GTO", 0x01d22fe77d7402fa),
+    ("HS", "DARSIE-NO-CF-SYNC/GTO", 0x01d22fe77d7402fa),
+    ("HS", "DARSIE-NO-VERSIONING/GTO", 0x01d22fe77d7402fa),
+    ("HS", "SILICON-SYNC/GTO", 0x9e854579406acfa0),
+    ("HS", "BASE/LRR", 0x144f6d69f46c4e08),
+    ("HS", "DARSIE/LRR", 0x901ab60a91493d38),
+    ("CP", "BASE/GTO", 0x16267ccbfe6a14dc),
+    ("CP", "UV/GTO", 0x97f5c961909ae517),
+    ("CP", "DAC-IDEAL/GTO", 0x9f8af2c3e3099c20),
+    ("CP", "DARSIE/GTO", 0x372d876131991ea9),
+    ("CP", "DARSIE-IGNORE-STORE/GTO", 0x54303e5dc65e5596),
+    ("CP", "DARSIE-NO-CF-SYNC/GTO", 0xa183889699b9671a),
+    ("CP", "DARSIE-NO-VERSIONING/GTO", 0x16c8d2f2b9407037),
+    ("CP", "SILICON-SYNC/GTO", 0x8256abc482799ffe),
+    ("CP", "BASE/LRR", 0x3942eeff22866ff2),
+    ("CP", "DARSIE/LRR", 0x5b7acc366d587a19),
+    ("CONVTEX", "BASE/GTO", 0x136aee03872015d4),
+    ("CONVTEX", "UV/GTO", 0xe376787a2a4f273f),
+    ("CONVTEX", "DAC-IDEAL/GTO", 0xf142de46f76406eb),
+    ("CONVTEX", "DARSIE/GTO", 0xcec61428517fe2d4),
+    ("CONVTEX", "DARSIE-IGNORE-STORE/GTO", 0xc54a02d098b91d85),
+    ("CONVTEX", "DARSIE-NO-CF-SYNC/GTO", 0xd38d35887e05006f),
+    ("CONVTEX", "DARSIE-NO-VERSIONING/GTO", 0x9344540537d79d3a),
+    ("CONVTEX", "SILICON-SYNC/GTO", 0x3f3e46989b37a575),
+    ("CONVTEX", "BASE/LRR", 0xc76e12fb9745e007),
+    ("CONVTEX", "DARSIE/LRR", 0x6a0cbcf49e93e6d8),
+    ("MM", "BASE/GTO", 0x4dbcf8af252c8370),
+    ("MM", "UV/GTO", 0x6b096ab2effdf854),
+    ("MM", "DAC-IDEAL/GTO", 0x432a99917ddc5c26),
+    ("MM", "DARSIE/GTO", 0x10713a8c57a93299),
+    ("MM", "DARSIE-IGNORE-STORE/GTO", 0xdd92fa7b69eb2dc6),
+    ("MM", "DARSIE-NO-CF-SYNC/GTO", 0xd2c7e3fa5b1ab0d5),
+    ("MM", "DARSIE-NO-VERSIONING/GTO", 0x86067d168c2918e5),
+    ("MM", "SILICON-SYNC/GTO", 0xe36af173bc481370),
+    ("MM", "BASE/LRR", 0x6167acefad91a722),
+    ("MM", "DARSIE/LRR", 0x11bc57f4d5d30ea3),
+];
+
+/// Generated on the simulator before the sleeping-SM rework.
+#[rustfmt::skip]
+const PINNED_MANY_SM: &[WideRow] = &[
+    ("BIN", "BASE", 594, 1640, 0, 0xe6b9be81b264aee3, 0xa95b2c160ff2a4f7, 0x0803ce601ca1ea80),
+    ("BIN", "DARSIE", 580, 1376, 264, 0x4f1883889af29aec, 0x5baed9b0599a5b8f, 0xea01f1a99695d601),
+    ("PT", "BASE", 2148, 3104, 0, 0x8fc6b706ddeeef9b, 0x465e9ca1e4289711, 0x8c8f95041b53dbd2),
+    ("PT", "DARSIE", 1804, 2298, 806, 0x7492f7134efa4a3c, 0xd4b7bb2ba9720317, 0x3d36b94f0483c63e),
+    ("FW", "BASE", 1261, 3040, 0, 0x23b455287d78c5b8, 0x47b698fec1922340, 0x12b3c849c6142204),
+    ("FW", "DARSIE", 1080, 2438, 602, 0x0ef48a8404fce801, 0x472f9f36aa873b48, 0xcbd6ae4c573945bc),
+    ("SR1", "BASE", 494, 640, 0, 0x9e620bf45e55df87, 0x246fda7a4c43522e, 0x8df0f06a65c4cd38),
+    ("SR1", "DARSIE", 443, 535, 105, 0x64ff32a21c1e8cc1, 0xf1f1feefcc346bcf, 0xbc1c5ba41eac22b8),
+    ("LIB", "BASE", 1634, 1856, 0, 0x00d210fb1fdffb39, 0x697729603e55d703, 0x500f25ea3c2e5c96),
+    ("LIB", "DARSIE", 1222, 869, 987, 0xa657c86f5c4001ea, 0x90f14cb4761da0be, 0x74a5862ee4c0c2e1),
+    ("IMNLM", "BASE", 1881, 3872, 0, 0x71fbf8de0ddc954e, 0xd0713b46706842f8, 0xb1b8bfda6a402703),
+    ("IMNLM", "DARSIE", 1510, 2982, 890, 0xa399779024d5acae, 0x6646a943abc4fe10, 0x2979c5065f34d229),
+    ("BP", "BASE", 458, 530, 0, 0xedbe81201e9fdc42, 0xd6e1aa4ce714b723, 0xb67ea334d9c59238),
+    ("BP", "DARSIE", 416, 436, 94, 0x247819de0cb576f1, 0xac8fb7a6b3b89cc3, 0x2de0ef9623dd596f),
+    ("DCT8x8", "BASE", 732, 1584, 0, 0xa17b9dcf32f23c69, 0x2de5db4a9eb65e74, 0x866658fb7e185986),
+    ("DCT8x8", "DARSIE", 731, 1212, 372, 0xf9ce8ece016e9ea8, 0x4e93d028e87c469f, 0x667e70edb3356435),
+    ("FWS", "BASE", 192, 832, 0, 0x046e5b683bec9961, 0xf1b4785ca5f73fff, 0x103826bccf08909f),
+    ("FWS", "DARSIE", 155, 616, 216, 0x7e6ad3dc8c2e8f3b, 0x36e5db8171f24b3a, 0xcb626b6a60a0323d),
+    ("HS", "BASE", 353, 752, 0, 0x1cb5f245cdfa95c9, 0x9b2231ccb1887c1b, 0xd82bbfbb32c762c3),
+    ("HS", "DARSIE", 309, 650, 102, 0x23219a2b0caa7a53, 0xf609a41750ce0b1b, 0x471ed9babedc6396),
+    ("CP", "BASE", 755, 2512, 0, 0x02a141da833158f1, 0x1f08692d07db9f9e, 0x9c355d17dc175890),
+    ("CP", "DARSIE", 809, 1680, 832, 0xea704235cbc97715, 0x75380d38b537ef5b, 0x7faa71cbc71b39ee),
+    ("CONVTEX", "BASE", 698, 1488, 0, 0xb50f7c58a823436c, 0xcd0c738f914ab3f2, 0xaaaed121a86d7fa4),
+    ("CONVTEX", "DARSIE", 469, 891, 597, 0x8e454d93e5178600, 0x852bdd3e148e3892, 0xedcda7c14dfd52da),
+    ("MM", "BASE", 6064, 36352, 0, 0xe8474bff69180c9d, 0xe47b34fe6b87a9fb, 0x65f4e7b8d93a0bb2),
+    ("MM", "DARSIE", 4059, 24821, 11531, 0x1794f9dcc724f4ec, 0x71f9b97788b7598e, 0x24e2c166618f981b),
+];
+
+/// Generated on the simulator before the sleeping-SM rework.
+#[rustfmt::skip]
+const PINNED_CADENCES: &[CadenceRow] = &[
+    ("BIN", "BASE", "barrier", 0x08f142e79c068fd2, 17, 0xc723710a9099e1f2),
+    ("BIN", "BASE", "tb-boundary", 0xc154014ce52b732f, 2, 0x5037d6f21b55cec7),
+    ("BIN", "BASE", "fine:100-227", 0x71c6b20ea7cef226, 128, 0x0477236e40479bd2),
+    ("BIN", "DARSIE", "barrier", 0x854897719d830e41, 17, 0x82572e849aa6b50a),
+    ("BIN", "DARSIE", "tb-boundary", 0x0c9dff8d77ae6dcb, 2, 0x65bfa4879cfe935c),
+    ("BIN", "DARSIE", "fine:100-227", 0x18fa544bd8a6da59, 128, 0x4d6dbe2d5bfaa1c7),
+    ("PT", "BASE", "barrier", 0x6ed0c431017ad75c, 10, 0xc39839a0a3a893e4),
+    ("PT", "BASE", "tb-boundary", 0x66c4b9ced891efa8, 2, 0x3f42ab391e86858a),
+    ("PT", "BASE", "fine:100-227", 0xd60ad131488e5137, 128, 0xf2d25dbd08f7b245),
+    ("PT", "DARSIE", "barrier", 0x19698b0a69a71054, 10, 0xeddf3f4a3a70695b),
+    ("PT", "DARSIE", "tb-boundary", 0xc2499b3a04b05b2f, 2, 0x9b817098c3610499),
+    ("PT", "DARSIE", "fine:100-227", 0x308bb4fecfcaf76a, 128, 0x99b21f26cedc8e78),
+    ("FW", "BASE", "barrier", 0x5c6697314d652970, 18, 0xc35bd14bc4995e4a),
+    ("FW", "BASE", "tb-boundary", 0xc1a32cc261f696fb, 2, 0xd9b76f6e75777ffe),
+    ("FW", "BASE", "fine:100-227", 0x8a447620edfeaa0c, 128, 0xca0b80e9dd76eccf),
+    ("FW", "DARSIE", "barrier", 0xb63d24b71b23f4c0, 18, 0x359864d03aa07300),
+    ("FW", "DARSIE", "tb-boundary", 0x543bc03a57ecba8e, 2, 0x5774208e56812999),
+    ("FW", "DARSIE", "fine:100-227", 0xcd1c298859c6ebc8, 128, 0x49f0d02cfefdf5cb),
+    ("SR1", "BASE", "barrier", 0x0933e95a0724cf76, 1, 0xc3d241c665ad40c4),
+    ("SR1", "BASE", "tb-boundary", 0x40acf60768496c44, 2, 0xc0e6b8196151b556),
+    ("SR1", "BASE", "fine:100-227", 0x39f534d7ddcecbf9, 128, 0xc3ef0caaf534e34f),
+    ("SR1", "DARSIE", "barrier", 0xc60a33942bd0f5ac, 1, 0x039bc48d2c973542),
+    ("SR1", "DARSIE", "tb-boundary", 0x331d13c0cf716fd2, 2, 0xec8d991957953abf),
+    ("SR1", "DARSIE", "fine:100-227", 0xe33086dd646b194f, 128, 0xdca016bf151e5336),
+    ("LIB", "BASE", "barrier", 0x5b2afd5847e44cbb, 1, 0x8a06b0d773322e89),
+    ("LIB", "BASE", "tb-boundary", 0x7177424d764b3c12, 2, 0x9f3975ca1210b31b),
+    ("LIB", "BASE", "fine:100-227", 0x439030c84daedf41, 128, 0x40444eaa3f3e6c0c),
+    ("LIB", "DARSIE", "barrier", 0xbbd7a98bcc5d3709, 1, 0x926804e045aca9f2),
+    ("LIB", "DARSIE", "tb-boundary", 0xd1494acf3d3bac3f, 2, 0xba0222485c80bf29),
+    ("LIB", "DARSIE", "fine:100-227", 0x4c108967a4680cda, 128, 0xd64ce6c588245e99),
+    ("IMNLM", "BASE", "barrier", 0x171b032a30458670, 1, 0xda722bca694ec00c),
+    ("IMNLM", "BASE", "tb-boundary", 0x9ba0d768ca363ce7, 2, 0xdbe2b2adf5426a8e),
+    ("IMNLM", "BASE", "fine:100-227", 0x4abb64ff356c9456, 128, 0x8d0f7dd31112d6d2),
+    ("IMNLM", "DARSIE", "barrier", 0x2619c1f1beb5db93, 1, 0xe52eb6f2daec461c),
+    ("IMNLM", "DARSIE", "tb-boundary", 0x0194da6198a30d9c, 2, 0xf94e126552ef39ef),
+    ("IMNLM", "DARSIE", "fine:100-227", 0x240852045a0ecad5, 128, 0xa254f71a593ac903),
+    ("BP", "BASE", "barrier", 0x1872810e40fffe82, 7, 0x0f2da497161769bc),
+    ("BP", "BASE", "tb-boundary", 0x2912c5a43fb8714e, 2, 0xd6c47b082fdd2147),
+    ("BP", "BASE", "fine:100-227", 0x6adc26cb5bea85b9, 128, 0x97c13b1b8269d85c),
+    ("BP", "DARSIE", "barrier", 0x23d9b5592a7f61be, 7, 0xf767ad92d734bb5a),
+    ("BP", "DARSIE", "tb-boundary", 0xd2d31599df104e12, 2, 0xa1717d6d2a2adc3e),
+    ("BP", "DARSIE", "fine:100-227", 0xe4657caf838b77a2, 128, 0x82b34625b882b00a),
+    ("DCT8x8", "BASE", "barrier", 0x90f9b4e0e41d2a94, 7, 0x82c2e0a94b40856b),
+    ("DCT8x8", "BASE", "tb-boundary", 0x692205a45ec94352, 4, 0xc2ad90a883d8b6a0),
+    ("DCT8x8", "BASE", "fine:100-227", 0x3701bdff3c892b01, 128, 0xe74b5b412ceec658),
+    ("DCT8x8", "DARSIE", "barrier", 0xe9dfe3e087ad0dae, 7, 0x5c7bdc8e8ed14463),
+    ("DCT8x8", "DARSIE", "tb-boundary", 0xa77fdf89b945571f, 4, 0x3c2031752d5abadb),
+    ("DCT8x8", "DARSIE", "fine:100-227", 0xd3ba7af79b1c412c, 128, 0x3dda77c27e1f968a),
+    ("FWS", "BASE", "barrier", 0x0597bee2bdb403ba, 1, 0xf5bf21042df94ea2),
+    ("FWS", "BASE", "tb-boundary", 0x79f421f4606af555, 4, 0xaf48c8cbd40821ef),
+    ("FWS", "BASE", "fine:100-227", 0x1f1fac23743544b8, 93, 0x521dfe6ccdd178fa),
+    ("FWS", "DARSIE", "barrier", 0xef61eb95aee199cb, 1, 0xef7d04f324d73d65),
+    ("FWS", "DARSIE", "tb-boundary", 0x81c6994338df980a, 5, 0x0e8f0e748e64ad7d),
+    ("FWS", "DARSIE", "fine:100-227", 0x5faa857f7fe309fd, 56, 0x90439f166a7906cb),
+    ("HS", "BASE", "barrier", 0x8e1f74d7a8a7f7c0, 1, 0x470ed30c6ff3e385),
+    ("HS", "BASE", "tb-boundary", 0x1350f6f7b27c4f5e, 3, 0xb62275d9792dd382),
+    ("HS", "BASE", "fine:100-227", 0xb700bc4545a49146, 128, 0x5367aadaff0547e6),
+    ("HS", "DARSIE", "barrier", 0x81340b74e3c02397, 1, 0xcae91510647004fc),
+    ("HS", "DARSIE", "tb-boundary", 0x961218733c2fb78b, 3, 0x0058727ee37b36d5),
+    ("HS", "DARSIE", "fine:100-227", 0x0652705537dd9cd2, 128, 0xf352d381445ccf0a),
+    ("CP", "BASE", "barrier", 0x90c24da49c06c6d4, 1, 0xd793ed77c6bd36aa),
+    ("CP", "BASE", "tb-boundary", 0x0c4440f7b7c7ee4e, 3, 0x5989af9b77423a1f),
+    ("CP", "BASE", "fine:100-227", 0x12949153cb7dcc8e, 128, 0x2960bf9136d50a05),
+    ("CP", "DARSIE", "barrier", 0xf9181eb50f7c5ca1, 1, 0x0ea241d0e71d0a96),
+    ("CP", "DARSIE", "tb-boundary", 0xfeff86150ae15188, 3, 0x96211563d00d9ecb),
+    ("CP", "DARSIE", "fine:100-227", 0x3d3977d818b26239, 128, 0xb86f89fd61d1fee8),
+    ("CONVTEX", "BASE", "barrier", 0x96846d8715c05f83, 1, 0x725ad56a8a119bd1),
+    ("CONVTEX", "BASE", "tb-boundary", 0xd87b7991a9830834, 3, 0xfde9df6ce71c7c9d),
+    ("CONVTEX", "BASE", "fine:100-227", 0x749723818c079628, 128, 0xdf0a9d2678edbcfa),
+    ("CONVTEX", "DARSIE", "barrier", 0x06a88c4620a17697, 1, 0x5cb1058479570e5e),
+    ("CONVTEX", "DARSIE", "tb-boundary", 0x0906ba4018654f5f, 3, 0x6d38fd2bf62ee618),
+    ("CONVTEX", "DARSIE", "fine:100-227", 0xf16299b79fecc6ad, 128, 0xfc669ab9f696f56f),
+    ("MM", "BASE", "barrier", 0x3b2c7d09b607daa2, 16, 0xfbc55a7953ff475d),
+    ("MM", "BASE", "tb-boundary", 0x038e7312b197fa2a, 4, 0x0c80c0b3a805f315),
+    ("MM", "BASE", "fine:100-227", 0xea1ee053ae285676, 128, 0x63106f095a0ae99c),
+    ("MM", "DARSIE", "barrier", 0x32cbaa695ca2337f, 17, 0x1ecac9f0a7776eb0),
+    ("MM", "DARSIE", "tb-boundary", 0x9506bcd5e69836a8, 5, 0x23927276b4366966),
+    ("MM", "DARSIE", "fine:100-227", 0x1e35c6923362c6c6, 128, 0xef0d8244a795f104),
 ];
