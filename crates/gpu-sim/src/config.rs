@@ -125,16 +125,10 @@ pub struct GpuConfig {
     /// Record pipeline events (fetch/skip/issue/...) into
     /// [`SimResult::events`](crate::SimResult); for debugging small runs.
     pub trace_events: bool,
-    /// Ring-buffer capacity of the event trace: the most recent
-    /// `trace_capacity` events are kept, older ones are counted in
-    /// [`EventLog::dropped`](crate::events::EventLog::dropped).
-    pub trace_capacity: usize,
     /// Enable cycle-accounted profiling: issue-slot stall attribution,
     /// per-PC/per-warp breakdowns, leader-latency histograms and occupancy
     /// samples, returned in [`SimResult::profile`](crate::SimResult).
     pub profile: bool,
-    /// Cycles between occupancy samples while profiling.
-    pub profile_sample_interval: u64,
     /// Epoch-chained state-digest layer (the determinism observatory):
     /// cadence, fine-mode component sub-digests and recording window. On
     /// by default at coarse cadence; the per-run root lands on
@@ -186,9 +180,7 @@ impl GpuConfig {
             max_cycles: 200_000_000,
             shadow_check: false,
             trace_events: false,
-            trace_capacity: 200_000,
             profile: false,
-            profile_sample_interval: 256,
             digest: DigestConfig::default(),
             perturb: None,
         }

@@ -4,16 +4,21 @@
 //! [`SimResult::events`](crate::SimResult) ordered by cycle, and export to
 //! Chrome trace-event JSON via `darsie-bench`'s `perfetto` module.
 //!
-//! The log is a bounded ring: it keeps the **last**
-//! [`GpuConfig::trace_capacity`](crate::GpuConfig::trace_capacity) events
-//! and counts everything older in [`EventLog::dropped`], so long runs cost
-//! bounded memory. With tracing disabled no event is ever constructed
-//! (call sites gate on the flag before building a [`PipeEvent`]).
+//! The log is a bounded ring: it keeps the **last** 200,000 events
+//! (`TRACE_CAPACITY`) and counts everything older in
+//! [`EventLog::dropped`], so long runs cost bounded memory. With tracing
+//! disabled no event is ever constructed (call sites gate on the flag
+//! before building a [`PipeEvent`]).
 //!
 //! [`GpuConfig::trace_events`]: crate::GpuConfig::trace_events
 
 use std::collections::VecDeque;
 use std::fmt;
+
+/// Ring-buffer capacity of a traced run's event log: the most recent
+/// `TRACE_CAPACITY` events are kept, older ones are counted in
+/// [`EventLog::dropped`].
+pub(crate) const TRACE_CAPACITY: usize = 200_000;
 
 /// One pipeline event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

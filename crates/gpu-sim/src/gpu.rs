@@ -212,7 +212,7 @@ impl Gpu {
         }
 
         let mut stats = SimStats::default();
-        let mut events = crate::events::EventLog::new(self.cfg.trace_capacity);
+        let mut events = crate::events::EventLog::new(crate::events::TRACE_CAPACITY);
         let mut profile = self.cfg.profile.then(crate::profile::SimProfile::default);
         let mut sm_cycles_simulated = 0;
         for sm in &mut sms {

@@ -224,6 +224,9 @@ pub struct WarpSlotProfile {
 /// in [`SmProfile::samples_dropped`].
 pub const MAX_OCCUPANCY_SAMPLES: usize = 4096;
 
+/// Cycles between occupancy samples while profiling.
+pub(crate) const SAMPLE_INTERVAL: u64 = 256;
+
 /// One SM's cycle-accounted profile.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SmProfile {

@@ -4,10 +4,12 @@
 
 use crate::config::{GpuConfig, SchedulerPolicy, Technique};
 use crate::digest::{fold, splitmix64, ComponentDigests, FNV_OFFSET};
-use crate::events::{EventKind, EventLog, PipeEvent};
+use crate::events::{EventKind, EventLog, PipeEvent, TRACE_CAPACITY};
 use crate::exec::{execute, ExecContext, ExecEffect};
 use crate::mem::{coalesce_lines, smem_conflict_degree, DramModel, GlobalMemory, TagCache};
-use crate::profile::{OccupancySample, SmProfile, StallCause, MAX_OCCUPANCY_SAMPLES};
+use crate::profile::{
+    OccupancySample, SmProfile, StallCause, MAX_OCCUPANCY_SAMPLES, SAMPLE_INTERVAL,
+};
 use crate::reuse::ReuseBuffer;
 use crate::stats::SimStats;
 use crate::tb::TbState;
@@ -153,7 +155,7 @@ impl Sm {
             banks_used: vec![0; cfg.rf_banks],
             candidates: Vec::new(),
             stats: SimStats::default(),
-            events: EventLog::new(if cfg.trace_events { cfg.trace_capacity } else { 0 }),
+            events: EventLog::new(if cfg.trace_events { TRACE_CAPACITY } else { 0 }),
             profile: SmProfile::new(
                 id,
                 (cfg.schedulers_per_sm * cfg.issue_width) as u64,
@@ -519,7 +521,7 @@ impl Sm {
     /// reused buffers and instructions are borrowed from [`KernelData`].
     /// A cycle that makes no progress puts the SM to sleep until its
     /// earliest wake source; the cycles it sleeps through cost nothing
-    /// here and are accounted by [`Sm::catch_up`].
+    /// here and are accounted by `Sm::catch_up`.
     pub fn cycle(
         &mut self,
         now: u64,
@@ -537,7 +539,7 @@ impl Sm {
         self.progress = false;
         if self.cfg.profile {
             self.profile.cycles += 1;
-            if now.is_multiple_of(self.cfg.profile_sample_interval.max(1)) {
+            if now.is_multiple_of(SAMPLE_INTERVAL) {
                 self.sample_occupancy(now);
             }
         }
@@ -587,11 +589,10 @@ impl Sm {
         self.count_stall_cycles(k);
         if self.cfg.profile {
             self.profile.cycles += k;
-            let every = self.cfg.profile_sample_interval.max(1);
-            let mut c = (self.now / every + 1) * every;
+            let mut c = (self.now / SAMPLE_INTERVAL + 1) * SAMPLE_INTERVAL;
             while c <= through {
                 self.sample_occupancy(c);
-                c += every;
+                c += SAMPLE_INTERVAL;
             }
             for s in 0..self.last_blame.len() {
                 let (cause, pc, wslot) = self.last_blame[s];

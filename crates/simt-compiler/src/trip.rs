@@ -95,18 +95,7 @@ pub fn infer_trips(
     launch: &LaunchConfig,
     in_states: &[FlowState],
 ) -> TripCounts {
-    // Out-states by replaying each reachable block's body.
-    let out_states: Vec<FlowState> = (0..cfg.len())
-        .map(|b| {
-            let mut st = in_states[b].clone();
-            if st.reachable {
-                for pc in cfg.blocks[b].range() {
-                    affine::transfer(&mut st, &kernel.instrs[pc], GridCtx::generic(launch.block.z));
-                }
-            }
-            st
-        })
-        .collect();
+    let out_states = out_states(kernel, cfg, in_states, GridCtx::generic(launch.block.z));
     let loops_out = loops
         .loops
         .iter()
@@ -120,6 +109,22 @@ pub fn infer_trips(
     TripCounts { loops: loops_out }
 }
 
+/// Per-block out-states: each reachable block's body replayed from its
+/// in-state under `ctx`.
+fn out_states(kernel: &Kernel, cfg: &Cfg, in_states: &[FlowState], ctx: GridCtx) -> Vec<FlowState> {
+    (0..cfg.len())
+        .map(|b| {
+            let mut st = in_states[b].clone();
+            if st.reachable {
+                for pc in cfg.blocks[b].range() {
+                    affine::transfer(&mut st, &kernel.instrs[pc], ctx);
+                }
+            }
+            st
+        })
+        .collect()
+}
+
 /// Trip-bounded interval clamps for loop-carried affine accumulators,
 /// consumed by [`affine::fixpoint_clamped`].
 ///
@@ -128,11 +133,11 @@ pub fn infer_trips(
 /// a `ptr += 16` table walk in an 8-trip loop touches 128 bytes, not an
 /// unbounded stream. For every loop with a finite trip bound and every
 /// register whose single in-body update is an unguarded,
-/// once-per-iteration `r += k` with a launch-constant `k` (the
-/// [`find_induction`] shape), the value flowing into the header satisfies
-/// `r ∈ preheader(r) + k·[0, J]`: `J = max_trips − 1` when the exit
-/// leaves from the latch (a bottom-tested loop's header never observes
-/// the final update), `J = max_trips` otherwise.
+/// once-per-iteration `r += k` with a launch-constant `k` (the shape
+/// `find_induction` recognizes), the value flowing into the header
+/// satisfies `r ∈ preheader(r) + k·[0, J]`: `J = max_trips − 1` when the
+/// exit leaves from the latch (a bottom-tested loop's header never
+/// observes the final update), `J = max_trips` otherwise.
 ///
 /// `in_states` must come from an **entry-zeroed** fixpoint of the same
 /// kernel under `ctx` (never-written registers read 0, matching the
@@ -152,17 +157,7 @@ pub fn induction_clamps(
 ) -> BTreeMap<(usize, usize), Affine> {
     // Out-states replayed under the caller's (typically launch-aware)
     // context, so preheader values resolve params and grid geometry.
-    let out_states: Vec<FlowState> = (0..cfg.len())
-        .map(|b| {
-            let mut st = in_states[b].clone();
-            if st.reachable {
-                for pc in cfg.blocks[b].range() {
-                    affine::transfer(&mut st, &kernel.instrs[pc], ctx);
-                }
-            }
-            st
-        })
-        .collect();
+    let out_states = out_states(kernel, cfg, in_states, ctx);
 
     let mut clamps: BTreeMap<(usize, usize), Affine> = BTreeMap::new();
     for (l, t) in loops.loops.iter().zip(&trips.loops) {

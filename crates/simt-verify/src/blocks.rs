@@ -39,12 +39,12 @@
 //! conservative static findings (`V311`/`V313`, note `V314`) and
 //! upgrades the classification for this launch.
 
-use crate::races::{block_conditions, guarded_threads, thread_xy};
+use crate::family::UnresolvedPair;
+use crate::races::{guarded_threads, mem_accesses, thread_xy, AccessKind, MemAccess};
 use crate::{Diagnostic, Diagnostics, LintCode};
 use gpu_sim::GlobalRace;
 use simt_compiler::affine::{
-    fixpoint_clamped, fixpoint_with_divergence, resolve, transfer_divergent, Affine, AffineVal,
-    GridCtx, PredVal,
+    fixpoint_clamped, fixpoint_with_divergence, Affine, FlowState, GridCtx, PredVal,
 };
 use simt_compiler::dom::{Doms, NaturalLoops};
 use simt_compiler::trip::{induction_clamps, induction_clamps_family, infer_trips};
@@ -126,47 +126,109 @@ pub struct Certificate {
     pub dynamically_discharged: bool,
 }
 
-/// One static global-memory access site.
-#[derive(Clone)]
-struct GlobalAccess {
-    pc: usize,
-    block: usize,
-    kind: AccessKind,
-    addr: AffineVal,
-    guard: Option<(PredVal, bool)>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AccessKind {
-    Read,
-    Write,
-    Atomic(AtomOp),
-}
-
-impl AccessKind {
-    fn writes(self) -> bool {
-        !matches!(self, AccessKind::Read)
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            AccessKind::Read => "load",
-            AccessKind::Write => "store",
-            AccessKind::Atomic(_) => "atomic",
-        }
-    }
-}
-
-/// Outcome of one pair's disjointness attempt.
+/// Outcome of one write-involving pair's disjointness attempt.
 enum PairVerdict {
     /// Provably no common word between distinct blocks.
     Disjoint,
+    /// Same-op commutative atomics that may collide: the final memory
+    /// value is independent of block order.
+    Commutative,
     /// A colliding block delta exists; `Some` when a concrete witness
     /// (block pair + word) was re-enumerated exactly.
     Collides(Option<RaceWitness>),
     /// Overlap could not be excluded (unbounded ranges or too-large
     /// enumeration).
     Unknown,
+    /// An address escaped the affine domain; nothing was attempted.
+    NonAffine,
+}
+
+/// The block shape and grid a pair walk proves disjointness over.
+#[derive(Clone, Copy)]
+struct Shape {
+    bx: u32,
+    by: u32,
+    threads: u32,
+    grid: Dim3,
+}
+
+/// One side of an access pair: its affine address, execution conditions
+/// and pc.
+#[derive(Clone, Copy)]
+struct Side<'a> {
+    f: Affine,
+    conds: &'a [(PredVal, bool)],
+    pc: usize,
+}
+
+/// The one inter-block pair walk behind [`analyze`] and
+/// [`family_static`]: runs the divergence-aware fixpoint under `ctx`
+/// (registers start zeroed to match the executor, so exact witness
+/// replays agree), collects every global access, and hands each
+/// write-involving pair `i ≤ j` to `visit` with its verdict. Returns the
+/// number of global accesses and of pairs visited.
+///
+/// Trip-bounded narrowing: loop-carried pointer walks widen to infinite
+/// intervals, but a solved trip count bounds them (a `p += 16` walk in an
+/// 8-trip loop touches 128 bytes). When the kernel has loops, `clamps`
+/// derives induction clamps from the dominators, the loops and the first
+/// fixpoint's in-states, and a non-empty set re-runs the fixpoint under
+/// them.
+fn walk_pairs(
+    ck: &CompiledKernel,
+    ctx: GridCtx,
+    shape: Shape,
+    clamps: impl FnOnce(&Doms, &NaturalLoops, &[FlowState]) -> BTreeMap<(usize, usize), Affine>,
+    mut visit: impl FnMut(&MemAccess, &MemAccess, PairVerdict),
+) -> (usize, usize) {
+    let (mut in_states, mut divergent) = fixpoint_with_divergence(&ck.kernel, &ck.cfg, ctx, true);
+    let doms = Doms::compute(&ck.cfg);
+    let nloops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
+    if !nloops.loops.is_empty() {
+        let clamps = clamps(&doms, &nloops, &in_states);
+        if !clamps.is_empty() {
+            (in_states, divergent) = fixpoint_clamped(&ck.kernel, &ck.cfg, ctx, true, &clamps);
+        }
+    }
+    let accesses: Vec<MemAccess> = mem_accesses(ck, ctx, &in_states, &divergent)
+        .into_iter()
+        .filter(|a| a.space == MemSpace::Global)
+        .collect();
+
+    let mut checked = 0;
+    for (i, a) in accesses.iter().enumerate() {
+        for b in &accesses[i..] {
+            if !a.kind.writes() && !b.kind.writes() {
+                continue;
+            }
+            checked += 1;
+            let (Some(fa), Some(fb)) = (a.addr.affine(), b.addr.affine()) else {
+                visit(a, b, PairVerdict::NonAffine);
+                continue;
+            };
+            let verdict = pair_verdict(
+                Side { f: fa, conds: &a.conds, pc: a.pc },
+                Side { f: fb, conds: &b.conds, pc: b.pc },
+                shape,
+            );
+            // Same-op commutative atomics may collide without an order
+            // hazard on the final memory value; `exch` is last-writer-wins
+            // and stays a plain write-write hazard.
+            let commutative_pair = matches!(
+                (a.kind, b.kind),
+                (AccessKind::Atomic(x), AccessKind::Atomic(y))
+                    if x == y && x != AtomOp::Exch
+            );
+            let verdict = match verdict {
+                PairVerdict::Collides(_) | PairVerdict::Unknown if commutative_pair => {
+                    PairVerdict::Commutative
+                }
+                v => v,
+            };
+            visit(a, b, verdict);
+        }
+    }
+    (accesses.len(), checked)
 }
 
 /// Certifies inter-thread-block independence of `ck` under `launch`.
@@ -184,88 +246,32 @@ pub fn analyze(ck: &CompiledKernel, launch: &LaunchConfig) -> (Certificate, Diag
         witness: None,
         dynamically_discharged: false,
     };
-
-    let has_global = instrs
-        .iter()
-        .any(|i| matches!(i.op, Op::Ld(MemSpace::Global) | Op::St(MemSpace::Global) | Op::Atom(_)));
     // A single block has no peer to race with.
-    if !has_global || launch.num_blocks() <= 1 {
+    if launch.num_blocks() <= 1 {
         return (cert, report);
     }
 
-    let (bx, by) = (launch.block.x.max(1), launch.block.y.max(1));
-    let threads = launch.threads_per_block();
-    let grid = Dim3::three_d(launch.grid.x.max(1), launch.grid.y.max(1), launch.grid.z.max(1));
-
-    // Launch-aware, divergence-aware dataflow; registers start zeroed to
-    // match the executor (so the exact witness replay agrees).
+    let shape = Shape {
+        bx: launch.block.x.max(1),
+        by: launch.block.y.max(1),
+        threads: launch.threads_per_block(),
+        grid: Dim3::three_d(launch.grid.x.max(1), launch.grid.y.max(1), launch.grid.z.max(1)),
+    };
     let ctx = GridCtx::launch(launch);
-    let (mut in_states, mut divergent) = fixpoint_with_divergence(&ck.kernel, &ck.cfg, ctx, true);
-
-    // Trip-bounded narrowing: loop-carried pointer walks widen to
-    // infinite intervals, but a solved trip count bounds them (a
-    // `p += 16` walk in an 8-trip loop touches 128 bytes). Re-run the
-    // fixpoint with the induction clamps when any loop yields one.
-    let doms = Doms::compute(&ck.cfg);
-    let nloops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
-    if !nloops.loops.is_empty() {
-        let trips = infer_trips(&ck.kernel, &ck.cfg, &doms, &nloops, launch, &in_states);
-        let clamps =
-            induction_clamps(&ck.kernel, &ck.cfg, &doms, &nloops, &trips, launch, &in_states, ctx);
-        if !clamps.is_empty() {
-            (in_states, divergent) = fixpoint_clamped(&ck.kernel, &ck.cfg, ctx, true, &clamps);
-        }
-    }
-
-    let mut accesses: Vec<GlobalAccess> = Vec::new();
-    for &b in &ck.cfg.reverse_post_order() {
-        if !in_states[b].reachable {
-            continue;
-        }
-        let mut st = in_states[b].clone();
-        for pc in ck.cfg.blocks[b].range() {
-            let instr = &instrs[pc];
-            let kind = match instr.op {
-                Op::Ld(MemSpace::Global) => Some(AccessKind::Read),
-                Op::St(MemSpace::Global) => Some(AccessKind::Write),
-                Op::Atom(aop) => Some(AccessKind::Atomic(aop)),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                let addr =
-                    resolve(&st, instr.srcs[0]) + AffineVal::constant(i64::from(instr.offset));
-                let guard = instr.guard.map(|g| (st.preds[usize::from(g.pred.0)], !g.negate));
-                accesses.push(GlobalAccess { pc, block: b, kind, addr, guard });
-            }
-            transfer_divergent(&mut st, instr, ctx, divergent[b]);
-        }
-    }
-    cert.global_accesses = accesses.len();
-
-    let block_conds = block_conditions(ck, &in_states, ctx, &divergent);
-    let conds_of = |a: &GlobalAccess| -> Vec<(PredVal, bool)> {
-        let mut cs = block_conds[a.block].clone();
-        if let Some(g) = a.guard {
-            cs.push(g);
-        }
-        cs
+    let clamps = |doms: &Doms, nloops: &NaturalLoops, in_states: &[FlowState]| {
+        let trips = infer_trips(&ck.kernel, &ck.cfg, doms, nloops, launch, in_states);
+        induction_clamps(&ck.kernel, &ck.cfg, doms, nloops, &trips, launch, in_states, ctx)
     };
 
     let mut v310: BTreeMap<(usize, usize), (String, RaceWitness)> = BTreeMap::new();
     let mut v311: BTreeMap<(usize, usize), String> = BTreeMap::new();
     let mut v313: BTreeMap<usize, String> = BTreeMap::new();
     let mut atomic_collision = false;
-
-    for i in 0..accesses.len() {
-        for j in i..accesses.len() {
-            let (a, b) = (&accesses[i], &accesses[j]);
-            if !a.kind.writes() && !b.kind.writes() {
-                continue;
-            }
-            cert.checked_pairs += 1;
-
-            let (fa, fb) = (a.addr.affine(), b.addr.affine());
-            if fa.is_none() || fb.is_none() {
+    (cert.global_accesses, cert.checked_pairs) =
+        walk_pairs(ck, ctx, shape, clamps, |a, b, verdict| match verdict {
+            PairVerdict::Disjoint => {}
+            PairVerdict::Commutative => atomic_collision = true,
+            PairVerdict::NonAffine => {
                 for acc in [a, b] {
                     if acc.addr.affine().is_none() {
                         v313.entry(acc.pc).or_insert_with(|| {
@@ -278,65 +284,42 @@ pub fn analyze(ck: &CompiledKernel, launch: &LaunchConfig) -> (Certificate, Diag
                         });
                     }
                 }
-                continue;
             }
-            let (fa, fb) = (fa.unwrap(), fb.unwrap());
-
-            // Same-op commutative atomics may collide without an order
-            // hazard on the final memory value; `exch` is last-writer-wins
-            // and stays a plain write-write hazard.
-            let commutative_pair = matches!(
-                (a.kind, b.kind),
-                (AccessKind::Atomic(x), AccessKind::Atomic(y))
-                    if x == y && x != AtomOp::Exch
-            );
-
-            let verdict =
-                pair_verdict(fa, fb, &conds_of(a), &conds_of(b), bx, by, threads, grid, a.pc, b.pc);
-            match verdict {
-                PairVerdict::Disjoint => {}
-                PairVerdict::Collides(_) | PairVerdict::Unknown if commutative_pair => {
-                    atomic_collision = true;
-                }
-                PairVerdict::Collides(Some(w)) => {
-                    v310.entry((a.pc, b.pc)).or_insert_with(|| {
-                        (
-                            format!(
-                                "inter-block race: global {} at pc {} in block \
-                                 ({},{},{}) and global {} at pc {} in block ({},{},{}) \
-                                 both touch global word {}",
-                                a.kind.label(),
-                                a.pc,
-                                w.block_a.x,
-                                w.block_a.y,
-                                w.block_a.z,
-                                b.kind.label(),
-                                b.pc,
-                                w.block_b.x,
-                                w.block_b.y,
-                                w.block_b.z,
-                                w.word,
-                            ),
-                            w,
-                        )
-                    });
-                }
-                PairVerdict::Collides(None) | PairVerdict::Unknown => {
-                    v311.entry((a.pc, b.pc)).or_insert_with(|| {
+            PairVerdict::Collides(Some(w)) => {
+                v310.entry((a.pc, b.pc)).or_insert_with(|| {
+                    (
                         format!(
-                            "global {} at pc {} and global {} at pc {} may overlap \
-                             across thread blocks; inter-block independence is not \
-                             provable",
+                            "inter-block race: global {} at pc {} in block ({},{},{}) and \
+                             global {} at pc {} in block ({},{},{}) both touch global word {}",
                             a.kind.label(),
                             a.pc,
+                            w.block_a.x,
+                            w.block_a.y,
+                            w.block_a.z,
                             b.kind.label(),
                             b.pc,
-                        )
-                    });
-                }
+                            w.block_b.x,
+                            w.block_b.y,
+                            w.block_b.z,
+                            w.word,
+                        ),
+                        w,
+                    )
+                });
             }
-        }
-    }
+            PairVerdict::Collides(None) | PairVerdict::Unknown => {
+                v311.entry((a.pc, b.pc)).or_insert_with(|| {
+                    format!(
+                        "global {} at pc {} and global {} at pc {} may overlap across \
+                         thread blocks; inter-block independence is not provable",
+                        a.kind.label(),
+                        a.pc,
+                        b.kind.label(),
+                        b.pc,
+                    )
+                });
+            }
+        });
 
     cert.unanalyzable = v313.len();
     cert.classification = if !v310.is_empty() || !v311.is_empty() || !v313.is_empty() {
@@ -360,17 +343,6 @@ pub fn analyze(ck: &CompiledKernel, launch: &LaunchConfig) -> (Certificate, Diag
     (cert, report)
 }
 
-/// One access pair the family-level static pass could not prove disjoint
-/// for the whole region.
-#[derive(Debug, Clone)]
-pub(crate) struct FamilyPair {
-    pub pc_a: usize,
-    pub pc_b: usize,
-    /// Why the pair survived ("may collide", "not provable",
-    /// "non-affine address").
-    pub reason: &'static str,
-}
-
 /// Raw outcome of the family-symbolic static pass ([`family_static`]);
 /// tiering into a certificate happens in [`crate::family`].
 #[derive(Debug, Clone, Default)]
@@ -384,8 +356,9 @@ pub(crate) struct FamilyStatic {
     /// A definite collision re-enumerated exactly from member-invariant
     /// footprints; realized inside the region's upper-corner grid.
     pub witness: Option<RaceWitness>,
-    /// Pairs neither proved disjoint nor definitely colliding.
-    pub unresolved: Vec<FamilyPair>,
+    /// Pairs neither proved disjoint nor definitely colliding, with why
+    /// ("may collide", "not provable", "non-affine address").
+    pub unresolved: Vec<UnresolvedPair>,
 }
 
 /// Family-symbolic disjointness: [`analyze`]'s pair walk run once for the
@@ -418,141 +391,62 @@ pub(crate) fn family_static(
     family: &LaunchFamily,
     reference: &LaunchConfig,
 ) -> FamilyStatic {
-    let instrs = &ck.kernel.instrs;
     let mut out = FamilyStatic::default();
-
-    let has_global = instrs
-        .iter()
-        .any(|i| matches!(i.op, Op::Ld(MemSpace::Global) | Op::St(MemSpace::Global) | Op::Atom(_)));
     // Every launch of a one-block-high region has no peer to race with.
     let max_blocks = u64::from(family.grid_x.hi) * u64::from(family.grid_y.hi);
-    if !has_global || max_blocks <= 1 {
+    if max_blocks <= 1 {
         return out;
     }
 
     let (bx, by) = (family.block_x.hi.max(1), family.block_y.hi.max(1));
-    let threads = bx * by * family.block_z.hi.max(1);
-    let grid = Dim3::three_d(family.grid_x.hi.max(1), family.grid_y.hi.max(1), 1);
-
+    let shape = Shape {
+        bx,
+        by,
+        threads: bx * by * family.block_z.hi.max(1),
+        grid: Dim3::three_d(family.grid_x.hi.max(1), family.grid_y.hi.max(1), 1),
+    };
     let ctx = GridCtx::family(family, reference);
-    let (mut in_states, mut divergent) = fixpoint_with_divergence(&ck.kernel, &ck.cfg, ctx, true);
-
     // Region-invariant induction clamps (identical at every corner) keep
     // loop-carried pointer walks finite, exactly as in the per-launch
     // pass.
-    let doms = Doms::compute(&ck.cfg);
-    let nloops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
-    if !nloops.loops.is_empty() {
-        let clamps = induction_clamps_family(
-            &ck.kernel, &ck.cfg, &doms, &nloops, family, reference, &in_states, ctx,
-        );
-        if !clamps.is_empty() {
-            (in_states, divergent) = fixpoint_clamped(&ck.kernel, &ck.cfg, ctx, true, &clamps);
-        }
-    }
-
-    let mut accesses: Vec<GlobalAccess> = Vec::new();
-    for &b in &ck.cfg.reverse_post_order() {
-        if !in_states[b].reachable {
-            continue;
-        }
-        let mut st = in_states[b].clone();
-        for pc in ck.cfg.blocks[b].range() {
-            let instr = &instrs[pc];
-            let kind = match instr.op {
-                Op::Ld(MemSpace::Global) => Some(AccessKind::Read),
-                Op::St(MemSpace::Global) => Some(AccessKind::Write),
-                Op::Atom(aop) => Some(AccessKind::Atomic(aop)),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                let addr =
-                    resolve(&st, instr.srcs[0]) + AffineVal::constant(i64::from(instr.offset));
-                let guard = instr.guard.map(|g| (st.preds[usize::from(g.pred.0)], !g.negate));
-                accesses.push(GlobalAccess { pc, block: b, kind, addr, guard });
-            }
-            transfer_divergent(&mut st, instr, ctx, divergent[b]);
-        }
-    }
-    out.global_accesses = accesses.len();
-
-    let block_conds = block_conditions(ck, &in_states, ctx, &divergent);
-    let conds_of = |a: &GlobalAccess| -> Vec<(PredVal, bool)> {
-        let mut cs = block_conds[a.block].clone();
-        if let Some(g) = a.guard {
-            cs.push(g);
-        }
-        cs
+    let clamps = |doms: &Doms, nloops: &NaturalLoops, in_states: &[FlowState]| {
+        induction_clamps_family(
+            &ck.kernel, &ck.cfg, doms, nloops, family, reference, in_states, ctx,
+        )
     };
 
     let mut nonaffine: BTreeSet<usize> = BTreeSet::new();
-    let mut seen_pairs: BTreeSet<(usize, usize, &'static str)> = BTreeSet::new();
-    for i in 0..accesses.len() {
-        for j in i..accesses.len() {
-            let (a, b) = (&accesses[i], &accesses[j]);
-            if !a.kind.writes() && !b.kind.writes() {
-                continue;
-            }
-            out.checked_pairs += 1;
-
-            let (fa, fb) = (a.addr.affine(), b.addr.affine());
-            if fa.is_none() || fb.is_none() {
-                for acc in [a, b] {
-                    if acc.addr.affine().is_none() {
-                        nonaffine.insert(acc.pc);
-                    }
+    (out.global_accesses, out.checked_pairs) =
+        walk_pairs(ck, ctx, shape, clamps, |a, b, verdict| {
+            let reason = match verdict {
+                PairVerdict::Disjoint => {
+                    out.proved_pairs += 1;
+                    return;
                 }
-                if seen_pairs.insert((a.pc, b.pc, "non-affine address")) {
-                    out.unresolved.push(FamilyPair {
-                        pc_a: a.pc,
-                        pc_b: b.pc,
-                        reason: "non-affine address",
-                    });
-                }
-                continue;
-            }
-            let (fa, fb) = (fa.unwrap(), fb.unwrap());
-
-            let commutative_pair = matches!(
-                (a.kind, b.kind),
-                (AccessKind::Atomic(x), AccessKind::Atomic(y))
-                    if x == y && x != AtomOp::Exch
-            );
-
-            let verdict =
-                pair_verdict(fa, fb, &conds_of(a), &conds_of(b), bx, by, threads, grid, a.pc, b.pc);
-            match verdict {
-                PairVerdict::Disjoint => out.proved_pairs += 1,
-                PairVerdict::Collides(_) | PairVerdict::Unknown if commutative_pair => {
+                PairVerdict::Commutative => {
                     out.commutative_only = true;
                     out.proved_pairs += 1;
+                    return;
                 }
                 PairVerdict::Collides(Some(w)) => {
-                    if out.witness.is_none() {
-                        out.witness = Some(w);
-                    }
+                    out.witness.get_or_insert(w);
+                    return;
                 }
-                PairVerdict::Collides(None) => {
-                    if seen_pairs.insert((a.pc, b.pc, "may collide")) {
-                        out.unresolved.push(FamilyPair {
-                            pc_a: a.pc,
-                            pc_b: b.pc,
-                            reason: "may collide",
-                        });
-                    }
+                PairVerdict::Collides(None) => "may collide",
+                PairVerdict::Unknown => "not provable",
+                PairVerdict::NonAffine => {
+                    nonaffine.extend(
+                        [a, b]
+                            .into_iter()
+                            .filter(|acc| acc.addr.affine().is_none())
+                            .map(|acc| acc.pc),
+                    );
+                    "non-affine address"
                 }
-                PairVerdict::Unknown => {
-                    if seen_pairs.insert((a.pc, b.pc, "not provable")) {
-                        out.unresolved.push(FamilyPair {
-                            pc_a: a.pc,
-                            pc_b: b.pc,
-                            reason: "not provable",
-                        });
-                    }
-                }
-            }
-        }
-    }
+            };
+            // Each access is one pc, so every pair is visited once.
+            out.unresolved.push(UnresolvedPair { pc_a: a.pc, pc_b: b.pc, reason });
+        });
     out.unanalyzable = nonaffine.len();
     out
 }
@@ -650,28 +544,14 @@ pub fn certify(
 }
 
 /// Disjointness proof for one access pair over every pair of distinct
-/// blocks of `grid`: the fast interval screens first, then — when they
+/// blocks of the grid: the fast interval screens first, then — when they
 /// only prove a *possible* overlap — an exact full re-enumeration that
 /// can still settle the pair either way (strided footprints interleave
 /// without sharing a word, which no interval test can see).
-#[allow(clippy::too_many_arguments)]
-fn pair_verdict(
-    fa: Affine,
-    fb: Affine,
-    conds_a: &[(PredVal, bool)],
-    conds_b: &[(PredVal, bool)],
-    bx: u32,
-    by: u32,
-    threads: u32,
-    grid: Dim3,
-    pc_a: usize,
-    pc_b: usize,
-) -> PairVerdict {
-    let v = interval_verdict(fa, fb, conds_a, conds_b, bx, by, threads, grid, pc_a, pc_b);
+fn pair_verdict(a: Side, b: Side, s: Shape) -> PairVerdict {
+    let v = interval_verdict(a, b, s);
     match v {
-        PairVerdict::Collides(None) | PairVerdict::Unknown => {
-            exact_refine(fa, fb, conds_a, conds_b, bx, by, threads, grid, pc_a, pc_b).unwrap_or(v)
-        }
+        PairVerdict::Collides(None) | PairVerdict::Unknown => exact_refine(a, b, s).unwrap_or(v),
         settled => settled,
     }
 }
@@ -679,23 +559,13 @@ fn pair_verdict(
 /// The interval screens: stride separation over grid deltas for equal
 /// block coefficients, per-pair interval tests for unequal ones, and
 /// whole-grid ranges as the last resort.
-#[allow(clippy::too_many_arguments)]
-fn interval_verdict(
-    fa: Affine,
-    fb: Affine,
-    conds_a: &[(PredVal, bool)],
-    conds_b: &[(PredVal, bool)],
-    bx: u32,
-    by: u32,
-    threads: u32,
-    grid: Dim3,
-    pc_a: usize,
-    pc_b: usize,
-) -> PairVerdict {
-    let (gx, gy, gz) = (i64::from(grid.x), i64::from(grid.y), i64::from(grid.z));
+fn interval_verdict(a: Side, b: Side, s: Shape) -> PairVerdict {
+    let (fa, fb) = (a.f, b.f);
+    let (gx, gy, gz) = (i64::from(s.grid.x), i64::from(s.grid.y), i64::from(s.grid.z));
+    let (bx, by) = (i64::from(s.bx), i64::from(s.by));
     // Intra-block byte ranges with the block offset factored out.
-    let (la, ha) = fa.drop_block_terms().range(i64::from(bx), i64::from(by));
-    let (lb, hb) = fb.drop_block_terms().range(i64::from(bx), i64::from(by));
+    let (la, ha) = fa.drop_block_terms().range(bx, by);
+    let (lb, hb) = fb.drop_block_terms().range(bx, by);
 
     if fa.d == fb.d && fa.e == fb.e {
         // Equal block coefficients: the relative block offset is
@@ -740,9 +610,7 @@ fn interval_verdict(
                     (py + dy) as u32,
                     u32::from(dx == 0 && dy == 0),
                 );
-                if let Some(w) = witness_at(
-                    fa, fb, conds_a, conds_b, bx, by, threads, block_a, block_b, pc_a, pc_b,
-                ) {
+                if let Some(w) = witness_at(a, b, s, block_a, block_b) {
                     return PairVerdict::Collides(Some(w));
                 }
             }
@@ -752,7 +620,7 @@ fn interval_verdict(
 
     // Unequal block coefficients: enumerate concrete block pairs when the
     // grid is small enough, else fall back to whole-grid ranges.
-    let num_blocks = u64::from(grid.x) * u64::from(grid.y) * u64::from(grid.z);
+    let num_blocks = u64::from(s.grid.x) * u64::from(s.grid.y) * u64::from(s.grid.z);
     if la != simt_compiler::NEG_INF
         && ha != simt_compiler::POS_INF
         && lb != simt_compiler::NEG_INF
@@ -765,7 +633,7 @@ fn interval_verdict(
                 if p == q {
                     continue;
                 }
-                let (bp, bq) = (gpu_sim::ctaid_at(grid, p), gpu_sim::ctaid_at(grid, q));
+                let (bp, bq) = (gpu_sim::ctaid_at(s.grid, p), gpu_sim::ctaid_at(s.grid, q));
                 // i128 for the same wrap-safety reason as the delta path.
                 let off_a =
                     i128::from(fa.d) * i128::from(bp.x) + i128::from(fa.e) * i128::from(bp.y);
@@ -775,9 +643,7 @@ fn interval_verdict(
                     && i128::from(lb) + off_b <= i128::from(ha) + off_a + 3
                 {
                     collided = true;
-                    if let Some(w) =
-                        witness_at(fa, fb, conds_a, conds_b, bx, by, threads, bp, bq, pc_a, pc_b)
-                    {
+                    if let Some(w) = witness_at(a, b, s, bp, bq) {
                         return PairVerdict::Collides(Some(w));
                     }
                 }
@@ -786,8 +652,8 @@ fn interval_verdict(
         return if collided { PairVerdict::Collides(None) } else { PairVerdict::Disjoint };
     }
 
-    let ra = fa.range_over(i64::from(bx), i64::from(by), gx, gy);
-    let rb = fb.range_over(i64::from(bx), i64::from(by), gx, gy);
+    let ra = fa.range_over(bx, by, gx, gy);
+    let rb = fb.range_over(bx, by, gx, gy);
     if ra.1.saturating_add(3) < rb.0 || rb.1.saturating_add(3) < ra.0 {
         PairVerdict::Disjoint
     } else {
@@ -799,45 +665,25 @@ fn interval_verdict(
 /// witness. Only threads whose every condition *evaluates* true count,
 /// and both addresses must be exact — over-approximation never reaches a
 /// definite verdict.
-#[allow(clippy::too_many_arguments)]
-fn witness_at(
-    fa: Affine,
-    fb: Affine,
-    conds_a: &[(PredVal, bool)],
-    conds_b: &[(PredVal, bool)],
-    bx: u32,
-    by: u32,
-    threads: u32,
-    block_a: Dim3,
-    block_b: Dim3,
-    pc_a: usize,
-    pc_b: usize,
-) -> Option<RaceWitness> {
-    let wa = definite_words(fa, conds_a, bx, by, threads, block_a);
-    let wb = definite_words(fb, conds_b, bx, by, threads, block_b);
+fn witness_at(a: Side, b: Side, s: Shape, block_a: Dim3, block_b: Dim3) -> Option<RaceWitness> {
+    let wa = definite_words(a, s, block_a);
+    let wb = definite_words(b, s, block_b);
     let word = wa.intersection(&wb).next().copied()?;
-    Some(RaceWitness { pc_a, pc_b, block_a, block_b, word })
+    Some(RaceWitness { pc_a: a.pc, pc_b: b.pc, block_a, block_b, word })
 }
 
 /// Global words definitely touched by one access in one concrete block:
 /// exact addresses of threads whose guard chain evaluates true.
-fn definite_words(
-    f: Affine,
-    conds: &[(PredVal, bool)],
-    bx: u32,
-    by: u32,
-    threads: u32,
-    block: Dim3,
-) -> BTreeSet<i64> {
+fn definite_words(side: Side, s: Shape, block: Dim3) -> BTreeSet<i64> {
     let mut words = BTreeSet::new();
-    if !f.is_exact() {
+    if !side.f.is_exact() {
         return words;
     }
-    for (t, executes) in guarded_threads(conds, bx, by, threads, Some(block)) {
+    for (t, executes) in guarded_threads(side.conds, s.bx, s.by, s.threads, Some(block)) {
         if executes != Some(true) {
             continue;
         }
-        if let Some(byte) = eval_in(f, t, bx, by, block) {
+        if let Some(byte) = eval_in(side.f, t, s, block) {
             words.insert(byte.div_euclid(4));
             words.insert((byte + 3).div_euclid(4));
         }
@@ -846,8 +692,8 @@ fn definite_words(
 }
 
 /// `f`'s byte address for linear thread `t` of block `block`.
-fn eval_in(f: Affine, t: u32, bx: u32, by: u32, block: Dim3) -> Option<i64> {
-    let (tx, ty) = thread_xy(t, bx, by);
+fn eval_in(f: Affine, t: u32, s: Shape, block: Dim3) -> Option<i64> {
+    let (tx, ty) = thread_xy(t, s.bx, s.by);
     f.eval_at(tx, ty, i64::from(block.x), i64::from(block.y))
 }
 
@@ -875,33 +721,21 @@ impl WordTouch {
 /// `blocks × threads` via a word → touching-blocks map, so large grids
 /// need no quadratic pair walk. `None` when any footprint is not exactly
 /// computable or the enumeration exceeds [`ENUM_CAP`].
-#[allow(clippy::too_many_arguments)]
-fn exact_refine(
-    fa: Affine,
-    fb: Affine,
-    conds_a: &[(PredVal, bool)],
-    conds_b: &[(PredVal, bool)],
-    bx: u32,
-    by: u32,
-    threads: u32,
-    grid: Dim3,
-    pc_a: usize,
-    pc_b: usize,
-) -> Option<PairVerdict> {
-    let num_blocks = u64::from(grid.x) * u64::from(grid.y) * u64::from(grid.z);
-    if num_blocks.saturating_mul(u64::from(threads)) > ENUM_CAP {
+fn exact_refine(a: Side, b: Side, s: Shape) -> Option<PairVerdict> {
+    let num_blocks = u64::from(s.grid.x) * u64::from(s.grid.y) * u64::from(s.grid.z);
+    if num_blocks.saturating_mul(u64::from(s.threads)) > ENUM_CAP {
         return None;
     }
     // word → blocks touching it via access a / via access b.
     let mut map: BTreeMap<i64, [Option<WordTouch>; 2]> = BTreeMap::new();
     for p in 0..num_blocks {
-        let block = gpu_sim::ctaid_at(grid, p);
-        for (side, f, conds) in [(0usize, fa, conds_a), (1, fb, conds_b)] {
-            let words = exact_words(f, conds, bx, by, threads, block)?;
+        let block = gpu_sim::ctaid_at(s.grid, p);
+        for (slot, side) in [a, b].into_iter().enumerate() {
+            let words = exact_words(side, s, block)?;
             for word in words {
-                match &mut map.entry(word).or_default()[side] {
+                match &mut map.entry(word).or_default()[slot] {
                     Some(t) => t.add(p),
-                    slot @ None => *slot = Some(WordTouch { first: p, second: None }),
+                    touch @ None => *touch = Some(WordTouch { first: p, second: None }),
                 }
             }
         }
@@ -918,10 +752,10 @@ fn exact_refine(
         };
         if let Some((p, q)) = pair {
             return Some(PairVerdict::Collides(Some(RaceWitness {
-                pc_a,
-                pc_b,
-                block_a: gpu_sim::ctaid_at(grid, p),
-                block_b: gpu_sim::ctaid_at(grid, q),
+                pc_a: a.pc,
+                pc_b: b.pc,
+                block_a: gpu_sim::ctaid_at(s.grid, p),
+                block_b: gpu_sim::ctaid_at(s.grid, q),
                 word,
             })));
         }
@@ -934,23 +768,16 @@ fn exact_refine(
 /// address, an unevaluable guard, or an address overflowing evaluation.
 /// Unlike [`definite_words`], which under-approximates (fine for a
 /// witness), this must be the *precise* set — any uncertainty bails.
-fn exact_words(
-    f: Affine,
-    conds: &[(PredVal, bool)],
-    bx: u32,
-    by: u32,
-    threads: u32,
-    block: Dim3,
-) -> Option<BTreeSet<i64>> {
-    if !f.is_exact() {
+fn exact_words(side: Side, s: Shape, block: Dim3) -> Option<BTreeSet<i64>> {
+    if !side.f.is_exact() {
         return None;
     }
     let mut words = BTreeSet::new();
-    for (t, executes) in guarded_threads(conds, bx, by, threads, Some(block)) {
+    for (t, executes) in guarded_threads(side.conds, s.bx, s.by, s.threads, Some(block)) {
         if !executes? {
             continue;
         }
-        let byte = eval_in(f, t, bx, by, block)?;
+        let byte = eval_in(side.f, t, s, block)?;
         words.insert(byte.div_euclid(4));
         words.insert((byte + 3).div_euclid(4));
     }

@@ -614,8 +614,9 @@ pub fn estimate(
     }
 }
 
-/// A cycle bracket valid for *every* launch in a [`LaunchFamily`]: the
-/// hull over the region's corner instantiations of [`estimate`].
+/// A cycle bracket valid for *every* launch in a
+/// [`LaunchFamily`](simt_isa::LaunchFamily): the hull over the region's
+/// corner instantiations of [`estimate`].
 ///
 /// Both the per-block visit products and the residency/serialization
 /// terms of the cost model are monotone in each grid/block extent, so

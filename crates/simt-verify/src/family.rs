@@ -163,11 +163,7 @@ pub fn certify_family(
         checked_pairs: fs.checked_pairs,
         proved_pairs: fs.proved_pairs,
         unanalyzable: fs.unanalyzable,
-        unresolved: fs
-            .unresolved
-            .iter()
-            .map(|p| UnresolvedPair { pc_a: p.pc_a, pc_b: p.pc_b, reason: p.reason })
-            .collect(),
+        unresolved: fs.unresolved,
         sampled_corners: 0,
         witness_launch: None,
         witness: None,

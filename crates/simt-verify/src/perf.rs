@@ -13,10 +13,11 @@
 //! so [`validate`] is a genuine differential check against the measured
 //! [`gpu_sim::SimStats::mem_by_pc`] counters.
 //!
-//! Execution masks come from the dominating-branch conditions shared with
-//! the race pass ([`crate::races`]); a mask or address the domain cannot
-//! pin down exactly is reported as [`MemPredKind::Unpredictable`], never
-//! silently guessed. Lane-set recovery assumes the structured,
+//! Accesses and their execution masks come from the one footprint walk
+//! shared with the race pass and the inter-block certifiers
+//! ([`crate::races`]); a mask or address the domain cannot pin down
+//! exactly is reported as [`MemPredKind::Unpredictable`], never silently
+//! guessed. Lane-set recovery assumes the structured,
 //! IPDOM-reconverging control flow produced by `KernelBuilder`;
 //! unstructured flow can under-constrain the mask, which the differential
 //! validation then surfaces.
@@ -25,13 +26,13 @@
 //! `P102` guaranteed uncoalesced global access, `P103` statically
 //! unpredictable access.
 
-use crate::races::{block_conditions, guarded_threads, thread_xy};
+use crate::races::{guarded_threads, mem_accesses, thread_xy};
 use crate::{Diagnostic, Diagnostics, LintCode};
 use gpu_sim::mem::{coalesce_lines, smem_conflict_degree};
 use gpu_sim::SimStats;
-use simt_compiler::affine::{fixpoint, resolve, transfer, Affine, AffineVal, GridCtx, PredVal};
+use simt_compiler::affine::{fixpoint, Affine, AffineVal, GridCtx};
 use simt_compiler::CompiledKernel;
-use simt_isa::{LaunchConfig, MemSpace, Op};
+use simt_isa::{LaunchConfig, MemSpace};
 use std::collections::BTreeSet;
 
 /// Bias added before reusing the simulator's unsigned address helpers;
@@ -87,16 +88,6 @@ pub struct Validation {
     pub ok: bool,
     /// Human-readable predicted-vs-measured evidence.
     pub detail: String,
-}
-
-/// One access site collected from the CFG replay.
-struct Access {
-    pc: usize,
-    block: usize,
-    space: MemSpace,
-    is_store: bool,
-    addr: AffineVal,
-    guard: Option<(PredVal, bool)>,
 }
 
 /// Feasible residues of the uniform constant modulo the 128-byte period.
@@ -200,50 +191,24 @@ fn predict_inner(
 ) -> Vec<MemPrediction> {
     let (bx, by, bz) = (launch.block.x.max(1), launch.block.y.max(1), launch.block.z.max(1));
     let threads = launch.threads_per_block();
-    let instrs = &ck.kernel.instrs;
 
     let ctx = GridCtx::generic(bz);
     let in_states = fixpoint(&ck.kernel, &ck.cfg, ctx, true);
     let no_divergence = vec![false; ck.cfg.blocks.len()];
-    let block_conds = block_conditions(ck, &in_states, ctx, &no_divergence);
-
-    let mut accesses: Vec<Access> = Vec::new();
-    for (b, block) in ck.cfg.blocks.iter().enumerate() {
-        if !in_states[b].reachable {
-            continue;
-        }
-        let mut st = in_states[b].clone();
-        for pc in block.range() {
-            let instr = &instrs[pc];
-            let classified = match instr.op {
-                Op::Ld(s @ (MemSpace::Shared | MemSpace::Global)) => Some((s, false)),
-                Op::St(s @ (MemSpace::Shared | MemSpace::Global)) => Some((s, true)),
-                Op::Atom(_) => Some((MemSpace::Global, true)),
-                _ => None,
-            };
-            if let Some((space, is_store)) = classified {
-                let addr =
-                    resolve(&st, instr.srcs[0]) + AffineVal::constant(i64::from(instr.offset));
-                let guard = instr.guard.map(|g| (st.preds[usize::from(g.pred.0)], !g.negate));
-                accesses.push(Access { pc, block: b, space, is_store, addr, guard });
-            }
-            transfer(&mut st, instr, ctx);
-        }
-    }
+    // The walk visits blocks in reverse post-order; predictions are
+    // reported in pc order.
+    let mut accesses = mem_accesses(ck, ctx, &in_states, &no_divergence);
+    accesses.sort_by_key(|a| a.pc);
 
     accesses
         .into_iter()
         .map(|a| {
-            let mut constraints = block_conds[a.block].clone();
-            if let Some(g) = a.guard {
-                constraints.push(g);
-            }
             // Mask-free envelope: an unknown mask executes some subset of
             // the block's threads, and any subset's degree/lines are
             // bounded by the full warp's — min widens to 0 (empty mask).
             // Threads that provably execute, or `None` when some thread's
             // conditions cannot be decided.
-            let executing: Option<Vec<u32>> = guarded_threads(&constraints, bx, by, threads, None)
+            let executing: Option<Vec<u32>> = guarded_threads(&a.conds, bx, by, threads, None)
                 .filter(|&(_, executes)| executes != Some(false))
                 .map(|(t, executes)| executes.map(|_| t))
                 .collect();
@@ -280,7 +245,7 @@ fn predict_inner(
                     }
                 }
             };
-            MemPrediction { pc: a.pc, is_store: a.is_store, space: a.space, kind }
+            MemPrediction { pc: a.pc, is_store: a.kind.writes(), space: a.space, kind }
         })
         .collect()
 }
@@ -380,7 +345,7 @@ pub fn validate(predictions: &[MemPrediction], stats: &SimStats) -> Vec<Validati
 mod tests {
     use super::*;
     use simt_compiler::compile;
-    use simt_isa::{KernelBuilder, SpecialReg};
+    use simt_isa::{KernelBuilder, Op, SpecialReg};
 
     fn launch_1d() -> LaunchConfig {
         LaunchConfig::new(1u32, 64u32)
@@ -460,6 +425,30 @@ mod tests {
         let report = lint(&ck, &preds);
         assert_eq!(report.items[0].code, LintCode::MemUnpredictable);
         assert_eq!(report.items[0].severity, crate::Severity::Note);
+    }
+
+    #[test]
+    fn predictions_come_in_pc_order() {
+        // The entry jumps over a global store to a shared store that
+        // branches back to it: reverse post-order visits the shared store
+        // first, the predictions still list the lower pc first.
+        let mut b = KernelBuilder::new("jump");
+        let t = b.special(SpecialReg::TidX);
+        let smem = b.alloc_shared(64 * 4);
+        let off = b.shl_imm(t, 2);
+        let skip = b.branch_fwd(None);
+        let body = b.here();
+        b.store(MemSpace::Global, off, t, 0);
+        b.exit();
+        b.patch_here(skip);
+        let sa = b.iadd(off, smem);
+        b.store(MemSpace::Shared, sa, t, 0);
+        b.branch_back(body);
+        let ck = compile(b.finish());
+        let preds = predict(&ck, &launch_1d(), 32);
+        let spaces: Vec<MemSpace> = preds.iter().map(|p| p.space).collect();
+        assert_eq!(spaces, [MemSpace::Global, MemSpace::Shared]);
+        assert!(preds[0].pc < preds[1].pc);
     }
 
     #[test]

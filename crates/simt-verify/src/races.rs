@@ -45,19 +45,8 @@ use simt_compiler::affine::{
 };
 use simt_compiler::cfg::reach;
 use simt_compiler::{BlockId, CompiledKernel, Doms};
-use simt_isa::{Dim3, LaunchConfig, MemSpace, Op};
+use simt_isa::{AtomOp, Dim3, LaunchConfig, MemSpace, Op};
 use std::collections::{BTreeMap, HashMap, HashSet};
-
-/// One shared-memory access with its converged abstract address.
-struct SharedAccess {
-    pc: usize,
-    block: BlockId,
-    is_store: bool,
-    /// Byte address including the instruction offset.
-    addr: AffineVal,
-    /// The instruction's own guard: predicate snapshot and required truth.
-    guard: Option<(PredVal, bool)>,
-}
 
 /// Barrier-delimited segments: CFG granularity below basic blocks whose
 /// edges never cross a `bar.sync`.
@@ -113,32 +102,19 @@ impl Epochs {
 /// Per-block execution conditions from dominating divergent branches:
 /// for each block, the `(predicate, required polarity)` pairs of every
 /// dominating two-way branch whose chosen side exclusively reaches it.
-/// Shared by the race pass and the memory-performance predictor.
-pub(crate) fn block_conditions(
+/// `branch[b]` is block `b`'s guarded branch: its predicate snapshot and
+/// the polarity that takes the first successor. Branches are visited in
+/// block order, so every list is reproducible.
+fn block_conditions(
     ck: &CompiledKernel,
-    in_states: &[FlowState],
-    ctx: GridCtx,
-    divergent: &[bool],
+    branch: &[Option<(PredVal, bool)>],
 ) -> Vec<Vec<(PredVal, bool)>> {
     let nb = ck.cfg.blocks.len();
-    let mut branch_info: HashMap<BlockId, (PredVal, bool)> = HashMap::new();
-    for (b, block) in ck.cfg.blocks.iter().enumerate() {
-        if !in_states[b].reachable {
-            continue;
-        }
-        let mut st = in_states[b].clone();
-        for pc in block.range() {
-            let instr = &ck.kernel.instrs[pc];
-            if let (Op::Bra { .. }, Some(g)) = (instr.op, instr.guard) {
-                branch_info.insert(b, (st.preds[usize::from(g.pred.0)], !g.negate));
-            }
-            transfer_divergent(&mut st, instr, ctx, divergent[b]);
-        }
-    }
     let doms = Doms::compute(&ck.cfg);
     let succs = |b: BlockId| ck.cfg.blocks[b].succs.iter().copied();
     let mut block_conds: Vec<Vec<(PredVal, bool)>> = vec![Vec::new(); nb];
-    for (&b, &(pv, taken_polarity)) in &branch_info {
+    for (b, &info) in branch.iter().enumerate() {
+        let Some((pv, taken_polarity)) = info else { continue };
         let bs = &ck.cfg.blocks[b].succs;
         if bs.len() != 2 || bs[0] == bs[1] {
             continue;
@@ -157,6 +133,94 @@ pub(crate) fn block_conditions(
         }
     }
     block_conds
+}
+
+/// How one memory instruction touches its address.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AccessKind {
+    Read,
+    Write,
+    Atomic(AtomOp),
+}
+
+impl AccessKind {
+    /// True for stores and atomics.
+    pub(crate) fn writes(self) -> bool {
+        !matches!(self, AccessKind::Read)
+    }
+
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            AccessKind::Read => "load",
+            AccessKind::Write => "store",
+            AccessKind::Atomic(_) => "atomic",
+        }
+    }
+}
+
+/// One static shared or global memory access with its converged abstract
+/// address.
+pub(crate) struct MemAccess {
+    pub pc: usize,
+    pub space: MemSpace,
+    pub kind: AccessKind,
+    /// Byte address including the instruction offset.
+    pub addr: AffineVal,
+    /// The conjunction a thread must satisfy to execute the access: its
+    /// block's [`block_conditions`], then the instruction's own guard.
+    pub conds: Vec<(PredVal, bool)>,
+}
+
+/// The one footprint walk: every shared and global load, store and atomic
+/// of every reachable block, in reverse post-order, with its address and
+/// execution conditions read off the affine fixpoint. `in_states` and
+/// `divergent` must come from one fixpoint of `ck` under `ctx`, so each
+/// block body replays to the values the fixpoint computed. The same
+/// replay snapshots each block's branch predicate for
+/// [`block_conditions`].
+pub(crate) fn mem_accesses(
+    ck: &CompiledKernel,
+    ctx: GridCtx,
+    in_states: &[FlowState],
+    divergent: &[bool],
+) -> Vec<MemAccess> {
+    let mut branch = vec![None; ck.cfg.blocks.len()];
+    // Each access with its block and its own guard, until the block
+    // conditions are known.
+    let mut sites = Vec::new();
+    for b in ck.cfg.reverse_post_order() {
+        if !in_states[b].reachable {
+            continue;
+        }
+        let mut st = in_states[b].clone();
+        for pc in ck.cfg.blocks[b].range() {
+            let instr = &ck.kernel.instrs[pc];
+            let guard = instr.guard.map(|g| (st.preds[usize::from(g.pred.0)], !g.negate));
+            if matches!(instr.op, Op::Bra { .. }) && guard.is_some() {
+                branch[b] = guard;
+            }
+            let access = match instr.op {
+                Op::Ld(s @ (MemSpace::Shared | MemSpace::Global)) => Some((s, AccessKind::Read)),
+                Op::St(s @ (MemSpace::Shared | MemSpace::Global)) => Some((s, AccessKind::Write)),
+                Op::Atom(op) => Some((MemSpace::Global, AccessKind::Atomic(op))),
+                _ => None,
+            };
+            if let Some((space, kind)) = access {
+                let addr =
+                    resolve(&st, instr.srcs[0]) + AffineVal::constant(i64::from(instr.offset));
+                sites.push((b, guard, MemAccess { pc, space, kind, addr, conds: Vec::new() }));
+            }
+            transfer_divergent(&mut st, instr, ctx, divergent[b]);
+        }
+    }
+    let block_conds = block_conditions(ck, &branch);
+    sites
+        .into_iter()
+        .map(|(b, guard, mut access)| {
+            access.conds = block_conds[b].iter().copied().chain(guard).collect();
+            access
+        })
+        .collect()
 }
 
 /// Thread `t`'s `(tid.x, tid.y)` in a block of `bx × by` threads: the one
@@ -291,33 +355,14 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
     // values defined under thread-dependent branches.
     let ctx = GridCtx::launch(launch);
     let (in_states, divergent) = fixpoint_with_divergence(&ck.kernel, &ck.cfg, ctx, false);
-    let rpo = ck.cfg.reverse_post_order();
 
-    // ---- 2. collect accesses -------------------------------------------
-    let mut accesses: Vec<SharedAccess> = Vec::new();
-    for &b in &rpo {
-        if !in_states[b].reachable {
-            continue;
-        }
-        let mut st = in_states[b].clone();
-        for pc in ck.cfg.blocks[b].range() {
-            let instr = &instrs[pc];
-            let is_shared_ld = matches!(instr.op, Op::Ld(MemSpace::Shared));
-            let is_shared_st = matches!(instr.op, Op::St(MemSpace::Shared));
-            if is_shared_ld || is_shared_st {
-                let addr =
-                    resolve(&st, instr.srcs[0]) + AffineVal::constant(i64::from(instr.offset));
-                let guard = instr.guard.map(|g| (st.preds[usize::from(g.pred.0)], !g.negate));
-                accesses.push(SharedAccess { pc, block: b, is_store: is_shared_st, addr, guard });
-            }
-            transfer_divergent(&mut st, instr, ctx, divergent[b]);
-        }
-    }
+    // ---- 2. collect accesses with their execution conditions -----------
+    let accesses: Vec<MemAccess> = mem_accesses(ck, ctx, &in_states, &divergent)
+        .into_iter()
+        .filter(|a| a.space == MemSpace::Shared)
+        .collect();
 
-    // ---- 3. per-block execution conditions from dominating branches ----
-    let block_conds = block_conditions(ck, &in_states, ctx, &divergent);
-
-    // ---- 4. same-epoch overlap checking --------------------------------
+    // ---- 3. same-epoch overlap checking --------------------------------
     let epochs = Epochs::build(ck);
     let reach: HashMap<usize, Vec<bool>> = accesses
         .iter()
@@ -327,25 +372,17 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
         .map(|s| (s, epochs.reach_after(s)))
         .collect();
 
-    let sets: Vec<ThreadSets> = accesses
-        .iter()
-        .map(|a| {
-            let mut cs = block_conds[a.block].clone();
-            if let Some(g) = a.guard {
-                cs.push(g);
-            }
-            ThreadSets::of(&cs, bx, by, threads)
-        })
-        .collect();
+    let sets: Vec<ThreadSets> =
+        accesses.iter().map(|a| ThreadSets::of(&a.conds, bx, by, threads)).collect();
 
     let mut v301: BTreeMap<(usize, usize), String> = BTreeMap::new();
     let mut v302: BTreeMap<usize, String> = BTreeMap::new();
-    let kind = |s: &SharedAccess| if s.is_store { "store" } else { "load" };
+    let kind = |s: &MemAccess| s.kind.label();
 
     for i in 0..accesses.len() {
         for j in i..accesses.len() {
             let (a, b) = (&accesses[i], &accesses[j]);
-            if !a.is_store && !b.is_store {
+            if !a.kind.writes() && !b.kind.writes() {
                 continue;
             }
             let (sa, sb) = (epochs.seg_of_pc[a.pc], epochs.seg_of_pc[b.pc]);
@@ -780,6 +817,58 @@ mod tests {
         let d = check(&ck, &LaunchConfig::new(4u32, Dim3::one_d(16)));
         assert!(d.with_code(LintCode::SharedRaceStatic).is_empty(), "{}", d.render());
         assert_eq!(d.with_code(LintCode::SharedAddrUnknown).len(), 1, "{}", d.render());
+    }
+
+    #[test]
+    fn footprint_walk_puts_block_conditions_before_the_guard() {
+        // A guarded global store inside `if (tid.x < 32)`, then a shared
+        // load and an atomic after the join: the store executes for
+        // `tid.x < 8` only, and its conditions list the dominating
+        // branch first, its own guard last.
+        let mut b = KernelBuilder::new("walk");
+        let t = b.special(SpecialReg::TidX);
+        let smem = b.alloc_shared(16);
+        let off = b.shl_imm(t, 2);
+        let p = b.setp(CmpOp::Lt, t, 32u32);
+        let q = b.setp(CmpOp::Lt, t, 8u32);
+        b.if_then(Guard::if_true(p), |b| {
+            let st = simt_isa::Instruction::new(
+                Op::St(MemSpace::Global),
+                None,
+                None,
+                vec![off.into(), t.into()],
+            );
+            b.emit(st.with_guard(Guard::if_true(q)));
+        });
+        let _v = b.load(MemSpace::Shared, smem, 0);
+        let _old = b.atom(AtomOp::Add, off, t);
+        let ck = compile(b.finish());
+        let launch = launch_1d(64);
+        let ctx = GridCtx::launch(&launch);
+        let (in_states, divergent) = fixpoint_with_divergence(&ck.kernel, &ck.cfg, ctx, false);
+        let accesses = mem_accesses(&ck, ctx, &in_states, &divergent);
+
+        let mut kinds: Vec<_> = accesses.iter().map(|a| (a.pc, a.space, a.kind.label())).collect();
+        kinds.sort_unstable();
+        let spaces: Vec<_> = kinds.iter().map(|&(_, s, k)| (s, k)).collect();
+        assert_eq!(
+            spaces,
+            [(MemSpace::Global, "store"), (MemSpace::Shared, "load"), (MemSpace::Global, "atomic")]
+        );
+        let store = accesses.iter().find(|a| a.kind == AccessKind::Write).expect("one store");
+        let holds = |(pv, polarity): (PredVal, bool), tx: i64| pv.eval(tx, 0) == Some(polarity);
+        assert_eq!(store.conds.len(), 2);
+        assert!(holds(store.conds[0], 20) && !holds(store.conds[0], 40), "branch first");
+        assert!(holds(store.conds[1], 4) && !holds(store.conds[1], 20), "guard last");
+        let executing: Vec<u32> = guarded_threads(&store.conds, 64, 1, 64, None)
+            .filter(|&(_, e)| e == Some(true))
+            .map(|(t, _)| t)
+            .collect();
+        assert_eq!(executing, (0..8).collect::<Vec<_>>());
+        assert!(accesses
+            .iter()
+            .filter(|a| a.kind != AccessKind::Write)
+            .all(|a| a.conds.is_empty()));
     }
 
     #[test]

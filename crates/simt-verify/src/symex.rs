@@ -281,7 +281,7 @@ enum Flow {
 pub enum UnknownReason {
     /// The instruction-retirement or term-arena budget ran out.
     FuelExhausted,
-    /// Branch-fork nesting exceeded [`MAX_FORK_DEPTH`].
+    /// Branch-fork nesting exceeded `MAX_FORK_DEPTH` (64).
     ForkBudget,
     /// The run completed (or hit an unmodeled construct), but the term
     /// and affine domains could not discharge the obligation.

@@ -19,15 +19,24 @@
 //! catalog workload: the refined kernel's `oracle::check` report and both
 //! `oracle::dynamic_headroom` vectors.
 //!
+//! A third table pins the static footprint analyses for each catalog
+//! workload and a set of racy, certifier and memory-performance fixtures:
+//! `family::certify_family`'s whole certificate (verdict, classification,
+//! counts, unresolved pairs with their reasons in order, witness, witness
+//! launch, notes and cost brackets) and the `perf::predict` /
+//! `perf::predict_envelope` vectors.
+//!
 //! The tables pin what the replay computes, not how fast: a host-side
 //! optimisation of the replay must leave every row unchanged. A row that
 //! moves means a verdict, a diagnostic or an executed value changed.
 
-use darsie_repro::isa::{Instruction, LaunchConfig};
-use darsie_repro::sim::{ctaid_at, run_tb_functional, FunctionalObserver, GlobalMemory, Warp};
+use darsie_repro::isa::{AxisRange, Instruction, LaunchConfig, LaunchFamily};
+use darsie_repro::sim::{
+    ctaid_at, run_tb_functional, FunctionalObserver, GlobalMemory, GpuConfig, Warp,
+};
 use darsie_repro::workloads::{catalog, fixtures, Scale};
 use simt_compiler::CompiledKernel;
-use simt_verify::{blocks, family, oracle, verify_full};
+use simt_verify::{blocks, family, oracle, perf, verify_full};
 
 /// Family members replayed per catalog workload.
 const MEMBERS: usize = 25;
@@ -602,4 +611,99 @@ const ANALYZE_PINNED: &[AnalyzeRow] = &[
     ("CP", 0x28034f465da847e1, &[], &[]),
     ("CONVTEX", 0xd75f92f30eef7e79, &[], &[]),
     ("MM", 0x7cc66668915bc008, &[], &[]),
+];
+
+/// One pinned static-footprint row: name, family verdict, family
+/// classification, `[global accesses, checked pairs, proved pairs,
+/// unanalyzable]`, fingerprint of the whole family certificate, and
+/// fingerprints of `perf::predict` and `perf::predict_envelope`.
+type FootprintRow = (&'static str, &'static str, &'static str, [usize; 4], u64, u64, u64);
+
+/// The family certificate and both memory-performance predictions, as
+/// `darsie-sim certify --family` and `analyze` compute them. Catalog
+/// workloads certify their declared family; each fixture certifies
+/// `gridDim.x ∈ [1..5]` around its own block shape, so single-block
+/// fixtures also meet peer blocks (witnesses, refutations, non-affine
+/// and commutative pairs).
+#[test]
+fn footprint_analyses_match_the_pinned_table() {
+    let cfg = GpuConfig::test_small();
+    let mut inputs = Vec::new();
+    for w in catalog(Scale::Test) {
+        inputs.push((w.abbr.to_string(), w.ck, w.family, w.launch, w.memory));
+    }
+    let mut fx = fixtures::racy();
+    fx.extend(fixtures::blocks());
+    fx.extend([fixtures::grid_boundary_flip(), fixtures::nonaffine_addr()]);
+    fx.extend([fixtures::conflict_stride(), fixtures::uncoalesced_stride()]);
+    for f in fx {
+        let family =
+            LaunchFamily { grid_x: AxisRange::new(1, 5), ..LaunchFamily::point(&f.launch) };
+        inputs.push((f.name.to_string(), f.ck, family, f.launch, f.memory));
+    }
+    let mut got = Vec::new();
+    for (name, ck, family, launch, memory) in &inputs {
+        let cert = family::certify_family(ck, family, launch, memory, &cfg)
+            .expect("declared families are well formed");
+        let predict = perf::predict(ck, launch, cfg.warp_size);
+        let envelope = perf::predict_envelope(ck, launch, cfg.warp_size);
+        got.push((
+            name.clone(),
+            cert.verdict.label(),
+            cert.classification.label(),
+            [cert.global_accesses, cert.checked_pairs, cert.proved_pairs, cert.unanalyzable],
+            fnv_str(&format!("{cert:?}")),
+            fnv_str(&format!("{predict:?}")),
+            fnv_str(&format!("{envelope:?}")),
+        ));
+    }
+
+    let want: Vec<_> = FOOTPRINT_PINNED
+        .iter()
+        .map(|&(n, v, c, k, cf, pf, ef)| (n.to_string(), v, c, k, cf, pf, ef))
+        .collect();
+    if got != want {
+        let mut table = String::new();
+        for (n, v, c, k, cf, pf, ef) in &got {
+            table.push_str(&format!(
+                "    (\"{n}\", \"{v}\", \"{c}\", {k:?}, {cf:#018x}, {pf:#018x}, {ef:#018x}),\n"
+            ));
+        }
+        let first = got.iter().zip(&want).position(|(g, w)| g != w);
+        panic!(
+            "footprint analysis table moved (first differing row: {first:?}; {} rows vs {} \
+             pinned). Actual table:\n{table}",
+            got.len(),
+            want.len()
+        );
+    }
+}
+
+/// Generated before the four memory-access collectors and the two
+/// inter-block pair walks became one footprint walk and one pair walk.
+#[rustfmt::skip]
+const FOOTPRINT_PINNED: &[FootprintRow] = &[
+    ("BIN", "FamilyProved", "block-independent", [1, 1, 1, 0], 0x3b69c574c4b013fe, 0xcb33533024d5496e, 0xcb33533024d5496e),
+    ("PT", "FamilyProved", "block-independent", [0, 0, 0, 0], 0x6c5cc9c25a1ad437, 0x7ee52ebefa3e1594, 0x7ee52ebefa3e1594),
+    ("FW", "FamilyProved", "block-independent", [2, 2, 2, 0], 0x9386675c98928a83, 0x3fc44b0c9d8b56d6, 0x3fc44b0c9d8b56d6),
+    ("SR1", "FamilyProved", "block-independent", [0, 0, 0, 0], 0x942387264722760d, 0x1a72e3ce1e6a68a7, 0x9913a14766ec018f),
+    ("LIB", "FamilyProved", "block-independent", [0, 0, 0, 0], 0xbb7b388852ceea0c, 0x4e039b41466d68df, 0x4e039b41466d68df),
+    ("IMNLM", "FamilyProved", "block-independent", [3, 3, 3, 0], 0xe0acf9a622467342, 0x5e521e4da778fae7, 0x5e521e4da778fae7),
+    ("BP", "FamilyProved", "block-independent", [0, 0, 0, 0], 0xfab9be22f2edc6c2, 0x4935d1cbf63b79ba, 0x4935d1cbf63b79ba),
+    ("DCT8x8", "FamilyProved", "block-independent", [4, 4, 4, 0], 0x1223162d980339ec, 0x366183a50228a5c2, 0x366183a50228a5c2),
+    ("FWS", "FamilyProved", "block-independent", [4, 4, 4, 0], 0x531fb9ac8af6389a, 0xad8426ebcaa02e9d, 0xad8426ebcaa02e9d),
+    ("HS", "FamilyProved", "block-independent", [7, 7, 7, 0], 0x18e9bf94f0ab60ea, 0xa76ba50c0001ecef, 0x26416611af6005ef),
+    ("CP", "FamilyProved", "block-independent", [4, 4, 4, 0], 0x3d509bdacc8815b0, 0x41afb027caedeabd, 0x41afb027caedeabd),
+    ("CONVTEX", "FamilyProved", "block-independent", [3, 3, 3, 0], 0xac1cc9a259c95ab6, 0x1c9d93465f7b30d4, 0x1c9d93465f7b30d4),
+    ("MM", "FamilyProved", "block-independent", [3, 3, 3, 0], 0x68beb1cdbd4795d0, 0xf0ea3a74c7c2086d, 0xf0ea3a74c7c2086d),
+    ("racy_missing_barrier", "PerLaunchOnly", "potentially-racy", [1, 1, 0, 0], 0xa70394bf633c6cdf, 0x7945e5915473b77f, 0x7945e5915473b77f),
+    ("racy_same_word", "PerLaunchOnly", "potentially-racy", [1, 1, 0, 0], 0xf02f380a5c1896ba, 0xa9a0400dea0f65f3, 0xa9a0400dea0f65f3),
+    ("racy_nonaffine", "PerLaunchOnly", "potentially-racy", [1, 1, 0, 0], 0x392f42f33026f52c, 0x32ad7cd1af3063c9, 0x32ad7cd1af3063c9),
+    ("racy_inter_block", "PerLaunchOnly", "potentially-racy", [1, 1, 0, 0], 0x1d4f35b1b99af8d7, 0x3a4193eb375a85c1, 0x3a4193eb375a85c1),
+    ("commutative_counter", "FamilyProved", "commutative-atomics-only", [1, 1, 1, 0], 0x3cb9207e4399d970, 0x04a7724c56cb09c5, 0x04a7724c56cb09c5),
+    ("block_disjoint", "FamilyProved", "block-independent", [1, 1, 1, 0], 0xc39d744e6a9e2ba7, 0x64cb09119aa2b8b2, 0x64cb09119aa2b8b2),
+    ("grid_boundary_flip", "PerLaunchOnly", "potentially-racy", [2, 3, 2, 0], 0x4b976ebb48944ed1, 0x7c5b26ce85ac8b35, 0x7c5b26ce85ac8b35),
+    ("nonaffine_addr", "PerLaunchOnly", "potentially-racy", [1, 1, 0, 1], 0x73df282a3ac35639, 0x95ccd94aaef42745, 0x95ccd94aaef42745),
+    ("conflict_stride", "PerLaunchOnly", "potentially-racy", [1, 1, 0, 0], 0xd4d3d6116a6aee44, 0x641d5daef57d67aa, 0x641d5daef57d67aa),
+    ("uncoalesced_stride", "PerLaunchOnly", "potentially-racy", [1, 1, 0, 0], 0x61029593d272a4c5, 0x537d2aeccdff6071, 0x537d2aeccdff6071),
 ];
