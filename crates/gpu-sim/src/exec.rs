@@ -7,7 +7,7 @@
 
 use crate::mem::GlobalMemory;
 use crate::warp::{LaneMask, Warp};
-use simt_isa::{AtomOp, CmpOp, Dim3, Instruction, MemSpace, Op, Operand, SpecialReg, Value};
+use simt_isa::{AtomOp, Dim3, Instruction, MemSpace, Op, Operand, Reg, SpecialReg, Value};
 
 /// Launch-wide context a warp executes against.
 #[derive(Debug)]
@@ -70,9 +70,16 @@ pub struct LaneAddrs {
 }
 
 impl LaneAddrs {
-    fn push(&mut self, lane: u32, addr: u64) {
-        self.pairs[self.len] = (lane, addr);
-        self.len += 1;
+    /// The lanes of `mask` paired with `addr(lane)`, called in ascending
+    /// lane order.
+    #[inline(always)]
+    fn collect(mask: LaneMask, mut addr: impl FnMut(usize) -> u64) -> LaneAddrs {
+        let mut out = LaneAddrs::default();
+        for (pair, lane) in out.pairs.iter_mut().zip(lanes(mask)) {
+            *pair = (lane, addr(lane as usize));
+            out.len += 1;
+        }
+        out
     }
 }
 
@@ -203,14 +210,6 @@ fn lane_alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
     }
 }
 
-fn compare(cmp: CmpOp, float: bool, a: u32, b: u32) -> bool {
-    if float {
-        cmp.eval_f32(f32::from_bits(a), f32::from_bits(b))
-    } else {
-        cmp.eval_i32(a as i32, b as i32)
-    }
-}
-
 /// Lanes of `mask` in ascending order.
 fn lanes(mask: LaneMask) -> impl Iterator<Item = u32> {
     let mut rest = mask;
@@ -223,66 +222,82 @@ fn lanes(mask: LaneMask) -> impl Iterator<Item = u32> {
     })
 }
 
-/// A source operand decoded once per instruction: a register's offset
-/// into the warp's flat register file, or an immediate.
-#[derive(Debug, Clone, Copy)]
-enum Src {
-    Reg(usize),
-    Imm(u32),
-}
+/// Lanes in a warp: the width of a [`LaneMask`].
+const WARP: usize = LaneMask::BITS as usize;
 
-impl Src {
-    fn new(warp: &Warp, o: Operand) -> Src {
-        match o {
-            Operand::Reg(r) => Src::Reg(r.index() * warp.warp_size() as usize),
-            Operand::Imm(v) => Src::Imm(v),
+/// One value per lane of a warp.
+type Lanes = [u32; WARP];
+
+/// Operand `o` gathered across the warp: a register's lanes (zero beyond
+/// the warp width) or a broadcast immediate.
+fn gather(warp: &Warp, o: Operand) -> Lanes {
+    match o {
+        Operand::Reg(r) => {
+            let ws = warp.warp_size() as usize;
+            let row = &warp.regs[r.index() * ws..][..ws];
+            // A full warp copies a fixed-size array, which stays inline.
+            <&Lanes>::try_from(row).copied().unwrap_or_else(|_| {
+                let mut v = [0; WARP];
+                v[..ws].copy_from_slice(row);
+                v
+            })
         }
-    }
-
-    /// Operand `i` of `instr`, or the immediate 0 when it has none.
-    fn nth(warp: &Warp, instr: &Instruction, i: usize) -> Src {
-        instr.srcs.get(i).map_or(Src::Imm(0), |&o| Src::new(warp, o))
-    }
-
-    fn get(self, warp: &Warp, lane: u32) -> u32 {
-        match self {
-            Src::Reg(base) => warp.regs[base + lane as usize],
-            Src::Imm(v) => v,
-        }
+        Operand::Imm(x) => [x; WARP],
     }
 }
 
-/// Writes `f` of the `srcs` operands into register offset `dst` for
-/// every lane of `mask`, ascending.
+/// Operand `i` of `instr` gathered across the warp, or zeros when it has
+/// none.
+fn gather_nth(warp: &Warp, instr: &Instruction, i: usize) -> Lanes {
+    instr.srcs.get(i).map_or([0; WARP], |&o| gather(warp, o))
+}
+
+/// The lanes whose `f(lane)` holds, as a mask.
 #[inline(always)]
-fn alu_lanes(
-    warp: &mut Warp,
-    mask: LaneMask,
-    dst: usize,
-    [a, b, c]: [Src; 3],
-    f: impl Fn(u32, u32, u32) -> u32,
-) {
-    for lane in lanes(mask) {
-        let v = f(a.get(warp, lane), b.get(warp, lane), c.get(warp, lane));
-        warp.regs[dst + lane as usize] = v;
-    }
+fn mask_of(f: impl Fn(usize) -> bool) -> LaneMask {
+    (0..WARP).fold(0, |m, i| m | LaneMask::from(f(i)) << i)
 }
 
-/// Executes `instr` for every active lane of `warp` whose guard passes,
-/// visiting lanes in ascending order. Returns the timing-relevant effect.
-/// Does **not** move the warp's PC; the pipeline does that (branches via
-/// [`Warp::take_branch`]).
-pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> ExecEffect {
-    let ws = warp.warp_size();
-    // Lanes that exist, are on the active path, and pass the guard.
-    let lane_bits = if ws >= LaneMask::BITS { LaneMask::MAX } else { (1 << ws) - 1 };
-    let mut eff_mask = warp.active_mask() & lane_bits;
-    if let Some(g) = instr.guard {
-        for lane in lanes(eff_mask) {
-            if !g.accepts(warp.pred(g.pred, lane)) {
-                eff_mask &= !(1 << lane);
+/// Writes `f(lane)` into register `d` for the lanes of `mask` (a subset
+/// of the warp's lanes). A 32-lane warp computes every lane and stores
+/// the vector (blended with the old value under a partial mask), so `f`
+/// must be pure; it is computed straight into the register file, with no
+/// temporary copy.
+#[inline(always)]
+fn write_lanes(warp: &mut Warp, d: Reg, mask: LaneMask, f: impl Fn(usize) -> u32) {
+    let ws = warp.warp_size() as usize;
+    let row = &mut warp.regs[d.index() * ws..][..ws];
+    if let Ok(row) = <&mut Lanes>::try_from(&mut *row) {
+        if mask == LaneMask::MAX {
+            for (i, r) in row.iter_mut().enumerate() {
+                *r = f(i);
+            }
+        } else {
+            for (i, r) in row.iter_mut().enumerate() {
+                let v = f(i);
+                *r = if mask >> i & 1 != 0 { v } else { *r };
             }
         }
+    } else {
+        for lane in lanes(mask) {
+            row[lane as usize] = f(lane as usize);
+        }
+    }
+}
+
+/// Executes `instr` for every active lane of `warp` whose guard passes.
+/// ALU, `setp` and `sel` compute every lane as one vector (their lanes
+/// are independent); memory lanes, and the checks on their addresses,
+/// run in ascending lane order, and atomics serialize in that order.
+/// Returns the timing-relevant effect. Does **not** move the warp's PC;
+/// the pipeline does that (branches via [`Warp::take_branch`]).
+pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> ExecEffect {
+    // Lanes that exist, are on the active path, and pass the guard.
+    let lane_bits = LaneMask::MAX >> (LaneMask::BITS - warp.warp_size());
+    let mut eff_mask = warp.active_mask() & lane_bits;
+    if let Some(g) = instr.guard {
+        let p = warp.preds[g.pred.index()];
+        eff_mask &= if g.negate { !p } else { p };
     }
 
     match instr.op {
@@ -290,22 +305,22 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         Op::Bar => ExecEffect::Barrier,
         Op::Exit => ExecEffect::Exit,
         Op::Setp(cmp) | Op::SetpF(cmp) => {
-            let float = matches!(instr.op, Op::SetpF(_));
             let p = instr.pdst.expect("setp has a pdst");
-            let (a, b) = (Src::new(warp, instr.srcs[0]), Src::new(warp, instr.srcs[1]));
-            for lane in lanes(eff_mask) {
-                let v = compare(cmp, float, a.get(warp, lane), b.get(warp, lane));
-                warp.set_pred(p, lane, v);
-            }
+            let (a, b) = (gather(warp, instr.srcs[0]), gather(warp, instr.srcs[1]));
+            let bits = if matches!(instr.op, Op::SetpF(_)) {
+                mask_of(|i| cmp.eval_f32(f32::from_bits(a[i]), f32::from_bits(b[i])))
+            } else {
+                mask_of(|i| cmp.eval_i32(a[i] as i32, b[i] as i32))
+            };
+            let m = &mut warp.preds[p.index()];
+            *m = (*m & !eff_mask) | (bits & eff_mask);
             ExecEffect::None
         }
         Op::Sel(p) => {
             let d = instr.dst.expect("sel has a dst");
-            let (a, b) = (Src::new(warp, instr.srcs[0]), Src::new(warp, instr.srcs[1]));
-            for lane in lanes(eff_mask) {
-                let v = if warp.pred(p, lane) { a.get(warp, lane) } else { b.get(warp, lane) };
-                warp.set_reg(d, lane, v);
-            }
+            let (a, b) = (gather(warp, instr.srcs[0]), gather(warp, instr.srcs[1]));
+            let pm = warp.preds[p.index()];
+            write_lanes(warp, d, eff_mask, |i| if pm >> i & 1 != 0 { a[i] } else { b[i] });
             ExecEffect::None
         }
         Op::S2R(s) => {
@@ -318,72 +333,87 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         }
         Op::Ld(space) => {
             let d = instr.dst.expect("ld has a dst");
-            let base = Src::new(warp, instr.srcs[0]);
-            let mut addrs = LaneAddrs::default();
-            for lane in lanes(eff_mask) {
-                let addr = effective_address(base.get(warp, lane), instr.offset);
-                let v = match space {
-                    MemSpace::Global => ctx.global.read_u32(addr),
-                    MemSpace::Shared => ctx.shared[shared_word(addr, ctx.shared.len(), "load")],
-                    MemSpace::Param => usize::try_from(addr / 4)
+            let base = gather(warp, instr.srcs[0]);
+            let addr = |lane: usize| effective_address(base[lane], instr.offset);
+            let mut v = [0; WARP];
+            let addrs = match space {
+                MemSpace::Global => {
+                    let mut global = ctx.global.reader();
+                    LaneAddrs::collect(eff_mask, |lane| {
+                        let a = addr(lane);
+                        v[lane] = global.read_u32(a);
+                        a
+                    })
+                }
+                MemSpace::Shared => LaneAddrs::collect(eff_mask, |lane| {
+                    let a = addr(lane);
+                    v[lane] = ctx.shared[shared_word(a, ctx.shared.len(), "load")];
+                    a
+                }),
+                MemSpace::Param => LaneAddrs::collect(eff_mask, |lane| {
+                    let a = addr(lane);
+                    v[lane] = usize::try_from(a / 4)
                         .ok()
                         .and_then(|i| ctx.params.get(i))
-                        .map_or(0, |v| v.as_u32()),
-                };
-                warp.set_reg(d, lane, v);
-                addrs.push(lane, addr);
-            }
+                        .map_or(0, |v| v.as_u32());
+                    a
+                }),
+            };
+            write_lanes(warp, d, eff_mask, |i| v[i]);
             ExecEffect::Memory { space, addrs, is_store: false, is_atomic: false }
         }
         Op::St(space) => {
-            let (base, value) = (Src::new(warp, instr.srcs[0]), Src::new(warp, instr.srcs[1]));
-            let mut addrs = LaneAddrs::default();
-            for lane in lanes(eff_mask) {
-                let addr = effective_address(base.get(warp, lane), instr.offset);
-                let v = value.get(warp, lane);
-                match space {
-                    MemSpace::Global => ctx.global.write_u32(addr, v),
-                    MemSpace::Shared => {
-                        ctx.shared[shared_word(addr, ctx.shared.len(), "store")] = v;
-                    }
-                    MemSpace::Param => panic!("stores to parameter space are not allowed"),
-                }
-                addrs.push(lane, addr);
-            }
+            let (base, value) = (gather(warp, instr.srcs[0]), gather(warp, instr.srcs[1]));
+            let addr = |lane: usize| effective_address(base[lane], instr.offset);
+            let addrs = match space {
+                MemSpace::Global => LaneAddrs::collect(eff_mask, |lane| {
+                    let a = addr(lane);
+                    ctx.global.write_u32(a, value[lane]);
+                    a
+                }),
+                MemSpace::Shared => LaneAddrs::collect(eff_mask, |lane| {
+                    let a = addr(lane);
+                    ctx.shared[shared_word(a, ctx.shared.len(), "store")] = value[lane];
+                    a
+                }),
+                MemSpace::Param => LaneAddrs::collect(eff_mask, |lane| {
+                    addr(lane);
+                    panic!("stores to parameter space are not allowed")
+                }),
+            };
             ExecEffect::Memory { space, addrs, is_store: true, is_atomic: false }
         }
         Op::Atom(aop) => {
             let d = instr.dst.expect("atom has a dst");
-            let (base, value) = (Src::new(warp, instr.srcs[0]), Src::new(warp, instr.srcs[1]));
-            let mut addrs = LaneAddrs::default();
+            let (base, value) = (gather(warp, instr.srcs[0]), gather(warp, instr.srcs[1]));
+            let mut old = [0; WARP];
             // Lanes apply in lane order (deterministic serialization).
-            for lane in lanes(eff_mask) {
-                let addr = effective_address(base.get(warp, lane), instr.offset);
-                let v = value.get(warp, lane);
-                let old = ctx.global.read_u32(addr);
-                ctx.global.write_u32(addr, AtomOp::apply(aop, old, v));
-                warp.set_reg(d, lane, old);
-                addrs.push(lane, addr);
-            }
+            let addrs = LaneAddrs::collect(eff_mask, |lane| {
+                let a = effective_address(base[lane], instr.offset);
+                old[lane] = ctx.global.read_u32(a);
+                ctx.global.write_u32(a, AtomOp::apply(aop, old[lane], value[lane]));
+                a
+            });
+            write_lanes(warp, d, eff_mask, |i| old[i]);
             ExecEffect::Memory { space: MemSpace::Global, addrs, is_store: true, is_atomic: true }
         }
         // Everything else is a lane-wise ALU op.
         _ => {
             let d = instr.dst.expect("ALU op has a dst");
-            let srcs =
-                [Src::new(warp, instr.srcs[0]), Src::nth(warp, instr, 1), Src::nth(warp, instr, 2)];
-            let dst = d.index() * ws as usize;
-            // One lane loop per opcode, so the opcode dispatch happens
+            let (a, b, c) = (
+                gather(warp, instr.srcs[0]),
+                gather_nth(warp, instr, 1),
+                gather_nth(warp, instr, 2),
+            );
+            // One vector loop per opcode, so the opcode dispatch happens
             // once per instruction instead of once per lane.
             macro_rules! per_op {
                 ($($op:ident)*) => {
                     match instr.op {
-                        $(Op::$op => alu_lanes(warp, eff_mask, dst, srcs, |a, b, c| {
-                            lane_alu(Op::$op, a, b, c)
+                        $(Op::$op => write_lanes(warp, d, eff_mask, |i| {
+                            lane_alu(Op::$op, a[i], b[i], c[i])
                         }),)*
-                        op => alu_lanes(warp, eff_mask, dst, srcs, |a, b, c| {
-                            lane_alu(op, a, b, c)
-                        }),
+                        op => write_lanes(warp, d, eff_mask, |i| lane_alu(op, a[i], b[i], c[i])),
                     }
                 };
             }

@@ -206,6 +206,63 @@ pub fn run_tb_functional<O: FunctionalObserver>(
     }
 }
 
+/// What a sanitizer found: one race per static `(pc, pc)` pair in
+/// detection order, and every raced-on word, tainted for the rest of the
+/// run.
+#[derive(Debug)]
+struct RaceLog<R> {
+    races: Vec<R>,
+    reported: HashSet<(usize, usize)>,
+    tainted: HashSet<u64>,
+}
+
+impl<R> Default for RaceLog<R> {
+    fn default() -> RaceLog<R> {
+        RaceLog { races: Vec::new(), reported: HashSet::new(), tainted: HashSet::new() }
+    }
+}
+
+impl<R> RaceLog<R> {
+    /// Records `race`, which collided on `word` between the pcs `a` and
+    /// `b`.
+    fn report(&mut self, word: u64, (a, b): (usize, usize), race: R) {
+        self.tainted.insert(word);
+        if self.reported.insert((a.min(b), a.max(b))) {
+            self.races.push(race);
+        }
+    }
+}
+
+/// Per-word shadow cells, paged like [`GlobalMemory`]: a page of
+/// `PAGE_WORDS` default cells is allocated when one of its words is first
+/// touched, so cells never move and the page map never rehashes per word.
+/// Never iterated.
+#[derive(Debug, Default)]
+struct Shadow<C>(FastMap<u64, Box<[C]>>);
+
+impl<C: Copy + Default> Shadow<C> {
+    /// Calls `f(lane, word, cell)` for each `(lane, byte address)` of
+    /// `addrs`, in order, probing the page map once per run of
+    /// consecutive lanes on one page.
+    fn visit(&mut self, addrs: &[(u32, u64)], mut f: impl FnMut(u32, u64, &mut C)) {
+        let page_of = |addr: u64| addr / 4 / PAGE_WORDS as u64;
+        let mut rest = addrs;
+        while let Some(&(_, first)) = rest.first() {
+            let page_no = page_of(first);
+            let run = rest.iter().position(|&(_, a)| page_of(a) != page_no).unwrap_or(rest.len());
+            let page = self
+                .0
+                .entry(page_no)
+                .or_insert_with(|| vec![C::default(); PAGE_WORDS].into_boxed_slice());
+            for &(lane, addr) in &rest[..run] {
+                let word = addr / 4;
+                f(lane, word, &mut page[(word % PAGE_WORDS as u64) as usize]);
+            }
+            rest = &rest[run..];
+        }
+    }
+}
+
 /// One shared-memory race observed during functional replay: two threads
 /// touched the same shared word in the same barrier epoch, at least one
 /// of them writing.
@@ -256,11 +313,8 @@ struct ShadowCell {
 pub struct RaceSanitizer {
     warp_size: u32,
     epoch: u32,
-    /// Probed per lane, never iterated.
-    cells: FastMap<u64, ShadowCell>,
-    tainted: HashSet<u64>,
-    races: Vec<SharedRace>,
-    reported: HashSet<(usize, usize)>,
+    cells: Shadow<ShadowCell>,
+    log: RaceLog<SharedRace>,
 }
 
 impl RaceSanitizer {
@@ -274,21 +328,13 @@ impl RaceSanitizer {
     /// `(pc, pc)` pair).
     #[must_use]
     pub fn races(&self) -> &[SharedRace] {
-        &self.races
+        &self.log.races
     }
 
     /// True when some race touched `word` at any point of the run.
     #[must_use]
     pub fn is_tainted(&self, word: u64) -> bool {
-        self.tainted.contains(&word)
-    }
-
-    fn report(&mut self, race: SharedRace) {
-        self.tainted.insert(race.word);
-        let key = (race.first_pc.min(race.second_pc), race.first_pc.max(race.second_pc));
-        if self.reported.insert(key) {
-            self.races.push(race);
-        }
+        self.log.tainted.contains(&word)
     }
 
     fn record_access(
@@ -298,18 +344,18 @@ impl RaceSanitizer {
         addrs: &[(u32, u64)],
         is_store: bool,
     ) {
-        for &(lane, addr) in addrs {
-            let thread = warp_index as u32 * self.warp_size + lane;
-            let word = addr / 4;
-            // One probe per lane: update the cell in place, then judge the
-            // access against its state from before the update.
-            let cell = self.cells.entry(word).or_default();
+        let (epoch, first_thread) = (self.epoch, warp_index as u32 * self.warp_size);
+        let log = &mut self.log;
+        self.cells.visit(addrs, |lane, word, cell| {
+            let thread = first_thread + lane;
+            // Update the cell in place, then judge the access against its
+            // state from before the update.
             let seen = *cell;
             if is_store {
-                cell.write = Some((self.epoch, thread, pc));
+                cell.write = Some((epoch, thread, pc));
             } else {
-                if cell.read_epoch != self.epoch {
-                    cell.read_epoch = self.epoch;
+                if cell.read_epoch != epoch {
+                    cell.read_epoch = epoch;
                     cell.min_reader = None;
                     cell.max_reader = None;
                 }
@@ -323,34 +369,42 @@ impl RaceSanitizer {
                 }
             }
             if let Some((we, wt, wpc)) = seen.write {
-                if we == self.epoch && wt != thread {
-                    self.report(SharedRace {
-                        first_pc: wpc,
-                        first_thread: wt,
-                        second_pc: pc,
-                        second_thread: thread,
+                if we == epoch && wt != thread {
+                    log.report(
                         word,
-                        write_write: is_store,
-                    });
+                        (wpc, pc),
+                        SharedRace {
+                            first_pc: wpc,
+                            first_thread: wt,
+                            second_pc: pc,
+                            second_thread: thread,
+                            word,
+                            write_write: is_store,
+                        },
+                    );
                 }
             }
-            if is_store && seen.read_epoch == self.epoch {
+            if is_store && seen.read_epoch == epoch {
                 let other = [seen.min_reader, seen.max_reader]
                     .into_iter()
                     .flatten()
                     .find(|&(t, _)| t != thread);
                 if let Some((rt, rpc)) = other {
-                    self.report(SharedRace {
-                        first_pc: rpc,
-                        first_thread: rt,
-                        second_pc: pc,
-                        second_thread: thread,
+                    log.report(
                         word,
-                        write_write: false,
-                    });
+                        (rpc, pc),
+                        SharedRace {
+                            first_pc: rpc,
+                            first_thread: rt,
+                            second_pc: pc,
+                            second_thread: thread,
+                            word,
+                            write_write: false,
+                        },
+                    );
                 }
             }
-        }
+        });
     }
 }
 
@@ -431,12 +485,8 @@ pub struct GlobalRaceSanitizer {
     /// `atoms[pc]`: the kernel's atomic op at `pc`, `None` elsewhere;
     /// empty for a [`new`](GlobalRaceSanitizer::new) sanitizer.
     atoms: Vec<Option<AtomOp>>,
-    /// Shadow pages mirroring [`GlobalMemory`]'s: one cell per word,
-    /// probed per lane, never iterated.
-    cells: FastMap<u64, Box<[GlobalShadowCell]>>,
-    tainted: HashSet<u64>,
-    races: Vec<GlobalRace>,
-    reported: HashSet<(usize, usize)>,
+    cells: Shadow<GlobalShadowCell>,
+    log: RaceLog<GlobalRace>,
     commutative_overlap: bool,
 }
 
@@ -469,13 +519,13 @@ impl GlobalRaceSanitizer {
     /// per static `(pc, pc)` pair).
     #[must_use]
     pub fn races(&self) -> &[GlobalRace] {
-        &self.races
+        &self.log.races
     }
 
     /// True when some inter-block race touched `word`.
     #[must_use]
     pub fn is_tainted(&self, word: u64) -> bool {
-        self.tainted.contains(&word)
+        self.log.tainted.contains(&word)
     }
 
     /// True when two distinct blocks collided on one word through the
@@ -484,14 +534,6 @@ impl GlobalRaceSanitizer {
     #[must_use]
     pub fn commutative_overlap(&self) -> bool {
         self.commutative_overlap
-    }
-
-    fn report(&mut self, race: GlobalRace) {
-        self.tainted.insert(race.word);
-        let key = (race.first_pc.min(race.second_pc), race.first_pc.max(race.second_pc));
-        if self.reported.insert(key) {
-            self.races.push(race);
-        }
     }
 
     /// Records one global access of the current block. `atom` is the
@@ -506,14 +548,10 @@ impl GlobalRaceSanitizer {
         atom: Option<AtomOp>,
     ) {
         let block = self.block;
-        for &(_lane, addr) in addrs {
-            let word = addr / 4;
-            // One probe per lane: update the cell in place, then judge the
-            // access against its state from before the update.
-            let page = self.cells.entry(word / PAGE_WORDS as u64).or_insert_with(|| {
-                vec![GlobalShadowCell::default(); PAGE_WORDS].into_boxed_slice()
-            });
-            let cell = &mut page[(word % PAGE_WORDS as u64) as usize];
+        let (log, overlap) = (&mut self.log, &mut self.commutative_overlap);
+        self.cells.visit(addrs, |_lane, word, cell| {
+            // Update the cell in place, then judge the access against its
+            // state from before the update.
             let seen = *cell;
             if is_store {
                 cell.write = Some((block, pc, atom));
@@ -534,16 +572,20 @@ impl GlobalRaceSanitizer {
                 let same_commuting = is_store
                     && matches!((atom, watom), (Some(x), Some(y)) if x == y && x != AtomOp::Exch);
                 if same_commuting {
-                    self.commutative_overlap = true;
+                    *overlap = true;
                 } else {
-                    self.report(GlobalRace {
-                        first_pc: wpc,
-                        first_block: wb,
-                        second_pc: pc,
-                        second_block: block,
+                    log.report(
                         word,
-                        write_write: is_store,
-                    });
+                        (wpc, pc),
+                        GlobalRace {
+                            first_pc: wpc,
+                            first_block: wb,
+                            second_pc: pc,
+                            second_block: block,
+                            word,
+                            write_write: is_store,
+                        },
+                    );
                 }
             }
             if is_store {
@@ -552,17 +594,21 @@ impl GlobalRaceSanitizer {
                     .flatten()
                     .find(|&(b, _)| b != block);
                 if let Some((rb, rpc)) = other {
-                    self.report(GlobalRace {
-                        first_pc: rpc,
-                        first_block: rb,
-                        second_pc: pc,
-                        second_block: block,
+                    log.report(
                         word,
-                        write_write: false,
-                    });
+                        (rpc, pc),
+                        GlobalRace {
+                            first_pc: rpc,
+                            first_block: rb,
+                            second_pc: pc,
+                            second_block: block,
+                            word,
+                            write_write: false,
+                        },
+                    );
                 }
             }
-        }
+        });
     }
 }
 

@@ -50,12 +50,13 @@ impl GlobalMemory {
     /// Panics on unaligned access.
     #[must_use]
     pub fn read_u32(&self, addr: u64) -> u32 {
-        assert_eq!(addr % 4, 0, "unaligned global read at {addr:#x}");
-        // Reduce modulo PAGE_WORDS in u64 before narrowing: a truncating
-        // cast first would alias distant addresses on 32-bit targets.
-        let (page, idx) =
-            (addr / (PAGE_WORDS as u64 * 4), ((addr / 4) % PAGE_WORDS as u64) as usize);
-        self.pages.get(&page).map_or(0, |p| p[idx])
+        self.reader().read_u32(addr)
+    }
+
+    /// A reader for a run of reads, such as one warp's lanes: it probes
+    /// the page map once per run of reads on one page.
+    pub(crate) fn reader(&self) -> PageReader<'_> {
+        PageReader { mem: self, last: None }
     }
 
     /// Writes the 32-bit word at byte address `addr`.
@@ -148,6 +149,38 @@ impl GlobalMemory {
             }
         }
         h
+    }
+}
+
+/// Reads [`GlobalMemory`] remembering the page it read last (see
+/// [`GlobalMemory::reader`]).
+pub(crate) struct PageReader<'a> {
+    mem: &'a GlobalMemory,
+    /// The page number read last and its words (`None` when untouched).
+    last: Option<(u64, Option<&'a [u32; PAGE_WORDS]>)>,
+}
+
+impl PageReader<'_> {
+    /// Reads the 32-bit word at byte address `addr` (zero if untouched).
+    ///
+    /// # Panics
+    ///
+    /// Panics on unaligned access.
+    pub(crate) fn read_u32(&mut self, addr: u64) -> u32 {
+        assert_eq!(addr % 4, 0, "unaligned global read at {addr:#x}");
+        // Reduce modulo PAGE_WORDS in u64 before narrowing: a truncating
+        // cast first would alias distant addresses on 32-bit targets.
+        let (page, idx) =
+            (addr / (PAGE_WORDS as u64 * 4), ((addr / 4) % PAGE_WORDS as u64) as usize);
+        let words = match self.last {
+            Some((p, words)) if p == page => words,
+            _ => {
+                let words = self.mem.pages.get(&page).map(|w| &**w);
+                self.last = Some((page, words));
+                words
+            }
+        };
+        words.map_or(0, |w| w[idx])
     }
 }
 
@@ -275,20 +308,33 @@ pub fn coalesce_lines(addrs: impl Iterator<Item = u64>) -> Lines {
 /// one warp's worth).
 #[must_use]
 pub fn smem_conflict_degree(addrs: impl Iterator<Item = u64>) -> u32 {
-    let mut words = [0u64; MAX_LANES];
-    let mut distinct = 0;
+    // The first word each bank sees (`u64::MAX` is no word: words are
+    // addresses / 4). Most accesses put at most one distinct word in a
+    // bank, and then one compare settles the lane; only a bank's later
+    // words are searched among each other.
+    let mut first = [u64::MAX; SMEM_BANKS as usize];
+    let mut later = [0u64; MAX_LANES];
+    let (mut num_later, mut distinct) = (0, 0);
     let mut per_bank = [0u32; SMEM_BANKS as usize];
+    let mut degree = 1;
     for a in addrs {
         let word = a / 4;
-        if words[..distinct].contains(&word) {
+        let bank = (word % SMEM_BANKS) as usize;
+        if first[bank] == word || (first[bank] != u64::MAX && later[..num_later].contains(&word)) {
             continue;
         }
         assert!(distinct < MAX_LANES, "a warp access names at most {MAX_LANES} words");
-        words[distinct] = word;
         distinct += 1;
-        per_bank[(word % SMEM_BANKS) as usize] += 1;
+        if first[bank] == u64::MAX {
+            first[bank] = word;
+        } else {
+            later[num_later] = word;
+            num_later += 1;
+        }
+        per_bank[bank] += 1;
+        degree = degree.max(per_bank[bank]);
     }
-    per_bank.into_iter().max().unwrap_or(0).max(1)
+    degree
 }
 
 /// The shared L2 + DRAM service model: a token-bucket bandwidth limiter

@@ -243,7 +243,7 @@ impl Sm {
             fold(h, u64::from(r));
         }
         for &p in &w.preds {
-            fold(h, u64::from(p));
+            (0..w.warp_size()).for_each(|lane| fold(h, u64::from(p >> lane & 1)));
         }
         fold(h, u64::from(w.full_mask));
         fold(h, w.stack.len() as u64);

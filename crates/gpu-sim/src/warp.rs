@@ -1,6 +1,7 @@
 //! Per-warp architectural and microarchitectural state: vector registers,
 //! the SIMT reconvergence stack, instruction buffer and scoreboard.
 
+use simt_isa::reg::NUM_PREDS;
 use simt_isa::{Instruction, Pred, Reg};
 use std::collections::{HashMap, VecDeque};
 
@@ -79,8 +80,9 @@ pub struct Warp {
     pub warp_in_tb: u32,
     /// Flat register file: `reg * warp_size + lane`.
     pub regs: Vec<u32>,
-    /// Flat predicate file: `pred * warp_size + lane`.
-    pub preds: Vec<bool>,
+    /// Predicate file: one lane mask per predicate (bit `lane` is the
+    /// lane's value; bits at or above the warp width stay clear).
+    pub preds: [LaneMask; NUM_PREDS as usize],
     /// Lanes that hold live threads (last warp of a TB may be partial).
     pub full_mask: LaneMask,
     /// SIMT stack; the top entry is the executing path.
@@ -122,6 +124,11 @@ pub struct Warp {
 impl Warp {
     /// Creates a warp with `num_regs` registers, all zero, positioned at
     /// instruction 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `warp_size` is in `1..=32` (the width of a
+    /// [`LaneMask`]).
     #[must_use]
     pub fn new(
         slot: usize,
@@ -132,12 +139,17 @@ impl Warp {
         full_mask: LaneMask,
         age: u64,
     ) -> Warp {
+        assert!(
+            (1..=LaneMask::BITS).contains(&warp_size),
+            "a warp has 1..={} lanes, not {warp_size}",
+            LaneMask::BITS
+        );
         Warp {
             slot,
             tb,
             warp_in_tb,
             regs: vec![0; usize::from(num_regs) * warp_size as usize],
-            preds: vec![false; usize::from(simt_isa::reg::NUM_PREDS) * warp_size as usize],
+            preds: [0; NUM_PREDS as usize],
             full_mask,
             stack: vec![StackEntry { next_pc: 0, mask: full_mask, reconv: usize::MAX }],
             ibuffer: VecDeque::new(),
@@ -306,12 +318,14 @@ impl Warp {
     /// Reads one lane of a predicate.
     #[must_use]
     pub fn pred(&self, p: Pred, lane: u32) -> bool {
-        self.preds[p.index() * self.warp_size as usize + lane as usize]
+        self.preds[p.index()] >> lane & 1 != 0
     }
 
     /// Writes one lane of a predicate.
     pub fn set_pred(&mut self, p: Pred, lane: u32, v: bool) {
-        self.preds[p.index() * self.warp_size as usize + lane as usize] = v;
+        let bit = 1 << lane;
+        let m = &mut self.preds[p.index()];
+        *m = if v { *m | bit } else { *m & !bit };
     }
 
     // ----- scoreboard --------------------------------------------------------

@@ -1,0 +1,588 @@
+//! Parity of the lane-vector executor (`gpu_sim::exec::execute`) with the
+//! per-lane formulation it replaced: predicates read and written one lane
+//! at a time, every operand matched per lane, memory space matched per
+//! lane. Single instructions run on random warps (widths 1..=32, random
+//! full and active masks, plain and negated guards, destinations aliasing
+//! sources) and must leave the same registers, predicates, shared words
+//! and global memory, and return the same effect.
+
+use gpu_sim::exec::{alu, execute, ExecContext, ExecEffect};
+use gpu_sim::warp::LaneMask;
+use gpu_sim::{GlobalMemory, Warp};
+use proptest::prelude::*;
+use simt_isa::{
+    AtomOp, CmpOp, Dim3, Guard, Instruction, MemSpace, Op, Operand, Pred, Reg, SpecialReg, Value,
+};
+
+const ALU_OPS: [Op; 28] = [
+    Op::IAdd,
+    Op::ISub,
+    Op::IMul,
+    Op::IMulHi,
+    Op::IMad,
+    Op::IMin,
+    Op::IMax,
+    Op::Shl,
+    Op::Shr,
+    Op::Sra,
+    Op::And,
+    Op::Or,
+    Op::Xor,
+    Op::Not,
+    Op::FAdd,
+    Op::FSub,
+    Op::FMul,
+    Op::FFma,
+    Op::FMin,
+    Op::FMax,
+    Op::FDiv,
+    Op::FRcp,
+    Op::FSqrt,
+    Op::FExp2,
+    Op::FLog2,
+    Op::Mov,
+    Op::I2F,
+    Op::F2I,
+];
+
+/// The ALU ops on floats, whose NaN payloads Rust leaves unspecified.
+const FLOAT_OPS: [Op; 11] = [
+    Op::FAdd,
+    Op::FSub,
+    Op::FMul,
+    Op::FFma,
+    Op::FMin,
+    Op::FMax,
+    Op::FDiv,
+    Op::FRcp,
+    Op::FSqrt,
+    Op::FExp2,
+    Op::FLog2,
+];
+
+const SPECIALS: [SpecialReg; 14] = [
+    SpecialReg::TidX,
+    SpecialReg::TidY,
+    SpecialReg::TidZ,
+    SpecialReg::CtaidX,
+    SpecialReg::CtaidY,
+    SpecialReg::CtaidZ,
+    SpecialReg::NtidX,
+    SpecialReg::NtidY,
+    SpecialReg::NtidZ,
+    SpecialReg::NctaidX,
+    SpecialReg::NctaidY,
+    SpecialReg::NctaidZ,
+    SpecialReg::LaneId,
+    SpecialReg::WarpId,
+];
+
+/// Register values that exercise wrapping, sign, shift masking and float
+/// specials (NaN payloads, infinities, denormals, negative zero).
+const CORNERS: [u32; 12] = [
+    0,
+    1,
+    31,
+    0x7FFF_FFFF,
+    0x8000_0000,
+    u32::MAX,
+    0x3F80_0000,
+    0xBF80_0000,
+    0x7FC0_0000,
+    0xFFC0_0001,
+    0x7F80_0000,
+    0x0000_0001,
+];
+
+const NUM_REGS: u16 = 8;
+/// Register holding valid memory base addresses in memory cases.
+const BASE: Reg = Reg(7);
+const SHARED_WORDS: usize = 64;
+/// Global words the memory cases touch: two 1,024-word pages, so lanes
+/// straddle a page boundary.
+const GLOBAL_BASE: u64 = 0x1_0000;
+const GLOBAL_WORDS: u64 = 2048;
+const PARAMS: [Value; 3] = [Value(11), Value(22), Value(0xDEAD_BEEF)];
+
+/// splitmix64: one random case per seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len() as u64) as usize]
+    }
+
+    fn value(&mut self) -> u32 {
+        if self.below(2) == 0 {
+            self.pick(&CORNERS)
+        } else {
+            self.next() as u32
+        }
+    }
+
+    fn reg(&mut self) -> Reg {
+        Reg(self.below(u64::from(NUM_REGS)) as u8)
+    }
+
+    fn operand(&mut self) -> Operand {
+        if self.below(4) == 0 {
+            Operand::Imm(self.value())
+        } else {
+            Operand::Reg(self.reg())
+        }
+    }
+}
+
+/// The state one instruction runs against: a warp, shared memory and
+/// global memory, cloned for the reference run.
+#[derive(Clone)]
+struct Machine {
+    warp: Warp,
+    shared: Vec<u32>,
+    global: GlobalMemory,
+}
+
+impl Machine {
+    fn random(rng: &mut Rng) -> Machine {
+        let ws = 1 + rng.below(32) as u32;
+        let lanes = LaneMask::MAX >> (32 - ws);
+        let full = match rng.below(3) {
+            0 => lanes,
+            _ => rng.next() as u32 & lanes,
+        };
+        let mut warp = Warp::new(0, 0, rng.below(4) as u32, NUM_REGS, ws, full, 0);
+        warp.stack.last_mut().expect("fresh warp has a path").mask = match rng.below(3) {
+            0 => full,
+            _ => rng.next() as u32 & full,
+        };
+        for r in 0..NUM_REGS {
+            for lane in 0..ws {
+                warp.set_reg(Reg(r as u8), lane, rng.value());
+            }
+        }
+        for p in 0..simt_isa::reg::NUM_PREDS {
+            for lane in 0..ws {
+                warp.set_pred(Pred(p), lane, rng.below(2) == 0);
+            }
+        }
+        let shared = (0..SHARED_WORDS).map(|_| rng.value()).collect();
+        let mut global = GlobalMemory::new();
+        for _ in 0..16 {
+            let a = GLOBAL_BASE + 4 * rng.below(GLOBAL_WORDS);
+            global.write_u32(a, rng.value());
+        }
+        Machine { warp, shared, global }
+    }
+
+    /// Points every lane of [`BASE`] at a valid address of `space`, leaving
+    /// room for an offset of up to 15 words.
+    fn aim(&mut self, rng: &mut Rng, space: MemSpace) {
+        for lane in 0..self.warp.warp_size() {
+            let a = match space {
+                MemSpace::Shared => 4 * rng.below(SHARED_WORDS as u64 - 16),
+                MemSpace::Global => GLOBAL_BASE + 4 * rng.below(GLOBAL_WORDS - 16),
+                MemSpace::Param => 4 * rng.below(PARAMS.len() as u64 + 2),
+            };
+            self.warp.set_reg(BASE, lane, a as u32);
+        }
+    }
+
+    fn run(
+        &mut self,
+        instr: &Instruction,
+        exec: impl FnOnce(&mut Warp, &Instruction, &mut ExecContext<'_>) -> Effect,
+    ) -> Effect {
+        let mut ctx = ExecContext {
+            global: &mut self.global,
+            shared: &mut self.shared,
+            params: &PARAMS,
+            grid: Dim3::two_d(3, 2),
+            block: Dim3::three_d(4, 3, 3),
+            ctaid: Dim3::three_d(2, 1, 0),
+        };
+        exec(&mut self.warp, instr, &mut ctx)
+    }
+
+    /// Every predicate lane of the warp.
+    fn preds(&self) -> Vec<bool> {
+        let ws = self.warp.warp_size();
+        (0..simt_isa::reg::NUM_PREDS)
+            .flat_map(|p| (0..ws).map(move |lane| (p, lane)))
+            .map(|(p, lane)| self.warp.pred(Pred(p), lane))
+            .collect()
+    }
+
+    /// Lanes where `instr` is a float op reading two or more NaNs. Rust
+    /// leaves the payload of such a result unspecified, and codegen uses
+    /// it: the per-lane executor already returned the second operand's
+    /// NaN for `fadd`/`fmul` in release builds where the out-of-line
+    /// [`alu`] returns the first. There any NaN result matches.
+    fn ambiguous_nan_lanes(&self, instr: &Instruction) -> LaneMask {
+        if !FLOAT_OPS.contains(&instr.op) {
+            return 0;
+        }
+        let is_nan = |o: Operand, lane| match o {
+            Operand::Reg(r) => f32::from_bits(self.warp.reg(r, lane)).is_nan(),
+            Operand::Imm(v) => f32::from_bits(v).is_nan(),
+        };
+        let arity = match instr.op {
+            Op::FFma => 3,
+            Op::FRcp | Op::FSqrt | Op::FExp2 | Op::FLog2 => 1,
+            _ => 2,
+        };
+        (0..self.warp.warp_size())
+            .filter(|&lane| {
+                instr.srcs.iter().take(arity).filter(|&&o| is_nan(o, lane)).count() >= 2
+            })
+            .fold(0, |m, lane| m | 1 << lane)
+    }
+}
+
+/// Runs `instr` on copies of `before` through the lane-vector executor
+/// and the per-lane reference, and compares everything it can change.
+fn check(before: &Machine, instr: &Instruction) -> Result<(), String> {
+    let (mut got, mut want) = (before.clone(), before.clone());
+    let (got_effect, want_effect) = (got.run(instr, vector), want.run(instr, per_lane));
+    let ws = before.warp.warp_size() as usize;
+    let ambiguous = before.ambiguous_nan_lanes(instr);
+    let regs_match = got.warp.regs.iter().zip(&want.warp.regs).enumerate().all(|(i, (&g, &w))| {
+        let both_nan = f32::from_bits(g).is_nan() && f32::from_bits(w).is_nan();
+        let lane_ambiguous =
+            instr.dst == Some(Reg((i / ws) as u8)) && ambiguous >> (i % ws) & 1 != 0;
+        g == w || (both_nan && lane_ambiguous)
+    });
+    let mismatch = [
+        (got_effect != want_effect, "effect"),
+        (!regs_match, "registers"),
+        (got.preds() != want.preds(), "predicates"),
+        (got.shared != want.shared, "shared memory"),
+        (got.global.fingerprint() != want.global.fingerprint(), "global memory"),
+    ];
+    match mismatch.iter().find(|(differs, _)| *differs) {
+        Some((_, what)) => Err(format!("`{instr}` leaves different {what}")),
+        None => Ok(()),
+    }
+}
+
+/// A comparable [`ExecEffect`]: memory lane addresses as a vector.
+#[derive(Debug, PartialEq)]
+enum Effect {
+    None,
+    Branch(LaneMask, usize),
+    Barrier,
+    Exit,
+    Memory(MemSpace, Vec<(u32, u64)>, bool, bool),
+}
+
+impl From<ExecEffect> for Effect {
+    fn from(e: ExecEffect) -> Effect {
+        match e {
+            ExecEffect::None => Effect::None,
+            ExecEffect::Branch { taken, target } => Effect::Branch(taken, target),
+            ExecEffect::Barrier => Effect::Barrier,
+            ExecEffect::Exit => Effect::Exit,
+            ExecEffect::Memory { space, addrs, is_store, is_atomic } => {
+                Effect::Memory(space, addrs.to_vec(), is_store, is_atomic)
+            }
+        }
+    }
+}
+
+fn vector(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> Effect {
+    execute(warp, instr, ctx).into()
+}
+
+/// The per-lane executor the lane-vector one replaced, kept as the
+/// reference: lanes in ascending order, each reading its guard bit,
+/// operands and memory space on its own.
+fn per_lane(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> Effect {
+    let ws = warp.warp_size();
+    let lane_bits = if ws >= 32 { u32::MAX } else { (1 << ws) - 1 };
+    let mut mask = warp.active_mask() & lane_bits;
+    if let Some(g) = instr.guard {
+        for lane in 0..32 {
+            if mask >> lane & 1 != 0 && !g.accepts(warp.pred(g.pred, lane)) {
+                mask &= !(1 << lane);
+            }
+        }
+    }
+    let lanes: Vec<u32> = (0..32).filter(|l| mask >> l & 1 != 0).collect();
+    let get = |warp: &Warp, o: Operand, lane: u32| match o {
+        Operand::Reg(r) => warp.reg(r, lane),
+        Operand::Imm(v) => v,
+    };
+    let src = |i: usize| instr.srcs.get(i).copied().unwrap_or(Operand::Imm(0));
+    let address = |base: u32| {
+        u64::try_from(i64::from(base) + i64::from(instr.offset))
+            .unwrap_or_else(|_| panic!("negative effective address: {base:#x} {:+}", instr.offset))
+    };
+    let shared_word = |addr: u64, len: usize, what: &str| {
+        let w = usize::try_from(addr / 4).expect("fits");
+        assert!(w < len, "shared {what} out of bounds: {addr:#x} (size {})", len * 4);
+        w
+    };
+    match instr.op {
+        Op::Bra { target } => Effect::Branch(mask, target),
+        Op::Bar => Effect::Barrier,
+        Op::Exit => Effect::Exit,
+        Op::Setp(cmp) | Op::SetpF(cmp) => {
+            let p = instr.pdst.expect("setp has a pdst");
+            for &lane in &lanes {
+                let (a, b) = (get(warp, src(0), lane), get(warp, src(1), lane));
+                let v = if matches!(instr.op, Op::SetpF(_)) {
+                    cmp.eval_f32(f32::from_bits(a), f32::from_bits(b))
+                } else {
+                    cmp.eval_i32(a as i32, b as i32)
+                };
+                warp.set_pred(p, lane, v);
+            }
+            Effect::None
+        }
+        Op::Sel(p) => {
+            let d = instr.dst.expect("sel has a dst");
+            for &lane in &lanes {
+                let v = if warp.pred(p, lane) {
+                    get(warp, src(0), lane)
+                } else {
+                    get(warp, src(1), lane)
+                };
+                warp.set_reg(d, lane, v);
+            }
+            Effect::None
+        }
+        Op::S2R(s) => {
+            let d = instr.dst.expect("s2r has a dst");
+            for &lane in &lanes {
+                let lin = u64::from(warp.warp_in_tb) * u64::from(ws) + u64::from(lane);
+                let (bx, by) = (u64::from(ctx.block.x), u64::from(ctx.block.y));
+                let v = match s {
+                    SpecialReg::TidX => (lin % bx) as u32,
+                    SpecialReg::TidY => ((lin / bx) % by) as u32,
+                    SpecialReg::TidZ => (lin / (bx * by)) as u32,
+                    SpecialReg::CtaidX => ctx.ctaid.x,
+                    SpecialReg::CtaidY => ctx.ctaid.y,
+                    SpecialReg::CtaidZ => ctx.ctaid.z,
+                    SpecialReg::NtidX => ctx.block.x,
+                    SpecialReg::NtidY => ctx.block.y,
+                    SpecialReg::NtidZ => ctx.block.z,
+                    SpecialReg::NctaidX => ctx.grid.x,
+                    SpecialReg::NctaidY => ctx.grid.y,
+                    SpecialReg::NctaidZ => ctx.grid.z,
+                    SpecialReg::LaneId => lane,
+                    SpecialReg::WarpId => warp.warp_in_tb,
+                };
+                warp.set_reg(d, lane, v);
+            }
+            Effect::None
+        }
+        Op::Ld(space) => {
+            let d = instr.dst.expect("ld has a dst");
+            let mut addrs = Vec::new();
+            for &lane in &lanes {
+                let addr = address(get(warp, src(0), lane));
+                let v = match space {
+                    MemSpace::Global => ctx.global.read_u32(addr),
+                    MemSpace::Shared => ctx.shared[shared_word(addr, ctx.shared.len(), "load")],
+                    MemSpace::Param => usize::try_from(addr / 4)
+                        .ok()
+                        .and_then(|i| ctx.params.get(i))
+                        .map_or(0, |v| v.as_u32()),
+                };
+                warp.set_reg(d, lane, v);
+                addrs.push((lane, addr));
+            }
+            Effect::Memory(space, addrs, false, false)
+        }
+        Op::St(space) => {
+            let mut addrs = Vec::new();
+            for &lane in &lanes {
+                let addr = address(get(warp, src(0), lane));
+                let v = get(warp, src(1), lane);
+                match space {
+                    MemSpace::Global => ctx.global.write_u32(addr, v),
+                    MemSpace::Shared => {
+                        ctx.shared[shared_word(addr, ctx.shared.len(), "store")] = v;
+                    }
+                    MemSpace::Param => panic!("stores to parameter space are not allowed"),
+                }
+                addrs.push((lane, addr));
+            }
+            Effect::Memory(space, addrs, true, false)
+        }
+        Op::Atom(aop) => {
+            let d = instr.dst.expect("atom has a dst");
+            let mut addrs = Vec::new();
+            for &lane in &lanes {
+                let addr = address(get(warp, src(0), lane));
+                let v = get(warp, src(1), lane);
+                let old = ctx.global.read_u32(addr);
+                ctx.global.write_u32(addr, AtomOp::apply(aop, old, v));
+                warp.set_reg(d, lane, old);
+                addrs.push((lane, addr));
+            }
+            Effect::Memory(MemSpace::Global, addrs, true, true)
+        }
+        op => {
+            let d = instr.dst.expect("ALU op has a dst");
+            for &lane in &lanes {
+                let v = alu(
+                    op,
+                    get(warp, src(0), lane),
+                    get(warp, src(1), lane),
+                    get(warp, src(2), lane),
+                );
+                warp.set_reg(d, lane, v);
+            }
+            Effect::None
+        }
+    }
+}
+
+/// One random instruction, with the machine aimed at valid addresses when
+/// it accesses memory.
+fn random_instr(rng: &mut Rng, m: &mut Machine) -> Instruction {
+    let (op, dst, pdst, srcs) = match rng.below(8) {
+        0..=2 => {
+            let op = rng.pick(&ALU_OPS);
+            (op, Some(rng.reg()), None, vec![rng.operand(), rng.operand(), rng.operand()])
+        }
+        3 => {
+            let cmp = rng.pick(&CmpOp::ALL);
+            let op = if rng.below(2) == 0 { Op::Setp(cmp) } else { Op::SetpF(cmp) };
+            let p = Pred(rng.below(u64::from(simt_isa::reg::NUM_PREDS)) as u8);
+            (op, None, Some(p), vec![rng.operand(), rng.operand()])
+        }
+        4 => {
+            let p = Pred(rng.below(u64::from(simt_isa::reg::NUM_PREDS)) as u8);
+            (Op::Sel(p), Some(rng.reg()), None, vec![rng.operand(), rng.operand()])
+        }
+        5 => (Op::S2R(rng.pick(&SPECIALS)), Some(rng.reg()), None, vec![]),
+        6 => {
+            let space = rng.pick(&[MemSpace::Shared, MemSpace::Global, MemSpace::Param]);
+            m.aim(rng, space);
+            let store = space != MemSpace::Param && rng.below(2) == 0;
+            if store {
+                (Op::St(space), None, None, vec![BASE.into(), rng.operand()])
+            } else {
+                (Op::Ld(space), Some(rng.reg()), None, vec![BASE.into()])
+            }
+        }
+        _ => {
+            m.aim(rng, MemSpace::Global);
+            // A small address spread makes lanes collide on one word.
+            if rng.below(2) == 0 {
+                let w = m.warp.reg(BASE, 0);
+                for lane in 0..m.warp.warp_size() {
+                    m.warp.set_reg(BASE, lane, w + 4 * (lane % 3));
+                }
+            }
+            let op = Op::Atom(rng.pick(&AtomOp::ALL));
+            (op, Some(rng.reg()), None, vec![BASE.into(), rng.operand()])
+        }
+    };
+    let mut instr = Instruction::new(op, dst, pdst, srcs);
+    if matches!(op, Op::Ld(_) | Op::St(_) | Op::Atom(_)) {
+        instr = instr.with_offset(4 * rng.below(16) as i32);
+    }
+    let pred = Pred(rng.below(u64::from(simt_isa::reg::NUM_PREDS)) as u8);
+    match rng.below(3) {
+        0 => instr.with_guard(Guard::if_true(pred)),
+        1 => instr.with_guard(Guard::if_false(pred)),
+        _ => instr,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+    #[test]
+    fn vector_executor_matches_per_lane_reference(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let mut before = Machine::random(&mut rng);
+        let instr = random_instr(&mut rng, &mut before);
+        let outcome = check(&before, &instr);
+        prop_assert!(outcome.is_ok(), "{:?}", outcome);
+    }
+}
+
+#[test]
+fn every_alu_op_and_comparison_matches_on_a_full_warp() {
+    let mut rng = Rng(7);
+    let mut ops: Vec<Op> = ALU_OPS.to_vec();
+    ops.extend(CmpOp::ALL.iter().flat_map(|&c| [Op::Setp(c), Op::SetpF(c)]));
+    for op in ops {
+        for _ in 0..8 {
+            let mut before = Machine::random(&mut rng);
+            before.warp = Warp::new(0, 0, 0, NUM_REGS, 32, u32::MAX, 0);
+            for r in 0..NUM_REGS {
+                for lane in 0..32 {
+                    before.warp.set_reg(Reg(r as u8), lane, rng.value());
+                }
+            }
+            let (dst, pdst) = if matches!(op, Op::Setp(_) | Op::SetpF(_)) {
+                (None, Some(Pred(2)))
+            } else {
+                (Some(Reg(1)), None)
+            };
+            let srcs = vec![Reg(1).into(), rng.operand(), rng.operand()];
+            let instr = Instruction::new(op, dst, pdst, srcs);
+            check(&before, &instr).unwrap();
+        }
+    }
+}
+
+/// A full 32-lane warp whose every lane points [`BASE`] at `addr`.
+fn aimed_at(addr: u32) -> Machine {
+    let mut m = Machine {
+        warp: Warp::new(0, 0, 0, NUM_REGS, 32, u32::MAX, 0),
+        shared: vec![0; SHARED_WORDS],
+        global: GlobalMemory::new(),
+    };
+    for lane in 0..32 {
+        m.warp.set_reg(BASE, lane, addr + 4 * lane);
+    }
+    m
+}
+
+#[test]
+#[should_panic(expected = "negative effective address: 0x0 -4")]
+fn a_negative_effective_address_still_panics() {
+    let ld = Instruction::new(Op::Ld(MemSpace::Global), Some(Reg(0)), None, vec![BASE.into()])
+        .with_offset(-4);
+    aimed_at(0).run(&ld, vector);
+}
+
+#[test]
+#[should_panic(expected = "shared load out of bounds: 0x100 (size 256)")]
+fn an_out_of_bounds_shared_index_still_panics() {
+    // Lanes 0..=15 are in bounds; lane 16 is the first offending lane.
+    let ld = Instruction::new(Op::Ld(MemSpace::Shared), Some(Reg(0)), None, vec![BASE.into()]);
+    aimed_at(192).run(&ld, vector);
+}
+
+#[test]
+#[should_panic(expected = "shared store out of bounds: 0x100 (size 256)")]
+fn an_out_of_bounds_shared_store_still_panics() {
+    let st =
+        Instruction::new(Op::St(MemSpace::Shared), None, None, vec![BASE.into(), Operand::Imm(1)]);
+    aimed_at(192).run(&st, vector);
+}
+
+#[test]
+#[should_panic(expected = "unaligned global read at 0x1002")]
+fn an_unaligned_global_access_still_panics() {
+    let ld = Instruction::new(Op::Ld(MemSpace::Global), Some(Reg(0)), None, vec![BASE.into()]);
+    aimed_at(0x1002).run(&ld, vector);
+}

@@ -42,7 +42,7 @@
 use crate::family::UnresolvedPair;
 use crate::races::{guarded_threads, mem_accesses, thread_xy, AccessKind, MemAccess};
 use crate::{Diagnostic, Diagnostics, LintCode};
-use gpu_sim::GlobalRace;
+use gpu_sim::{FastMap, GlobalRace};
 use simt_compiler::affine::{
     fixpoint_clamped, fixpoint_with_divergence, Affine, FlowState, GridCtx, PredVal,
 };
@@ -718,8 +718,10 @@ impl WordTouch {
 /// promotes a conservative overlap to [`PairVerdict::Disjoint`] when the
 /// word sets never intersect across distinct blocks (or finds the
 /// witness the interval screen's representative pair missed). Linear in
-/// `blocks × threads` via a word → touching-blocks map, so large grids
-/// need no quadratic pair walk. `None` when any footprint is not exactly
+/// `blocks × threads` via a word → touching-blocks hash map, so large
+/// grids need no quadratic pair walk. The witness is the smallest
+/// colliding word, whatever the map's order, with the pair its
+/// block-order touches name. `None` when any footprint is not exactly
 /// computable or the enumeration exceeds [`ENUM_CAP`].
 fn exact_refine(a: Side, b: Side, s: Shape) -> Option<PairVerdict> {
     let num_blocks = u64::from(s.grid.x) * u64::from(s.grid.y) * u64::from(s.grid.z);
@@ -727,7 +729,7 @@ fn exact_refine(a: Side, b: Side, s: Shape) -> Option<PairVerdict> {
         return None;
     }
     // word → blocks touching it via access a / via access b.
-    let mut map: BTreeMap<i64, [Option<WordTouch>; 2]> = BTreeMap::new();
+    let mut map: FastMap<i64, [Option<WordTouch>; 2]> = FastMap::default();
     for p in 0..num_blocks {
         let block = gpu_sim::ctaid_at(s.grid, p);
         for (slot, side) in [a, b].into_iter().enumerate() {
@@ -740,46 +742,166 @@ fn exact_refine(a: Side, b: Side, s: Shape) -> Option<PairVerdict> {
             }
         }
     }
-    for (&word, &[ta, tb]) in &map {
-        let (Some(ta), Some(tb)) = (ta, tb) else { continue };
-        // A collision needs two *distinct* blocks, one per side.
-        let pair = if ta.first != tb.first {
-            Some((ta.first, tb.first))
-        } else if let Some(q) = tb.second {
-            Some((ta.first, q))
-        } else {
-            ta.second.map(|p| (p, tb.first))
-        };
-        if let Some((p, q)) = pair {
-            return Some(PairVerdict::Collides(Some(RaceWitness {
-                pc_a: a.pc,
-                pc_b: b.pc,
-                block_a: gpu_sim::ctaid_at(s.grid, p),
-                block_b: gpu_sim::ctaid_at(s.grid, q),
-                word,
-            })));
-        }
-    }
-    Some(PairVerdict::Disjoint)
+    let witness = map
+        .into_iter()
+        .filter_map(|(word, [ta, tb])| {
+            let (ta, tb) = (ta?, tb?);
+            // A collision needs two *distinct* blocks, one per side.
+            let (p, q) = if ta.first != tb.first {
+                (ta.first, tb.first)
+            } else if let Some(q) = tb.second {
+                (ta.first, q)
+            } else {
+                (ta.second?, tb.first)
+            };
+            Some((word, p, q))
+        })
+        .min_by_key(|&(word, ..)| word);
+    Some(witness.map_or(PairVerdict::Disjoint, |(word, p, q)| {
+        PairVerdict::Collides(Some(RaceWitness {
+            pc_a: a.pc,
+            pc_b: b.pc,
+            block_a: gpu_sim::ctaid_at(s.grid, p),
+            block_b: gpu_sim::ctaid_at(s.grid, q),
+            word,
+        }))
+    }))
 }
 
-/// Exactly the global words one access touches in one concrete block, or
-/// `None` when the footprint is not exactly computable: a non-exact
-/// address, an unevaluable guard, or an address overflowing evaluation.
+/// Exactly the global words one access touches in one concrete block,
+/// sorted and deduplicated, or `None` when the footprint is not exactly
+/// computable: a non-exact address, an unevaluable guard, or an address
+/// overflowing evaluation.
 /// Unlike [`definite_words`], which under-approximates (fine for a
 /// witness), this must be the *precise* set — any uncertainty bails.
-fn exact_words(side: Side, s: Shape, block: Dim3) -> Option<BTreeSet<i64>> {
+fn exact_words(side: Side, s: Shape, block: Dim3) -> Option<Vec<i64>> {
     if !side.f.is_exact() {
         return None;
     }
-    let mut words = BTreeSet::new();
+    let mut words = Vec::new();
     for (t, executes) in guarded_threads(side.conds, s.bx, s.by, s.threads, Some(block)) {
         if !executes? {
             continue;
         }
         let byte = eval_in(side.f, t, s, block)?;
-        words.insert(byte.div_euclid(4));
-        words.insert((byte + 3).div_euclid(4));
+        words.extend([byte.div_euclid(4), (byte + 3).div_euclid(4)]);
     }
+    words.sort_unstable();
+    words.dedup();
     Some(words)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// `tid.x·a + ctaid.x·d + ctaid.y·e + c` bytes: exact, no guard.
+    fn side(pc: usize, a: i64, d: i64, e: i64, c: i64) -> Side<'static> {
+        Side { f: Affine { a, b: 0, d, e, lo: c, hi: c, uniform: true }, conds: &[], pc }
+    }
+
+    fn shape(bx: u32, grid: Dim3) -> Shape {
+        Shape { bx, by: 1, threads: bx, grid }
+    }
+
+    /// `exact_refine`'s verdict as `Some(witness)` / `None` (disjoint).
+    fn refined(a: Side, b: Side, s: Shape) -> Option<RaceWitness> {
+        match exact_refine(a, b, s).expect("footprints are exact") {
+            PairVerdict::Collides(w) => Some(w.expect("exact refinement names a witness")),
+            PairVerdict::Disjoint => None,
+            _ => unreachable!("exact refinement settles a pair"),
+        }
+    }
+
+    /// The ordered-map refinement `exact_refine` replaced: ascending word
+    /// order, so the first colliding word is the smallest.
+    fn btree_refined(a: Side, b: Side, s: Shape) -> Option<RaceWitness> {
+        let num_blocks = u64::from(s.grid.x) * u64::from(s.grid.y) * u64::from(s.grid.z);
+        let mut map: BTreeMap<i64, [Option<WordTouch>; 2]> = BTreeMap::new();
+        for p in 0..num_blocks {
+            let block = gpu_sim::ctaid_at(s.grid, p);
+            for (slot, side) in [a, b].into_iter().enumerate() {
+                let words: BTreeSet<i64> =
+                    exact_words(side, s, block).expect("exact").into_iter().collect();
+                for word in words {
+                    match &mut map.entry(word).or_default()[slot] {
+                        Some(t) => t.add(p),
+                        touch @ None => *touch = Some(WordTouch { first: p, second: None }),
+                    }
+                }
+            }
+        }
+        for (&word, &[ta, tb]) in &map {
+            let (Some(ta), Some(tb)) = (ta, tb) else { continue };
+            let pair = if ta.first != tb.first {
+                Some((ta.first, tb.first))
+            } else if let Some(q) = tb.second {
+                Some((ta.first, q))
+            } else {
+                ta.second.map(|p| (p, tb.first))
+            };
+            if let Some((p, q)) = pair {
+                return Some(RaceWitness {
+                    pc_a: a.pc,
+                    pc_b: b.pc,
+                    block_a: gpu_sim::ctaid_at(s.grid, p),
+                    block_b: gpu_sim::ctaid_at(s.grid, q),
+                    word,
+                });
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn exact_refine_names_the_smallest_colliding_word() {
+        // Four threads, four blocks. Access 0 writes words 2p..=2p+3 of
+        // block p, access 1 words 2p+4..=2p+7: they collide on words 4..=9
+        // across several block pairs. Word 4 is the smallest; access 0
+        // touches it first in block 1, access 1 in block 0.
+        let (a, b) = (side(0, 4, 8, 0, 0), side(1, 4, 8, 0, 16));
+        let s = shape(4, Dim3::one_d(4));
+        let want = RaceWitness {
+            pc_a: 0,
+            pc_b: 1,
+            block_a: Dim3::three_d(1, 0, 0),
+            block_b: Dim3::three_d(0, 0, 0),
+            word: 4,
+        };
+        assert_eq!(refined(a, b, s), Some(want));
+        assert_eq!(btree_refined(a, b, s), Some(want));
+        // Interleaved strides share no word: disjoint.
+        let (a, b) = (side(0, 8, 64, 0, 0), side(1, 8, 64, 0, 4));
+        assert_eq!(refined(a, b, s), None);
+    }
+
+    #[test]
+    fn exact_refine_matches_the_ordered_map_it_replaced() {
+        let mut state = 0x5eed_u64;
+        let mut next = |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let mut collisions = 0;
+        for _ in 0..2000 {
+            let mut coeff = |n: u64| next(2 * n + 1) as i64 - n as i64;
+            let (fa, fb) = (
+                [coeff(8), coeff(64), coeff(64), coeff(32)],
+                [coeff(8), coeff(64), coeff(64), coeff(32)],
+            );
+            // Unaligned constants touch two words per thread.
+            let a = side(0, 4 * fa[0], 4 * fa[1], 4 * fa[2], 4 * fa[3] + 512 + next(2) as i64);
+            let b = side(1, 4 * fb[0], 4 * fb[1], 4 * fb[2], 4 * fb[3] + 512 + next(2) as i64);
+            let grid = Dim3::two_d(1 + next(4) as u32, 1 + next(3) as u32);
+            let s = shape(1 + next(8) as u32, grid);
+            let want = btree_refined(a, b, s);
+            collisions += usize::from(want.is_some());
+            assert_eq!(refined(a, b, s), want);
+        }
+        assert!(collisions > 500, "only {collisions} colliding cases");
+    }
 }

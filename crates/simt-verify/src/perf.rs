@@ -33,7 +33,6 @@ use gpu_sim::SimStats;
 use simt_compiler::affine::{fixpoint, Affine, AffineVal, GridCtx};
 use simt_compiler::CompiledKernel;
 use simt_isa::{LaunchConfig, MemSpace};
-use std::collections::BTreeSet;
 
 /// Bias added before reusing the simulator's unsigned address helpers;
 /// a multiple of 128 so it changes neither bank nor line structure.
@@ -90,7 +89,8 @@ pub struct Validation {
     pub detail: String,
 }
 
-/// Feasible residues of the uniform constant modulo the 128-byte period.
+/// Feasible residues of the uniform constant modulo the 128-byte period,
+/// ascending.
 fn residues(f: Affine) -> Vec<i64> {
     let unbounded = f.lo == simt_compiler::affine::NEG_INF
         || f.hi == simt_compiler::affine::POS_INF
@@ -98,12 +98,19 @@ fn residues(f: Affine) -> Vec<i64> {
     if unbounded {
         return (0..128).collect();
     }
-    let set: BTreeSet<i64> = (f.lo..=f.hi).map(|c| c.rem_euclid(128)).collect();
-    set.into_iter().collect()
+    let mut set: Vec<i64> = (f.lo..=f.hi).map(|c| c.rem_euclid(128)).collect();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 /// Per-execution degree/line bounds for one access, over every executing
-/// warp and every feasible constant residue.
+/// warp and every feasible constant residue. `lanes` is ascending.
+///
+/// A shared access is evaluated at one residue per byte-alignment class
+/// `(r + BIAS) mod 4`: residues of one class differ by whole words, and
+/// shifting every lane by `k` words only rotates the banks by `k`, which
+/// leaves the conflict degree unchanged.
 fn bound_access(
     f: Affine,
     lanes: &[u32],
@@ -112,41 +119,47 @@ fn bound_access(
     warp_size: u32,
     shared: bool,
 ) -> Result<(u32, u32, u32), String> {
-    let nwarps = lanes.iter().map(|&t| t / warp_size).max().unwrap_or(0) + 1;
+    let residues = residues(f);
+    // The residues evaluated: each class's first for a shared access.
+    let mut seen = [false; 4];
+    let probes: Vec<i64> = residues
+        .iter()
+        .copied()
+        .filter(|&r| !shared || !std::mem::replace(&mut seen[((r + BIAS) % 4) as usize], true))
+        .collect();
     let mut min_v = u32::MAX;
     let mut max_v = 0u32;
     let mut widest = 0u32;
-    for w in 0..nwarps {
-        let offs: Vec<i64> = lanes
-            .iter()
-            .filter(|&&t| t / warp_size == w)
-            .map(|&t| {
-                let (tx, ty) = thread_xy(t, bx, by);
+    let (mut offs, mut addrs) = (Vec::new(), Vec::new());
+    for warp in lanes.chunk_by(|&s, &t| s / warp_size == t / warp_size) {
+        offs.clear();
+        for &t in warp {
+            let (tx, ty) = thread_xy(t, bx, by);
+            let o =
                 f.a.checked_mul(tx)
                     .and_then(|x| f.b.checked_mul(ty).and_then(|y| x.checked_add(y)))
-                    .ok_or_else(|| "address coefficients overflow the model".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        if offs.is_empty() {
-            continue;
+                    .ok_or_else(|| "address coefficients overflow the model".to_string())?;
+            offs.push(o);
         }
         widest = widest.max(offs.len() as u32);
-        for r in residues(f) {
-            let addrs: Vec<u64> = offs
-                .iter()
-                .map(|&o| {
-                    let a = o + r + BIAS;
-                    if a < 0 {
-                        Err("address below the model range".to_string())
-                    } else {
-                        Ok(a as u64)
-                    }
-                })
-                .collect::<Result<_, _>>()?;
+        // Every biased address is in range at every residue iff it is at
+        // the lowest and the highest one.
+        if let (Some(&lo), Some(&hi)) = (residues.first(), residues.last()) {
+            let in_range = |o: i64| {
+                o.checked_add(lo + BIAS).is_some_and(|a| a >= 0)
+                    && o.checked_add(hi + BIAS).is_some()
+            };
+            if !offs.iter().all(|&o| in_range(o)) {
+                return Err("address below the model range".to_string());
+            }
+        }
+        for &r in &probes {
+            addrs.clear();
+            addrs.extend(offs.iter().map(|&o| (o + r + BIAS) as u64));
             let v = if shared {
-                smem_conflict_degree(addrs.into_iter())
+                smem_conflict_degree(addrs.iter().copied())
             } else {
-                coalesce_lines(addrs.into_iter()).len() as u32
+                coalesce_lines(addrs.iter().copied()).len() as u32
             };
             min_v = min_v.min(v);
             max_v = max_v.max(v);
@@ -473,5 +486,108 @@ mod tests {
             preds[0].kind,
             MemPredKind::GlobalCoalesce { min_lines: 1, max_lines: 1, ideal_lines: 1 }
         );
+    }
+
+    /// The full residue loop `bound_access` replaced: every warp, every
+    /// feasible residue, freshly collected addresses.
+    fn bound_access_per_residue(
+        f: Affine,
+        lanes: &[u32],
+        bx: u32,
+        by: u32,
+        warp_size: u32,
+        shared: bool,
+    ) -> Result<(u32, u32, u32), String> {
+        let nwarps = lanes.iter().map(|&t| t / warp_size).max().unwrap_or(0) + 1;
+        let (mut min_v, mut max_v, mut widest) = (u32::MAX, 0u32, 0u32);
+        for w in 0..nwarps {
+            let offs: Vec<i64> = lanes
+                .iter()
+                .filter(|&&t| t / warp_size == w)
+                .map(|&t| {
+                    let (tx, ty) = thread_xy(t, bx, by);
+                    f.a.checked_mul(tx)
+                        .and_then(|x| f.b.checked_mul(ty).and_then(|y| x.checked_add(y)))
+                        .ok_or_else(|| "address coefficients overflow the model".to_string())
+                })
+                .collect::<Result<_, _>>()?;
+            if offs.is_empty() {
+                continue;
+            }
+            widest = widest.max(offs.len() as u32);
+            for r in residues(f) {
+                let addrs: Vec<u64> = offs
+                    .iter()
+                    .map(|&o| {
+                        let a = o + r + BIAS;
+                        if a < 0 {
+                            Err("address below the model range".to_string())
+                        } else {
+                            Ok(a as u64)
+                        }
+                    })
+                    .collect::<Result<_, _>>()?;
+                let v = if shared {
+                    smem_conflict_degree(addrs.into_iter())
+                } else {
+                    coalesce_lines(addrs.into_iter()).len() as u32
+                };
+                min_v = min_v.min(v);
+                max_v = max_v.max(v);
+            }
+        }
+        if max_v == 0 {
+            return Err("no thread provably executes this access".to_string());
+        }
+        Ok((min_v, max_v, widest))
+    }
+
+    #[test]
+    fn alignment_classes_bound_like_every_residue() {
+        let mut state = 0xb0_u64;
+        let mut next = |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let (mut errs, mut oks) = (0, 0);
+        for _ in 0..3000 {
+            let mut coeff = || match next(10) {
+                // Overflows at tid 2, fits at tid 1: an `Err` only some
+                // warps reach.
+                0 => 1 << 62,
+                1 => -(1 << 62),
+                // At tid 1, in range at some residues and not at others.
+                2 => -BIAS - next(128) as i64,
+                _ => next(129) as i64 - 64,
+            };
+            let (a, b) = (coeff(), coeff());
+            let lo = match next(4) {
+                0 => -BIAS - next(300) as i64,
+                1 => simt_compiler::affine::NEG_INF,
+                _ => next(4096) as i64,
+            };
+            let hi = match next(4) {
+                0 => simt_compiler::affine::POS_INF,
+                _ => lo.saturating_add(next(160) as i64),
+            };
+            let f = Affine { a, b, d: 0, e: 0, lo, hi, uniform: true };
+            let (bx, by) = (1 + next(16) as u32, 1 + next(8) as u32);
+            let threads = bx * by;
+            let lanes: Vec<u32> = (0..threads).filter(|_| next(4) != 0).collect();
+            let warp_size = [4, 8, 16, 32][next(4) as usize];
+            for shared in [true, false] {
+                let want = bound_access_per_residue(f, &lanes, bx, by, warp_size, shared);
+                assert_eq!(bound_access(f, &lanes, bx, by, warp_size, shared), want, "{f:?}");
+                if want.is_ok() {
+                    oks += 1;
+                } else {
+                    errs += 1;
+                }
+            }
+        }
+        assert!(oks > 1000 && errs > 500, "{oks} bounded, {errs} refused");
     }
 }
