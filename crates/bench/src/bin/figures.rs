@@ -16,6 +16,7 @@ use darsie_bench::{
 };
 use gpu_energy::{AreaEstimate, AreaParams};
 use gpu_sim::trace_redundancy;
+use gpu_sim::Technique;
 use simt_compiler::compile;
 use simt_isa::{KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value};
 use workloads::Scale;
@@ -68,8 +69,23 @@ fn main() {
     }
 
     let cfg = eval_gpu(sms);
-    let mut fig8_report: Option<Report> = None;
-    let mut fig12_report: Option<Report> = None;
+    // One sweep runs the union of the technique sets the requested
+    // figures need; each figure renders its own set from it.
+    let (fig8, fig12) = (fig8_techniques(), fig12_techniques());
+    let mut techniques: Vec<Technique> = Vec::new();
+    for (set, figs) in [(&fig8, &["fig8", "fig9", "fig10", "fig11"][..]), (&fig12, &["fig12"])] {
+        if artifacts.iter().any(|a| figs.contains(&a.as_str())) {
+            for t in set {
+                if !techniques.contains(t) {
+                    techniques.push(t.clone());
+                }
+            }
+        }
+    }
+    let mut sweep: Option<Report> = None;
+    let mut report = |set: &[Technique]| {
+        sweep.get_or_insert_with(|| collect(scale, &cfg, &techniques)).select(set)
+    };
     let mut limit: Option<Vec<darsie_bench::LimitRow>> = None;
 
     for artifact in &artifacts {
@@ -92,30 +108,15 @@ fn main() {
             "ablations" => println!("{}", render_ablations(scale, &cfg)),
             "fig3" => println!("{}", fig3_walkthrough()),
             "fig6" => println!("{}", fig6_markings()),
-            "fig8" => {
-                let r = fig8_report.get_or_insert_with(|| collect(scale, &cfg, &fig8_techniques()));
-                println!("{}", r.render_fig8());
-            }
-            "fig9" => {
-                let r = fig8_report.get_or_insert_with(|| collect(scale, &cfg, &fig8_techniques()));
-                println!("{}", r.render_insn_reduction(false));
-            }
-            "fig10" => {
-                let r = fig8_report.get_or_insert_with(|| collect(scale, &cfg, &fig8_techniques()));
-                println!("{}", r.render_insn_reduction(true));
-            }
-            "fig11" => {
-                let r = fig8_report.get_or_insert_with(|| collect(scale, &cfg, &fig8_techniques()));
-                println!("{}", r.render_fig11());
-            }
-            "fig12" => {
-                let r =
-                    fig12_report.get_or_insert_with(|| collect(scale, &cfg, &fig12_techniques()));
-                println!(
-                    "{}",
-                    r.render_speedups("Figure 12: effect of synchronization (speedup over BASE)")
-                );
-            }
+            "fig8" => println!("{}", report(&fig8).render_fig8()),
+            "fig9" => println!("{}", report(&fig8).render_insn_reduction(false)),
+            "fig10" => println!("{}", report(&fig8).render_insn_reduction(true)),
+            "fig11" => println!("{}", report(&fig8).render_fig11()),
+            "fig12" => println!(
+                "{}",
+                report(&fig12)
+                    .render_speedups("Figure 12: effect of synchronization (speedup over BASE)")
+            ),
             _ => usage(),
         }
     }

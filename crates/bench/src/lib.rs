@@ -134,6 +134,26 @@ pub fn collect(scale: Scale, cfg: &GpuConfig, techniques: &[Technique]) -> Repor
 }
 
 impl Report {
+    /// The same sweep restricted to `techniques`, in that order: one sweep
+    /// over the union of several figures' technique sets serves each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some technique was not run.
+    #[must_use]
+    pub fn select(&self, techniques: &[Technique]) -> Report {
+        let pick = |r: &WorkloadRow| {
+            let stats = |l| r.stats(l).expect("technique was run").clone();
+            techniques.iter().map(|t| (t.label(), stats(t.label()))).collect()
+        };
+        let rows = self
+            .rows
+            .iter()
+            .map(|r| WorkloadRow { abbr: r.abbr, is_2d: r.is_2d, per_tech: pick(r) })
+            .collect();
+        Report { rows, num_sms: self.num_sms }
+    }
+
     /// Geometric-mean speedup of `label` over the 1D or 2D subset.
     #[must_use]
     pub fn gmean_speedup(&self, label: &str, two_d: bool) -> f64 {
@@ -254,11 +274,21 @@ impl Report {
 pub fn render_ablations(scale: Scale, cfg: &GpuConfig) -> String {
     let two_d: Vec<Workload> = catalog(scale).into_iter().filter(|w| w.is_2d).collect();
     let mut out = String::from("Ablations: gmean-2D speedup over BASE\n");
+    // Cycles of every 2D kernel per (machine, technique): BASE and the
+    // default DARSIE recur across sweeps, and each runs once.
+    let mut runs: Vec<(GpuConfig, Technique, Vec<u64>)> = Vec::new();
+    let mut cycles = |cfg: &GpuConfig, tech: Technique| -> Vec<u64> {
+        if let Some((.., c)) = runs.iter().find(|(c, t, _)| c == cfg && *t == tech) {
+            return c.clone();
+        }
+        let c: Vec<u64> = two_d.iter().map(|w| w.run_unchecked(cfg, tech.clone()).cycles).collect();
+        runs.push((cfg.clone(), tech, c.clone()));
+        c
+    };
     let mut sweep = |label: &str, cfg: &GpuConfig, tech: Technique| {
-        let speedup = gmean(two_d.iter().map(|w| {
-            let base = w.run_unchecked(cfg, Technique::Base).cycles as f64;
-            base / (w.run_unchecked(cfg, tech.clone()).cycles as f64).max(1.0)
-        }));
+        let base = cycles(cfg, Technique::Base);
+        let speedup =
+            gmean(base.iter().zip(cycles(cfg, tech)).map(|(&b, t)| b as f64 / (t as f64).max(1.0)));
         out.push_str(&format!("{label:28} {speedup:.3}\n"));
     };
     // Versioning vs write-synchronization (paper Section 4.1 options).

@@ -233,12 +233,11 @@ type Lanes = [u32; WARP];
 fn gather(warp: &Warp, o: Operand) -> Lanes {
     match o {
         Operand::Reg(r) => {
-            let ws = warp.warp_size() as usize;
-            let row = &warp.regs[r.index() * ws..][..ws];
+            let row = warp.reg_row(r);
             // A full warp copies a fixed-size array, which stays inline.
             <&Lanes>::try_from(row).copied().unwrap_or_else(|_| {
                 let mut v = [0; WARP];
-                v[..ws].copy_from_slice(row);
+                v[..row.len()].copy_from_slice(row);
                 v
             })
         }

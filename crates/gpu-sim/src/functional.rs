@@ -8,6 +8,10 @@
 //! barrier semantics (a `bar.sync` parks the warp until every non-exited
 //! warp of the TB arrives), SIMT-stack divergence and reconvergence, but
 //! no pipeline model — one instruction per warp per scheduling pass.
+//!
+//! Both oracles group values the way DARSIE shares them, through the one
+//! [`OccurrenceGroups`] recorder: warp 0 leads each `(pc, occurrence)`,
+//! and a follower is compared with the leader's value as it arrives.
 
 use crate::exec::{execute, ExecContext, ExecEffect};
 use crate::fasthash::FastMap;
@@ -15,6 +19,7 @@ use crate::mem::{GlobalMemory, PAGE_WORDS};
 use crate::warp::{Warp, WarpState};
 use simt_compiler::CompiledKernel;
 use simt_isa::{AtomOp, Dim3, Instruction, Kernel, LaunchConfig, MemSpace, Op};
+use std::borrow::Borrow;
 use std::collections::HashSet;
 
 /// Hooks invoked around every dynamic warp instruction of a headless run.
@@ -202,6 +207,124 @@ pub fn run_tb_functional<O: FunctionalObserver>(
         }
         if !progressed && !at_barrier.iter().any(|&b| b) {
             break;
+        }
+    }
+}
+
+/// One aligned `(pc, occurrence)` of a threadblock's replay, as
+/// [`OccurrenceGroups::finish`] yields it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct OccurrenceGroup<V> {
+    /// Leader warp 0's value.
+    pub leader: V,
+    /// How many follower warps produced a different value.
+    pub mismatches: u64,
+    /// The lowest-numbered mismatching follower and its value.
+    pub first_mismatch: Option<(usize, V)>,
+}
+
+/// A `(pc, occurrence)` while its TB runs: how many warps ran it under
+/// their full mask, the followers that came before the leader, and the
+/// group once the leader came.
+#[derive(Debug)]
+struct Slot<V> {
+    arrived: usize,
+    early: Vec<(usize, V)>,
+    group: Option<OccurrenceGroup<V>>,
+}
+
+/// The aligned-group rule of one threadblock's replay, written once for
+/// every value oracle: a `(pc, occurrence)` forms a sharing group when
+/// every warp of the TB ran it, each under its full lane mask
+/// ([`Warp::fully_active`]) — the only case in which DARSIE's followers
+/// read the leader's result.
+///
+/// The recorder keeps what the hardware keeps: warp 0's value once per
+/// occurrence, with each follower compared as it arrives. Only followers
+/// that arrive before warp 0 are buffered (under divergence the
+/// round-robin replay can let warp 1 reach a pc first). A partial-mask
+/// arrival drops the occurrence's values for good. A caller that records
+/// a pc records every occurrence of it.
+#[derive(Debug)]
+pub struct OccurrenceGroups<T: ToOwned + ?Sized> {
+    warps: usize,
+    /// `slots[pc][occurrence - 1]`, `None` once a warp ran it under a
+    /// partial mask.
+    slots: Vec<Vec<Option<Slot<T::Owned>>>>,
+}
+
+impl<T: ToOwned + PartialEq + ?Sized> OccurrenceGroups<T> {
+    /// An empty recorder for one threadblock of `launch`.
+    #[must_use]
+    pub fn new(launch: &LaunchConfig) -> OccurrenceGroups<T> {
+        OccurrenceGroups { warps: launch.warps_per_block() as usize, slots: Vec::new() }
+    }
+
+    /// Compares follower `w`'s `value` with the leader's.
+    fn judge(g: &mut OccurrenceGroup<T::Owned>, w: usize, value: &T) {
+        if g.leader.borrow() != value {
+            g.mismatches += 1;
+            if g.first_mismatch.as_ref().is_none_or(|&(f, _)| w < f) {
+                g.first_mismatch = Some((w, value.to_owned()));
+            }
+        }
+    }
+
+    /// Records that warp `w`, in the state `warp`, produced `value` at the
+    /// `occurrence`-th (1-based) execution of `pc`.
+    pub fn record(&mut self, w: usize, pc: usize, occurrence: u32, warp: &Warp, value: &T) {
+        if pc >= self.slots.len() {
+            self.slots.resize_with(pc + 1, Vec::new);
+        }
+        let (occs, i) = (&mut self.slots[pc], occurrence as usize - 1);
+        if i >= occs.len() {
+            occs.resize_with(i + 1, || Some(Slot { arrived: 0, early: Vec::new(), group: None }));
+        }
+        if !warp.fully_active() {
+            occs[i] = None;
+        }
+        let Some(Slot { arrived, early, group }) = &mut occs[i] else { return };
+        *arrived += 1;
+        match group {
+            Some(g) => Self::judge(g, w, value),
+            None if w == 0 => {
+                let g = group.insert(OccurrenceGroup {
+                    leader: value.to_owned(),
+                    mismatches: 0,
+                    first_mismatch: None,
+                });
+                for (f, v) in std::mem::take(early) {
+                    Self::judge(g, f, v.borrow());
+                }
+            }
+            None => early.push((w, value.to_owned())),
+        }
+    }
+
+    /// Every recorded occurrence in `(pc, occurrence)` order, with its
+    /// group when aligned.
+    pub fn finish(self) -> impl Iterator<Item = ((usize, u32), Option<OccurrenceGroup<T::Owned>>)> {
+        let warps = self.warps;
+        self.slots.into_iter().enumerate().flat_map(move |(pc, occs)| {
+            occs.into_iter().zip(1..).map(move |(slot, occurrence)| {
+                ((pc, occurrence), slot.filter(|s| s.arrived == warps).and_then(|s| s.group))
+            })
+        })
+    }
+}
+
+/// Recording register rows, the recorder observes every destination register.
+impl FunctionalObserver for OccurrenceGroups<[u32]> {
+    fn after_instruction(
+        &mut self,
+        w: usize,
+        pc: usize,
+        occurrence: u32,
+        instr: &Instruction,
+        warp: &Warp,
+    ) {
+        if let Some(dst) = instr.dst {
+            self.record(w, pc, occurrence, warp, warp.reg_row(dst));
         }
     }
 }

@@ -82,7 +82,7 @@ pub use exec::alu;
 pub use fasthash::{FastMap, FastSet};
 pub use functional::{
     ctaid_at, run_tb_functional, FunctionalObserver, GlobalRace, GlobalRaceSanitizer, NullObserver,
-    RaceSanitizer, SharedRace,
+    OccurrenceGroup, OccurrenceGroups, RaceSanitizer, SharedRace,
 };
 pub use gpu::{Gpu, SimResult};
 pub use mem::GlobalMemory;

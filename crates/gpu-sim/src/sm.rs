@@ -1086,12 +1086,8 @@ impl Sm {
         // fully-active warps participate (a partial mask would clobber
         // inactive lanes and key with stale lane-0 values).
         let mut uv_key = None;
-        let full_active = {
-            let w = self.warps[wslot].as_ref().expect("warp exists");
-            w.active_mask() == w.full_mask && w.full_mask.count_ones() == self.kd.launch.warp_size
-        };
         if matches!(self.technique, Technique::Uv)
-            && full_active
+            && self.warps[wslot].as_ref().expect("warp exists").fully_active()
             && self.kd.plan.uv_uniform[pc]
             && instr.guard.is_none()
             && !matches!(instr.op, Op::Sel(_))
@@ -1866,10 +1862,7 @@ impl Sm {
             }
             // Participation: full active mask, on the majority path.
             {
-                let w = self.warps[wslot].as_ref().expect("warp exists");
-                let full = w.full_mask;
-                let all_lanes = full.count_ones() == self.kd.launch.warp_size;
-                if w.active_mask() != full || !all_lanes {
+                if !self.warps[wslot].as_ref().expect("warp exists").fully_active() {
                     return true;
                 }
                 let tb = self.tbs[tb_idx].as_ref().expect("TB exists");

@@ -8,9 +8,15 @@
 //! operand and result vectors across warps at matching dynamic occurrences
 //! (the paper's methodology for the motivating limit study). It therefore
 //! also serves as a validation target for the static analysis — statically
-//! marked instructions must be dynamically redundant.
+//! marked instructions must be dynamically redundant. Each dynamic
+//! instruction is reduced to a hashed signature, and the signatures are
+//! grouped by the same [`OccurrenceGroups`] recorder that the marking
+//! oracle in `simt-verify` uses.
 
-use crate::functional::{ctaid_at, run_tb_functional, FunctionalObserver};
+use crate::fasthash::FastMap;
+use crate::functional::{
+    ctaid_at, run_tb_functional, FunctionalObserver, OccurrenceGroup, OccurrenceGroups,
+};
 use crate::mem::GlobalMemory;
 use crate::warp::Warp;
 use simt_compiler::{CompiledKernel, Taxonomy};
@@ -72,17 +78,11 @@ impl RedundancyTrace {
     }
 }
 
-/// Pattern of one 32-lane vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VecPattern {
-    Uniform,
-    Affine,
-    Arbitrary,
-}
-
-fn vector_pattern(v: &[u32]) -> VecPattern {
+/// Pattern of one 32-lane vector: uniform, affine or unstructured (the
+/// taxonomy's order, from most to least structured).
+fn vector_pattern(v: &[u32]) -> Taxonomy {
     if v.iter().all(|&x| x == v[0]) {
-        return VecPattern::Uniform;
+        return Taxonomy::Uniform;
     }
     // Affine over the whole warp, or affine with a power-of-two period
     // (the repeating tid.x segments of blocks narrower than a warp --
@@ -94,12 +94,12 @@ fn vector_pattern(v: &[u32]) -> VecPattern {
             let matches = (0..v.len())
                 .all(|i| v[i] == v[0].wrapping_add(stride.wrapping_mul((i % period) as u32)));
             if matches {
-                return VecPattern::Affine;
+                return Taxonomy::Affine;
             }
         }
         period *= 2;
     }
-    VecPattern::Arbitrary
+    Taxonomy::Unstructured
 }
 
 fn hash_words(h: &mut u64, words: &[u32]) {
@@ -110,13 +110,18 @@ fn hash_words(h: &mut u64, words: &[u32]) {
     }
 }
 
-/// Signature of one dynamic instruction: operand/result content and shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Signature of one dynamic instruction: a hash of its operand and result
+/// vectors, and their shape. Two signatures match when their hashes do.
+#[derive(Debug, Clone, Copy)]
 struct DynSig {
     hash: u64,
-    full_mask: bool,
     taxonomy: Taxonomy,
-    warp_uniform: bool,
+}
+
+impl PartialEq for DynSig {
+    fn eq(&self, other: &DynSig) -> bool {
+        self.hash == other.hash
+    }
 }
 
 /// Runs the limit study for one kernel launch. Returns the totals and the
@@ -125,102 +130,58 @@ struct DynSig {
 pub fn trace_redundancy(
     ck: &CompiledKernel,
     launch: &LaunchConfig,
-    memory: GlobalMemory,
+    mut memory: GlobalMemory,
 ) -> (RedundancyTrace, GlobalMemory) {
     let mut trace = RedundancyTrace::default();
-    let mut global = memory;
-    // Grid-level aggregation: (pc, occurrence) -> (sig, consistent, count).
-    let mut grid_agg: HashMap<(usize, u32), (u64, bool, u64)> = HashMap::new();
-    let mut grid_full = true;
+    // Grid-level aggregation: (pc, occurrence) -> (leader hash, warp
+    // executions) while every TB ran it redundantly with that hash.
+    let mut grid_agg: FastMap<(usize, u32), Option<(u64, u64)>> = FastMap::default();
+    let num_warps = u64::from(launch.warps_per_block());
 
-    let grid = launch.grid;
     let total = launch.num_blocks();
     for i in 0..total {
-        let ctaid = ctaid_at(grid, i);
-        let mut obs = SigObserver::new(launch, &mut trace);
-        run_tb_functional(ck, launch, ctaid, &mut global, &mut obs);
-        let tb_sigs = obs.sigs;
-        // TB-level comparison: for each (pc, occ), all warps must have
-        // executed it with identical signatures and full masks.
-        let num_warps = tb_sigs.len();
-        // Per occurrence: (first sig, how many warps, values all equal,
-        // every execution fully active).
-        let mut merged: HashMap<(usize, u32), (DynSig, usize, bool, bool)> = HashMap::new();
-        for per_warp in &tb_sigs {
-            for (&key, sig) in per_warp {
-                let e = merged.entry(key).or_insert((*sig, 0, true, true));
-                e.1 += 1;
-                if sig.hash != e.0.hash {
-                    e.2 = false;
-                }
-                if !sig.full_mask {
-                    e.3 = false;
-                }
-            }
-        }
-        for (&(pc, occ), &(sig, count, same, all_full)) in &merged {
-            let redundant = same && all_full && count == num_warps && num_warps > 1;
-            if !same && all_full && count == num_warps {
+        let ctaid = ctaid_at(launch.grid, i);
+        let mut obs =
+            SigObserver { trace: &mut trace, groups: OccurrenceGroups::new(launch), pending: None };
+        run_tb_functional(ck, launch, ctaid, &mut memory, &mut obs);
+        for ((pc, occ), group) in obs.groups.finish() {
+            let Some(OccurrenceGroup { leader, mismatches, .. }) = group else {
+                grid_agg.insert((pc, occ), None);
+                continue;
+            };
+            let redundant = mismatches == 0 && num_warps > 1;
+            if mismatches > 0 {
                 *trace.per_pc_aligned_mismatch.entry(pc).or_default() += 1;
             }
             if redundant {
-                trace.tb_redundant += count as u64;
-                *trace.per_pc_tb_redundant.entry(pc).or_default() += count as u64;
-                match sig.taxonomy {
-                    Taxonomy::Uniform => trace.uniform += count as u64,
-                    Taxonomy::Affine => trace.affine += count as u64,
-                    _ => trace.unstructured += count as u64,
+                trace.tb_redundant += num_warps;
+                *trace.per_pc_tb_redundant.entry(pc).or_default() += num_warps;
+                match leader.taxonomy {
+                    Taxonomy::Uniform => trace.uniform += num_warps,
+                    Taxonomy::Affine => trace.affine += num_warps,
+                    _ => trace.unstructured += num_warps,
                 }
             }
-            // Grid aggregation.
-            let g = grid_agg.entry((pc, occ)).or_insert((sig.hash, true, 0));
-            g.2 += count as u64;
-            if g.0 != sig.hash || !redundant {
-                g.1 = false;
-            }
-        }
-        if total == 1 {
-            grid_full = false; // single TB: grid == TB level, keep distinct
+            let g = grid_agg.entry((pc, occ)).or_insert(Some((leader.hash, 0)));
+            *g = g.filter(|&(h, _)| redundant && h == leader.hash).map(|(h, n)| (h, n + num_warps));
         }
     }
 
-    if grid_full && total > 1 {
-        for &(_, consistent, count) in grid_agg.values() {
-            if consistent {
-                trace.grid_redundant += count;
-            }
-        }
+    // A single TB keeps the grid level distinct from the TB level.
+    if total > 1 {
+        trace.grid_redundant = grid_agg.values().flatten().map(|&(_, n)| n).sum();
     }
-    (trace, global)
+    (trace, memory)
 }
 
-/// Scratch carried from an instruction's `before` hook to its `after`.
-struct PendingSig {
-    hash: u64,
-    worst: VecPattern,
-    any_reg: bool,
-    warp_uniform: bool,
-    full: bool,
-}
-
-/// Observer recording the per-warp dynamic signatures of one TB run on
-/// the shared headless runner (`functional.rs`).
+/// Observer recording the dynamic signatures of one TB run on the shared
+/// headless runner (`functional.rs`).
 struct SigObserver<'a> {
     trace: &'a mut RedundancyTrace,
-    ws: u32,
-    sigs: Vec<HashMap<(usize, u32), DynSig>>,
-    pending: Option<PendingSig>,
-}
-
-impl<'a> SigObserver<'a> {
-    fn new(launch: &LaunchConfig, trace: &'a mut RedundancyTrace) -> Self {
-        SigObserver {
-            trace,
-            ws: launch.warp_size,
-            sigs: vec![HashMap::new(); launch.warps_per_block() as usize],
-            pending: None,
-        }
-    }
+    groups: OccurrenceGroups<DynSig>,
+    /// The operands' hash and least structured pattern, carried from an
+    /// instruction's `before` hook to its `after`.
+    pending: Option<(u64, Taxonomy)>,
 }
 
 impl FunctionalObserver for SigObserver<'_> {
@@ -233,25 +194,19 @@ impl FunctionalObserver for SigObserver<'_> {
         warp: &Warp,
     ) {
         // Signature before execution: operand vectors.
-        let full = warp.active_mask() == warp.full_mask && warp.full_mask.count_ones() == self.ws;
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ (pc as u64);
-        let mut worst = VecPattern::Uniform;
-        let mut any_reg = false;
-        let mut warp_uniform = true;
+        let mut worst = Taxonomy::Uniform;
         for &src in &instr.srcs {
             match src {
                 Operand::Reg(r) => {
-                    any_reg = true;
-                    let v = warp.reg_vector(r);
-                    hash_words(&mut hash, &v);
-                    let p = vector_pattern(&v);
-                    worst = worst_of(worst, p);
-                    warp_uniform &= p == VecPattern::Uniform;
+                    let v = warp.reg_row(r);
+                    hash_words(&mut hash, v);
+                    worst = worst.max(vector_pattern(v));
                 }
                 Operand::Imm(imm) => hash_words(&mut hash, &[imm]),
             }
         }
-        self.pending = Some(PendingSig { hash, worst, any_reg, warp_uniform, full });
+        self.pending = Some((hash, worst));
     }
 
     fn after_instruction(
@@ -262,44 +217,29 @@ impl FunctionalObserver for SigObserver<'_> {
         instr: &Instruction,
         warp: &Warp,
     ) {
-        let PendingSig { mut hash, mut worst, any_reg, mut warp_uniform, full } =
+        let (mut hash, mut worst) =
             self.pending.take().expect("before_instruction always precedes after_instruction");
         self.trace.executed += 1;
         *self.trace.per_pc_executed.entry(pc).or_default() += 1;
 
         // Fold the result into the signature (covers S2R and loads).
         if let Some(d) = instr.dst {
-            let v = warp.reg_vector(d);
-            hash_words(&mut hash, &v);
-            let p = vector_pattern(&v);
+            let v = warp.reg_row(d);
+            hash_words(&mut hash, v);
             // S2R has no register sources; loads are classified by the
             // data they return (Figure 3 labels the *output* register:
             // a load from an affine-redundant address is unstructured
             // unless the data itself happens to be patterned).
-            if !any_reg || instr.op.is_load() {
-                worst = p;
-                warp_uniform = p == VecPattern::Uniform;
+            if instr.src_regs().next().is_none() || instr.op.is_load() {
+                worst = vector_pattern(v);
             }
         }
-        let taxonomy = match worst {
-            VecPattern::Uniform => Taxonomy::Uniform,
-            VecPattern::Affine => Taxonomy::Affine,
-            VecPattern::Arbitrary => Taxonomy::Unstructured,
-        };
-        if warp_uniform && full && !instr.srcs.is_empty() {
+        // Warp-level redundancy: every operand (or the result that
+        // classifies the instruction) is uniform across the warp.
+        if worst == Taxonomy::Uniform && warp.fully_active() && !instr.srcs.is_empty() {
             self.trace.warp_redundant += 1;
         }
-        self.sigs[w]
-            .insert((pc, occurrence), DynSig { hash, full_mask: full, taxonomy, warp_uniform });
-    }
-}
-
-fn worst_of(a: VecPattern, b: VecPattern) -> VecPattern {
-    use VecPattern::*;
-    match (a, b) {
-        (Arbitrary, _) | (_, Arbitrary) => Arbitrary,
-        (Affine, _) | (_, Affine) => Affine,
-        _ => Uniform,
+        self.groups.record(w, pc, occurrence, warp, &DynSig { hash, taxonomy: worst });
     }
 }
 
@@ -396,14 +336,14 @@ mod tests {
 
     #[test]
     fn vector_pattern_classification() {
-        assert_eq!(vector_pattern(&[5; 8]), VecPattern::Uniform);
-        assert_eq!(vector_pattern(&[0, 4, 8, 12]), VecPattern::Affine);
-        assert_eq!(vector_pattern(&[3, 2, 1, 0]), VecPattern::Affine, "negative stride");
-        assert_eq!(vector_pattern(&[0, 1, 4, 9]), VecPattern::Arbitrary);
-        assert_eq!(vector_pattern(&[7]), VecPattern::Uniform);
+        assert_eq!(vector_pattern(&[5; 8]), Taxonomy::Uniform);
+        assert_eq!(vector_pattern(&[0, 4, 8, 12]), Taxonomy::Affine);
+        assert_eq!(vector_pattern(&[3, 2, 1, 0]), Taxonomy::Affine, "negative stride");
+        assert_eq!(vector_pattern(&[0, 1, 4, 9]), Taxonomy::Unstructured);
+        assert_eq!(vector_pattern(&[7]), Taxonomy::Uniform);
         // Repeating tid.x segments (16-wide block in a 32-lane warp).
-        assert_eq!(vector_pattern(&[0, 1, 2, 3, 0, 1, 2, 3]), VecPattern::Affine);
-        assert_eq!(vector_pattern(&[5, 9, 13, 17, 5, 9, 13, 17]), VecPattern::Affine);
-        assert_eq!(vector_pattern(&[0, 1, 2, 3, 0, 1, 2, 4]), VecPattern::Arbitrary);
+        assert_eq!(vector_pattern(&[0, 1, 2, 3, 0, 1, 2, 3]), Taxonomy::Affine);
+        assert_eq!(vector_pattern(&[5, 9, 13, 17, 5, 9, 13, 17]), Taxonomy::Affine);
+        assert_eq!(vector_pattern(&[0, 1, 2, 3, 0, 1, 2, 4]), Taxonomy::Unstructured);
     }
 }

@@ -192,6 +192,14 @@ impl Warp {
         self.stack.last().map_or(0, |e| e.mask)
     }
 
+    /// True when the executing path runs every lane of a warp that is
+    /// `warp_size` lanes wide: the mask under which DARSIE's hardware lets
+    /// warps share a result.
+    #[must_use]
+    pub fn fully_active(&self) -> bool {
+        self.active_mask() == self.full_mask && self.full_mask.count_ones() == self.warp_size
+    }
+
     /// Next instruction index to fetch for the executing path.
     #[must_use]
     pub fn next_pc(&self) -> Option<usize> {
@@ -297,11 +305,17 @@ impl Warp {
         self.regs[r.index() * self.warp_size as usize + lane as usize] = v;
     }
 
-    /// Reads the whole 32-lane vector of a register.
+    /// Borrows the whole vector of a register, one word per lane.
+    #[must_use]
+    pub fn reg_row(&self, r: Reg) -> &[u32] {
+        let w = self.warp_size as usize;
+        &self.regs[r.index() * w..][..w]
+    }
+
+    /// Copies the whole vector of a register.
     #[must_use]
     pub fn reg_vector(&self, r: Reg) -> Vec<u32> {
-        let w = self.warp_size as usize;
-        self.regs[r.index() * w..(r.index() + 1) * w].to_vec()
+        self.reg_row(r).to_vec()
     }
 
     /// Overwrites the whole vector of a register.

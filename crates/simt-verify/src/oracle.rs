@@ -20,7 +20,9 @@
 //! executed the occurrence with its full lane mask. Divergent or partial
 //! executions never form a sharing group in the hardware either (the skip
 //! table requires full-warp execution), so skipping them is not a
-//! soundness hole.
+//! soundness hole. The grouping is [`gpu_sim::OccurrenceGroups`]: it keeps
+//! leader warp 0's vector once per occurrence and compares each follower
+//! as it arrives, as the hardware's followers read the leader's result.
 //!
 //! The replay additionally carries the dynamic shared-memory race
 //! sanitizer ([`gpu_sim::RaceSanitizer`]): every observed race is a
@@ -41,11 +43,11 @@
 use crate::{blocks, Diagnostic, Diagnostics, LintCode};
 use gpu_sim::{
     ctaid_at, run_tb_functional, FastMap, FastSet, FunctionalObserver, GlobalMemory,
-    GlobalRaceSanitizer, RaceSanitizer,
+    GlobalRaceSanitizer, OccurrenceGroup, OccurrenceGroups, RaceSanitizer,
 };
 use simt_compiler::{promotes_tid_y, CompiledKernel, Red};
 use simt_isa::{Dim3, Instruction, LaunchConfig, Marking, MemSpace, Op};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Which lint a mismatch at this instruction raises, or `None` when the
 /// instruction is not subject to value sharing under this launch.
@@ -78,55 +80,11 @@ fn checked_kind(ck: &CompiledKernel, pc: usize, px: bool, py: bool) -> Option<Li
     }
 }
 
-/// Destination vectors of one TB's register-writing instructions, keyed
-/// by `(pc, occurrence)`: slot `w` holds warp `w`'s vector when it
-/// executed the occurrence with its full lane mask, `None` otherwise.
-struct GroupRecorder {
-    ws: u32,
-    num_warps: usize,
-    groups: FastMap<(usize, u32), Vec<Option<Vec<u32>>>>,
-}
-
-impl GroupRecorder {
-    fn new(launch: &LaunchConfig) -> GroupRecorder {
-        GroupRecorder {
-            ws: launch.warp_size,
-            num_warps: launch.warps_per_block() as usize,
-            groups: FastMap::default(),
-        }
-    }
-
-    /// The aligned occurrence groups, unordered: every warp of the TB
-    /// executed the occurrence with its full lane mask. A group lists the
-    /// warps' destination vectors, leader warp 0 first.
-    fn aligned(self) -> impl Iterator<Item = ((usize, u32), Vec<Vec<u32>>)> {
-        self.groups
-            .into_iter()
-            .filter_map(|(key, dsts)| Some((key, dsts.into_iter().collect::<Option<_>>()?)))
-    }
-}
-
-impl FunctionalObserver for GroupRecorder {
-    fn after_instruction(
-        &mut self,
-        w: usize,
-        pc: usize,
-        occurrence: u32,
-        instr: &Instruction,
-        warp: &gpu_sim::Warp,
-    ) {
-        let Some(dst) = instr.dst else { return };
-        let full = warp.active_mask() == warp.full_mask && warp.full_mask.count_ones() == self.ws;
-        self.groups.entry((pc, occurrence)).or_insert_with(|| vec![None; self.num_warps])[w] =
-            full.then(|| warp.reg_vector(dst));
-    }
-}
-
-/// Records destination vectors of checked instructions for one TB, and
-/// runs the dynamic race sanitizers alongside.
+/// Groups the destination vectors of checked instructions for one TB,
+/// and runs the dynamic race sanitizers alongside.
 struct OracleObserver<'a> {
     checked: &'a [Option<LintCode>],
-    groups: GroupRecorder,
+    groups: OccurrenceGroups<[u32]>,
     sanitizer: RaceSanitizer,
     /// Shared words each *checked* load pc read during this TB. Each pc
     /// is judged on its own, so visiting order does not matter.
@@ -191,13 +149,6 @@ fn min_tainted(words: &FastSet<u64>, tainted: impl Fn(u64) -> bool) -> Option<u6
     words.iter().copied().filter(|&w| tainted(w)).min()
 }
 
-/// Accumulated evidence against one static instruction.
-struct Mismatch {
-    code: LintCode,
-    count: u64,
-    example: String,
-}
-
 /// Runs the differential oracle over every threadblock of `launch`,
 /// evolving `memory` exactly as a real launch would.
 #[must_use]
@@ -216,13 +167,13 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
     if checked.iter().all(Option::is_none) && !has_shared && !has_global_hazard {
         return report;
     }
-    let mut mismatches: HashMap<usize, Mismatch> = HashMap::new();
+    // Per mismatching pc: warp-occurrence pairs and the first example.
+    let mut mismatches: BTreeMap<usize, (u64, String)> = BTreeMap::new();
     // Dynamic races deduplicated by static pc pair across all TBs, with
     // the first observing TB kept for the message.
-    let mut races: Vec<(Dim3, gpu_sim::SharedRace)> = Vec::new();
-    let mut race_pairs: HashSet<(usize, usize)> = HashSet::new();
+    let mut races: BTreeMap<(usize, usize), (Dim3, gpu_sim::SharedRace)> = BTreeMap::new();
     // Checked pcs whose loads read a race-tainted shared word.
-    let mut tainted_claims: HashMap<usize, (LintCode, u64)> = HashMap::new();
+    let mut tainted_claims: BTreeMap<usize, u64> = BTreeMap::new();
     // The global shadow lives across the whole launch: block replay
     // order is exactly what the sharded engine is free to permute.
     let mut gsan = GlobalRaceSanitizer::for_kernel(&ck.kernel);
@@ -233,7 +184,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
         gsan.set_block(i);
         let mut obs = OracleObserver {
             checked: &checked,
-            groups: GroupRecorder::new(launch),
+            groups: OccurrenceGroups::new(launch),
             sanitizer: RaceSanitizer::new(launch.warp_size),
             shared_reads: FastMap::default(),
             gsan: &mut gsan,
@@ -242,57 +193,53 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
         run_tb_functional(ck, launch, ctaid, &mut memory, &mut obs);
 
         for race in obs.sanitizer.races() {
-            if race_pairs.insert((race.first_pc, race.second_pc)) {
-                races.push((ctaid, *race));
-            }
+            races.entry((race.first_pc, race.second_pc)).or_insert((ctaid, *race));
         }
         for (&pc, words) in &obs.shared_reads {
             if let Some(w) = min_tainted(words, |w| obs.sanitizer.is_tainted(w)) {
-                tainted_claims.entry(pc).or_insert((checked[pc].expect("pc is checked"), w));
+                tainted_claims.entry(pc).or_insert(w);
             }
         }
 
-        // Sorted, so the first mismatch of a pc (its example) is its
-        // earliest occurrence in this TB.
-        let mut groups: Vec<_> = obs.groups.aligned().collect();
-        groups.sort_unstable_by_key(|&(key, _)| key);
-        for ((pc, occurrence), dsts) in groups {
-            let leader = &dsts[0];
-            for (w, dst) in dsts.iter().enumerate().skip(1) {
-                if dst == leader {
-                    continue;
-                }
-                let lane =
-                    dst.iter().zip(leader).position(|(a, b)| a != b).expect("vectors differ");
-                let entry = mismatches.entry(pc).or_insert_with(|| Mismatch {
-                    code: checked[pc].expect("pc is checked"),
-                    count: 0,
-                    example: format!(
-                        "TB ({},{},{}) occurrence {}: warp {} lane {} produced {:#x}, \
-                         leader warp 0 produced {:#x}",
-                        ctaid.x, ctaid.y, ctaid.z, occurrence, w, lane, dst[lane], leader[lane],
-                    ),
-                });
-                entry.count += 1;
-            }
+        // In (pc, occurrence) order, so the first mismatch of a pc (its
+        // example) is its earliest occurrence in this TB.
+        for ((pc, occurrence), group) in obs.groups.finish() {
+            let Some(OccurrenceGroup { leader, mismatches: count, first_mismatch: Some((w, dst)) }) =
+                group
+            else {
+                continue;
+            };
+            mismatches
+                .entry(pc)
+                .or_insert_with(|| {
+                    let lane =
+                        dst.iter().zip(&leader).position(|(a, b)| a != b).expect("vectors differ");
+                    let example = format!(
+                        "TB ({},{},{}) occurrence {occurrence}: warp {w} lane {lane} produced \
+                         {:#x}, leader warp 0 produced {:#x}",
+                        ctaid.x, ctaid.y, ctaid.z, dst[lane], leader[lane],
+                    );
+                    (0, example)
+                })
+                .0 += count;
         }
     }
 
-    let mut pcs: Vec<usize> = mismatches.keys().copied().collect();
-    pcs.sort_unstable();
-    for pc in pcs {
-        let m = &mismatches[&pc];
-        let claim = match m.code {
+    // A failed redundancy claim at a checked pc, and why it fails.
+    let unsound = |pc: usize, why: String| {
+        let code = checked[pc].expect("pc is checked");
+        let claim = match code {
             LintCode::UnsoundMarking => "is marked definitely redundant",
             _ => "was promoted by this launch's dimensionality check",
         };
-        report.push(Diagnostic::new(
-            m.code,
-            Some(pc),
+        Diagnostic::new(code, Some(pc), format!("`{}` {claim} but {why}", ck.kernel.instrs[pc]))
+    };
+    for (&pc, (count, example)) in &mismatches {
+        report.push(unsound(
+            pc,
             format!(
-                "`{}` {claim} but produced warp-divergent results ({} mismatching \
-                 warp-occurrence pair(s); first: {})",
-                ck.kernel.instrs[pc], m.count, m.example,
+                "produced warp-divergent results ({count} mismatching warp-occurrence \
+                 pair(s); first: {example})"
             ),
         ));
     }
@@ -300,30 +247,19 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
     // Downgrade redundancy claims that read race-tainted words: matching
     // result vectors under a race only describe this replay's
     // interleaving, so the claim is unsound even without a mismatch.
-    let mut pcs: Vec<usize> = tainted_claims.keys().copied().collect();
-    pcs.sort_unstable();
-    for pc in pcs {
-        if mismatches.contains_key(&pc) {
-            continue;
+    for (&pc, word) in &tainted_claims {
+        if !mismatches.contains_key(&pc) {
+            report.push(unsound(
+                pc,
+                format!(
+                    "reads shared word {word}, which a data race tainted; its value is \
+                     interleaving-dependent and must not be shared across warps"
+                ),
+            ));
         }
-        let (code, word) = tainted_claims[&pc];
-        let claim = match code {
-            LintCode::UnsoundMarking => "is marked definitely redundant",
-            _ => "was promoted by this launch's dimensionality check",
-        };
-        report.push(Diagnostic::new(
-            code,
-            Some(pc),
-            format!(
-                "`{}` {claim} but reads shared word {word}, which a data race tainted; \
-                 its value is interleaving-dependent and must not be shared across warps",
-                ck.kernel.instrs[pc],
-            ),
-        ));
     }
 
-    races.sort_by_key(|(_, r)| (r.first_pc, r.second_pc));
-    for (ctaid, r) in races {
+    for (ctaid, r) in races.into_values() {
         let kinds = if r.write_write { "both storing" } else { "store racing a load" };
         report.push(Diagnostic::new(
             LintCode::SharedRaceDynamic,
@@ -352,28 +288,16 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
     // Downgrade redundancy claims that read an inter-block-raced global
     // word: the replay visited blocks in one order of many, so the value
     // read — and hence the claim's matching vectors — is order-dependent.
-    let mut pcs: Vec<usize> = global_reads.keys().copied().collect();
-    pcs.sort_unstable();
-    for pc in pcs {
+    for (&pc, words) in global_reads.iter().collect::<BTreeMap<_, _>>() {
         if mismatches.contains_key(&pc) || tainted_claims.contains_key(&pc) {
             continue;
         }
-        let Some(word) = min_tainted(&global_reads[&pc], |w| gsan.is_tainted(w)) else {
-            continue;
-        };
-        let code = checked[pc].expect("pc is checked");
-        let claim = match code {
-            LintCode::UnsoundMarking => "is marked definitely redundant",
-            _ => "was promoted by this launch's dimensionality check",
-        };
-        report.push(Diagnostic::new(
-            code,
-            Some(pc),
+        let Some(word) = min_tainted(words, |w| gsan.is_tainted(w)) else { continue };
+        report.push(unsound(
+            pc,
             format!(
-                "`{}` {claim} but reads global word {word}, which an inter-block data \
-                 race tainted; its value depends on block replay order and must not be \
-                 shared",
-                ck.kernel.instrs[pc],
+                "reads global word {word}, which an inter-block data race tainted; its value \
+                 depends on block replay order and must not be shared"
             ),
         ));
     }
@@ -418,12 +342,12 @@ pub fn dynamic_headroom(
     let mut dyn_red: Vec<Option<bool>> = vec![None; n];
     for i in 0..launch.num_blocks() {
         let ctaid = ctaid_at(launch.grid, i);
-        let mut groups = GroupRecorder::new(launch);
+        let mut groups = OccurrenceGroups::<[u32]>::new(launch);
         run_tb_functional(ck, launch, ctaid, &mut memory, &mut groups);
-        for ((pc, _occ), dsts) in groups.aligned() {
-            let all_match = dsts.iter().all(|d| *d == dsts[0]);
-            let e = dyn_red[pc].get_or_insert(true);
-            *e = *e && all_match;
+        for ((pc, _occ), group) in groups.finish() {
+            if let Some(g) = group {
+                *dyn_red[pc].get_or_insert(true) &= g.mismatches == 0;
+            }
         }
     }
     let mut headroom = Headroom::default();
@@ -920,5 +844,110 @@ mod tests {
         assert!(!launch.promotes_conditional_redundancy());
         let r = check(&ck, &launch, mem);
         assert!(r.items.is_empty(), "{}", r.render());
+    }
+
+    /// Three warps per TB, 96 threads; the warp-varying `warp + 100` is
+    /// tampered to "definitely redundant". Warp 0 runs a six-instruction
+    /// body first, so the round-robin replay brings warp 1 to the add
+    /// before its leader. With `partial`, warp 2 runs the body too and
+    /// lanes at or past `80 + 16 * ctaid.x` skip the add: in TB 0 warp 2
+    /// arrives last, under a partial mask, after warps 0 and 1 disagreed.
+    /// Returns the kernel, launch, memory and the add's pc.
+    fn late_leader(partial: bool) -> (CompiledKernel, LaunchConfig, GlobalMemory, usize) {
+        let mut b = KernelBuilder::new("late_leader");
+        let t = b.special(SpecialReg::TidX);
+        let cx = b.special(SpecialReg::CtaidX);
+        let out = b.param(0);
+        let w = b.shr_imm(t, 5);
+        let slow = if partial {
+            b.setp(simt_isa::CmpOp::Ne, w, 1u32)
+        } else {
+            b.setp(simt_isa::CmpOp::Eq, w, 0u32)
+        };
+        let acc = b.mov(0u32);
+        b.if_then(simt_isa::Guard::if_true(slow), |b| {
+            for k in 1..=6u32 {
+                b.iadd_to(acc, acc, k);
+            }
+        });
+        let bound = b.imad(cx, 16u32, 80u32);
+        let limit: simt_isa::Operand = if partial { bound.into() } else { 96u32.into() };
+        let inside = b.setp(simt_isa::CmpOp::Lt, t, limit);
+        b.if_then(simt_isa::Guard::if_true(inside), |b| {
+            let x = b.iadd(w, 100u32);
+            b.iadd_to(acc, acc, x);
+        });
+        let lin = b.imad(cx, 96u32, t);
+        let off = b.shl_imm(lin, 2);
+        let addr = b.iadd(out, off);
+        b.store(MemSpace::Global, addr, acc, 0);
+        let mut ck = simt_compiler::compile(b.finish());
+        let x_pc = ck
+            .kernel
+            .instrs
+            .iter()
+            .position(|i| i.op == Op::IAdd && i.srcs.get(1) == Some(&simt_isa::Operand::Imm(100)))
+            .expect("fixture has the warp + 100 add");
+        ck.markings[x_pc] = Marking::Redundant;
+
+        let mut mem = GlobalMemory::new();
+        let out_buf = mem.alloc(2 * 96 * 4);
+        let launch =
+            LaunchConfig::new(2u32, Dim3::one_d(96)).with_params(vec![Value(out_buf as u32)]);
+        (ck, launch, mem, x_pc)
+    }
+
+    /// The warps that reach `pc` in TB 0, in replay order, each with its
+    /// active lane count.
+    fn arrivals(
+        ck: &CompiledKernel,
+        launch: &LaunchConfig,
+        mut mem: GlobalMemory,
+        pc: usize,
+    ) -> Vec<(usize, u32)> {
+        struct Arrivals(usize, Vec<(usize, u32)>);
+        impl FunctionalObserver for Arrivals {
+            fn after_instruction(
+                &mut self,
+                w: usize,
+                pc: usize,
+                _occurrence: u32,
+                _instr: &Instruction,
+                warp: &gpu_sim::Warp,
+            ) {
+                if pc == self.0 {
+                    self.1.push((w, warp.active_mask().count_ones()));
+                }
+            }
+        }
+        let mut obs = Arrivals(pc, Vec::new());
+        run_tb_functional(ck, launch, Dim3::three_d(0, 0, 0), &mut mem, &mut obs);
+        obs.1
+    }
+
+    /// Generated with the recorder that stored every warp's vector until
+    /// the TB ended, which no arrival order can fool.
+    #[test]
+    fn late_leader_and_partial_followers_report_the_pinned_v201() {
+        let v201 = |count: u32, tb: u32| {
+            format!(
+                "verify late_leader:\n  error [V201] pc 16: `iadd R6, R3, 0x64` is marked \
+                 definitely redundant but produced warp-divergent results ({count} mismatching \
+                 warp-occurrence pair(s); first: TB ({tb},0,0) occurrence 1: warp 1 lane 0 \
+                 produced 0x65, leader warp 0 produced 0x64)\n  1 error(s), 0 warning(s)\n"
+            )
+        };
+        // Warp 0 arrives last in both TBs: two mismatches each.
+        let (ck, launch, mem, x_pc) = late_leader(false);
+        assert_eq!(x_pc, 16, "{}", ck.annotated_disassembly());
+        assert_eq!(arrivals(&ck, &launch, mem.clone(), x_pc), [(1, 32), (2, 32), (0, 32)]);
+        assert_eq!(check(&ck, &launch, mem).render(), v201(4, 0));
+
+        // TB 0's group mismatched (warp 1 against warp 0) before warp 2
+        // arrived with 16 lanes: unaligned, so only TB 1 counts.
+        let (ck, launch, mem, x_pc) = late_leader(true);
+        assert_eq!(x_pc, 16, "{}", ck.annotated_disassembly());
+        assert_eq!(arrivals(&ck, &launch, mem.clone(), x_pc), [(1, 32), (0, 32), (2, 16)]);
+        assert_eq!(check(&ck, &launch, mem).render(), v201(2, 1));
     }
 }
