@@ -5,9 +5,9 @@
 //! are applied immediately and the returned [`ExecEffect`] carries what the
 //! pipeline needs for timing (lane addresses, branch masks, ...).
 
-use crate::mem::GlobalMemory;
+use crate::mem::{check_aligned, GlobalMemory};
 use crate::warp::{LaneMask, Warp};
-use simt_isa::{AtomOp, Dim3, Instruction, MemSpace, Op, Operand, Reg, SpecialReg, Value};
+use simt_isa::{AtomOp, CmpOp, Dim3, Instruction, MemSpace, Op, Operand, Reg, SpecialReg, Value};
 
 /// Launch-wide context a warp executes against.
 #[derive(Debug)]
@@ -51,7 +51,7 @@ pub enum ExecEffect {
     Memory {
         /// Address space accessed.
         space: MemSpace,
-        /// `(lane, byte address)` for each participating lane.
+        /// The byte address of each participating lane.
         addrs: LaneAddrs,
         /// True for stores.
         is_store: bool,
@@ -60,46 +60,53 @@ pub enum ExecEffect {
     },
 }
 
-/// The `(lane, byte address)` pairs of one warp memory access in
-/// ascending lane order, held inline (a warp has at most 32 lanes).
-/// Derefs to a slice.
+/// The byte addresses of one warp memory access, held inline and dense:
+/// one address per lane of the warp plus the mask of the lanes that take
+/// part (a warp has at most 32 lanes). The executor computes every lane's
+/// address as one vector; the addresses of lanes outside the mask are
+/// never read.
 #[derive(Clone)]
 pub struct LaneAddrs {
-    pairs: [(u32, u64); LaneMask::BITS as usize],
-    len: usize,
+    addrs: [u64; WARP],
+    mask: LaneMask,
 }
 
 impl LaneAddrs {
-    /// The lanes of `mask` paired with `addr(lane)`, called in ascending
-    /// lane order.
-    #[inline(always)]
-    fn collect(mask: LaneMask, mut addr: impl FnMut(usize) -> u64) -> LaneAddrs {
-        let mut out = LaneAddrs::default();
-        for (pair, lane) in out.pairs.iter_mut().zip(lanes(mask)) {
-            *pair = (lane, addr(lane as usize));
-            out.len += 1;
-        }
-        out
+    /// The access of the lanes of `mask`, lane `l` at byte address
+    /// `addrs[l]`.
+    #[must_use]
+    pub fn new(mask: LaneMask, addrs: [u64; WARP]) -> LaneAddrs {
+        LaneAddrs { addrs, mask }
     }
-}
 
-impl Default for LaneAddrs {
-    fn default() -> LaneAddrs {
-        LaneAddrs { pairs: [(0, 0); LaneMask::BITS as usize], len: 0 }
+    /// The lanes that take part.
+    #[must_use]
+    pub fn mask(&self) -> LaneMask {
+        self.mask
     }
-}
 
-impl std::ops::Deref for LaneAddrs {
-    type Target = [(u32, u64)];
+    /// How many lanes take part.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.mask.count_ones() as usize
+    }
 
-    fn deref(&self) -> &[(u32, u64)] {
-        &self.pairs[..self.len]
+    /// True when no lane takes part.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.mask == 0
+    }
+
+    /// The `(lane, byte address)` of each lane that takes part, in
+    /// ascending lane order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        lanes(self.mask).map(|lane| (lane, self.addrs[lane as usize]))
     }
 }
 
 impl PartialEq for LaneAddrs {
     fn eq(&self, other: &LaneAddrs) -> bool {
-        **self == **other
+        self.mask == other.mask && self.iter().eq(other.iter())
     }
 }
 
@@ -109,25 +116,50 @@ impl std::fmt::Debug for LaneAddrs {
     }
 }
 
-fn special_value(s: SpecialReg, ctx: &ExecContext<'_>, warp: &Warp, lane: u32) -> u32 {
-    let lin = u64::from(warp.warp_in_tb) * u64::from(warp.warp_size()) + u64::from(lane);
-    let bx = u64::from(ctx.block.x);
-    let by = u64::from(ctx.block.y);
+/// Special register `s` across the warp. The thread ids walk from the
+/// warp's first thread (x fastest), so only that thread divides, with
+/// the divisions of `lin % ntid.x`, `lin / ntid.x % ntid.y` and
+/// `lin / (ntid.x * ntid.y)` for the linear thread id `lin`.
+fn special_lanes(s: SpecialReg, ctx: &ExecContext<'_>, warp: &Warp) -> Lanes {
+    let lin = u64::from(warp.warp_in_tb) * u64::from(warp.warp_size());
+    let (bx, by) = (u64::from(ctx.block.x), u64::from(ctx.block.y));
+    let tid = |(mut x, mut y, mut z): (u64, u64, u64), pick: fn(u64, u64, u64) -> u64| {
+        let mut out = [0; WARP];
+        for v in &mut out {
+            *v = pick(x, y, z) as u32;
+            x += 1;
+            if x == bx {
+                x = 0;
+                y += 1;
+                if y == by {
+                    y = 0;
+                    z += 1;
+                }
+            }
+        }
+        out
+    };
     match s {
-        SpecialReg::TidX => (lin % bx) as u32,
-        SpecialReg::TidY => ((lin / bx) % by) as u32,
-        SpecialReg::TidZ => (lin / (bx * by)) as u32,
-        SpecialReg::CtaidX => ctx.ctaid.x,
-        SpecialReg::CtaidY => ctx.ctaid.y,
-        SpecialReg::CtaidZ => ctx.ctaid.z,
-        SpecialReg::NtidX => ctx.block.x,
-        SpecialReg::NtidY => ctx.block.y,
-        SpecialReg::NtidZ => ctx.block.z,
-        SpecialReg::NctaidX => ctx.grid.x,
-        SpecialReg::NctaidY => ctx.grid.y,
-        SpecialReg::NctaidZ => ctx.grid.z,
-        SpecialReg::LaneId => lane,
-        SpecialReg::WarpId => warp.warp_in_tb,
+        SpecialReg::TidX => tid((lin % bx, 0, 0), |x, _, _| x),
+        SpecialReg::TidY => {
+            let y = lin / bx % by;
+            tid((lin % bx, y, 0), |_, y, _| y)
+        }
+        SpecialReg::TidZ => {
+            let z = lin / (bx * by);
+            tid((lin % bx, lin / bx % by, z), |_, _, z| z)
+        }
+        SpecialReg::CtaidX => [ctx.ctaid.x; WARP],
+        SpecialReg::CtaidY => [ctx.ctaid.y; WARP],
+        SpecialReg::CtaidZ => [ctx.ctaid.z; WARP],
+        SpecialReg::NtidX => [ctx.block.x; WARP],
+        SpecialReg::NtidY => [ctx.block.y; WARP],
+        SpecialReg::NtidZ => [ctx.block.z; WARP],
+        SpecialReg::NctaidX => [ctx.grid.x; WARP],
+        SpecialReg::NctaidY => [ctx.grid.y; WARP],
+        SpecialReg::NctaidZ => [ctx.grid.z; WARP],
+        SpecialReg::LaneId => std::array::from_fn(|i| i as u32),
+        SpecialReg::WarpId => [warp.warp_in_tb; WARP],
     }
 }
 
@@ -146,6 +178,72 @@ fn shared_word(addr: u64, shared_len: usize, what: &str) -> usize {
         .unwrap_or_else(|_| panic!("shared {what} address overflows usize: {addr:#x}"));
     assert!(w < shared_len, "shared {what} out of bounds: {addr:#x} (size {})", shared_len * 4);
     w
+}
+
+/// One warp's memory access before it touches memory: each lane's base
+/// register and the instruction's offset, for the lanes of `mask`. Its
+/// checks are mask reductions over the 32-bit bases.
+struct Access {
+    base: Lanes,
+    offset: i32,
+    mask: LaneMask,
+}
+
+impl Access {
+    /// The access of instruction `instr` by the lanes of `mask`.
+    fn new(warp: &Warp, instr: &Instruction, mask: LaneMask) -> Access {
+        Access { base: gather(warp, instr.srcs[0]), offset: instr.offset, mask }
+    }
+
+    /// Every lane's effective byte address `base + offset`, computed as
+    /// one vector.
+    #[inline(always)]
+    fn addrs(&self) -> LaneAddrs {
+        let mut addrs = [0; WARP];
+        for (a, &b) in addrs.iter_mut().zip(&self.base) {
+            *a = (i64::from(b) + i64::from(self.offset)) as u64;
+        }
+        LaneAddrs { addrs, mask: self.mask }
+    }
+
+    /// The lanes whose effective address is negative (see
+    /// [`effective_address`]): those below a negative offset's magnitude.
+    fn negative(&self) -> LaneMask {
+        match self.offset {
+            0.. => 0,
+            _ => mask_of(|i| self.base[i] < self.offset.unsigned_abs()) & self.mask,
+        }
+    }
+
+    /// The lanes whose effective address is negative or not word-aligned:
+    /// the global checks.
+    fn global_faults(&self) -> LaneMask {
+        let unaligned =
+            mask_of(|i| !self.base[i].wrapping_add_signed(self.offset).is_multiple_of(4));
+        self.negative() | unaligned & self.mask
+    }
+
+    /// The lanes whose effective address is negative or names no word of
+    /// a `words`-word scratchpad: the shared checks.
+    fn shared_faults(&self, words: usize) -> LaneMask {
+        // `base + offset >= 4 * words` as a bound on the base.
+        let bound = (4 * words as i128 - i128::from(self.offset)).max(0);
+        let outside = u32::try_from(bound).map_or(0, |b| mask_of(|i| self.base[i] >= b));
+        self.negative() | outside & self.mask
+    }
+
+    /// Raises the fault of the lowest lane of `faults` with the message
+    /// of that lane's own checks, in their order: [`effective_address`]
+    /// first, then `check`, the space's check of the lane's address,
+    /// which must fail. So a warp faults exactly as if its lanes ran one
+    /// by one in ascending order.
+    #[cold]
+    #[inline(never)]
+    fn fault(&self, faults: LaneMask, check: impl FnOnce(u64)) -> ! {
+        let lane = faults.trailing_zeros() as usize;
+        check(effective_address(self.base[lane], self.offset));
+        unreachable!("lane {lane} passed the check it failed")
+    }
 }
 
 /// The per-lane ALU function. Public so the symbolic translation
@@ -285,11 +383,15 @@ fn write_lanes(warp: &mut Warp, d: Reg, mask: LaneMask, f: impl Fn(usize) -> u32
 }
 
 /// Executes `instr` for every active lane of `warp` whose guard passes.
-/// ALU, `setp` and `sel` compute every lane as one vector (their lanes
-/// are independent); memory lanes, and the checks on their addresses,
-/// run in ascending lane order, and atomics serialize in that order.
-/// Returns the timing-relevant effect. Does **not** move the warp's PC;
-/// the pipeline does that (branches via [`Warp::take_branch`]).
+/// ALU, `setp`, `sel` and `s2r` compute every lane as one vector (their
+/// lanes are independent). A memory access computes its lanes' addresses
+/// as one vector and checks them as masks; a fault is raised for the
+/// lowest offending lane, with the message a lane-by-lane walk would
+/// give, before any lane touches memory. Lanes then access memory in
+/// ascending lane order, so atomics serialize in that order and the
+/// highest of several lanes storing to one word wins. Returns the
+/// timing-relevant effect. Does **not** move the warp's PC; the pipeline
+/// does that (branches via [`Warp::take_branch`]).
 pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> ExecEffect {
     // Lanes that exist, are on the active path, and pass the guard.
     let lane_bits = LaneMask::MAX >> (LaneMask::BITS - warp.warp_size());
@@ -306,11 +408,20 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         Op::Setp(cmp) | Op::SetpF(cmp) => {
             let p = instr.pdst.expect("setp has a pdst");
             let (a, b) = (gather(warp, instr.srcs[0]), gather(warp, instr.srcs[1]));
-            let bits = if matches!(instr.op, Op::SetpF(_)) {
-                mask_of(|i| cmp.eval_f32(f32::from_bits(a[i]), f32::from_bits(b[i])))
-            } else {
-                mask_of(|i| cmp.eval_i32(a[i] as i32, b[i] as i32))
-            };
+            // One vector loop per comparison, as for ALU ops below.
+            macro_rules! per_cmp {
+                ($($cmp:ident)*) => {
+                    match (instr.op, cmp) {
+                        $((Op::SetpF(_), CmpOp::$cmp) => mask_of(|i| {
+                            CmpOp::$cmp.eval_f32(f32::from_bits(a[i]), f32::from_bits(b[i]))
+                        }),
+                        (_, CmpOp::$cmp) => mask_of(|i| {
+                            CmpOp::$cmp.eval_i32(a[i] as i32, b[i] as i32)
+                        }),)*
+                    }
+                };
+            }
+            let bits = per_cmp!(Eq Ne Lt Le Gt Ge);
             let m = &mut warp.preds[p.index()];
             *m = (*m & !eff_mask) | (bits & eff_mask);
             ExecEffect::None
@@ -324,74 +435,109 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         }
         Op::S2R(s) => {
             let d = instr.dst.expect("s2r has a dst");
-            for lane in lanes(eff_mask) {
-                let v = special_value(s, ctx, warp, lane);
-                warp.set_reg(d, lane, v);
+            if eff_mask != 0 {
+                let v = special_lanes(s, ctx, warp);
+                write_lanes(warp, d, eff_mask, |i| v[i]);
             }
             ExecEffect::None
         }
         Op::Ld(space) => {
             let d = instr.dst.expect("ld has a dst");
-            let base = gather(warp, instr.srcs[0]);
-            let addr = |lane: usize| effective_address(base[lane], instr.offset);
+            let access = Access::new(warp, instr, eff_mask);
+            let addrs = access.addrs();
             let mut v = [0; WARP];
-            let addrs = match space {
+            match space {
                 MemSpace::Global => {
-                    let mut global = ctx.global.reader();
-                    LaneAddrs::collect(eff_mask, |lane| {
-                        let a = addr(lane);
-                        v[lane] = global.read_u32(a);
-                        a
-                    })
+                    let faults = access.global_faults();
+                    if faults != 0 {
+                        access.fault(faults, |a| check_aligned(a, "read"));
+                    }
+                    ctx.global.read_lanes(addrs.iter(), |lane, w| v[lane as usize] = w);
                 }
-                MemSpace::Shared => LaneAddrs::collect(eff_mask, |lane| {
-                    let a = addr(lane);
-                    v[lane] = ctx.shared[shared_word(a, ctx.shared.len(), "load")];
-                    a
-                }),
-                MemSpace::Param => LaneAddrs::collect(eff_mask, |lane| {
-                    let a = addr(lane);
-                    v[lane] = usize::try_from(a / 4)
-                        .ok()
-                        .and_then(|i| ctx.params.get(i))
-                        .map_or(0, |v| v.as_u32());
-                    a
-                }),
-            };
+                MemSpace::Shared => {
+                    let len = ctx.shared.len();
+                    let faults = access.shared_faults(len);
+                    if faults != 0 {
+                        access.fault(faults, |a| {
+                            shared_word(a, len, "load");
+                        });
+                    }
+                    // Every lane reads, the lanes outside the mask a
+                    // clamped word, so the gather needs no lane walk.
+                    if eff_mask != 0 {
+                        let last = len as u64 - 1;
+                        for (v, &a) in v.iter_mut().zip(&addrs.addrs) {
+                            *v = ctx.shared[(a / 4).min(last) as usize];
+                        }
+                    }
+                }
+                MemSpace::Param => {
+                    let faults = access.negative();
+                    if faults != 0 {
+                        access.fault(faults, |_| {});
+                    }
+                    for (lane, a) in addrs.iter() {
+                        v[lane as usize] = usize::try_from(a / 4)
+                            .ok()
+                            .and_then(|i| ctx.params.get(i))
+                            .map_or(0, |v| v.as_u32());
+                    }
+                }
+            }
             write_lanes(warp, d, eff_mask, |i| v[i]);
             ExecEffect::Memory { space, addrs, is_store: false, is_atomic: false }
         }
         Op::St(space) => {
-            let (base, value) = (gather(warp, instr.srcs[0]), gather(warp, instr.srcs[1]));
-            let addr = |lane: usize| effective_address(base[lane], instr.offset);
-            let addrs = match space {
-                MemSpace::Global => LaneAddrs::collect(eff_mask, |lane| {
-                    let a = addr(lane);
-                    ctx.global.write_u32(a, value[lane]);
-                    a
-                }),
-                MemSpace::Shared => LaneAddrs::collect(eff_mask, |lane| {
-                    let a = addr(lane);
-                    ctx.shared[shared_word(a, ctx.shared.len(), "store")] = value[lane];
-                    a
-                }),
-                MemSpace::Param => LaneAddrs::collect(eff_mask, |lane| {
-                    addr(lane);
-                    panic!("stores to parameter space are not allowed")
-                }),
-            };
+            let access = Access::new(warp, instr, eff_mask);
+            let addrs = access.addrs();
+            let value = gather(warp, instr.srcs[1]);
+            match space {
+                MemSpace::Global => {
+                    let faults = access.global_faults();
+                    if faults != 0 {
+                        access.fault(faults, |a| check_aligned(a, "write"));
+                    }
+                    ctx.global.update_lanes(addrs.iter(), |lane, w| *w = value[lane as usize]);
+                }
+                MemSpace::Shared => {
+                    let len = ctx.shared.len();
+                    let faults = access.shared_faults(len);
+                    if faults != 0 {
+                        access.fault(faults, |a| {
+                            shared_word(a, len, "store");
+                        });
+                    }
+                    // Lane order: the highest of several lanes storing to
+                    // one word wins.
+                    for (lane, a) in addrs.iter() {
+                        ctx.shared[(a / 4) as usize] = value[lane as usize];
+                    }
+                }
+                MemSpace::Param => {
+                    if eff_mask != 0 {
+                        access.fault(eff_mask, |_| {
+                            panic!("stores to parameter space are not allowed")
+                        });
+                    }
+                }
+            }
             ExecEffect::Memory { space, addrs, is_store: true, is_atomic: false }
         }
         Op::Atom(aop) => {
             let d = instr.dst.expect("atom has a dst");
-            let (base, value) = (gather(warp, instr.srcs[0]), gather(warp, instr.srcs[1]));
+            let access = Access::new(warp, instr, eff_mask);
+            let value = gather(warp, instr.srcs[1]);
+            // An atomic reads its word before it writes it.
+            let faults = access.global_faults();
+            if faults != 0 {
+                access.fault(faults, |a| check_aligned(a, "read"));
+            }
+            let addrs = access.addrs();
             let mut old = [0; WARP];
             // Lanes apply in lane order (deterministic serialization).
-            let addrs = LaneAddrs::collect(eff_mask, |lane| {
-                let a = effective_address(base[lane], instr.offset);
-                old[lane] = ctx.global.read_u32(a);
-                ctx.global.write_u32(a, AtomOp::apply(aop, old[lane], value[lane]));
-                a
+            ctx.global.update_lanes(addrs.iter(), |lane, w| {
+                old[lane as usize] = *w;
+                *w = AtomOp::apply(aop, *w, value[lane as usize]);
             });
             write_lanes(warp, d, eff_mask, |i| old[i]);
             ExecEffect::Memory { space: MemSpace::Global, addrs, is_store: true, is_atomic: true }

@@ -13,14 +13,13 @@
 //! [`OccurrenceGroups`] recorder: warp 0 leads each `(pc, occurrence)`,
 //! and a follower is compared with the leader's value as it arrives.
 
-use crate::exec::{execute, ExecContext, ExecEffect};
-use crate::fasthash::FastMap;
+use crate::exec::{execute, ExecContext, ExecEffect, LaneAddrs};
+use crate::fasthash::{FastMap, FastSet};
 use crate::mem::{GlobalMemory, PAGE_WORDS};
 use crate::warp::{Warp, WarpState};
 use simt_compiler::CompiledKernel;
 use simt_isa::{AtomOp, Dim3, Instruction, Kernel, LaunchConfig, MemSpace, Op};
 use std::borrow::Borrow;
-use std::collections::HashSet;
 
 /// Hooks invoked around every dynamic warp instruction of a headless run.
 ///
@@ -54,29 +53,33 @@ pub trait FunctionalObserver {
     ) {
     }
 
-    /// Called for every shared-memory access with the per-lane `(lane,
-    /// byte address)` pairs of the participating lanes. Fires between
-    /// `before_instruction` and `after_instruction`.
+    /// Called for every shared-memory access with the byte addresses of
+    /// the participating lanes ([`LaneAddrs::iter`] yields them as
+    /// `(lane, byte address)` in ascending lane order). Fires between
+    /// `before_instruction` and `after_instruction`. The addresses are
+    /// borrowed from the executor's effect, so an observer that ignores
+    /// the access pays nothing for it.
     fn shared_access(
         &mut self,
         _warp_index: usize,
         _pc: usize,
         _occurrence: u32,
-        _addrs: &[(u32, u64)],
+        _addrs: &LaneAddrs,
         _is_store: bool,
     ) {
     }
 
-    /// Called for every global-memory access with the per-lane `(lane,
-    /// byte address)` pairs of the participating lanes. Fires between
-    /// `before_instruction` and `after_instruction`. Atomics arrive with
-    /// both `is_store` and `is_atomic` set.
+    /// Called for every global-memory access with the byte addresses of
+    /// the participating lanes, as for
+    /// [`shared_access`](FunctionalObserver::shared_access). Fires
+    /// between `before_instruction` and `after_instruction`. Atomics
+    /// arrive with both `is_store` and `is_atomic` set.
     fn global_access(
         &mut self,
         _warp_index: usize,
         _pc: usize,
         _occurrence: u32,
-        _addrs: &[(u32, u64)],
+        _addrs: &LaneAddrs,
         _is_store: bool,
         _is_atomic: bool,
     ) {
@@ -335,13 +338,15 @@ impl FunctionalObserver for OccurrenceGroups<[u32]> {
 #[derive(Debug)]
 struct RaceLog<R> {
     races: Vec<R>,
-    reported: HashSet<(usize, usize)>,
-    tainted: HashSet<u64>,
+    /// Never iterated: `races` keeps the detection order.
+    reported: FastSet<(usize, usize)>,
+    /// Never iterated: only probed per word.
+    tainted: FastSet<u64>,
 }
 
 impl<R> Default for RaceLog<R> {
     fn default() -> RaceLog<R> {
-        RaceLog { races: Vec::new(), reported: HashSet::new(), tainted: HashSet::new() }
+        RaceLog { races: Vec::new(), reported: FastSet::default(), tainted: FastSet::default() }
     }
 }
 
@@ -364,24 +369,23 @@ impl<R> RaceLog<R> {
 struct Shadow<C>(FastMap<u64, Box<[C]>>);
 
 impl<C: Copy + Default> Shadow<C> {
-    /// Calls `f(lane, word, cell)` for each `(lane, byte address)` of
-    /// `addrs`, in order, probing the page map once per run of
-    /// consecutive lanes on one page.
-    fn visit(&mut self, addrs: &[(u32, u64)], mut f: impl FnMut(u32, u64, &mut C)) {
-        let page_of = |addr: u64| addr / 4 / PAGE_WORDS as u64;
-        let mut rest = addrs;
-        while let Some(&(_, first)) = rest.first() {
-            let page_no = page_of(first);
-            let run = rest.iter().position(|&(_, a)| page_of(a) != page_no).unwrap_or(rest.len());
-            let page = self
-                .0
-                .entry(page_no)
-                .or_insert_with(|| vec![C::default(); PAGE_WORDS].into_boxed_slice());
-            for &(lane, addr) in &rest[..run] {
-                let word = addr / 4;
-                f(lane, word, &mut page[(word % PAGE_WORDS as u64) as usize]);
+    /// Calls `f(lane, word, cell)` for each lane of `addrs`, in ascending
+    /// lane order, probing the page map once per run of consecutive
+    /// lanes on one page.
+    fn visit(&mut self, addrs: &LaneAddrs, mut f: impl FnMut(u32, u64, &mut C)) {
+        let mut run: Option<(u64, &mut [C])> = None;
+        for (lane, addr) in addrs.iter() {
+            let word = addr / 4;
+            let page_no = word / PAGE_WORDS as u64;
+            if run.as_ref().is_none_or(|&(p, _)| p != page_no) {
+                let page = self
+                    .0
+                    .entry(page_no)
+                    .or_insert_with(|| vec![C::default(); PAGE_WORDS].into_boxed_slice());
+                run = Some((page_no, page));
             }
-            rest = &rest[run..];
+            let (_, page) = run.as_mut().expect("the run's page");
+            f(lane, word, &mut page[(word % PAGE_WORDS as u64) as usize]);
         }
     }
 }
@@ -460,13 +464,7 @@ impl RaceSanitizer {
         self.log.tainted.contains(&word)
     }
 
-    fn record_access(
-        &mut self,
-        warp_index: usize,
-        pc: usize,
-        addrs: &[(u32, u64)],
-        is_store: bool,
-    ) {
+    fn record_access(&mut self, warp_index: usize, pc: usize, addrs: &LaneAddrs, is_store: bool) {
         let (epoch, first_thread) = (self.epoch, warp_index as u32 * self.warp_size);
         let log = &mut self.log;
         self.cells.visit(addrs, |lane, word, cell| {
@@ -537,7 +535,7 @@ impl FunctionalObserver for RaceSanitizer {
         warp_index: usize,
         pc: usize,
         _occurrence: u32,
-        addrs: &[(u32, u64)],
+        addrs: &LaneAddrs,
         is_store: bool,
     ) {
         self.record_access(warp_index, pc, addrs, is_store);
@@ -570,16 +568,64 @@ pub struct GlobalRace {
 /// Per-word shadow cell at block granularity: the launch's last write
 /// plus a two-point summary of the reading blocks. Minimum and maximum
 /// reader block suffice to answer "did any block other than the writer
-/// read this word?" without storing every reader.
-#[derive(Debug, Clone, Copy, Default)]
+/// read this word?" without storing every reader. A launch-long shadow
+/// holds one cell per word of every page it touches, so the cell is kept
+/// to 40 bytes: a missing write or reader holds block [`NO_BLOCK`], and
+/// pcs are 32-bit.
+#[derive(Debug, Clone, Copy)]
 struct GlobalShadowCell {
-    /// `(block, pc, atomic op)` of the last write; the op is `None` for
-    /// a plain store.
-    write: Option<(u64, usize, Option<AtomOp>)>,
-    /// `(block, pc)` of the lowest-numbered reading block.
-    min_reader: Option<(u64, usize)>,
-    /// `(block, pc)` of the highest-numbered reading block.
-    max_reader: Option<(u64, usize)>,
+    /// Block of the last write.
+    write_block: u64,
+    /// The lowest-numbered reading block.
+    min_block: u64,
+    /// The highest-numbered reading block.
+    max_block: u64,
+    /// Pc of the last write.
+    write_pc: u32,
+    /// Pc of `min_block`'s read.
+    min_pc: u32,
+    /// Pc of `max_block`'s read.
+    max_pc: u32,
+    /// Atomic op of the last write, `None` for a plain store.
+    write_atom: Option<AtomOp>,
+}
+
+const _: () = assert!(std::mem::size_of::<GlobalShadowCell>() <= 40);
+
+/// The block of a [`GlobalShadowCell`] entry that holds nothing: no
+/// launch has `u64::MAX` blocks, so no block has this index.
+const NO_BLOCK: u64 = u64::MAX;
+
+impl Default for GlobalShadowCell {
+    fn default() -> GlobalShadowCell {
+        GlobalShadowCell {
+            write_block: NO_BLOCK,
+            min_block: NO_BLOCK,
+            max_block: NO_BLOCK,
+            write_pc: 0,
+            min_pc: 0,
+            max_pc: 0,
+            write_atom: None,
+        }
+    }
+}
+
+impl GlobalShadowCell {
+    /// `(block, pc, atomic op)` of the last write.
+    fn write(&self) -> Option<(u64, usize, Option<AtomOp>)> {
+        (self.write_block != NO_BLOCK).then_some((
+            self.write_block,
+            self.write_pc as usize,
+            self.write_atom,
+        ))
+    }
+
+    /// `(block, pc)` of the lowest- and of the highest-numbered reading
+    /// block.
+    fn readers(&self) -> [Option<(u64, usize)>; 2] {
+        [(self.min_block, self.min_pc), (self.max_block, self.max_pc)]
+            .map(|(b, pc)| (b != NO_BLOCK).then_some((b, pc as usize)))
+    }
 }
 
 /// Shadow-memory sanitizer for *inter-thread-block* global races across
@@ -634,7 +680,12 @@ impl GlobalRaceSanitizer {
     }
 
     /// Declares the linear block index about to be replayed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on block `u64::MAX`, which no launch has.
     pub fn set_block(&mut self, block: u64) {
+        assert_ne!(block, NO_BLOCK, "no launch has block index u64::MAX");
         self.block = block;
     }
 
@@ -663,32 +714,30 @@ impl GlobalRaceSanitizer {
     /// access's atomic op (`None` for a plain load or store): only two
     /// writes with the *same* commutative op (`add`/`max`/`min`, not
     /// `exch`) may collide across blocks without a race.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` does not fit in 32 bits.
     pub fn record_access(
         &mut self,
         pc: usize,
-        addrs: &[(u32, u64)],
+        addrs: &LaneAddrs,
         is_store: bool,
         atom: Option<AtomOp>,
     ) {
         let block = self.block;
+        let pc32 = u32::try_from(pc).expect("a pc fits in 32 bits");
         let (log, overlap) = (&mut self.log, &mut self.commutative_overlap);
+        let mut previous = None;
         self.cells.visit(addrs, |_lane, word, cell| {
-            // Update the cell in place, then judge the access against its
-            // state from before the update.
-            let seen = *cell;
-            if is_store {
-                cell.write = Some((block, pc, atom));
-            } else {
-                match cell.min_reader {
-                    Some((b, _)) if b <= block => {}
-                    _ => cell.min_reader = Some((block, pc)),
-                }
-                match cell.max_reader {
-                    Some((b, _)) if b >= block => {}
-                    _ => cell.max_reader = Some((block, pc)),
-                }
+            // A lane on the word the previous lane visited changes
+            // nothing: the cell and the log already hold this block's
+            // access at this pc (a warp's lanes are one block's).
+            if previous.replace(word) == Some(word) {
+                return;
             }
-            if let Some((wb, wpc, watom)) = seen.write.filter(|&(wb, _, _)| wb != block) {
+            // Judge the access against the cell, then update it.
+            if let Some((wb, wpc, watom)) = cell.write().filter(|&(wb, _, _)| wb != block) {
                 // Only two writes with the same commuting op may collide;
                 // a plain read of a word another block wrote — even
                 // atomically — observes an order-dependent value.
@@ -712,10 +761,7 @@ impl GlobalRaceSanitizer {
                 }
             }
             if is_store {
-                let other = [seen.min_reader, seen.max_reader]
-                    .into_iter()
-                    .flatten()
-                    .find(|&(b, _)| b != block);
+                let other = cell.readers().into_iter().flatten().find(|&(b, _)| b != block);
                 if let Some((rb, rpc)) = other {
                     log.report(
                         word,
@@ -730,6 +776,14 @@ impl GlobalRaceSanitizer {
                         },
                     );
                 }
+                (cell.write_block, cell.write_pc, cell.write_atom) = (block, pc32, atom);
+            } else {
+                if cell.min_block == NO_BLOCK || cell.min_block > block {
+                    (cell.min_block, cell.min_pc) = (block, pc32);
+                }
+                if cell.max_block == NO_BLOCK || cell.max_block < block {
+                    (cell.max_block, cell.max_pc) = (block, pc32);
+                }
             }
         });
     }
@@ -741,7 +795,7 @@ impl FunctionalObserver for GlobalRaceSanitizer {
         _warp_index: usize,
         pc: usize,
         _occurrence: u32,
-        addrs: &[(u32, u64)],
+        addrs: &LaneAddrs,
         is_store: bool,
         is_atomic: bool,
     ) {
@@ -811,15 +865,20 @@ mod tests {
         assert_eq!(mem.read_u32(buf + 4 * 63), 63);
     }
 
+    /// Lane 0 accessing global word 16.
+    fn word_16() -> LaneAddrs {
+        LaneAddrs::new(1, [64; 32])
+    }
+
     #[test]
     fn global_sanitizer_exempts_only_same_op_commutative_atomics() {
         // Same-op commutative collision (add/add) across blocks: no
         // race, but the overlap is recorded.
         let mut s = GlobalRaceSanitizer::new();
         s.set_block(0);
-        s.record_access(0, &[(0, 64)], true, Some(AtomOp::Add));
+        s.record_access(0, &word_16(), true, Some(AtomOp::Add));
         s.set_block(1);
-        s.record_access(1, &[(0, 64)], true, Some(AtomOp::Add));
+        s.record_access(1, &word_16(), true, Some(AtomOp::Add));
         assert!(s.races().is_empty());
         assert!(s.commutative_overlap());
 
@@ -828,9 +887,9 @@ mod tests {
         // race even though each op commutes with itself.
         let mut s = GlobalRaceSanitizer::new();
         s.set_block(0);
-        s.record_access(0, &[(0, 64)], true, Some(AtomOp::Add));
+        s.record_access(0, &word_16(), true, Some(AtomOp::Add));
         s.set_block(1);
-        s.record_access(1, &[(0, 64)], true, Some(AtomOp::Max));
+        s.record_access(1, &word_16(), true, Some(AtomOp::Max));
         assert_eq!(s.races().len(), 1);
         assert!(!s.commutative_overlap());
         assert!(s.is_tainted(16));
@@ -838,18 +897,24 @@ mod tests {
         // exch/exch is last-writer-wins: a plain write/write hazard.
         let mut s = GlobalRaceSanitizer::new();
         s.set_block(0);
-        s.record_access(0, &[(0, 64)], true, Some(AtomOp::Exch));
+        s.record_access(0, &word_16(), true, Some(AtomOp::Exch));
         s.set_block(1);
-        s.record_access(1, &[(0, 64)], true, Some(AtomOp::Exch));
+        s.record_access(1, &word_16(), true, Some(AtomOp::Exch));
         assert_eq!(s.races().len(), 1);
 
         // Atomic against a plain store is never exempt.
         let mut s = GlobalRaceSanitizer::new();
         s.set_block(0);
-        s.record_access(0, &[(0, 64)], true, Some(AtomOp::Add));
+        s.record_access(0, &word_16(), true, Some(AtomOp::Add));
         s.set_block(1);
-        s.record_access(1, &[(0, 64)], true, None);
+        s.record_access(1, &word_16(), true, None);
         assert_eq!(s.races().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no launch has block index u64::MAX")]
+    fn the_empty_cell_block_is_no_block_index() {
+        GlobalRaceSanitizer::new().set_block(u64::MAX);
     }
 
     #[test]

@@ -50,13 +50,29 @@ impl GlobalMemory {
     /// Panics on unaligned access.
     #[must_use]
     pub fn read_u32(&self, addr: u64) -> u32 {
-        self.reader().read_u32(addr)
+        check_aligned(addr, "read");
+        let (page, idx) = locate(addr);
+        self.pages.get(&page).map_or(0, |words| words[idx])
     }
 
-    /// A reader for a run of reads, such as one warp's lanes: it probes
-    /// the page map once per run of reads on one page.
-    pub(crate) fn reader(&self) -> PageReader<'_> {
-        PageReader { mem: self, last: None }
+    /// Calls `f(lane, word)` with the word at each `(lane, byte address)`
+    /// of `lanes`, in order, probing the page map once per run of
+    /// consecutive addresses on one page. The addresses must be aligned.
+    pub(crate) fn read_lanes(
+        &self,
+        lanes: impl Iterator<Item = (u32, u64)>,
+        mut f: impl FnMut(u32, u32),
+    ) {
+        let mut run: Option<(u64, Option<&[u32; PAGE_WORDS]>)> = None;
+        for (lane, addr) in lanes {
+            debug_assert_eq!(addr % 4, 0, "an aligned address");
+            let (page, idx) = locate(addr);
+            let words = match run {
+                Some((p, words)) if p == page => words,
+                _ => run.insert((page, self.pages.get(&page).map(|w| &**w))).1,
+            };
+            f(lane, words.map_or(0, |w| w[idx]));
+        }
     }
 
     /// Writes the 32-bit word at byte address `addr`.
@@ -65,13 +81,34 @@ impl GlobalMemory {
     ///
     /// Panics on unaligned access.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        assert_eq!(addr % 4, 0, "unaligned global write at {addr:#x}");
-        let (page, idx) =
-            (addr / (PAGE_WORDS as u64 * 4), ((addr / 4) % PAGE_WORDS as u64) as usize);
-        self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE_WORDS]))[idx] = value;
-        if self.last_touched != Some(page) {
-            self.touched.insert(page);
-            self.last_touched = Some(page);
+        check_aligned(addr, "write");
+        self.update_lanes(std::iter::once((0, addr)), |_, w| *w = value);
+    }
+
+    /// Calls `f(lane, &mut word)` on the word at each `(lane, byte
+    /// address)` of `lanes`, in order, allocating its page on first touch
+    /// and recording the page as written this epoch. The page is resolved
+    /// once per run of consecutive addresses on one page. The addresses
+    /// must be aligned.
+    pub(crate) fn update_lanes(
+        &mut self,
+        lanes: impl Iterator<Item = (u32, u64)>,
+        mut f: impl FnMut(u32, &mut u32),
+    ) {
+        let GlobalMemory { pages, touched, last_touched, .. } = self;
+        let mut run: Option<(u64, &mut [u32; PAGE_WORDS])> = None;
+        for (lane, addr) in lanes {
+            debug_assert_eq!(addr % 4, 0, "an aligned address");
+            let (page, idx) = locate(addr);
+            if run.as_ref().is_none_or(|&(p, _)| p != page) {
+                if *last_touched != Some(page) {
+                    touched.insert(page);
+                    *last_touched = Some(page);
+                }
+                run = Some((page, pages.entry(page).or_insert_with(|| Box::new([0; PAGE_WORDS]))));
+            }
+            let (_, words) = run.as_mut().expect("the run's page");
+            f(lane, &mut words[idx]);
         }
     }
 
@@ -152,36 +189,17 @@ impl GlobalMemory {
     }
 }
 
-/// Reads [`GlobalMemory`] remembering the page it read last (see
-/// [`GlobalMemory::reader`]).
-pub(crate) struct PageReader<'a> {
-    mem: &'a GlobalMemory,
-    /// The page number read last and its words (`None` when untouched).
-    last: Option<(u64, Option<&'a [u32; PAGE_WORDS]>)>,
+/// Asserts that the global byte address `addr` is word-aligned; `access`
+/// (`"read"` or `"write"`) names the access in the message.
+pub(crate) fn check_aligned(addr: u64, access: &str) {
+    assert_eq!(addr % 4, 0, "unaligned global {access} at {addr:#x}");
 }
 
-impl PageReader<'_> {
-    /// Reads the 32-bit word at byte address `addr` (zero if untouched).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned access.
-    pub(crate) fn read_u32(&mut self, addr: u64) -> u32 {
-        assert_eq!(addr % 4, 0, "unaligned global read at {addr:#x}");
-        // Reduce modulo PAGE_WORDS in u64 before narrowing: a truncating
-        // cast first would alias distant addresses on 32-bit targets.
-        let (page, idx) =
-            (addr / (PAGE_WORDS as u64 * 4), ((addr / 4) % PAGE_WORDS as u64) as usize);
-        let words = match self.last {
-            Some((p, words)) if p == page => words,
-            _ => {
-                let words = self.mem.pages.get(&page).map(|w| &**w);
-                self.last = Some((page, words));
-                words
-            }
-        };
-        words.map_or(0, |w| w[idx])
-    }
+/// The page number of byte address `addr` and its word index in the page.
+fn locate(addr: u64) -> (u64, usize) {
+    // Reduce modulo PAGE_WORDS in u64 before narrowing: a truncating cast
+    // first would alias distant addresses on 32-bit targets.
+    (addr / (PAGE_WORDS as u64 * 4), ((addr / 4) % PAGE_WORDS as u64) as usize)
 }
 
 /// A set-associative, line-granularity tag cache with LRU replacement.

@@ -5,7 +5,7 @@
 use crate::config::{GpuConfig, SchedulerPolicy, Technique};
 use crate::digest::{fold, splitmix64, ComponentDigests, FNV_OFFSET};
 use crate::events::{EventKind, EventLog, PipeEvent, TRACE_CAPACITY};
-use crate::exec::{execute, ExecContext, ExecEffect};
+use crate::exec::{execute, ExecContext, ExecEffect, LaneAddrs};
 use crate::mem::{coalesce_lines, smem_conflict_degree, DramModel, GlobalMemory, TagCache};
 use crate::profile::{
     OccupancySample, SmProfile, StallCause, MAX_OCCUPANCY_SAMPLES, SAMPLE_INTERVAL,
@@ -1509,7 +1509,7 @@ impl Sm {
         leader: Option<u32>,
         instr: &simt_isa::Instruction,
         space: MemSpace,
-        addrs: &[(u32, u64)],
+        addrs: &LaneAddrs,
         is_store: bool,
         is_atomic: bool,
         l2: &mut TagCache,
@@ -1518,7 +1518,7 @@ impl Sm {
         let completion = match space {
             MemSpace::Shared => {
                 self.stats.smem_ops += 1;
-                let degree = smem_conflict_degree(addrs.iter().map(|&(_, a)| a));
+                let degree = smem_conflict_degree(addrs.iter().map(|(_, a)| a));
                 self.stats.smem_bank_conflicts += u64::from(degree - 1);
                 let by_pc = self.stats.mem_by_pc.entry(pc).or_default();
                 by_pc.smem_accesses += 1;
@@ -1533,7 +1533,7 @@ impl Sm {
             }
             MemSpace::Global => {
                 self.stats.mem_ops += 1;
-                let lines = coalesce_lines(addrs.iter().map(|&(_, a)| a));
+                let lines = coalesce_lines(addrs.iter().map(|(_, a)| a));
                 self.stats.global_transactions += lines.len() as u64;
                 let by_pc = self.stats.mem_by_pc.entry(pc).or_default();
                 by_pc.global_accesses += 1;

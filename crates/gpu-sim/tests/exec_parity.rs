@@ -4,7 +4,11 @@
 //! lane. Single instructions run on random warps (widths 1..=32, random
 //! full and active masks, plain and negated guards, destinations aliasing
 //! sources) and must leave the same registers, predicates, shared words
-//! and global memory, and return the same effect.
+//! and global memory, and return the same effect. Memory cases cover
+//! empty and partial masks, warps straddling a page boundary, lanes
+//! alternating between pages, and several lanes storing to, or
+//! atomically updating, one word; global memory is compared by content
+//! and by the pages its epoch digest folds.
 
 use gpu_sim::exec::{alu, execute, ExecContext, ExecEffect};
 use gpu_sim::warp::LaneMask;
@@ -13,6 +17,7 @@ use proptest::prelude::*;
 use simt_isa::{
     AtomOp, CmpOp, Dim3, Guard, Instruction, MemSpace, Op, Operand, Pred, Reg, SpecialReg, Value,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const ALU_OPS: [Op; 28] = [
     Op::IAdd,
@@ -101,7 +106,9 @@ const SHARED_WORDS: usize = 64;
 /// Global words the memory cases touch: two 1,024-word pages, so lanes
 /// straddle a page boundary.
 const GLOBAL_BASE: u64 = 0x1_0000;
-const GLOBAL_WORDS: u64 = 2048;
+const GLOBAL_WORDS: u64 = 2 * PAGE_WORDS;
+/// Words per page of `GlobalMemory`.
+const PAGE_WORDS: u64 = 1024;
 const PARAMS: [Value; 3] = [Value(11), Value(22), Value(0xDEAD_BEEF)];
 
 /// splitmix64: one random case per seed.
@@ -163,8 +170,9 @@ impl Machine {
             _ => rng.next() as u32 & lanes,
         };
         let mut warp = Warp::new(0, 0, rng.below(4) as u32, NUM_REGS, ws, full, 0);
-        warp.stack.last_mut().expect("fresh warp has a path").mask = match rng.below(3) {
+        warp.stack.last_mut().expect("fresh warp has a path").mask = match rng.below(4) {
             0 => full,
+            1 => 0,
             _ => rng.next() as u32 & full,
         };
         for r in 0..NUM_REGS {
@@ -183,16 +191,27 @@ impl Machine {
             let a = GLOBAL_BASE + 4 * rng.below(GLOBAL_WORDS);
             global.write_u32(a, rng.value());
         }
+        // A fresh epoch: the digest after the instruction folds exactly
+        // the pages it wrote.
+        global.epoch_digest();
         Machine { warp, shared, global }
     }
 
     /// Points every lane of [`BASE`] at a valid address of `space`, leaving
-    /// room for an offset of up to 15 words.
+    /// room for an offset of up to 15 words. Global lanes scatter over two
+    /// pages, run consecutively across the page boundary, alternate
+    /// between the pages, or all name one word.
     fn aim(&mut self, rng: &mut Rng, space: MemSpace) {
+        let global: fn(&mut Rng, u64) -> u64 = match rng.below(4) {
+            0 => |rng: &mut Rng, _lane: u64| GLOBAL_BASE + 4 * rng.below(GLOBAL_WORDS - 16),
+            1 => |_: &mut Rng, lane: u64| GLOBAL_BASE + PAGE_WORDS * 4 - 4 * 13 + 4 * lane,
+            2 => |_: &mut Rng, lane: u64| GLOBAL_BASE + (lane % 2) * PAGE_WORDS * 4 + 4 * lane,
+            _ => |_: &mut Rng, _lane: u64| GLOBAL_BASE + PAGE_WORDS * 4 - 4,
+        };
         for lane in 0..self.warp.warp_size() {
             let a = match space {
                 MemSpace::Shared => 4 * rng.below(SHARED_WORDS as u64 - 16),
-                MemSpace::Global => GLOBAL_BASE + 4 * rng.below(GLOBAL_WORDS - 16),
+                MemSpace::Global => global(rng, u64::from(lane)),
                 MemSpace::Param => 4 * rng.below(PARAMS.len() as u64 + 2),
             };
             self.warp.set_reg(BASE, lane, a as u32);
@@ -269,6 +288,7 @@ fn check(before: &Machine, instr: &Instruction) -> Result<(), String> {
         (got.preds() != want.preds(), "predicates"),
         (got.shared != want.shared, "shared memory"),
         (got.global.fingerprint() != want.global.fingerprint(), "global memory"),
+        (got.global.epoch_digest() != want.global.epoch_digest(), "written pages"),
     ];
     match mismatch.iter().find(|(differs, _)| *differs) {
         Some((_, what)) => Err(format!("`{instr}` leaves different {what}")),
@@ -294,7 +314,7 @@ impl From<ExecEffect> for Effect {
             ExecEffect::Barrier => Effect::Barrier,
             ExecEffect::Exit => Effect::Exit,
             ExecEffect::Memory { space, addrs, is_store, is_atomic } => {
-                Effect::Memory(space, addrs.to_vec(), is_store, is_atomic)
+                Effect::Memory(space, addrs.iter().collect(), is_store, is_atomic)
             }
         }
     }
@@ -556,33 +576,107 @@ fn aimed_at(addr: u32) -> Machine {
     m
 }
 
-#[test]
-#[should_panic(expected = "negative effective address: 0x0 -4")]
-fn a_negative_effective_address_still_panics() {
-    let ld = Instruction::new(Op::Ld(MemSpace::Global), Some(Reg(0)), None, vec![BASE.into()])
-        .with_offset(-4);
-    aimed_at(0).run(&ld, vector);
+/// The text `instr` panics with on `m`, or `None` when it runs through.
+fn panic_text(mut m: Machine, instr: &Instruction) -> Option<String> {
+    let payload = catch_unwind(AssertUnwindSafe(|| m.run(instr, vector))).err()?;
+    let text = payload.downcast_ref::<String>().cloned();
+    Some(text.or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string())).expect("text"))
+}
+
+fn load(space: MemSpace) -> Instruction {
+    Instruction::new(Op::Ld(space), Some(Reg(0)), None, vec![BASE.into()])
+}
+
+fn store(space: MemSpace) -> Instruction {
+    Instruction::new(Op::St(space), None, None, vec![BASE.into(), Operand::Imm(1)])
+}
+
+fn atom() -> Instruction {
+    Instruction::new(Op::Atom(AtomOp::Add), Some(Reg(0)), None, vec![BASE.into(), Operand::Imm(1)])
+}
+
+/// The message of a failed `assert_eq!(addr % 4, 0, "{what} at {addr:#x}")`.
+fn unaligned(what: &str, addr: u64) -> String {
+    format!(
+        "assertion `left == right` failed: {what} at {addr:#x}\n  left: {}\n right: 0",
+        addr % 4
+    )
 }
 
 #[test]
-#[should_panic(expected = "shared load out of bounds: 0x100 (size 256)")]
+fn a_negative_effective_address_still_panics() {
+    let text = "negative effective address: 0x0 -4";
+    for instr in [load(MemSpace::Global), load(MemSpace::Shared), store(MemSpace::Global), atom()] {
+        let instr = instr.with_offset(-4);
+        assert_eq!(panic_text(aimed_at(0), &instr).as_deref(), Some(text), "`{instr}`");
+    }
+}
+
+#[test]
 fn an_out_of_bounds_shared_index_still_panics() {
     // Lanes 0..=15 are in bounds; lane 16 is the first offending lane.
-    let ld = Instruction::new(Op::Ld(MemSpace::Shared), Some(Reg(0)), None, vec![BASE.into()]);
-    aimed_at(192).run(&ld, vector);
+    let text = panic_text(aimed_at(192), &load(MemSpace::Shared));
+    assert_eq!(text.as_deref(), Some("shared load out of bounds: 0x100 (size 256)"));
 }
 
 #[test]
-#[should_panic(expected = "shared store out of bounds: 0x100 (size 256)")]
 fn an_out_of_bounds_shared_store_still_panics() {
-    let st =
-        Instruction::new(Op::St(MemSpace::Shared), None, None, vec![BASE.into(), Operand::Imm(1)]);
-    aimed_at(192).run(&st, vector);
+    let text = panic_text(aimed_at(192), &store(MemSpace::Shared));
+    assert_eq!(text.as_deref(), Some("shared store out of bounds: 0x100 (size 256)"));
 }
 
 #[test]
-#[should_panic(expected = "unaligned global read at 0x1002")]
 fn an_unaligned_global_access_still_panics() {
-    let ld = Instruction::new(Op::Ld(MemSpace::Global), Some(Reg(0)), None, vec![BASE.into()]);
-    aimed_at(0x1002).run(&ld, vector);
+    let read = unaligned("unaligned global read", 0x1002);
+    assert_eq!(panic_text(aimed_at(0x1002), &load(MemSpace::Global)), Some(read.clone()));
+    // An atomic reads its word before it writes it.
+    assert_eq!(panic_text(aimed_at(0x1002), &atom()), Some(read));
+    let write = unaligned("unaligned global write", 0x1002);
+    assert_eq!(panic_text(aimed_at(0x1002), &store(MemSpace::Global)), Some(write));
+}
+
+#[test]
+fn a_param_store_still_panics() {
+    let text = "stores to parameter space are not allowed";
+    assert_eq!(panic_text(aimed_at(0), &store(MemSpace::Param)).as_deref(), Some(text));
+    // The lowest lane's address is checked first.
+    let negative = store(MemSpace::Param).with_offset(-4);
+    let want = "negative effective address: 0x0 -4";
+    assert_eq!(panic_text(aimed_at(0), &negative).as_deref(), Some(want));
+    // No lane, no store: the instruction runs through.
+    let mut m = aimed_at(0);
+    m.warp.stack.last_mut().expect("fresh warp has a path").mask = 0;
+    assert_eq!(panic_text(m, &store(MemSpace::Param)), None);
+}
+
+#[test]
+fn the_lowest_offending_lane_names_the_fault() {
+    // Every lane in bounds of the 256-byte scratchpad after the -4 offset
+    // except the ones a case breaks.
+    let shared_case = |faults: &[(u32, u32)], active: LaneMask| {
+        let mut m = aimed_at(4);
+        for &(lane, base) in faults {
+            m.warp.set_reg(BASE, lane, base);
+        }
+        m.warp.stack.last_mut().expect("fresh warp has a path").mask = active;
+        let instr = load(MemSpace::Shared).with_offset(-4);
+        panic_text(m, &instr)
+    };
+    let (out_of_bounds, negative) = (0x104, 0);
+    let oob = "shared load out of bounds: 0x100 (size 256)";
+    let neg = "negative effective address: 0x0 -4";
+    let both = [(2, out_of_bounds), (5, negative)];
+    assert_eq!(shared_case(&both, u32::MAX).as_deref(), Some(oob));
+    let both = [(2, negative), (5, out_of_bounds)];
+    assert_eq!(shared_case(&both, u32::MAX).as_deref(), Some(neg));
+    // A lane off the active path never faults.
+    assert_eq!(shared_case(&both, !(1 << 2)).as_deref(), Some(oob));
+    assert_eq!(shared_case(&both, !(1 << 2 | 1 << 5)), None);
+
+    // Global: lane 1 unaligned below lane 3 negative.
+    let mut m = aimed_at(0x1004);
+    m.warp.set_reg(BASE, 1, 0x2006);
+    m.warp.set_reg(BASE, 3, 0);
+    let text = panic_text(m, &store(MemSpace::Global).with_offset(-4));
+    assert_eq!(text, Some(unaligned("unaligned global write", 0x2002)));
 }

@@ -1,11 +1,15 @@
 //! Parity of the shadow race sanitizers with their original formulation:
-//! a `std` (SipHash) map of per-word cells probed with `get` and then
-//! `entry` per lane. The sanitizers now probe once per lane, the
-//! inter-block one through a paged shadow; on random access streams they
-//! must report the same races, in the same order, the same taint and the
-//! same commutative overlap.
+//! a `std` (SipHash) map of `Option`-holding per-word cells probed with
+//! `get` and then `entry` per lane. The sanitizers now walk a warp's lane
+//! mask over a paged shadow, and the inter-block one packs its cell with
+//! sentinel blocks and 32-bit pcs; on random access streams (blocks up
+//! to `u64::MAX - 1`, pcs up to `u32::MAX`) they must report the same
+//! races, in the same order, the same taint and the same commutative
+//! overlap.
 
-use gpu_sim::{FunctionalObserver, GlobalRace, GlobalRaceSanitizer, RaceSanitizer, SharedRace};
+use gpu_sim::{
+    FunctionalObserver, GlobalRace, GlobalRaceSanitizer, LaneAddrs, RaceSanitizer, SharedRace,
+};
 use proptest::prelude::*;
 use simt_isa::AtomOp;
 use std::collections::{HashMap, HashSet};
@@ -14,6 +18,12 @@ const WARP_SIZE: u32 = 32;
 /// Words the generated streams touch: few, so collisions are common, on
 /// both sides of shadow-page boundaries (1,024 words) and far apart.
 const WORDS: [u64; 10] = [0, 1, 2, 1023, 1024, 1025, 4096, 1 << 20, (1 << 30) + 7, 3];
+/// Pcs of the generated streams: a few small ones and the largest the
+/// packed global cell holds.
+const PCS: [usize; 6] = [0, 1, 2, 3, u32::MAX as usize - 1, u32::MAX as usize];
+/// Blocks of the generated global streams: a few small ones and the
+/// largest ones below the cell's empty-entry sentinel.
+const BLOCKS: [u64; 6] = [0, 1, 2, 3, u64::MAX - 2, u64::MAX - 1];
 
 /// Reference shared-memory sanitizer (the original per-lane `get` +
 /// `entry` over a SipHash map).
@@ -196,19 +206,28 @@ impl RefGlobal {
     }
 }
 
-/// One warp access: `(lane, byte address)` pairs over [`WORDS`], any
-/// byte within a word.
-fn arb_addrs() -> impl Strategy<Value = Vec<(u32, u64)>> {
+/// One warp access in the only shape [`LaneAddrs`] admits: a lane mask
+/// (at most six lanes, so collisions are common, or none) and one byte
+/// address per lane over [`WORDS`], any byte within a word.
+fn arb_addrs() -> impl Strategy<Value = LaneAddrs> {
     let addr = (prop::sample::select(WORDS.to_vec()), 0u64..4).prop_map(|(w, b)| 4 * w + b);
-    prop::collection::vec((0u32..WARP_SIZE, addr), 1..=6)
+    let lanes = prop::collection::vec(0u32..WARP_SIZE, 0..=6);
+    (lanes, prop::collection::vec(addr, WARP_SIZE as usize)).prop_map(|(lanes, addrs)| {
+        let mask = lanes.iter().fold(0, |m, &lane| m | 1 << lane);
+        LaneAddrs::new(mask, addrs.try_into().expect("one address per lane"))
+    })
+}
+
+fn arb_pc() -> impl Strategy<Value = usize> {
+    prop::sample::select(PCS.to_vec())
 }
 
 /// Shared stream event: `Some((warp, pc, addrs, is_store))` or a barrier.
-type SharedEvent = Option<(usize, usize, Vec<(u32, u64)>, bool)>;
+type SharedEvent = Option<(usize, usize, LaneAddrs, bool)>;
 
 fn arb_shared_event() -> impl Strategy<Value = SharedEvent> {
     prop_oneof![
-        8 => (0usize..3, 0usize..5, arb_addrs(), any::<bool>()).prop_map(Some),
+        8 => (0usize..3, arb_pc(), arb_addrs(), any::<bool>()).prop_map(Some),
         1 => Just(None),
     ]
 }
@@ -217,7 +236,7 @@ fn arb_shared_event() -> impl Strategy<Value = SharedEvent> {
 #[derive(Debug, Clone)]
 enum GlobalEvent {
     Block(u64),
-    Access(usize, Vec<(u32, u64)>, bool, Option<AtomOp>),
+    Access(usize, Box<LaneAddrs>, bool, Option<AtomOp>),
 }
 
 fn arb_global_event() -> impl Strategy<Value = GlobalEvent> {
@@ -229,10 +248,11 @@ fn arb_global_event() -> impl Strategy<Value = GlobalEvent> {
         Some(AtomOp::Exch),
     ]);
     prop_oneof![
-        1 => (0u64..4).prop_map(GlobalEvent::Block),
-        3 => (0usize..5, arb_addrs()).prop_map(|(pc, a)| GlobalEvent::Access(pc, a, false, None)),
-        4 => (0usize..5, arb_addrs(), atom)
-            .prop_map(|(pc, a, atom)| GlobalEvent::Access(pc, a, true, atom)),
+        1 => prop::sample::select(BLOCKS.to_vec()).prop_map(GlobalEvent::Block),
+        3 => (arb_pc(), arb_addrs())
+            .prop_map(|(pc, a)| GlobalEvent::Access(pc, Box::new(a), false, None)),
+        4 => (arb_pc(), arb_addrs(), atom)
+            .prop_map(|(pc, a, atom)| GlobalEvent::Access(pc, Box::new(a), true, atom)),
     ]
 }
 
@@ -249,7 +269,7 @@ proptest! {
             match e {
                 Some((warp, pc, addrs, is_store)) => {
                     got.shared_access(*warp, *pc, 1, addrs, *is_store);
-                    want.access(*warp, *pc, addrs, *is_store);
+                    want.access(*warp, *pc, &addrs.iter().collect::<Vec<_>>(), *is_store);
                 }
                 None => {
                     got.barrier_release();
@@ -277,7 +297,7 @@ proptest! {
                 }
                 GlobalEvent::Access(pc, addrs, is_store, atom) => {
                     got.record_access(*pc, addrs, *is_store, *atom);
-                    want.access(*pc, addrs, *is_store, *atom);
+                    want.access(*pc, &addrs.iter().collect::<Vec<_>>(), *is_store, *atom);
                 }
             }
         }

@@ -305,9 +305,10 @@ impl LaunchFamily {
         out
     }
 
-    /// `n` deterministic member launches (a fixed-seed linear
-    /// congruential draw per axis), always including the lower and upper
-    /// corners when `n >= 2`. Deterministic across runs and platforms.
+    /// `n` draws, possibly repeated, of deterministic member launches (a
+    /// fixed-seed splitmix64 draw per axis, with replacement), always
+    /// including the lower and upper corners when `n >= 2`. Deterministic
+    /// across runs and platforms.
     #[must_use]
     pub fn sample(&self, seed: u64, n: usize, reference: &LaunchConfig) -> Vec<LaunchConfig> {
         let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;

@@ -26,6 +26,7 @@ impl CmpOp {
 
     /// Evaluates the comparison on signed integers.
     #[must_use]
+    #[inline]
     pub fn eval_i32(self, a: i32, b: i32) -> bool {
         match self {
             CmpOp::Eq => a == b,
@@ -39,6 +40,7 @@ impl CmpOp {
 
     /// Evaluates the comparison on floats.
     #[must_use]
+    #[inline]
     pub fn eval_f32(self, a: f32, b: f32) -> bool {
         match self {
             CmpOp::Eq => a == b,

@@ -263,8 +263,9 @@ pub fn certify_family(
     Ok(cert)
 }
 
-/// Differential gate: `samples` deterministic member launches (seeded by
-/// the kernel name) must agree with the family certificate. For a proved
+/// Differential gate: `samples` deterministic member launch draws (seeded
+/// by the kernel name, possibly repeated; each distinct launch is
+/// certified once) must agree with the family certificate. For a proved
 /// or sampled certificate every sampled launch must certify concretely
 /// (classification better than potentially-racy, dynamic discharge
 /// counting); for a refutation the recorded witness launch must
@@ -284,10 +285,21 @@ pub fn differential_check(
     match cert.verdict {
         FamilyVerdict::FamilyProved | FamilyVerdict::FamilySampled => {
             let launches = family.sample(sample_seed(&ck.kernel.name), samples, reference);
-            let verdicts = parallel_map(&launches, threads, |l| {
+            // The draws repeat members: certify each distinct one once.
+            let mut distinct: Vec<&LaunchConfig> = Vec::new();
+            let member: Vec<usize> = launches
+                .iter()
+                .map(|l| {
+                    distinct.iter().position(|&d| d == l).unwrap_or_else(|| {
+                        distinct.push(l);
+                        distinct.len() - 1
+                    })
+                })
+                .collect();
+            let verdicts = parallel_map(&distinct, threads, |l| {
                 blocks::certify(ck, l, memory.clone()).0.classification
             });
-            for (l, v) in launches.iter().zip(verdicts) {
+            for (l, v) in launches.iter().zip(member.iter().map(|&m| verdicts[m])) {
                 if v == BlockIndependence::PotentiallyRacy {
                     out.push(format!(
                         "family verdict {} disagrees with member launch grid ({},{}) block \

@@ -43,7 +43,7 @@
 use crate::{blocks, Diagnostic, Diagnostics, LintCode};
 use gpu_sim::{
     ctaid_at, run_tb_functional, FastMap, FastSet, FunctionalObserver, GlobalMemory,
-    GlobalRaceSanitizer, OccurrenceGroup, OccurrenceGroups, RaceSanitizer,
+    GlobalRaceSanitizer, LaneAddrs, OccurrenceGroup, OccurrenceGroups, RaceSanitizer,
 };
 use simt_compiler::{promotes_tid_y, CompiledKernel, Red};
 use simt_isa::{Dim3, Instruction, LaunchConfig, Marking, MemSpace, Op};
@@ -114,12 +114,12 @@ impl FunctionalObserver for OracleObserver<'_> {
         w: usize,
         pc: usize,
         occurrence: u32,
-        addrs: &[(u32, u64)],
+        addrs: &LaneAddrs,
         is_store: bool,
     ) {
         self.sanitizer.shared_access(w, pc, occurrence, addrs, is_store);
         if !is_store && self.checked[pc].is_some() {
-            self.shared_reads.entry(pc).or_default().extend(addrs.iter().map(|&(_, a)| a / 4));
+            self.shared_reads.entry(pc).or_default().extend(addrs.iter().map(|(_, a)| a / 4));
         }
     }
 
@@ -132,13 +132,13 @@ impl FunctionalObserver for OracleObserver<'_> {
         w: usize,
         pc: usize,
         occurrence: u32,
-        addrs: &[(u32, u64)],
+        addrs: &LaneAddrs,
         is_store: bool,
         is_atomic: bool,
     ) {
         self.gsan.global_access(w, pc, occurrence, addrs, is_store, is_atomic);
         if !is_store && self.checked[pc].is_some() {
-            self.global_reads.entry(pc).or_default().extend(addrs.iter().map(|&(_, a)| a / 4));
+            self.global_reads.entry(pc).or_default().extend(addrs.iter().map(|(_, a)| a / 4));
         }
     }
 }

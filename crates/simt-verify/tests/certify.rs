@@ -4,7 +4,7 @@
 //! histogram certifies `commutative-atomics-only`, and the
 //! stride-separated control certifies `block-independent`.
 
-use gpu_sim::{run_tb_functional, FunctionalObserver, GlobalMemory};
+use gpu_sim::{run_tb_functional, FunctionalObserver, GlobalMemory, LaneAddrs};
 use simt_compiler::CompiledKernel;
 use simt_isa::{Dim3, LaunchConfig};
 use simt_verify::blocks::{self, BlockIndependence};
@@ -26,11 +26,11 @@ fn replay_accesses(
             _w: usize,
             pc: usize,
             _occurrence: u32,
-            addrs: &[(u32, u64)],
+            addrs: &LaneAddrs,
             is_store: bool,
             _is_atomic: bool,
         ) {
-            self.0.extend(addrs.iter().map(|&(_, a)| (pc, a / 4, is_store)));
+            self.0.extend(addrs.iter().map(|(_, a)| (pc, a / 4, is_store)));
         }
     }
     let mut log = Log(Vec::new());

@@ -6,6 +6,7 @@
 
 use gpu_sim::{
     ctaid_at, run_tb_functional, FunctionalObserver, GlobalMemory, GlobalRace, GlobalRaceSanitizer,
+    LaneAddrs,
 };
 use proptest::prelude::*;
 use simt_compiler::{compile, refine, CompiledKernel};
@@ -331,11 +332,11 @@ fn replay_accesses(
             _w: usize,
             pc: usize,
             _occurrence: u32,
-            addrs: &[(u32, u64)],
+            addrs: &LaneAddrs,
             is_store: bool,
             _is_atomic: bool,
         ) {
-            self.0.extend(addrs.iter().map(|&(_, a)| (pc, a / 4, is_store)));
+            self.0.extend(addrs.iter().map(|(_, a)| (pc, a / 4, is_store)));
         }
     }
     let mut log = Log(Vec::new());

@@ -32,7 +32,7 @@
 
 use darsie_repro::isa::{AxisRange, Instruction, LaunchConfig, LaunchFamily};
 use darsie_repro::sim::{
-    ctaid_at, run_tb_functional, FunctionalObserver, GlobalMemory, GpuConfig, Warp,
+    ctaid_at, run_tb_functional, FunctionalObserver, GlobalMemory, GpuConfig, LaneAddrs, Warp,
 };
 use darsie_repro::workloads::{catalog, fixtures, Scale};
 use simt_compiler::CompiledKernel;
@@ -67,10 +67,10 @@ impl EventHasher {
         }
     }
 
-    fn access(&mut self, addrs: &[(u32, u64)], is_store: bool, is_atomic: bool) {
+    fn access(&mut self, addrs: &LaneAddrs, is_store: bool, is_atomic: bool) {
         self.word(u64::from(is_store) | u64::from(is_atomic) << 1);
         self.word(addrs.len() as u64);
-        for &(lane, addr) in addrs {
+        for (lane, addr) in addrs.iter() {
             self.word(u64::from(lane));
             self.word(addr);
         }
@@ -116,7 +116,7 @@ impl FunctionalObserver for EventHasher {
         w: usize,
         pc: usize,
         occurrence: u32,
-        addrs: &[(u32, u64)],
+        addrs: &LaneAddrs,
         is_store: bool,
     ) {
         self.event(3, w, pc, occurrence);
@@ -128,7 +128,7 @@ impl FunctionalObserver for EventHasher {
         w: usize,
         pc: usize,
         occurrence: u32,
-        addrs: &[(u32, u64)],
+        addrs: &LaneAddrs,
         is_store: bool,
         is_atomic: bool,
     ) {
