@@ -66,10 +66,6 @@ pub const DEFAULT_DIGEST_INTERVAL: u64 = 1024;
 pub enum DigestCadence {
     /// Every `n` cycles (and once at drain). `n = 1` digests every cycle.
     Cycle(u64),
-    /// Whenever any SM releases a threadblock barrier (and at drain).
-    Barrier,
-    /// Whenever a threadblock completes (and at drain).
-    TbBoundary,
 }
 
 impl Default for DigestCadence {
@@ -82,11 +78,8 @@ impl DigestCadence {
     /// Stable label for reports and manifests.
     #[must_use]
     pub fn label(&self) -> String {
-        match self {
-            DigestCadence::Cycle(n) => format!("cycle:{n}"),
-            DigestCadence::Barrier => "barrier".to_string(),
-            DigestCadence::TbBoundary => "tb-boundary".to_string(),
-        }
+        let DigestCadence::Cycle(n) = self;
+        format!("cycle:{n}")
     }
 }
 
@@ -350,7 +343,7 @@ pub struct CoarseDivergence {
     /// Index of the first divergent epoch in that chain.
     pub epoch: usize,
     /// Cycle of that epoch (minimum of the two runs when they disagree on
-    /// it, e.g. under `Barrier` cadence).
+    /// it, e.g. when one run's drain epoch comes first).
     pub cycle: u64,
     /// Cycle of the last epoch both runs agree on (the lower edge of the
     /// bisection window).
@@ -640,8 +633,6 @@ mod tests {
     #[test]
     fn cadence_labels_are_stable() {
         assert_eq!(DigestCadence::Cycle(64).label(), "cycle:64");
-        assert_eq!(DigestCadence::Barrier.label(), "barrier");
-        assert_eq!(DigestCadence::TbBoundary.label(), "tb-boundary");
     }
 
     #[test]

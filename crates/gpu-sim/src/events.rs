@@ -56,8 +56,6 @@ pub enum EventKind {
     BarrierArrive,
     /// Warp blocked at DARSIE branch synchronization.
     BranchSync,
-    /// Warp left the majority path.
-    MajorityEvict,
     /// Warp finished.
     WarpDone,
 }

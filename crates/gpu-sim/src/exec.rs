@@ -7,7 +7,9 @@
 
 use crate::mem::{check_aligned, GlobalMemory};
 use crate::warp::{LaneMask, Warp};
-use simt_isa::{AtomOp, CmpOp, Dim3, Instruction, MemSpace, Op, Operand, Reg, SpecialReg, Value};
+use simt_isa::{
+    AtomOp, CmpOp, Dim3, Instruction, LaunchConfig, MemSpace, Op, Operand, Reg, SpecialReg, Value,
+};
 
 /// Launch-wide context a warp executes against.
 #[derive(Debug)]
@@ -24,6 +26,27 @@ pub struct ExecContext<'a> {
     pub block: Dim3,
     /// This TB's coordinates in the grid.
     pub ctaid: Dim3,
+}
+
+impl<'a> ExecContext<'a> {
+    /// The context of TB `ctaid` of `launch`, over that TB's shared memory.
+    #[inline]
+    #[must_use]
+    pub fn new(
+        global: &'a mut GlobalMemory,
+        shared: &'a mut [u32],
+        launch: &'a LaunchConfig,
+        ctaid: Dim3,
+    ) -> ExecContext<'a> {
+        ExecContext {
+            global,
+            shared,
+            params: &launch.params,
+            grid: launch.grid,
+            block: launch.block,
+            ctaid,
+        }
+    }
 }
 
 /// Timing-relevant outcome of executing an instruction.

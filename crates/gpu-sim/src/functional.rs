@@ -116,16 +116,10 @@ pub fn run_tb_functional<O: FunctionalObserver>(
     global: &mut GlobalMemory,
     observer: &mut O,
 ) {
-    let ws = launch.warp_size;
-    let threads = launch.threads_per_block();
     let num_warps = launch.warps_per_block() as usize;
     let mut shared = vec![0u32; (ck.kernel.shared_mem_bytes as usize).div_ceil(4)];
     let mut warps: Vec<Warp> = (0..num_warps)
-        .map(|w| {
-            let lanes = threads.saturating_sub(w as u32 * ws).min(ws);
-            let full = if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 };
-            Warp::new(w, 0, w as u32, ck.kernel.num_regs, ws, full, w as u64)
-        })
+        .map(|w| Warp::in_block(w, 0, w as u32, ck.kernel.num_regs, launch, w as u64))
         .collect();
     // occurrences[w * n + pc]: how often warp `w` has executed `pc`.
     let n = ck.kernel.instrs.len();
@@ -150,17 +144,8 @@ pub fn run_tb_functional<O: FunctionalObserver>(
             observer.before_instruction(w, pc, occurrence, instr, &warps[w]);
 
             warps[w].advance();
-            let effect = {
-                let mut ctx = ExecContext {
-                    global,
-                    shared: &mut shared,
-                    params: &launch.params,
-                    grid: launch.grid,
-                    block: launch.block,
-                    ctaid,
-                };
-                execute(&mut warps[w], instr, &mut ctx)
-            };
+            let mut ctx = ExecContext::new(global, &mut shared, launch, ctaid);
+            let effect = execute(&mut warps[w], instr, &mut ctx);
             progressed = true;
 
             if let ExecEffect::Memory { space, addrs, is_store, is_atomic } = &effect {

@@ -5,11 +5,12 @@ use crate::config::{GpuConfig, Technique};
 use crate::digest::{
     fold, splitmix64, DigestCadence, DigestConfig, Perturb, RunDigests, FNV_OFFSET,
 };
+use crate::functional::ctaid_at;
 use crate::mem::{DramModel, GlobalMemory, TagCache};
 use crate::sm::{KernelData, Sm};
 use crate::stats::SimStats;
 use simt_compiler::CompiledKernel;
-use simt_isa::{Dim3, LaunchConfig};
+use simt_isa::LaunchConfig;
 use std::sync::Arc;
 
 /// Result of a kernel simulation.
@@ -93,13 +94,6 @@ impl Gpu {
         // Grid iteration order: x fastest, like the hardware dispatcher.
         let total_tbs = launch.num_blocks();
         let mut next_tb: u64 = 0;
-        let grid = launch.grid;
-        let tb_coord = |i: u64| -> Dim3 {
-            let x = (i % u64::from(grid.x)) as u32;
-            let y = ((i / u64::from(grid.x)) % u64::from(grid.y)) as u32;
-            let z = (i / (u64::from(grid.x) * u64::from(grid.y))) as u32;
-            Dim3::three_d(x, y, z)
-        };
 
         let mut global = memory;
         let mut l2 = TagCache::new(self.cfg.l2_lines, self.cfg.l2_assoc);
@@ -114,7 +108,7 @@ impl Gpu {
                     break;
                 }
                 if sm.can_accept_tb() {
-                    sm.launch_tb(tb_coord(next_tb));
+                    sm.launch_tb(ctaid_at(launch.grid, next_tb));
                     next_tb += 1;
                     progress = true;
                 }
@@ -130,7 +124,6 @@ impl Gpu {
 
         let dcfg = self.cfg.digest;
         let mut digests = dcfg.enabled.then(|| RunDigests::new(self.cfg.num_sms));
-        let mut last_barrier_marks: u64 = 0;
 
         let mut now: u64 = 0;
         loop {
@@ -157,17 +150,8 @@ impl Gpu {
                 any_busy |= sm.busy();
             }
             if let Some(d) = digests.as_mut() {
-                let due = match dcfg.cadence {
-                    DigestCadence::Cycle(n) => now.is_multiple_of(n.max(1)),
-                    DigestCadence::Barrier => {
-                        let marks: u64 = sms.iter().map(|s| s.barrier_marks).sum();
-                        let due = marks != last_barrier_marks;
-                        last_barrier_marks = marks;
-                        due
-                    }
-                    DigestCadence::TbBoundary => completed > 0,
-                };
-                if due && dcfg.in_window(now) {
+                let DigestCadence::Cycle(n) = dcfg.cadence;
+                if now.is_multiple_of(n.max(1)) && dcfg.in_window(now) {
                     for sm in &mut sms {
                         sm.catch_up(now);
                     }
@@ -180,7 +164,7 @@ impl Gpu {
                 for sm in &mut sms {
                     while next_tb < total_tbs && sm.can_accept_tb() {
                         sm.wake(now);
-                        sm.launch_tb(tb_coord(next_tb));
+                        sm.launch_tb(ctaid_at(launch.grid, next_tb));
                         next_tb += 1;
                         any_busy = true;
                     }

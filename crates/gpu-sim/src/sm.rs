@@ -18,6 +18,7 @@ use crate::warp::{IBufEntry, Warp, WarpState};
 use darsie::{DarsieConfig, PcCoalescer, ProbeOutcome};
 use simt_compiler::{CompiledKernel, LaunchPlan};
 use simt_isa::{Dim3, LaunchConfig, MemSpace, Op, Reg};
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// Everything static about the running kernel, shared by all SMs.
@@ -67,6 +68,80 @@ struct InFlight {
     leader: Option<(usize, u32)>,
 }
 
+/// The SM's warp or TB slots, each empty or holding one resident `T`.
+/// Indexing asserts the slot is occupied and panics with `what`
+/// otherwise; it is the only such check. `get`/`get_mut` return `None`
+/// for an empty slot. Warps and TBs are separate fields of [`Sm`], so a
+/// warp and its TB can be borrowed at once.
+#[derive(Debug)]
+struct Slots<T> {
+    slots: Vec<Option<T>>,
+    what: &'static str,
+}
+
+impl<T> Slots<T> {
+    fn new(n: usize, what: &'static str) -> Slots<T> {
+        Slots { slots: (0..n).map(|_| None).collect(), what }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<&T> {
+        self.slots.get(i)?.as_ref()
+    }
+
+    #[inline]
+    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    /// Occupied slots with their indices, ascending.
+    fn occupied(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.slots.iter().enumerate().filter_map(|(i, s)| Some((i, s.as_ref()?)))
+    }
+
+    /// Occupied slots' contents, ascending.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+
+    /// The lowest empty slot.
+    fn first_free(&self) -> Option<usize> {
+        self.slots.iter().position(Option::is_none)
+    }
+
+    fn free_count(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_none()).count()
+    }
+
+    fn put(&mut self, i: usize, v: T) {
+        self.slots[i] = Some(v);
+    }
+
+    fn clear(&mut self, i: usize) -> Option<T> {
+        self.slots[i].take()
+    }
+}
+
+impl<T> Index<usize> for Slots<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        self.slots[i].as_ref().expect(self.what)
+    }
+}
+
+impl<T> IndexMut<usize> for Slots<T> {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        self.slots[i].as_mut().expect(self.what)
+    }
+}
+
 /// One streaming multiprocessor.
 #[derive(Debug)]
 pub struct Sm {
@@ -75,8 +150,8 @@ pub struct Sm {
     cfg: GpuConfig,
     technique: Technique,
     kd: Arc<KernelData>,
-    warps: Vec<Option<Warp>>,
-    tbs: Vec<Option<TbState>>,
+    warps: Slots<Warp>,
+    tbs: Slots<TbState>,
     icache: TagCache,
     l1d: TagCache,
     inflight: Vec<InFlight>,
@@ -103,9 +178,9 @@ pub struct Sm {
     pub events: EventLog,
     /// Cycle-accounted profile (only filled when `cfg.profile`).
     pub profile: SmProfile,
-    /// Barrier releases completed on this SM (monotone; the digest layer's
-    /// `Barrier` cadence snapshots when this advances).
-    pub(crate) barrier_marks: u64,
+    /// Barrier releases completed on this SM (monotone; folded into every
+    /// digest epoch's queue component).
+    barrier_marks: u64,
     /// The last cycle simulated or caught up to.
     now: u64,
     /// Set by anything in a cycle that [`Sm::catch_up`] cannot repeat in
@@ -135,8 +210,8 @@ impl Sm {
             cfg: cfg.clone(),
             technique,
             kd,
-            warps: (0..cfg.max_warps_per_sm).map(|_| None).collect(),
-            tbs: (0..cfg.max_tbs_per_sm).map(|_| None).collect(),
+            warps: Slots::new(cfg.max_warps_per_sm as usize, "warp exists"),
+            tbs: Slots::new(cfg.max_tbs_per_sm as usize, "TB exists"),
             icache: TagCache::new(cfg.icache_lines, cfg.icache_assoc),
             l1d: TagCache::new(cfg.l1d_lines, cfg.l1d_assoc),
             inflight: Vec::new(),
@@ -208,7 +283,7 @@ impl Sm {
         // How many more TBs could occupancy still place here (register-,
         // warp- and slot-limited)? The spare registers are shared among
         // them so none loses its seat to renaming space.
-        let free_tb_slots = self.tbs.iter().filter(|t| t.is_none()).count() as u32;
+        let free_tb_slots = self.tbs.free_count() as u32;
         let free_warps = (self.warps.len() - self.resident_warps) as u32;
         let wpb = self.kd.launch.warps_per_block().max(1);
         let placeable = (regs_free / base).min(free_tb_slots).min(free_warps / wpb).max(1);
@@ -222,7 +297,7 @@ impl Sm {
     pub fn can_accept_tb(&self) -> bool {
         let warps_needed = self.kd.launch.warps_per_block() as usize;
         let free_warps = self.warps.len() - self.resident_warps;
-        let free_tbs = self.tbs.iter().any(|t| t.is_none());
+        let free_tbs = self.tbs.first_free().is_some();
         free_warps >= warps_needed
             && free_tbs
             && self.used_regs + self.regs_per_tb() <= self.cfg.vector_regs_per_sm
@@ -317,8 +392,7 @@ impl Sm {
         // Warp-visible state, plus per-warp digests for warp naming.
         let mut warp_state = FNV_OFFSET;
         let mut per_warp = Vec::new();
-        for (slot, w) in self.warps.iter().enumerate() {
-            let Some(w) = w else { continue };
+        for (slot, w) in self.warps.occupied() {
             fold(&mut scoreboard, slot as u64);
             let (pending_regs, pending_preds) = w.scoreboard_words();
             for word in pending_regs {
@@ -339,8 +413,7 @@ impl Sm {
         let mut skip_table = FNV_OFFSET;
         let mut rename = FNV_OFFSET;
         let mut shared_mem = FNV_OFFSET;
-        for (slot, tb) in self.tbs.iter().enumerate() {
-            let Some(tb) = tb else { continue };
+        for (slot, tb) in self.tbs.occupied() {
             fold(&mut skip_table, slot as u64);
             fold(&mut skip_table, u64::from(tb.majority.mask()));
             let mut entries: Vec<_> = tb.skip_table.iter().collect();
@@ -465,7 +538,7 @@ impl Sm {
     /// `xor` into one word of the resident warp's register file (no-op when
     /// the slot is empty).
     pub(crate) fn perturb_warp_reg(&mut self, warp_slot: usize, word: usize, xor: u32) {
-        if let Some(w) = self.warps.get_mut(warp_slot).and_then(|w| w.as_mut()) {
+        if let Some(w) = self.warps.get_mut(warp_slot) {
             if !w.regs.is_empty() {
                 let i = word % w.regs.len();
                 w.regs[i] ^= xor;
@@ -482,34 +555,22 @@ impl Sm {
         assert!(self.can_accept_tb(), "launch_tb without capacity");
         let launch = &self.kd.launch;
         let warps_needed = launch.warps_per_block();
-        let threads = launch.threads_per_block();
-        let ws = launch.warp_size;
-        let tb_slot = self.tbs.iter().position(|t| t.is_none()).expect("free TB slot");
+        let tb_slot = self.tbs.first_free().expect("free TB slot");
 
         let mut slots = Vec::with_capacity(warps_needed as usize);
         for w in 0..warps_needed {
-            let slot = self.warps.iter().position(|x| x.is_none()).expect("free warp slot");
-            let lanes_live = threads.saturating_sub(w * ws).min(ws);
-            let full_mask = if lanes_live >= 32 { u32::MAX } else { (1u32 << lanes_live) - 1 };
-            let warp = Warp::new(
-                slot,
-                tb_slot,
-                w,
-                self.kd.ck.kernel.num_regs,
-                ws,
-                full_mask,
-                self.next_age,
-            );
+            let slot = self.warps.first_free().expect("free warp slot");
+            let num_regs = self.kd.ck.kernel.num_regs;
+            let warp = Warp::in_block(slot, tb_slot, w, num_regs, launch, self.next_age);
             self.next_age += 1;
-            self.warps[slot] = Some(warp);
+            self.warps.put(slot, warp);
             self.resident_warps += 1;
             slots.push(slot);
         }
         let mut dc = self.darsie().cloned().unwrap_or_default();
         let pool = self.rename_pool_for_next_tb();
         dc.rename_regs_per_tb = pool as usize;
-        self.tbs[tb_slot] =
-            Some(TbState::new(ctaid, slots, self.kd.ck.kernel.shared_mem_bytes, &dc));
+        self.tbs.put(tb_slot, TbState::new(ctaid, slots, self.kd.ck.kernel.shared_mem_bytes, &dc));
         self.used_regs += self.regs_per_tb() + pool;
         self.used_smem += self.kd.ck.kernel.shared_mem_bytes;
     }
@@ -560,7 +621,7 @@ impl Sm {
     /// waits on changes only when one of these does.
     fn wake_cycle(&self, now: u64) -> u64 {
         let timers = self.sp_busy.iter().chain([&self.sfu_busy, &self.lsu_busy]).copied();
-        let fetches = self.warps.iter().flatten().map(|w| w.fetch_ready_at);
+        let fetches = self.warps.iter().map(|w| w.fetch_ready_at);
         let writebacks = self.inflight.iter().map(|f| f.done);
         timers.chain(fetches).chain(writebacks).filter(|&t| t > now).min().unwrap_or(u64::MAX)
     }
@@ -618,13 +679,13 @@ impl Sm {
             resident_warps: 0,
             waiting_warps: 0,
         };
-        for tb in self.tbs.iter().flatten() {
+        for tb in self.tbs.iter() {
             s.skip_entries += tb.skip_table.len() as u32;
             s.skip_capacity += tb.skip_table.capacity() as u32;
             s.live_versions += tb.rename.live_versions() as u32;
             s.rename_capacity += tb.rename.capacity() as u32;
         }
-        for w in self.warps.iter().flatten() {
+        for w in self.warps.iter() {
             s.resident_warps += 1;
             if matches!(w.state, WarpState::WaitLeader(..)) {
                 s.waiting_warps += 1;
@@ -640,7 +701,7 @@ impl Sm {
         if self.darsie().is_none() {
             return;
         }
-        for w in self.warps.iter().flatten() {
+        for w in self.warps.iter() {
             match w.state {
                 WarpState::WaitLeader(..) => self.stats.darsie.wait_for_leader_cycles += k,
                 WarpState::BranchSync(..) => self.stats.darsie.branch_sync_cycles += k,
@@ -676,7 +737,7 @@ impl Sm {
         // The issuing warp exited (exit does not wait for pending writes);
         // its slot may now hold a younger warp whose scoreboard and skip
         // table this completion must not touch.
-        let Some(w) = self.warps[f.warp].as_mut().filter(|w| w.age == f.age) else { return };
+        let Some(w) = self.warps.get_mut(f.warp).filter(|w| w.age == f.age) else { return };
         if f.dst.is_some() || f.pdst.is_some() {
             w.scoreboard_stall = None;
         }
@@ -691,8 +752,9 @@ impl Sm {
             let tb_idx = w.tb;
             let warp_in_tb = w.warp_in_tb;
             if self.cfg.profile {
-                let latency = self.tbs[tb_idx]
-                    .as_ref()
+                let latency = self
+                    .tbs
+                    .get(tb_idx)
                     .and_then(|tb| tb.skip_table.find(pc, instance))
                     .filter(|e| e.leader == warp_in_tb)
                     .map(|e| now.saturating_sub(e.created));
@@ -700,7 +762,7 @@ impl Sm {
                     self.profile.leader_latency.record(lat);
                 }
             }
-            if let Some(tb) = self.tbs[tb_idx].as_mut() {
+            if let Some(tb) = self.tbs.get_mut(tb_idx) {
                 let released = tb.skip_table.leader_writeback(pc, instance, warp_in_tb, now);
                 release_warps(&mut self.warps, &tb.warp_slots, released, |s| {
                     s == WarpState::WaitLeader(pc, instance)
@@ -845,7 +907,7 @@ impl Sm {
     /// Why a warp that ended its issue group on a control instruction left
     /// the rest of the group unfilled.
     fn post_control_cause(&self, wslot: usize) -> StallCause {
-        match self.warps[wslot].as_ref() {
+        match self.warps.get(wslot) {
             None => StallCause::IdleNoWarp, // warp exited
             Some(w) => match w.state {
                 WarpState::AtBarrier => StallCause::Barrier,
@@ -863,7 +925,7 @@ impl Sm {
     fn idle_cause(&self, s: usize) -> (StallCause, Option<usize>, Option<usize>) {
         let mut best: Option<(u32, StallCause, Option<usize>, usize)> = None;
         for slot in (s..self.warps.len()).step_by(self.cfg.schedulers_per_sm) {
-            let Some(w) = self.warps[slot].as_ref() else { continue };
+            let Some(w) = self.warps.get(slot) else { continue };
             let (rank, cause, pc) = match w.state {
                 WarpState::WaitLeader(pc, _) => (0, StallCause::WaitLeader, Some(pc)),
                 WarpState::BranchSync(pc) => (1, StallCause::BranchSync, Some(pc)),
@@ -890,7 +952,7 @@ impl Sm {
         let warps = &self.warps;
         candidates.clear();
         candidates.extend((s..warps.len()).step_by(self.cfg.schedulers_per_sm).filter(|&slot| {
-            warps[slot].as_ref().is_some_and(|w| {
+            warps.get(slot).is_some_and(|w| {
                 matches!(w.state, WarpState::Ready | WarpState::WaitLeader(..))
                     && !w.ibuffer.is_empty()
             })
@@ -902,8 +964,7 @@ impl Sm {
             SchedulerPolicy::Gto => {
                 // Oldest first (ages are unique); the greedy warp (last
                 // issued) leads.
-                candidates
-                    .sort_unstable_by_key(|&slot| warps[slot].as_ref().map_or(u64::MAX, |w| w.age));
+                candidates.sort_unstable_by_key(|&slot| warps[slot].age);
                 if let Some(last) = self.gto_last[s] {
                     if let Some(pos) = candidates.iter().position(|&c| c == last) {
                         candidates[..=pos].rotate_right(1);
@@ -935,10 +996,8 @@ impl Sm {
         dram: &mut DramModel,
         banks_used: &mut [u32],
     ) -> IssueOutcome {
-        // Wrong-path flush: after reconvergence switched paths, buffered
-        // entries no longer match the warp's next PC.
         {
-            let Some(w) = self.warps[wslot].as_mut() else {
+            let Some(w) = self.warps.get_mut(wslot) else {
                 return IssueOutcome::Stall { cause: StallCause::IdleNoWarp, pc: None };
             };
             if let Some(pc) = w.scoreboard_stall {
@@ -950,18 +1009,9 @@ impl Sm {
                 );
                 return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
             }
-            let front_pc = w.ibuffer.front().map(|e| match e {
-                IBufEntry::Instr { pc, .. }
-                | IBufEntry::SkipMarker { pc, .. }
-                | IBufEntry::Ghost { pc } => *pc,
-            });
-            if let (Some(fpc), Some(npc)) = (front_pc, w.next_pc()) {
-                if fpc != npc {
-                    w.ibuffer.clear();
-                    w.fetch_blocked = false;
-                    self.progress = true;
-                    return IssueOutcome::Stall { cause: StallCause::IBufferEmpty, pc: None };
-                }
+            if w.flush_wrong_path() {
+                self.progress = true;
+                return IssueOutcome::Stall { cause: StallCause::IBufferEmpty, pc: None };
             }
         }
         // Absorb leading zero-cost entries (skip markers / ghosts). When
@@ -969,9 +1019,7 @@ impl Sm {
         // the frontend elimination rather than an empty I-buffer.
         let mut absorbed = 0usize;
         loop {
-            let Some(w) = self.warps[wslot].as_mut() else {
-                return IssueOutcome::Stall { cause: StallCause::IdleNoWarp, pc: None };
-            };
+            let w = &mut self.warps[wslot];
             match w.ibuffer.front() {
                 Some(&IBufEntry::SkipMarker { pc, dst, .. }) => {
                     if w.is_pending(dst) {
@@ -985,7 +1033,7 @@ impl Sm {
                     if self.cfg.shadow_check {
                         self.shadow_check_marker(wslot, pc, dst, &values, global);
                     }
-                    let w = self.warps[wslot].as_mut().expect("warp exists");
+                    let w = &mut self.warps[wslot];
                     w.set_reg_vector(dst, &values);
                     let _ = w.record_pass(pc);
                     w.advance();
@@ -996,8 +1044,7 @@ impl Sm {
                         self.profile.per_pc.entry(pc).or_default().skipped += 1;
                     }
                 }
-                Some(IBufEntry::Ghost { .. }) => {
-                    let Some(&IBufEntry::Ghost { pc }) = w.ibuffer.front() else { unreachable!() };
+                Some(&IBufEntry::Ghost { pc }) => {
                     let instr = kd.instr(pc);
                     if !w.scoreboard_ready(instr) {
                         return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
@@ -1013,19 +1060,8 @@ impl Sm {
                     // wrong-path work the baseline would not execute
                     // either).
                     self.stats.instrs_skipped.add(self.kd.plan.taxonomy[pc], 1);
-                    let tb_idx = w.tb;
-                    let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-                    let warp = self.warps[wslot].as_mut().expect("warp exists");
-                    let mut ctx = ExecContext {
-                        global,
-                        shared: &mut tb.shared,
-                        params: &self.kd.launch.params,
-                        grid: self.kd.launch.grid,
-                        block: self.kd.launch.block,
-                        ctaid: tb.ctaid,
-                    };
-                    let _ = execute(warp, instr, &mut ctx);
-                    warp.reconverge();
+                    let _ = self.execute_warp(wslot, instr, global);
+                    self.warps[wslot].reconverge();
                 }
                 _ => break,
             }
@@ -1036,9 +1072,7 @@ impl Sm {
         // simply behind.
         let drained =
             if absorbed > 0 { StallCause::SkippedByDarsie } else { StallCause::IBufferEmpty };
-        let Some(w) = self.warps[wslot].as_ref() else {
-            return IssueOutcome::Stall { cause: StallCause::IdleNoWarp, pc: None };
-        };
+        let w = &self.warps[wslot];
         match w.state {
             WarpState::Ready | WarpState::WaitLeader(..) => {}
             WarpState::AtBarrier => {
@@ -1056,7 +1090,7 @@ impl Sm {
         };
         let instr = kd.instr(pc);
         if !w.scoreboard_ready(instr) {
-            self.warps[wslot].as_mut().expect("warp exists").scoreboard_stall = Some(pc);
+            self.warps[wslot].scoreboard_stall = Some(pc);
             return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
         }
 
@@ -1087,7 +1121,7 @@ impl Sm {
         // inactive lanes and key with stale lane-0 values).
         let mut uv_key = None;
         if matches!(self.technique, Technique::Uv)
-            && self.warps[wslot].as_ref().expect("warp exists").fully_active()
+            && self.warps[wslot].fully_active()
             && self.kd.plan.uv_uniform[pc]
             && instr.guard.is_none()
             && !matches!(instr.op, Op::Sel(_))
@@ -1104,11 +1138,11 @@ impl Sm {
     /// SILICON-SYNC gate: returns true when the warp must stall.
     fn silicon_sync_gate(&mut self, _now: u64, wslot: usize) -> bool {
         let (tb_idx, warp_in_tb) = {
-            let w = self.warps[wslot].as_ref().expect("warp exists");
+            let w = &self.warps[wslot];
             (w.tb, w.warp_in_tb as usize)
         };
-        let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-        let w = self.warps[wslot].as_mut().expect("warp exists");
+        let tb = &mut self.tbs[tb_idx];
+        let w = &mut self.warps[wslot];
         if !w.bb_pending {
             // Register this crossing and start waiting.
             tb.bb_crossings[warp_in_tb] += 1;
@@ -1125,10 +1159,10 @@ impl Sm {
         let all_reached = tb.warp_slots.iter().enumerate().all(|(i, &slot)| {
             tb.live_mask & (1 << i) == 0
                 || tb.bb_crossings[i] >= my
-                || warps[slot].as_ref().is_none_or(|other| other.state == WarpState::AtBarrier)
+                || warps.get(slot).is_none_or(|other| other.state == WarpState::AtBarrier)
         });
         if all_reached {
-            self.warps[wslot].as_mut().expect("warp exists").bb_pending = false;
+            self.warps[wslot].bb_pending = false;
             self.progress = true;
         }
         !all_reached
@@ -1147,7 +1181,7 @@ impl Sm {
         global: &mut GlobalMemory,
         banks_used: &mut [u32],
     ) -> Result<(), crate::reuse::ReuseKey> {
-        let w = self.warps[wslot].as_mut().expect("warp exists");
+        let w = &mut self.warps[wslot];
         // Operand signature from lane 0 (UV only targets warp-uniform
         // operands). S2R has implicit inputs: fold in the TB identity.
         let mut sig_words: Vec<u32> = instr
@@ -1159,7 +1193,7 @@ impl Sm {
             })
             .collect();
         if let Op::S2R(_) = instr.op {
-            let tb = self.tbs[w.tb].as_ref().expect("TB exists");
+            let tb = &self.tbs[w.tb];
             sig_words.push(tb.ctaid.x);
             sig_words.push(tb.ctaid.y);
             sig_words.push(tb.ctaid.z);
@@ -1174,7 +1208,7 @@ impl Sm {
                     self.shadow_check_marker(wslot, pc, d, &vals, global);
                 }
             }
-            let w = self.warps[wslot].as_mut().expect("warp exists");
+            let w = &mut self.warps[wslot];
             if let Some(d) = instr.dst {
                 w.set_reg_vector(d, &vals);
                 self.stats.rf_writes += 1;
@@ -1199,7 +1233,7 @@ impl Sm {
         instr: &simt_isa::Instruction,
         banks_used: &mut [u32],
     ) {
-        let w = self.warps[wslot].as_ref().expect("warp exists");
+        let w = &self.warps[wslot];
         let base = w.slot as u32 * u32::from(self.kd.ck.kernel.num_regs);
         let darsie_active = self.darsie().is_some();
         for r in instr.src_regs() {
@@ -1231,24 +1265,20 @@ impl Sm {
     ) -> IssueOutcome {
         self.charge_operand_reads(wslot, instr, banks_used);
         let (tb_idx, warp_in_tb) = {
-            let w = self.warps[wslot].as_ref().expect("warp exists");
+            let w = &self.warps[wslot];
             (w.tb, w.warp_in_tb)
         };
 
         // Instance accounting: every completed occurrence of a skippable
         // PC counts, whether skipped, led, or executed normally.
         if self.kd.plan.skippable[pc] && self.darsie().is_some() {
-            let instance = {
-                let w = self.warps[wslot].as_mut().expect("warp exists");
-                w.record_pass(pc)
-            };
+            let instance = self.warps[wslot].record_pass(pc);
             if leader.is_none() {
                 // A warp that lost its skip window executed the redundant
                 // instruction itself: the skip entry no longer needs it,
                 // and the warp's private write supersedes any shared
                 // version it was bound to.
-                let warp_in_tb = self.warps[wslot].as_ref().expect("warp exists").warp_in_tb;
-                let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+                let tb = &mut self.tbs[tb_idx];
                 if let Some(d) = instr.dst {
                     tb.rename.unbind(warp_in_tb, d.0);
                 }
@@ -1260,21 +1290,10 @@ impl Sm {
         }
 
         // Functional execution.
-        let effect = {
-            let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-            let w = self.warps[wslot].as_mut().expect("warp exists");
-            w.ibuffer.pop_front();
-            w.advance();
-            let mut ctx = ExecContext {
-                global,
-                shared: &mut tb.shared,
-                params: &self.kd.launch.params,
-                grid: self.kd.launch.grid,
-                block: self.kd.launch.block,
-                ctaid: tb.ctaid,
-            };
-            execute(w, instr, &mut ctx)
-        };
+        let w = &mut self.warps[wslot];
+        w.ibuffer.pop_front();
+        w.advance();
+        let effect = self.execute_warp(wslot, instr, global);
         self.stats.instrs_executed += 1;
         self.stats.executed_taxonomy.add(self.kd.plan.taxonomy[pc], 1);
         if self.cfg.profile {
@@ -1285,25 +1304,21 @@ impl Sm {
         // UV: remember the result for future reuse.
         if let Some(key) = uv_key {
             if let Some(d) = instr.dst {
-                let w = self.warps[wslot].as_ref().expect("warp exists");
-                self.uv_reuse.insert(key, w.reg_vector(d).into_boxed_slice());
+                self.uv_reuse.insert(key, self.warps[wslot].reg_vector(d).into_boxed_slice());
             }
         }
 
         // Leader snapshot: capture the produced vector for followers.
         if let Some(instance) = leader {
             if let Some(d) = instr.dst {
-                let w = self.warps[wslot].as_ref().expect("warp exists");
-                let vals = w.reg_vector(d).into_boxed_slice();
-                let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-                tb.snapshots.insert((pc, instance), vals);
+                let vals = self.warps[wslot].reg_vector(d).into_boxed_slice();
+                self.tbs[tb_idx].snapshots.insert((pc, instance), vals);
             }
         }
 
         match effect {
             ExecEffect::None => {
-                let w = self.warps[wslot].as_mut().expect("warp exists");
-                w.reconverge();
+                self.warps[wslot].reconverge();
                 let kind = instr.op.kind();
                 let lat = timing::exec_latency(&self.cfg, kind);
                 match timing::exec_unit(kind) {
@@ -1325,33 +1340,28 @@ impl Sm {
             ExecEffect::Barrier => {
                 self.stats.barrier_waits += 1;
                 self.trace(wslot, pc, EventKind::BarrierArrive);
-                let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-                let released = tb.arrive_barrier(warp_in_tb);
-                let w = self.warps[wslot].as_mut().expect("warp exists");
-                w.reconverge();
+                let released = self.tbs[tb_idx].arrive_barrier(warp_in_tb);
+                self.warps[wslot].reconverge();
                 match released {
                     Some(mask) => {
                         self.barrier_marks += 1;
                         // Everyone (including this warp) proceeds.
-                        let slots = &self.tbs[tb_idx].as_ref().expect("TB").warp_slots;
+                        let slots = &self.tbs[tb_idx].warp_slots;
                         release_warps(&mut self.warps, slots, mask, |s| s == WarpState::AtBarrier);
                     }
-                    None => {
-                        let w = self.warps[wslot].as_mut().expect("warp exists");
-                        w.state = WarpState::AtBarrier;
-                    }
+                    None => self.warps[wslot].state = WarpState::AtBarrier,
                 }
                 IssueOutcome::IssuedControl { tb_done: 0 }
             }
             ExecEffect::Exit => {
-                let w = self.warps[wslot].as_mut().expect("warp exists");
+                let w = &mut self.warps[wslot];
                 let done = w.exit_path();
                 w.reconverge();
                 let mut tb_done = 0;
                 if done {
                     w.fetch_blocked = false;
                     self.trace(wslot, pc, EventKind::WarpDone);
-                    let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+                    let tb = &mut self.tbs[tb_idx];
                     if tb.retire_warp(warp_in_tb) {
                         self.free_tb(tb_idx);
                         tb_done = 1;
@@ -1359,14 +1369,13 @@ impl Sm {
                     } else {
                         self.after_majority_change(tb_idx);
                     }
-                    self.warps[wslot] = None;
+                    self.warps.clear(wslot);
                     self.resident_warps -= 1;
                 }
                 IssueOutcome::IssuedControl { tb_done }
             }
             ExecEffect::Memory { space, addrs, is_store, is_atomic } => {
-                let w = self.warps[wslot].as_mut().expect("warp exists");
-                w.reconverge();
+                self.warps[wslot].reconverge();
                 self.handle_memory(
                     now, wslot, tb_idx, pc, leader, instr, space, &addrs, is_store, is_atomic, l2,
                     dram,
@@ -1374,6 +1383,20 @@ impl Sm {
                 IssueOutcome::Issued
             }
         }
+    }
+
+    /// Executes `instr` functionally for the warp in `wslot`, against its
+    /// TB's shared memory.
+    #[inline]
+    fn execute_warp(
+        &mut self,
+        wslot: usize,
+        instr: &simt_isa::Instruction,
+        global: &mut GlobalMemory,
+    ) -> ExecEffect {
+        let w = &mut self.warps[wslot];
+        let tb = &mut self.tbs[w.tb];
+        execute(w, instr, &mut ExecContext::new(global, &mut tb.shared, &self.kd.launch, tb.ctaid))
     }
 
     /// Common post-issue bookkeeping for latency ops.
@@ -1385,7 +1408,7 @@ impl Sm {
         leader: Option<u32>,
         instr: &simt_isa::Instruction,
     ) {
-        let w = self.warps[wslot].as_mut().expect("warp exists");
+        let w = &mut self.warps[wslot];
         if let Some(d) = instr.dst {
             w.mark_pending(d);
         }
@@ -1416,7 +1439,7 @@ impl Sm {
     ) -> IssueOutcome {
         let reconv = self.kd.ck.recon.recon[pc].unwrap_or(usize::MAX);
         let (diverged, next_pc) = {
-            let w = self.warps[wslot].as_mut().expect("warp exists");
+            let w = &mut self.warps[wslot];
             let diverged = w.take_branch(pc, target, taken, reconv);
             w.reconverge();
             debug_assert!(
@@ -1431,7 +1454,7 @@ impl Sm {
         // DARSIE branch synchronization (Section 4.3.3).
         let wants_sync = self.darsie().is_some_and(|d| !d.no_cf_sync);
         if wants_sync && instr.guard.is_some() {
-            let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+            let tb = &mut self.tbs[tb_idx];
             if tb.majority.contains(warp_in_tb) {
                 if diverged {
                     // Intra-warp divergence: leave the majority path, do
@@ -1446,8 +1469,7 @@ impl Sm {
                     match resolved {
                         Some(_) => self.apply_branch_sync_resolution(tb_idx, resolved),
                         None => {
-                            let w = self.warps[wslot].as_mut().expect("warp exists");
-                            w.state = WarpState::BranchSync(pc);
+                            self.warps[wslot].state = WarpState::BranchSync(pc);
                             self.trace(wslot, pc, EventKind::BranchSync);
                         }
                     }
@@ -1460,27 +1482,20 @@ impl Sm {
     fn apply_branch_sync_resolution(&mut self, tb_idx: usize, resolved: Option<(u32, Vec<u32>)>) {
         let Some((released, evicted)) = resolved else { return };
         self.stats.darsie.majority_evictions += evicted.len() as u64;
-        let slots = &self.tbs[tb_idx].as_ref().expect("TB exists").warp_slots;
+        let slots = &self.tbs[tb_idx].warp_slots;
         release_warps(&mut self.warps, slots, released, |s| matches!(s, WarpState::BranchSync(_)));
     }
 
     /// Re-evaluates pending synchronizations after the majority mask or
     /// live mask shrank (warp exit).
     fn after_majority_change(&mut self, tb_idx: usize) {
-        let pending = {
-            let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-            tb.pending_branch_syncs()
-        };
-        for pc in pending {
-            let resolved = {
-                let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-                tb.check_branch_sync(pc)
-            };
+        for pc in self.tbs[tb_idx].pending_branch_syncs() {
+            let resolved = self.tbs[tb_idx].check_branch_sync(pc);
             self.apply_branch_sync_resolution(tb_idx, resolved);
         }
         // Barrier may also now be complete.
         let released = {
-            let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+            let tb = &mut self.tbs[tb_idx];
             if tb.barrier_arrived != 0 && tb.barrier_arrived & tb.live_mask == tb.live_mask {
                 tb.arrive_barrier_completion()
             } else {
@@ -1489,10 +1504,10 @@ impl Sm {
         };
         if let Some(mask) = released {
             self.barrier_marks += 1;
-            let slots = &self.tbs[tb_idx].as_ref().expect("TB exists").warp_slots;
+            let slots = &self.tbs[tb_idx].warp_slots;
             release_warps(&mut self.warps, slots, mask, |s| s == WarpState::AtBarrier);
         }
-        let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+        let tb = &mut self.tbs[tb_idx];
         let must = tb.must_pass_mask();
         if tb.skip_table.sweep(must) > 0 {
             tb.gc_versions();
@@ -1595,8 +1610,10 @@ impl Sm {
         // conservatively flush the TB bank either way (the table does not
         // distinguish spaces beyond IsLoad).
         let _ = space;
-        for (t, tb) in self.tbs.iter_mut().enumerate() {
-            let Some(tb) = tb.as_mut().filter(|_| is_atomic || t == tb_idx) else { continue };
+        for t in 0..self.tbs.len() {
+            let Some(tb) = self.tbs.get_mut(t).filter(|_| is_atomic || t == tb_idx) else {
+                continue;
+            };
             let (n, released) = tb.skip_table.invalidate_loads(&mut self.stats.darsie);
             if n > 0 {
                 tb.gc_versions();
@@ -1608,8 +1625,7 @@ impl Sm {
     }
 
     fn free_tb(&mut self, tb_idx: usize) {
-        let pool = self.tbs[tb_idx].as_ref().map_or(0, |t| t.rename.capacity() as u32);
-        self.tbs[tb_idx] = None;
+        let pool = self.tbs.clear(tb_idx).map_or(0, |t| t.rename.capacity() as u32);
         self.used_regs -= self.regs_per_tb() + pool;
         self.used_smem -= self.kd.ck.kernel.shared_mem_bytes;
     }
@@ -1626,19 +1642,9 @@ impl Sm {
     ) {
         let kd = Arc::clone(&self.kd);
         let instr = kd.instr(pc);
-        let tb_idx = self.warps[wslot].as_ref().expect("warp exists").tb;
-        let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-        let w = self.warps[wslot].as_mut().expect("warp exists");
-        let before = w.reg_vector(dst);
-        let mut ctx = ExecContext {
-            global,
-            shared: &mut tb.shared,
-            params: &self.kd.launch.params,
-            grid: self.kd.launch.grid,
-            block: self.kd.launch.block,
-            ctaid: tb.ctaid,
-        };
-        let _ = execute(w, instr, &mut ctx);
+        let before = self.warps[wslot].reg_vector(dst);
+        let _ = self.execute_warp(wslot, instr, global);
+        let w = &mut self.warps[wslot];
         let recomputed = w.reg_vector(dst);
         w.set_reg_vector(dst, &before);
         assert_eq!(
@@ -1661,7 +1667,7 @@ impl Sm {
                 break;
             }
             let slot = (self.fetch_rr + off) % n;
-            let eligible = self.warps[slot].as_ref().is_some_and(|w| {
+            let eligible = self.warps.get(slot).is_some_and(|w| {
                 w.state == WarpState::Ready
                     && !w.fetch_blocked
                     && w.fetch_ready_at <= now
@@ -1688,24 +1694,12 @@ impl Sm {
         // Flush wrong-path prefetch before working at the frontier: after
         // a reconvergence pop, buffered entries may belong to the popped
         // path, and the skipper must not extend a stale frontier.
-        {
-            let w = self.warps[wslot].as_mut().expect("warp exists");
-            let front_pc = w.ibuffer.front().map(|e| match e {
-                IBufEntry::Instr { pc, .. }
-                | IBufEntry::SkipMarker { pc, .. }
-                | IBufEntry::Ghost { pc } => *pc,
-            });
-            if let (Some(fpc), Some(npc)) = (front_pc, w.next_pc()) {
-                if fpc != npc {
-                    debug_assert!(
-                        w.ibuffer.iter().all(|e| !matches!(e, IBufEntry::SkipMarker { .. })),
-                        "skip markers must never be on a wrong path"
-                    );
-                    w.ibuffer.clear();
-                    w.fetch_blocked = false;
-                    self.progress = true;
-                }
-            }
+        let w = &mut self.warps[wslot];
+        let markers = cfg!(debug_assertions)
+            && w.ibuffer.iter().any(|e| matches!(e, IBufEntry::SkipMarker { .. }));
+        if w.flush_wrong_path() {
+            debug_assert!(!markers, "skip markers must never be on a wrong path");
+            self.progress = true;
         }
         // Technique-specific pre-fetch elimination.
         if !self.pre_fetch_eliminate(now, wslot) {
@@ -1740,7 +1734,7 @@ impl Sm {
     }
 
     fn fetch_burst(&mut self, now: u64, wslot: usize) -> bool {
-        let w = self.warps[wslot].as_ref().expect("warp exists");
+        let w = &self.warps[wslot];
         if w.state != WarpState::Ready
             || w.fetch_blocked
             || w.ibuffer_instrs() >= self.cfg.ibuffer_entries
@@ -1754,19 +1748,15 @@ impl Sm {
 
         // One I-cache access per fetch (line of the first instruction).
         self.progress = true;
-        self.stats.icache_accesses += 1;
-        let line = simt_isa::Kernel::byte_pc(pc) / GpuConfig::LINE_BYTES;
-        if !self.icache.access(line) {
-            self.stats.icache_misses += 1;
-            let w = self.warps[wslot].as_mut().expect("warp exists");
-            w.fetch_ready_at = now + timing::fetch_miss_penalty(&self.cfg);
+        if !self.charge_fetch(pc) {
+            self.warps[wslot].fetch_ready_at = now + timing::fetch_miss_penalty(&self.cfg);
             return true;
         }
 
         let mut delivered = 0;
         while delivered < self.cfg.instrs_per_fetch {
             let (pc, room) = {
-                let w = self.warps[wslot].as_ref().expect("warp exists");
+                let w = &self.warps[wslot];
                 (w.fetch_pc(), w.ibuffer_instrs() < self.cfg.ibuffer_entries)
             };
             let Some(pc) = pc else { break };
@@ -1781,7 +1771,7 @@ impl Sm {
             }
             let op = self.kd.instr(pc).op;
             self.trace(wslot, pc, EventKind::Fetch);
-            let w = self.warps[wslot].as_mut().expect("warp exists");
+            let w = &mut self.warps[wslot];
             w.ibuffer.push_back(IBufEntry::Instr { pc, leader: None });
             self.stats.instrs_fetched += 1;
             delivered += 1;
@@ -1793,11 +1783,23 @@ impl Sm {
         delivered > 0
     }
 
+    /// Charges one I-cache access for the line holding `pc`; false on a
+    /// miss.
+    fn charge_fetch(&mut self, pc: usize) -> bool {
+        self.stats.icache_accesses += 1;
+        let line = simt_isa::Kernel::byte_pc(pc) / GpuConfig::LINE_BYTES;
+        let hit = self.icache.access(line);
+        if !hit {
+            self.stats.icache_misses += 1;
+        }
+        hit
+    }
+
     /// DAC-IDEAL: transfer affine instructions at the fetch frontier onto
     /// the (free) affine stream. Unlimited per cycle — idealized.
     fn dac_ghost_loop(&mut self, wslot: usize) {
         loop {
-            let w = self.warps[wslot].as_ref().expect("warp exists");
+            let w = &self.warps[wslot];
             if w.fetch_blocked {
                 return;
             }
@@ -1805,8 +1807,7 @@ impl Sm {
             if pc >= self.kd.ck.kernel.len() || !self.kd.plan.dac_affine[pc] {
                 return;
             }
-            let w = self.warps[wslot].as_mut().expect("warp exists");
-            w.ibuffer.push_back(IBufEntry::Ghost { pc });
+            self.warps[wslot].ibuffer.push_back(IBufEntry::Ghost { pc });
             self.progress = true;
         }
     }
@@ -1815,7 +1816,7 @@ impl Sm {
     /// give up and execute the (redundant) instruction normally.
     fn leader_stall_or_give_up(&mut self, wslot: usize) -> bool {
         let max_stall = self.darsie().map_or(64, |d| d.max_leader_stall);
-        let w = self.warps[wslot].as_mut().expect("warp exists");
+        let w = &mut self.warps[wslot];
         w.leader_stall += 1;
         if w.leader_stall > max_stall {
             w.leader_stall = 0;
@@ -1839,7 +1840,7 @@ impl Sm {
         };
         for iter in 0..=max_skips {
             let (tb_idx, warp_in_tb, pc) = {
-                let w = self.warps[wslot].as_ref().expect("warp exists");
+                let w = &self.warps[wslot];
                 if w.fetch_blocked {
                     return true;
                 }
@@ -1852,7 +1853,7 @@ impl Sm {
             // Occupancy left no spare registers for this TB's renaming
             // pool: skipping is disabled for it (paper: DARSIE never
             // trades occupancy for renaming space).
-            if self.tbs[tb_idx].as_ref().expect("TB exists").rename.capacity() == 0 {
+            if self.tbs[tb_idx].rename.capacity() == 0 {
                 return true;
             }
             if iter == max_skips {
@@ -1861,14 +1862,9 @@ impl Sm {
                 return false;
             }
             // Participation: full active mask, on the majority path.
+            if !self.warps[wslot].fully_active() || !self.tbs[tb_idx].majority.contains(warp_in_tb)
             {
-                if !self.warps[wslot].as_ref().expect("warp exists").fully_active() {
-                    return true;
-                }
-                let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-                if !tb.majority.contains(warp_in_tb) {
-                    return true;
-                }
+                return true;
             }
             // Skip-table port arbitration via the PC coalescer. A warp
             // whose probe loses port arbitration retries next cycle; it
@@ -1877,31 +1873,20 @@ impl Sm {
             if !self.pc_coalescer.request(pc, &mut self.stats.darsie) {
                 return false;
             }
-            let instance = {
-                let w = self.warps[wslot].as_ref().expect("warp exists");
-                w.frontier_instance(pc)
-            };
-            let outcome = {
-                let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-                tb.skip_table.probe(pc, instance, &mut self.stats.darsie)
-            };
+            let instance = self.warps[wslot].frontier_instance(pc);
+            let outcome = self.tbs[tb_idx].skip_table.probe(pc, instance, &mut self.stats.darsie);
             match outcome {
                 ProbeOutcome::Skip => {
                     let instr = self.kd.instr(pc);
                     let dst = instr.dst.expect("skippable instructions write a register");
                     let taxonomy = self.kd.plan.taxonomy[pc];
-                    let values = {
-                        let tb = self.tbs[tb_idx].as_ref().expect("TB exists");
-                        tb.snapshots
-                            .get(&(pc, instance))
-                            .expect("leader_wb implies a snapshot")
-                            .clone()
-                    };
-                    {
-                        let w = self.warps[wslot].as_mut().expect("warp exists");
-                        w.ibuffer.push_back(IBufEntry::SkipMarker { pc, dst, values });
-                    }
-                    let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+                    let values = self.tbs[tb_idx]
+                        .snapshots
+                        .get(&(pc, instance))
+                        .expect("leader_wb implies a snapshot")
+                        .clone();
+                    self.warps[wslot].ibuffer.push_back(IBufEntry::SkipMarker { pc, dst, values });
+                    let tb = &mut self.tbs[tb_idx];
                     // Rename bookkeeping: the follower rebinds its view of
                     // the register to the leader's version, releasing the
                     // version it held before (freeing exhausted pregs).
@@ -1920,15 +1905,12 @@ impl Sm {
                 }
                 ProbeOutcome::BecomeLeader => {
                     // The leader's instruction needs a real I-buffer slot.
-                    {
-                        let w = self.warps[wslot].as_ref().expect("warp exists");
-                        if w.ibuffer_instrs() >= self.cfg.ibuffer_entries {
-                            return true;
-                        }
+                    if self.warps[wslot].ibuffer_instrs() >= self.cfg.ibuffer_entries {
+                        return true;
                     }
                     let is_load = self.kd.plan.skippable_is_load[pc];
                     let dst = self.kd.instr(pc).dst.expect("skippable writes a register");
-                    let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+                    let tb = &mut self.tbs[tb_idx];
                     // The write-synchronization ablation (paper Section 4.1
                     // option 1): a new version of a register may not be
                     // created while an older skip entry for the same
@@ -1962,8 +1944,8 @@ impl Sm {
                     ) {
                         return self.leader_stall_or_give_up(wslot);
                     }
-                    self.warps[wslot].as_mut().expect("warp exists").leader_stall = 0;
-                    let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
+                    self.warps[wslot].leader_stall = 0;
+                    let tb = &mut self.tbs[tb_idx];
                     // The insert may have LRU-evicted an entry; reclaim its
                     // version and snapshot.
                     tb.gc_versions();
@@ -1972,24 +1954,19 @@ impl Sm {
                         .allocate_version(warp_in_tb, dst.0, &mut self.stats.darsie)
                         .expect("freelist checked non-empty this cycle");
                     tb.entry_versions.insert((pc, instance), (dst.0, version));
-                    let w = self.warps[wslot].as_mut().expect("warp exists");
-                    w.ibuffer.push_back(IBufEntry::Instr { pc, leader: Some(instance) });
+                    self.warps[wslot]
+                        .ibuffer
+                        .push_back(IBufEntry::Instr { pc, leader: Some(instance) });
                     self.stats.instrs_fetched += 1;
                     self.trace(wslot, pc, EventKind::Lead);
                     // The leader's instruction still consumes fetch work:
-                    // charge the I-cache access.
-                    self.stats.icache_accesses += 1;
-                    let line = simt_isa::Kernel::byte_pc(pc) / GpuConfig::LINE_BYTES;
-                    if !self.icache.access(line) {
-                        self.stats.icache_misses += 1;
-                    }
+                    // charge the I-cache access (a miss does not delay it).
+                    let _ = self.charge_fetch(pc);
                     // Continue the loop: following instructions may skip.
                 }
                 ProbeOutcome::WaitForLeader => {
-                    let tb = self.tbs[tb_idx].as_mut().expect("TB exists");
-                    tb.skip_table.record_wait(pc, instance, warp_in_tb, now);
-                    let w = self.warps[wslot].as_mut().expect("warp exists");
-                    w.state = WarpState::WaitLeader(pc, instance);
+                    self.tbs[tb_idx].skip_table.record_wait(pc, instance, warp_in_tb, now);
+                    self.warps[wslot].state = WarpState::WaitLeader(pc, instance);
                     self.trace(wslot, pc, EventKind::WaitLeader);
                     return false;
                 }
@@ -2011,14 +1988,14 @@ enum IssueOutcome {
 /// Readies the warps of one TB (`slots`, indexed by warp-in-TB) that
 /// `mask` selects and whose state `parked` accepts.
 fn release_warps(
-    warps: &mut [Option<Warp>],
+    warps: &mut Slots<Warp>,
     slots: &[usize],
     mask: u32,
     parked: impl Fn(WarpState) -> bool,
 ) {
     for (i, &slot) in slots.iter().enumerate() {
         if mask & (1 << i) != 0 {
-            if let Some(w) = warps[slot].as_mut() {
+            if let Some(w) = warps.get_mut(slot) {
                 if parked(w.state) {
                     w.state = WarpState::Ready;
                 }

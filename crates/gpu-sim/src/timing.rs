@@ -112,15 +112,6 @@ pub fn dram_line_latency(cfg: &GpuConfig) -> u64 {
     cfg.l1_latency + cfg.dram_latency
 }
 
-/// `[min, max]` completion latency of a single global line, before DRAM
-/// queueing. Stores and atomics write through L1, so their fastest path is
-/// an L2 hit; loads can hit in L1.
-#[must_use]
-pub fn global_line_latency_bounds(cfg: &GpuConfig, is_store_or_atomic: bool) -> (u64, u64) {
-    let min = if is_store_or_atomic { l2_hit_latency(cfg) } else { l1_hit_latency(cfg) };
-    (min, dram_line_latency(cfg))
-}
-
 /// Extra serialization an atomic pays on top of its line latencies, as a
 /// function of its active-lane count.
 #[must_use]

@@ -2,7 +2,7 @@
 //! the SIMT reconvergence stack, instruction buffer and scoreboard.
 
 use simt_isa::reg::NUM_PREDS;
-use simt_isa::{Instruction, Pred, Reg};
+use simt_isa::{Instruction, LaunchConfig, Pred, Reg};
 use std::collections::{HashMap, VecDeque};
 
 /// A 32-bit lane mask.
@@ -51,6 +51,19 @@ pub enum IBufEntry {
         /// Static instruction index.
         pc: usize,
     },
+}
+
+impl IBufEntry {
+    /// The static instruction index this entry stands for.
+    #[inline]
+    #[must_use]
+    pub fn pc(&self) -> usize {
+        match *self {
+            IBufEntry::Instr { pc, .. }
+            | IBufEntry::SkipMarker { pc, .. }
+            | IBufEntry::Ghost { pc } => pc,
+        }
+    }
 }
 
 /// Scheduling state of a warp.
@@ -167,6 +180,24 @@ impl Warp {
         }
     }
 
+    /// Warp `warp_in_tb` of one block of `launch`: its live lanes are the
+    /// block's threads that fall in it (a block's last warp may be
+    /// partial).
+    #[must_use]
+    pub(crate) fn in_block(
+        slot: usize,
+        tb: usize,
+        warp_in_tb: u32,
+        num_regs: u16,
+        launch: &LaunchConfig,
+        age: u64,
+    ) -> Warp {
+        let ws = launch.warp_size;
+        let lanes = launch.threads_per_block().saturating_sub(warp_in_tb * ws).min(ws);
+        let full = if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 };
+        Warp::new(slot, tb, warp_in_tb, num_regs, ws, full, age)
+    }
+
     /// The SIMT width this warp was created with.
     #[must_use]
     pub fn warp_size(&self) -> u32 {
@@ -220,6 +251,22 @@ impl Warp {
     #[must_use]
     pub fn ibuffer_instrs(&self) -> usize {
         self.ibuffer.iter().filter(|e| matches!(e, IBufEntry::Instr { .. })).count()
+    }
+
+    /// Flushes wrong-path entries: after reconvergence switched paths, the
+    /// buffered entries no longer start at the warp's next PC. Empties the
+    /// I-buffer and unblocks fetch; returns true when it flushed.
+    #[inline]
+    pub(crate) fn flush_wrong_path(&mut self) -> bool {
+        let stale = matches!(
+            (self.ibuffer.front(), self.next_pc()),
+            (Some(e), Some(npc)) if e.pc() != npc
+        );
+        if stale {
+            self.ibuffer.clear();
+            self.fetch_blocked = false;
+        }
+        stale
     }
 
     /// Advances the executing path past one sequential instruction.
@@ -411,15 +458,7 @@ impl Warp {
     /// `pc`: completed passes plus occurrences already buffered, plus one.
     #[must_use]
     pub fn frontier_instance(&self, pc: usize) -> u32 {
-        let buffered = self
-            .ibuffer
-            .iter()
-            .filter(|e| match e {
-                IBufEntry::Instr { pc: p, .. }
-                | IBufEntry::SkipMarker { pc: p, .. }
-                | IBufEntry::Ghost { pc: p } => *p == pc,
-            })
-            .count() as u32;
+        let buffered = self.ibuffer.iter().filter(|e| e.pc() == pc).count() as u32;
         self.passes(pc) + buffered + 1
     }
 }

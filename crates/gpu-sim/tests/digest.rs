@@ -208,52 +208,6 @@ proptest! {
     }
 }
 
-/// Barrier cadence snapshots exactly when barriers release (plus the drain
-/// epoch), so barrier-free kernels record only the drain epoch while
-/// barrier-heavy ones record more.
-#[test]
-fn barrier_cadence_tracks_barrier_releases() {
-    let mut b = KernelBuilder::new("bar");
-    let tx = b.special(SpecialReg::TidX);
-    let out = b.param(0);
-    let smem = b.alloc_shared(64 * 4);
-    let soff = b.shl_imm(tx, 2);
-    b.store(MemSpace::Shared, soff, tx, smem as i32);
-    b.barrier();
-    let v = b.load(MemSpace::Shared, soff, smem as i32);
-    let off = b.shl_imm(tx, 2);
-    let addr = b.iadd(out, off);
-    b.store(MemSpace::Global, addr, v, 0);
-    let ck = simt_compiler::compile(b.finish());
-
-    let mut cfg = GpuConfig::test_small();
-    cfg.digest.cadence = gpu_sim::DigestCadence::Barrier;
-    let mut mem = GlobalMemory::new();
-    let out_addr = mem.alloc(64 * 4);
-    let launch = LaunchConfig::new(1u32, 64u32).with_params(vec![Value(out_addr as u32)]);
-    let res = Gpu::new(cfg, Technique::Base).launch(&ck, &launch, mem);
-    let d = res.digests.expect("digests on");
-    assert!(
-        d.sm_chains[0].entries.len() >= 2,
-        "one epoch per barrier release plus the drain epoch, got {}",
-        d.sm_chains[0].entries.len()
-    );
-}
-
-/// TB-boundary cadence: every completed threadblock triggers an epoch.
-#[test]
-fn tb_boundary_cadence_snapshots_completions() {
-    let mut cfg = GpuConfig::test_small();
-    cfg.digest.cadence = gpu_sim::DigestCadence::TbBoundary;
-    let r = run(&cfg, Technique::Base, 3, 32);
-    let d = r.digests.expect("digests on");
-    let epochs = d.sm_chains[0].entries.len();
-    assert!(
-        (2..=4).contains(&epochs),
-        "3 TBs on one SM: completion epochs (possibly shared) plus drain, got {epochs}"
-    );
-}
-
 /// A 2D divergent kernel under DARSIE: determinism holds on the paper's
 /// interesting configuration too (skip table, renaming, majority tracking
 /// all active).

@@ -34,11 +34,6 @@ fn table_matches_config_fields() {
     assert_eq!(timing::l1_hit_latency(&cfg), cfg.l1_latency);
     assert_eq!(timing::l2_hit_latency(&cfg), cfg.l1_latency + cfg.l2_latency);
     assert_eq!(timing::dram_line_latency(&cfg), cfg.l1_latency + cfg.dram_latency);
-    assert_eq!(
-        timing::global_line_latency_bounds(&cfg, false),
-        (cfg.l1_latency, cfg.l1_latency + cfg.dram_latency)
-    );
-    assert_eq!(timing::global_line_latency_bounds(&cfg, true).0, cfg.l1_latency + cfg.l2_latency);
     assert_eq!(timing::atomic_serialization(32), 8);
     assert_eq!(timing::fetch_bandwidth(&cfg), (cfg.fetch_width * cfg.instrs_per_fetch) as u64);
     assert_eq!(timing::issue_bandwidth(&cfg), (cfg.schedulers_per_sm * cfg.issue_width) as u64);

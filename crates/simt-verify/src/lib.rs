@@ -107,271 +107,162 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Stable lint codes. The numeric bands group the passes: `V0xx`
-/// dataflow, `V1xx` divergence safety, `V2xx` marking soundness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LintCode {
+/// Declares [`LintCode`] from the lint registry: one row per lint, in
+/// report order, giving its variant, code, severity, emitting pass and
+/// one-line documentation.
+macro_rules! lint_registry {
+    ($($(#[$attr:meta])* $lint:ident: $code:literal, $severity:ident, $pass:literal, $doc:literal;)*) => {
+        /// Stable lint codes. The numeric bands group the passes: `V0xx`
+        /// dataflow, `V1xx` divergence safety, `V2xx` marking soundness.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum LintCode {
+            $($(#[$attr])* $lint,)*
+        }
+
+        impl LintCode {
+            /// Every lint, in report order. The `darsie-sim lints` registry
+            /// and the README-drift test iterate this; every variant is a
+            /// row of the registry, so it is complete by construction.
+            pub const ALL: [LintCode; 24] = [$(LintCode::$lint,)*];
+
+            /// This lint's `(code, severity, pass, doc)` registry row.
+            fn row(self) -> (&'static str, Severity, &'static str, &'static str) {
+                match self {
+                    $(LintCode::$lint => ($code, Severity::$severity, $pass, $doc),)*
+                }
+            }
+        }
+    };
+}
+
+lint_registry! {
     /// `V001` — a register or predicate is read but no path from entry
     /// defines it.
-    UninitRead,
+    UninitRead: "V001", Error, "dataflow", "register or predicate read that no path defines";
     /// `V002` — a register or predicate is read but only some paths from
     /// entry define it.
-    MaybeUninitRead,
+    MaybeUninitRead: "V002", Warning, "dataflow",
+        "register or predicate defined on only some paths";
     /// `V003` — a basic block is unreachable from the kernel entry.
-    UnreachableBlock,
+    UnreachableBlock: "V003", Warning, "dataflow", "basic block unreachable from the kernel entry";
     /// `V004` — a register or predicate write is never observed by any
     /// subsequent read on any path.
-    DeadWrite,
+    DeadWrite: "V004", Warning, "dataflow", "register or predicate write no path ever reads";
     /// `V101` — a `bar.sync` sits between a potentially divergent branch
     /// and its reconvergence point.
-    BarrierUnderDivergence,
+    BarrierUnderDivergence: "V101", Error, "divergence",
+        "bar.sync between a potentially divergent branch and its reconvergence point";
     /// `V102` — a `bar.sync` carries a guard predicate.
-    PredicatedBarrier,
+    PredicatedBarrier: "V102", Error, "divergence", "bar.sync carries a guard predicate";
     /// `V201` — an instruction marked definitely redundant produced
     /// different result vectors across warps of one TB.
-    UnsoundMarking,
+    UnsoundMarking: "V201", Error, "oracle",
+        "definitely redundant instruction produced different vectors across warps";
     /// `V202` — a conditionally redundant instruction, promoted by this
     /// launch's dimensionality check, produced different result vectors
     /// across warps of one TB.
-    UnsoundPromotion,
+    UnsoundPromotion: "V202", Error, "oracle",
+        "launch-promoted conditionally redundant instruction diverged across warps";
     /// `V301` — two shared-memory accesses (at least one store) provably
     /// overlap across distinct threads within one barrier interval.
-    SharedRaceStatic,
+    SharedRaceStatic: "V301", Error, "races",
+        "shared-memory accesses provably overlap across threads in one barrier interval";
     /// `V302` — a shared-memory access's address is not thread-affine (or
     /// an overlap is undecidable), so race freedom cannot be established
     /// statically.
-    SharedAddrUnknown,
+    SharedAddrUnknown: "V302", Warning, "races",
+        "shared-memory race freedom undecidable (address not thread-affine)";
     /// `V303` — the dynamic sanitizer observed two threads touching one
     /// shared word in the same barrier epoch, at least one a write.
-    SharedRaceDynamic,
-    /// `P101` — a shared-memory access provably serializes over more than
-    /// one bank pass in every execution.
-    SharedBankConflict,
-    /// `P102` — a global access provably touches more 128-byte lines per
-    /// execution than a perfectly coalesced access of the same width.
-    GlobalUncoalesced,
-    /// `P103` — a memory access has no static performance bound (address
-    /// or execution mask is not exactly thread-affine).
-    MemUnpredictable,
-    /// `S401` — symbolic execution disproved a redundancy marking for
-    /// some launch of the 2D family, with a replay-confirmed concrete
-    /// counterexample (TB dimensions plus inputs).
-    DisprovedMarking,
-    /// `S402` — a redundancy or uniformity claim could not be proved for
-    /// the whole launch family (symbolic budget exhausted or the value
-    /// escapes the term domain); conservative warning.
-    UnprovableMarking,
-    /// `S403` — a branch the classes declare skippable (TB-uniform) has a
-    /// predicate that provably diverges across threads for some launch of
-    /// the promotion family, breaking the single-control-flow-history
-    /// requirement.
-    BranchSyncViolation,
+    SharedRaceDynamic: "V303", Error, "races",
+        "sanitizer observed two threads touching one shared word in one epoch";
     /// `V310` — two global accesses (at least one a write, not a
     /// commuting atomic pair) provably touch one word from two distinct
     /// thread blocks, with a concrete block-pair witness.
-    InterBlockRace,
+    InterBlockRace: "V310", Error, "blocks",
+        "global accesses of two distinct thread blocks provably share a word";
     /// `V311` — inter-block disjointness of two global accesses could
     /// not be proven (over-approximated footprints overlap); the kernel
     /// is conservatively not block-independent.
-    InterBlockOverlap,
+    InterBlockOverlap: "V311", Warning, "blocks",
+        "inter-block disjointness of global footprints not provable";
     /// `V312` — the dynamic global sanitizer observed two distinct
     /// thread blocks touching one global word, at least one a
     /// non-atomic write or a non-commuting atomic.
-    InterBlockRaceDynamic,
+    InterBlockRaceDynamic: "V312", Error, "blocks",
+        "sanitizer observed two thread blocks touching one global word";
     /// `V313` — a global access's address escapes the block-affine
     /// domain, so its inter-block footprint is unknown.
-    GlobalAddrUnknown,
+    GlobalAddrUnknown: "V313", Warning, "blocks",
+        "global address outside the block-affine domain; footprint unknown";
     /// `V314` — conservative inter-block findings (`V311`/`V313`) were
     /// discharged for this launch: the exhaustive functional replay of
     /// every thread block under the global shadow sanitizer observed no
     /// inter-block collision, so block independence holds per-launch.
-    InterBlockDischarged,
+    InterBlockDischarged: "V314", Note, "blocks",
+        "conservative overlaps discharged: exhaustive replay saw no inter-block collision";
+    /// `P101` — a shared-memory access provably serializes over more than
+    /// one bank pass in every execution.
+    SharedBankConflict: "P101", Warning, "perf",
+        "shared access provably serializes over bank passes";
+    /// `P102` — a global access provably touches more 128-byte lines per
+    /// execution than a perfectly coalesced access of the same width.
+    GlobalUncoalesced: "P102", Warning, "perf",
+        "global access touches more lines than a coalesced one";
+    /// `P103` — a memory access has no static performance bound (address
+    /// or execution mask is not exactly thread-affine).
+    MemUnpredictable: "P103", Note, "perf", "memory access has no static performance bound";
+    /// `S401` — symbolic execution disproved a redundancy marking for
+    /// some launch of the 2D family, with a replay-confirmed concrete
+    /// counterexample (TB dimensions plus inputs).
+    DisprovedMarking: "S401", Error, "symex",
+        "symbolic execution disproved a marking with a replay-confirmed counterexample";
+    /// `S402` — a redundancy or uniformity claim could not be proved for
+    /// the whole launch family (symbolic budget exhausted or the value
+    /// escapes the term domain); conservative warning.
+    UnprovableMarking: "S402", Warning, "symex",
+        "claim not provable for the whole launch family (budget or non-affine escape)";
+    /// `S403` — a branch the classes declare skippable (TB-uniform) has a
+    /// predicate that provably diverges across threads for some launch of
+    /// the promotion family, breaking the single-control-flow-history
+    /// requirement.
+    BranchSyncViolation: "S403", Error, "symex",
+        "skippable branch predicate provably diverges for some family launch";
     /// `E201` — a natural loop's trip count has no static bound under
     /// this launch (non-affine counter, data-dependent exit, or no exit
     /// within the search cap), so the cycle upper bound is unbounded.
-    TripUnbounded,
+    TripUnbounded: "E201", Warning, "cost",
+        "loop trip count has no static bound, so the cycle bracket is one-sided";
     /// `E202` — differential validation found a measured cycle count
     /// outside the static `[min, max]` bracket: the cost model or the
     /// simulator is wrong.
-    CycleBoundViolation,
+    CycleBoundViolation: "E202", Error, "cost",
+        "measured cycles fall outside the static [min, max] bracket";
 }
 
 impl LintCode {
     /// The stable code string used in reports and tests.
     #[must_use]
     pub fn code(self) -> &'static str {
-        match self {
-            LintCode::UninitRead => "V001",
-            LintCode::MaybeUninitRead => "V002",
-            LintCode::UnreachableBlock => "V003",
-            LintCode::DeadWrite => "V004",
-            LintCode::BarrierUnderDivergence => "V101",
-            LintCode::PredicatedBarrier => "V102",
-            LintCode::UnsoundMarking => "V201",
-            LintCode::UnsoundPromotion => "V202",
-            LintCode::SharedRaceStatic => "V301",
-            LintCode::SharedAddrUnknown => "V302",
-            LintCode::SharedRaceDynamic => "V303",
-            LintCode::SharedBankConflict => "P101",
-            LintCode::GlobalUncoalesced => "P102",
-            LintCode::MemUnpredictable => "P103",
-            LintCode::DisprovedMarking => "S401",
-            LintCode::UnprovableMarking => "S402",
-            LintCode::BranchSyncViolation => "S403",
-            LintCode::InterBlockRace => "V310",
-            LintCode::InterBlockOverlap => "V311",
-            LintCode::InterBlockRaceDynamic => "V312",
-            LintCode::GlobalAddrUnknown => "V313",
-            LintCode::InterBlockDischarged => "V314",
-            LintCode::TripUnbounded => "E201",
-            LintCode::CycleBoundViolation => "E202",
-        }
+        self.row().0
     }
 
     /// Fixed severity of this lint.
     #[must_use]
     pub fn severity(self) -> Severity {
-        match self {
-            LintCode::UninitRead
-            | LintCode::BarrierUnderDivergence
-            | LintCode::PredicatedBarrier
-            | LintCode::UnsoundMarking
-            | LintCode::UnsoundPromotion
-            | LintCode::SharedRaceStatic
-            | LintCode::SharedRaceDynamic
-            | LintCode::DisprovedMarking
-            | LintCode::BranchSyncViolation
-            | LintCode::InterBlockRace
-            | LintCode::InterBlockRaceDynamic
-            | LintCode::CycleBoundViolation => Severity::Error,
-            LintCode::MaybeUninitRead | LintCode::UnreachableBlock => Severity::Warning,
-            LintCode::DeadWrite | LintCode::SharedAddrUnknown => Severity::Warning,
-            LintCode::SharedBankConflict | LintCode::GlobalUncoalesced => Severity::Warning,
-            LintCode::UnprovableMarking | LintCode::TripUnbounded => Severity::Warning,
-            LintCode::InterBlockOverlap | LintCode::GlobalAddrUnknown => Severity::Warning,
-            LintCode::MemUnpredictable | LintCode::InterBlockDischarged => Severity::Note,
-        }
+        self.row().1
     }
-
-    /// Every lint, in report order. The `darsie-sim lints` registry and
-    /// the README-drift test iterate this, so adding a variant without
-    /// extending it is a compile error (the length is checked too).
-    pub const ALL: [LintCode; 24] = [
-        LintCode::UninitRead,
-        LintCode::MaybeUninitRead,
-        LintCode::UnreachableBlock,
-        LintCode::DeadWrite,
-        LintCode::BarrierUnderDivergence,
-        LintCode::PredicatedBarrier,
-        LintCode::UnsoundMarking,
-        LintCode::UnsoundPromotion,
-        LintCode::SharedRaceStatic,
-        LintCode::SharedAddrUnknown,
-        LintCode::SharedRaceDynamic,
-        LintCode::InterBlockRace,
-        LintCode::InterBlockOverlap,
-        LintCode::InterBlockRaceDynamic,
-        LintCode::GlobalAddrUnknown,
-        LintCode::InterBlockDischarged,
-        LintCode::SharedBankConflict,
-        LintCode::GlobalUncoalesced,
-        LintCode::MemUnpredictable,
-        LintCode::DisprovedMarking,
-        LintCode::UnprovableMarking,
-        LintCode::BranchSyncViolation,
-        LintCode::TripUnbounded,
-        LintCode::CycleBoundViolation,
-    ];
 
     /// The pass that emits this lint (the README table's "Pass" column).
     #[must_use]
     pub fn pass(self) -> &'static str {
-        match self {
-            LintCode::UninitRead
-            | LintCode::MaybeUninitRead
-            | LintCode::UnreachableBlock
-            | LintCode::DeadWrite => "dataflow",
-            LintCode::BarrierUnderDivergence | LintCode::PredicatedBarrier => "divergence",
-            LintCode::UnsoundMarking | LintCode::UnsoundPromotion => "oracle",
-            LintCode::SharedRaceStatic
-            | LintCode::SharedAddrUnknown
-            | LintCode::SharedRaceDynamic => "races",
-            LintCode::InterBlockRace
-            | LintCode::InterBlockOverlap
-            | LintCode::InterBlockRaceDynamic
-            | LintCode::GlobalAddrUnknown
-            | LintCode::InterBlockDischarged => "blocks",
-            LintCode::SharedBankConflict
-            | LintCode::GlobalUncoalesced
-            | LintCode::MemUnpredictable => "perf",
-            LintCode::DisprovedMarking
-            | LintCode::UnprovableMarking
-            | LintCode::BranchSyncViolation => "symex",
-            LintCode::TripUnbounded | LintCode::CycleBoundViolation => "cost",
-        }
+        self.row().2
     }
 
     /// One-line documentation rendered by `darsie-sim lints`.
     #[must_use]
     pub fn doc(self) -> &'static str {
-        match self {
-            LintCode::UninitRead => "register or predicate read that no path defines",
-            LintCode::MaybeUninitRead => "register or predicate defined on only some paths",
-            LintCode::UnreachableBlock => "basic block unreachable from the kernel entry",
-            LintCode::DeadWrite => "register or predicate write no path ever reads",
-            LintCode::BarrierUnderDivergence => {
-                "bar.sync between a potentially divergent branch and its reconvergence point"
-            }
-            LintCode::PredicatedBarrier => "bar.sync carries a guard predicate",
-            LintCode::UnsoundMarking => {
-                "definitely redundant instruction produced different vectors across warps"
-            }
-            LintCode::UnsoundPromotion => {
-                "launch-promoted conditionally redundant instruction diverged across warps"
-            }
-            LintCode::SharedRaceStatic => {
-                "shared-memory accesses provably overlap across threads in one barrier interval"
-            }
-            LintCode::SharedAddrUnknown => {
-                "shared-memory race freedom undecidable (address not thread-affine)"
-            }
-            LintCode::SharedRaceDynamic => {
-                "sanitizer observed two threads touching one shared word in one epoch"
-            }
-            LintCode::InterBlockRace => {
-                "global accesses of two distinct thread blocks provably share a word"
-            }
-            LintCode::InterBlockOverlap => {
-                "inter-block disjointness of global footprints not provable"
-            }
-            LintCode::InterBlockRaceDynamic => {
-                "sanitizer observed two thread blocks touching one global word"
-            }
-            LintCode::GlobalAddrUnknown => {
-                "global address outside the block-affine domain; footprint unknown"
-            }
-            LintCode::InterBlockDischarged => {
-                "conservative overlaps discharged: exhaustive replay saw no inter-block collision"
-            }
-            LintCode::SharedBankConflict => "shared access provably serializes over bank passes",
-            LintCode::GlobalUncoalesced => "global access touches more lines than a coalesced one",
-            LintCode::MemUnpredictable => "memory access has no static performance bound",
-            LintCode::DisprovedMarking => {
-                "symbolic execution disproved a marking with a replay-confirmed counterexample"
-            }
-            LintCode::UnprovableMarking => {
-                "claim not provable for the whole launch family (budget or non-affine escape)"
-            }
-            LintCode::BranchSyncViolation => {
-                "skippable branch predicate provably diverges for some family launch"
-            }
-            LintCode::TripUnbounded => {
-                "loop trip count has no static bound, so the cycle bracket is one-sided"
-            }
-            LintCode::CycleBoundViolation => {
-                "measured cycles fall outside the static [min, max] bracket"
-            }
-        }
+        self.row().3
     }
 }
 
@@ -474,17 +365,6 @@ impl Diagnostics {
             writeln!(out, "  {} error(s), {} warning(s)", self.error_count(), self.warning_count());
         out
     }
-}
-
-/// Runs the two static passes (dataflow + divergence lint) without launch
-/// information: promotion is not applied, so conditionally redundant
-/// guards count as potentially divergent.
-#[must_use]
-pub fn verify_static(ck: &CompiledKernel) -> Diagnostics {
-    let mut report = Diagnostics::new(ck.kernel.name.clone());
-    report.merge(dataflow::check(ck));
-    report.merge(divergence::check(ck, None));
-    report
 }
 
 /// Runs the two static passes with this launch's dimensionality promotion

@@ -6,138 +6,12 @@
 //! real marking violation when the named block shape is handed to the
 //! functional executor.
 
-use gpu_sim::GlobalMemory;
 use proptest::prelude::*;
-use simt_compiler::compile;
-use simt_isa::{
-    CmpOp, Dim3, Guard, KernelBuilder, LaunchConfig, Marking, MemSpace, Op, SpecialReg, Value,
-};
+use simt_isa::{Dim3, LaunchConfig, Marking, Op};
 use simt_verify::{oracle, symex, LintCode};
 
-/// One generated straight-line or guarded statement (same recipe as the
-/// `random_kernels` suite). Register operands are indices into the value
-/// pool modulo its current length.
-#[derive(Debug, Clone)]
-enum Stmt {
-    Add(usize, usize),
-    Sub(usize, usize),
-    AddImm(usize, u32),
-    MinImm(usize, usize, u32),
-    And(usize, u32),
-    Shl(usize, u32),
-    IfAdd { c: usize, lt: bool, imm: u32, d: usize, a: usize },
-    IfFresh { c: usize, lt: bool, imm: u32, a: usize },
-}
-
-/// Builds a kernel whose value pool is seeded with `tid.x`, `tid.y`,
-/// `warpid` and a value loaded from `in[tid.x]`, and which stores the
-/// last pool value to `out[linear tid]`.
-fn build(stmts: &[Stmt], block: Dim3) -> simt_compiler::CompiledKernel {
-    let mut b = KernelBuilder::new("random_forged");
-    let tx = b.special(SpecialReg::TidX);
-    let ty = b.special(SpecialReg::TidY);
-    let w = b.special(SpecialReg::WarpId);
-    let inp = b.param(1);
-    let off = b.shl_imm(tx, 2);
-    let laddr = b.iadd(inp, off);
-    let ld = b.load(MemSpace::Global, laddr, 0);
-    let mut pool = vec![tx, ty, w, ld];
-    let pick = |pool: &Vec<simt_isa::Reg>, i: usize| pool[i % pool.len()];
-    for s in stmts {
-        match *s {
-            Stmt::Add(a, c) => {
-                let r = b.iadd(pick(&pool, a), pick(&pool, c));
-                pool.push(r);
-            }
-            Stmt::Sub(a, c) => {
-                let r = b.isub(pick(&pool, a), pick(&pool, c));
-                pool.push(r);
-            }
-            Stmt::AddImm(a, imm) => {
-                let r = b.iadd(pick(&pool, a), imm);
-                pool.push(r);
-            }
-            Stmt::MinImm(a, c, imm) => {
-                let shifted = b.iadd(pick(&pool, c), imm);
-                let r = b.imin(pick(&pool, a), shifted);
-                pool.push(r);
-            }
-            Stmt::And(a, mask) => {
-                let r = b.and(pick(&pool, a), mask);
-                pool.push(r);
-            }
-            Stmt::Shl(a, n) => {
-                let r = b.shl_imm(pick(&pool, a), n % 4);
-                pool.push(r);
-            }
-            Stmt::IfAdd { c, lt, imm, d, a } => {
-                let cmp = if lt { CmpOp::Lt } else { CmpOp::Eq };
-                let p = b.setp(cmp, pick(&pool, c), imm);
-                let dst = pick(&pool, d);
-                let src = pick(&pool, a);
-                b.if_then(Guard::if_true(p), |b| {
-                    b.iadd_to(dst, src, 1u32);
-                });
-            }
-            Stmt::IfFresh { c, lt, imm, a } => {
-                let cmp = if lt { CmpOp::Lt } else { CmpOp::Eq };
-                let p = b.setp(cmp, pick(&pool, c), imm);
-                let fresh = b.alloc();
-                let src = pick(&pool, a);
-                b.if_then(Guard::if_true(p), |b| {
-                    b.iadd_to(fresh, src, 0u32);
-                });
-                pool.push(fresh);
-            }
-        }
-    }
-    let last = *pool.last().unwrap();
-    let lin = b.imad(ty, block.x, tx);
-    let soff = b.shl_imm(lin, 2);
-    let out = b.param(0);
-    let saddr = b.iadd(out, soff);
-    b.store(MemSpace::Global, saddr, last, 0);
-    compile(b.finish())
-}
-
-fn stmt_strategy() -> impl Strategy<Value = Stmt> {
-    let ix = || 0usize..8;
-    prop_oneof![
-        (ix(), ix()).prop_map(|(a, c)| Stmt::Add(a, c)),
-        (ix(), ix()).prop_map(|(a, c)| Stmt::Sub(a, c)),
-        (ix(), 0u32..64).prop_map(|(a, imm)| Stmt::AddImm(a, imm)),
-        (ix(), ix(), 0u32..64).prop_map(|(a, c, imm)| Stmt::MinImm(a, c, imm)),
-        (ix(), 1u32..16).prop_map(|(a, mask)| Stmt::And(a, mask)),
-        (ix(), 0u32..4).prop_map(|(a, n)| Stmt::Shl(a, n)),
-        (ix(), any::<bool>(), 0u32..64, ix(), ix()).prop_map(|(c, lt, imm, d, a)| Stmt::IfAdd {
-            c,
-            lt,
-            imm,
-            d,
-            a
-        }),
-        (ix(), any::<bool>(), 0u32..64, ix()).prop_map(|(c, lt, imm, a)| Stmt::IfFresh {
-            c,
-            lt,
-            imm,
-            a
-        }),
-    ]
-}
-
-/// The oracle-checked launch shapes: 2 warps 1D, the promoting 2D block,
-/// and a single-warp 2D block (where nothing is cross-warp refutable).
-fn launches() -> Vec<Dim3> {
-    vec![Dim3::one_d(64), Dim3::two_d(16, 4), Dim3::two_d(8, 4)]
-}
-
-fn memory_with_input(input: &[u32]) -> (GlobalMemory, Vec<Value>) {
-    let mut memory = GlobalMemory::new();
-    let out = memory.alloc(64 * 4);
-    let inp = memory.alloc(64 * 4);
-    memory.write_slice_u32(inp, input);
-    (memory, vec![Value(out as u32), Value(inp as u32)])
-}
+mod common;
+use common::{build, launches, memory_with_input, stmt_strategy, Stmt};
 
 /// Forges `Redundant`/`CondRedundant` markings onto claimable pcs.
 fn forge(ck: &mut simt_compiler::CompiledKernel, tamper: &[(usize, bool)]) {
@@ -165,7 +39,7 @@ fn witness_block(msg: &str) -> (u32, u32) {
 fn forged_warpid_sum_is_refuted_by_both_sides() {
     let stmts = vec![Stmt::Add(2, 2)]; // pool[2] is warpid
     let block = Dim3::one_d(64);
-    let mut ck = build(&stmts, block);
+    let mut ck = build("random_forged", &stmts, block);
     let all: Vec<(usize, bool)> = (0..ck.kernel.instrs.len()).map(|i| (i, true)).collect();
     forge(&mut ck, &all);
     let input: Vec<u32> = (0..64).collect();
@@ -202,7 +76,7 @@ proptest! {
         tamper in prop::collection::vec((0usize..64, any::<bool>()), 1..4),
     ) {
         for block in launches() {
-            let mut ck = build(&stmts, block);
+            let mut ck = build("random_forged", &stmts, block);
             forge(&mut ck, &tamper);
             let (memory, params) = memory_with_input(&input);
             let launch = LaunchConfig::new(1u32, block).with_params(params.clone());

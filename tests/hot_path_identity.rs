@@ -3,17 +3,15 @@
 //! of `(cycles, instrs_executed, instrs_skipped, digest_root)` plus a
 //! fingerprint of its cycle-accounted profile and pipeline event trace,
 //! and a fingerprint of its whole `SimStats`. BASE and DARSIE also run on
-//! a 28-SM machine, where most SM-cycles are spent waiting, and under the
-//! barrier, TB-boundary and fine-window digest cadences.
+//! a 28-SM machine, where most SM-cycles are spent waiting, and with a
+//! fine digest window.
 //!
 //! The tables pin the simulator's modelled behaviour, not its speed: a
 //! host-side optimisation of `Sm::cycle` (buffer reuse, sleeping SMs,
 //! borrowed instructions) must leave every row unchanged. A row that moves
 //! means the model changed; re-pin only when that is the intent.
 
-use darsie_repro::sim::{
-    DigestCadence, DigestConfig, GpuConfig, SchedulerPolicy, SimResult, Technique,
-};
+use darsie_repro::sim::{DigestConfig, GpuConfig, SchedulerPolicy, SimResult, Technique};
 use std::fmt::Debug;
 use workloads::{catalog, Scale};
 
@@ -188,34 +186,25 @@ fn many_sm_runs_match_the_pinned_table() {
     })]);
 }
 
-/// The event-driven digest cadences, and a fine window (every cycle, with
-/// component sub-digests), on the 28-SM machine.
+/// A fine digest window (every cycle, with component sub-digests) on the
+/// 28-SM machine.
 #[test]
 fn digest_cadences_match_the_pinned_table() {
-    let cadences = [
-        ("barrier", DigestConfig { cadence: DigestCadence::Barrier, ..DigestConfig::default() }),
-        (
-            "tb-boundary",
-            DigestConfig { cadence: DigestCadence::TbBoundary, ..DigestConfig::default() },
-        ),
-        ("fine:100-227", DigestConfig::fine((100, 227))),
-    ];
+    let digest = DigestConfig::fine((100, 227));
     let mut got = Vec::new();
     for w in catalog(Scale::Test) {
         for tech in [Technique::Base, Technique::darsie()] {
-            for (name, digest) in cadences {
-                let cfg = GpuConfig { digest, ..plain_cfg(28, SchedulerPolicy::Gto) };
-                let r = w.run(&cfg, tech.clone());
-                let d = r.digests.as_ref().expect("digests enabled");
-                got.push((
-                    w.abbr.to_string(),
-                    tech.label().to_string(),
-                    name.to_string(),
-                    d.root,
-                    d.mem_chain.entries.len(),
-                    fnv(&format!("{d:?}")),
-                ));
-            }
+            let cfg = GpuConfig { digest, ..plain_cfg(28, SchedulerPolicy::Gto) };
+            let r = w.run(&cfg, tech.clone());
+            let d = r.digests.as_ref().expect("digests enabled");
+            got.push((
+                w.abbr.to_string(),
+                tech.label().to_string(),
+                "fine:100-227".to_string(),
+                d.root,
+                d.mem_chain.entries.len(),
+                fnv(&format!("{d:?}")),
+            ));
         }
     }
     let want: Vec<_> = PINNED_CADENCES
@@ -531,82 +520,30 @@ const PINNED_MANY_SM: &[WideRow] = &[
 /// Generated on the simulator before the sleeping-SM rework.
 #[rustfmt::skip]
 const PINNED_CADENCES: &[CadenceRow] = &[
-    ("BIN", "BASE", "barrier", 0x08f142e79c068fd2, 17, 0xc723710a9099e1f2),
-    ("BIN", "BASE", "tb-boundary", 0xc154014ce52b732f, 2, 0x5037d6f21b55cec7),
     ("BIN", "BASE", "fine:100-227", 0x71c6b20ea7cef226, 128, 0x0477236e40479bd2),
-    ("BIN", "DARSIE", "barrier", 0x854897719d830e41, 17, 0x82572e849aa6b50a),
-    ("BIN", "DARSIE", "tb-boundary", 0x0c9dff8d77ae6dcb, 2, 0x65bfa4879cfe935c),
     ("BIN", "DARSIE", "fine:100-227", 0x18fa544bd8a6da59, 128, 0x4d6dbe2d5bfaa1c7),
-    ("PT", "BASE", "barrier", 0x6ed0c431017ad75c, 10, 0xc39839a0a3a893e4),
-    ("PT", "BASE", "tb-boundary", 0x66c4b9ced891efa8, 2, 0x3f42ab391e86858a),
     ("PT", "BASE", "fine:100-227", 0xd60ad131488e5137, 128, 0xf2d25dbd08f7b245),
-    ("PT", "DARSIE", "barrier", 0x19698b0a69a71054, 10, 0xeddf3f4a3a70695b),
-    ("PT", "DARSIE", "tb-boundary", 0xc2499b3a04b05b2f, 2, 0x9b817098c3610499),
     ("PT", "DARSIE", "fine:100-227", 0x308bb4fecfcaf76a, 128, 0x99b21f26cedc8e78),
-    ("FW", "BASE", "barrier", 0x5c6697314d652970, 18, 0xc35bd14bc4995e4a),
-    ("FW", "BASE", "tb-boundary", 0xc1a32cc261f696fb, 2, 0xd9b76f6e75777ffe),
     ("FW", "BASE", "fine:100-227", 0x8a447620edfeaa0c, 128, 0xca0b80e9dd76eccf),
-    ("FW", "DARSIE", "barrier", 0xb63d24b71b23f4c0, 18, 0x359864d03aa07300),
-    ("FW", "DARSIE", "tb-boundary", 0x543bc03a57ecba8e, 2, 0x5774208e56812999),
     ("FW", "DARSIE", "fine:100-227", 0xcd1c298859c6ebc8, 128, 0x49f0d02cfefdf5cb),
-    ("SR1", "BASE", "barrier", 0x0933e95a0724cf76, 1, 0xc3d241c665ad40c4),
-    ("SR1", "BASE", "tb-boundary", 0x40acf60768496c44, 2, 0xc0e6b8196151b556),
     ("SR1", "BASE", "fine:100-227", 0x39f534d7ddcecbf9, 128, 0xc3ef0caaf534e34f),
-    ("SR1", "DARSIE", "barrier", 0xc60a33942bd0f5ac, 1, 0x039bc48d2c973542),
-    ("SR1", "DARSIE", "tb-boundary", 0x331d13c0cf716fd2, 2, 0xec8d991957953abf),
     ("SR1", "DARSIE", "fine:100-227", 0xe33086dd646b194f, 128, 0xdca016bf151e5336),
-    ("LIB", "BASE", "barrier", 0x5b2afd5847e44cbb, 1, 0x8a06b0d773322e89),
-    ("LIB", "BASE", "tb-boundary", 0x7177424d764b3c12, 2, 0x9f3975ca1210b31b),
     ("LIB", "BASE", "fine:100-227", 0x439030c84daedf41, 128, 0x40444eaa3f3e6c0c),
-    ("LIB", "DARSIE", "barrier", 0xbbd7a98bcc5d3709, 1, 0x926804e045aca9f2),
-    ("LIB", "DARSIE", "tb-boundary", 0xd1494acf3d3bac3f, 2, 0xba0222485c80bf29),
     ("LIB", "DARSIE", "fine:100-227", 0x4c108967a4680cda, 128, 0xd64ce6c588245e99),
-    ("IMNLM", "BASE", "barrier", 0x171b032a30458670, 1, 0xda722bca694ec00c),
-    ("IMNLM", "BASE", "tb-boundary", 0x9ba0d768ca363ce7, 2, 0xdbe2b2adf5426a8e),
     ("IMNLM", "BASE", "fine:100-227", 0x4abb64ff356c9456, 128, 0x8d0f7dd31112d6d2),
-    ("IMNLM", "DARSIE", "barrier", 0x2619c1f1beb5db93, 1, 0xe52eb6f2daec461c),
-    ("IMNLM", "DARSIE", "tb-boundary", 0x0194da6198a30d9c, 2, 0xf94e126552ef39ef),
     ("IMNLM", "DARSIE", "fine:100-227", 0x240852045a0ecad5, 128, 0xa254f71a593ac903),
-    ("BP", "BASE", "barrier", 0x1872810e40fffe82, 7, 0x0f2da497161769bc),
-    ("BP", "BASE", "tb-boundary", 0x2912c5a43fb8714e, 2, 0xd6c47b082fdd2147),
     ("BP", "BASE", "fine:100-227", 0x6adc26cb5bea85b9, 128, 0x97c13b1b8269d85c),
-    ("BP", "DARSIE", "barrier", 0x23d9b5592a7f61be, 7, 0xf767ad92d734bb5a),
-    ("BP", "DARSIE", "tb-boundary", 0xd2d31599df104e12, 2, 0xa1717d6d2a2adc3e),
     ("BP", "DARSIE", "fine:100-227", 0xe4657caf838b77a2, 128, 0x82b34625b882b00a),
-    ("DCT8x8", "BASE", "barrier", 0x90f9b4e0e41d2a94, 7, 0x82c2e0a94b40856b),
-    ("DCT8x8", "BASE", "tb-boundary", 0x692205a45ec94352, 4, 0xc2ad90a883d8b6a0),
     ("DCT8x8", "BASE", "fine:100-227", 0x3701bdff3c892b01, 128, 0xe74b5b412ceec658),
-    ("DCT8x8", "DARSIE", "barrier", 0xe9dfe3e087ad0dae, 7, 0x5c7bdc8e8ed14463),
-    ("DCT8x8", "DARSIE", "tb-boundary", 0xa77fdf89b945571f, 4, 0x3c2031752d5abadb),
     ("DCT8x8", "DARSIE", "fine:100-227", 0xd3ba7af79b1c412c, 128, 0x3dda77c27e1f968a),
-    ("FWS", "BASE", "barrier", 0x0597bee2bdb403ba, 1, 0xf5bf21042df94ea2),
-    ("FWS", "BASE", "tb-boundary", 0x79f421f4606af555, 4, 0xaf48c8cbd40821ef),
     ("FWS", "BASE", "fine:100-227", 0x1f1fac23743544b8, 93, 0x521dfe6ccdd178fa),
-    ("FWS", "DARSIE", "barrier", 0xef61eb95aee199cb, 1, 0xef7d04f324d73d65),
-    ("FWS", "DARSIE", "tb-boundary", 0x81c6994338df980a, 5, 0x0e8f0e748e64ad7d),
     ("FWS", "DARSIE", "fine:100-227", 0x5faa857f7fe309fd, 56, 0x90439f166a7906cb),
-    ("HS", "BASE", "barrier", 0x8e1f74d7a8a7f7c0, 1, 0x470ed30c6ff3e385),
-    ("HS", "BASE", "tb-boundary", 0x1350f6f7b27c4f5e, 3, 0xb62275d9792dd382),
     ("HS", "BASE", "fine:100-227", 0xb700bc4545a49146, 128, 0x5367aadaff0547e6),
-    ("HS", "DARSIE", "barrier", 0x81340b74e3c02397, 1, 0xcae91510647004fc),
-    ("HS", "DARSIE", "tb-boundary", 0x961218733c2fb78b, 3, 0x0058727ee37b36d5),
     ("HS", "DARSIE", "fine:100-227", 0x0652705537dd9cd2, 128, 0xf352d381445ccf0a),
-    ("CP", "BASE", "barrier", 0x90c24da49c06c6d4, 1, 0xd793ed77c6bd36aa),
-    ("CP", "BASE", "tb-boundary", 0x0c4440f7b7c7ee4e, 3, 0x5989af9b77423a1f),
     ("CP", "BASE", "fine:100-227", 0x12949153cb7dcc8e, 128, 0x2960bf9136d50a05),
-    ("CP", "DARSIE", "barrier", 0xf9181eb50f7c5ca1, 1, 0x0ea241d0e71d0a96),
-    ("CP", "DARSIE", "tb-boundary", 0xfeff86150ae15188, 3, 0x96211563d00d9ecb),
     ("CP", "DARSIE", "fine:100-227", 0x3d3977d818b26239, 128, 0xb86f89fd61d1fee8),
-    ("CONVTEX", "BASE", "barrier", 0x96846d8715c05f83, 1, 0x725ad56a8a119bd1),
-    ("CONVTEX", "BASE", "tb-boundary", 0xd87b7991a9830834, 3, 0xfde9df6ce71c7c9d),
     ("CONVTEX", "BASE", "fine:100-227", 0x749723818c079628, 128, 0xdf0a9d2678edbcfa),
-    ("CONVTEX", "DARSIE", "barrier", 0x06a88c4620a17697, 1, 0x5cb1058479570e5e),
-    ("CONVTEX", "DARSIE", "tb-boundary", 0x0906ba4018654f5f, 3, 0x6d38fd2bf62ee618),
     ("CONVTEX", "DARSIE", "fine:100-227", 0xf16299b79fecc6ad, 128, 0xfc669ab9f696f56f),
-    ("MM", "BASE", "barrier", 0x3b2c7d09b607daa2, 16, 0xfbc55a7953ff475d),
-    ("MM", "BASE", "tb-boundary", 0x038e7312b197fa2a, 4, 0x0c80c0b3a805f315),
     ("MM", "BASE", "fine:100-227", 0xea1ee053ae285676, 128, 0x63106f095a0ae99c),
-    ("MM", "DARSIE", "barrier", 0x32cbaa695ca2337f, 17, 0x1ecac9f0a7776eb0),
-    ("MM", "DARSIE", "tb-boundary", 0x9506bcd5e69836a8, 5, 0x23927276b4366966),
     ("MM", "DARSIE", "fine:100-227", 0x1e35c6923362c6c6, 128, 0xef0d8244a795f104),
 ];
