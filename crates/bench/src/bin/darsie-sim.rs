@@ -931,22 +931,20 @@ fn analyze(cmd: &Command, args: &[String]) {
         }
 
         // Soundness gate: the refined markings must survive the
-        // differential oracle on a real execution.
-        let oracle = simt_verify::oracle::check(&refined.ck, &w.launch, w.memory.clone());
+        // differential oracle on a real execution. The same replay
+        // measures the dynamic headroom the refined plan leaves.
+        let (oracle, headroom) = simt_verify::oracle::check_with_headroom(
+            &refined.ck,
+            &w.launch,
+            Some(&ref_plan.skippable),
+            w.memory.clone(),
+        );
         let oracle_errors = oracle.error_count();
         total_oracle_errors += oracle_errors;
 
         // Blame the vector markings refinement could not recover.
         let blame = simt_compiler::blame(&refined.ck, &refined.ck.classes);
         let seeds = blame.seed_histogram();
-
-        // Dynamic headroom left by the refined plan.
-        let headroom = simt_verify::oracle::dynamic_headroom(
-            &refined.ck,
-            &w.launch,
-            &ref_plan.skippable,
-            w.memory.clone(),
-        );
 
         // Memory performance: predict statically, measure on the cycle
         // simulator under the baseline technique, check the bounds.

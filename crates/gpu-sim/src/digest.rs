@@ -74,15 +74,6 @@ impl Default for DigestCadence {
     }
 }
 
-impl DigestCadence {
-    /// Stable label for reports and manifests.
-    #[must_use]
-    pub fn label(&self) -> String {
-        let DigestCadence::Cycle(n) = self;
-        format!("cycle:{n}")
-    }
-}
-
 /// Digest-layer configuration, carried on
 /// [`GpuConfig::digest`](crate::GpuConfig::digest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -628,11 +619,6 @@ mod tests {
         for i in 0..10_000u64 {
             assert!(seen.insert(splitmix64(i)));
         }
-    }
-
-    #[test]
-    fn cadence_labels_are_stable() {
-        assert_eq!(DigestCadence::Cycle(64).label(), "cycle:64");
     }
 
     #[test]

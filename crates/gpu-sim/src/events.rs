@@ -4,11 +4,13 @@
 //! [`SimResult::events`](crate::SimResult) ordered by cycle, and export to
 //! Chrome trace-event JSON via `darsie-bench`'s `perfetto` module.
 //!
-//! The log is a bounded ring: it keeps the **last** 200,000 events
-//! (`TRACE_CAPACITY`) and counts everything older in
-//! [`EventLog::dropped`], so long runs cost bounded memory. With tracing
-//! disabled no event is ever constructed (call sites gate on the flag
-//! before building a [`PipeEvent`]).
+//! The SM reports each event once, through
+//! [`SmObserver::event`](crate::SmObserver::event). A traced run's per-SM
+//! recorder keeps them in a bounded ring: the **last** 200,000 events
+//! (`TRACE_CAPACITY`), with everything older counted in
+//! [`EventLog::dropped`], so long runs cost bounded memory. Without
+//! tracing the recorder keeps no ring, and a plain run's
+//! [`NullObserver`](crate::NullObserver) never builds a [`PipeEvent`].
 //!
 //! [`GpuConfig::trace_events`]: crate::GpuConfig::trace_events
 

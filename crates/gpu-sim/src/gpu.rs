@@ -5,8 +5,10 @@ use crate::config::{GpuConfig, Technique};
 use crate::digest::{
     fold, splitmix64, DigestCadence, DigestConfig, Perturb, RunDigests, FNV_OFFSET,
 };
-use crate::functional::ctaid_at;
+use crate::events::{EventLog, TRACE_CAPACITY};
+use crate::functional::{ctaid_at, NullObserver};
 use crate::mem::{DramModel, GlobalMemory, TagCache};
+use crate::profile::{SimProfile, SmObserver, SmRecorder};
 use crate::sm::{KernelData, Sm};
 use crate::stats::SimStats;
 use simt_compiler::CompiledKernel;
@@ -23,10 +25,10 @@ pub struct SimResult {
     /// Global memory after the kernel (inspect outputs here).
     pub memory: GlobalMemory,
     /// Pipeline trace (empty unless [`GpuConfig::trace_events`]).
-    pub events: crate::events::EventLog,
+    pub events: EventLog,
     /// Cycle-accounted profile, one entry per SM (`None` unless
     /// [`GpuConfig::profile`]).
-    pub profile: Option<crate::profile::SimProfile>,
+    pub profile: Option<SimProfile>,
     /// Epoch-chained state digests (`None` when [`GpuConfig::digest`] is
     /// disabled). The folded root also lands on
     /// [`SimStats::digest_root`](crate::SimStats::digest_root).
@@ -40,11 +42,11 @@ pub struct SimResult {
 /// Records one digest epoch: every SM's state chain plus the shared
 /// memory-system chain (global pages touched since the previous epoch, L2
 /// tag state, the DRAM queue cursor). Sleeping SMs must have caught up.
-fn record_epoch(
+fn record_epoch<O: SmObserver>(
     d: &mut RunDigests,
     dcfg: &DigestConfig,
     now: u64,
-    sms: &[Sm],
+    sms: &[Sm<O>],
     global: &mut GlobalMemory,
     l2: &TagCache,
     dram: &DramModel,
@@ -74,7 +76,9 @@ impl Gpu {
         Gpu { cfg, technique }
     }
 
-    /// Runs `ck` with launch geometry `launch` against `memory`.
+    /// Runs `ck` with launch geometry `launch` against `memory`. A
+    /// profiled or traced run gives each SM an `SmRecorder` and gathers
+    /// their profiles and event rings; a plain one observes nothing.
     ///
     /// # Panics
     ///
@@ -86,9 +90,35 @@ impl Gpu {
         launch: &LaunchConfig,
         memory: GlobalMemory,
     ) -> SimResult {
+        if !self.cfg.profile && !self.cfg.trace_events {
+            return self.run(ck, launch, memory, |_| NullObserver).0;
+        }
+        let (mut result, recorders) =
+            self.run(ck, launch, memory, |id| SmRecorder::new(id, &self.cfg));
+        let mut sms = Vec::new();
+        for rec in recorders {
+            result.events.merge(rec.events.unwrap_or_default());
+            if let Some(p) = rec.profile {
+                debug_assert_eq!(p.check_identity(), Ok(()), "SM {}", p.sm);
+                sms.push(p);
+            }
+        }
+        result.profile = self.cfg.profile.then_some(SimProfile { sms });
+        result
+    }
+
+    /// Runs the launch with SM `i` reporting to `observer(i)`; returns the
+    /// result (with no events or profile) and the observers.
+    fn run<O: SmObserver>(
+        &self,
+        ck: &CompiledKernel,
+        launch: &LaunchConfig,
+        memory: GlobalMemory,
+        observer: impl Fn(usize) -> O,
+    ) -> (SimResult, Vec<O>) {
         let kd = Arc::new(KernelData::new(ck.clone(), launch.clone()));
-        let mut sms: Vec<Sm> = (0..self.cfg.num_sms)
-            .map(|i| Sm::new(i, &self.cfg, self.technique.clone(), Arc::clone(&kd)))
+        let mut sms: Vec<Sm<O>> = (0..self.cfg.num_sms)
+            .map(|i| Sm::new(i, &self.cfg, self.technique.clone(), Arc::clone(&kd), observer(i)))
             .collect();
 
         // Grid iteration order: x fastest, like the hardware dispatcher.
@@ -196,18 +226,10 @@ impl Gpu {
         }
 
         let mut stats = SimStats::default();
-        let mut events = crate::events::EventLog::new(crate::events::TRACE_CAPACITY);
-        let mut profile = self.cfg.profile.then(crate::profile::SimProfile::default);
         let mut sm_cycles_simulated = 0;
-        for sm in &mut sms {
+        for sm in &sms {
             sm_cycles_simulated += sm.cycles_simulated;
             stats.merge(&sm.stats);
-            events.merge(std::mem::take(&mut sm.events));
-            if let Some(p) = profile.as_mut() {
-                let smp = std::mem::take(&mut sm.profile);
-                debug_assert_eq!(smp.check_identity(), Ok(()), "SM {} accounting", smp.sm);
-                p.sms.push(smp);
-            }
         }
         stats.cycles = now;
         stats.digest_root = digests.as_ref().map_or(0, |d| d.root);
@@ -216,15 +238,16 @@ impl Gpu {
             "dispatcher lost threadblocks in {}",
             ck.kernel.name
         );
-        SimResult {
+        let result = SimResult {
             cycles: now,
             stats,
             memory: global,
-            events,
-            profile,
+            events: EventLog::new(TRACE_CAPACITY),
+            profile: None,
             digests,
             sm_cycles_simulated,
-        }
+        };
+        (result, sms.into_iter().map(|sm| sm.observer).collect())
     }
 }
 

@@ -88,8 +88,8 @@ pub use gpu::{Gpu, SimResult};
 pub use mem::GlobalMemory;
 pub use occupancy::{occupancy, Limiter, Occupancy};
 pub use profile::{
-    LatencyHist, OccupancySample, PcProfile, SimProfile, SlotCounts, SmProfile, StallCause,
-    WarpSlotProfile,
+    Blame, LatencyHist, OccupancySample, PcProfile, SimProfile, SlotCounts, SmObserver, SmProfile,
+    StallCause, WarpSlotProfile,
 };
 pub use stats::{PcMemStat, SimStats, TaxonomyCounts};
 pub use tracer::{trace_redundancy, RedundancyTrace};

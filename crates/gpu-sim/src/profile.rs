@@ -16,9 +16,20 @@
 //! keep executing rather than stalling it.
 //!
 //! Profiling is enabled with [`GpuConfig::profile`](crate::GpuConfig) and
-//! comes back in [`SimResult::profile`](crate::SimResult); with it off,
-//! none of the bookkeeping below runs.
+//! comes back in [`SimResult::profile`](crate::SimResult).
+//!
+//! The SM reports what it does through one set of hooks, [`SmObserver`].
+//! A plain run monomorphises them to [`NullObserver`], which records
+//! nothing and lets the SM skip the stall taxonomy; a profiled or traced
+//! run uses one `SmRecorder` per SM, which keeps the profile when
+//! profiling and the event ring ([`crate::events`]) when tracing.
+//! Observers are handed values, never the
+//! SM, and no hook returns anything the pipeline reads, so an observed
+//! run takes exactly the path of a plain one.
 
+use crate::config::GpuConfig;
+use crate::events::{EventKind, EventLog, PipeEvent, TRACE_CAPACITY};
+use crate::functional::NullObserver;
 use std::collections::BTreeMap;
 
 /// Where an issue slot went. `Issued` is the productive case; every other
@@ -94,8 +105,10 @@ impl StallCause {
         }
     }
 
+    /// Position in [`StallCause::ALL`], which lists the variants in
+    /// declaration order.
     fn index(self) -> usize {
-        StallCause::ALL.iter().position(|&c| c == self).expect("cause in ALL")
+        self as usize
     }
 }
 
@@ -160,18 +173,6 @@ impl LatencyHist {
         &self.buckets
     }
 
-    /// Inclusive upper bound of bucket `i` (`u64::MAX` for the last).
-    #[must_use]
-    pub fn bucket_bound(i: usize) -> u64 {
-        if i >= 15 {
-            u64::MAX
-        } else if i == 0 {
-            0
-        } else {
-            (1u64 << i) - 1
-        }
-    }
-
     /// Sums another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHist) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -181,7 +182,7 @@ impl LatencyHist {
 }
 
 /// One periodic snapshot of the DARSIE structures and warp population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OccupancySample {
     /// Cycle the sample was taken.
     pub cycle: u64,
@@ -225,7 +226,7 @@ pub struct WarpSlotProfile {
 pub const MAX_OCCUPANCY_SAMPLES: usize = 4096;
 
 /// Cycles between occupancy samples while profiling.
-pub(crate) const SAMPLE_INTERVAL: u64 = 256;
+const SAMPLE_INTERVAL: u64 = 256;
 
 /// One SM's cycle-accounted profile.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -287,6 +288,169 @@ impl SmProfile {
                 "SM{}: accounted {have} slots but {} cycles x {} slots/cycle = {want}",
                 self.sm, self.cycles, self.issue_slots_per_cycle
             ))
+        }
+    }
+
+    /// Charges `slots` unfilled issue slots to `blame`'s cause, head PC and
+    /// warp slot.
+    fn credit(&mut self, (cause, pc, warp): Blame, slots: u64) {
+        self.slots.add(cause, slots);
+        if let Some(pc) = pc {
+            self.per_pc.entry(pc).or_default().stalls.add(cause, slots);
+        }
+        if let Some(warp) = warp {
+            self.per_warp[warp].stalls.add(cause, slots);
+        }
+    }
+
+    /// Clocks cycles `first..=last`, taking the occupancy samples due in
+    /// them (each stamped by `occupancy`) up to [`MAX_OCCUPANCY_SAMPLES`].
+    fn clock(&mut self, first: u64, last: u64, occupancy: impl Fn(u64) -> OccupancySample) {
+        self.cycles += last + 1 - first;
+        for c in (first.next_multiple_of(SAMPLE_INTERVAL)..=last).step_by(SAMPLE_INTERVAL as usize)
+        {
+            if self.samples.len() < MAX_OCCUPANCY_SAMPLES {
+                self.samples.push(occupancy(c));
+            } else {
+                self.samples_dropped += 1;
+            }
+        }
+    }
+}
+
+/// What an unfilled issue slot is charged to: the stall cause, the blamed
+/// head PC and the blamed warp slot, when known.
+pub type Blame = (StallCause, Option<usize>, Option<usize>);
+
+/// The SM pipeline's observation hooks (paper Figures 4 and 7: fetch with
+/// the skipper, I-buffer, issue, writeback). The SM reports each fact
+/// once, as values; every hook defaults to doing nothing.
+pub trait SmObserver {
+    /// False when the observer records nothing: the SM then skips the work
+    /// only an observer reads (stall causes, leader latencies).
+    const OBSERVES: bool;
+
+    /// Cycle `now` is simulated. `occupancy(c)` snapshots the SM's DARSIE
+    /// structures and warps, stamped with cycle `c`.
+    fn cycle(&mut self, _now: u64, _occupancy: impl Fn(u64) -> OccupancySample) {}
+
+    /// The SM slept through cycles `first..=last`, each a repeat of the
+    /// last simulated one.
+    fn slept(&mut self, _first: u64, _last: u64, _occupancy: impl Fn(u64) -> OccupancySample) {}
+
+    /// Scheduler `sched` issued `issued` instructions this cycle, from warp
+    /// slot `warp` when any. `blame()` says what the slots it left
+    /// unfilled are charged to; only an observer that charges them calls
+    /// it.
+    fn issue_slots(
+        &mut self,
+        _sched: usize,
+        _issued: usize,
+        _warp: Option<usize>,
+        _blame: impl FnOnce() -> Blame,
+    ) {
+    }
+
+    /// Warp slot `warp` did `kind` at `pc` in `cycle`. An
+    /// [`EventKind::Issue`] or [`EventKind::Reuse`] is also the PC's issue.
+    fn event(&mut self, _cycle: u64, _warp: usize, _pc: usize, _kind: EventKind) {}
+
+    /// The issue stage drained a skip marker or ghost of `pc`.
+    fn absorbed(&mut self, _pc: usize) {}
+
+    /// A leader wrote back `cycles` after its election.
+    fn leader_latency(&mut self, _cycles: u64) {}
+}
+
+impl SmObserver for NullObserver {
+    const OBSERVES: bool = false;
+}
+
+/// The observer of a profiled or traced run: one SM's profile, kept only
+/// under `GpuConfig::profile`, and event ring, kept only under
+/// `GpuConfig::trace_events`, so either flag works without the other and
+/// costs nothing for the other.
+#[derive(Debug)]
+pub(crate) struct SmRecorder {
+    sm: usize,
+    pub(crate) profile: Option<SmProfile>,
+    pub(crate) events: Option<EventLog>,
+    issue_width: u64,
+    /// Each scheduler's blame in the last simulated cycle that left a slot
+    /// unfilled; a slept cycle repeats it.
+    last_blame: Vec<Blame>,
+}
+
+impl SmRecorder {
+    pub(crate) fn new(sm: usize, cfg: &GpuConfig) -> SmRecorder {
+        let slots_per_cycle = (cfg.schedulers_per_sm * cfg.issue_width) as u64;
+        let warp_slots = cfg.max_warps_per_sm as usize;
+        SmRecorder {
+            sm,
+            profile: cfg.profile.then(|| SmProfile::new(sm, slots_per_cycle, warp_slots)),
+            events: cfg.trace_events.then(|| EventLog::new(TRACE_CAPACITY)),
+            issue_width: cfg.issue_width as u64,
+            last_blame: vec![(StallCause::IdleNoWarp, None, None); cfg.schedulers_per_sm],
+        }
+    }
+}
+
+impl SmObserver for SmRecorder {
+    const OBSERVES: bool = true;
+
+    fn cycle(&mut self, now: u64, occupancy: impl Fn(u64) -> OccupancySample) {
+        if let Some(p) = &mut self.profile {
+            p.clock(now, now, occupancy);
+        }
+    }
+
+    fn slept(&mut self, first: u64, last: u64, occupancy: impl Fn(u64) -> OccupancySample) {
+        let Some(p) = &mut self.profile else { return };
+        p.clock(first, last, occupancy);
+        for &blame in &self.last_blame {
+            p.credit(blame, (last + 1 - first) * self.issue_width);
+        }
+    }
+
+    fn issue_slots(
+        &mut self,
+        s: usize,
+        issued: usize,
+        warp: Option<usize>,
+        blame: impl FnOnce() -> Blame,
+    ) {
+        let Some(p) = &mut self.profile else { return };
+        let issued = issued as u64;
+        p.slots.add(StallCause::Issued, issued);
+        if let Some(warp) = warp {
+            p.per_warp[warp].issued += issued;
+        }
+        if issued < self.issue_width {
+            let blame = blame();
+            self.last_blame[s] = blame;
+            p.credit(blame, self.issue_width - issued);
+        }
+    }
+
+    fn event(&mut self, cycle: u64, warp: usize, pc: usize, kind: EventKind) {
+        let issue = matches!(kind, EventKind::Issue | EventKind::Reuse);
+        if let Some(p) = self.profile.as_mut().filter(|_| issue) {
+            p.per_pc.entry(pc).or_default().issued += 1;
+        }
+        if let Some(log) = &mut self.events {
+            log.push(PipeEvent { cycle, sm: self.sm, warp, pc, kind });
+        }
+    }
+
+    fn absorbed(&mut self, pc: usize) {
+        if let Some(p) = &mut self.profile {
+            p.per_pc.entry(pc).or_default().skipped += 1;
+        }
+    }
+
+    fn leader_latency(&mut self, cycles: u64) {
+        if let Some(p) = &mut self.profile {
+            p.leader_latency.record(cycles);
         }
     }
 }
@@ -358,6 +522,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn all_lists_causes_in_declaration_order() {
+        for (i, c) in StallCause::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
+    }
+
+    #[test]
     fn labels_are_unique_and_snake_case() {
         let labels: Vec<&str> = StallCause::ALL.iter().map(|c| c.label()).collect();
         let mut dedup = labels.clone();
@@ -408,7 +579,5 @@ mod tests {
         assert_eq!(h.buckets()[3], 2, "4..=7");
         assert_eq!(h.buckets()[4], 1, "8..=15");
         assert_eq!(h.buckets()[15], 1, "open-ended tail");
-        assert_eq!(LatencyHist::bucket_bound(3), 7);
-        assert_eq!(LatencyHist::bucket_bound(15), u64::MAX);
     }
 }

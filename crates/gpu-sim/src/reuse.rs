@@ -9,16 +9,26 @@
 //! trails DARSIE in the paper.
 
 use crate::digest::fold;
-use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Exact reuse key: static PC plus the scalar operand values consumed.
-pub type ReuseKey = (usize, Box<[u32]>);
+/// One stored result under its exact `(pc, operand values)` key.
+#[derive(Debug, Clone)]
+struct Entry {
+    pc: usize,
+    operands: Box<[u32]>,
+    value: Arc<[u32]>,
+    lru: u64,
+}
 
-/// An LRU, value-keyed reuse buffer.
+/// An LRU, value-keyed reuse buffer. Probing allocates nothing: a key is
+/// boxed only when a result is inserted, and a hit shares the stored
+/// result.
 #[derive(Debug, Clone)]
 pub struct ReuseBuffer {
     capacity: usize,
-    entries: HashMap<ReuseKey, (Box<[u32]>, u64)>,
+    /// Linearly probed: the buffer is small and its order reaches no
+    /// output (digests fold it sorted by key).
+    entries: Vec<Entry>,
     tick: u64,
     /// Successful reuses.
     pub hits: u64,
@@ -30,24 +40,24 @@ impl ReuseBuffer {
     /// A buffer holding `capacity` results.
     #[must_use]
     pub fn new(capacity: usize) -> ReuseBuffer {
-        ReuseBuffer { capacity, entries: HashMap::new(), tick: 0, hits: 0, misses: 0 }
+        ReuseBuffer { capacity, entries: Vec::with_capacity(capacity), tick: 0, hits: 0, misses: 0 }
     }
 
-    /// Builds the key for `(pc, operand values)`. Since UV only reuses
-    /// instructions whose operands are warp-uniform, one scalar word per
-    /// operand suffices.
-    #[must_use]
-    pub fn key(pc: usize, operands: &[u32]) -> ReuseKey {
-        (pc, operands.to_vec().into_boxed_slice())
+    /// The entry keyed `(pc, operands)`. Since UV only reuses instructions
+    /// whose operands are warp-uniform, one scalar word per operand
+    /// suffices.
+    fn find(&self, pc: usize, operands: &[u32]) -> Option<usize> {
+        self.entries.iter().position(|e| e.pc == pc && *e.operands == *operands)
     }
 
-    /// Probes for a previous result. Returns the stored vector on a hit.
-    pub fn probe(&mut self, key: &ReuseKey) -> Option<Box<[u32]>> {
+    /// Probes for a previous result of `pc` on `operands`. Returns the
+    /// stored vector on a hit.
+    pub fn probe(&mut self, pc: usize, operands: &[u32]) -> Option<Arc<[u32]>> {
         self.tick += 1;
-        if let Some((v, lru)) = self.entries.get_mut(key) {
-            *lru = self.tick;
+        if let Some(i) = self.find(pc, operands) {
+            self.entries[i].lru = self.tick;
             self.hits += 1;
-            Some(v.clone())
+            Some(Arc::clone(&self.entries[i].value))
         } else {
             self.misses += 1;
             None
@@ -55,45 +65,38 @@ impl ReuseBuffer {
     }
 
     /// Inserts a freshly computed result, evicting LRU if needed.
-    pub fn insert(&mut self, key: ReuseKey, value: Box<[u32]>) {
+    pub fn insert(&mut self, pc: usize, operands: &[u32], value: Arc<[u32]>) {
         self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            if let Some(victim) =
-                self.entries.iter().min_by_key(|(_, (_, lru))| *lru).map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
+        let lru = self.tick;
+        if let Some(i) = self.find(pc, operands) {
+            self.entries[i].value = value;
+            self.entries[i].lru = lru;
+            return;
+        }
+        if self.entries.len() >= self.capacity {
+            let victim = (0..self.entries.len()).min_by_key(|&i| self.entries[i].lru);
+            if let Some(i) = victim {
+                self.entries.swap_remove(i);
             }
         }
-        self.entries.insert(key, (value, self.tick));
-    }
-
-    /// Number of live entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.push(Entry { pc, operands: operands.into(), value, lru });
     }
 
     /// Folds the buffer contents into a digest accumulator, in sorted key
-    /// order (the backing HashMap's iteration order is not stable).
+    /// order.
     pub fn digest_fold(&self, h: &mut u64) {
         fold(h, self.tick);
-        let mut entries: Vec<_> = self.entries.iter().collect();
-        entries.sort_unstable_by_key(|(k, _)| *k);
-        for ((pc, operands), (value, lru)) in entries {
-            fold(h, *pc as u64);
-            for &w in operands.iter() {
+        let mut entries: Vec<&Entry> = self.entries.iter().collect();
+        entries.sort_unstable_by(|a, b| (a.pc, &a.operands).cmp(&(b.pc, &b.operands)));
+        for e in entries {
+            fold(h, e.pc as u64);
+            for &w in e.operands.iter() {
                 fold(h, u64::from(w));
             }
-            for &w in value.iter() {
+            for &w in e.value.iter() {
                 fold(h, u64::from(w));
             }
-            fold(h, *lru);
+            fold(h, e.lru);
         }
     }
 }
@@ -105,39 +108,36 @@ mod tests {
     #[test]
     fn probe_miss_then_hit() {
         let mut b = ReuseBuffer::new(4);
-        let key = ReuseBuffer::key(8, &[1, 2]);
-        assert!(b.probe(&key).is_none());
-        b.insert(key.clone(), vec![42; 32].into_boxed_slice());
-        assert_eq!(b.probe(&key).as_deref(), Some(&[42u32; 32][..]));
+        assert!(b.probe(8, &[1, 2]).is_none());
+        b.insert(8, &[1, 2], vec![42; 32].into());
+        assert_eq!(b.probe(8, &[1, 2]).as_deref(), Some(&[42u32; 32][..]));
         assert_eq!(b.hits, 1);
         assert_eq!(b.misses, 1);
     }
 
     #[test]
     fn different_operands_or_pcs_never_alias() {
-        let a = ReuseBuffer::key(8, &[1, 2]);
-        let b = ReuseBuffer::key(8, &[1, 3]);
-        let c = ReuseBuffer::key(16, &[1, 2]);
+        let mut b = ReuseBuffer::new(4);
+        b.insert(8, &[1, 2], vec![1].into());
         // Exact keys: no collision is possible by construction.
-        assert_ne!(a, b);
-        assert_ne!(a, c);
+        assert!(b.probe(8, &[1, 3]).is_none());
+        assert!(b.probe(16, &[1, 2]).is_none());
         // The regression that motivated exact keys: two small scalar
         // payloads at nearby PCs must not alias.
-        assert_ne!(ReuseBuffer::key(9, &[7]), ReuseBuffer::key(14, &[0]));
+        b.insert(9, &[7], vec![2].into());
+        assert!(b.probe(14, &[0]).is_none());
+        assert_eq!(b.probe(9, &[7]).as_deref(), Some(&[2u32][..]));
     }
 
     #[test]
     fn lru_eviction() {
         let mut b = ReuseBuffer::new(2);
-        let k1 = ReuseBuffer::key(0, &[1]);
-        let k2 = ReuseBuffer::key(8, &[1]);
-        let k3 = ReuseBuffer::key(16, &[1]);
-        b.insert(k1.clone(), vec![1].into_boxed_slice());
-        b.insert(k2.clone(), vec![2].into_boxed_slice());
-        assert!(b.probe(&k1).is_some(), "refresh k1");
-        b.insert(k3, vec![3].into_boxed_slice());
-        assert_eq!(b.len(), 2);
-        assert!(b.probe(&k2).is_none(), "k2 was LRU");
-        assert!(b.probe(&k1).is_some());
+        b.insert(0, &[1], vec![1].into());
+        b.insert(8, &[1], vec![2].into());
+        assert!(b.probe(0, &[1]).is_some(), "refresh k1");
+        b.insert(16, &[1], vec![3].into());
+        assert_eq!(b.entries.len(), 2);
+        assert!(b.probe(8, &[1]).is_none(), "k2 was LRU");
+        assert!(b.probe(0, &[1]).is_some());
     }
 }

@@ -4,12 +4,10 @@
 
 use crate::config::{GpuConfig, SchedulerPolicy, Technique};
 use crate::digest::{fold, splitmix64, ComponentDigests, FNV_OFFSET};
-use crate::events::{EventKind, EventLog, PipeEvent, TRACE_CAPACITY};
+use crate::events::EventKind;
 use crate::exec::{execute, ExecContext, ExecEffect, LaneAddrs};
 use crate::mem::{coalesce_lines, smem_conflict_degree, DramModel, GlobalMemory, TagCache};
-use crate::profile::{
-    OccupancySample, SmProfile, StallCause, MAX_OCCUPANCY_SAMPLES, SAMPLE_INTERVAL,
-};
+use crate::profile::{Blame, OccupancySample, SmObserver, StallCause};
 use crate::reuse::ReuseBuffer;
 use crate::stats::SimStats;
 use crate::tb::TbState;
@@ -142,9 +140,9 @@ impl<T> IndexMut<usize> for Slots<T> {
     }
 }
 
-/// One streaming multiprocessor.
+/// One streaming multiprocessor, reporting to the observer `O`.
 #[derive(Debug)]
-pub struct Sm {
+pub struct Sm<O> {
     /// SM index (for round-robin TB placement and debugging).
     pub id: usize,
     cfg: GpuConfig,
@@ -172,12 +170,12 @@ pub struct Sm {
     banks_used: Vec<u32>,
     /// One scheduler's ordered issue candidates, reused.
     candidates: Vec<usize>,
+    /// The UV operand signature being probed, reused.
+    uv_sig: Vec<u32>,
     /// Statistics for this SM.
     pub stats: SimStats,
-    /// Pipeline event trace (empty unless `cfg.trace_events`).
-    pub events: EventLog,
-    /// Cycle-accounted profile (only filled when `cfg.profile`).
-    pub profile: SmProfile,
+    /// Where the pipeline reports what it does.
+    pub(crate) observer: O,
     /// Barrier releases completed on this SM (monotone; folded into every
     /// digest epoch's queue component).
     barrier_marks: u64,
@@ -190,17 +188,20 @@ pub struct Sm {
     /// `Some(t)` while asleep: [`Sm::cycle`] skips cycles before `t`
     /// (`u64::MAX` when only a dispatch or a perturbation can wake it).
     sleep_until: Option<u64>,
-    /// Each scheduler's `(cause, head pc, warp slot)` blame in the last
-    /// simulated cycle (profiling only); a skipped cycle repeats it.
-    last_blame: Vec<(StallCause, Option<usize>, Option<usize>)>,
     /// SM-cycles actually simulated (skipped cycles excluded).
     pub(crate) cycles_simulated: u64,
 }
 
-impl Sm {
+impl<O: SmObserver> Sm<O> {
     /// Creates an idle SM.
     #[must_use]
-    pub fn new(id: usize, cfg: &GpuConfig, technique: Technique, kd: Arc<KernelData>) -> Sm {
+    pub fn new(
+        id: usize,
+        cfg: &GpuConfig,
+        technique: Technique,
+        kd: Arc<KernelData>,
+        observer: O,
+    ) -> Sm<O> {
         let dc = match &technique {
             Technique::Darsie(d) => d.clone(),
             _ => DarsieConfig::default(),
@@ -229,26 +230,14 @@ impl Sm {
             resident_warps: 0,
             banks_used: vec![0; cfg.rf_banks],
             candidates: Vec::new(),
+            uv_sig: Vec::new(),
             stats: SimStats::default(),
-            events: EventLog::new(if cfg.trace_events { TRACE_CAPACITY } else { 0 }),
-            profile: SmProfile::new(
-                id,
-                (cfg.schedulers_per_sm * cfg.issue_width) as u64,
-                cfg.max_warps_per_sm as usize,
-            ),
+            observer,
             barrier_marks: 0,
             now: 0,
             progress: false,
             sleep_until: None,
-            last_blame: vec![(StallCause::IdleNoWarp, None, None); cfg.schedulers_per_sm],
             cycles_simulated: 0,
-        }
-    }
-
-    /// Records a pipeline event when tracing is enabled.
-    fn trace(&mut self, warp: usize, pc: usize, kind: EventKind) {
-        if self.cfg.trace_events {
-            self.events.push(PipeEvent { cycle: self.now, sm: self.id, warp, pc, kind });
         }
     }
 
@@ -598,12 +587,8 @@ impl Sm {
         self.now = now;
         self.cycles_simulated += 1;
         self.progress = false;
-        if self.cfg.profile {
-            self.profile.cycles += 1;
-            if now.is_multiple_of(SAMPLE_INTERVAL) {
-                self.sample_occupancy(now);
-            }
-        }
+        let (tbs, warps) = (&self.tbs, &self.warps);
+        self.observer.cycle(now, |c| occupancy(tbs, warps, c));
         let kd = Arc::clone(&self.kd);
         self.count_stall_cycles(1);
         self.writeback(now);
@@ -638,8 +623,7 @@ impl Sm {
     /// Applies the cycles `self.now + 1 ..= through` a sleeping SM
     /// skipped, in bulk. Each of them repeated the fixed point that put
     /// it to sleep, so only this changes: the fetch round-robin pointer,
-    /// the parked-warp cycle counters and, when profiling, the clocked
-    /// cycles, the occupancy samples due and each scheduler's blame. A
+    /// the parked-warp cycle counters and what the observer records. A
     /// no-op for an awake SM.
     pub(crate) fn catch_up(&mut self, through: u64) {
         if self.sleep_until.is_none() || through <= self.now {
@@ -648,50 +632,9 @@ impl Sm {
         let k = through - self.now;
         self.fetch_rr = ((self.fetch_rr as u64 + k) % self.warps.len() as u64) as usize;
         self.count_stall_cycles(k);
-        if self.cfg.profile {
-            self.profile.cycles += k;
-            let mut c = (self.now / SAMPLE_INTERVAL + 1) * SAMPLE_INTERVAL;
-            while c <= through {
-                self.sample_occupancy(c);
-                c += SAMPLE_INTERVAL;
-            }
-            for s in 0..self.last_blame.len() {
-                let (cause, pc, wslot) = self.last_blame[s];
-                self.credit_stall(cause, pc, wslot, k * self.cfg.issue_width as u64);
-            }
-        }
+        let (tbs, warps) = (&self.tbs, &self.warps);
+        self.observer.slept(self.now + 1, through, |c| occupancy(tbs, warps, c));
         self.now = through;
-    }
-
-    /// Snapshots skip-table/renaming occupancy and warp population for the
-    /// profiler's time-series view.
-    fn sample_occupancy(&mut self, now: u64) {
-        if self.profile.samples.len() >= MAX_OCCUPANCY_SAMPLES {
-            self.profile.samples_dropped += 1;
-            return;
-        }
-        let mut s = OccupancySample {
-            cycle: now,
-            skip_entries: 0,
-            skip_capacity: 0,
-            live_versions: 0,
-            rename_capacity: 0,
-            resident_warps: 0,
-            waiting_warps: 0,
-        };
-        for tb in self.tbs.iter() {
-            s.skip_entries += tb.skip_table.len() as u32;
-            s.skip_capacity += tb.skip_table.capacity() as u32;
-            s.live_versions += tb.rename.live_versions() as u32;
-            s.rename_capacity += tb.rename.capacity() as u32;
-        }
-        for w in self.warps.iter() {
-            s.resident_warps += 1;
-            if matches!(w.state, WarpState::WaitLeader(..)) {
-                s.waiting_warps += 1;
-            }
-        }
-        self.profile.samples.push(s);
     }
 
     /// Charges `k` cycles to every warp parked on a leader or a branch
@@ -730,10 +673,8 @@ impl Sm {
     }
 
     fn complete(&mut self, f: InFlight, now: u64) {
-        if self.cfg.trace_events {
-            let pc = f.leader.map_or(usize::MAX, |(pc, _)| pc);
-            self.trace(f.warp, pc, EventKind::Writeback);
-        }
+        let pc = f.leader.map_or(usize::MAX, |(pc, _)| pc);
+        self.observer.event(now, f.warp, pc, EventKind::Writeback);
         // The issuing warp exited (exit does not wait for pending writes);
         // its slot may now hold a younger warp whose scoreboard and skip
         // table this completion must not touch.
@@ -751,18 +692,11 @@ impl Sm {
         if let Some((pc, instance)) = f.leader {
             let tb_idx = w.tb;
             let warp_in_tb = w.warp_in_tb;
-            if self.cfg.profile {
-                let latency = self
-                    .tbs
-                    .get(tb_idx)
-                    .and_then(|tb| tb.skip_table.find(pc, instance))
-                    .filter(|e| e.leader == warp_in_tb)
-                    .map(|e| now.saturating_sub(e.created));
-                if let Some(lat) = latency {
-                    self.profile.leader_latency.record(lat);
-                }
-            }
             if let Some(tb) = self.tbs.get_mut(tb_idx) {
+                let entry = O::OBSERVES.then(|| tb.skip_table.find(pc, instance)).flatten();
+                if let Some(e) = entry.filter(|e| e.leader == warp_in_tb) {
+                    self.observer.leader_latency(now.saturating_sub(e.created));
+                }
                 let released = tb.skip_table.leader_writeback(pc, instance, warp_in_tb, now);
                 release_warps(&mut self.warps, &tb.warp_slots, released, |s| {
                     s == WarpState::WaitLeader(pc, instance)
@@ -796,7 +730,7 @@ impl Sm {
             // `(cause, head pc, warp slot)` blamed for the scheduler's
             // unfilled slots this cycle (accounting identity: every slot
             // gets exactly one cause).
-            let mut blame: Option<(StallCause, Option<usize>, Option<usize>)> = None;
+            let mut blame: Option<Blame> = None;
             for &wslot in &candidates {
                 let mut issued = 0;
                 let mut stop: Option<(StallCause, Option<usize>)> = None;
@@ -824,7 +758,7 @@ impl Sm {
                 if issued > 0 {
                     issued_from = Some(wslot);
                     sched_issued = issued;
-                    if self.cfg.profile && issued < width {
+                    if O::OBSERVES && issued < width {
                         blame = Some(if control {
                             (self.post_control_cause(wslot), None, Some(wslot))
                         } else {
@@ -834,7 +768,7 @@ impl Sm {
                     }
                     break;
                 }
-                if self.cfg.profile && blame.is_none() {
+                if O::OBSERVES && blame.is_none() {
                     // No candidate issued yet: blame the highest-priority
                     // warp's stall.
                     let (cause, pc) = stop.expect("zero issue implies a stall");
@@ -844,8 +778,10 @@ impl Sm {
             // An issue, or a greedy pointer letting go, is progress.
             self.progress |= issued_from.is_some() || self.gto_last[s].is_some();
             self.gto_last[s] = issued_from;
-            if self.cfg.profile {
-                self.account_slots(s, sched_issued, width, issued_from, blame);
+            if O::OBSERVES {
+                let (warps, schedulers) = (&self.warps, self.cfg.schedulers_per_sm);
+                let blame = || blame.unwrap_or_else(|| idle_cause(warps, s, schedulers));
+                self.observer.issue_slots(s, sched_issued, issued_from, blame);
             }
         }
         if issued_any {
@@ -862,48 +798,6 @@ impl Sm {
         completed
     }
 
-    /// Attributes scheduler `s`'s issue slots for this cycle: `issued`
-    /// productive slots, and `width - issued` slots to the blamed cause
-    /// (falling back to an idle scan when no candidate was tried).
-    fn account_slots(
-        &mut self,
-        s: usize,
-        issued: usize,
-        width: usize,
-        issued_from: Option<usize>,
-        blame: Option<(StallCause, Option<usize>, Option<usize>)>,
-    ) {
-        self.profile.slots.add(StallCause::Issued, issued as u64);
-        if let Some(wslot) = issued_from {
-            self.profile.per_warp[wslot].issued += issued as u64;
-        }
-        let missing = (width - issued) as u64;
-        if missing == 0 {
-            return;
-        }
-        let (cause, pc, wslot) = blame.unwrap_or_else(|| self.idle_cause(s));
-        self.last_blame[s] = (cause, pc, wslot);
-        self.credit_stall(cause, pc, wslot, missing);
-    }
-
-    /// Charges `slots` unfilled issue slots to `cause`, and to the head
-    /// PC and warp slot it blames.
-    fn credit_stall(
-        &mut self,
-        cause: StallCause,
-        pc: Option<usize>,
-        wslot: Option<usize>,
-        slots: u64,
-    ) {
-        self.profile.slots.add(cause, slots);
-        if let Some(pc) = pc {
-            self.profile.per_pc.entry(pc).or_default().stalls.add(cause, slots);
-        }
-        if let Some(wslot) = wslot {
-            self.profile.per_warp[wslot].stalls.add(cause, slots);
-        }
-    }
-
     /// Why a warp that ended its issue group on a control instruction left
     /// the rest of the group unfilled.
     fn post_control_cause(&self, wslot: usize) -> StallCause {
@@ -917,31 +811,6 @@ impl Sm {
                 // The branch flushed the I-buffer; fetch must refill it.
                 WarpState::Ready => StallCause::IBufferEmpty,
             },
-        }
-    }
-
-    /// Why scheduler `s` had no issue candidate at all this cycle: the
-    /// highest-priority parked state among its warps, or idle-no-warp.
-    fn idle_cause(&self, s: usize) -> (StallCause, Option<usize>, Option<usize>) {
-        let mut best: Option<(u32, StallCause, Option<usize>, usize)> = None;
-        for slot in (s..self.warps.len()).step_by(self.cfg.schedulers_per_sm) {
-            let Some(w) = self.warps.get(slot) else { continue };
-            let (rank, cause, pc) = match w.state {
-                WarpState::WaitLeader(pc, _) => (0, StallCause::WaitLeader, Some(pc)),
-                WarpState::BranchSync(pc) => (1, StallCause::BranchSync, Some(pc)),
-                WarpState::AtBarrier => (2, StallCause::Barrier, None),
-                // A Ready warp with a non-empty I-buffer would have been a
-                // candidate, so this one is waiting on fetch.
-                WarpState::Ready => (3, StallCause::IBufferEmpty, None),
-                WarpState::Done => continue,
-            };
-            if best.as_ref().is_none_or(|&(r, ..)| rank < r) {
-                best = Some((rank, cause, pc, slot));
-            }
-        }
-        match best {
-            Some((_, cause, pc, slot)) => (cause, pc, Some(slot)),
-            None => (StallCause::IdleNoWarp, None, None),
         }
     }
 
@@ -1030,9 +899,7 @@ impl Sm {
                     else {
                         unreachable!()
                     };
-                    if self.cfg.shadow_check {
-                        self.shadow_check_marker(wslot, pc, dst, &values, global);
-                    }
+                    self.shadow_check(wslot, pc, dst, &values, global);
                     let w = &mut self.warps[wslot];
                     w.set_reg_vector(dst, &values);
                     let _ = w.record_pass(pc);
@@ -1040,9 +907,7 @@ impl Sm {
                     w.reconverge();
                     absorbed += 1;
                     self.progress = true;
-                    if self.cfg.profile {
-                        self.profile.per_pc.entry(pc).or_default().skipped += 1;
-                    }
+                    self.observer.absorbed(pc);
                 }
                 Some(&IBufEntry::Ghost { pc }) => {
                     let instr = kd.instr(pc);
@@ -1053,9 +918,7 @@ impl Sm {
                     w.advance();
                     absorbed += 1;
                     self.progress = true;
-                    if self.cfg.profile {
-                        self.profile.per_pc.entry(pc).or_default().skipped += 1;
-                    }
+                    self.observer.absorbed(pc);
                     // Count the elimination here (a flushed ghost was
                     // wrong-path work the baseline would not execute
                     // either).
@@ -1097,7 +960,7 @@ impl Sm {
         // SILICON-SYNC: block at basic-block boundaries.
         if matches!(self.technique, Technique::SiliconSync)
             && self.kd.bb_start[pc]
-            && self.silicon_sync_gate(now, wslot)
+            && self.silicon_sync_gate(wslot)
         {
             return IssueOutcome::Stall { cause: StallCause::Barrier, pc: Some(pc) };
         }
@@ -1119,24 +982,19 @@ impl Sm {
         // UV: value-keyed reuse of TB-uniform instructions at issue. Only
         // fully-active warps participate (a partial mask would clobber
         // inactive lanes and key with stale lane-0 values).
-        let mut uv_key = None;
-        if matches!(self.technique, Technique::Uv)
+        let uv = matches!(self.technique, Technique::Uv)
             && self.warps[wslot].fully_active()
             && self.kd.plan.uv_uniform[pc]
             && instr.guard.is_none()
-            && !matches!(instr.op, Op::Sel(_))
-        {
-            match self.try_uv_reuse(now, wslot, pc, instr, global, banks_used) {
-                Ok(()) => return IssueOutcome::Issued,
-                Err(key) => uv_key = Some(key),
-            }
+            && !matches!(instr.op, Op::Sel(_));
+        if uv && self.try_uv_reuse(now, wslot, pc, instr, global, banks_used) {
+            return IssueOutcome::Issued;
         }
-
-        self.issue_instr(now, wslot, sched, pc, leader, uv_key, instr, global, l2, dram, banks_used)
+        self.issue_instr(now, wslot, sched, pc, leader, uv, instr, global, l2, dram, banks_used)
     }
 
     /// SILICON-SYNC gate: returns true when the warp must stall.
-    fn silicon_sync_gate(&mut self, _now: u64, wslot: usize) -> bool {
+    fn silicon_sync_gate(&mut self, wslot: usize) -> bool {
         let (tb_idx, warp_in_tb) = {
             let w = &self.warps[wslot];
             (w.tb, w.warp_in_tb as usize)
@@ -1168,63 +1026,46 @@ impl Sm {
         !all_reached
     }
 
-    /// UV reuse attempt; `Ok(())` when the instruction was satisfied from
-    /// the reuse buffer, `Err(key)` on a miss (the caller executes
-    /// normally and inserts the result under that key).
-    #[allow(clippy::too_many_arguments)]
+    /// UV reuse attempt; true when the instruction was satisfied from the
+    /// reuse buffer. On a miss `uv_sig` keeps the operand signature: the
+    /// caller executes normally and inserts the result under it.
     fn try_uv_reuse(
         &mut self,
-        _now: u64,
+        now: u64,
         wslot: usize,
         pc: usize,
         instr: &simt_isa::Instruction,
         global: &mut GlobalMemory,
         banks_used: &mut [u32],
-    ) -> Result<(), crate::reuse::ReuseKey> {
-        let w = &mut self.warps[wslot];
+    ) -> bool {
+        let w = &self.warps[wslot];
         // Operand signature from lane 0 (UV only targets warp-uniform
         // operands). S2R has implicit inputs: fold in the TB identity.
-        let mut sig_words: Vec<u32> = instr
-            .srcs
-            .iter()
-            .map(|&o| match o {
-                simt_isa::Operand::Reg(r) => w.reg(r, 0),
-                simt_isa::Operand::Imm(v) => v,
-            })
-            .collect();
+        self.uv_sig.clear();
+        self.uv_sig.extend(instr.srcs.iter().map(|&o| match o {
+            simt_isa::Operand::Reg(r) => w.reg(r, 0),
+            simt_isa::Operand::Imm(v) => v,
+        }));
         if let Op::S2R(_) = instr.op {
-            let tb = &self.tbs[w.tb];
-            sig_words.push(tb.ctaid.x);
-            sig_words.push(tb.ctaid.y);
-            sig_words.push(tb.ctaid.z);
+            let c = self.tbs[w.tb].ctaid;
+            self.uv_sig.extend([c.x, c.y, c.z]);
         }
-        let key = ReuseBuffer::key(pc, &sig_words);
-        if let Some(vals) = self.uv_reuse.probe(&key) {
-            // Operand reads still happen (the reuse buffer is checked with
-            // real operand values).
-            self.charge_operand_reads(wslot, instr, banks_used);
-            if self.cfg.shadow_check {
-                if let Some(d) = instr.dst {
-                    self.shadow_check_marker(wslot, pc, d, &vals, global);
-                }
-            }
-            let w = &mut self.warps[wslot];
-            if let Some(d) = instr.dst {
-                w.set_reg_vector(d, &vals);
-                self.stats.rf_writes += 1;
-            }
-            w.ibuffer.pop_front();
-            w.advance();
-            w.reconverge();
-            self.stats.instrs_reused.add(self.kd.plan.taxonomy[pc], 1);
-            if self.cfg.profile {
-                self.profile.per_pc.entry(pc).or_default().issued += 1;
-            }
-            self.trace(wslot, pc, EventKind::Reuse);
-            Ok(())
-        } else {
-            Err(key)
+        let Some(vals) = self.uv_reuse.probe(pc, &self.uv_sig) else { return false };
+        // Operand reads still happen (the reuse buffer is checked with real
+        // operand values).
+        self.charge_operand_reads(wslot, instr, banks_used);
+        if let Some(d) = instr.dst {
+            self.shadow_check(wslot, pc, d, &vals, global);
+            self.warps[wslot].set_reg_vector(d, &vals);
+            self.stats.rf_writes += 1;
         }
+        let w = &mut self.warps[wslot];
+        w.ibuffer.pop_front();
+        w.advance();
+        w.reconverge();
+        self.stats.instrs_reused.add(self.kd.plan.taxonomy[pc], 1);
+        self.observer.event(now, wslot, pc, EventKind::Reuse);
+        true
     }
 
     fn charge_operand_reads(
@@ -1256,7 +1097,7 @@ impl Sm {
         sched: usize,
         pc: usize,
         leader: Option<u32>,
-        uv_key: Option<crate::reuse::ReuseKey>,
+        uv_miss: bool,
         instr: &simt_isa::Instruction,
         global: &mut GlobalMemory,
         l2: &mut TagCache,
@@ -1296,16 +1137,11 @@ impl Sm {
         let effect = self.execute_warp(wslot, instr, global);
         self.stats.instrs_executed += 1;
         self.stats.executed_taxonomy.add(self.kd.plan.taxonomy[pc], 1);
-        if self.cfg.profile {
-            self.profile.per_pc.entry(pc).or_default().issued += 1;
-        }
-        self.trace(wslot, pc, EventKind::Issue);
+        self.observer.event(now, wslot, pc, EventKind::Issue);
 
         // UV: remember the result for future reuse.
-        if let Some(key) = uv_key {
-            if let Some(d) = instr.dst {
-                self.uv_reuse.insert(key, self.warps[wslot].reg_vector(d).into_boxed_slice());
-            }
+        if let Some(d) = instr.dst.filter(|_| uv_miss) {
+            self.uv_reuse.insert(pc, &self.uv_sig, Arc::from(self.warps[wslot].reg_row(d)));
         }
 
         // Leader snapshot: capture the produced vector for followers.
@@ -1339,18 +1175,14 @@ impl Sm {
             }
             ExecEffect::Barrier => {
                 self.stats.barrier_waits += 1;
-                self.trace(wslot, pc, EventKind::BarrierArrive);
+                self.observer.event(now, wslot, pc, EventKind::BarrierArrive);
+                let w = &mut self.warps[wslot];
+                w.reconverge();
+                // Parked until the last arrival releases everyone, itself
+                // included.
+                w.state = WarpState::AtBarrier;
                 let released = self.tbs[tb_idx].arrive_barrier(warp_in_tb);
-                self.warps[wslot].reconverge();
-                match released {
-                    Some(mask) => {
-                        self.barrier_marks += 1;
-                        // Everyone (including this warp) proceeds.
-                        let slots = &self.tbs[tb_idx].warp_slots;
-                        release_warps(&mut self.warps, slots, mask, |s| s == WarpState::AtBarrier);
-                    }
-                    None => self.warps[wslot].state = WarpState::AtBarrier,
-                }
+                self.ready_barrier_warps(tb_idx, released);
                 IssueOutcome::IssuedControl { tb_done: 0 }
             }
             ExecEffect::Exit => {
@@ -1360,7 +1192,7 @@ impl Sm {
                 let mut tb_done = 0;
                 if done {
                     w.fetch_blocked = false;
-                    self.trace(wslot, pc, EventKind::WarpDone);
+                    self.observer.event(now, wslot, pc, EventKind::WarpDone);
                     let tb = &mut self.tbs[tb_idx];
                     if tb.retire_warp(warp_in_tb) {
                         self.free_tb(tb_idx);
@@ -1428,7 +1260,7 @@ impl Sm {
     #[allow(clippy::too_many_arguments)]
     fn resolve_branch(
         &mut self,
-        _now: u64,
+        now: u64,
         wslot: usize,
         tb_idx: usize,
         warp_in_tb: u32,
@@ -1470,7 +1302,7 @@ impl Sm {
                         Some(_) => self.apply_branch_sync_resolution(tb_idx, resolved),
                         None => {
                             self.warps[wslot].state = WarpState::BranchSync(pc);
-                            self.trace(wslot, pc, EventKind::BranchSync);
+                            self.observer.event(now, wslot, pc, EventKind::BranchSync);
                         }
                     }
                 }
@@ -1494,24 +1326,22 @@ impl Sm {
             self.apply_branch_sync_resolution(tb_idx, resolved);
         }
         // Barrier may also now be complete.
-        let released = {
-            let tb = &mut self.tbs[tb_idx];
-            if tb.barrier_arrived != 0 && tb.barrier_arrived & tb.live_mask == tb.live_mask {
-                tb.arrive_barrier_completion()
-            } else {
-                None
-            }
-        };
-        if let Some(mask) = released {
-            self.barrier_marks += 1;
-            let slots = &self.tbs[tb_idx].warp_slots;
-            release_warps(&mut self.warps, slots, mask, |s| s == WarpState::AtBarrier);
-        }
+        let released = self.tbs[tb_idx].release_barrier();
+        self.ready_barrier_warps(tb_idx, released);
         let tb = &mut self.tbs[tb_idx];
         let must = tb.must_pass_mask();
         if tb.skip_table.sweep(must) > 0 {
             tb.gc_versions();
         }
+    }
+
+    /// Readies the TB's warps parked at its barrier when `released` (the
+    /// mask a completed barrier returns) is set.
+    fn ready_barrier_warps(&mut self, tb_idx: usize, released: Option<u32>) {
+        let Some(mask) = released else { return };
+        self.barrier_marks += 1;
+        let slots = &self.tbs[tb_idx].warp_slots;
+        release_warps(&mut self.warps, slots, mask, |s| s == WarpState::AtBarrier);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1555,22 +1385,19 @@ impl Sm {
                 by_pc.global_transactions += lines.len() as u64;
                 self.lsu_busy = now + timing::global_occupancy(lines.len() as u64);
                 let mut worst = now + timing::l1_hit_latency(&self.cfg);
+                let writes = is_store || is_atomic;
                 for &line in lines.iter() {
-                    let t = if is_store || is_atomic {
-                        // Write-through: invalidate L1, go to L2.
-                        self.l1d.invalidate(line);
-                        if l2.access(line) {
-                            self.stats.l2_hits += 1;
-                            now + timing::l2_hit_latency(&self.cfg)
-                        } else {
-                            self.stats.l2_misses += 1;
-                            dram.schedule(now, timing::dram_line_latency(&self.cfg))
-                        }
-                    } else if self.l1d.access(line) {
+                    let t = if !writes && self.l1d.access(line) {
                         self.stats.l1_hits += 1;
                         now + timing::l1_hit_latency(&self.cfg)
                     } else {
-                        self.stats.l1_misses += 1;
+                        // A load missed L1; a write goes through it,
+                        // invalidating its copy.
+                        if writes {
+                            self.l1d.invalidate(line);
+                        } else {
+                            self.stats.l1_misses += 1;
+                        }
                         if l2.access(line) {
                             self.stats.l2_hits += 1;
                             now + timing::l2_hit_latency(&self.cfg)
@@ -1592,7 +1419,7 @@ impl Sm {
         };
 
         if is_store || is_atomic {
-            self.invalidate_load_skips(tb_idx, is_atomic, space);
+            self.invalidate_load_skips(tb_idx, is_atomic);
         }
         if instr.dst.is_some() {
             self.finish_issue(completion, wslot, pc, leader, instr);
@@ -1601,7 +1428,7 @@ impl Sm {
 
     /// Paper Section 4.4: stores flush this TB's load entries; global
     /// communication primitives (atomics) flush load entries SM-wide.
-    fn invalidate_load_skips(&mut self, tb_idx: usize, is_atomic: bool, space: MemSpace) {
+    fn invalidate_load_skips(&mut self, tb_idx: usize, is_atomic: bool) {
         let Some(d) = self.darsie() else { return };
         if d.ignore_store && !is_atomic {
             return;
@@ -1609,7 +1436,6 @@ impl Sm {
         // Shared-memory stores can only affect this TB's shared loads;
         // conservatively flush the TB bank either way (the table does not
         // distinguish spaces beyond IsLoad).
-        let _ = space;
         for t in 0..self.tbs.len() {
             let Some(tb) = self.tbs.get_mut(t).filter(|_| is_atomic || t == tb_idx) else {
                 continue;
@@ -1630,9 +1456,10 @@ impl Sm {
         self.used_smem -= self.kd.ck.kernel.shared_mem_bytes;
     }
 
-    /// Shadow soundness oracle: recompute a skipped instruction and compare
-    /// with the leader's shared value.
-    fn shadow_check_marker(
+    /// Shadow soundness oracle, when the configuration enables it:
+    /// recomputes a skipped or reused instruction and compares with the
+    /// shared value.
+    fn shadow_check(
         &mut self,
         wslot: usize,
         pc: usize,
@@ -1640,6 +1467,9 @@ impl Sm {
         values: &[u32],
         global: &mut GlobalMemory,
     ) {
+        if !self.cfg.shadow_check {
+            return;
+        }
         let kd = Arc::clone(&self.kd);
         let instr = kd.instr(pc);
         let before = self.warps[wslot].reg_vector(dst);
@@ -1770,7 +1600,7 @@ impl Sm {
                 break;
             }
             let op = self.kd.instr(pc).op;
-            self.trace(wslot, pc, EventKind::Fetch);
+            self.observer.event(now, wslot, pc, EventKind::Fetch);
             let w = &mut self.warps[wslot];
             w.ibuffer.push_back(IBufEntry::Instr { pc, leader: None });
             self.stats.instrs_fetched += 1;
@@ -1900,7 +1730,7 @@ impl Sm {
                     }
                     self.stats.instrs_skipped.add(taxonomy, 1);
                     self.stats.darsie.instructions_skipped += 1;
-                    self.trace(wslot, pc, EventKind::Skip);
+                    self.observer.event(now, wslot, pc, EventKind::Skip);
                     // Loop: try to skip the next instruction too.
                 }
                 ProbeOutcome::BecomeLeader => {
@@ -1958,7 +1788,7 @@ impl Sm {
                         .ibuffer
                         .push_back(IBufEntry::Instr { pc, leader: Some(instance) });
                     self.stats.instrs_fetched += 1;
-                    self.trace(wslot, pc, EventKind::Lead);
+                    self.observer.event(now, wslot, pc, EventKind::Lead);
                     // The leader's instruction still consumes fetch work:
                     // charge the I-cache access (a miss does not delay it).
                     let _ = self.charge_fetch(pc);
@@ -1967,7 +1797,7 @@ impl Sm {
                 ProbeOutcome::WaitForLeader => {
                     self.tbs[tb_idx].skip_table.record_wait(pc, instance, warp_in_tb, now);
                     self.warps[wslot].state = WarpState::WaitLeader(pc, instance);
-                    self.trace(wslot, pc, EventKind::WaitLeader);
+                    self.observer.event(now, wslot, pc, EventKind::WaitLeader);
                     return false;
                 }
             }
@@ -1983,6 +1813,48 @@ enum IssueOutcome {
     Issued,
     IssuedControl { tb_done: u32 },
     Stall { cause: StallCause, pc: Option<usize> },
+}
+
+/// Why scheduler `s` of `schedulers` had no issue candidate at all this
+/// cycle: the highest-priority parked state among its warps, or
+/// idle-no-warp.
+fn idle_cause(warps: &Slots<Warp>, s: usize, schedulers: usize) -> Blame {
+    let mut best: Option<(u32, StallCause, Option<usize>, usize)> = None;
+    for slot in (s..warps.len()).step_by(schedulers) {
+        let Some(w) = warps.get(slot) else { continue };
+        let (rank, cause, pc) = match w.state {
+            WarpState::WaitLeader(pc, _) => (0, StallCause::WaitLeader, Some(pc)),
+            WarpState::BranchSync(pc) => (1, StallCause::BranchSync, Some(pc)),
+            WarpState::AtBarrier => (2, StallCause::Barrier, None),
+            // A Ready warp with a non-empty I-buffer would have been a
+            // candidate, so this one is waiting on fetch.
+            WarpState::Ready => (3, StallCause::IBufferEmpty, None),
+            WarpState::Done => continue,
+        };
+        if best.as_ref().is_none_or(|&(r, ..)| rank < r) {
+            best = Some((rank, cause, pc, slot));
+        }
+    }
+    match best {
+        Some((_, cause, pc, slot)) => (cause, pc, Some(slot)),
+        None => (StallCause::IdleNoWarp, None, None),
+    }
+}
+
+/// The SM's DARSIE structures and warp population, stamped `cycle`.
+fn occupancy(tbs: &Slots<TbState>, warps: &Slots<Warp>, cycle: u64) -> OccupancySample {
+    let mut s = OccupancySample { cycle, ..OccupancySample::default() };
+    for tb in tbs.iter() {
+        s.skip_entries += tb.skip_table.len() as u32;
+        s.skip_capacity += tb.skip_table.capacity() as u32;
+        s.live_versions += tb.rename.live_versions() as u32;
+        s.rename_capacity += tb.rename.capacity() as u32;
+    }
+    for w in warps.iter() {
+        s.resident_warps += 1;
+        s.waiting_warps += u32::from(matches!(w.state, WarpState::WaitLeader(..)));
+    }
+    s
 }
 
 /// Readies the warps of one TB (`slots`, indexed by warp-in-TB) that

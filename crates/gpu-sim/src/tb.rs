@@ -104,27 +104,21 @@ impl TbState {
     /// when the whole TB has arrived (mask of warps to unblock).
     pub fn arrive_barrier(&mut self, warp_in_tb: u32) -> Option<WarpMask> {
         self.barrier_arrived |= 1 << warp_in_tb;
-        if self.barrier_arrived & self.live_mask == self.live_mask {
-            let released = std::mem::take(&mut self.barrier_arrived);
-            // `__syncthreads()` restores every warp to the majority path
-            // (paper Section 4.3.3).
-            self.majority.reset();
-            Some(released)
-        } else {
-            None
-        }
+        self.release_barrier()
     }
 
-    /// Completes a barrier whose remaining participants all exited
-    /// (re-evaluated after warp retirement). Returns the released mask.
-    pub fn arrive_barrier_completion(&mut self) -> Option<WarpMask> {
-        if self.barrier_arrived != 0 && self.barrier_arrived & self.live_mask == self.live_mask {
-            let released = std::mem::take(&mut self.barrier_arrived);
-            self.majority.reset();
-            Some(released)
-        } else {
-            None
+    /// Releases the TB's barrier once every live warp has arrived at it
+    /// (an arrival, or a retirement that leaves only arrived warps).
+    /// Returns the mask of warps to unblock.
+    pub fn release_barrier(&mut self) -> Option<WarpMask> {
+        if self.barrier_arrived == 0 || self.barrier_arrived & self.live_mask != self.live_mask {
+            return None;
         }
+        let released = std::mem::take(&mut self.barrier_arrived);
+        // `__syncthreads()` restores every warp to the majority path
+        // (paper Section 4.3.3).
+        self.majority.reset();
+        Some(released)
     }
 
     /// Registers a majority-path warp's arrival at a synchronized branch.

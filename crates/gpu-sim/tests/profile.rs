@@ -1,8 +1,9 @@
 //! Cycle-accounting integration tests: the identity on real runs, a
-//! pinned fixture breakdown, and the disabled-by-default contract.
+//! pinned fixture breakdown, the disabled-by-default contract, and the
+//! profile and the event trace each kept under its own flag.
 
 use gpu_sim::mem::GlobalMemory;
-use gpu_sim::{Gpu, GpuConfig, SlotCounts, StallCause, Technique};
+use gpu_sim::{Gpu, GpuConfig, PipeEvent, SimResult, SlotCounts, StallCause, Technique};
 use simt_isa::{KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value};
 
 /// out[tid.y*16+tid.x] = in[tid.x] * 2: the tid.x chain is TB-redundant
@@ -25,7 +26,11 @@ fn scale2d() -> simt_compiler::CompiledKernel {
     simt_compiler::compile(b.finish())
 }
 
-fn run(technique: Technique) -> gpu_sim::SimResult {
+fn run(technique: Technique) -> SimResult {
+    launch(GpuConfig { profile: true, ..GpuConfig::test_small() }, technique)
+}
+
+fn launch(cfg: GpuConfig, technique: Technique) -> SimResult {
     let ck = scale2d();
     let mut mem = GlobalMemory::new();
     let a_in = mem.alloc(16 * 4);
@@ -33,12 +38,11 @@ fn run(technique: Technique) -> gpu_sim::SimResult {
     mem.write_slice_u32(a_in, &(0..16u32).map(|i| 100 + i).collect::<Vec<_>>());
     let launch = LaunchConfig::new(2u32, (16u32, 16u32))
         .with_params(vec![Value(a_in as u32), Value(a_out as u32)]);
-    let cfg = GpuConfig { profile: true, ..GpuConfig::test_small() };
     Gpu::new(cfg, technique).launch(&ck, &launch, mem)
 }
 
 /// Collapses a profile into (cycles, merged slot counts) for pinning.
-fn summarize(res: &gpu_sim::SimResult) -> (u64, SlotCounts) {
+fn summarize(res: &SimResult) -> (u64, SlotCounts) {
     let prof = res.profile.as_ref().expect("profiling enabled");
     prof.check_identity().expect("accounting identity");
     (res.cycles, prof.slots())
@@ -98,4 +102,29 @@ fn fixture_breakdown_is_pinned() {
     assert_eq!(b.get(StallCause::Issued), 2 * d.get(StallCause::Issued));
     assert!(d.get(StallCause::SkippedByDarsie) > 0);
     assert!(d.get(StallCause::WaitLeader) > 0);
+}
+
+#[test]
+fn profile_and_trace_flags_are_independent() {
+    // One recorder serves both flags: each alone must record exactly what
+    // it records with both on, and nothing of the other (an untraced ring
+    // that counted drops would show in `dropped`).
+    let events =
+        |r: &SimResult| (r.events.iter().copied().collect::<Vec<PipeEvent>>(), r.events.dropped);
+    for tech in [Technique::Base, Technique::Uv, Technique::darsie()] {
+        let with = |profile, trace_events| {
+            launch(GpuConfig { profile, trace_events, ..GpuConfig::test_small() }, tech.clone())
+        };
+        let (profile_only, trace_only, both) =
+            (with(true, false), with(false, true), with(true, true));
+        let label = tech.label();
+        assert!(both.profile.is_some() && !both.events.is_empty(), "{label}: both on");
+        assert_eq!(profile_only.profile, both.profile, "{label}: profile-only profile");
+        assert!(profile_only.events.is_empty(), "{label}: profile-only trace");
+        assert_eq!(profile_only.events.dropped, 0, "{label}: profile-only drops");
+        assert_eq!(events(&trace_only), events(&both), "{label}: trace-only trace");
+        assert!(trace_only.profile.is_none(), "{label}: trace-only profile");
+        assert_eq!(profile_only.stats, both.stats, "{label}: stats");
+        assert_eq!(trace_only.stats, both.stats, "{label}: stats");
+    }
 }

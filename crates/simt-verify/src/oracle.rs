@@ -80,10 +80,12 @@ fn checked_kind(ck: &CompiledKernel, pc: usize, px: bool, py: bool) -> Option<Li
     }
 }
 
-/// Groups the destination vectors of checked instructions for one TB,
-/// and runs the dynamic race sanitizers alongside.
+/// Groups the destination vectors of checked (and headroom candidate)
+/// instructions for one TB, and runs the dynamic race sanitizers
+/// alongside.
 struct OracleObserver<'a> {
     checked: &'a [Option<LintCode>],
+    grouped: &'a [bool],
     groups: OccurrenceGroups<[u32]>,
     sanitizer: RaceSanitizer,
     /// Shared words each *checked* load pc read during this TB. Each pc
@@ -104,7 +106,7 @@ impl FunctionalObserver for OracleObserver<'_> {
         instr: &Instruction,
         warp: &gpu_sim::Warp,
     ) {
-        if self.checked[pc].is_some() {
+        if self.grouped[pc] {
             self.groups.after_instruction(w, pc, occurrence, instr, warp);
         }
     }
@@ -152,20 +154,54 @@ fn min_tainted(words: &FastSet<u64>, tainted: impl Fn(u64) -> bool) -> Option<u6
 /// Runs the differential oracle over every threadblock of `launch`,
 /// evolving `memory` exactly as a real launch would.
 #[must_use]
-pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemory) -> Diagnostics {
+pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, memory: GlobalMemory) -> Diagnostics {
+    check_with_headroom(ck, launch, None, memory).0
+}
+
+/// [`check`], and from the same replay the dynamic-redundancy
+/// [`Headroom`] the static plan `skippable` leaves (empty when
+/// `skippable` is `None`): each unskipped register-writing pc is
+/// classified by whether its aligned occurrence groups were in fact
+/// warp-identical. `skippable` is the per-pc static plan (e.g.
+/// `simt_compiler::LaunchPlan::skippable`). Only the checked pcs are
+/// grouped unless headroom is asked for.
+///
+/// # Panics
+///
+/// Panics if `skippable` is shorter than the kernel's instruction count.
+#[must_use]
+pub fn check_with_headroom(
+    ck: &CompiledKernel,
+    launch: &LaunchConfig,
+    skippable: Option<&[bool]>,
+    mut memory: GlobalMemory,
+) -> (Diagnostics, Headroom) {
     let mut report = Diagnostics::new(ck.kernel.name.clone());
+    let n = ck.kernel.instrs.len();
     let px = launch.promotes_conditional_redundancy();
     let py = promotes_tid_y(launch);
-    let checked: Vec<Option<LintCode>> =
-        (0..ck.kernel.instrs.len()).map(|pc| checked_kind(ck, pc, px, py)).collect();
+    let checked: Vec<Option<LintCode>> = (0..n).map(|pc| checked_kind(ck, pc, px, py)).collect();
+    // Headroom candidates: register-writing, non-atomic, unskipped pcs.
+    let candidate: Vec<bool> = match skippable {
+        Some(skip) => {
+            assert!(skip.len() >= n, "one skippable flag per instruction required");
+            let ops = ck.kernel.instrs.iter().map(|i| i.op);
+            ops.zip(skip)
+                .map(|(op, &s)| op.writes_dst() && !matches!(op, Op::Atom(_)) && !s)
+                .collect()
+        }
+        None => vec![false; n],
+    };
+    let grouped: Vec<bool> = (0..n).map(|pc| checked[pc].is_some() || candidate[pc]).collect();
     let has_shared = ck
         .kernel
         .instrs
         .iter()
         .any(|i| matches!(i.op, Op::Ld(MemSpace::Shared) | Op::St(MemSpace::Shared)));
     let has_global_hazard = blocks::has_global_hazard(ck, launch);
-    if checked.iter().all(Option::is_none) && !has_shared && !has_global_hazard {
-        return report;
+    let oracle_runs = checked.iter().any(Option::is_some) || has_shared || has_global_hazard;
+    if !oracle_runs && skippable.is_none() {
+        return (report, Headroom::default());
     }
     // Per mismatching pc: warp-occurrence pairs and the first example.
     let mut mismatches: BTreeMap<usize, (u64, String)> = BTreeMap::new();
@@ -178,12 +214,15 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
     // order is exactly what the sharded engine is free to permute.
     let mut gsan = GlobalRaceSanitizer::for_kernel(&ck.kernel);
     let mut global_reads: FastMap<usize, FastSet<u64>> = FastMap::default();
+    // dyn_red[pc]: Some(true) while every aligned group matched so far.
+    let mut dyn_red: Vec<Option<bool>> = vec![None; n];
 
     for i in 0..launch.num_blocks() {
         let ctaid = ctaid_at(launch.grid, i);
         gsan.set_block(i);
         let mut obs = OracleObserver {
             checked: &checked,
+            grouped: &grouped,
             groups: OccurrenceGroups::new(launch),
             sanitizer: RaceSanitizer::new(launch.warp_size),
             shared_reads: FastMap::default(),
@@ -204,11 +243,11 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
         // In (pc, occurrence) order, so the first mismatch of a pc (its
         // example) is its earliest occurrence in this TB.
         for ((pc, occurrence), group) in obs.groups.finish() {
-            let Some(OccurrenceGroup { leader, mismatches: count, first_mismatch: Some((w, dst)) }) =
-                group
-            else {
+            let Some(OccurrenceGroup { leader, mismatches: count, first_mismatch }) = group else {
                 continue;
             };
+            *dyn_red[pc].get_or_insert(true) &= count == 0;
+            let (Some((w, dst)), Some(_)) = (first_mismatch, checked[pc]) else { continue };
             mismatches
                 .entry(pc)
                 .or_insert_with(|| {
@@ -222,6 +261,15 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
                     (0, example)
                 })
                 .0 += count;
+        }
+    }
+
+    let mut headroom = Headroom::default();
+    for pc in (0..n).filter(|&pc| candidate[pc]) {
+        match dyn_red[pc] {
+            Some(true) => headroom.dynamically_redundant.push(pc),
+            None => headroom.never_aligned.push(pc),
+            Some(false) => {}
         }
     }
 
@@ -301,7 +349,7 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig, mut memory: GlobalMemor
             ),
         ));
     }
-    report
+    (report, headroom)
 }
 
 /// How much dynamic TB-redundancy the static `skippable` set leaves on the
@@ -317,52 +365,6 @@ pub struct Headroom {
     /// an aligned group: the sharing hardware could not have skipped them
     /// regardless of marking, so they bound no analysis improvement.
     pub never_aligned: Vec<usize>,
-}
-
-/// Measures the dynamic-redundancy headroom of the static skip plan:
-/// replays every TB of `launch` and classifies each unskipped
-/// register-writing pc by whether its aligned occurrence groups were in
-/// fact warp-identical. `skippable` is the per-pc static plan (e.g.
-/// `simt_compiler::LaunchPlan::skippable`); `memory` is consumed by the
-/// replay.
-///
-/// # Panics
-///
-/// Panics if `skippable` is shorter than the kernel's instruction count.
-#[must_use]
-pub fn dynamic_headroom(
-    ck: &CompiledKernel,
-    launch: &LaunchConfig,
-    skippable: &[bool],
-    mut memory: GlobalMemory,
-) -> Headroom {
-    let n = ck.kernel.instrs.len();
-    assert!(skippable.len() >= n, "one skippable flag per instruction required");
-    // dyn_red[pc]: Some(true) while every aligned group matched so far.
-    let mut dyn_red: Vec<Option<bool>> = vec![None; n];
-    for i in 0..launch.num_blocks() {
-        let ctaid = ctaid_at(launch.grid, i);
-        let mut groups = OccurrenceGroups::<[u32]>::new(launch);
-        run_tb_functional(ck, launch, ctaid, &mut memory, &mut groups);
-        for ((pc, _occ), group) in groups.finish() {
-            if let Some(g) = group {
-                *dyn_red[pc].get_or_insert(true) &= g.mismatches == 0;
-            }
-        }
-    }
-    let mut headroom = Headroom::default();
-    for pc in 0..n {
-        let op = ck.kernel.instrs[pc].op;
-        if !op.writes_dst() || matches!(op, Op::Atom(_)) || skippable[pc] {
-            continue;
-        }
-        match dyn_red[pc] {
-            Some(true) => headroom.dynamically_redundant.push(pc),
-            None => headroom.never_aligned.push(pc),
-            Some(false) => {}
-        }
-    }
-    headroom
 }
 
 #[cfg(test)]
@@ -711,7 +713,7 @@ mod tests {
         let launch = LaunchConfig::new(1u32, Dim3::one_d(64))
             .with_params(vec![Value(5), Value(out_buf as u32)]);
         let plan = simt_compiler::LaunchPlan::new(&ck, &launch);
-        let h = dynamic_headroom(&ck, &launch, &plan.skippable, mem);
+        let h = check_with_headroom(&ck, &launch, Some(&plan.skippable), mem).1;
         assert!(h.dynamically_redundant.contains(&add_pc), "{h:?}");
         assert!(h.never_aligned.is_empty(), "{h:?}");
     }
@@ -721,7 +723,7 @@ mod tests {
         let ck = copy_kernel();
         let (launch, mem, _, _) = copy_launch(&ck);
         let plan = simt_compiler::LaunchPlan::new(&ck, &launch);
-        let h = dynamic_headroom(&ck, &launch, &plan.skippable, mem);
+        let h = check_with_headroom(&ck, &launch, Some(&plan.skippable), mem).1;
         assert!(h.dynamically_redundant.is_empty(), "{h:?}");
     }
 

@@ -15,9 +15,9 @@
 //!   occurrence)` around each instruction with its destination vectors,
 //!   the per-lane addresses of each memory access, and barrier releases.
 //!
-//! A second table pins the replays behind `darsie-sim analyze` for each
-//! catalog workload: the refined kernel's `oracle::check` report and both
-//! `oracle::dynamic_headroom` vectors.
+//! A second table pins the replay behind `darsie-sim analyze` for each
+//! catalog workload: the refined kernel's oracle report and both headroom
+//! vectors, from one `oracle::check_with_headroom`.
 //!
 //! A third table pins the static footprint analyses for each catalog
 //! workload and a set of racy, certifier and memory-performance fixtures:
@@ -552,10 +552,10 @@ const PINNED: &[Row] = &[
 ];
 
 /// One pinned `analyze` launch: workload, fingerprint of the refined
-/// kernel's `oracle::check(..).render()`, and the two `Headroom` vectors.
+/// kernel's oracle report (`render()`), and the two `Headroom` vectors.
 type AnalyzeRow = (&'static str, u64, &'static [usize], &'static [usize]);
 
-/// The oracle and headroom replays behind `darsie-sim analyze`, computed
+/// The oracle and headroom replay behind `darsie-sim analyze`, computed
 /// as the CLI does: the kernel refined for the launch's block depth, the
 /// headroom measured against the refined plan's `skippable` set.
 #[test]
@@ -564,9 +564,9 @@ fn analyze_replays_match_the_pinned_table() {
     for w in catalog(Scale::Test) {
         let refined = simt_compiler::refine(&w.ck, w.launch.block.z.max(1));
         let plan = simt_compiler::LaunchPlan::new(&refined.ck, &w.launch);
-        let oracle = oracle::check(&refined.ck, &w.launch, w.memory.clone());
-        let headroom =
-            oracle::dynamic_headroom(&refined.ck, &w.launch, &plan.skippable, w.memory.clone());
+        let skippable = Some(plan.skippable.as_slice());
+        let (oracle, headroom) =
+            oracle::check_with_headroom(&refined.ck, &w.launch, skippable, w.memory.clone());
         got.push((
             w.abbr.to_string(),
             fnv_str(&oracle.render()),
