@@ -1653,12 +1653,19 @@ fn run(cmd: &Command, args: &[String]) {
     println!("  state digest root    {:>#18x}", s.digest_root);
     println!("  wall time            {wall:>12.2?}");
     if trace > 0 {
-        println!("  -- first {} pipeline events --", trace.min(r.events.len()));
+        // The ring keeps the *last* events of the run: when it overflowed,
+        // the window starts after the dropped ones.
+        let (shown, kept, dropped) = (trace.min(r.events.len()), r.events.len(), r.events.dropped);
+        if dropped > 0 {
+            println!(
+                "  -- first {shown} of the last {kept} pipeline events \
+                 ({dropped} earlier events dropped) --"
+            );
+        } else {
+            println!("  -- first {shown} pipeline events --");
+        }
         for e in r.events.events().iter().take(trace) {
             println!("  {e}");
-        }
-        if r.events.dropped > 0 {
-            println!("  ... ({} further events dropped)", r.events.dropped);
         }
     }
     if validate {

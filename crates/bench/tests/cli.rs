@@ -671,10 +671,45 @@ fn estimate_json_schema() {
     assert!(t.at("mean_bracket_width").number() > 0.0);
 }
 
+/// The trace lines `--trace N` prints: the header and the events under it.
+fn trace_window(out: &str) -> (&str, Vec<&str>) {
+    let mut lines = out.lines().skip_while(|l| !l.starts_with("  -- first "));
+    let header = lines.next().expect("trace header");
+    (header, lines.take_while(|l| l.starts_with("  cycle")).collect())
+}
+
+/// `--trace N` prints the start of the event ring, which keeps the *last*
+/// events of a run: when it overflowed (LIB at eval scale), the header
+/// names that window and counts the earlier events dropped; when
+/// everything fit (BIN at test scale), the header is the plain one.
+#[test]
+fn trace_header_names_the_kept_window() {
+    let (code, out, err) = run(&["LIB", "--trace", "2"]);
+    assert_eq!(code, Some(0), "{err}");
+    let (header, events) = trace_window(&out);
+    assert_eq!(
+        header,
+        "  -- first 2 of the last 200000 pipeline events (8427 earlier events dropped) --"
+    );
+    assert_eq!(events.len(), 2, "{out}");
+    assert!(!out.contains("further events dropped"), "{out}");
+
+    let (code, out, err) = run(&["BIN", "--scale", "test", "--trace", "2"]);
+    assert_eq!(code, Some(0), "{err}");
+    let (header, events) = trace_window(&out);
+    assert_eq!(header, "  -- first 2 pipeline events --");
+    assert_eq!(
+        events,
+        ["  cycle      1  sm0 w1   pc    0  Fetch", "  cycle      1  sm0 w1   pc    1  Lead"]
+    );
+}
+
 /// Exact golden for the modelled numbers of `estimate --scale test --json`:
-/// per workload, BASE cycles and digest root, DARSIE cycles and digest
-/// root, and `darsie_speedup` as rendered. Any model change moves a row;
-/// re-pin only when that is the intent, and name the numbers that moved.
+/// per workload, BASE cycles, digest root and static `[min, max]` cycle
+/// bracket, the same for DARSIE, `darsie_speedup` as rendered, and every
+/// loop's `back_edge_pc:min_trips..max_trips` (both techniques must report
+/// the same trips). Any model change moves a row; re-pin only when that is
+/// the intent, and name the numbers that moved.
 #[test]
 fn estimate_matches_the_pinned_golden() {
     let (code, out, err) = run(&["estimate", "--scale", "test", "--json"]);
@@ -688,41 +723,67 @@ fn estimate_matches_the_pinned_golden() {
             let techs = w.at("techniques").list();
             let labels: Vec<&str> = techs.iter().map(|t| t.at("technique").string()).collect();
             assert_eq!(labels, ["BASE", "DARSIE"], "{}", w.at("abbr"));
-            let (base, darsie) = (&techs[0], &techs[1]);
+            let loops: Vec<String> = techs
+                .iter()
+                .map(|t| {
+                    let trips = t.at("loops").list().iter().map(|l| {
+                        format!(
+                            "{}:{}..{}",
+                            l.at("back_edge_pc"),
+                            l.at("min_trips"),
+                            l.at("max_trips")
+                        )
+                    });
+                    trips.collect::<Vec<_>>().join(" ")
+                })
+                .collect();
+            assert_eq!(loops[0], loops[1], "{}: trips differ by technique", w.at("abbr"));
+            let tech = |t: &Json| {
+                format!(
+                    "{}, \"{}\", ({}, {})",
+                    t.at("measured_cycles"),
+                    t.at("digest_root").string(),
+                    t.at("min_cycles"),
+                    t.at("max_cycles"),
+                )
+            };
             format!(
-                "(\"{}\", {}, \"{}\", {}, \"{}\", \"{}\")",
+                "(\"{}\", {}, {}, \"{}\", \"{}\")",
                 w.at("abbr").string(),
-                base.at("measured_cycles"),
-                base.at("digest_root").string(),
-                darsie.at("measured_cycles"),
-                darsie.at("digest_root").string(),
+                tech(&techs[0]),
+                tech(&techs[1]),
                 w.at("darsie_speedup"),
+                loops[0],
             )
         })
         .collect();
     let want: Vec<String> = ESTIMATE_GOLDEN
         .iter()
-        .map(|(a, bc, br, dc, dr, s)| format!("(\"{a}\", {bc}, \"{br}\", {dc}, \"{dr}\", \"{s}\")"))
+        .map(|(a, bc, br, (bl, bh), dc, dr, (dl, dh), s, l)| {
+            format!("(\"{a}\", {bc}, \"{br}\", ({bl}, {bh}), {dc}, \"{dr}\", ({dl}, {dh}), \"{s}\", \"{l}\")")
+        })
         .collect();
     assert!(got == want, "estimate golden moved; actual rows:\n    {}", got.join(",\n    "));
 }
 
-/// `(abbr, BASE cycles, BASE root, DARSIE cycles, DARSIE root, speedup)`.
+/// `(abbr, BASE cycles, BASE root, BASE bracket, DARSIE cycles, DARSIE
+/// root, DARSIE bracket, speedup, loop trips)`.
 #[rustfmt::skip]
-const ESTIMATE_GOLDEN: &[(&str, u64, &str, u64, &str, &str)] = &[
-    ("BIN", 1025, "0x6bcec553e0e73152", 943, "0xf76d1f25ca95bd9e", "1.0870"),
-    ("PT", 2148, "0x90a0fc003cfeabfe", 1804, "0xb1ffad486cfd93f0", "1.1907"),
-    ("FW", 2200, "0x3414d144df4e633c", 1814, "0x2dae61397f817f70", "1.2128"),
-    ("SR1", 494, "0xe94bc4623742c161", 443, "0xbe32c4d80de8d430", "1.1151"),
-    ("LIB", 1634, "0x4a0ad075a960a80a", 1222, "0x77f3271d9a54689e", "1.3372"),
-    ("IMNLM", 3206, "0xcb0aa194417d0209", 2398, "0xc007d6a2f6351abe", "1.3369"),
-    ("BP", 458, "0x0ac22a1fe39feefc", 416, "0x234ee89f49ac4374", "1.1010"),
-    ("DCT8x8", 1320, "0xfca0b2c2e8629c85", 1002, "0x7e9089f5f60f9cc3", "1.3174"),
-    ("FWS", 568, "0x8c9ab0cc214f3003", 389, "0x3b3c271ce5617a96", "1.4602"),
-    ("HS", 559, "0x768a05fe3e65df7f", 475, "0x68800cc8fa2ab9ac", "1.1768"),
-    ("CP", 2110, "0x0da7f802087779ad", 1532, "0xcb0cb73c31b80af5", "1.3773"),
-    ("CONVTEX", 1151, "0x254a0a2d3aa7e314", 720, "0x41da86f2fe025cff", "1.5986"),
-    ("MM", 24356, "0xc4c7f1720f782fbe", 16198, "0x65c2df487404990f", "1.5036"),
+#[allow(clippy::type_complexity)]
+const ESTIMATE_GOLDEN: &[(&str, u64, &str, (u64, u64), u64, &str, (u64, u64), &str, &str)] = &[
+    ("BIN", 1025, "0x6bcec553e0e73152", (816, 2736), 943, "0xf76d1f25ca95bd9e", (656, 3424), "1.0870", "28:8..8"),
+    ("PT", 2148, "0x90a0fc003cfeabfe", (1552, 4964), 1804, "0xb1ffad486cfd93f0", (1136, 5964), "1.1907", "32:4..4"),
+    ("FW", 2200, "0x3414d144df4e633c", (1520, 7996), 1814, "0x2dae61397f817f70", (1176, 9156), "1.2128", "31:8..8"),
+    ("SR1", 494, "0xe94bc4623742c161", (320, 1274), 443, "0xbe32c4d80de8d430", (264, 1480), "1.1151", ""),
+    ("LIB", 1634, "0x4a0ad075a960a80a", (928, 3236), 1222, "0x77f3271d9a54689e", (364, 5688), "1.3372", "47:6..6"),
+    ("IMNLM", 3206, "0xcb0aa194417d0209", (1936, 12459), 2398, "0xc007d6a2f6351abe", (1368, 14291), "1.3369", "41:3..3 44:3..3"),
+    ("BP", 458, "0x0ac22a1fe39feefc", (244, 1463), 416, "0x234ee89f49ac4374", (164, 1823), "1.1010", ""),
+    ("DCT8x8", 1320, "0xfca0b2c2e8629c85", (792, 3697), 1002, "0x7e9089f5f60f9cc3", (420, 7593), "1.3174", "30:8..8 47:8..8"),
+    ("FWS", 568, "0x8c9ab0cc214f3003", (416, 1531), 389, "0x3b3c271ce5617a96", (240, 2491), "1.4602", ""),
+    ("HS", 559, "0x768a05fe3e65df7f", (376, 1590), 475, "0x68800cc8fa2ab9ac", (280, 2006), "1.1768", ""),
+    ("CP", 2110, "0x0da7f802087779ad", (1256, 5359), 1532, "0xcb0cb73c31b80af5", (648, 12351), "1.3773", "32:8..8"),
+    ("CONVTEX", 1151, "0x254a0a2d3aa7e314", (744, 5937), 720, "0x41da86f2fe025cff", (344, 7705), "1.5986", "27:5..5"),
+    ("MM", 24356, "0xc4c7f1720f782fbe", (18176, 59816), 16198, "0x65c2df487404990f", (12096, 73752), "1.5036", "55:4..4 61:2..2"),
 ];
 
 /// Golden schema for `replay-diff --json` in self-comparison mode: two

@@ -120,18 +120,22 @@ impl EventLog {
         self.events.iter()
     }
 
-    /// Merges another log, sorts by cycle, and re-applies this ring's
-    /// capacity (keeping the most recent events).
-    pub fn merge(&mut self, other: EventLog) {
-        self.dropped += other.dropped;
-        let mut all: Vec<PipeEvent> = self.events.drain(..).chain(other.events).collect();
-        all.sort_by_key(|e| e.cycle);
-        if all.len() > self.capacity {
-            let excess = all.len() - self.capacity;
-            all.drain(..excess);
-            self.dropped += excess as u64;
+    /// Gathers `logs` into one ring of `capacity`: their events in one
+    /// stable sort by cycle (equal cycles keep the order of `logs`), the
+    /// most recent `capacity` of them kept, and every event the inputs
+    /// dropped or the trim displaces counted in [`EventLog::dropped`].
+    #[must_use]
+    pub fn gather(logs: impl IntoIterator<Item = EventLog>, capacity: usize) -> EventLog {
+        let mut dropped = 0;
+        let mut all: Vec<PipeEvent> = Vec::new();
+        for log in logs {
+            dropped += log.dropped;
+            all.extend(log.events);
         }
-        self.events = all.into();
+        all.sort_by_key(|e| e.cycle);
+        let excess = all.len().saturating_sub(capacity);
+        all.drain(..excess);
+        EventLog { events: all.into(), capacity, dropped: dropped + excess as u64 }
     }
 
     /// Number of recorded events.
@@ -185,28 +189,45 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorts_by_cycle() {
+    fn gather_sorts_by_cycle() {
         let mut a = EventLog::new(10);
         a.push(ev(5, EventKind::Issue));
         let mut b = EventLog::new(10);
         b.push(ev(1, EventKind::Fetch));
-        a.merge(b);
-        assert_eq!(a.events()[0].cycle, 1);
-        assert_eq!(a.events()[1].cycle, 5);
+        let mut g = EventLog::gather([a, b], 10);
+        assert_eq!(g.events()[0].cycle, 1);
+        assert_eq!(g.events()[1].cycle, 5);
     }
 
     #[test]
-    fn merge_reapplies_capacity_keeping_latest() {
+    fn gather_applies_capacity_keeping_latest() {
         let mut a = EventLog::new(2);
         a.push(ev(5, EventKind::Issue));
         a.push(ev(7, EventKind::Issue));
         let mut b = EventLog::new(2);
         b.push(ev(1, EventKind::Fetch));
         b.push(ev(9, EventKind::Writeback));
-        a.merge(b);
-        let cycles: Vec<u64> = a.iter().map(|e| e.cycle).collect();
+        let g = EventLog::gather([a, b], 2);
+        let cycles: Vec<u64> = g.iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![7, 9]);
-        assert_eq!(a.dropped, 2);
+        assert_eq!(g.dropped, 2);
+    }
+
+    #[test]
+    fn gather_keeps_input_order_on_equal_cycles_and_sums_drops() {
+        let logs: Vec<EventLog> = (0..3)
+            .map(|sm| {
+                let mut log = EventLog::new(1);
+                for c in [4, 3] {
+                    log.push(PipeEvent { sm, ..ev(c, EventKind::Issue) });
+                }
+                log
+            })
+            .collect();
+        let g = EventLog::gather(logs, 2);
+        let kept: Vec<(u64, usize)> = g.iter().map(|e| (e.cycle, e.sm)).collect();
+        assert_eq!(kept, vec![(3, 1), (3, 2)], "ties stay in input order, earliest trimmed");
+        assert_eq!(g.dropped, 3 + 1);
     }
 
     #[test]

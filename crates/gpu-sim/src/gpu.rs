@@ -96,13 +96,15 @@ impl Gpu {
         let (mut result, recorders) =
             self.run(ck, launch, memory, |id| SmRecorder::new(id, &self.cfg));
         let mut sms = Vec::new();
+        let mut rings = Vec::new();
         for rec in recorders {
-            result.events.merge(rec.events.unwrap_or_default());
+            rings.extend(rec.events);
             if let Some(p) = rec.profile {
                 debug_assert_eq!(p.check_identity(), Ok(()), "SM {}", p.sm);
                 sms.push(p);
             }
         }
+        result.events = EventLog::gather(rings, TRACE_CAPACITY);
         result.profile = self.cfg.profile.then_some(SimProfile { sms });
         result
     }

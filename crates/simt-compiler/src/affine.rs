@@ -47,6 +47,7 @@ use crate::cfg::{reach, Cfg};
 use simt_isa::{
     CmpOp, Instruction, Kernel, LaunchConfig, LaunchFamily, MemSpace, Op, Operand, Reg, SpecialReg,
 };
+use std::collections::BTreeMap;
 
 /// Lower-bound infinity for [`Affine`] intervals.
 pub const NEG_INF: i64 = i64::MIN;
@@ -756,12 +757,14 @@ impl std::ops::Shl for AffineVal {
 // ---------------------------------------------------------------------------
 // Affine-interval dataflow over a kernel CFG.
 //
-// This is the shared analysis engine behind the race pass and the
-// block-independence certifier in `simt-verify` and the
-// memory-performance predictions / marking refinement of PR 3. One sweep
+// This is the shared analysis engine behind the race pass, the
+// block-independence certifier, the memory-performance predictions, the
+// cost estimator and the symbolic validator's fallback in `simt-verify`,
+// and behind trip inference and marking refinement here. One sweep
 // abstracts every register as an [`AffineVal`] and every predicate as the
 // comparison that defined it, with branch-edge interval refinement for
-// uniform loop counters and widening after [`MAX_PRECISE_SWEEPS`].
+// uniform loop counters and widening after [`MAX_PRECISE_SWEEPS`]; each
+// consumer reads the result through one [`Flow`].
 // ---------------------------------------------------------------------------
 
 /// Sweeps with precise interval hulls before widening kicks in: loop
@@ -951,9 +954,8 @@ pub fn resolve(st: &FlowState, op: Operand) -> AffineVal {
     }
 }
 
-/// Abstract value an instruction writes to its general destination.
-#[must_use]
-pub fn value_of(st: &FlowState, instr: &Instruction, ctx: GridCtx) -> AffineVal {
+/// Abstract value an instruction computes for its general destination.
+fn value_of(st: &FlowState, instr: &Instruction, ctx: GridCtx) -> AffineVal {
     let s = |i: usize| resolve(st, instr.srcs[i]);
     match instr.op {
         Op::Mov => s(0),
@@ -1056,96 +1058,12 @@ fn min_max(x: AffineVal, y: AffineVal, ctx: GridCtx, is_min: bool) -> AffineVal 
     AffineVal::Aff(Affine { a: 0, b: 0, d: 0, e: 0, lo, hi, uniform: false })
 }
 
-/// Applies one instruction to the state.
-pub fn transfer(st: &mut FlowState, instr: &Instruction, ctx: GridCtx) {
-    transfer_divergent(st, instr, ctx, false);
-}
-
-/// Applies one instruction to the state, knowing whether the instruction
-/// sits inside a divergent region (between a thread-dependent branch and
-/// its reconvergence point). Writes in a divergent region reach only the
-/// active subset of threads, so their results lose the shared-constant
-/// bit and predicate redefinitions degrade like non-uniform guards.
-pub fn transfer_divergent(st: &mut FlowState, instr: &Instruction, ctx: GridCtx, divergent: bool) {
-    let guard_pred = instr.guard.map(|g| st.preds[usize::from(g.pred.0)]);
-    let guard_uniform = guard_pred.is_some_and(PredVal::is_uniform);
-    // True when every thread of the instance takes the write together:
-    // no guard outside a divergent region, or a guard whose truth is one
-    // shared value.
-    let write_is_total = if divergent {
-        false
-    } else {
-        match guard_pred {
-            None => true,
-            Some(p) => p.is_tb_uniform(),
-        }
-    };
-    if let Some(p) = instr.pdst {
-        let new = match instr.op {
-            Op::Setp(cmp) => {
-                let lhs_reg = match instr.srcs[0] {
-                    Operand::Reg(r) => Some(r),
-                    Operand::Imm(_) => None,
-                };
-                PredVal::Cmp {
-                    cmp,
-                    lhs: resolve(st, instr.srcs[0]),
-                    rhs: resolve(st, instr.srcs[1]),
-                    lhs_reg,
-                }
-            }
-            _ => PredVal::Unknown,
-        };
-        let slot = &mut st.preds[usize::from(p.0)];
-        // A guarded or divergent-region setp mixes old and new bits;
-        // predicates have no hull, so anything but a redefinition whose
-        // per-thread truth is unchanged (identical snapshot of exact
-        // operands) degrades.
-        *slot = if (instr.guard.is_none() && !divergent) || (*slot == new && new.is_determined()) {
-            new
-        } else {
-            PredVal::Unknown
-        };
-    }
-    if let Some(d) = instr.dst {
-        let v = value_of(st, instr, ctx);
-        let slot = usize::from(d.0);
-        let old = match st.regs[slot] {
-            AffineVal::Top => AffineVal::Unknown,
-            o => o,
-        };
-        let merged = if instr.guard.is_none() {
-            v
-        } else if guard_uniform {
-            // All threads together keep old or take new: hull is sound.
-            old.meet(v, false)
-        } else if old == v {
-            v
-        } else {
-            // Thread-dependent mixture of old and new values.
-            AffineVal::Unknown
-        };
-        // A partial write leaves inactive threads holding other values;
-        // the envelope survives but the shared-constant claim does not.
-        st.regs[slot] = if write_is_total { merged } else { merged.non_uniform() };
-        // The compared register changed: branch edges can no longer
-        // refine it through predicates captured before this write.
-        for p in &mut st.preds {
-            if let PredVal::Cmp { lhs_reg, .. } = p {
-                if *lhs_reg == Some(d) {
-                    *lhs_reg = None;
-                }
-            }
-        }
-    }
-}
-
 /// Narrows `lhs_reg`'s interval on a branch edge where the predicate is
 /// known to be `polarity`. Only sound for TB-uniform comparisons against
 /// exact grid-wide constants (all threads agree on the edge taken, and
 /// the interval narrowing speaks about the constant alone — block terms
 /// on either side would fold block coordinates into the bound).
-pub fn refine_edge(st: &mut FlowState, pv: PredVal, polarity: bool) {
+fn refine_edge(st: &mut FlowState, pv: PredVal, polarity: bool) {
     let PredVal::Cmp { cmp, lhs, rhs, lhs_reg: Some(r) } = pv else { return };
     let Some(c) = rhs.as_const() else { return };
     let Some(l) = lhs.affine() else { return };
@@ -1193,91 +1111,89 @@ pub fn num_preds(instrs: &[Instruction]) -> usize {
         .unwrap_or(0)
 }
 
-/// Runs the affine-interval dataflow to a fixed point and returns the
-/// per-block **in**-states. `entry_zeroed` selects [`FlowState::entry`]'s
-/// register initialization. Branch edges of two-way guarded branches are
-/// refined per [`refine_edge`]; widening starts after
-/// [`MAX_PRECISE_SWEEPS`].
-#[must_use]
-pub fn fixpoint(kernel: &Kernel, cfg: &Cfg, ctx: GridCtx, entry_zeroed: bool) -> Vec<FlowState> {
-    fixpoint_with_divergence(kernel, cfg, ctx, entry_zeroed).0
+/// Interval clamps for [`Flow::solve`]: before an edge state meets into
+/// block `b`, register `r`'s constant interval is intersected with
+/// `clamps[(b, r)]` whenever the coefficients agree. Clamps carry facts
+/// the interval fixpoint cannot represent by itself — e.g. trip-bounded
+/// loop accumulators ([`crate::trip::induction_clamps`]) — and recover
+/// finite ranges the back-edge widening destroyed. An unsound clamp yields
+/// unsound states; callers own the proof obligation.
+pub type Clamps = BTreeMap<(usize, usize), Affine>;
+
+/// The affine-interval dataflow of one kernel, solved once: the per-block
+/// **in**-states, the divergent-region flags, the [`GridCtx`] they were
+/// solved under and the kernel/CFG they describe.
+///
+/// `divergent[b]` is true when block `b` lies between some branch whose
+/// predicate is not provably one shared value and that branch's immediate
+/// post-dominator: writes there reach only the active threads, so they
+/// lose the shared-constant bit and predicate redefinitions degrade like
+/// non-uniform guards. [`Flow::replay_block`] is the only place an
+/// instruction's transfer runs — the solver's own sweeps included — so
+/// every reader sees exactly the values the fixpoint computed, under its
+/// context and its divergence flags.
+pub struct Flow<'a> {
+    kernel: &'a Kernel,
+    cfg: &'a Cfg,
+    ctx: GridCtx<'a>,
+    in_states: Vec<FlowState>,
+    divergent: Vec<bool>,
 }
 
-/// [`fixpoint`], additionally returning the per-block divergent-region
-/// flags: `flags[b]` is true when block `b` lies between some branch
-/// whose predicate is not provably one shared value and that branch's
-/// immediate post-dominator. Writes in flagged blocks reach only active
-/// threads, so [`transfer_divergent`] strips their shared-constant bit;
-/// callers replaying block bodies from the in-states must pass the same
-/// flag to reproduce the fixpoint's values.
-#[must_use]
-pub fn fixpoint_with_divergence(
-    kernel: &Kernel,
-    cfg: &Cfg,
-    ctx: GridCtx,
-    entry_zeroed: bool,
-) -> (Vec<FlowState>, Vec<bool>) {
-    fixpoint_clamped(kernel, cfg, ctx, entry_zeroed, &std::collections::BTreeMap::new())
-}
-
-/// [`fixpoint_with_divergence`] with *interval clamps*: before an edge
-/// state meets into block `b`, register `r`'s constant interval is
-/// intersected with `clamps[(b, r)]` whenever the coefficients agree.
-/// Clamps carry facts the interval fixpoint cannot represent by itself —
-/// e.g. trip-bounded loop accumulators
-/// ([`crate::trip::induction_clamps`]) — and recover finite ranges the
-/// back-edge widening destroyed. An unsound clamp yields unsound states;
-/// callers own the proof obligation.
-#[must_use]
-pub fn fixpoint_clamped(
-    kernel: &Kernel,
-    cfg: &Cfg,
-    ctx: GridCtx,
-    entry_zeroed: bool,
-    clamps: &std::collections::BTreeMap<(usize, usize), Affine>,
-) -> (Vec<FlowState>, Vec<bool>) {
-    let nregs = usize::from(kernel.num_regs);
-    let npreds = num_preds(&kernel.instrs);
-    let nb = cfg.blocks.len();
-    let pdoms = crate::dom::PostDoms::compute(cfg);
-    let succs = |b: usize| cfg.blocks[b].succs.iter().copied();
-    // Taint is monotone: a branch once seen divergent stays divergent (its
-    // predicate can only descend the lattice), so regions only grow.
-    let mut divergent = vec![false; nb];
-    let mut in_states: Vec<FlowState> =
-        (0..nb).map(|_| FlowState::unreachable(nregs, npreds)).collect();
-    in_states[0] = FlowState::entry(nregs, npreds, entry_zeroed);
-    let rpo = cfg.reverse_post_order();
-    for sweep in 0.. {
-        let widen = sweep >= MAX_PRECISE_SWEEPS;
-        let mut changed = false;
-        for &b in &rpo {
-            if !in_states[b].reachable {
-                continue;
-            }
-            let mut st = in_states[b].clone();
-            for pc in cfg.blocks[b].range() {
-                transfer_divergent(&mut st, &kernel.instrs[pc], ctx, divergent[b]);
-            }
-            let block = &cfg.blocks[b];
-            let term = block.range().last();
-            let branch_guard = term.and_then(|pc| match kernel.instrs[pc].op {
-                Op::Bra { .. } => kernel.instrs[pc].guard,
-                _ => None,
-            });
-            if let Some(g) = branch_guard {
-                if block.succs.len() == 2 && block.succs[0] != block.succs[1] {
+impl<'a> Flow<'a> {
+    /// Runs the dataflow to a fixed point. `entry_zeroed` selects
+    /// [`FlowState::entry`]'s register initialization. Branch edges of
+    /// two-way guarded branches are refined per `refine_edge` and clamped
+    /// per [`Clamps`]; widening starts after [`MAX_PRECISE_SWEEPS`].
+    #[must_use]
+    pub fn solve(
+        kernel: &'a Kernel,
+        cfg: &'a Cfg,
+        ctx: GridCtx<'a>,
+        entry_zeroed: bool,
+        clamps: &Clamps,
+    ) -> Flow<'a> {
+        let (nregs, npreds) = (usize::from(kernel.num_regs), num_preds(&kernel.instrs));
+        let nb = cfg.blocks.len();
+        let mut flow = Flow {
+            kernel,
+            cfg,
+            ctx,
+            in_states: (0..nb).map(|_| FlowState::unreachable(nregs, npreds)).collect(),
+            // Taint is monotone: a branch once seen divergent stays
+            // divergent (its predicate can only descend the lattice), so
+            // regions only grow.
+            divergent: vec![false; nb],
+        };
+        flow.in_states[0] = FlowState::entry(nregs, npreds, entry_zeroed);
+        let pdoms = crate::dom::PostDoms::compute(cfg);
+        let succs = |b: usize| cfg.blocks[b].succs.iter().copied();
+        let rpo = cfg.reverse_post_order();
+        for sweep in 0.. {
+            let widen = sweep >= MAX_PRECISE_SWEEPS;
+            let mut changed = false;
+            for &b in &rpo {
+                if !flow.in_states[b].reachable {
+                    continue;
+                }
+                let st = flow.replay_block(b, |_, _, _| {});
+                let block = &cfg.blocks[b];
+                let two_way = block.succs.len() == 2 && block.succs[0] != block.succs[1];
+                let branch_guard = block.range().last().and_then(|pc| match kernel.instrs[pc].op {
+                    Op::Bra { .. } if two_way => kernel.instrs[pc].guard,
+                    _ => None,
+                });
+                if let Some(g) = branch_guard {
                     let pv = st.preds[usize::from(g.pred.0)];
                     // Top (never defined) is the zero-initialized register:
                     // uniformly false, not divergent.
-                    let is_divergent = !matches!(pv, PredVal::Top) && !pv.is_tb_uniform();
-                    if is_divergent {
+                    if !matches!(pv, PredVal::Top) && !pv.is_tb_uniform() {
                         // The divergent region: everything the branch's
                         // successors reach before its immediate
                         // post-dominator.
                         let join = pdoms.ipdom[b];
                         let region = reach(nb, block.succs.iter().copied(), succs, |r| r == join);
-                        for (d, &r) in divergent.iter_mut().zip(&region) {
+                        for (d, &r) in flow.divergent.iter_mut().zip(&region) {
                             if r && !*d {
                                 *d = true;
                                 changed = true;
@@ -1285,38 +1201,164 @@ pub fn fixpoint_clamped(
                         }
                     }
                 }
-            }
-            for (i, &succ) in block.succs.iter().enumerate() {
-                let mut out = st.clone();
-                if let Some(g) = branch_guard {
-                    if block.succs.len() == 2 && block.succs[0] != block.succs[1] {
+                for (i, &succ) in block.succs.iter().enumerate() {
+                    let mut out = st.clone();
+                    if let Some(g) = branch_guard {
                         // succs[0] is the taken edge: the guard accepted.
                         let polarity = if i == 0 { !g.negate } else { g.negate };
                         let pv = out.preds[usize::from(g.pred.0)];
                         refine_edge(&mut out, pv, polarity);
                     }
-                }
-                // Clamping the *edge* state (not the met in-state) keeps
-                // the fixpoint monotone: the meet of clamped edges is
-                // itself within the clamp, so it cannot re-grow.
-                for (&(_, reg), cl) in clamps.range((succ, 0)..=(succ, usize::MAX)) {
-                    if let AffineVal::Aff(f) = out.regs[reg] {
-                        if f.a == cl.a && f.b == cl.b && f.d == cl.d && f.e == cl.e {
-                            let (lo, hi) = (f.lo.max(cl.lo), f.hi.min(cl.hi));
-                            if lo <= hi {
-                                out.regs[reg] = AffineVal::Aff(Affine { lo, hi, ..f });
+                    // Clamping the *edge* state (not the met in-state) keeps
+                    // the fixpoint monotone: the meet of clamped edges is
+                    // itself within the clamp, so it cannot re-grow.
+                    for (&(_, reg), cl) in clamps.range((succ, 0)..=(succ, usize::MAX)) {
+                        if let AffineVal::Aff(f) = out.regs[reg] {
+                            if f.a == cl.a && f.b == cl.b && f.d == cl.d && f.e == cl.e {
+                                let (lo, hi) = (f.lo.max(cl.lo), f.hi.min(cl.hi));
+                                if lo <= hi {
+                                    out.regs[reg] = AffineVal::Aff(Affine { lo, hi, ..f });
+                                }
                             }
                         }
                     }
+                    changed |= flow.in_states[succ].meet_with(&out, widen);
                 }
-                changed |= in_states[succ].meet_with(&out, widen);
+            }
+            if !changed {
+                break;
             }
         }
-        if !changed {
-            break;
+        flow
+    }
+
+    /// The kernel this flow describes.
+    #[must_use]
+    pub fn kernel(&self) -> &'a Kernel {
+        self.kernel
+    }
+
+    /// The CFG this flow describes.
+    #[must_use]
+    pub fn cfg(&self) -> &'a Cfg {
+        self.cfg
+    }
+
+    /// The value `instr` computes from `st` under the flow's context,
+    /// before any guard or divergence merge with the old destination.
+    #[must_use]
+    pub fn value_of(&self, st: &FlowState, instr: &Instruction) -> AffineVal {
+        value_of(st, instr, self.ctx)
+    }
+
+    /// Replays block `b`'s body from its in-state and returns its
+    /// out-state. `visit(pc, st, wrote)` sees every instruction's pc, the
+    /// state just before it, and the value it writes to its general
+    /// destination (`None` when it has none). An unreachable block runs
+    /// nothing and returns its unreachable in-state.
+    pub fn replay_block(
+        &self,
+        b: usize,
+        mut visit: impl FnMut(usize, &FlowState, Option<AffineVal>),
+    ) -> FlowState {
+        let mut st = self.in_states[b].clone();
+        if st.reachable {
+            for pc in self.cfg.blocks[b].range() {
+                self.transfer(&mut st, pc, self.divergent[b], &mut visit);
+            }
+        }
+        st
+    }
+
+    /// [`Flow::replay_block`] over every reachable block, in reverse
+    /// post-order.
+    pub fn replay(&self, mut visit: impl FnMut(usize, &FlowState, Option<AffineVal>)) {
+        for b in self.cfg.reverse_post_order() {
+            if self.in_states[b].reachable {
+                self.replay_block(b, &mut visit);
+            }
         }
     }
-    (in_states, divergent)
+
+    /// Applies instruction `pc` to `st`, knowing whether it sits inside a
+    /// divergent region, after showing `visit` the state before it and
+    /// the value it writes. Both the predicate and the register effect
+    /// read the state before the instruction.
+    fn transfer(
+        &self,
+        st: &mut FlowState,
+        pc: usize,
+        divergent: bool,
+        visit: &mut impl FnMut(usize, &FlowState, Option<AffineVal>),
+    ) {
+        let instr = &self.kernel.instrs[pc];
+        let guard_pred = instr.guard.map(|g| st.preds[usize::from(g.pred.0)]);
+        // True when every thread of the instance takes the write together:
+        // no guard outside a divergent region, or a guard whose truth is
+        // one shared value.
+        let write_is_total = !divergent && guard_pred.is_none_or(PredVal::is_tb_uniform);
+        let pred = instr.pdst.map(|p| {
+            let new = match instr.op {
+                Op::Setp(cmp) => PredVal::Cmp {
+                    cmp,
+                    lhs: resolve(st, instr.srcs[0]),
+                    rhs: resolve(st, instr.srcs[1]),
+                    lhs_reg: match instr.srcs[0] {
+                        Operand::Reg(r) => Some(r),
+                        Operand::Imm(_) => None,
+                    },
+                },
+                _ => PredVal::Unknown,
+            };
+            let old = st.preds[usize::from(p.0)];
+            // A guarded or divergent-region setp mixes old and new bits;
+            // predicates have no hull, so anything but a redefinition
+            // whose per-thread truth is unchanged (identical snapshot of
+            // exact operands) degrades.
+            let kept = (instr.guard.is_none() && !divergent) || (old == new && new.is_determined());
+            (p, if kept { new } else { PredVal::Unknown })
+        });
+        let wrote = instr.dst.map(|d| {
+            let v = value_of(st, instr, self.ctx);
+            let old = match st.regs[usize::from(d.0)] {
+                AffineVal::Top => AffineVal::Unknown,
+                o => o,
+            };
+            let merged = if instr.guard.is_none() || old == v {
+                v
+            } else if guard_pred.is_some_and(PredVal::is_uniform) {
+                // All threads together keep old or take new: hull is sound.
+                old.meet(v, false)
+            } else {
+                // Thread-dependent mixture of old and new values.
+                AffineVal::Unknown
+            };
+            // A partial write leaves inactive threads holding other
+            // values; the envelope survives but the shared-constant claim
+            // does not.
+            if write_is_total {
+                merged
+            } else {
+                merged.non_uniform()
+            }
+        });
+        visit(pc, st, wrote);
+        if let Some((p, v)) = pred {
+            st.preds[usize::from(p.0)] = v;
+        }
+        if let (Some(d), Some(v)) = (instr.dst, wrote) {
+            st.regs[usize::from(d.0)] = v;
+            // The compared register changed: branch edges can no longer
+            // refine it through predicates captured before this write.
+            for p in &mut st.preds {
+                if let PredVal::Cmp { lhs_reg, .. } = p {
+                    if *lhs_reg == Some(d) {
+                        *lhs_reg = None;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1376,18 +1418,17 @@ mod tests {
         let cfg = Cfg::build(&k);
         let launch =
             LaunchConfig::new(1u32, Dim3::one_d(32)).with_params(vec![Value(7), Value(4096)]);
-        let sts = fixpoint(&k, &cfg, GridCtx::launch(&launch), true);
-        let mut st = sts[0].clone();
-        let ctx = GridCtx::launch(&launch);
-        transfer(&mut st, &k.instrs[0], ctx);
-        assert_eq!(st.regs[0], AffineVal::constant(4096));
-        transfer(&mut st, &k.instrs[1], ctx);
-        transfer(&mut st, &k.instrs[2], ctx);
-        assert_eq!(st.regs[2], aff(1, 0, 4096, 4096));
+        let wrote = |ctx| {
+            let mut wrote = Vec::new();
+            Flow::solve(&k, &cfg, ctx, true, &Clamps::new())
+                .replay_block(0, |_, _, v| wrote.push(v));
+            wrote
+        };
+        let wrote_launch = wrote(GridCtx::launch(&launch));
+        assert_eq!(wrote_launch[0], Some(AffineVal::constant(4096)));
+        assert_eq!(wrote_launch[2], Some(aff(1, 0, 4096, 4096)));
         // Generic mode keeps the parameter opaque but TB-uniform.
-        let mut st = FlowState::entry(usize::from(k.num_regs), 0, true);
-        transfer(&mut st, &k.instrs[0], GridCtx::generic(1));
-        assert_eq!(st.regs[0], AffineVal::uniform_unknown());
+        assert_eq!(wrote(GridCtx::generic(1))[0], Some(AffineVal::uniform_unknown()));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! differential marking oracle in `simt-verify` checks the result on real
 //! executions.
 
-use crate::affine::{self, AffineVal};
+use crate::affine::{AffineVal, Clamps, Flow, GridCtx};
 use crate::analysis::{analyze, AnalysisOptions};
 use crate::class::AbsClass;
 use crate::pass::CompiledKernel;
@@ -95,34 +95,26 @@ fn raises(a: AbsClass, b: AbsClass) -> bool {
 /// instruction, the post-write abstraction of its destination (which folds
 /// in guard hulls), mapped into the class lattice.
 fn affine_classes(ck: &CompiledKernel, block_z: u32) -> Vec<Option<AbsClass>> {
-    let in_states = affine::fixpoint(&ck.kernel, &ck.cfg, affine::GridCtx::generic(block_z), true);
+    let flow = Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(block_z), true, &Clamps::new());
     let mut classes: Vec<Option<AbsClass>> = vec![None; ck.kernel.instrs.len()];
-    for (b, block) in ck.cfg.blocks.iter().enumerate() {
-        if !in_states[b].reachable {
-            continue;
-        }
-        let mut st = in_states[b].clone();
-        for pc in block.range() {
-            let instr = &ck.kernel.instrs[pc];
-            affine::transfer(&mut st, instr, affine::GridCtx::generic(block_z));
-            let writes_reg = instr.op.writes_dst() && !matches!(instr.op, Op::Atom(_));
-            let (Some(d), true) = (instr.dst, writes_reg) else { continue };
-            let AffineVal::Aff(f) = st.regs[usize::from(d.0)] else { continue };
-            classes[pc] = Some(if f.is_uniform() {
-                AbsClass::UNIFORM
-            } else if f.b == 0 {
-                AbsClass::COND_AFFINE
-            } else {
-                // Mixed tid.x/tid.y dependence: redundant only when both
-                // launch checks pass, with no intra-warp structure claimed
-                // (matches the tid.y seeding of the class analysis).
-                AbsClass {
-                    red: crate::class::Red::CondRedundantXY,
-                    pat: crate::class::Pat::Arbitrary,
-                }
-            });
-        }
-    }
+    flow.replay(|pc, _, wrote| {
+        let op = ck.kernel.instrs[pc].op;
+        let (Some(AffineVal::Aff(f)), true) =
+            (wrote, op.writes_dst() && !matches!(op, Op::Atom(_)))
+        else {
+            return;
+        };
+        classes[pc] = Some(if f.is_uniform() {
+            AbsClass::UNIFORM
+        } else if f.b == 0 {
+            AbsClass::COND_AFFINE
+        } else {
+            // Mixed tid.x/tid.y dependence: redundant only when both
+            // launch checks pass, with no intra-warp structure claimed
+            // (matches the tid.y seeding of the class analysis).
+            AbsClass { red: crate::class::Red::CondRedundantXY, pat: crate::class::Pat::Arbitrary }
+        });
+    });
     classes
 }
 

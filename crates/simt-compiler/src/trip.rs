@@ -23,13 +23,12 @@
 //! estimator in `simt-verify` surfaces that as the `E201` lint and widens
 //! the kernel's cycle bracket to "unbounded".
 
-use crate::affine::{self, Affine, AffineVal, FlowState, GridCtx};
+use crate::affine::{self, Affine, AffineVal, Clamps, Flow, FlowState};
 use crate::cfg::Cfg;
 use crate::dom::{Doms, NaturalLoop, NaturalLoops};
 use simt_isa::{
     CmpOp, Instruction, Kernel, LaunchConfig, LaunchFamily, MemSpace, Op, Operand, Reg,
 };
-use std::collections::BTreeMap;
 
 /// Iteration cap: trip counts beyond this report as unbounded (the
 /// simulator would hit its own `max_cycles` wall long before).
@@ -81,21 +80,17 @@ impl TripCounts {
     }
 }
 
-/// Infers trip bounds for all natural loops of `kernel` under `launch`.
-///
-/// `in_states` must be the affine fixpoint in-states of the same
-/// kernel/CFG (entry-zeroed, matching the simulator's register file);
-/// passing them in lets callers share one fixpoint across passes.
+/// Infers trip bounds for all natural loops of `flow`'s kernel under
+/// `launch`. The flow must be entry-zeroed, matching the simulator's
+/// register file; passing it in lets callers share one fixpoint across
+/// passes.
 #[must_use]
 pub fn infer_trips(
-    kernel: &Kernel,
-    cfg: &Cfg,
+    flow: &Flow,
     doms: &Doms,
     loops: &NaturalLoops,
     launch: &LaunchConfig,
-    in_states: &[FlowState],
 ) -> TripCounts {
-    let out_states = out_states(kernel, cfg, in_states, GridCtx::generic(launch.block.z));
     let loops_out = loops
         .loops
         .iter()
@@ -103,30 +98,14 @@ pub fn infer_trips(
             back_edge_pc: l.back_edge_pc,
             header: l.header,
             body: l.body.clone(),
-            bound: infer_one(kernel, cfg, doms, loops, l, launch, &out_states),
+            bound: infer_one(flow, doms, loops, l, launch),
         })
         .collect();
     TripCounts { loops: loops_out }
 }
 
-/// Per-block out-states: each reachable block's body replayed from its
-/// in-state under `ctx`.
-fn out_states(kernel: &Kernel, cfg: &Cfg, in_states: &[FlowState], ctx: GridCtx) -> Vec<FlowState> {
-    (0..cfg.len())
-        .map(|b| {
-            let mut st = in_states[b].clone();
-            if st.reachable {
-                for pc in cfg.blocks[b].range() {
-                    affine::transfer(&mut st, &kernel.instrs[pc], ctx);
-                }
-            }
-            st
-        })
-        .collect()
-}
-
 /// Trip-bounded interval clamps for loop-carried affine accumulators,
-/// consumed by [`affine::fixpoint_clamped`].
+/// consumed by [`Flow::solve`].
 ///
 /// The interval fixpoint widens any register that grows across a back
 /// edge to an infinite bound, even when the loop's trip count is solved —
@@ -139,31 +118,26 @@ fn out_states(kernel: &Kernel, cfg: &Cfg, in_states: &[FlowState], ctx: GridCtx)
 /// exit leaves from the latch (a bottom-tested loop's header never
 /// observes the final update), `J = max_trips` otherwise.
 ///
-/// `in_states` must come from an **entry-zeroed** fixpoint of the same
-/// kernel under `ctx` (never-written registers read 0, matching the
-/// executor); the clamps are only sound against states with the same
-/// entry convention.
+/// `flow` must be **entry-zeroed** (never-written registers read 0,
+/// matching the executor); the clamps are only sound against states with
+/// the same entry convention. Preheader values come from `flow`'s own
+/// (typically launch-aware) context, so they resolve params and grid
+/// geometry.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn induction_clamps(
-    kernel: &Kernel,
-    cfg: &Cfg,
+    flow: &Flow,
     doms: &Doms,
     loops: &NaturalLoops,
     trips: &TripCounts,
     launch: &LaunchConfig,
-    in_states: &[FlowState],
-    ctx: GridCtx,
-) -> BTreeMap<(usize, usize), Affine> {
-    // Out-states replayed under the caller's (typically launch-aware)
-    // context, so preheader values resolve params and grid geometry.
-    let out_states = out_states(kernel, cfg, in_states, ctx);
-
-    let mut clamps: BTreeMap<(usize, usize), Affine> = BTreeMap::new();
+) -> Clamps {
+    let (kernel, cfg) = (flow.kernel(), flow.cfg());
+    let mut clamps = Clamps::new();
     for (l, t) in loops.loops.iter().zip(&trips.loops) {
         let Some(&(_, tmax)) = t.bound.as_ref().ok() else { continue };
         let latch_exits = cfg.blocks[l.latch].succs.len() == 2;
         let iters = i128::from(if latch_exits { tmax.saturating_sub(1) } else { tmax });
+        let Some(pre) = preheader(flow, l) else { continue };
         for rnum in 0..kernel.num_regs {
             let Ok(r8) = u8::try_from(rnum) else { break };
             let r = Reg(r8);
@@ -172,7 +146,7 @@ pub fn induction_clamps(
                 continue;
             };
             let Some(k) = resolve_const(kernel, launch, s, 0) else { continue };
-            let Some(v0) = preheader_value(kernel, cfg, l, &out_states, r) else { continue };
+            let AffineVal::Aff(v0) = preheader_value(&pre, r) else { continue };
             if v0.lo == affine::NEG_INF || v0.hi == affine::POS_INF {
                 continue;
             }
@@ -207,28 +181,24 @@ pub fn induction_clamps(
 
 /// Family-region induction clamps: [`induction_clamps`] evaluated at
 /// every region corner (corner trips, corner launch for step
-/// resolution, the caller's family-symbolic states/context for
-/// preheader envelopes), keeping only clamps that are *identical at
-/// every corner*. A kept clamp's step and span provably do not vary
+/// resolution, the caller's family-symbolic flow for preheader
+/// envelopes), keeping only clamps that are *identical at every
+/// corner*. A kept clamp's step and span provably do not vary
 /// across the region boundary, so — with the preheader envelope already
 /// hulled over the whole region by the family-mode fixpoint — it bounds
 /// the accumulator for every member launch.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn induction_clamps_family(
-    kernel: &Kernel,
-    cfg: &Cfg,
+    flow: &Flow,
     doms: &Doms,
     loops: &NaturalLoops,
     family: &LaunchFamily,
     reference: &LaunchConfig,
-    in_states: &[FlowState],
-    ctx: GridCtx,
-) -> BTreeMap<(usize, usize), Affine> {
-    let mut agreed: Option<BTreeMap<(usize, usize), Affine>> = None;
+) -> Clamps {
+    let mut agreed: Option<Clamps> = None;
     for corner in family.corners(reference) {
-        let trips = infer_trips(kernel, cfg, doms, loops, &corner, in_states);
-        let clamps = induction_clamps(kernel, cfg, doms, loops, &trips, &corner, in_states, ctx);
+        let trips = infer_trips(flow, doms, loops, &corner);
+        let clamps = induction_clamps(flow, doms, loops, &trips, &corner);
         agreed = Some(match agreed {
             None => clamps,
             Some(prev) => {
@@ -239,16 +209,11 @@ pub fn induction_clamps_family(
     agreed.unwrap_or_default()
 }
 
-/// The affine preheader value of `r`, coefficients preserved: the meet of
-/// the header's outside-the-body predecessors' out-states (kernel entry
-/// for a loop headed at block 0, entry-zeroed).
-fn preheader_value(
-    kernel: &Kernel,
-    cfg: &Cfg,
-    l: &NaturalLoop,
-    out_states: &[FlowState],
-    r: Reg,
-) -> Option<Affine> {
+/// The loop's preheader state: the meet of the header's outside-the-body
+/// predecessors' out-states (kernel entry for a loop headed at block 0,
+/// entry-zeroed), or `None` when no path reaches the loop.
+fn preheader(flow: &Flow, l: &NaturalLoop) -> Option<FlowState> {
+    let kernel = flow.kernel();
     let nregs = usize::from(kernel.num_regs);
     let npreds = affine::num_preds(&kernel.instrs);
     let mut st = if l.header == 0 {
@@ -256,18 +221,20 @@ fn preheader_value(
     } else {
         FlowState::unreachable(nregs, npreds)
     };
-    for &p in &cfg.blocks[l.header].preds {
+    for &p in &flow.cfg().blocks[l.header].preds {
         if !l.body.contains(&p) {
-            st.meet_with(&out_states[p], false);
+            st.meet_with(&flow.replay_block(p, |_, _, _| {}), false);
         }
     }
-    if !st.reachable {
-        return None;
-    }
-    match st.regs[usize::from(r.0)] {
-        AffineVal::Top => AffineVal::constant(0).affine(),
-        AffineVal::Aff(f) => Some(f),
-        AffineVal::Unknown => None,
+    st.reachable.then_some(st)
+}
+
+/// The affine value of `r` in the preheader state, coefficients
+/// preserved; a never-written register reads 0.
+fn preheader_value(pre: &FlowState, r: Reg) -> AffineVal {
+    match pre.regs[usize::from(r.0)] {
+        AffineVal::Top => AffineVal::constant(0),
+        v => v,
     }
 }
 
@@ -308,14 +275,13 @@ fn mirror(cmp: CmpOp) -> CmpOp {
 }
 
 fn infer_one(
-    kernel: &Kernel,
-    cfg: &Cfg,
+    flow: &Flow,
     doms: &Doms,
     loops: &NaturalLoops,
     l: &NaturalLoop,
     launch: &LaunchConfig,
-    out_states: &[FlowState],
 ) -> Result<(u64, u64), String> {
+    let (kernel, cfg) = (flow.kernel(), flow.cfg());
     let bra = &kernel.instrs[l.back_edge_pc];
     let guard = bra.guard.ok_or("back-edge branch has no guard")?;
 
@@ -367,6 +333,7 @@ fn infer_one(
 
     // Loop-invariant bound: launch-constant chain first, affine preheader
     // envelope second.
+    let pre = preheader(flow, l);
     let bound = match bound_op {
         Operand::Imm(v) => Interval::exact(i64::from(v as i32)),
         Operand::Reg(r) => {
@@ -377,13 +344,13 @@ fn infer_one(
             {
                 return Err("loop bound is redefined inside the body".to_string());
             }
-            value_interval(kernel, cfg, l, launch, out_states, r)
+            value_interval(kernel, launch, pre.as_ref(), r)
                 .map_err(|e| format!("loop bound: {e}"))?
         }
     };
 
     // Counter init at the preheader.
-    let init = value_interval(kernel, cfg, l, launch, out_states, ctr)
+    let init = value_interval(kernel, launch, pre.as_ref(), ctr)
         .map_err(|e| format!("counter init: {e}"))?;
 
     // The latch tests the post-update value when the update precedes the
@@ -551,37 +518,18 @@ fn resolve_const(kernel: &Kernel, launch: &LaunchConfig, op: Operand, depth: u32
     }
 }
 
-/// Finite envelope of register `r` at the loop preheader: the meet of the
-/// affine out-states of the header's outside-the-body predecessors
-/// (kernel entry for a loop headed at block 0). Thread-affine values are
-/// widened over the launch's thread range — a warp runs a divergent loop
-/// until its slowest lane exits, and every lane's trip lies inside the
-/// envelope's corners.
+/// Finite envelope of register `r` in the loop's [`preheader`] state
+/// `pre`. Thread-affine values are widened over the launch's thread range
+/// — a warp runs a divergent loop until its slowest lane exits, and every
+/// lane's trip lies inside the envelope's corners.
 fn value_interval(
     kernel: &Kernel,
-    cfg: &Cfg,
-    l: &NaturalLoop,
     launch: &LaunchConfig,
-    out_states: &[FlowState],
+    pre: Option<&FlowState>,
     r: Reg,
 ) -> Result<Interval, String> {
-    let nregs = usize::from(kernel.num_regs);
-    let npreds = affine::num_preds(&kernel.instrs);
-    let mut st = if l.header == 0 {
-        FlowState::entry(nregs, npreds, true)
-    } else {
-        FlowState::unreachable(nregs, npreds)
-    };
-    for &p in &cfg.blocks[l.header].preds {
-        if !l.body.contains(&p) {
-            st.meet_with(&out_states[p], false);
-        }
-    }
-    if !st.reachable {
-        return Err("loop preheader is unreachable".to_string());
-    }
-    match st.regs[usize::from(r.0)] {
-        AffineVal::Top => Ok(Interval::exact(0)), // never written: reads 0
+    let pre = pre.ok_or("loop preheader is unreachable")?;
+    match preheader_value(pre, r) {
         AffineVal::Aff(f) => {
             let (lo, hi) = f.range(i64::from(launch.block.x), i64::from(launch.block.y));
             if lo == affine::NEG_INF || hi == affine::POS_INF {
@@ -595,7 +543,7 @@ fn value_interval(
                 Ok(Interval { lo, hi })
             }
         }
-        AffineVal::Unknown => {
+        _ => {
             // Last chance: a launch-constant chain the interval domain
             // widened away (e.g. a param load).
             resolve_const(kernel, launch, Operand::Reg(r), 0)

@@ -43,9 +43,7 @@ use crate::family::UnresolvedPair;
 use crate::races::{guarded_threads, mem_accesses, thread_xy, AccessKind, MemAccess};
 use crate::{Diagnostic, Diagnostics, LintCode};
 use gpu_sim::{FastMap, GlobalRace};
-use simt_compiler::affine::{
-    fixpoint_clamped, fixpoint_with_divergence, Affine, FlowState, GridCtx, PredVal,
-};
+use simt_compiler::affine::{Affine, Clamps, Flow, GridCtx, PredVal};
 use simt_compiler::dom::{Doms, NaturalLoops};
 use simt_compiler::trip::{induction_clamps, induction_clamps_family, infer_trips};
 use simt_compiler::CompiledKernel;
@@ -162,38 +160,35 @@ struct Side<'a> {
 }
 
 /// The one inter-block pair walk behind [`analyze`] and
-/// [`family_static`]: runs the divergence-aware fixpoint under `ctx`
-/// (registers start zeroed to match the executor, so exact witness
-/// replays agree), collects every global access, and hands each
-/// write-involving pair `i ≤ j` to `visit` with its verdict. Returns the
-/// number of global accesses and of pairs visited.
+/// [`family_static`]: solves the affine flow under `ctx` (registers start
+/// zeroed to match the executor, so exact witness replays agree),
+/// collects every global access, and hands each write-involving pair
+/// `i ≤ j` to `visit` with its verdict. Returns the number of global
+/// accesses and of pairs visited.
 ///
 /// Trip-bounded narrowing: loop-carried pointer walks widen to infinite
 /// intervals, but a solved trip count bounds them (a `p += 16` walk in an
 /// 8-trip loop touches 128 bytes). When the kernel has loops, `clamps`
-/// derives induction clamps from the dominators, the loops and the first
-/// fixpoint's in-states, and a non-empty set re-runs the fixpoint under
-/// them.
+/// derives induction clamps from the first flow, the dominators and the
+/// loops, and a non-empty set solves the flow again under them.
 fn walk_pairs(
     ck: &CompiledKernel,
     ctx: GridCtx,
     shape: Shape,
-    clamps: impl FnOnce(&Doms, &NaturalLoops, &[FlowState]) -> BTreeMap<(usize, usize), Affine>,
+    clamps: impl FnOnce(&Flow, &Doms, &NaturalLoops) -> Clamps,
     mut visit: impl FnMut(&MemAccess, &MemAccess, PairVerdict),
 ) -> (usize, usize) {
-    let (mut in_states, mut divergent) = fixpoint_with_divergence(&ck.kernel, &ck.cfg, ctx, true);
+    let mut flow = Flow::solve(&ck.kernel, &ck.cfg, ctx, true, &Clamps::new());
     let doms = Doms::compute(&ck.cfg);
     let nloops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
     if !nloops.loops.is_empty() {
-        let clamps = clamps(&doms, &nloops, &in_states);
+        let clamps = clamps(&flow, &doms, &nloops);
         if !clamps.is_empty() {
-            (in_states, divergent) = fixpoint_clamped(&ck.kernel, &ck.cfg, ctx, true, &clamps);
+            flow = Flow::solve(&ck.kernel, &ck.cfg, ctx, true, &clamps);
         }
     }
-    let accesses: Vec<MemAccess> = mem_accesses(ck, ctx, &in_states, &divergent)
-        .into_iter()
-        .filter(|a| a.space == MemSpace::Global)
-        .collect();
+    let accesses: Vec<MemAccess> =
+        mem_accesses(&flow).into_iter().filter(|a| a.space == MemSpace::Global).collect();
 
     let mut checked = 0;
     for (i, a) in accesses.iter().enumerate() {
@@ -258,9 +253,8 @@ pub fn analyze(ck: &CompiledKernel, launch: &LaunchConfig) -> (Certificate, Diag
         grid: Dim3::three_d(launch.grid.x.max(1), launch.grid.y.max(1), launch.grid.z.max(1)),
     };
     let ctx = GridCtx::launch(launch);
-    let clamps = |doms: &Doms, nloops: &NaturalLoops, in_states: &[FlowState]| {
-        let trips = infer_trips(&ck.kernel, &ck.cfg, doms, nloops, launch, in_states);
-        induction_clamps(&ck.kernel, &ck.cfg, doms, nloops, &trips, launch, in_states, ctx)
+    let clamps = |flow: &Flow, doms: &Doms, nloops: &NaturalLoops| {
+        induction_clamps(flow, doms, nloops, &infer_trips(flow, doms, nloops, launch), launch)
     };
 
     let mut v310: BTreeMap<(usize, usize), (String, RaceWitness)> = BTreeMap::new();
@@ -409,10 +403,8 @@ pub(crate) fn family_static(
     // Region-invariant induction clamps (identical at every corner) keep
     // loop-carried pointer walks finite, exactly as in the per-launch
     // pass.
-    let clamps = |doms: &Doms, nloops: &NaturalLoops, in_states: &[FlowState]| {
-        induction_clamps_family(
-            &ck.kernel, &ck.cfg, doms, nloops, family, reference, in_states, ctx,
-        )
+    let clamps = |flow: &Flow, doms: &Doms, nloops: &NaturalLoops| {
+        induction_clamps_family(flow, doms, nloops, family, reference)
     };
 
     let mut nonaffine: BTreeSet<usize> = BTreeSet::new();

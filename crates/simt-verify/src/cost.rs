@@ -45,7 +45,7 @@ use crate::{Diagnostic, Diagnostics, LintCode};
 use gpu_sim::config::{GpuConfig, Technique};
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::timing;
-use simt_compiler::affine::{fixpoint_with_divergence, GridCtx, PredVal};
+use simt_compiler::affine::{Clamps, Flow, GridCtx, PredVal};
 use simt_compiler::cfg::reach;
 use simt_compiler::dom::{Doms, NaturalLoops, PostDoms};
 use simt_compiler::trip::{infer_trips, TripCounts};
@@ -354,9 +354,8 @@ pub fn estimate(
     let doms = Doms::compute(cfg);
     let pdoms = PostDoms::compute(cfg);
     let nloops = NaturalLoops::compute(kernel, cfg, &doms);
-    let (in_states, _divergent) =
-        fixpoint_with_divergence(kernel, cfg, GridCtx::generic(launch.block.z), true);
-    let trips = infer_trips(kernel, cfg, &doms, &nloops, launch, &in_states);
+    let flow = Flow::solve(kernel, cfg, GridCtx::generic(launch.block.z), true, &Clamps::new());
+    let trips = infer_trips(&flow, &doms, &nloops, launch);
     let mempred: BTreeMap<usize, MemPredKind> = predict_envelope(ck, launch, launch.warp_size)
         .into_iter()
         .map(|p| (p.pc, p.kind))
@@ -459,7 +458,7 @@ pub fn estimate(
     let mut claimed = vec![false; nb];
     #[allow(clippy::needless_range_loop)] // b is a block id indexing several parallel arrays
     for b in 0..nb {
-        if let Some((la, lb)) = uniform_diamond(kernel, cfg, &pdoms, &in_states, b) {
+        if let Some((la, lb)) = uniform_diamond(&flow, &pdoms, b) {
             if la.iter().chain(&lb).any(|&x| claimed[x]) {
                 continue;
             }
@@ -694,13 +693,8 @@ fn icache_miss_cost(gc: &GpuConfig, kernel_len: usize, total_bursts: u64) -> u64
 /// Detects a TB-uniform two-way diamond at block `b`: both legs are
 /// single-entry regions meeting at the branch's immediate post-dominator
 /// and sharing no block. Returns the two leg block sets.
-fn uniform_diamond(
-    kernel: &simt_isa::Kernel,
-    cfg: &simt_compiler::Cfg,
-    pdoms: &PostDoms,
-    in_states: &[simt_compiler::affine::FlowState],
-    b: usize,
-) -> Option<(Vec<usize>, Vec<usize>)> {
+fn uniform_diamond(flow: &Flow, pdoms: &PostDoms, b: usize) -> Option<(Vec<usize>, Vec<usize>)> {
+    let (kernel, cfg) = (flow.kernel(), flow.cfg());
     let block = &cfg.blocks[b];
     if block.succs.len() != 2 || block.succs[0] == block.succs[1] {
         return None;
@@ -711,13 +705,11 @@ fn uniform_diamond(
         Op::Bra { .. } => i.guard?,
         _ => return None,
     };
-    // Uniformity at the branch point: replay the block body.
-    let mut st = in_states[b].clone();
+    // Uniformity at the branch point: the block's out-state (the branch
+    // itself writes nothing).
+    let st = flow.replay_block(b, |_, _, _| {});
     if !st.reachable {
         return None;
-    }
-    for pc in block.range() {
-        simt_compiler::affine::transfer(&mut st, &kernel.instrs[pc], GridCtx::generic(1));
     }
     let pv = st.preds[usize::from(g.pred.0)];
     let uniform = matches!(pv, PredVal::Top) || pv.is_tb_uniform();
@@ -756,9 +748,9 @@ fn uniform_diamond(
 pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
     let doms = Doms::compute(&ck.cfg);
     let nloops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
-    let (in_states, _) =
-        fixpoint_with_divergence(&ck.kernel, &ck.cfg, GridCtx::generic(launch.block.z), true);
-    let trips = infer_trips(&ck.kernel, &ck.cfg, &doms, &nloops, launch, &in_states);
+    let flow =
+        Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(launch.block.z), true, &Clamps::new());
+    let trips = infer_trips(&flow, &doms, &nloops, launch);
     let mut report = Diagnostics::new(ck.kernel.name.clone());
     for lt in &trips.loops {
         if let Err(reason) = &lt.bound {

@@ -30,7 +30,7 @@ use crate::races::{guarded_threads, mem_accesses, thread_xy};
 use crate::{Diagnostic, Diagnostics, LintCode};
 use gpu_sim::mem::{coalesce_lines, smem_conflict_degree};
 use gpu_sim::SimStats;
-use simt_compiler::affine::{fixpoint, Affine, AffineVal, GridCtx};
+use simt_compiler::affine::{Affine, AffineVal, Clamps, Flow, GridCtx};
 use simt_compiler::CompiledKernel;
 use simt_isa::{LaunchConfig, MemSpace};
 
@@ -205,12 +205,10 @@ fn predict_inner(
     let (bx, by, bz) = (launch.block.x.max(1), launch.block.y.max(1), launch.block.z.max(1));
     let threads = launch.threads_per_block();
 
-    let ctx = GridCtx::generic(bz);
-    let in_states = fixpoint(&ck.kernel, &ck.cfg, ctx, true);
-    let no_divergence = vec![false; ck.cfg.blocks.len()];
+    let flow = Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(bz), true, &Clamps::new());
     // The walk visits blocks in reverse post-order; predictions are
     // reported in pc order.
-    let mut accesses = mem_accesses(ck, ctx, &in_states, &no_divergence);
+    let mut accesses = mem_accesses(&flow);
     accesses.sort_by_key(|a| a.pc);
 
     accesses

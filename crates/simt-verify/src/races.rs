@@ -39,12 +39,9 @@
 //! verdict for one shape says nothing about another.
 
 use crate::{Diagnostic, Diagnostics, LintCode};
-use simt_compiler::affine::{
-    fixpoint_with_divergence, resolve, transfer_divergent, Affine, AffineVal, FlowState, GridCtx,
-    PredVal,
-};
+use simt_compiler::affine::{resolve, Affine, AffineVal, Clamps, Flow, GridCtx, PredVal};
 use simt_compiler::cfg::reach;
-use simt_compiler::{BlockId, CompiledKernel, Doms};
+use simt_compiler::{BlockId, Cfg, CompiledKernel, Doms};
 use simt_isa::{AtomOp, Dim3, LaunchConfig, MemSpace, Op};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -105,17 +102,14 @@ impl Epochs {
 /// `branch[b]` is block `b`'s guarded branch: its predicate snapshot and
 /// the polarity that takes the first successor. Branches are visited in
 /// block order, so every list is reproducible.
-fn block_conditions(
-    ck: &CompiledKernel,
-    branch: &[Option<(PredVal, bool)>],
-) -> Vec<Vec<(PredVal, bool)>> {
-    let nb = ck.cfg.blocks.len();
-    let doms = Doms::compute(&ck.cfg);
-    let succs = |b: BlockId| ck.cfg.blocks[b].succs.iter().copied();
+fn block_conditions(cfg: &Cfg, branch: &[Option<(PredVal, bool)>]) -> Vec<Vec<(PredVal, bool)>> {
+    let nb = cfg.blocks.len();
+    let doms = Doms::compute(cfg);
+    let succs = |b: BlockId| cfg.blocks[b].succs.iter().copied();
     let mut block_conds: Vec<Vec<(PredVal, bool)>> = vec![Vec::new(); nb];
     for (b, &info) in branch.iter().enumerate() {
         let Some((pv, taken_polarity)) = info else { continue };
-        let bs = &ck.cfg.blocks[b].succs;
+        let bs = &cfg.blocks[b].succs;
         if bs.len() != 2 || bs[0] == bs[1] {
             continue;
         }
@@ -173,47 +167,33 @@ pub(crate) struct MemAccess {
 
 /// The one footprint walk: every shared and global load, store and atomic
 /// of every reachable block, in reverse post-order, with its address and
-/// execution conditions read off the affine fixpoint. `in_states` and
-/// `divergent` must come from one fixpoint of `ck` under `ctx`, so each
-/// block body replays to the values the fixpoint computed. The same
-/// replay snapshots each block's branch predicate for
-/// [`block_conditions`].
-pub(crate) fn mem_accesses(
-    ck: &CompiledKernel,
-    ctx: GridCtx,
-    in_states: &[FlowState],
-    divergent: &[bool],
-) -> Vec<MemAccess> {
-    let mut branch = vec![None; ck.cfg.blocks.len()];
+/// execution conditions read off `flow`'s replay. The same replay
+/// snapshots each block's branch predicate for [`block_conditions`].
+pub(crate) fn mem_accesses(flow: &Flow) -> Vec<MemAccess> {
+    let (kernel, cfg) = (flow.kernel(), flow.cfg());
+    let mut branch = vec![None; cfg.blocks.len()];
     // Each access with its block and its own guard, until the block
     // conditions are known.
     let mut sites = Vec::new();
-    for b in ck.cfg.reverse_post_order() {
-        if !in_states[b].reachable {
-            continue;
+    flow.replay(|pc, st, _| {
+        let instr = &kernel.instrs[pc];
+        let b = cfg.block_of[pc];
+        let guard = instr.guard.map(|g| (st.preds[usize::from(g.pred.0)], !g.negate));
+        if matches!(instr.op, Op::Bra { .. }) && guard.is_some() {
+            branch[b] = guard;
         }
-        let mut st = in_states[b].clone();
-        for pc in ck.cfg.blocks[b].range() {
-            let instr = &ck.kernel.instrs[pc];
-            let guard = instr.guard.map(|g| (st.preds[usize::from(g.pred.0)], !g.negate));
-            if matches!(instr.op, Op::Bra { .. }) && guard.is_some() {
-                branch[b] = guard;
-            }
-            let access = match instr.op {
-                Op::Ld(s @ (MemSpace::Shared | MemSpace::Global)) => Some((s, AccessKind::Read)),
-                Op::St(s @ (MemSpace::Shared | MemSpace::Global)) => Some((s, AccessKind::Write)),
-                Op::Atom(op) => Some((MemSpace::Global, AccessKind::Atomic(op))),
-                _ => None,
-            };
-            if let Some((space, kind)) = access {
-                let addr =
-                    resolve(&st, instr.srcs[0]) + AffineVal::constant(i64::from(instr.offset));
-                sites.push((b, guard, MemAccess { pc, space, kind, addr, conds: Vec::new() }));
-            }
-            transfer_divergent(&mut st, instr, ctx, divergent[b]);
+        let access = match instr.op {
+            Op::Ld(s @ (MemSpace::Shared | MemSpace::Global)) => Some((s, AccessKind::Read)),
+            Op::St(s @ (MemSpace::Shared | MemSpace::Global)) => Some((s, AccessKind::Write)),
+            Op::Atom(op) => Some((MemSpace::Global, AccessKind::Atomic(op))),
+            _ => None,
+        };
+        if let Some((space, kind)) = access {
+            let addr = resolve(st, instr.srcs[0]) + AffineVal::constant(i64::from(instr.offset));
+            sites.push((b, guard, MemAccess { pc, space, kind, addr, conds: Vec::new() }));
         }
-    }
-    let block_conds = block_conditions(ck, &branch);
+    });
+    let block_conds = block_conditions(cfg, &branch);
     sites
         .into_iter()
         .map(|(b, guard, mut access)| {
@@ -353,14 +333,11 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
     // Launch-aware: grid/block dimensions and constant param words resolve
     // to exact values, and divergence flags strip the uniformity bit from
     // values defined under thread-dependent branches.
-    let ctx = GridCtx::launch(launch);
-    let (in_states, divergent) = fixpoint_with_divergence(&ck.kernel, &ck.cfg, ctx, false);
+    let flow = Flow::solve(&ck.kernel, &ck.cfg, GridCtx::launch(launch), false, &Clamps::new());
 
     // ---- 2. collect accesses with their execution conditions -----------
-    let accesses: Vec<MemAccess> = mem_accesses(ck, ctx, &in_states, &divergent)
-        .into_iter()
-        .filter(|a| a.space == MemSpace::Shared)
-        .collect();
+    let accesses: Vec<MemAccess> =
+        mem_accesses(&flow).into_iter().filter(|a| a.space == MemSpace::Shared).collect();
 
     // ---- 3. same-epoch overlap checking --------------------------------
     let epochs = Epochs::build(ck);
@@ -844,9 +821,9 @@ mod tests {
         let _old = b.atom(AtomOp::Add, off, t);
         let ck = compile(b.finish());
         let launch = launch_1d(64);
-        let ctx = GridCtx::launch(&launch);
-        let (in_states, divergent) = fixpoint_with_divergence(&ck.kernel, &ck.cfg, ctx, false);
-        let accesses = mem_accesses(&ck, ctx, &in_states, &divergent);
+        let flow =
+            Flow::solve(&ck.kernel, &ck.cfg, GridCtx::launch(&launch), false, &Clamps::new());
+        let accesses = mem_accesses(&flow);
 
         let mut kinds: Vec<_> = accesses.iter().map(|a| (a.pc, a.space, a.kind.label())).collect();
         kinds.sort_unstable();

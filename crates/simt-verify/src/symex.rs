@@ -35,10 +35,9 @@
 //! cross-warp redundancy has nothing to compare.
 //!
 //! Claims the term domain cannot discharge fall back to the
-//! divergence-aware affine fixpoint
-//! ([`affine::fixpoint_with_divergence`]), which is already
-//! launch-generic. The interval meet hulls different per-path constants
-//! at control-flow joins, so a non-exact interval alone proves nothing —
+//! launch-generic, divergence-aware affine flow ([`affine::Flow`]). The
+//! interval meet hulls different per-path constants at control-flow
+//! joins, so a non-exact interval alone proves nothing —
 //! but the domain's TB-uniform *bit* does: it is set only on values
 //! whose constant is one shared pick per dynamic instance, writes inside
 //! divergent regions and merges under non-uniform guards clear it, and
@@ -67,7 +66,7 @@
 
 use crate::{oracle, Diagnostic, Diagnostics, LintCode};
 use gpu_sim::GlobalMemory;
-use simt_compiler::affine::{self, AffineVal};
+use simt_compiler::affine::{self, AffineVal, Clamps, GridCtx};
 use simt_compiler::{
     CompiledKernel, Deps, Doms, EvalCtx, NaturalLoops, Red, TermArena, TermId, RECONVERGE_AT_EXIT,
 };
@@ -864,31 +863,23 @@ pub fn prove_with_threads(
 
     // Pass 2: the launch-generic, divergence-aware affine fixpoint as a
     // fallback prover.
-    let (flows, divergent) =
-        affine::fixpoint_with_divergence(&ck.kernel, &ck.cfg, affine::GridCtx::generic(1), true);
+    let flow = affine::Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(1), true, &Clamps::new());
     let mut aff_val: Vec<Option<AffineVal>> = vec![None; n];
     let mut aff_guard_uniform = vec![false; n];
     let mut reachable = vec![false; n];
-    for (b, block) in ck.cfg.blocks.iter().enumerate() {
-        let mut fs = flows[b].clone();
-        if !fs.reachable {
-            continue;
+    flow.replay(|pc, fs, _| {
+        reachable[pc] = true;
+        let instr = &ck.kernel.instrs[pc];
+        if let Some(g) = instr.guard {
+            aff_guard_uniform[pc] = fs.preds[g.pred.index()].is_tb_uniform();
         }
-        for pc in block.range() {
-            reachable[pc] = true;
-            let instr = &ck.kernel.instrs[pc];
-            if let Some(g) = instr.guard {
-                aff_guard_uniform[pc] = fs.preds[g.pred.index()].is_tb_uniform();
-            }
-            // Guarded writes mix old and new bits per thread; only the
-            // term domain models the unwritten lanes, so the affine
-            // prover is restricted to unconditional definitions.
-            if instr.op.writes_dst() && instr.dst.is_some() && instr.guard.is_none() {
-                aff_val[pc] = Some(affine::value_of(&fs, instr, affine::GridCtx::generic(1)));
-            }
-            affine::transfer_divergent(&mut fs, instr, affine::GridCtx::generic(1), divergent[b]);
+        // Guarded writes mix old and new bits per thread; only the term
+        // domain models the unwritten lanes, so the affine prover is
+        // restricted to unconditional definitions.
+        if instr.op.writes_dst() && instr.dst.is_some() && instr.guard.is_none() {
+            aff_val[pc] = Some(flow.value_of(fs, instr));
         }
-    }
+    });
 
     let (ref_params, ref_memory);
     match reference {
