@@ -1,13 +1,16 @@
-//! Headless, timing-free execution of one threadblock through the
+//! Headless, timing-free execution of threadblocks through the
 //! functional executor (`exec.rs`).
 //!
-//! This is the shared substrate for every value-level oracle in the
-//! workspace: the redundancy tracer (`tracer.rs`) and the marking
-//! soundness sanitizer in `simt-verify` both drive it with their own
-//! [`FunctionalObserver`]. Warps are stepped round-robin with correct
-//! barrier semantics (a `bar.sync` parks the warp until every non-exited
-//! warp of the TB arrives), SIMT-stack divergence and reconvergence, but
-//! no pipeline model — one instruction per warp per scheduling pass.
+//! This is the shared substrate for every dynamic check in the
+//! workspace: the redundancy tracer (`tracer.rs`) and the marking oracle
+//! and block-independence certifier in `simt-verify` each implement
+//! [`FunctionalObserver`] and call [`replay_grid`], the one loop over a
+//! launch's blocks, which brackets each block with the observer's
+//! `begin_block`/`end_block` hooks. Warps are stepped round-robin with
+//! correct barrier semantics (a `bar.sync` parks the warp until every
+//! non-exited warp of the TB arrives), SIMT-stack divergence and
+//! reconvergence, but no pipeline model — one instruction per warp per
+//! scheduling pass.
 //!
 //! Both oracles group values the way DARSIE shares them, through the one
 //! [`OccurrenceGroups`] recorder: warp 0 leads each `(pc, occurrence)`,
@@ -88,6 +91,36 @@ pub trait FunctionalObserver {
     /// Called when a TB-wide barrier releases: every live warp arrived
     /// and is about to resume. Delimits the barrier epochs of the run.
     fn barrier_release(&mut self) {}
+
+    /// Called by [`replay_grid`] before block `block` (its linear index)
+    /// at `ctaid` runs.
+    fn begin_block(&mut self, _block: u64, _ctaid: Dim3) {}
+
+    /// Called by [`replay_grid`] after block `block` at `ctaid` ran.
+    fn end_block(&mut self, _block: u64, _ctaid: Dim3) {}
+}
+
+/// Writes each hook of the `(A, B)` observer: `A`'s, then `B`'s.
+macro_rules! forward_to_both {
+    ($($hook:ident($($arg:ident: $ty:ty),*);)*) => {$(
+        fn $hook(&mut self, $($arg: $ty),*) {
+            self.0.$hook($($arg),*);
+            self.1.$hook($($arg),*);
+        }
+    )*};
+}
+
+/// Two observers on one replay: every hook reaches `A`, then `B`.
+impl<A: FunctionalObserver, B: FunctionalObserver> FunctionalObserver for (A, B) {
+    forward_to_both! {
+        before_instruction(w: usize, pc: usize, occ: u32, instr: &Instruction, warp: &Warp);
+        after_instruction(w: usize, pc: usize, occ: u32, instr: &Instruction, warp: &Warp);
+        shared_access(w: usize, pc: usize, occ: u32, addrs: &LaneAddrs, store: bool);
+        global_access(w: usize, pc: usize, occ: u32, addrs: &LaneAddrs, store: bool, atomic: bool);
+        barrier_release();
+        begin_block(block: u64, ctaid: Dim3);
+        end_block(block: u64, ctaid: Dim3);
+    }
 }
 
 /// Observer that records nothing (plain functional execution).
@@ -106,9 +139,28 @@ pub fn ctaid_at(grid: Dim3, i: u64) -> Dim3 {
     )
 }
 
+/// Replays every threadblock of `launch` in [`ctaid_at`] order, as a real
+/// launch would evolve `global`, between `observer`'s
+/// [`begin_block`](FunctionalObserver::begin_block) and
+/// [`end_block`](FunctionalObserver::end_block) for each block.
+pub fn replay_grid<O: FunctionalObserver>(
+    ck: &CompiledKernel,
+    launch: &LaunchConfig,
+    global: &mut GlobalMemory,
+    observer: &mut O,
+) {
+    for block in 0..launch.num_blocks() {
+        let ctaid = ctaid_at(launch.grid, block);
+        observer.begin_block(block, ctaid);
+        run_tb_functional(ck, launch, ctaid, global, observer);
+        observer.end_block(block, ctaid);
+    }
+}
+
 /// Runs one threadblock to completion, invoking `observer` around every
 /// dynamic warp instruction. Global memory effects are applied to
 /// `global`; shared memory is private to the TB and dropped afterwards.
+/// Its block hooks are [`replay_grid`]'s to call.
 pub fn run_tb_functional<O: FunctionalObserver>(
     ck: &CompiledKernel,
     launch: &LaunchConfig,
@@ -150,9 +202,7 @@ pub fn run_tb_functional<O: FunctionalObserver>(
 
             if let ExecEffect::Memory { space, addrs, is_store, is_atomic } = &effect {
                 match space {
-                    MemSpace::Shared => {
-                        observer.shared_access(w, pc, occurrence, addrs, *is_store);
-                    }
+                    MemSpace::Shared => observer.shared_access(w, pc, occurrence, addrs, *is_store),
                     MemSpace::Global => {
                         observer.global_access(w, pc, occurrence, addrs, *is_store, *is_atomic);
                     }
@@ -166,22 +216,13 @@ pub fn run_tb_functional<O: FunctionalObserver>(
                 ExecEffect::Branch { taken, target } => {
                     let reconv = ck.recon.recon[pc].unwrap_or(usize::MAX);
                     warps[w].take_branch(pc, target, taken, reconv);
-                    warps[w].reconverge();
                 }
-                ExecEffect::Barrier => {
-                    at_barrier[w] = true;
-                    warps[w].reconverge();
-                }
-                ExecEffect::Exit => {
-                    if warps[w].exit_path() {
-                        warps[w].state = WarpState::Done;
-                    }
-                    warps[w].reconverge();
-                }
-                _ => {
-                    warps[w].reconverge();
-                }
+                ExecEffect::Barrier => at_barrier[w] = true,
+                // Marks the warp done when its last path exits.
+                ExecEffect::Exit => _ = warps[w].exit_path(),
+                _ => {}
             }
+            warps[w].reconverge();
         }
         // Barrier release: once every live warp is parked, open the gate.
         let all_blocked_or_done =
@@ -290,30 +331,16 @@ impl<T: ToOwned + PartialEq + ?Sized> OccurrenceGroups<T> {
     }
 
     /// Every recorded occurrence in `(pc, occurrence)` order, with its
-    /// group when aligned.
-    pub fn finish(self) -> impl Iterator<Item = ((usize, u32), Option<OccurrenceGroup<T::Owned>>)> {
+    /// group when aligned; the recorder is left empty for the next TB.
+    pub fn finish(
+        &mut self,
+    ) -> impl Iterator<Item = ((usize, u32), Option<OccurrenceGroup<T::Owned>>)> {
         let warps = self.warps;
-        self.slots.into_iter().enumerate().flat_map(move |(pc, occs)| {
+        std::mem::take(&mut self.slots).into_iter().enumerate().flat_map(move |(pc, occs)| {
             occs.into_iter().zip(1..).map(move |(slot, occurrence)| {
                 ((pc, occurrence), slot.filter(|s| s.arrived == warps).and_then(|s| s.group))
             })
         })
-    }
-}
-
-/// Recording register rows, the recorder observes every destination register.
-impl FunctionalObserver for OccurrenceGroups<[u32]> {
-    fn after_instruction(
-        &mut self,
-        w: usize,
-        pc: usize,
-        occurrence: u32,
-        instr: &Instruction,
-        warp: &Warp,
-    ) {
-        if let Some(dst) = instr.dst {
-            self.record(w, pc, occurrence, warp, warp.reg_row(dst));
-        }
     }
 }
 
@@ -465,49 +492,33 @@ impl RaceSanitizer {
                     cell.min_reader = None;
                     cell.max_reader = None;
                 }
-                match cell.min_reader {
-                    Some((t, _)) if t <= thread => {}
-                    _ => cell.min_reader = Some((thread, pc)),
+                if cell.min_reader.is_none_or(|(t, _)| t > thread) {
+                    cell.min_reader = Some((thread, pc));
                 }
-                match cell.max_reader {
-                    Some((t, _)) if t >= thread => {}
-                    _ => cell.max_reader = Some((thread, pc)),
+                if cell.max_reader.is_none_or(|(t, _)| t < thread) {
+                    cell.max_reader = Some((thread, pc));
                 }
             }
+            let mut race = |(first_thread, first_pc): (u32, usize), write_write: bool| {
+                let race = SharedRace {
+                    first_pc,
+                    first_thread,
+                    second_pc: pc,
+                    second_thread: thread,
+                    word,
+                    write_write,
+                };
+                log.report(word, (first_pc, pc), race);
+            };
             if let Some((we, wt, wpc)) = seen.write {
                 if we == epoch && wt != thread {
-                    log.report(
-                        word,
-                        (wpc, pc),
-                        SharedRace {
-                            first_pc: wpc,
-                            first_thread: wt,
-                            second_pc: pc,
-                            second_thread: thread,
-                            word,
-                            write_write: is_store,
-                        },
-                    );
+                    race((wt, wpc), is_store);
                 }
             }
             if is_store && seen.read_epoch == epoch {
-                let other = [seen.min_reader, seen.max_reader]
-                    .into_iter()
-                    .flatten()
-                    .find(|&(t, _)| t != thread);
-                if let Some((rt, rpc)) = other {
-                    log.report(
-                        word,
-                        (rpc, pc),
-                        SharedRace {
-                            first_pc: rpc,
-                            first_thread: rt,
-                            second_pc: pc,
-                            second_thread: thread,
-                            word,
-                            write_write: false,
-                        },
-                    );
+                let mut readers = [seen.min_reader, seen.max_reader].into_iter().flatten();
+                if let Some(reader) = readers.find(|&(t, _)| t != thread) {
+                    race(reader, false);
                 }
             }
         });
@@ -628,11 +639,11 @@ impl GlobalShadowCell {
 /// [`AtomOp`] (or `None` for a plain store) via
 /// [`record_access`](GlobalRaceSanitizer::record_access).
 ///
-/// Built with [`for_kernel`](GlobalRaceSanitizer::for_kernel), it is the
-/// replay's [`FunctionalObserver`]: it reads each pc's atomic op from the
-/// kernel. Call [`set_block`](GlobalRaceSanitizer::set_block) before
-/// replaying each threadblock. Raced-on words stay *tainted* for the rest
-/// of the launch so redundancy claims that read them can be downgraded.
+/// Built with [`for_kernel`](GlobalRaceSanitizer::for_kernel), it is a
+/// [`replay_grid`] observer: it reads each pc's atomic op from the kernel,
+/// and its `begin_block` is [`set_block`](GlobalRaceSanitizer::set_block).
+/// Raced-on words stay *tainted* for the rest of the launch so redundancy
+/// claims that read them can be downgraded.
 #[derive(Debug, Default)]
 pub struct GlobalRaceSanitizer {
     block: u64,
@@ -721,6 +732,17 @@ impl GlobalRaceSanitizer {
             if previous.replace(word) == Some(word) {
                 return;
             }
+            let mut race = |(first_block, first_pc): (u64, usize), write_write: bool| {
+                let race = GlobalRace {
+                    first_pc,
+                    first_block,
+                    second_pc: pc,
+                    second_block: block,
+                    word,
+                    write_write,
+                };
+                log.report(word, (first_pc, pc), race);
+            };
             // Judge the access against the cell, then update it.
             if let Some((wb, wpc, watom)) = cell.write().filter(|&(wb, _, _)| wb != block) {
                 // Only two writes with the same commuting op may collide;
@@ -731,35 +753,13 @@ impl GlobalRaceSanitizer {
                 if same_commuting {
                     *overlap = true;
                 } else {
-                    log.report(
-                        word,
-                        (wpc, pc),
-                        GlobalRace {
-                            first_pc: wpc,
-                            first_block: wb,
-                            second_pc: pc,
-                            second_block: block,
-                            word,
-                            write_write: is_store,
-                        },
-                    );
+                    race((wb, wpc), is_store);
                 }
             }
             if is_store {
-                let other = cell.readers().into_iter().flatten().find(|&(b, _)| b != block);
-                if let Some((rb, rpc)) = other {
-                    log.report(
-                        word,
-                        (rpc, pc),
-                        GlobalRace {
-                            first_pc: rpc,
-                            first_block: rb,
-                            second_pc: pc,
-                            second_block: block,
-                            word,
-                            write_write: false,
-                        },
-                    );
+                let mut readers = cell.readers().into_iter().flatten();
+                if let Some(reader) = readers.find(|&(b, _)| b != block) {
+                    race(reader, false);
                 }
                 (cell.write_block, cell.write_pc, cell.write_atom) = (block, pc32, atom);
             } else {
@@ -786,6 +786,10 @@ impl FunctionalObserver for GlobalRaceSanitizer {
     ) {
         let atom = if is_atomic { self.atoms[pc] } else { None };
         self.record_access(pc, addrs, is_store, atom);
+    }
+
+    fn begin_block(&mut self, block: u64, _ctaid: Dim3) {
+        self.set_block(block);
     }
 }
 
@@ -900,6 +904,139 @@ mod tests {
     #[should_panic(expected = "no launch has block index u64::MAX")]
     fn the_empty_cell_block_is_no_block_index() {
         GlobalRaceSanitizer::new().set_block(u64::MAX);
+    }
+
+    /// One observer hook as it fired, with enough of its arguments to
+    /// tell the blocks apart.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Hook {
+        Begin(u64, Dim3),
+        Before(usize, usize, u32),
+        After(usize, usize, u32, Option<u32>),
+        Shared(usize, usize, Vec<(u32, u64)>, bool),
+        Global(usize, usize, Vec<(u32, u64)>, bool, bool),
+        Barrier,
+        End(u64, Dim3),
+    }
+
+    /// Records every hook in firing order.
+    #[derive(Default)]
+    struct Recorder(Vec<Hook>);
+
+    impl FunctionalObserver for Recorder {
+        fn before_instruction(&mut self, w: usize, pc: usize, occ: u32, _: &Instruction, _: &Warp) {
+            self.0.push(Hook::Before(w, pc, occ));
+        }
+        fn after_instruction(
+            &mut self,
+            w: usize,
+            pc: usize,
+            occ: u32,
+            i: &Instruction,
+            warp: &Warp,
+        ) {
+            self.0.push(Hook::After(w, pc, occ, i.dst.map(|d| warp.reg_row(d)[0])));
+        }
+        fn shared_access(&mut self, w: usize, pc: usize, _: u32, a: &LaneAddrs, st: bool) {
+            self.0.push(Hook::Shared(w, pc, a.iter().collect(), st));
+        }
+        fn global_access(
+            &mut self,
+            w: usize,
+            pc: usize,
+            _: u32,
+            a: &LaneAddrs,
+            st: bool,
+            at: bool,
+        ) {
+            self.0.push(Hook::Global(w, pc, a.iter().collect(), st, at));
+        }
+        fn barrier_release(&mut self) {
+            self.0.push(Hook::Barrier);
+        }
+        fn begin_block(&mut self, block: u64, ctaid: Dim3) {
+            self.0.push(Hook::Begin(block, ctaid));
+        }
+        fn end_block(&mut self, block: u64, ctaid: Dim3) {
+            self.0.push(Hook::End(block, ctaid));
+        }
+    }
+
+    #[test]
+    fn replay_grid_brackets_each_block_in_row_major_order() {
+        // Two warps exchange tid-indexed words through shared memory
+        // across a barrier, then store the word plus the linear block id
+        // to out[64 * block + tid.x] and bump a counter atomically.
+        let mut b = KernelBuilder::new("grid");
+        let t = b.special(SpecialReg::TidX);
+        let smem = b.alloc_shared(64 * 4);
+        let off = b.shl_imm(t, 2);
+        let waddr = b.iadd(off, smem);
+        b.store(MemSpace::Shared, waddr, t, 0);
+        b.barrier();
+        let neg = b.isub(252u32, off);
+        let raddr = b.iadd(neg, smem);
+        let v = b.load(MemSpace::Shared, raddr, 0);
+        let (cx, cy, cz) = (
+            b.special(SpecialReg::CtaidX),
+            b.special(SpecialReg::CtaidY),
+            b.special(SpecialReg::CtaidZ),
+        );
+        let yz = b.imad(cz, 3u32, cy);
+        let block = b.imad(yz, 2u32, cx);
+        let lin = b.imad(block, 64u32, t);
+        let out = b.param(0);
+        let goff = b.shl_imm(lin, 2);
+        let gaddr = b.iadd(out, goff);
+        let sum = b.iadd(v, block);
+        b.store(MemSpace::Global, gaddr, sum, 0);
+        let ctr = b.param(1);
+        b.atom(AtomOp::Add, ctr, 1u32);
+        let ck = simt_compiler::compile(b.finish());
+
+        let mut mem = GlobalMemory::new();
+        let out = mem.alloc(12 * 64 * 4);
+        let ctr = mem.alloc(4);
+        let grid = Dim3::three_d(2, 3, 2);
+        let launch = LaunchConfig::new(grid, Dim3::one_d(64))
+            .with_params(vec![Value(out as u32), Value(ctr as u32)]);
+
+        // The reference: each block alone, bracketed by hand.
+        let mut want = Recorder::default();
+        let mut want_mem = mem.clone();
+        for i in 0..12 {
+            let ctaid = ctaid_at(grid, i);
+            want.begin_block(i, ctaid);
+            run_tb_functional(&ck, &launch, ctaid, &mut want_mem, &mut want);
+            want.end_block(i, ctaid);
+        }
+        // Each block releases one barrier, and each of its two warps
+        // makes two shared accesses, a store and an atomic.
+        let counts = |hooks: &[Hook]| {
+            let count = |f: fn(&Hook) -> bool| hooks.iter().filter(|h| f(h)).count();
+            [
+                count(|h| matches!(h, Hook::Barrier)),
+                count(|h| matches!(h, Hook::Shared(..))),
+                count(|h| matches!(h, Hook::Global(_, _, _, true, false))),
+                count(|h| matches!(h, Hook::Global(_, _, _, true, true))),
+            ]
+        };
+        let blocks: Vec<_> = want.0.split_inclusive(|h| matches!(h, Hook::End(..))).collect();
+        assert_eq!(blocks.len(), 12);
+        assert!(blocks.iter().all(|&hooks| counts(hooks) == [1, 4, 2, 2]));
+
+        let mut one = Recorder::default();
+        let mut one_mem = mem.clone();
+        replay_grid(&ck, &launch, &mut one_mem, &mut one);
+        assert_eq!(one.0, want.0);
+        assert_eq!(one_mem.fingerprint(), want_mem.fingerprint());
+        assert_eq!(one_mem.read_u32(out + 4 * (64 * 11 + 5)), 63 - 5 + 11);
+        assert_eq!(one_mem.read_u32(ctr), 12 * 64);
+
+        let mut pair = (Recorder::default(), Recorder::default());
+        replay_grid(&ck, &launch, &mut mem, &mut pair);
+        assert_eq!(pair.0 .0, want.0);
+        assert_eq!(pair.1 .0, want.0);
     }
 
     #[test]

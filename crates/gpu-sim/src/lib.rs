@@ -81,8 +81,8 @@ pub use events::{EventKind, EventLog, PipeEvent};
 pub use exec::{alu, LaneAddrs};
 pub use fasthash::{FastMap, FastSet};
 pub use functional::{
-    ctaid_at, run_tb_functional, FunctionalObserver, GlobalRace, GlobalRaceSanitizer, NullObserver,
-    OccurrenceGroup, OccurrenceGroups, RaceSanitizer, SharedRace,
+    ctaid_at, replay_grid, run_tb_functional, FunctionalObserver, GlobalRace, GlobalRaceSanitizer,
+    NullObserver, OccurrenceGroup, OccurrenceGroups, RaceSanitizer, SharedRace,
 };
 pub use gpu::{Gpu, SimResult};
 pub use mem::GlobalMemory;

@@ -14,13 +14,11 @@
 //! oracle in `simt-verify` uses.
 
 use crate::fasthash::FastMap;
-use crate::functional::{
-    ctaid_at, run_tb_functional, FunctionalObserver, OccurrenceGroup, OccurrenceGroups,
-};
+use crate::functional::{replay_grid, FunctionalObserver, OccurrenceGroup, OccurrenceGroups};
 use crate::mem::GlobalMemory;
 use crate::warp::Warp;
 use simt_compiler::{CompiledKernel, Taxonomy};
-use simt_isa::{Instruction, LaunchConfig, Operand};
+use simt_isa::{Dim3, Instruction, LaunchConfig, Operand};
 use std::collections::HashMap;
 
 /// Totals produced by [`trace_redundancy`].
@@ -132,59 +130,38 @@ pub fn trace_redundancy(
     launch: &LaunchConfig,
     mut memory: GlobalMemory,
 ) -> (RedundancyTrace, GlobalMemory) {
-    let mut trace = RedundancyTrace::default();
-    // Grid-level aggregation: (pc, occurrence) -> (leader hash, warp
-    // executions) while every TB ran it redundantly with that hash.
-    let mut grid_agg: FastMap<(usize, u32), Option<(u64, u64)>> = FastMap::default();
-    let num_warps = u64::from(launch.warps_per_block());
-
-    let total = launch.num_blocks();
-    for i in 0..total {
-        let ctaid = ctaid_at(launch.grid, i);
-        let mut obs =
-            SigObserver { trace: &mut trace, groups: OccurrenceGroups::new(launch), pending: None };
-        run_tb_functional(ck, launch, ctaid, &mut memory, &mut obs);
-        for ((pc, occ), group) in obs.groups.finish() {
-            let Some(OccurrenceGroup { leader, mismatches, .. }) = group else {
-                grid_agg.insert((pc, occ), None);
-                continue;
-            };
-            let redundant = mismatches == 0 && num_warps > 1;
-            if mismatches > 0 {
-                *trace.per_pc_aligned_mismatch.entry(pc).or_default() += 1;
-            }
-            if redundant {
-                trace.tb_redundant += num_warps;
-                *trace.per_pc_tb_redundant.entry(pc).or_default() += num_warps;
-                match leader.taxonomy {
-                    Taxonomy::Uniform => trace.uniform += num_warps,
-                    Taxonomy::Affine => trace.affine += num_warps,
-                    _ => trace.unstructured += num_warps,
-                }
-            }
-            let g = grid_agg.entry((pc, occ)).or_insert(Some((leader.hash, 0)));
-            *g = g.filter(|&(h, _)| redundant && h == leader.hash).map(|(h, n)| (h, n + num_warps));
-        }
-    }
-
+    let mut obs = SigObserver {
+        trace: RedundancyTrace::default(),
+        groups: OccurrenceGroups::new(launch),
+        pending: None,
+        grid_agg: FastMap::default(),
+        num_warps: u64::from(launch.warps_per_block()),
+    };
+    replay_grid(ck, launch, &mut memory, &mut obs);
+    let mut trace = obs.trace;
     // A single TB keeps the grid level distinct from the TB level.
-    if total > 1 {
-        trace.grid_redundant = grid_agg.values().flatten().map(|&(_, n)| n).sum();
+    if launch.num_blocks() > 1 {
+        trace.grid_redundant = obs.grid_agg.values().flatten().map(|&(_, n)| n).sum();
     }
     (trace, memory)
 }
 
-/// Observer recording the dynamic signatures of one TB run on the shared
-/// headless runner (`functional.rs`).
-struct SigObserver<'a> {
-    trace: &'a mut RedundancyTrace,
+/// Observer recording the dynamic signatures of a launch's replay and
+/// folding each TB's groups into the totals.
+struct SigObserver {
+    trace: RedundancyTrace,
+    /// The current TB's signatures.
     groups: OccurrenceGroups<DynSig>,
     /// The operands' hash and least structured pattern, carried from an
     /// instruction's `before` hook to its `after`.
     pending: Option<(u64, Taxonomy)>,
+    /// Grid-level aggregation: (pc, occurrence) -> (leader hash, warp
+    /// executions) while every TB ran it redundantly with that hash.
+    grid_agg: FastMap<(usize, u32), Option<(u64, u64)>>,
+    num_warps: u64,
 }
 
-impl FunctionalObserver for SigObserver<'_> {
+impl FunctionalObserver for SigObserver {
     fn before_instruction(
         &mut self,
         _w: usize,
@@ -240,6 +217,31 @@ impl FunctionalObserver for SigObserver<'_> {
             self.trace.warp_redundant += 1;
         }
         self.groups.record(w, pc, occurrence, warp, &DynSig { hash, taxonomy: worst });
+    }
+
+    fn end_block(&mut self, _block: u64, _ctaid: Dim3) {
+        let (trace, num_warps) = (&mut self.trace, self.num_warps);
+        for ((pc, occ), group) in self.groups.finish() {
+            let Some(OccurrenceGroup { leader, mismatches, .. }) = group else {
+                self.grid_agg.insert((pc, occ), None);
+                continue;
+            };
+            let redundant = mismatches == 0 && num_warps > 1;
+            if mismatches > 0 {
+                *trace.per_pc_aligned_mismatch.entry(pc).or_default() += 1;
+            }
+            if redundant {
+                trace.tb_redundant += num_warps;
+                *trace.per_pc_tb_redundant.entry(pc).or_default() += num_warps;
+                match leader.taxonomy {
+                    Taxonomy::Uniform => trace.uniform += num_warps,
+                    Taxonomy::Affine => trace.affine += num_warps,
+                    _ => trace.unstructured += num_warps,
+                }
+            }
+            let g = self.grid_agg.entry((pc, occ)).or_insert(Some((leader.hash, 0)));
+            *g = g.filter(|&(h, _)| redundant && h == leader.hash).map(|(h, n)| (h, n + num_warps));
+        }
     }
 }
 

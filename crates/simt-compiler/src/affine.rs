@@ -629,15 +629,14 @@ impl AffineVal {
     /// uniform inputs give a uniform (but otherwise unknown) result, any
     /// thread-dependent input poisons it.
     #[must_use]
-    pub fn opaque(operands: &[AffineVal]) -> AffineVal {
-        if operands.iter().all(|v| v.is_uniform()) {
-            if operands.iter().all(|v| v.is_tb_uniform()) {
-                AffineVal::uniform_unknown()
-            } else {
-                AffineVal::uniform_unknown().non_uniform()
-            }
-        } else {
-            AffineVal::Unknown
+    pub fn opaque(operands: impl IntoIterator<Item = AffineVal>) -> AffineVal {
+        let (uniform, tb_uniform) = operands
+            .into_iter()
+            .fold((true, true), |(u, tb), v| (u && v.is_uniform(), tb && v.is_tb_uniform()));
+        match (uniform, tb_uniform) {
+            (false, _) => AffineVal::Unknown,
+            (true, true) => AffineVal::uniform_unknown(),
+            (true, false) => AffineVal::uniform_unknown().non_uniform(),
         }
     }
 }
@@ -1023,10 +1022,7 @@ fn value_of(st: &FlowState, instr: &Instruction, ctx: GridCtx) -> AffineVal {
         }
         // Bitwise, shifts-by-register, float and conversion ops: uniform
         // in, uniform out; thread-dependent in, unknown out.
-        _ => {
-            let ops: Vec<AffineVal> = (0..instr.srcs.len()).map(s).collect();
-            AffineVal::opaque(&ops)
-        }
+        _ => AffineVal::opaque((0..instr.srcs.len()).map(s)),
     }
 }
 
@@ -1505,10 +1501,10 @@ mod tests {
     #[test]
     fn opaque_preserves_uniformity_only() {
         assert!(
-            AffineVal::opaque(&[AffineVal::constant(3), AffineVal::uniform_unknown()]).is_uniform()
+            AffineVal::opaque([AffineVal::constant(3), AffineVal::uniform_unknown()]).is_uniform()
         );
         assert_eq!(
-            AffineVal::opaque(&[AffineVal::constant(3), aff(1, 0, 0, 0)]),
+            AffineVal::opaque([AffineVal::constant(3), aff(1, 0, 0, 0)]),
             AffineVal::Unknown
         );
     }

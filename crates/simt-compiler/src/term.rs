@@ -417,7 +417,7 @@ impl TermArena {
             Op::Shl => va << vb,
             Op::IMin => va.min_(vb),
             Op::IMax => va.max_(vb),
-            _ => AffineVal::opaque(&[va, vb, vc]),
+            _ => AffineVal::opaque([va, vb, vc]),
         }
     }
 

@@ -200,7 +200,7 @@ proptest! {
         // inputs to be shared.
         let vx = sample(x, &threads, block, &px, sx);
         let vy = sample(y, &threads, block, &py, sy);
-        let out = AffineVal::opaque(&[AffineVal::Aff(x), AffineVal::Aff(y)]);
+        let out = AffineVal::opaque([AffineVal::Aff(x), AffineVal::Aff(y)]);
         let mix: Vec<i64> =
             vx.iter().zip(&vy).map(|(a, b)| (a ^ (b << 1)).wrapping_mul(31)).collect();
         prop_assert!(admits(out, &threads, block, &mix), "opaque {x:?} {y:?}");

@@ -484,11 +484,7 @@ pub fn certify(
         return (cert, report);
     }
     let mut gsan = gpu_sim::GlobalRaceSanitizer::for_kernel(&ck.kernel);
-    for i in 0..launch.num_blocks() {
-        gsan.set_block(i);
-        let ctaid = gpu_sim::ctaid_at(launch.grid, i);
-        gpu_sim::run_tb_functional(ck, launch, ctaid, &mut memory, &mut gsan);
-    }
+    gpu_sim::replay_grid(ck, launch, &mut memory, &mut gsan);
     // A collision-free exhaustive replay is a per-launch proof: every
     // thread of every block ran, and no block read or wrote another
     // block's words, so each block behaved exactly as in isolation and

@@ -356,23 +356,17 @@ pub fn estimate(
     let nloops = NaturalLoops::compute(kernel, cfg, &doms);
     let flow = Flow::solve(kernel, cfg, GridCtx::generic(launch.block.z), true, &Clamps::new());
     let trips = infer_trips(&flow, &doms, &nloops, launch);
-    let mempred: BTreeMap<usize, MemPredKind> = predict_envelope(ck, launch, launch.warp_size)
+    let mempred: BTreeMap<usize, MemPredKind> = predict_envelope(&flow, launch, launch.warp_size)
         .into_iter()
         .map(|p| (p.pc, p.kind))
         .collect();
 
-    let mut report = Diagnostics::new(kernel.name.clone());
-    let mut loops = Vec::new();
-    for lt in &trips.loops {
-        loops.push(LoopReport { back_edge_pc: lt.back_edge_pc, trips: lt.bound.clone() });
-        if let Err(reason) = &lt.bound {
-            report.push(Diagnostic::new(
-                LintCode::TripUnbounded,
-                Some(lt.back_edge_pc),
-                format!("loop trip count is unboundable: {reason}"),
-            ));
-        }
-    }
+    let report = trip_lints(&kernel.name, &trips);
+    let loops: Vec<LoopReport> = trips
+        .loops
+        .iter()
+        .map(|lt| LoopReport { back_edge_pc: lt.back_edge_pc, trips: lt.bound.clone() })
+        .collect();
 
     // Per-block visit brackets and per-visit cost profiles (one warp).
     let exit = cfg.exit_block();
@@ -750,8 +744,12 @@ pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
     let nloops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
     let flow =
         Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(launch.block.z), true, &Clamps::new());
-    let trips = infer_trips(&flow, &doms, &nloops, launch);
-    let mut report = Diagnostics::new(ck.kernel.name.clone());
+    trip_lints(&ck.kernel.name, &infer_trips(&flow, &doms, &nloops, launch))
+}
+
+/// An `E201` warning for each loop of `kernel` whose trips are unbounded.
+fn trip_lints(kernel: &str, trips: &TripCounts) -> Diagnostics {
+    let mut report = Diagnostics::new(kernel);
     for lt in &trips.loops {
         if let Err(reason) = &lt.bound {
             report.push(Diagnostic::new(

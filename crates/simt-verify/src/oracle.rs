@@ -5,9 +5,10 @@
 //! follower warp for instructions the compiler marked redundant. That is
 //! only sound if each such instruction really produces a bit-identical
 //! result vector in every warp of the threadblock. This pass replays the
-//! kernel per-warp with [`run_tb_functional`] and compares, for every
-//! *checked* instruction, the destination vectors of all warps at the same
-//! dynamic occurrence (the DARSIE instance number).
+//! launch with [`replay_grid`] (each TB's state is reset in the
+//! `begin_block` hook and folded in `end_block`) and compares, for every
+//! *checked* instruction, the destination vectors of all warps at the
+//! same dynamic occurrence (the DARSIE instance number).
 //!
 //! An instruction is checked when it writes a general register, is not an
 //! atomic, and either its static marking or its (launch-finalized)
@@ -42,25 +43,26 @@
 
 use crate::{blocks, Diagnostic, Diagnostics, LintCode};
 use gpu_sim::{
-    ctaid_at, run_tb_functional, FastMap, FastSet, FunctionalObserver, GlobalMemory,
-    GlobalRaceSanitizer, LaneAddrs, OccurrenceGroup, OccurrenceGroups, RaceSanitizer,
+    replay_grid, FastMap, FastSet, FunctionalObserver, GlobalMemory, GlobalRaceSanitizer,
+    LaneAddrs, OccurrenceGroup, OccurrenceGroups, RaceSanitizer,
 };
 use simt_compiler::{promotes_tid_y, CompiledKernel, Red};
 use simt_isa::{Dim3, Instruction, LaunchConfig, Marking, MemSpace, Op};
 use std::collections::BTreeMap;
 
-/// Which lint a mismatch at this instruction raises, or `None` when the
-/// instruction is not subject to value sharing under this launch.
-fn checked_kind(ck: &CompiledKernel, pc: usize, px: bool, py: bool) -> Option<LintCode> {
+/// True when `pc` writes a general register, is not an atomic, and its
+/// marking or its class claims its result is shared across the warps of
+/// a TB under the promotion flags `px` (the launch's dimensionality
+/// check) and `py` (its tid.y promotion).
+pub(crate) fn claims_sharing(ck: &CompiledKernel, pc: usize, px: bool, py: bool) -> bool {
     let instr = &ck.kernel.instrs[pc];
     if !instr.op.writes_dst() || instr.dst.is_none() || matches!(instr.op, Op::Atom(_)) {
-        return None;
+        return false;
     }
     let class = ck.classes[pc];
-    let marking = ck.markings[pc];
     // What the decoded binary claims: DR shares unconditionally, CR shares
     // when the launch-time dimensionality check passes.
-    let marking_claims = match marking {
+    let marking_claims = match ck.markings[pc] {
         Marking::Redundant => true,
         Marking::ConditionallyRedundant => match class.red {
             Red::CondRedundantXY => px && py,
@@ -69,32 +71,46 @@ fn checked_kind(ck: &CompiledKernel, pc: usize, px: bool, py: bool) -> Option<Li
         Marking::Vector => false,
     };
     // What the analysis classes claim after launch finalization.
-    let class_claims = class.finalize(px, py).taxonomy().is_redundant();
-    if !marking_claims && !class_claims {
-        return None;
-    }
-    if marking == Marking::Redundant || class.red == Red::Redundant {
+    marking_claims || class.finalize(px, py).taxonomy().is_redundant()
+}
+
+/// Which lint a mismatch at this instruction raises, or `None` when the
+/// instruction is not subject to value sharing under this launch.
+fn checked_kind(ck: &CompiledKernel, pc: usize, px: bool, py: bool) -> Option<LintCode> {
+    if !claims_sharing(ck, pc, px, py) {
+        None
+    } else if ck.markings[pc] == Marking::Redundant || ck.classes[pc].red == Red::Redundant {
         Some(LintCode::UnsoundMarking)
     } else {
         Some(LintCode::UnsoundPromotion)
     }
 }
 
-/// Groups the destination vectors of checked (and headroom candidate)
-/// instructions for one TB, and runs the dynamic race sanitizers
-/// alongside.
+/// The oracle's replay of a launch: groups the destination vectors of
+/// checked (and headroom candidate) instructions and runs the shared
+/// race sanitizer per TB, and folds each TB into the launch's findings.
 struct OracleObserver<'a> {
+    warp_size: u32,
     checked: &'a [Option<LintCode>],
     grouped: &'a [bool],
+    /// This TB's occurrence groups, shared race sanitizer and the shared
+    /// words each *checked* load pc read. Each pc is judged on its own,
+    /// so visiting order does not matter.
     groups: OccurrenceGroups<[u32]>,
     sanitizer: RaceSanitizer,
-    /// Shared words each *checked* load pc read during this TB. Each pc
-    /// is judged on its own, so visiting order does not matter.
     shared_reads: FastMap<usize, FastSet<u64>>,
-    /// Launch-wide global shadow (one epoch across all TBs).
-    gsan: &'a mut GlobalRaceSanitizer,
     /// Global words each *checked* load pc read, launch-wide.
-    global_reads: &'a mut FastMap<usize, FastSet<u64>>,
+    global_reads: FastMap<usize, FastSet<u64>>,
+    /// Per mismatching pc: warp-occurrence pairs and the first example.
+    mismatches: BTreeMap<usize, (u64, String)>,
+    /// Dynamic races deduplicated by static pc pair across all TBs, with
+    /// the first observing TB kept for the message.
+    races: BTreeMap<(usize, usize), (Dim3, gpu_sim::SharedRace)>,
+    /// Checked pcs whose loads read a race-tainted shared word.
+    tainted_claims: BTreeMap<usize, u64>,
+    /// `dyn_red[pc]`: `Some(true)` while every aligned group matched so
+    /// far.
+    dyn_red: Vec<Option<bool>>,
 }
 
 impl FunctionalObserver for OracleObserver<'_> {
@@ -106,8 +122,8 @@ impl FunctionalObserver for OracleObserver<'_> {
         instr: &Instruction,
         warp: &gpu_sim::Warp,
     ) {
-        if self.grouped[pc] {
-            self.groups.after_instruction(w, pc, occurrence, instr, warp);
+        if let Some(dst) = instr.dst.filter(|_| self.grouped[pc]) {
+            self.groups.record(w, pc, occurrence, warp, warp.reg_row(dst));
         }
     }
 
@@ -131,16 +147,53 @@ impl FunctionalObserver for OracleObserver<'_> {
 
     fn global_access(
         &mut self,
-        w: usize,
+        _w: usize,
         pc: usize,
-        occurrence: u32,
+        _occurrence: u32,
         addrs: &LaneAddrs,
         is_store: bool,
-        is_atomic: bool,
+        _is_atomic: bool,
     ) {
-        self.gsan.global_access(w, pc, occurrence, addrs, is_store, is_atomic);
         if !is_store && self.checked[pc].is_some() {
             self.global_reads.entry(pc).or_default().extend(addrs.iter().map(|(_, a)| a / 4));
+        }
+    }
+
+    fn begin_block(&mut self, _block: u64, _ctaid: Dim3) {
+        self.sanitizer = RaceSanitizer::new(self.warp_size);
+        self.shared_reads.clear();
+    }
+
+    fn end_block(&mut self, _block: u64, ctaid: Dim3) {
+        for race in self.sanitizer.races() {
+            self.races.entry((race.first_pc, race.second_pc)).or_insert((ctaid, *race));
+        }
+        for (&pc, words) in &self.shared_reads {
+            if let Some(w) = min_tainted(words, |w| self.sanitizer.is_tainted(w)) {
+                self.tainted_claims.entry(pc).or_insert(w);
+            }
+        }
+        // In (pc, occurrence) order, so the first mismatch of a pc (its
+        // example) is its earliest occurrence in this TB.
+        for ((pc, occurrence), group) in self.groups.finish() {
+            let Some(OccurrenceGroup { leader, mismatches: count, first_mismatch }) = group else {
+                continue;
+            };
+            *self.dyn_red[pc].get_or_insert(true) &= count == 0;
+            let (Some((w, dst)), Some(_)) = (first_mismatch, self.checked[pc]) else { continue };
+            self.mismatches
+                .entry(pc)
+                .or_insert_with(|| {
+                    let lane =
+                        dst.iter().zip(&leader).position(|(a, b)| a != b).expect("vectors differ");
+                    let example = format!(
+                        "TB ({},{},{}) occurrence {occurrence}: warp {w} lane {lane} produced \
+                         {:#x}, leader warp 0 produced {:#x}",
+                        ctaid.x, ctaid.y, ctaid.z, dst[lane], leader[lane],
+                    );
+                    (0, example)
+                })
+                .0 += count;
         }
     }
 }
@@ -203,66 +256,27 @@ pub fn check_with_headroom(
     if !oracle_runs && skippable.is_none() {
         return (report, Headroom::default());
     }
-    // Per mismatching pc: warp-occurrence pairs and the first example.
-    let mut mismatches: BTreeMap<usize, (u64, String)> = BTreeMap::new();
-    // Dynamic races deduplicated by static pc pair across all TBs, with
-    // the first observing TB kept for the message.
-    let mut races: BTreeMap<(usize, usize), (Dim3, gpu_sim::SharedRace)> = BTreeMap::new();
-    // Checked pcs whose loads read a race-tainted shared word.
-    let mut tainted_claims: BTreeMap<usize, u64> = BTreeMap::new();
     // The global shadow lives across the whole launch: block replay
     // order is exactly what the sharded engine is free to permute.
-    let mut gsan = GlobalRaceSanitizer::for_kernel(&ck.kernel);
-    let mut global_reads: FastMap<usize, FastSet<u64>> = FastMap::default();
-    // dyn_red[pc]: Some(true) while every aligned group matched so far.
-    let mut dyn_red: Vec<Option<bool>> = vec![None; n];
-
-    for i in 0..launch.num_blocks() {
-        let ctaid = ctaid_at(launch.grid, i);
-        gsan.set_block(i);
-        let mut obs = OracleObserver {
+    let mut obs = (
+        OracleObserver {
+            warp_size: launch.warp_size,
             checked: &checked,
             grouped: &grouped,
             groups: OccurrenceGroups::new(launch),
             sanitizer: RaceSanitizer::new(launch.warp_size),
             shared_reads: FastMap::default(),
-            gsan: &mut gsan,
-            global_reads: &mut global_reads,
-        };
-        run_tb_functional(ck, launch, ctaid, &mut memory, &mut obs);
-
-        for race in obs.sanitizer.races() {
-            races.entry((race.first_pc, race.second_pc)).or_insert((ctaid, *race));
-        }
-        for (&pc, words) in &obs.shared_reads {
-            if let Some(w) = min_tainted(words, |w| obs.sanitizer.is_tainted(w)) {
-                tainted_claims.entry(pc).or_insert(w);
-            }
-        }
-
-        // In (pc, occurrence) order, so the first mismatch of a pc (its
-        // example) is its earliest occurrence in this TB.
-        for ((pc, occurrence), group) in obs.groups.finish() {
-            let Some(OccurrenceGroup { leader, mismatches: count, first_mismatch }) = group else {
-                continue;
-            };
-            *dyn_red[pc].get_or_insert(true) &= count == 0;
-            let (Some((w, dst)), Some(_)) = (first_mismatch, checked[pc]) else { continue };
-            mismatches
-                .entry(pc)
-                .or_insert_with(|| {
-                    let lane =
-                        dst.iter().zip(&leader).position(|(a, b)| a != b).expect("vectors differ");
-                    let example = format!(
-                        "TB ({},{},{}) occurrence {occurrence}: warp {w} lane {lane} produced \
-                         {:#x}, leader warp 0 produced {:#x}",
-                        ctaid.x, ctaid.y, ctaid.z, dst[lane], leader[lane],
-                    );
-                    (0, example)
-                })
-                .0 += count;
-        }
-    }
+            global_reads: FastMap::default(),
+            mismatches: BTreeMap::new(),
+            races: BTreeMap::new(),
+            tainted_claims: BTreeMap::new(),
+            dyn_red: vec![None; n],
+        },
+        GlobalRaceSanitizer::for_kernel(&ck.kernel),
+    );
+    replay_grid(ck, launch, &mut memory, &mut obs);
+    let (OracleObserver { global_reads, mismatches, races, tainted_claims, dyn_red, .. }, gsan) =
+        obs;
 
     let mut headroom = Headroom::default();
     for pc in (0..n).filter(|&pc| candidate[pc]) {
@@ -923,7 +937,7 @@ mod tests {
             }
         }
         let mut obs = Arrivals(pc, Vec::new());
-        run_tb_functional(ck, launch, Dim3::three_d(0, 0, 0), &mut mem, &mut obs);
+        gpu_sim::run_tb_functional(ck, launch, Dim3::three_d(0, 0, 0), &mut mem, &mut obs);
         obs.1
     }
 

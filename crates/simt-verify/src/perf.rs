@@ -176,7 +176,9 @@ fn bound_access(
 /// per-warp lane grouping by `warp_size`.
 #[must_use]
 pub fn predict(ck: &CompiledKernel, launch: &LaunchConfig, warp_size: u32) -> Vec<MemPrediction> {
-    predict_inner(ck, launch, warp_size, false)
+    let ctx = GridCtx::generic(launch.block.z.max(1));
+    let flow = Flow::solve(&ck.kernel, &ck.cfg, ctx, true, &Clamps::new());
+    predict_inner(&flow, launch, warp_size, false)
 }
 
 /// Like [`predict`], but when the execution mask is not exactly
@@ -186,29 +188,25 @@ pub fn predict(ck: &CompiledKernel, launch: &LaunchConfig, warp_size: u32) -> Ve
 /// warp, so the returned maximum is a sound mask-agnostic envelope. The
 /// minimum is widened to 0 (the mask may be empty). The cost model's
 /// upper bound consumes this; the `P1xx` lints keep the exact
-/// [`predict`].
+/// [`predict`]. `flow` is the kernel's flow as [`predict`] solves it:
+/// under `GridCtx::generic(launch.block.z)`, entry-zeroed, unclamped.
 #[must_use]
-pub fn predict_envelope(
-    ck: &CompiledKernel,
-    launch: &LaunchConfig,
-    warp_size: u32,
-) -> Vec<MemPrediction> {
-    predict_inner(ck, launch, warp_size, true)
+pub fn predict_envelope(flow: &Flow, launch: &LaunchConfig, warp_size: u32) -> Vec<MemPrediction> {
+    predict_inner(flow, launch, warp_size, true)
 }
 
 fn predict_inner(
-    ck: &CompiledKernel,
+    flow: &Flow,
     launch: &LaunchConfig,
     warp_size: u32,
     mask_free: bool,
 ) -> Vec<MemPrediction> {
-    let (bx, by, bz) = (launch.block.x.max(1), launch.block.y.max(1), launch.block.z.max(1));
+    let (bx, by) = (launch.block.x.max(1), launch.block.y.max(1));
     let threads = launch.threads_per_block();
 
-    let flow = Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(bz), true, &Clamps::new());
     // The walk visits blocks in reverse post-order; predictions are
     // reported in pc order.
-    let mut accesses = mem_accesses(&flow);
+    let mut accesses = mem_accesses(flow);
     accesses.sort_by_key(|a| a.pc);
 
     accesses

@@ -68,7 +68,7 @@ use crate::{oracle, Diagnostic, Diagnostics, LintCode};
 use gpu_sim::GlobalMemory;
 use simt_compiler::affine::{self, AffineVal, Clamps, GridCtx};
 use simt_compiler::{
-    CompiledKernel, Deps, Doms, EvalCtx, NaturalLoops, Red, TermArena, TermId, RECONVERGE_AT_EXIT,
+    CompiledKernel, Deps, Doms, EvalCtx, NaturalLoops, TermArena, TermId, RECONVERGE_AT_EXIT,
 };
 use simt_isa::{Instruction, LaunchConfig, LaunchFamily, Marking, MemSpace, Op, Operand, Value};
 use std::collections::HashMap;
@@ -196,26 +196,10 @@ impl FamilyCover {
 }
 
 /// The strongest launch family under which `pc`'s marking or class claims
-/// its result is shared across warps. Mirrors the differential oracle's
-/// claim predicate, but quantified over the family instead of one launch.
+/// its result is shared across warps: the differential oracle's claim
+/// predicate, quantified over the family instead of one launch.
 fn value_claim(ck: &CompiledKernel, pc: usize) -> Option<Family> {
-    let instr = &ck.kernel.instrs[pc];
-    if !instr.op.writes_dst() || instr.dst.is_none() || matches!(instr.op, Op::Atom(_)) {
-        return None;
-    }
-    let class = ck.classes[pc];
-    let marking = ck.markings[pc];
-    let claims = |px: bool, py: bool| {
-        let marking_claims = match marking {
-            Marking::Redundant => true,
-            Marking::ConditionallyRedundant => match class.red {
-                Red::CondRedundantXY => px && py,
-                _ => px,
-            },
-            Marking::Vector => false,
-        };
-        marking_claims || class.finalize(px, py).taxonomy().is_redundant()
-    };
+    let claims = |px, py| oracle::claims_sharing(ck, pc, px, py);
     if claims(false, false) {
         Some(Family::All)
     } else if claims(true, false) {

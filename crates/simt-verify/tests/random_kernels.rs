@@ -5,8 +5,8 @@
 //! the catalog uses — including the promoting 2D blocks.
 
 use gpu_sim::{
-    ctaid_at, run_tb_functional, FunctionalObserver, GlobalMemory, GlobalRace, GlobalRaceSanitizer,
-    LaneAddrs,
+    ctaid_at, replay_grid, run_tb_functional, FunctionalObserver, GlobalMemory, GlobalRace,
+    GlobalRaceSanitizer, LaneAddrs,
 };
 use proptest::prelude::*;
 use simt_compiler::{compile, refine, CompiledKernel};
@@ -147,35 +147,35 @@ fn build_blocky(accs: &[GAccess]) -> CompiledKernel {
     compile(b.finish())
 }
 
-/// Replays `blocks` of the launch (all of them when `None`) under the
-/// global shadow sanitizer and returns the observed inter-block races.
+/// Replays the launch under the global shadow sanitizer and returns the
+/// observed inter-block races.
 fn replay_races(
     ck: &CompiledKernel,
     launch: &LaunchConfig,
     mut mem: GlobalMemory,
-    blocks: Option<&[u64]>,
 ) -> Vec<GlobalRace> {
-    let all: Vec<u64> = (0..launch.num_blocks()).collect();
     let mut gsan = GlobalRaceSanitizer::for_kernel(&ck.kernel);
-    for &i in blocks.unwrap_or(&all) {
-        gsan.set_block(i);
-        run_tb_functional(ck, launch, ctaid_at(launch.grid, i), &mut mem, &mut gsan);
-    }
+    replay_grid(ck, launch, &mut mem, &mut gsan);
     gsan.races().to_vec()
 }
 
-/// Replays every block of `launch` in the given order and returns the
-/// final global-memory fingerprint — an oracle for certified launches
-/// that is independent of the shadow sanitizer's exemption rule.
+/// Replays every block of `launch`, in launch order or in reverse, and
+/// returns the final global-memory fingerprint — an oracle for certified
+/// launches that is independent of the shadow sanitizer's exemption
+/// rule.
 fn replay_fingerprint(
     ck: &CompiledKernel,
     launch: &LaunchConfig,
     mut mem: GlobalMemory,
-    order: &[u64],
+    reverse: bool,
 ) -> u64 {
-    for &i in order {
-        let mut obs = gpu_sim::NullObserver;
-        run_tb_functional(ck, launch, ctaid_at(launch.grid, i), &mut mem, &mut obs);
+    if reverse {
+        for i in (0..launch.num_blocks()).rev() {
+            let ctaid = ctaid_at(launch.grid, i);
+            run_tb_functional(ck, launch, ctaid, &mut mem, &mut gpu_sim::NullObserver);
+        }
+    } else {
+        replay_grid(ck, launch, &mut mem, &mut gpu_sim::NullObserver);
     }
     mem.fingerprint()
 }
@@ -234,7 +234,7 @@ proptest! {
         let (cert, report) = blocks::analyze(&ck, &launch);
 
         if cert.classification != BlockIndependence::PotentiallyRacy {
-            let races = replay_races(&ck, &launch, mem.clone(), None);
+            let races = replay_races(&ck, &launch, mem.clone());
             prop_assert!(
                 races.is_empty(),
                 "statically {} but dynamic replay raced: {races:?}\n{}",
@@ -285,10 +285,8 @@ proptest! {
             .with_params(vec![Value(base as u32)]);
         let (cert, _) = blocks::certify(&ck, &launch, mem.clone());
         if cert.classification != BlockIndependence::PotentiallyRacy {
-            let forward: Vec<u64> = (0..launch.num_blocks()).collect();
-            let reverse: Vec<u64> = forward.iter().rev().copied().collect();
-            let fwd = replay_fingerprint(&ck, &launch, mem.clone(), &forward);
-            let rev = replay_fingerprint(&ck, &launch, mem.clone(), &reverse);
+            let fwd = replay_fingerprint(&ck, &launch, mem.clone(), false);
+            let rev = replay_fingerprint(&ck, &launch, mem.clone(), true);
             prop_assert_eq!(
                 fwd, rev,
                 "certified {} but block replay order changed final global memory",

@@ -1,5 +1,5 @@
 //! Identity gate for the functional replay substrate
-//! (`gpu_sim::run_tb_functional`, the executor, global memory and the
+//! (`gpu_sim::replay_grid`, the executor, global memory and the
 //! shadow race sanitizers) and the analyses built on it: every catalog
 //! workload at `Scale::Test`, a deterministic sample of its launch-family
 //! members and the racy fixtures must reproduce a pinned table.
@@ -32,9 +32,10 @@
 
 use darsie_repro::isa::{AxisRange, Instruction, LaunchConfig, LaunchFamily};
 use darsie_repro::sim::{
-    ctaid_at, run_tb_functional, FunctionalObserver, GlobalMemory, GpuConfig, LaneAddrs, Warp,
+    replay_grid, FunctionalObserver, GlobalMemory, GpuConfig, LaneAddrs, Warp,
 };
 use darsie_repro::workloads::{catalog, fixtures, Scale};
+use simt_compiler::affine::{Clamps, Flow, GridCtx};
 use simt_compiler::CompiledKernel;
 use simt_verify::{blocks, family, oracle, perf, verify_full};
 
@@ -153,9 +154,7 @@ fn row(
     let verify = fnv_str(&verify_full(ck, launch, memory.clone()).render());
     let mut mem = memory.clone();
     let mut events = EventHasher(FNV_OFFSET);
-    for i in 0..launch.num_blocks() {
-        run_tb_functional(ck, launch, ctaid_at(launch.grid, i), &mut mem, &mut events);
-    }
+    replay_grid(ck, launch, &mut mem, &mut events);
     (
         name,
         cert.classification.label(),
@@ -646,7 +645,9 @@ fn footprint_analyses_match_the_pinned_table() {
         let cert = family::certify_family(ck, family, launch, memory, &cfg)
             .expect("declared families are well formed");
         let predict = perf::predict(ck, launch, cfg.warp_size);
-        let envelope = perf::predict_envelope(ck, launch, cfg.warp_size);
+        let ctx = GridCtx::generic(launch.block.z);
+        let flow = Flow::solve(&ck.kernel, &ck.cfg, ctx, true, &Clamps::new());
+        let envelope = perf::predict_envelope(&flow, launch, cfg.warp_size);
         got.push((
             name.clone(),
             cert.verdict.label(),
