@@ -14,6 +14,9 @@ use simt_isa::{
 /// Launch-wide context a warp executes against.
 #[derive(Debug)]
 pub struct ExecContext<'a> {
+    /// The buffer a memory instruction writes its lane addresses into
+    /// (see [`ExecEffect::Memory`]); the caller lends it and reads it back.
+    pub addrs: &'a mut LaneAddrs,
     /// Global memory (shared by the whole GPU).
     pub global: &'a mut GlobalMemory,
     /// The owning TB's shared-memory scratchpad (word granularity).
@@ -29,7 +32,8 @@ pub struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    /// The context of TB `ctaid` of `launch`, over that TB's shared memory.
+    /// The context of TB `ctaid` of `launch`, over that TB's shared memory,
+    /// writing memory lane addresses into `addrs`.
     #[inline]
     #[must_use]
     pub fn new(
@@ -37,8 +41,10 @@ impl<'a> ExecContext<'a> {
         shared: &'a mut [u32],
         launch: &'a LaunchConfig,
         ctaid: Dim3,
+        addrs: &'a mut LaneAddrs,
     ) -> ExecContext<'a> {
         ExecContext {
+            addrs,
             global,
             shared,
             params: &launch.params,
@@ -50,10 +56,7 @@ impl<'a> ExecContext<'a> {
 }
 
 /// Timing-relevant outcome of executing an instruction.
-// `Memory` holds its lane addresses inline: boxing them would put a heap
-// allocation back on every memory instruction.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecEffect {
     /// Ordinary ALU/move work; destination(s) written.
     None,
@@ -69,13 +72,13 @@ pub enum ExecEffect {
     Barrier,
     /// `exit` reached for the current path.
     Exit,
-    /// A memory operation; per-lane byte addresses for coalescing /
-    /// bank-conflict analysis.
+    /// A memory operation. The byte address of each participating lane,
+    /// for coalescing and bank-conflict analysis, is in the context's
+    /// [`addrs`](ExecContext::addrs), written in place so no effect
+    /// copies it.
     Memory {
         /// Address space accessed.
         space: MemSpace,
-        /// The byte address of each participating lane.
-        addrs: LaneAddrs,
         /// True for stores.
         is_store: bool,
         /// True for atomics.
@@ -87,8 +90,8 @@ pub enum ExecEffect {
 /// one address per lane of the warp plus the mask of the lanes that take
 /// part (a warp has at most 32 lanes). The executor computes every lane's
 /// address as one vector; the addresses of lanes outside the mask are
-/// never read.
-#[derive(Clone)]
+/// never read. The default is the access of no lane.
+#[derive(Clone, Default)]
 pub struct LaneAddrs {
     addrs: [u64; WARP],
     mask: LaneMask,
@@ -118,6 +121,12 @@ impl LaneAddrs {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.mask == 0
+    }
+
+    /// The byte address of `lane`, which must take part.
+    #[inline]
+    pub(crate) fn addr(&self, lane: u32) -> u64 {
+        self.addrs[lane as usize]
     }
 
     /// The `(lane, byte address)` of each lane that takes part, in
@@ -218,15 +227,15 @@ impl Access {
         Access { base: gather(warp, instr.srcs[0]), offset: instr.offset, mask }
     }
 
-    /// Every lane's effective byte address `base + offset`, computed as
-    /// one vector.
+    /// Writes every lane's effective byte address `base + offset` into
+    /// `out`, computed as one vector, and returns it.
     #[inline(always)]
-    fn addrs(&self) -> LaneAddrs {
-        let mut addrs = [0; WARP];
-        for (a, &b) in addrs.iter_mut().zip(&self.base) {
+    fn addrs<'o>(&self, out: &'o mut LaneAddrs) -> &'o LaneAddrs {
+        for (a, &b) in out.addrs.iter_mut().zip(&self.base) {
             *a = (i64::from(b) + i64::from(self.offset)) as u64;
         }
-        LaneAddrs { addrs, mask: self.mask }
+        out.mask = self.mask;
+        out
     }
 
     /// The lanes whose effective address is negative (see
@@ -289,7 +298,7 @@ pub fn alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
 #[inline(always)]
 fn lane_alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
     let (ai, bi) = (a as i32, b as i32);
-    let (af, bf, cf) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
+    let (af, bf) = (f32::from_bits(a), f32::from_bits(b));
     match op {
         Op::IAdd => a.wrapping_add(b),
         Op::ISub => a.wrapping_sub(b),
@@ -308,7 +317,7 @@ fn lane_alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
         Op::FAdd => (af + bf).to_bits(),
         Op::FSub => (af - bf).to_bits(),
         Op::FMul => (af * bf).to_bits(),
-        Op::FFma => af.mul_add(bf, cf).to_bits(),
+        Op::FFma => simt_isa::op::ffma(a, b, c),
         Op::FMin => af.min(bf).to_bits(),
         Op::FMax => af.max(bf).to_bits(),
         Op::FDiv => (af / bf).to_bits(),
@@ -375,26 +384,32 @@ fn gather_nth(warp: &Warp, instr: &Instruction, i: usize) -> Lanes {
 /// The lanes whose `f(lane)` holds, as a mask.
 #[inline(always)]
 fn mask_of(f: impl Fn(usize) -> bool) -> LaneMask {
-    (0..WARP).fold(0, |m, i| m | LaneMask::from(f(i)) << i)
+    let mut m = 0;
+    for i in 0..WARP {
+        m |= LaneMask::from(f(i)) << i;
+    }
+    m
 }
 
 /// Writes `f(lane)` into register `d` for the lanes of `mask` (a subset
-/// of the warp's lanes). A 32-lane warp computes every lane and stores
-/// the vector (blended with the old value under a partial mask), so `f`
-/// must be pure; it is computed straight into the register file, with no
-/// temporary copy.
+/// of the warp's lanes). A 32-lane warp computes every lane into a local
+/// vector, which the register row then takes whole (blended with the old
+/// value under a partial mask), so `f` must be pure. The local vector is
+/// what lets the lane loop vectorise: the compiler cannot tell the
+/// register file apart from the operands otherwise.
 #[inline(always)]
 fn write_lanes(warp: &mut Warp, d: Reg, mask: LaneMask, f: impl Fn(usize) -> u32) {
     let ws = warp.warp_size() as usize;
     let row = &mut warp.regs[d.index() * ws..][..ws];
     if let Ok(row) = <&mut Lanes>::try_from(&mut *row) {
+        let mut v = [0; WARP];
+        for (i, v) in v.iter_mut().enumerate() {
+            *v = f(i);
+        }
         if mask == LaneMask::MAX {
-            for (i, r) in row.iter_mut().enumerate() {
-                *r = f(i);
-            }
+            *row = v;
         } else {
-            for (i, r) in row.iter_mut().enumerate() {
-                let v = f(i);
+            for (i, (r, v)) in row.iter_mut().zip(v).enumerate() {
                 *r = if mask >> i & 1 != 0 { v } else { *r };
             }
         }
@@ -415,7 +430,45 @@ fn write_lanes(warp: &mut Warp, d: Reg, mask: LaneMask, f: impl Fn(usize) -> u32
 /// highest of several lanes storing to one word wins. Returns the
 /// timing-relevant effect. Does **not** move the warp's PC; the pipeline
 /// does that (branches via [`Warp::take_branch`]).
+///
+/// One body serves every CPU: where the CPU has AVX2 and FMA, a copy of
+/// it compiled for them runs, so its 32-lane loops use 256-bit vectors and
+/// FFMA is a fused multiply-add instruction instead of a libm call;
+/// elsewhere the portable copy runs. Both round every lane correctly, so
+/// they leave the same bits (`tests/exec_parity.rs` compares them).
 pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> ExecEffect {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: `execute_avx2_fma` requires only the `avx2` and `fma`
+        // target features, and the CPU running this has both (detected
+        // just above).
+        return unsafe { execute_avx2_fma(warp, instr, ctx) };
+    }
+    execute_portable(warp, instr, ctx)
+}
+
+/// [`execute`]'s body compiled for AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn execute_avx2_fma(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> ExecEffect {
+    execute_body(warp, instr, ctx)
+}
+
+/// [`execute`]'s body compiled for the baseline CPU, whatever the CPU
+/// running it has. Public only so the parity tests can compare it with
+/// the copy [`execute`] dispatches to.
+#[doc(hidden)]
+pub fn execute_portable(
+    warp: &mut Warp,
+    instr: &Instruction,
+    ctx: &mut ExecContext<'_>,
+) -> ExecEffect {
+    execute_body(warp, instr, ctx)
+}
+
+/// The one body of [`execute`], inlined into each compiled copy.
+#[inline(always)]
+fn execute_body(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> ExecEffect {
     // Lanes that exist, are on the active path, and pass the guard.
     let lane_bits = LaneMask::MAX >> (LaneMask::BITS - warp.warp_size());
     let mut eff_mask = warp.active_mask() & lane_bits;
@@ -467,7 +520,7 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
         Op::Ld(space) => {
             let d = instr.dst.expect("ld has a dst");
             let access = Access::new(warp, instr, eff_mask);
-            let addrs = access.addrs();
+            let addrs = access.addrs(ctx.addrs);
             let mut v = [0; WARP];
             match space {
                 MemSpace::Global => {
@@ -486,11 +539,14 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
                         });
                     }
                     // Every lane reads, the lanes outside the mask a
-                    // clamped word, so the gather needs no lane walk.
+                    // clamped word, so the gather needs no lane walk. A
+                    // lane in the mask passed the checks, so its 32-bit
+                    // address does not wrap.
                     if eff_mask != 0 {
-                        let last = len as u64 - 1;
-                        for (v, &a) in v.iter_mut().zip(&addrs.addrs) {
-                            *v = ctx.shared[(a / 4).min(last) as usize];
+                        let last = u32::try_from(len - 1).unwrap_or(u32::MAX);
+                        for (v, &b) in v.iter_mut().zip(&access.base) {
+                            *v = ctx.shared
+                                [(b.wrapping_add_signed(access.offset) / 4).min(last) as usize];
                         }
                     }
                 }
@@ -508,11 +564,11 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
                 }
             }
             write_lanes(warp, d, eff_mask, |i| v[i]);
-            ExecEffect::Memory { space, addrs, is_store: false, is_atomic: false }
+            ExecEffect::Memory { space, is_store: false, is_atomic: false }
         }
         Op::St(space) => {
             let access = Access::new(warp, instr, eff_mask);
-            let addrs = access.addrs();
+            let addrs = access.addrs(ctx.addrs);
             let value = gather(warp, instr.srcs[1]);
             match space {
                 MemSpace::Global => {
@@ -544,7 +600,7 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
                     }
                 }
             }
-            ExecEffect::Memory { space, addrs, is_store: true, is_atomic: false }
+            ExecEffect::Memory { space, is_store: true, is_atomic: false }
         }
         Op::Atom(aop) => {
             let d = instr.dst.expect("atom has a dst");
@@ -555,7 +611,7 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
             if faults != 0 {
                 access.fault(faults, |a| check_aligned(a, "read"));
             }
-            let addrs = access.addrs();
+            let addrs = access.addrs(ctx.addrs);
             let mut old = [0; WARP];
             // Lanes apply in lane order (deterministic serialization).
             ctx.global.update_lanes(addrs.iter(), |lane, w| {
@@ -563,7 +619,7 @@ pub fn execute(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) 
                 *w = AtomOp::apply(aop, *w, value[lane as usize]);
             });
             write_lanes(warp, d, eff_mask, |i| old[i]);
-            ExecEffect::Memory { space: MemSpace::Global, addrs, is_store: true, is_atomic: true }
+            ExecEffect::Memory { space: MemSpace::Global, is_store: true, is_atomic: true }
         }
         // Everything else is a lane-wise ALU op.
         _ => {
@@ -597,8 +653,13 @@ mod tests {
     use super::*;
     use simt_isa::{Guard, Operand, Pred, Reg};
 
-    fn ctx_fixture<'a>(global: &'a mut GlobalMemory, shared: &'a mut [u32]) -> ExecContext<'a> {
+    fn ctx_fixture<'a>(
+        global: &'a mut GlobalMemory,
+        shared: &'a mut [u32],
+        addrs: &'a mut LaneAddrs,
+    ) -> ExecContext<'a> {
         ExecContext {
+            addrs,
             global,
             shared,
             params: &[],
@@ -617,7 +678,8 @@ mod tests {
     fn s2r_computes_2d_thread_ids() {
         let mut g = GlobalMemory::new();
         let mut sh = vec![0u32; 16];
-        let mut ctx = ctx_fixture(&mut g, &mut sh);
+        let mut addrs = LaneAddrs::default();
+        let mut ctx = ctx_fixture(&mut g, &mut sh, &mut addrs);
         let mut w = warp4();
         let i = Instruction::new(Op::S2R(SpecialReg::TidX), Some(Reg(0)), None, vec![]);
         execute(&mut w, &i, &mut ctx);
@@ -643,6 +705,8 @@ mod tests {
             7.0
         );
         assert_eq!(f32::from_bits(alu(Op::FSqrt, 9.0f32.to_bits(), 0, 0)), 3.0);
+        assert_eq!(alu(Op::FFma, 0x7F80_0001, 0xFFC0_0001, 0), 0x7FC0_0001, "first NaN, quieted");
+        assert_eq!(alu(Op::FFma, 0, 0x7F80_0000, 0x7FC1_2345), 0x7FC1_2345, "0 * inf + NaN");
         assert_eq!(alu(Op::F2I, (-2.7f32).to_bits(), 0, 0) as i32, -2, "truncates toward zero");
         assert_eq!(alu(Op::F2I, f32::NAN.to_bits(), 0, 0), 0);
         assert_eq!(f32::from_bits(alu(Op::I2F, (-3i32) as u32, 0, 0)), -3.0);
@@ -652,7 +716,8 @@ mod tests {
     fn guard_masks_lanes() {
         let mut g = GlobalMemory::new();
         let mut sh = vec![0u32; 16];
-        let mut ctx = ctx_fixture(&mut g, &mut sh);
+        let mut addrs = LaneAddrs::default();
+        let mut ctx = ctx_fixture(&mut g, &mut sh, &mut addrs);
         let mut w = warp4();
         for lane in 0..8 {
             w.set_pred(Pred(0), lane, lane % 2 == 0);
@@ -668,7 +733,8 @@ mod tests {
     fn branch_returns_taken_mask() {
         let mut g = GlobalMemory::new();
         let mut sh = vec![0u32; 16];
-        let mut ctx = ctx_fixture(&mut g, &mut sh);
+        let mut addrs = LaneAddrs::default();
+        let mut ctx = ctx_fixture(&mut g, &mut sh, &mut addrs);
         let mut w = warp4();
         for lane in 0..8 {
             w.set_pred(Pred(1), lane, lane < 3);
@@ -685,7 +751,8 @@ mod tests {
         let mut sh = vec![0u32; 16];
         g.write_u32(0x1000, 77);
         sh[3] = 55;
-        let mut ctx = ctx_fixture(&mut g, &mut sh);
+        let mut addrs = LaneAddrs::default();
+        let mut ctx = ctx_fixture(&mut g, &mut sh, &mut addrs);
         let mut w = Warp::new(0, 0, 0, 8, 8, 0x1, 0); // single lane
         w.set_reg(Reg(0), 0, 0x1000);
         let ld =
@@ -715,7 +782,9 @@ mod tests {
         let mut g = GlobalMemory::new();
         let mut sh = vec![0u32; 4];
         let params = [Value(111), Value(222)];
+        let mut addrs = LaneAddrs::default();
         let mut ctx = ExecContext {
+            addrs: &mut addrs,
             global: &mut g,
             shared: &mut sh,
             params: &params,
@@ -735,7 +804,8 @@ mod tests {
     fn atomics_serialize_in_lane_order() {
         let mut g = GlobalMemory::new();
         let mut sh = vec![0u32; 4];
-        let mut ctx = ctx_fixture(&mut g, &mut sh);
+        let mut addrs = LaneAddrs::default();
+        let mut ctx = ctx_fixture(&mut g, &mut sh, &mut addrs);
         let mut w = warp4();
         for lane in 0..8 {
             w.set_reg(Reg(0), lane, 0x2000);
@@ -756,7 +826,8 @@ mod tests {
     fn inactive_lanes_untouched() {
         let mut g = GlobalMemory::new();
         let mut sh = vec![0u32; 4];
-        let mut ctx = ctx_fixture(&mut g, &mut sh);
+        let mut addrs = LaneAddrs::default();
+        let mut ctx = ctx_fixture(&mut g, &mut sh, &mut addrs);
         let mut w = warp4();
         w.stack.last_mut().unwrap().mask = 0x0F; // lanes 4..8 inactive
         for lane in 0..8 {

@@ -142,17 +142,23 @@ pub fn ctaid_at(grid: Dim3, i: u64) -> Dim3 {
 /// Replays every threadblock of `launch` in [`ctaid_at`] order, as a real
 /// launch would evolve `global`, between `observer`'s
 /// [`begin_block`](FunctionalObserver::begin_block) and
-/// [`end_block`](FunctionalObserver::end_block) for each block.
+/// [`end_block`](FunctionalObserver::end_block) for each block. The
+/// blocks share one scratch state (warps, shared memory, occurrence
+/// counters), reset in place between them and dropped with the launch.
 pub fn replay_grid<O: FunctionalObserver>(
     ck: &CompiledKernel,
     launch: &LaunchConfig,
     global: &mut GlobalMemory,
     observer: &mut O,
 ) {
+    let mut scratch = TbScratch::new(ck, launch);
     for block in 0..launch.num_blocks() {
         let ctaid = ctaid_at(launch.grid, block);
         observer.begin_block(block, ctaid);
-        run_tb_functional(ck, launch, ctaid, global, observer);
+        if block > 0 {
+            scratch.reset();
+        }
+        run_tb(ck, launch, ctaid, global, observer, &mut scratch);
         observer.end_block(block, ctaid);
     }
 }
@@ -168,24 +174,70 @@ pub fn run_tb_functional<O: FunctionalObserver>(
     global: &mut GlobalMemory,
     observer: &mut O,
 ) {
-    let num_warps = launch.warps_per_block() as usize;
-    let mut shared = vec![0u32; (ck.kernel.shared_mem_bytes as usize).div_ceil(4)];
-    let mut warps: Vec<Warp> = (0..num_warps)
-        .map(|w| Warp::in_block(w, 0, w as u32, ck.kernel.num_regs, launch, w as u64))
-        .collect();
-    // occurrences[w * n + pc]: how often warp `w` has executed `pc`.
-    let n = ck.kernel.instrs.len();
-    let mut occurrences = vec![0u32; num_warps * n];
-    let mut at_barrier = vec![false; num_warps];
+    run_tb(ck, launch, ctaid, global, observer, &mut TbScratch::new(ck, launch));
+}
 
+/// The state of one threadblock's replay: its warps, shared memory,
+/// occurrence counters, barrier flags and the executor's lane-address
+/// buffer. [`replay_grid`] resets one scratch in place for each block of
+/// a launch instead of allocating it per block.
+struct TbScratch {
+    warps: Vec<Warp>,
+    shared: Vec<u32>,
+    /// `occurrences[w * instrs + pc]`: how often warp `w` has executed
+    /// `pc`.
+    occurrences: Vec<u32>,
+    at_barrier: Vec<bool>,
+    addrs: LaneAddrs,
+}
+
+impl TbScratch {
+    /// The state of a block of `launch` before its first instruction.
+    fn new(ck: &CompiledKernel, launch: &LaunchConfig) -> TbScratch {
+        let num_warps = launch.warps_per_block() as usize;
+        TbScratch {
+            warps: (0..num_warps)
+                .map(|w| Warp::in_block(w, 0, w as u32, ck.kernel.num_regs, launch, w as u64))
+                .collect(),
+            shared: vec![0; (ck.kernel.shared_mem_bytes as usize).div_ceil(4)],
+            occurrences: vec![0; num_warps * ck.kernel.instrs.len()],
+            at_barrier: vec![false; num_warps],
+            addrs: LaneAddrs::default(),
+        }
+    }
+
+    /// Returns to the state [`new`](TbScratch::new) built, keeping every
+    /// allocation. The lane-address buffer needs no reset: an instruction
+    /// writes it before its memory hook reads it.
+    fn reset(&mut self) {
+        self.warps.iter_mut().for_each(Warp::restart);
+        self.shared.fill(0);
+        self.occurrences.fill(0);
+        self.at_barrier.fill(false);
+    }
+}
+
+/// Runs the block at `ctaid` on `scratch`, which holds a block's state
+/// before its first instruction, until every warp is done.
+fn run_tb<O: FunctionalObserver>(
+    ck: &CompiledKernel,
+    launch: &LaunchConfig,
+    ctaid: Dim3,
+    global: &mut GlobalMemory,
+    observer: &mut O,
+    scratch: &mut TbScratch,
+) {
+    let TbScratch { warps, shared, occurrences, at_barrier, addrs } = scratch;
+    let mut ctx = ExecContext::new(global, shared, launch, ctaid, addrs);
+    let n = ck.kernel.instrs.len();
     loop {
         let mut progressed = false;
-        for w in 0..num_warps {
-            if warps[w].state == WarpState::Done || at_barrier[w] {
+        for (w, warp) in warps.iter_mut().enumerate() {
+            if warp.state == WarpState::Done || at_barrier[w] {
                 continue;
             }
-            let Some(pc) = warps[w].next_pc() else {
-                warps[w].state = WarpState::Done;
+            let Some(pc) = warp.next_pc() else {
+                warp.state = WarpState::Done;
                 continue;
             };
             let instr = &ck.kernel.instrs[pc];
@@ -193,40 +245,40 @@ pub fn run_tb_functional<O: FunctionalObserver>(
             *o += 1;
             let occurrence = *o;
 
-            observer.before_instruction(w, pc, occurrence, instr, &warps[w]);
+            observer.before_instruction(w, pc, occurrence, instr, warp);
 
-            warps[w].advance();
-            let mut ctx = ExecContext::new(global, &mut shared, launch, ctaid);
-            let effect = execute(&mut warps[w], instr, &mut ctx);
+            warp.advance();
+            let effect = execute(warp, instr, &mut ctx);
             progressed = true;
 
-            if let ExecEffect::Memory { space, addrs, is_store, is_atomic } = &effect {
+            if let ExecEffect::Memory { space, is_store, is_atomic } = effect {
+                let addrs = &*ctx.addrs;
                 match space {
-                    MemSpace::Shared => observer.shared_access(w, pc, occurrence, addrs, *is_store),
+                    MemSpace::Shared => observer.shared_access(w, pc, occurrence, addrs, is_store),
                     MemSpace::Global => {
-                        observer.global_access(w, pc, occurrence, addrs, *is_store, *is_atomic);
+                        observer.global_access(w, pc, occurrence, addrs, is_store, is_atomic);
                     }
                     MemSpace::Param => {}
                 }
             }
 
-            observer.after_instruction(w, pc, occurrence, instr, &warps[w]);
+            observer.after_instruction(w, pc, occurrence, instr, warp);
 
             match effect {
                 ExecEffect::Branch { taken, target } => {
                     let reconv = ck.recon.recon[pc].unwrap_or(usize::MAX);
-                    warps[w].take_branch(pc, target, taken, reconv);
+                    warp.take_branch(pc, target, taken, reconv);
                 }
                 ExecEffect::Barrier => at_barrier[w] = true,
                 // Marks the warp done when its last path exits.
-                ExecEffect::Exit => _ = warps[w].exit_path(),
+                ExecEffect::Exit => _ = warp.exit_path(),
                 _ => {}
             }
-            warps[w].reconverge();
+            warp.reconverge();
         }
         // Barrier release: once every live warp is parked, open the gate.
         let all_blocked_or_done =
-            warps.iter().enumerate().all(|(i, w)| w.state == WarpState::Done || at_barrier[i]);
+            warps.iter().zip(at_barrier.iter()).all(|(w, &b)| w.state == WarpState::Done || b);
         if all_blocked_or_done {
             if warps.iter().all(|w| w.state == WarpState::Done) {
                 break;
@@ -382,22 +434,26 @@ struct Shadow<C>(FastMap<u64, Box<[C]>>);
 
 impl<C: Copy + Default> Shadow<C> {
     /// Calls `f(lane, word, cell)` for each lane of `addrs`, in ascending
-    /// lane order, probing the page map once per run of consecutive
-    /// lanes on one page.
+    /// lane order. Each run of consecutive lanes on one page resolves the
+    /// page once, then visits its cells in a tight loop.
     fn visit(&mut self, addrs: &LaneAddrs, mut f: impl FnMut(u32, u64, &mut C)) {
-        let mut run: Option<(u64, &mut [C])> = None;
-        for (lane, addr) in addrs.iter() {
-            let word = addr / 4;
-            let page_no = word / PAGE_WORDS as u64;
-            if run.as_ref().is_none_or(|&(p, _)| p != page_no) {
-                let page = self
-                    .0
-                    .entry(page_no)
-                    .or_insert_with(|| vec![C::default(); PAGE_WORDS].into_boxed_slice());
-                run = Some((page_no, page));
+        let page_words = PAGE_WORDS as u64;
+        let mut rest = addrs.mask();
+        while rest != 0 {
+            let page_no = addrs.addr(rest.trailing_zeros()) / 4 / page_words;
+            let page = self
+                .0
+                .entry(page_no)
+                .or_insert_with(|| vec![C::default(); PAGE_WORDS].into_boxed_slice());
+            while rest != 0 {
+                let lane = rest.trailing_zeros();
+                let word = addrs.addr(lane) / 4;
+                if word / page_words != page_no {
+                    break;
+                }
+                f(lane, word, &mut page[(word % page_words) as usize]);
+                rest &= rest - 1;
             }
-            let (_, page) = run.as_mut().expect("the run's page");
-            f(lane, word, &mut page[(word % PAGE_WORDS as u64) as usize]);
         }
     }
 }
@@ -564,64 +620,39 @@ pub struct GlobalRace {
 /// Per-word shadow cell at block granularity: the launch's last write
 /// plus a two-point summary of the reading blocks. Minimum and maximum
 /// reader block suffice to answer "did any block other than the writer
-/// read this word?" without storing every reader. A launch-long shadow
-/// holds one cell per word of every page it touches, so the cell is kept
-/// to 40 bytes: a missing write or reader holds block [`NO_BLOCK`], and
-/// pcs are 32-bit.
-#[derive(Debug, Clone, Copy)]
-struct GlobalShadowCell {
-    /// Block of the last write.
-    write_block: u64,
-    /// The lowest-numbered reading block.
-    min_block: u64,
-    /// The highest-numbered reading block.
-    max_block: u64,
-    /// Pc of the last write.
-    write_pc: u32,
-    /// Pc of `min_block`'s read.
-    min_pc: u32,
-    /// Pc of `max_block`'s read.
-    max_pc: u32,
-    /// Atomic op of the last write, `None` for a plain store.
-    write_atom: Option<AtomOp>,
+/// read this word?" without storing every reader.
+///
+/// A page stores each cell as five words that are all zero when empty, so
+/// a new page is one zeroed allocation, not a fill cell by cell. Blocks
+/// are held plus one (0: none):
+/// - `[0]` the last write's block;
+/// - `[1]` the lowest-numbered reading block, `[2]` the highest;
+/// - `[3]` the write's pc (low half) and `[1]`'s pc (high half);
+/// - `[4]` `[2]`'s pc (low half) and the write's [`atom_code`] (high half).
+type GlobalShadowCell = [u64; 5];
+
+/// `op` as a [`GlobalShadowCell`] holds it: 0 for a plain store, one
+/// more than the op's discriminant for an atomic.
+fn atom_code(op: Option<AtomOp>) -> u32 {
+    op.map_or(0, |op| op as u32 + 1)
 }
 
-const _: () = assert!(std::mem::size_of::<GlobalShadowCell>() <= 40);
-
-/// The block of a [`GlobalShadowCell`] entry that holds nothing: no
-/// launch has `u64::MAX` blocks, so no block has this index.
-const NO_BLOCK: u64 = u64::MAX;
-
-impl Default for GlobalShadowCell {
-    fn default() -> GlobalShadowCell {
-        GlobalShadowCell {
-            write_block: NO_BLOCK,
-            min_block: NO_BLOCK,
-            max_block: NO_BLOCK,
-            write_pc: 0,
-            min_pc: 0,
-            max_pc: 0,
-            write_atom: None,
-        }
-    }
+/// The low half of a cell word, as a pc.
+fn low(w: u64) -> usize {
+    (w & 0xFFFF_FFFF) as usize
 }
 
-impl GlobalShadowCell {
-    /// `(block, pc, atomic op)` of the last write.
-    fn write(&self) -> Option<(u64, usize, Option<AtomOp>)> {
-        (self.write_block != NO_BLOCK).then_some((
-            self.write_block,
-            self.write_pc as usize,
-            self.write_atom,
-        ))
-    }
+/// The high half of a cell word.
+fn high(w: u64) -> u32 {
+    (w >> 32) as u32
+}
 
-    /// `(block, pc)` of the lowest- and of the highest-numbered reading
-    /// block.
-    fn readers(&self) -> [Option<(u64, usize)>; 2] {
-        [(self.min_block, self.min_pc), (self.max_block, self.max_pc)]
-            .map(|(b, pc)| (b != NO_BLOCK).then_some((b, pc as usize)))
-    }
+fn set_low(w: &mut u64, v: u32) {
+    *w = *w & !0xFFFF_FFFF | u64::from(v);
+}
+
+fn set_high(w: &mut u64, v: u32) {
+    *w = *w & 0xFFFF_FFFF | u64::from(v) << 32;
 }
 
 /// Shadow-memory sanitizer for *inter-thread-block* global races across
@@ -681,7 +712,8 @@ impl GlobalRaceSanitizer {
     ///
     /// Panics on block `u64::MAX`, which no launch has.
     pub fn set_block(&mut self, block: u64) {
-        assert_ne!(block, NO_BLOCK, "no launch has block index u64::MAX");
+        // A shadow cell holds block + 1.
+        assert_ne!(block, u64::MAX, "no launch has block index u64::MAX");
         self.block = block;
     }
 
@@ -721,8 +753,13 @@ impl GlobalRaceSanitizer {
         is_store: bool,
         atom: Option<AtomOp>,
     ) {
-        let block = self.block;
+        let (block, stored) = (self.block, self.block + 1);
         let pc32 = u32::try_from(pc).expect("a pc fits in 32 bits");
+        let code = atom_code(atom);
+        // Only two writes with the same commuting op may collide; a plain
+        // read of a word another block wrote — even atomically — observes
+        // an order-dependent value.
+        let commutes = is_store && code != 0 && atom != Some(AtomOp::Exch);
         let (log, overlap) = (&mut self.log, &mut self.commutative_overlap);
         let mut previous = None;
         self.cells.visit(addrs, |_lane, word, cell| {
@@ -743,31 +780,32 @@ impl GlobalRaceSanitizer {
                 };
                 log.report(word, (first_pc, pc), race);
             };
+            let [write, min, max, write_pcs, max_pcs] = cell;
             // Judge the access against the cell, then update it.
-            if let Some((wb, wpc, watom)) = cell.write().filter(|&(wb, _, _)| wb != block) {
-                // Only two writes with the same commuting op may collide;
-                // a plain read of a word another block wrote — even
-                // atomically — observes an order-dependent value.
-                let same_commuting = is_store
-                    && matches!((atom, watom), (Some(x), Some(y)) if x == y && x != AtomOp::Exch);
-                if same_commuting {
+            if *write != 0 && *write != stored {
+                if commutes && high(*max_pcs) == code {
                     *overlap = true;
                 } else {
-                    race((wb, wpc), is_store);
+                    race((*write - 1, low(*write_pcs)), is_store);
                 }
             }
             if is_store {
-                let mut readers = cell.readers().into_iter().flatten();
-                if let Some(reader) = readers.find(|&(b, _)| b != block) {
-                    race(reader, false);
+                let readers = [(*min, high(*write_pcs) as usize), (*max, low(*max_pcs))];
+                if let Some(&(b, reader_pc)) = readers.iter().find(|&&(b, _)| b != 0 && b != stored)
+                {
+                    race((b - 1, reader_pc), false);
                 }
-                (cell.write_block, cell.write_pc, cell.write_atom) = (block, pc32, atom);
+                *write = stored;
+                set_low(write_pcs, pc32);
+                set_high(max_pcs, code);
             } else {
-                if cell.min_block == NO_BLOCK || cell.min_block > block {
-                    (cell.min_block, cell.min_pc) = (block, pc32);
+                if *min == 0 || *min > stored {
+                    *min = stored;
+                    set_high(write_pcs, pc32);
                 }
-                if cell.max_block == NO_BLOCK || cell.max_block < block {
-                    (cell.max_block, cell.max_pc) = (block, pc32);
+                if *max < stored {
+                    *max = stored;
+                    set_low(max_pcs, pc32);
                 }
             }
         });
@@ -796,7 +834,7 @@ impl FunctionalObserver for GlobalRaceSanitizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simt_isa::{KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value};
+    use simt_isa::{CmpOp, Guard, KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value};
 
     /// Counting observer: every before has a matching after, occurrences
     /// are 1-based and contiguous per (warp, pc).
@@ -1037,6 +1075,74 @@ mod tests {
         replay_grid(&ck, &launch, &mut mem, &mut pair);
         assert_eq!(pair.0 .0, want.0);
         assert_eq!(pair.1 .0, want.0);
+    }
+
+    #[test]
+    fn replay_grid_leaks_no_state_between_blocks() {
+        // Each block reads a shared word, a register and a predicate
+        // before writing them, then leaves all three set, diverges at a
+        // block-dependent lane and lets part of its partial last warp
+        // exit early. A block that saw the previous block's state would
+        // store something other than zeros.
+        let mut b = KernelBuilder::new("leak");
+        let t = b.special(SpecialReg::TidX);
+        let (cx, cy) = (b.special(SpecialReg::CtaidX), b.special(SpecialReg::CtaidY));
+        let block = b.imad(cy, 2u32, cx);
+        let smem = b.alloc_shared(48 * 4);
+        let off = b.shl_imm(t, 2);
+        let saddr = b.iadd(off, smem);
+        let (stale_reg, stale_pred) = (b.alloc(), b.alloc_pred());
+        let old_shared = b.load(MemSpace::Shared, saddr, 0);
+        let old_pred = b.sel(stale_pred, 1u32, 0u32);
+        let lin = b.imad(block, 48u32, t);
+        let slot = b.imul(lin, 12u32);
+        let out = b.param(0);
+        let at = b.iadd(out, slot);
+        b.store(MemSpace::Global, at, old_shared, 0);
+        b.store(MemSpace::Global, at, stale_reg, 4);
+        b.store(MemSpace::Global, at, old_pred, 8);
+        let mark = b.iadd(lin, 1u32);
+        b.store(MemSpace::Shared, saddr, mark, 0);
+        b.mov_to(stale_reg, mark);
+        b.setp_to(stale_pred, CmpOp::Ge, t, 0u32);
+        // Lanes below 5 * block + 3 take the branch: each block diverges
+        // in another place, in its first warp.
+        let bound = b.imad(block, 5u32, 3u32);
+        let taken = b.setp(CmpOp::Lt, t, bound);
+        let ctr = b.param(1);
+        b.if_then(Guard::if_true(taken), |b| {
+            b.atom(AtomOp::Add, ctr, 1u32);
+        });
+        // Lanes 40..48 of the partial second warp exit early.
+        let late = b.setp(CmpOp::Ge, t, 40u32);
+        b.if_then(Guard::if_true(late), KernelBuilder::exit);
+        b.atom(AtomOp::Add, ctr, 100u32);
+        let ck = simt_compiler::compile(b.finish());
+
+        let mut mem = GlobalMemory::new();
+        let out = mem.alloc(4 * 48 * 12);
+        let ctr = mem.alloc(4);
+        let grid = Dim3::two_d(2, 2);
+        let launch = LaunchConfig::new(grid, Dim3::one_d(48))
+            .with_params(vec![Value(out as u32), Value(ctr as u32)]);
+        assert_eq!(launch.warps_per_block(), 2, "a full warp and a partial one");
+
+        let mut want = Recorder::default();
+        let mut want_mem = mem.clone();
+        for i in 0..4 {
+            let ctaid = ctaid_at(grid, i);
+            want.begin_block(i, ctaid);
+            run_tb_functional(&ck, &launch, ctaid, &mut want_mem, &mut want);
+            want.end_block(i, ctaid);
+        }
+        let mut got = Recorder::default();
+        replay_grid(&ck, &launch, &mut mem, &mut got);
+        assert_eq!(got.0, want.0);
+        assert_eq!(mem.fingerprint(), want_mem.fingerprint());
+        // Every block read zeros, and every lane reached its stores.
+        assert!((0..4 * 48 * 3).all(|w| mem.read_u32(out + 4 * w) == 0));
+        let taken: u64 = (0..4).map(|block| 5 * block + 3).sum();
+        assert_eq!(u64::from(mem.read_u32(ctr)), taken + 100 * 4 * 40);
     }
 
     #[test]

@@ -923,7 +923,7 @@ impl<O: SmObserver> Sm<O> {
                     // wrong-path work the baseline would not execute
                     // either).
                     self.stats.instrs_skipped.add(self.kd.plan.taxonomy[pc], 1);
-                    let _ = self.execute_warp(wslot, instr, global);
+                    let _ = self.execute_warp(wslot, instr, global, &mut LaneAddrs::default());
                     self.warps[wslot].reconverge();
                 }
                 _ => break,
@@ -1134,7 +1134,8 @@ impl<O: SmObserver> Sm<O> {
         let w = &mut self.warps[wslot];
         w.ibuffer.pop_front();
         w.advance();
-        let effect = self.execute_warp(wslot, instr, global);
+        let mut addrs = LaneAddrs::default();
+        let effect = self.execute_warp(wslot, instr, global, &mut addrs);
         self.stats.instrs_executed += 1;
         self.stats.executed_taxonomy.add(self.kd.plan.taxonomy[pc], 1);
         self.observer.event(now, wslot, pc, EventKind::Issue);
@@ -1206,7 +1207,7 @@ impl<O: SmObserver> Sm<O> {
                 }
                 IssueOutcome::IssuedControl { tb_done }
             }
-            ExecEffect::Memory { space, addrs, is_store, is_atomic } => {
+            ExecEffect::Memory { space, is_store, is_atomic } => {
                 self.warps[wslot].reconverge();
                 self.handle_memory(
                     now, wslot, tb_idx, pc, leader, instr, space, &addrs, is_store, is_atomic, l2,
@@ -1218,17 +1219,20 @@ impl<O: SmObserver> Sm<O> {
     }
 
     /// Executes `instr` functionally for the warp in `wslot`, against its
-    /// TB's shared memory.
+    /// TB's shared memory; a memory instruction leaves its lane addresses
+    /// in `addrs`.
     #[inline]
     fn execute_warp(
         &mut self,
         wslot: usize,
         instr: &simt_isa::Instruction,
         global: &mut GlobalMemory,
+        addrs: &mut LaneAddrs,
     ) -> ExecEffect {
         let w = &mut self.warps[wslot];
         let tb = &mut self.tbs[w.tb];
-        execute(w, instr, &mut ExecContext::new(global, &mut tb.shared, &self.kd.launch, tb.ctaid))
+        let launch = &self.kd.launch;
+        execute(w, instr, &mut ExecContext::new(global, &mut tb.shared, launch, tb.ctaid, addrs))
     }
 
     /// Common post-issue bookkeeping for latency ops.
@@ -1473,7 +1477,7 @@ impl<O: SmObserver> Sm<O> {
         let kd = Arc::clone(&self.kd);
         let instr = kd.instr(pc);
         let before = self.warps[wslot].reg_vector(dst);
-        let _ = self.execute_warp(wslot, instr, global);
+        let _ = self.execute_warp(wslot, instr, global, &mut LaneAddrs::default());
         let w = &mut self.warps[wslot];
         let recomputed = w.reg_vector(dst);
         w.set_reg_vector(dst, &before);

@@ -1,9 +1,10 @@
 //! Per-warp architectural and microarchitectural state: vector registers,
 //! the SIMT reconvergence stack, instruction buffer and scoreboard.
 
+use crate::fasthash::FastMap;
 use simt_isa::reg::NUM_PREDS;
 use simt_isa::{Instruction, LaunchConfig, Pred, Reg};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A 32-bit lane mask.
 pub type LaneMask = u32;
@@ -114,8 +115,9 @@ pub struct Warp {
     /// (outstanding miss).
     pub fetch_ready_at: u64,
     /// Dynamic occurrence count per skippable PC (DARSIE/DAC instance
-    /// numbering: the paper's per-register write counts).
-    pub pass_counts: HashMap<usize, u32>,
+    /// numbering: the paper's per-register write counts). Only probed by
+    /// pc; the digest folds it in sorted pc order.
+    pub pass_counts: FastMap<usize, u32>,
     /// Fetch stalls behind an unissued branch or exit (the frontier would
     /// be speculative otherwise).
     pub fetch_blocked: bool,
@@ -171,7 +173,7 @@ impl Warp {
             state: WarpState::Ready,
             age,
             fetch_ready_at: 0,
-            pass_counts: HashMap::new(),
+            pass_counts: FastMap::default(),
             fetch_blocked: false,
             bb_pending: false,
             leader_stall: 0,
@@ -196,6 +198,49 @@ impl Warp {
         let lanes = launch.threads_per_block().saturating_sub(warp_in_tb * ws).min(ws);
         let full = if lanes >= 32 { u32::MAX } else { (1u32 << lanes) - 1 };
         Warp::new(slot, tb, warp_in_tb, num_regs, ws, full, age)
+    }
+
+    /// Returns the warp to the state [`Warp::new`] gave it (registers and
+    /// predicates zero, one path of the full mask at instruction 0, nothing
+    /// buffered, pending or counted), keeping its slot, TB, index, age and
+    /// allocations.
+    pub(crate) fn restart(&mut self) {
+        // Named field by field, so a new field cannot be left out.
+        let Warp {
+            slot: _,
+            tb: _,
+            warp_in_tb: _,
+            regs,
+            preds,
+            full_mask,
+            stack,
+            ibuffer,
+            pending_regs,
+            pending_preds,
+            state,
+            age: _,
+            fetch_ready_at,
+            pass_counts,
+            fetch_blocked,
+            bb_pending,
+            leader_stall,
+            scoreboard_stall,
+            warp_size: _,
+        } = self;
+        regs.fill(0);
+        *preds = [0; NUM_PREDS as usize];
+        stack.clear();
+        stack.push(StackEntry { next_pc: 0, mask: *full_mask, reconv: usize::MAX });
+        ibuffer.clear();
+        *pending_regs = [0; 4];
+        *pending_preds = 0;
+        *state = WarpState::Ready;
+        *fetch_ready_at = 0;
+        pass_counts.clear();
+        *fetch_blocked = false;
+        *bb_pending = false;
+        *leader_stall = 0;
+        *scoreboard_stall = None;
     }
 
     /// The SIMT width this warp was created with.
@@ -614,6 +659,25 @@ mod tests {
         w.ibuffer.push_back(IBufEntry::Instr { pc: 8, leader: None });
         assert_eq!(w.frontier_instance(8), 4);
         assert_eq!(w.passes(8), 2);
+    }
+
+    #[test]
+    fn restart_returns_to_the_fresh_state() {
+        let fresh = Warp::new(3, 1, 2, 8, 16, 0x0FFF, 9);
+        let mut w = fresh.clone();
+        w.set_reg(Reg(5), 7, 42);
+        w.set_pred(Pred(1), 3, true);
+        w.advance();
+        w.take_branch(0, 6, 0x00F0, 4);
+        w.ibuffer.push_back(IBufEntry::Ghost { pc: 6 });
+        w.mark_pending(Reg(2));
+        w.mark_pending_pred(Pred(0));
+        w.record_pass(6);
+        w.state = WarpState::AtBarrier;
+        (w.fetch_ready_at, w.fetch_blocked, w.bb_pending, w.leader_stall) = (5, true, true, 2);
+        w.scoreboard_stall = Some(6);
+        w.restart();
+        assert_eq!(format!("{w:?}"), format!("{fresh:?}"));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! atomically updating, one word; global memory is compared by content
 //! and by the pages its epoch digest folds.
 
-use gpu_sim::exec::{alu, execute, ExecContext, ExecEffect};
+use gpu_sim::exec::{alu, execute, execute_portable, ExecContext, ExecEffect};
 use gpu_sim::warp::LaneMask;
-use gpu_sim::{GlobalMemory, Warp};
+use gpu_sim::{GlobalMemory, LaneAddrs, Warp};
 use proptest::prelude::*;
 use simt_isa::{
     AtomOp, CmpOp, Dim3, Guard, Instruction, MemSpace, Op, Operand, Pred, Reg, SpecialReg, Value,
@@ -224,6 +224,7 @@ impl Machine {
         exec: impl FnOnce(&mut Warp, &Instruction, &mut ExecContext<'_>) -> Effect,
     ) -> Effect {
         let mut ctx = ExecContext {
+            addrs: &mut LaneAddrs::default(),
             global: &mut self.global,
             shared: &mut self.shared,
             params: &PARAMS,
@@ -306,14 +307,16 @@ enum Effect {
     Memory(MemSpace, Vec<(u32, u64)>, bool, bool),
 }
 
-impl From<ExecEffect> for Effect {
-    fn from(e: ExecEffect) -> Effect {
+impl Effect {
+    /// The comparable form of `e`, whose lane addresses, for a memory
+    /// access, are in `addrs`.
+    fn of(e: ExecEffect, addrs: &LaneAddrs) -> Effect {
         match e {
             ExecEffect::None => Effect::None,
             ExecEffect::Branch { taken, target } => Effect::Branch(taken, target),
             ExecEffect::Barrier => Effect::Barrier,
             ExecEffect::Exit => Effect::Exit,
-            ExecEffect::Memory { space, addrs, is_store, is_atomic } => {
+            ExecEffect::Memory { space, is_store, is_atomic } => {
                 Effect::Memory(space, addrs.iter().collect(), is_store, is_atomic)
             }
         }
@@ -321,7 +324,8 @@ impl From<ExecEffect> for Effect {
 }
 
 fn vector(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> Effect {
-    execute(warp, instr, ctx).into()
+    let e = execute(warp, instr, ctx);
+    Effect::of(e, ctx.addrs)
 }
 
 /// The per-lane executor the lane-vector one replaced, kept as the
@@ -679,4 +683,87 @@ fn the_lowest_offending_lane_names_the_fault() {
     m.warp.set_reg(BASE, 3, 0);
     let text = panic_text(m, &store(MemSpace::Global).with_offset(-4));
     assert_eq!(text, Some(unaligned("unaligned global write", 0x2002)));
+}
+
+/// Float specials for the exact-bits test: signed zeros, denormals,
+/// normal edges, infinities, quiet and signaling NaNs of either sign with
+/// different payloads, and values whose products round.
+const FLOAT_SPECIALS: [u32; 20] = [
+    0x0000_0000, // +0
+    0x8000_0000, // -0
+    0x0000_0001, // the smallest denormal
+    0x807F_FFFF, // the largest negative denormal
+    0x0040_0000, // a denormal
+    0x0080_0000, // the smallest normal
+    0x3F80_0000, // 1
+    0xBF80_0000, // -1
+    0x3EAA_AAAB, // about 1/3
+    0x3F80_0001, // 1 + ulp
+    0x4B80_0001, // 2^24 + 2: an integer I2F/F2I round trip keeps
+    0x7F7F_FFFF, // the largest finite
+    0xFF7F_FFFF, // the lowest finite
+    0x7F80_0000, // +inf
+    0xFF80_0000, // -inf
+    0x7FC0_0000, // the default quiet NaN
+    0xFFC0_0001, // a negative quiet NaN with a payload
+    0x7FC1_2345, // a quiet NaN with another payload
+    0x7F80_0001, // a signaling NaN
+    0xFFBF_FFFF, // a negative signaling NaN with a full payload
+];
+
+/// Runs `instr` on a full 32-lane warp whose registers 0, 1 and 2 hold
+/// `lanes[l]` in lane `l` (and predicate 1 every other lane) through
+/// `exec`, returning its registers and predicates.
+fn run_specials(
+    lanes: &[[u32; 3]],
+    instr: &Instruction,
+    exec: fn(&mut Warp, &Instruction, &mut ExecContext<'_>) -> ExecEffect,
+) -> (Vec<u32>, Vec<bool>) {
+    let mut m = aimed_at(0);
+    for (lane, vals) in (0..).zip(lanes) {
+        for (r, &v) in (0..).zip(vals) {
+            m.warp.set_reg(Reg(r), lane, v);
+        }
+        m.warp.set_pred(Pred(1), lane, lane % 2 == 0);
+    }
+    m.run(instr, |w, i, ctx| Effect::of(exec(w, i, ctx), ctx.addrs));
+    (m.warp.regs.clone(), m.preds())
+}
+
+/// The executor `execute` dispatches to and the portable body leave the
+/// same bits for every ALU op, `setp`, `setp.f` and `sel` on every
+/// combination of float specials: no NaN is forgiven here, so a
+/// vectorised, FMA or AVX2 lowering that changed a payload, a signed
+/// zero of FMin/FMax or a denormal would fail.
+#[test]
+fn dispatched_and_portable_executors_leave_the_same_bits() {
+    #[cfg(target_arch = "x86_64")]
+    let dispatched = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let dispatched = false;
+    if !dispatched {
+        println!("no AVX2+FMA on this CPU: only the portable executor was compared");
+    }
+    let n = FLOAT_SPECIALS.len();
+    let triples: Vec<[u32; 3]> = (0..n * n * n)
+        .map(|i| [i / (n * n), i / n % n, i % n].map(|k| FLOAT_SPECIALS[k]))
+        .collect();
+    let mut ops: Vec<(Op, Option<Reg>, Option<Pred>)> =
+        ALU_OPS.iter().map(|&op| (op, Some(Reg(3)), None)).collect();
+    for &cmp in &CmpOp::ALL {
+        ops.extend([Op::Setp(cmp), Op::SetpF(cmp)].map(|op| (op, None, Some(Pred(2)))));
+    }
+    ops.push((Op::Sel(Pred(1)), Some(Reg(3)), None));
+    for (op, dst, pdst) in ops {
+        // Two-operand ops only need the pairs: the third register cycles
+        // through every special anyway.
+        let arity = if op == Op::FFma || op == Op::IMad { n * n * n } else { n * n };
+        let srcs = vec![Reg(0).into(), Reg(1).into(), Reg(2).into()];
+        let instr = Instruction::new(op, dst, pdst, srcs);
+        for lanes in triples[..arity].chunks(32) {
+            let got = run_specials(lanes, &instr, execute);
+            let want = run_specials(lanes, &instr, execute_portable);
+            assert_eq!(got, want, "`{instr}` on {lanes:08x?}");
+        }
+    }
 }

@@ -170,7 +170,7 @@ pub enum TermNode {
 #[must_use]
 pub fn fold_alu(op: Op, a: u32, b: u32, c: u32) -> Option<u32> {
     let (ai, bi) = (a as i32, b as i32);
-    let (af, bf, cf) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
+    let (af, bf) = (f32::from_bits(a), f32::from_bits(b));
     Some(match op {
         Op::IAdd => a.wrapping_add(b),
         Op::ISub => a.wrapping_sub(b),
@@ -189,7 +189,7 @@ pub fn fold_alu(op: Op, a: u32, b: u32, c: u32) -> Option<u32> {
         Op::FAdd => (af + bf).to_bits(),
         Op::FSub => (af - bf).to_bits(),
         Op::FMul => (af * bf).to_bits(),
-        Op::FFma => af.mul_add(bf, cf).to_bits(),
+        Op::FFma => simt_isa::op::ffma(a, b, c),
         Op::FMin => af.min(bf).to_bits(),
         Op::FMax => af.max(bf).to_bits(),
         Op::FDiv => (af / bf).to_bits(),

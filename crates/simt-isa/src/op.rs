@@ -123,6 +123,32 @@ impl AtomOp {
     }
 }
 
+/// The bits of `ffma a, b, c` on words holding floats: `a * b + c`
+/// rounded once. A NaN operand makes the result the first NaN of `a`,
+/// `b`, `c`, quieted. IEEE 754 leaves that choice open, and x86's FMA
+/// instruction and libm's `fmaf` make it differently, so the ISA fixes
+/// it: the executor and the constant folder both call this.
+#[must_use]
+#[inline]
+pub fn ffma(a: u32, b: u32, c: u32) -> u32 {
+    const QUIET: u32 = 0x0040_0000;
+    let fused = f32::from_bits(a).mul_add(f32::from_bits(b), f32::from_bits(c)).to_bits();
+    // Selects on compares of the bits, so a lane loop vectorises.
+    let nan = |x: u32| x & 0x7FFF_FFFF > 0x7F80_0000;
+    let first = if nan(a) {
+        a
+    } else if nan(b) {
+        b
+    } else {
+        c
+    };
+    if nan(a) | nan(b) | nan(c) {
+        first | QUIET
+    } else {
+        fused
+    }
+}
+
 impl fmt::Display for AtomOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

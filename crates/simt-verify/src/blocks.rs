@@ -656,26 +656,38 @@ fn interval_verdict(a: Side, b: Side, s: Shape) -> PairVerdict {
 fn witness_at(a: Side, b: Side, s: Shape, block_a: Dim3, block_b: Dim3) -> Option<RaceWitness> {
     let wa = definite_words(a, s, block_a);
     let wb = definite_words(b, s, block_b);
-    let word = wa.intersection(&wb).next().copied()?;
+    // The smallest word of both sorted sets.
+    let (mut i, mut j) = (0, 0);
+    let word = loop {
+        let (x, y) = (*wa.get(i)?, *wb.get(j)?);
+        match x.cmp(&y) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => break x,
+        }
+    };
     Some(RaceWitness { pc_a: a.pc, pc_b: b.pc, block_a, block_b, word })
 }
 
-/// Global words definitely touched by one access in one concrete block:
-/// exact addresses of threads whose guard chain evaluates true.
-fn definite_words(side: Side, s: Shape, block: Dim3) -> BTreeSet<i64> {
-    let mut words = BTreeSet::new();
+/// Global words definitely touched by one access in one concrete block,
+/// sorted and deduplicated: exact addresses of threads whose guard chain
+/// evaluates true.
+fn definite_words(side: Side, s: Shape, block: Dim3) -> Vec<i64> {
     if !side.f.is_exact() {
-        return words;
+        return Vec::new();
     }
+    // At most two words per thread.
+    let mut words = Vec::with_capacity(2 * s.threads as usize);
     for (t, executes) in guarded_threads(side.conds, s.bx, s.by, s.threads, Some(block)) {
         if executes != Some(true) {
             continue;
         }
         if let Some(byte) = eval_in(side.f, t, s, block) {
-            words.insert(byte.div_euclid(4));
-            words.insert((byte + 3).div_euclid(4));
+            words.extend([byte.div_euclid(4), (byte + 3).div_euclid(4)]);
         }
     }
+    words.sort_unstable();
+    words.dedup();
     words
 }
 
@@ -766,7 +778,8 @@ fn exact_words(side: Side, s: Shape, block: Dim3) -> Option<Vec<i64>> {
     if !side.f.is_exact() {
         return None;
     }
-    let mut words = Vec::new();
+    // At most two words per thread.
+    let mut words = Vec::with_capacity(2 * s.threads as usize);
     for (t, executes) in guarded_threads(side.conds, s.bx, s.by, s.threads, Some(block)) {
         if !executes? {
             continue;
