@@ -504,6 +504,11 @@ struct ShadowCell {
 /// happens-before order, so any cross-thread write/write or read/write
 /// pair on one word is a race. Raced-on words stay *tainted* for the rest
 /// of the run so redundancy claims depending on them can be downgraded.
+///
+/// One sanitizer can serve every block of a launch:
+/// [`next_block`](RaceSanitizer::next_block) starts a block on a new
+/// epoch with an empty log, and a cell left by an older epoch reads as
+/// empty, so the shadow pages are kept instead of allocated per block.
 #[derive(Debug, Default)]
 pub struct RaceSanitizer {
     warp_size: u32,
@@ -517,6 +522,27 @@ impl RaceSanitizer {
     #[must_use]
     pub fn new(warp_size: u32) -> RaceSanitizer {
         RaceSanitizer { warp_size, ..RaceSanitizer::default() }
+    }
+
+    /// Starts the next threadblock: a new epoch and an empty log, as a
+    /// fresh sanitizer would report them. A cell from an older epoch
+    /// reads as empty: its write epoch is not the current one, and its
+    /// reader summary resets on the epoch check.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the epoch count would wrap.
+    pub fn next_block(&mut self) {
+        self.next_epoch();
+        let RaceLog { races, reported, tainted } = &mut self.log;
+        races.clear();
+        reported.clear();
+        tainted.clear();
+    }
+
+    /// Moves to a new epoch, never one a cell may still hold.
+    fn next_epoch(&mut self) {
+        self.epoch = self.epoch.checked_add(1).expect("fewer than 2^32 epochs");
     }
 
     /// All races observed so far, in detection order (one per static
@@ -594,7 +620,7 @@ impl FunctionalObserver for RaceSanitizer {
     }
 
     fn barrier_release(&mut self) {
-        self.epoch += 1;
+        self.next_epoch();
     }
 }
 
@@ -617,42 +643,32 @@ pub struct GlobalRace {
     pub write_write: bool,
 }
 
+/// Where a global access came from: its block, its pc and its
+/// [`atom_code`]. A [`GlobalShadowCell`] names accesses by their site's
+/// id in the sanitizer's site table.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    block: u64,
+    pc: u32,
+    code: u32,
+}
+
 /// Per-word shadow cell at block granularity: the launch's last write
 /// plus a two-point summary of the reading blocks. Minimum and maximum
 /// reader block suffice to answer "did any block other than the writer
 /// read this word?" without storing every reader.
 ///
-/// A page stores each cell as five words that are all zero when empty, so
-/// a new page is one zeroed allocation, not a fill cell by cell. Blocks
-/// are held plus one (0: none):
-/// - `[0]` the last write's block;
-/// - `[1]` the lowest-numbered reading block, `[2]` the highest;
-/// - `[3]` the write's pc (low half) and `[1]`'s pc (high half);
-/// - `[4]` `[2]`'s pc (low half) and the write's [`atom_code`] (high half).
-type GlobalShadowCell = [u64; 5];
+/// A cell holds three site ids, 0 meaning none: `[0]` the last write's,
+/// `[1]` the lowest-block reader's, `[2]` the highest-block reader's. An
+/// empty cell is all zero, so a new page is one zeroed allocation.
+type GlobalShadowCell = [u32; 3];
 
-/// `op` as a [`GlobalShadowCell`] holds it: 0 for a plain store, one
-/// more than the op's discriminant for an atomic.
+const _: () = assert!(std::mem::size_of::<GlobalShadowCell>() == 12);
+
+/// `op` as a [`Site`] holds it: 0 for a plain access, one more than the
+/// op's discriminant for an atomic.
 fn atom_code(op: Option<AtomOp>) -> u32 {
     op.map_or(0, |op| op as u32 + 1)
-}
-
-/// The low half of a cell word, as a pc.
-fn low(w: u64) -> usize {
-    (w & 0xFFFF_FFFF) as usize
-}
-
-/// The high half of a cell word.
-fn high(w: u64) -> u32 {
-    (w >> 32) as u32
-}
-
-fn set_low(w: &mut u64, v: u32) {
-    *w = *w & !0xFFFF_FFFF | u64::from(v);
-}
-
-fn set_high(w: &mut u64, v: u32) {
-    *w = *w & 0xFFFF_FFFF | u64::from(v) << 32;
 }
 
 /// Shadow-memory sanitizer for *inter-thread-block* global races across
@@ -675,12 +691,22 @@ fn set_high(w: &mut u64, v: u32) {
 /// and its `begin_block` is [`set_block`](GlobalRaceSanitizer::set_block).
 /// Raced-on words stay *tainted* for the rest of the launch so redundancy
 /// claims that read them can be downgraded.
+///
+/// Each warp access is one *site* `(block, pc, atom code)`, interned once
+/// per access in a table the sanitizer keeps for the launch; a shadow
+/// cell holds three site ids (12 bytes), so a touched 1,024-word page
+/// costs 12 KB.
 #[derive(Debug, Default)]
 pub struct GlobalRaceSanitizer {
     block: u64,
     /// `atoms[pc]`: the kernel's atomic op at `pc`, `None` elsewhere;
     /// empty for a [`new`](GlobalRaceSanitizer::new) sanitizer.
     atoms: Vec<Option<AtomOp>>,
+    /// `sites[id - 1]`: the site a cell's id names. The current block's
+    /// sites are the ones from `block_sites` on: a replay that visits
+    /// each block once interns each site once.
+    sites: Vec<Site>,
+    block_sites: usize,
     cells: Shadow<GlobalShadowCell>,
     log: RaceLog<GlobalRace>,
     commutative_overlap: bool,
@@ -710,10 +736,13 @@ impl GlobalRaceSanitizer {
     ///
     /// # Panics
     ///
-    /// Panics on block `u64::MAX`, which no launch has.
+    /// Panics on block `u64::MAX`: block indices count up from 0 to below
+    /// a launch's `u64` block count, so no launch has that index.
     pub fn set_block(&mut self, block: u64) {
-        // A shadow cell holds block + 1.
         assert_ne!(block, u64::MAX, "no launch has block index u64::MAX");
+        if block != self.block {
+            self.block_sites = self.sites.len();
+        }
         self.block = block;
     }
 
@@ -738,6 +767,20 @@ impl GlobalRaceSanitizer {
         self.commutative_overlap
     }
 
+    /// The id of the current block's site at `pc` with atom code `code`,
+    /// added to the table on its first access.
+    fn site(&mut self, pc: u32, code: u32) -> u32 {
+        let current = &self.sites[self.block_sites..];
+        let index = match current.iter().position(|s| s.pc == pc && s.code == code) {
+            Some(i) => self.block_sites + i,
+            None => {
+                self.sites.push(Site { block: self.block, pc, code });
+                self.sites.len() - 1
+            }
+        };
+        u32::try_from(index + 1).expect("a launch has fewer than 2^32 access sites")
+    }
+
     /// Records one global access of the current block. `atom` is the
     /// access's atomic op (`None` for a plain load or store): only two
     /// writes with the *same* commutative op (`add`/`max`/`min`, not
@@ -753,14 +796,18 @@ impl GlobalRaceSanitizer {
         is_store: bool,
         atom: Option<AtomOp>,
     ) {
-        let (block, stored) = (self.block, self.block + 1);
         let pc32 = u32::try_from(pc).expect("a pc fits in 32 bits");
-        let code = atom_code(atom);
+        if addrs.mask() == 0 {
+            return;
+        }
+        let (block, code) = (self.block, atom_code(atom));
+        let site = self.site(pc32, code);
         // Only two writes with the same commuting op may collide; a plain
         // read of a word another block wrote — even atomically — observes
         // an order-dependent value.
         let commutes = is_store && code != 0 && atom != Some(AtomOp::Exch);
-        let (log, overlap) = (&mut self.log, &mut self.commutative_overlap);
+        let (sites, log, overlap) = (&self.sites, &mut self.log, &mut self.commutative_overlap);
+        let at = |id: u32| sites[id as usize - 1];
         let mut previous = None;
         self.cells.visit(addrs, |_lane, word, cell| {
             // A lane on the word the previous lane visited changes
@@ -769,43 +816,41 @@ impl GlobalRaceSanitizer {
             if previous.replace(word) == Some(word) {
                 return;
             }
-            let mut race = |(first_block, first_pc): (u64, usize), write_write: bool| {
+            let mut race = |first: Site, write_write: bool| {
                 let race = GlobalRace {
-                    first_pc,
-                    first_block,
+                    first_pc: first.pc as usize,
+                    first_block: first.block,
                     second_pc: pc,
                     second_block: block,
                     word,
                     write_write,
                 };
-                log.report(word, (first_pc, pc), race);
+                log.report(word, (race.first_pc, pc), race);
             };
-            let [write, min, max, write_pcs, max_pcs] = cell;
+            let [write, min, max] = cell;
             // Judge the access against the cell, then update it.
-            if *write != 0 && *write != stored {
-                if commutes && high(*max_pcs) == code {
-                    *overlap = true;
-                } else {
-                    race((*write - 1, low(*write_pcs)), is_store);
+            if *write != 0 {
+                let w = at(*write);
+                if w.block != block {
+                    if commutes && w.code == code {
+                        *overlap = true;
+                    } else {
+                        race(w, is_store);
+                    }
                 }
             }
             if is_store {
-                let readers = [(*min, high(*write_pcs) as usize), (*max, low(*max_pcs))];
-                if let Some(&(b, reader_pc)) = readers.iter().find(|&&(b, _)| b != 0 && b != stored)
-                {
-                    race((b - 1, reader_pc), false);
+                let mut readers = [*min, *max].into_iter().filter(|&id| id != 0).map(at);
+                if let Some(reader) = readers.find(|r| r.block != block) {
+                    race(reader, false);
                 }
-                *write = stored;
-                set_low(write_pcs, pc32);
-                set_high(max_pcs, code);
+                *write = site;
             } else {
-                if *min == 0 || *min > stored {
-                    *min = stored;
-                    set_high(write_pcs, pc32);
+                if *min == 0 || at(*min).block > block {
+                    *min = site;
                 }
-                if *max < stored {
-                    *max = stored;
-                    set_low(max_pcs, pc32);
+                if *max == 0 || at(*max).block < block {
+                    *max = site;
                 }
             }
         });
@@ -940,7 +985,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "no launch has block index u64::MAX")]
-    fn the_empty_cell_block_is_no_block_index() {
+    fn no_launch_has_block_index_u64_max() {
         GlobalRaceSanitizer::new().set_block(u64::MAX);
     }
 

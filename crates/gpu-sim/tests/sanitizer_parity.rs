@@ -1,11 +1,13 @@
 //! Parity of the shadow race sanitizers with their original formulation:
 //! a `std` (SipHash) map of `Option`-holding per-word cells probed with
 //! `get` and then `entry` per lane. The sanitizers now walk a warp's lane
-//! mask over a paged shadow, and the inter-block one packs its cell with
-//! sentinel blocks and 32-bit pcs; on random access streams (blocks up
-//! to `u64::MAX - 1`, pcs up to `u32::MAX`) they must report the same
-//! races, in the same order, the same taint and the same commutative
-//! overlap.
+//! mask over a paged shadow, and the inter-block one names each access
+//! by an interned `(block, pc, atom)` site; on random access streams
+//! (hundreds of sites, blocks up to `u64::MAX - 1`, pcs up to
+//! `u32::MAX`) they must report the same races, in the same order, the
+//! same taint and the same commutative overlap. A shared sanitizer moved
+//! through several blocks by `next_block` must report, per block, what a
+//! fresh one does.
 
 use gpu_sim::{
     FunctionalObserver, GlobalRace, GlobalRaceSanitizer, LaneAddrs, RaceSanitizer, SharedRace,
@@ -19,10 +21,10 @@ const WARP_SIZE: u32 = 32;
 /// both sides of shadow-page boundaries (1,024 words) and far apart.
 const WORDS: [u64; 10] = [0, 1, 2, 1023, 1024, 1025, 4096, 1 << 20, (1 << 30) + 7, 3];
 /// Pcs of the generated streams: a few small ones and the largest the
-/// packed global cell holds.
+/// global sanitizer accepts.
 const PCS: [usize; 6] = [0, 1, 2, 3, u32::MAX as usize - 1, u32::MAX as usize];
 /// Blocks of the generated global streams: a few small ones and the
-/// largest ones below the cell's empty-entry sentinel.
+/// largest ones a launch can have.
 const BLOCKS: [u64; 6] = [0, 1, 2, 3, u64::MAX - 2, u64::MAX - 1];
 
 /// Reference shared-memory sanitizer (the original per-lane `get` +
@@ -222,6 +224,12 @@ fn arb_pc() -> impl Strategy<Value = usize> {
     prop::sample::select(PCS.to_vec())
 }
 
+/// A pc of a global stream: one of [`PCS`], or one of 64 more, so a
+/// stream's accesses name hundreds of distinct sites.
+fn arb_global_pc() -> impl Strategy<Value = usize> {
+    prop_oneof![arb_pc(), 4usize..68]
+}
+
 /// Shared stream event: `Some((warp, pc, addrs, is_store))` or a barrier.
 type SharedEvent = Option<(usize, usize, LaneAddrs, bool)>;
 
@@ -247,13 +255,31 @@ fn arb_global_event() -> impl Strategy<Value = GlobalEvent> {
         Some(AtomOp::Min),
         Some(AtomOp::Exch),
     ]);
+    let block = prop_oneof![prop::sample::select(BLOCKS.to_vec()), 4u64..24];
     prop_oneof![
-        1 => prop::sample::select(BLOCKS.to_vec()).prop_map(GlobalEvent::Block),
-        3 => (arb_pc(), arb_addrs())
+        1 => block.prop_map(GlobalEvent::Block),
+        3 => (arb_global_pc(), arb_addrs())
             .prop_map(|(pc, a)| GlobalEvent::Access(pc, Box::new(a), false, None)),
-        4 => (arb_pc(), arb_addrs(), atom)
+        4 => (arb_global_pc(), arb_addrs(), atom)
             .prop_map(|(pc, a, atom)| GlobalEvent::Access(pc, Box::new(a), true, atom)),
     ]
+}
+
+/// How many distinct `(block, pc, atom)` sites the non-empty accesses
+/// of a global stream name.
+fn sites(events: &[GlobalEvent]) -> usize {
+    let mut block = 0;
+    let mut sites = HashSet::new();
+    for e in events {
+        match e {
+            GlobalEvent::Block(b) => block = *b,
+            GlobalEvent::Access(pc, addrs, _, atom) if addrs.mask() != 0 => {
+                sites.insert((block, *pc, *atom));
+            }
+            GlobalEvent::Access(..) => {}
+        }
+    }
+    sites.len()
 }
 
 proptest! {
@@ -284,27 +310,73 @@ proptest! {
     }
 
     #[test]
+    fn shared_sanitizer_moved_through_blocks_matches_a_fresh_one_per_block(
+        blocks in prop::collection::vec(prop::collection::vec(arb_shared_event(), 0..30), 1..6),
+    ) {
+        let mut shared = RaceSanitizer::new(WARP_SIZE);
+        for events in &blocks {
+            shared.next_block();
+            let mut fresh = RaceSanitizer::new(WARP_SIZE);
+            for e in events {
+                match e {
+                    Some((warp, pc, addrs, is_store)) => {
+                        shared.shared_access(*warp, *pc, 1, addrs, *is_store);
+                        fresh.shared_access(*warp, *pc, 1, addrs, *is_store);
+                    }
+                    None => {
+                        shared.barrier_release();
+                        fresh.barrier_release();
+                    }
+                }
+            }
+            prop_assert_eq!(shared.races(), fresh.races());
+            for word in WORDS {
+                prop_assert_eq!(shared.is_tainted(word), fresh.is_tainted(word));
+            }
+        }
+    }
+
+    #[test]
     fn global_sanitizer_matches_its_reference(
         events in prop::collection::vec(arb_global_event(), 1..40),
     ) {
-        let mut got = GlobalRaceSanitizer::new();
-        let mut want = RefGlobal::default();
-        for e in &events {
-            match e {
-                GlobalEvent::Block(b) => {
-                    got.set_block(*b);
-                    want.block = *b;
-                }
-                GlobalEvent::Access(pc, addrs, is_store, atom) => {
-                    got.record_access(*pc, addrs, *is_store, *atom);
-                    want.access(*pc, &addrs.iter().collect::<Vec<_>>(), *is_store, *atom);
-                }
+        check_global(&events);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn global_sanitizer_matches_its_reference_over_hundreds_of_sites(
+        events in prop::collection::vec(arb_global_event(), 300..400),
+    ) {
+        let sites = sites(&events);
+        prop_assert!(sites >= 100, "only {} distinct sites", sites);
+        check_global(&events);
+    }
+}
+
+/// Drives the global sanitizer and its reference through `events` and
+/// compares their races, overlap and taint.
+fn check_global(events: &[GlobalEvent]) {
+    let mut got = GlobalRaceSanitizer::new();
+    let mut want = RefGlobal::default();
+    for e in events {
+        match e {
+            GlobalEvent::Block(b) => {
+                got.set_block(*b);
+                want.block = *b;
+            }
+            GlobalEvent::Access(pc, addrs, is_store, atom) => {
+                got.record_access(*pc, addrs, *is_store, *atom);
+                want.access(*pc, &addrs.iter().collect::<Vec<_>>(), *is_store, *atom);
             }
         }
-        prop_assert_eq!(got.races(), &want.races[..]);
-        prop_assert_eq!(got.commutative_overlap(), want.commutative_overlap);
-        for word in WORDS {
-            prop_assert_eq!(got.is_tainted(word), want.tainted.contains(&word));
-        }
+    }
+    assert_eq!(got.races(), &want.races[..]);
+    assert_eq!(got.commutative_overlap(), want.commutative_overlap);
+    for word in WORDS {
+        assert_eq!(got.is_tainted(word), want.tainted.contains(&word));
     }
 }

@@ -875,7 +875,7 @@ fn cmp_eval(cmp: CmpOp, l: i64, r: i64) -> bool {
 }
 
 /// Dataflow state at one program point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct FlowState {
     /// False while no path from entry has reached this point.
     pub reachable: bool,
@@ -883,6 +883,21 @@ pub struct FlowState {
     pub regs: Vec<AffineVal>,
     /// Abstract value per predicate register.
     pub preds: Vec<PredVal>,
+}
+
+/// Written out so that [`clone_from`](Clone::clone_from) copies into the
+/// target's register vectors instead of allocating new ones (the derived
+/// one replaces them).
+impl Clone for FlowState {
+    fn clone(&self) -> FlowState {
+        FlowState { reachable: self.reachable, regs: self.regs.clone(), preds: self.preds.clone() }
+    }
+
+    fn clone_from(&mut self, source: &FlowState) {
+        self.reachable = source.reachable;
+        self.regs.clone_from(&source.regs);
+        self.preds.clone_from(&source.preds);
+    }
 }
 
 impl FlowState {
@@ -894,6 +909,12 @@ impl FlowState {
             regs: vec![AffineVal::Top; nregs],
             preds: vec![PredVal::Top; npreds],
         }
+    }
+
+    /// A scratch state with no registers, to be overwritten through
+    /// [`clone_from`](Clone::clone_from).
+    fn empty() -> FlowState {
+        FlowState::unreachable(0, 0)
     }
 
     /// The kernel-entry state. With `zeroed`, registers start as the exact
@@ -915,7 +936,7 @@ impl FlowState {
             return false;
         }
         if !self.reachable {
-            *self = other.clone();
+            self.clone_from(other);
             return true;
         }
         let mut changed = false;
@@ -1165,6 +1186,9 @@ impl<'a> Flow<'a> {
         let pdoms = crate::dom::PostDoms::compute(cfg);
         let succs = |b: usize| cfg.blocks[b].succs.iter().copied();
         let rpo = cfg.reverse_post_order();
+        // Scratch for a block's out-state and for one edge's state,
+        // reused across blocks and sweeps.
+        let (mut st, mut out) = (FlowState::empty(), FlowState::empty());
         for sweep in 0.. {
             let widen = sweep >= MAX_PRECISE_SWEEPS;
             let mut changed = false;
@@ -1172,7 +1196,7 @@ impl<'a> Flow<'a> {
                 if !flow.in_states[b].reachable {
                     continue;
                 }
-                let st = flow.replay_block(b, |_, _, _| {});
+                flow.replay_block_into(b, &mut st, |_, _, _| {});
                 let block = &cfg.blocks[b];
                 let two_way = block.succs.len() == 2 && block.succs[0] != block.succs[1];
                 let branch_guard = block.range().last().and_then(|pc| match kernel.instrs[pc].op {
@@ -1198,7 +1222,7 @@ impl<'a> Flow<'a> {
                     }
                 }
                 for (i, &succ) in block.succs.iter().enumerate() {
-                    let mut out = st.clone();
+                    out.clone_from(&st);
                     if let Some(g) = branch_guard {
                         // succs[0] is the taken edge: the guard accepted.
                         let polarity = if i == 0 { !g.negate } else { g.negate };
@@ -1255,23 +1279,36 @@ impl<'a> Flow<'a> {
     pub fn replay_block(
         &self,
         b: usize,
-        mut visit: impl FnMut(usize, &FlowState, Option<AffineVal>),
+        visit: impl FnMut(usize, &FlowState, Option<AffineVal>),
     ) -> FlowState {
-        let mut st = self.in_states[b].clone();
+        let mut st = FlowState::empty();
+        self.replay_block_into(b, &mut st, visit);
+        st
+    }
+
+    /// [`Flow::replay_block`] into `st`, whose previous contents are
+    /// overwritten and whose vectors are reused.
+    pub(crate) fn replay_block_into(
+        &self,
+        b: usize,
+        st: &mut FlowState,
+        mut visit: impl FnMut(usize, &FlowState, Option<AffineVal>),
+    ) {
+        st.clone_from(&self.in_states[b]);
         if st.reachable {
             for pc in self.cfg.blocks[b].range() {
-                self.transfer(&mut st, pc, self.divergent[b], &mut visit);
+                self.transfer(st, pc, self.divergent[b], &mut visit);
             }
         }
-        st
     }
 
     /// [`Flow::replay_block`] over every reachable block, in reverse
     /// post-order.
     pub fn replay(&self, mut visit: impl FnMut(usize, &FlowState, Option<AffineVal>)) {
+        let mut st = FlowState::empty();
         for b in self.cfg.reverse_post_order() {
             if self.in_states[b].reachable {
-                self.replay_block(b, &mut visit);
+                self.replay_block_into(b, &mut st, &mut visit);
             }
         }
     }

@@ -697,72 +697,113 @@ fn eval_in(f: Affine, t: u32, s: Shape, block: Dim3) -> Option<i64> {
     f.eval_at(tx, ty, i64::from(block.x), i64::from(block.y))
 }
 
-/// Up to two distinct blocks known to touch one word through one access
-/// (two suffice to decide whether a *distinct* pair exists and to name
-/// a concrete witness pair).
-#[derive(Clone, Copy)]
-struct WordTouch {
-    first: u64,
-    second: Option<u64>,
+/// No block, in a [`Touches`] slot.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// Up to two distinct blocks known to touch one word through each access
+/// of a pair, `[access][first, second]`, [`NO_BLOCK`] where none: two
+/// suffice to decide whether a *distinct* pair exists and to name a
+/// concrete witness pair. Blocks fit in 32 bits: [`ENUM_CAP`] bounds
+/// their count below 2^20.
+type Touches = [[u32; 2]; 2];
+
+/// Records that `block` touched a word through the access whose slot is
+/// `t`.
+fn touch(t: &mut [u32; 2], block: u32) {
+    if t[0] == NO_BLOCK {
+        t[0] = block;
+    } else if t[0] != block && t[1] == NO_BLOCK {
+        t[1] = block;
+    }
 }
 
-impl WordTouch {
-    fn add(&mut self, block: u64) {
-        if self.first != block && self.second.is_none() {
-            self.second = Some(block);
+/// The distinct block pair `(p, q)` in which access `a` and access `b`
+/// touched one word, if its [`Touches`] hold one.
+fn distinct_pair([ta, tb]: Touches) -> Option<(u32, u32)> {
+    if ta[0] == NO_BLOCK || tb[0] == NO_BLOCK {
+        None
+    } else if ta[0] != tb[0] {
+        Some((ta[0], tb[0]))
+    } else if tb[1] != NO_BLOCK {
+        Some((ta[0], tb[1]))
+    } else if ta[1] != NO_BLOCK {
+        Some((ta[1], tb[0]))
+    } else {
+        None
+    }
+}
+
+/// An upper bound on the distinct words the two footprints of a pair
+/// touch over the grid, for sizing the word table once: the first
+/// block's `first_words` (both footprints' words, each counted once) in
+/// every block, capped by the words between each footprint's lowest and
+/// highest address (when every block touches the same words, the first
+/// bound counts them once per block).
+fn word_bound(a: Side, b: Side, s: Shape, first_words: usize, num_blocks: u64) -> usize {
+    let (bx, by) = (i64::from(s.bx), i64::from(s.by));
+    let (gx, gy) = (i64::from(s.grid.x), i64::from(s.grid.y));
+    let span = |f: Affine| {
+        let (lo, hi) = f.range_over(bx, by, gx, gy);
+        let words = (i128::from(hi) + 3).div_euclid(4) - i128::from(lo).div_euclid(4) + 1;
+        u64::try_from(words).unwrap_or(u64::MAX)
+    };
+    let spans = span(a.f).saturating_add(span(b.f));
+    let per_block = (first_words as u64).saturating_mul(num_blocks);
+    usize::try_from(spans.min(per_block)).unwrap_or(usize::MAX)
+}
+
+/// How many distinct words two sorted, deduplicated word lists hold.
+fn union_len(x: &[i64], y: &[i64]) -> usize {
+    let (mut i, mut j, mut both) = (0, 0, 0);
+    while let (Some(u), Some(v)) = (x.get(i), y.get(j)) {
+        match u.cmp(v) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => (i, j, both) = (i + 1, j + 1, both + 1),
         }
     }
+    x.len() + y.len() - both
 }
 
 /// Full exact re-enumeration of both footprints over the whole grid:
 /// promotes a conservative overlap to [`PairVerdict::Disjoint`] when the
 /// word sets never intersect across distinct blocks (or finds the
 /// witness the interval screen's representative pair missed). Linear in
-/// `blocks × threads` via a word → touching-blocks hash map, so large
-/// grids need no quadratic pair walk. The witness is the smallest
-/// colliding word, whatever the map's order, with the pair its
-/// block-order touches name. `None` when any footprint is not exactly
-/// computable or the enumeration exceeds [`ENUM_CAP`].
+/// `blocks × threads` via a word → [`Touches`] hash map, sized once from
+/// [`word_bound`] so it never rehashes, so large grids need no quadratic
+/// pair walk. The witness is the smallest colliding word, whatever the
+/// map's order, with the pair its block-order touches name. `None` when
+/// any footprint is not exactly computable or the enumeration exceeds
+/// [`ENUM_CAP`].
 fn exact_refine(a: Side, b: Side, s: Shape) -> Option<PairVerdict> {
     let num_blocks = u64::from(s.grid.x) * u64::from(s.grid.y) * u64::from(s.grid.z);
     if num_blocks.saturating_mul(u64::from(s.threads)) > ENUM_CAP {
         return None;
     }
-    // word → blocks touching it via access a / via access b.
-    let mut map: FastMap<i64, [Option<WordTouch>; 2]> = FastMap::default();
+    let mut map: FastMap<i64, Touches> = FastMap::default();
     for p in 0..num_blocks {
         let block = gpu_sim::ctaid_at(s.grid, p);
-        for (slot, side) in [a, b].into_iter().enumerate() {
-            let words = exact_words(side, s, block)?;
-            for word in words {
-                match &mut map.entry(word).or_default()[slot] {
-                    Some(t) => t.add(p),
-                    touch @ None => *touch = Some(WordTouch { first: p, second: None }),
-                }
+        let words = [exact_words(a, s, block)?, exact_words(b, s, block)?];
+        if p == 0 {
+            map.reserve(word_bound(a, b, s, union_len(&words[0], &words[1]), num_blocks));
+        }
+        let p = u32::try_from(p).expect("ENUM_CAP keeps block indices below 2^20");
+        for (slot, words) in words.iter().enumerate() {
+            for &word in words {
+                touch(&mut map.entry(word).or_insert([[NO_BLOCK; 2]; 2])[slot], p);
             }
         }
     }
     let witness = map
         .into_iter()
-        .filter_map(|(word, [ta, tb])| {
-            let (ta, tb) = (ta?, tb?);
-            // A collision needs two *distinct* blocks, one per side.
-            let (p, q) = if ta.first != tb.first {
-                (ta.first, tb.first)
-            } else if let Some(q) = tb.second {
-                (ta.first, q)
-            } else {
-                (ta.second?, tb.first)
-            };
-            Some((word, p, q))
-        })
-        .min_by_key(|&(word, ..)| word);
-    Some(witness.map_or(PairVerdict::Disjoint, |(word, p, q)| {
+        .filter_map(|(word, touches)| Some((word, distinct_pair(touches)?)))
+        .min_by_key(|&(word, _)| word);
+    Some(witness.map_or(PairVerdict::Disjoint, |(word, (p, q))| {
         PairVerdict::Collides(Some(RaceWitness {
             pc_a: a.pc,
             pc_b: b.pc,
-            block_a: gpu_sim::ctaid_at(s.grid, p),
-            block_b: gpu_sim::ctaid_at(s.grid, q),
+            block_a: gpu_sim::ctaid_at(s.grid, u64::from(p)),
+            block_b: gpu_sim::ctaid_at(s.grid, u64::from(q)),
             word,
         }))
     }))
@@ -796,6 +837,22 @@ fn exact_words(side: Side, s: Shape, block: Dim3) -> Option<Vec<i64>> {
 mod tests {
     use super::*;
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// Up to two distinct blocks known to touch one word through one
+    /// access, as the ordered-map refinement kept them.
+    #[derive(Clone, Copy)]
+    struct WordTouch {
+        first: u64,
+        second: Option<u64>,
+    }
+
+    impl WordTouch {
+        fn add(&mut self, block: u64) {
+            if self.first != block && self.second.is_none() {
+                self.second = Some(block);
+            }
+        }
+    }
 
     /// `tid.x·a + ctaid.x·d + ctaid.y·e + c` bytes: exact, no guard.
     fn side(pc: usize, a: i64, d: i64, e: i64, c: i64) -> Side<'static> {
@@ -875,6 +932,41 @@ mod tests {
         // Interleaved strides share no word: disjoint.
         let (a, b) = (side(0, 8, 64, 0, 0), side(1, 8, 64, 0, 4));
         assert_eq!(refined(a, b, s), None);
+    }
+
+    #[test]
+    fn blocks_touching_the_same_words_size_the_table_by_its_span() {
+        // 32 threads in each of 96 blocks: access 0 writes words 0..=31,
+        // access 1 reads words 8..=40 unaligned (two words per thread),
+        // in every block alike. The first block's 41 words times 96
+        // blocks would size the table for 3,936 words; the spans bound it
+        // by 65.
+        let s = Shape { bx: 32, by: 1, threads: 32, grid: Dim3::two_d(12, 8) };
+        let (a, b) = (side(0, 4, 0, 0, 0), side(1, 4, 0, 0, 34));
+        let [wa, wb] = [a, b].map(|x| exact_words(x, s, Dim3::one_d(0)).expect("exact"));
+        let first_words = union_len(&wa, &wb);
+        assert_eq!(first_words, 41);
+        assert_eq!(word_bound(a, b, s, first_words, 96), 32 + 33);
+        let want = btree_refined(a, b, s);
+        assert_eq!(
+            want,
+            Some(RaceWitness {
+                pc_a: 0,
+                pc_b: 1,
+                block_a: Dim3::three_d(0, 0, 0),
+                block_b: Dim3::three_d(1, 0, 0),
+                word: 8,
+            })
+        );
+        assert_eq!(refined(a, b, s), want);
+        // A strided footprint keeps the per-block bound: each block
+        // writes 32 words of its own 4,096-word window.
+        let a = side(0, 4, 16384, 12 * 16384, 0);
+        let words = exact_words(a, s, Dim3::one_d(0)).expect("exact");
+        assert_eq!(union_len(&words, &words), 32);
+        assert_eq!(word_bound(a, a, s, 32, 96), 32 * 96);
+        assert_eq!(refined(a, a, s), None);
+        assert_eq!(btree_refined(a, a, s), None);
     }
 
     #[test]

@@ -90,15 +90,18 @@ fn checked_kind(ck: &CompiledKernel, pc: usize, px: bool, py: bool) -> Option<Li
 /// checked (and headroom candidate) instructions and runs the shared
 /// race sanitizer per TB, and folds each TB into the launch's findings.
 struct OracleObserver<'a> {
-    warp_size: u32,
     checked: &'a [Option<LintCode>],
     grouped: &'a [bool],
-    /// This TB's occurrence groups, shared race sanitizer and the shared
-    /// words each *checked* load pc read. Each pc is judged on its own,
-    /// so visiting order does not matter.
+    /// This TB's occurrence groups and shared race sanitizer (one for
+    /// the launch, moved to the next block by `begin_block`).
     groups: OccurrenceGroups<[u32]>,
     sanitizer: RaceSanitizer,
-    shared_reads: FastMap<usize, FastSet<u64>>,
+    /// `shared_reads[pc]`: a bitset over the TB's shared words of those
+    /// the *checked* shared load at `pc` read this TB; empty at every
+    /// other pc. The executor faults on any shared address past the
+    /// scratchpad, so the bitsets bound every word. Each pc is judged on
+    /// its own, so visiting order does not matter.
+    shared_reads: Vec<Box<[u64]>>,
     /// Global words each *checked* load pc read, launch-wide.
     global_reads: FastMap<usize, FastSet<u64>>,
     /// Per mismatching pc: warp-occurrence pairs and the first example.
@@ -136,8 +139,12 @@ impl FunctionalObserver for OracleObserver<'_> {
         is_store: bool,
     ) {
         self.sanitizer.shared_access(w, pc, occurrence, addrs, is_store);
-        if !is_store && self.checked[pc].is_some() {
-            self.shared_reads.entry(pc).or_default().extend(addrs.iter().map(|(_, a)| a / 4));
+        let bits = &mut self.shared_reads[pc];
+        if !is_store && !bits.is_empty() {
+            for (_, a) in addrs.iter() {
+                let word = (a / 4) as usize;
+                bits[word / 64] |= 1 << (word % 64);
+            }
         }
     }
 
@@ -160,18 +167,22 @@ impl FunctionalObserver for OracleObserver<'_> {
     }
 
     fn begin_block(&mut self, _block: u64, _ctaid: Dim3) {
-        self.sanitizer = RaceSanitizer::new(self.warp_size);
-        self.shared_reads.clear();
+        self.sanitizer.next_block();
     }
 
     fn end_block(&mut self, _block: u64, ctaid: Dim3) {
         for race in self.sanitizer.races() {
             self.races.entry((race.first_pc, race.second_pc)).or_insert((ctaid, *race));
         }
-        for (&pc, words) in &self.shared_reads {
-            if let Some(w) = min_tainted(words, |w| self.sanitizer.is_tainted(w)) {
-                self.tainted_claims.entry(pc).or_insert(w);
+        // A TB without a race taints no word.
+        let raced = !self.sanitizer.races().is_empty();
+        for (pc, bits) in self.shared_reads.iter_mut().enumerate() {
+            if raced {
+                if let Some(w) = min_tainted_bit(bits, |w| self.sanitizer.is_tainted(w)) {
+                    self.tainted_claims.entry(pc).or_insert(w);
+                }
             }
+            bits.fill(0);
         }
         // In (pc, occurrence) order, so the first mismatch of a pc (its
         // example) is its earliest occurrence in this TB.
@@ -202,6 +213,22 @@ impl FunctionalObserver for OracleObserver<'_> {
 /// names, independent of the set's iteration order.
 fn min_tainted(words: &FastSet<u64>, tainted: impl Fn(u64) -> bool) -> Option<u64> {
     words.iter().copied().filter(|&w| tainted(w)).min()
+}
+
+/// The smallest word whose bit `bits` sets and that `tainted` accepts,
+/// found by an ascending scan.
+fn min_tainted_bit(bits: &[u64], tainted: impl Fn(u64) -> bool) -> Option<u64> {
+    bits.iter().enumerate().find_map(|(i, &chunk)| {
+        let mut rest = chunk;
+        while rest != 0 {
+            let word = 64 * i as u64 + u64::from(rest.trailing_zeros());
+            if tainted(word) {
+                return Some(word);
+            }
+            rest &= rest - 1;
+        }
+        None
+    })
 }
 
 /// Runs the differential oracle over every threadblock of `launch`,
@@ -256,16 +283,23 @@ pub fn check_with_headroom(
     if !oracle_runs && skippable.is_none() {
         return (report, Headroom::default());
     }
+    let shared_words = (ck.kernel.shared_mem_bytes as usize).div_ceil(4);
+    let shared_reads = (0..n)
+        .map(|pc| {
+            let read = checked[pc].is_some()
+                && matches!(ck.kernel.instrs[pc].op, Op::Ld(MemSpace::Shared));
+            vec![0; if read { shared_words.div_ceil(64) } else { 0 }].into_boxed_slice()
+        })
+        .collect();
     // The global shadow lives across the whole launch: block replay
     // order is exactly what the sharded engine is free to permute.
     let mut obs = (
         OracleObserver {
-            warp_size: launch.warp_size,
             checked: &checked,
             grouped: &grouped,
             groups: OccurrenceGroups::new(launch),
             sanitizer: RaceSanitizer::new(launch.warp_size),
-            shared_reads: FastMap::default(),
+            shared_reads,
             global_reads: FastMap::default(),
             mismatches: BTreeMap::new(),
             races: BTreeMap::new(),
@@ -841,6 +875,16 @@ mod tests {
         assert_eq!(min_tainted(&words, |w| w % 7 == 3), Some(3));
         assert_eq!(min_tainted(&words, |w| w > 250), Some(251));
         assert_eq!(min_tainted(&words, |_| false), None);
+        // The bitset form: every third of 256 words read, over four
+        // chunks; the answer sits in the first chunk with a tainted word.
+        let mut bits = [0u64; 4];
+        for w in (0..256).step_by(3) {
+            bits[w / 64] |= 1 << (w % 64);
+        }
+        assert_eq!(min_tainted_bit(&bits, |w| w % 7 == 3), Some(3));
+        assert_eq!(min_tainted_bit(&bits, |w| w > 100), Some(102));
+        assert_eq!(min_tainted_bit(&bits, |w| w % 2 == 1 && w > 64), Some(69));
+        assert_eq!(min_tainted_bit(&bits, |w| w == 1), None);
     }
 
     #[test]
