@@ -278,68 +278,6 @@ impl Access {
     }
 }
 
-/// The per-lane ALU function. Public so the symbolic translation
-/// validator's constant folder (`simt_compiler::term::fold_alu`) can be
-/// parity-tested against the executor it models, and so counterexample
-/// replay tooling can evaluate single operations outside a warp context.
-///
-/// Never inlined: Rust leaves NaN payloads unspecified, and a caller
-/// that constant-folds a float op can see other NaN bits than the
-/// executor computes at run time. Out of line, every caller gets the
-/// executor's bits.
-#[must_use]
-#[inline(never)]
-pub fn alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
-    lane_alu(op, a, b, c)
-}
-
-/// The body of [`alu`], inlined into the executor's per-opcode lane
-/// loops, where operands are never compile-time constants.
-#[inline(always)]
-fn lane_alu(op: Op, a: u32, b: u32, c: u32) -> u32 {
-    let (ai, bi) = (a as i32, b as i32);
-    let (af, bf) = (f32::from_bits(a), f32::from_bits(b));
-    match op {
-        Op::IAdd => a.wrapping_add(b),
-        Op::ISub => a.wrapping_sub(b),
-        Op::IMul => a.wrapping_mul(b),
-        Op::IMulHi => ((i64::from(ai) * i64::from(bi)) >> 32) as u32,
-        Op::IMad => a.wrapping_mul(b).wrapping_add(c),
-        Op::IMin => ai.min(bi) as u32,
-        Op::IMax => ai.max(bi) as u32,
-        Op::Shl => a.wrapping_shl(b & 31),
-        Op::Shr => a.wrapping_shr(b & 31),
-        Op::Sra => (ai >> (b & 31)) as u32,
-        Op::And => a & b,
-        Op::Or => a | b,
-        Op::Xor => a ^ b,
-        Op::Not => !a,
-        Op::FAdd => (af + bf).to_bits(),
-        Op::FSub => (af - bf).to_bits(),
-        Op::FMul => (af * bf).to_bits(),
-        Op::FFma => simt_isa::op::ffma(a, b, c),
-        Op::FMin => af.min(bf).to_bits(),
-        Op::FMax => af.max(bf).to_bits(),
-        Op::FDiv => (af / bf).to_bits(),
-        Op::FRcp => (1.0 / af).to_bits(),
-        Op::FSqrt => af.sqrt().to_bits(),
-        Op::FExp2 => af.exp2().to_bits(),
-        Op::FLog2 => af.log2().to_bits(),
-        Op::Mov => a,
-        Op::I2F => (ai as f32).to_bits(),
-        Op::F2I => {
-            // Round toward zero with saturation, like CUDA cvt.rzi.
-            let t = af.trunc();
-            if t.is_nan() {
-                0
-            } else {
-                (t.clamp(i32::MIN as f32, i32::MAX as f32) as i32) as u32
-            }
-        }
-        _ => unreachable!("alu() called with non-ALU op {op:?}"),
-    }
-}
-
 /// Lanes of `mask` in ascending order.
 fn lanes(mask: LaneMask) -> impl Iterator<Item = u32> {
     let mut rest = mask;
@@ -630,14 +568,15 @@ fn execute_body(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>)
                 gather_nth(warp, instr, 2),
             );
             // One vector loop per opcode, so the opcode dispatch happens
-            // once per instruction instead of once per lane.
+            // once per instruction instead of once per lane, each through
+            // the ISA's one ALU rule.
             macro_rules! per_op {
                 ($($op:ident)*) => {
                     match instr.op {
                         $(Op::$op => write_lanes(warp, d, eff_mask, |i| {
-                            lane_alu(Op::$op, a[i], b[i], c[i])
+                            Op::$op.eval(a[i], b[i], c[i]).unwrap_or_default()
                         }),)*
-                        op => write_lanes(warp, d, eff_mask, |i| lane_alu(op, a[i], b[i], c[i])),
+                        op => unreachable!("{op:?} is not an ALU op"),
                     }
                 };
             }
@@ -690,26 +629,6 @@ mod tests {
         let i = Instruction::new(Op::S2R(SpecialReg::CtaidX), Some(Reg(2)), None, vec![]);
         execute(&mut w, &i, &mut ctx);
         assert_eq!(w.reg_vector(Reg(2)), vec![2; 8]);
-    }
-
-    #[test]
-    fn alu_semantics() {
-        assert_eq!(alu(Op::IAdd, 7, u32::MAX, 0), 6, "wrapping add");
-        assert_eq!(alu(Op::ISub, 3, 5, 0) as i32, -2);
-        assert_eq!(alu(Op::IMulHi, 0x8000_0000, 2, 0), u32::MAX, "signed hi mul");
-        assert_eq!(alu(Op::IMad, 3, 4, 5), 17);
-        assert_eq!(alu(Op::Sra, (-8i32) as u32, 1, 0) as i32, -4);
-        assert_eq!(alu(Op::Shr, (-8i32) as u32, 1, 0), 0x7FFF_FFFC);
-        assert_eq!(
-            f32::from_bits(alu(Op::FFma, 2.0f32.to_bits(), 3.0f32.to_bits(), 1.0f32.to_bits())),
-            7.0
-        );
-        assert_eq!(f32::from_bits(alu(Op::FSqrt, 9.0f32.to_bits(), 0, 0)), 3.0);
-        assert_eq!(alu(Op::FFma, 0x7F80_0001, 0xFFC0_0001, 0), 0x7FC0_0001, "first NaN, quieted");
-        assert_eq!(alu(Op::FFma, 0, 0x7F80_0000, 0x7FC1_2345), 0x7FC1_2345, "0 * inf + NaN");
-        assert_eq!(alu(Op::F2I, (-2.7f32).to_bits(), 0, 0) as i32, -2, "truncates toward zero");
-        assert_eq!(alu(Op::F2I, f32::NAN.to_bits(), 0, 0), 0);
-        assert_eq!(f32::from_bits(alu(Op::I2F, (-3i32) as u32, 0, 0)), -3.0);
     }
 
     #[test]

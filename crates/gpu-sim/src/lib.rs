@@ -78,7 +78,7 @@ pub use digest::{
     Divergence, EpochDigest, Perturb, RunDigests,
 };
 pub use events::{EventKind, EventLog, PipeEvent};
-pub use exec::{alu, LaneAddrs};
+pub use exec::LaneAddrs;
 pub use fasthash::{FastMap, FastSet};
 pub use functional::{
     ctaid_at, replay_grid, run_tb_functional, FunctionalObserver, GlobalRace, GlobalRaceSanitizer,

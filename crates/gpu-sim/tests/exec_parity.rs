@@ -10,10 +10,11 @@
 //! atomically updating, one word; global memory is compared by content
 //! and by the pages its epoch digest folds.
 
-use gpu_sim::exec::{alu, execute, execute_portable, ExecContext, ExecEffect};
+use gpu_sim::exec::{execute, execute_portable, ExecContext, ExecEffect};
 use gpu_sim::warp::LaneMask;
 use gpu_sim::{GlobalMemory, LaneAddrs, Warp};
 use proptest::prelude::*;
+use simt_isa::op::alu;
 use simt_isa::{
     AtomOp, CmpOp, Dim3, Guard, Instruction, MemSpace, Op, Operand, Pred, Reg, SpecialReg, Value,
 };
@@ -50,21 +51,6 @@ const ALU_OPS: [Op; 28] = [
     Op::F2I,
 ];
 
-/// The ALU ops on floats, whose NaN payloads Rust leaves unspecified.
-const FLOAT_OPS: [Op; 11] = [
-    Op::FAdd,
-    Op::FSub,
-    Op::FMul,
-    Op::FFma,
-    Op::FMin,
-    Op::FMax,
-    Op::FDiv,
-    Op::FRcp,
-    Op::FSqrt,
-    Op::FExp2,
-    Op::FLog2,
-];
-
 const SPECIALS: [SpecialReg; 14] = [
     SpecialReg::TidX,
     SpecialReg::TidY,
@@ -84,19 +70,23 @@ const SPECIALS: [SpecialReg; 14] = [
 
 /// Register values that exercise wrapping, sign, shift masking and float
 /// specials (NaN payloads, infinities, denormals, negative zero).
-const CORNERS: [u32; 12] = [
+const CORNERS: [u32; 16] = [
     0,
     1,
+    2,
     31,
+    32, // shift amounts wrap mod 32
+    33,
     0x7FFF_FFFF,
-    0x8000_0000,
+    0x8000_0000, // i32::MIN, and -0.0
     u32::MAX,
-    0x3F80_0000,
-    0xBF80_0000,
-    0x7FC0_0000,
-    0xFFC0_0001,
-    0x7F80_0000,
-    0x0000_0001,
+    0x3F80_0000, // 1.0
+    0xBF80_0000, // -1.0
+    0x7FC0_0000, // the default quiet NaN
+    0xFFC0_0001, // a negative quiet NaN with a payload
+    0x7F80_0000, // +inf
+    0xFF80_0000, // -inf
+    0x0000_0001, // the smallest denormal
 ];
 
 const NUM_REGS: u16 = 8;
@@ -243,31 +233,6 @@ impl Machine {
             .map(|(p, lane)| self.warp.pred(Pred(p), lane))
             .collect()
     }
-
-    /// Lanes where `instr` is a float op reading two or more NaNs. Rust
-    /// leaves the payload of such a result unspecified, and codegen uses
-    /// it: the per-lane executor already returned the second operand's
-    /// NaN for `fadd`/`fmul` in release builds where the out-of-line
-    /// [`alu`] returns the first. There any NaN result matches.
-    fn ambiguous_nan_lanes(&self, instr: &Instruction) -> LaneMask {
-        if !FLOAT_OPS.contains(&instr.op) {
-            return 0;
-        }
-        let is_nan = |o: Operand, lane| match o {
-            Operand::Reg(r) => f32::from_bits(self.warp.reg(r, lane)).is_nan(),
-            Operand::Imm(v) => f32::from_bits(v).is_nan(),
-        };
-        let arity = match instr.op {
-            Op::FFma => 3,
-            Op::FRcp | Op::FSqrt | Op::FExp2 | Op::FLog2 => 1,
-            _ => 2,
-        };
-        (0..self.warp.warp_size())
-            .filter(|&lane| {
-                instr.srcs.iter().take(arity).filter(|&&o| is_nan(o, lane)).count() >= 2
-            })
-            .fold(0, |m, lane| m | 1 << lane)
-    }
 }
 
 /// Runs `instr` on copies of `before` through the lane-vector executor
@@ -275,17 +240,9 @@ impl Machine {
 fn check(before: &Machine, instr: &Instruction) -> Result<(), String> {
     let (mut got, mut want) = (before.clone(), before.clone());
     let (got_effect, want_effect) = (got.run(instr, vector), want.run(instr, per_lane));
-    let ws = before.warp.warp_size() as usize;
-    let ambiguous = before.ambiguous_nan_lanes(instr);
-    let regs_match = got.warp.regs.iter().zip(&want.warp.regs).enumerate().all(|(i, (&g, &w))| {
-        let both_nan = f32::from_bits(g).is_nan() && f32::from_bits(w).is_nan();
-        let lane_ambiguous =
-            instr.dst == Some(Reg((i / ws) as u8)) && ambiguous >> (i % ws) & 1 != 0;
-        g == w || (both_nan && lane_ambiguous)
-    });
     let mismatch = [
         (got_effect != want_effect, "effect"),
-        (!regs_match, "registers"),
+        (got.warp.regs != want.warp.regs, "registers"),
         (got.preds() != want.preds(), "predicates"),
         (got.shared != want.shared, "shared memory"),
         (got.global.fingerprint() != want.global.fingerprint(), "global memory"),
@@ -466,7 +423,8 @@ fn per_lane(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> 
                     get(warp, src(0), lane),
                     get(warp, src(1), lane),
                     get(warp, src(2), lane),
-                );
+                )
+                .expect("an ALU op");
                 warp.set_reg(d, lane, v);
             }
             Effect::None
@@ -541,12 +499,20 @@ proptest! {
     }
 }
 
+/// Every ALU op and comparison on full warps: eight of random registers
+/// and operands, then every pair of [`CORNERS`] (every triple for
+/// `ffma`/`imad`) in registers.
 #[test]
 fn every_alu_op_and_comparison_matches_on_a_full_warp() {
     let mut rng = Rng(7);
     let mut ops: Vec<Op> = ALU_OPS.to_vec();
     ops.extend(CmpOp::ALL.iter().flat_map(|&c| [Op::Setp(c), Op::SetpF(c)]));
     for op in ops {
+        let (dst, pdst) = if matches!(op, Op::Setp(_) | Op::SetpF(_)) {
+            (None, Some(Pred(2)))
+        } else {
+            (Some(Reg(1)), None)
+        };
         for _ in 0..8 {
             let mut before = Machine::random(&mut rng);
             before.warp = Warp::new(0, 0, 0, NUM_REGS, 32, u32::MAX, 0);
@@ -555,14 +521,14 @@ fn every_alu_op_and_comparison_matches_on_a_full_warp() {
                     before.warp.set_reg(Reg(r as u8), lane, rng.value());
                 }
             }
-            let (dst, pdst) = if matches!(op, Op::Setp(_) | Op::SetpF(_)) {
-                (None, Some(Pred(2)))
-            } else {
-                (Some(Reg(1)), None)
-            };
             let srcs = vec![Reg(1).into(), rng.operand(), rng.operand()];
             let instr = Instruction::new(op, dst, pdst, srcs);
             check(&before, &instr).unwrap();
+        }
+        let instr =
+            Instruction::new(op, dst, pdst, vec![Reg(0).into(), Reg(1).into(), Reg(2).into()]);
+        for lanes in operand_triples(op, &CORNERS).chunks(32) {
+            check(&holding(lanes), &instr).unwrap_or_else(|e| panic!("{e} on {lanes:08x?}"));
         }
     }
 }
@@ -711,14 +677,17 @@ const FLOAT_SPECIALS: [u32; 20] = [
     0xFFBF_FFFF, // a negative signaling NaN with a full payload
 ];
 
-/// Runs `instr` on a full 32-lane warp whose registers 0, 1 and 2 hold
-/// `lanes[l]` in lane `l` (and predicate 1 every other lane) through
-/// `exec`, returning its registers and predicates.
-fn run_specials(
-    lanes: &[[u32; 3]],
-    instr: &Instruction,
-    exec: fn(&mut Warp, &Instruction, &mut ExecContext<'_>) -> ExecEffect,
-) -> (Vec<u32>, Vec<bool>) {
+/// The operand words to run `op` on: every `(a, b, c)` of `words` for
+/// `ffma`/`imad`, every `(a, b)` with `c = words[0]` otherwise.
+fn operand_triples(op: Op, words: &[u32]) -> Vec<[u32; 3]> {
+    let n = words.len();
+    let count = if matches!(op, Op::FFma | Op::IMad) { n * n * n } else { n * n };
+    (0..count).map(|i| [i % n, i / n % n, i / (n * n)].map(|k| words[k])).collect()
+}
+
+/// A full 32-lane warp whose registers 0, 1 and 2 hold `lanes[l]` in
+/// lane `l`, and predicate 1 every other lane.
+fn holding(lanes: &[[u32; 3]]) -> Machine {
     let mut m = aimed_at(0);
     for (lane, vals) in (0..).zip(lanes) {
         for (r, &v) in (0..).zip(vals) {
@@ -726,6 +695,17 @@ fn run_specials(
         }
         m.warp.set_pred(Pred(1), lane, lane % 2 == 0);
     }
+    m
+}
+
+/// Runs `instr` on [`holding`]`(lanes)` through `exec`, returning its
+/// registers and predicates.
+fn run_specials(
+    lanes: &[[u32; 3]],
+    instr: &Instruction,
+    exec: fn(&mut Warp, &Instruction, &mut ExecContext<'_>) -> ExecEffect,
+) -> (Vec<u32>, Vec<bool>) {
+    let mut m = holding(lanes);
     m.run(instr, |w, i, ctx| Effect::of(exec(w, i, ctx), ctx.addrs));
     (m.warp.regs.clone(), m.preds())
 }
@@ -744,10 +724,6 @@ fn dispatched_and_portable_executors_leave_the_same_bits() {
     if !dispatched {
         println!("no AVX2+FMA on this CPU: only the portable executor was compared");
     }
-    let n = FLOAT_SPECIALS.len();
-    let triples: Vec<[u32; 3]> = (0..n * n * n)
-        .map(|i| [i / (n * n), i / n % n, i % n].map(|k| FLOAT_SPECIALS[k]))
-        .collect();
     let mut ops: Vec<(Op, Option<Reg>, Option<Pred>)> =
         ALU_OPS.iter().map(|&op| (op, Some(Reg(3)), None)).collect();
     for &cmp in &CmpOp::ALL {
@@ -755,12 +731,9 @@ fn dispatched_and_portable_executors_leave_the_same_bits() {
     }
     ops.push((Op::Sel(Pred(1)), Some(Reg(3)), None));
     for (op, dst, pdst) in ops {
-        // Two-operand ops only need the pairs: the third register cycles
-        // through every special anyway.
-        let arity = if op == Op::FFma || op == Op::IMad { n * n * n } else { n * n };
         let srcs = vec![Reg(0).into(), Reg(1).into(), Reg(2).into()];
         let instr = Instruction::new(op, dst, pdst, srcs);
-        for lanes in triples[..arity].chunks(32) {
+        for lanes in operand_triples(op, &FLOAT_SPECIALS).chunks(32) {
             let got = run_specials(lanes, &instr, execute);
             let want = run_specials(lanes, &instr, execute_portable);
             assert_eq!(got, want, "`{instr}` on {lanes:08x?}");

@@ -512,7 +512,10 @@ impl AffineVal {
         }
     }
 
-    /// True when provably the same value for every thread.
+    /// True when the value has no thread-coordinate component: the
+    /// *structural* notion of [`Affine::is_uniform`], which says nothing
+    /// about whether the constant is shared across threads (see
+    /// [`is_tb_uniform`](AffineVal::is_tb_uniform) for that claim).
     #[must_use]
     pub fn is_uniform(self) -> bool {
         matches!(self, AffineVal::Aff(f) if f.is_uniform())
@@ -637,6 +640,72 @@ impl AffineVal {
             (false, _) => AffineVal::Unknown,
             (true, true) => AffineVal::uniform_unknown(),
             (true, false) => AffineVal::uniform_unknown().non_uniform(),
+        }
+    }
+
+    /// The value ALU opcode `op` computes from operand values `srcs` (an
+    /// operand the opcode does not take is the constant 0) under `ctx`:
+    /// the domain's one ALU transfer. Integer add, subtract, multiply,
+    /// multiply-add and shift-left by a constant are exact, `min`/`max`
+    /// cancel agreeing coordinate terms or fall back to the grid hull
+    /// (see [`AffineVal::min_`]), and every other op is
+    /// [`opaque`](AffineVal::opaque).
+    #[must_use]
+    pub fn alu(op: Op, srcs: [AffineVal; 3], ctx: GridCtx) -> AffineVal {
+        let [a, b, c] = srcs;
+        match op {
+            Op::Mov => a,
+            Op::IAdd => a + b,
+            Op::ISub => a - b,
+            Op::IMul => a * b,
+            Op::IMad => a * b + c,
+            Op::Shl => a << b,
+            Op::IMin => min_max(a, b, ctx, true),
+            Op::IMax => min_max(a, b, ctx, false),
+            // Bitwise, shifts-by-register, float and conversion ops:
+            // uniform in, uniform out; thread-dependent in, unknown out.
+            _ => AffineVal::opaque(srcs),
+        }
+    }
+
+    /// The value `ld.space [base + offset]` loads under `ctx`. A
+    /// constant-address parameter load under a concrete launch reads a
+    /// known word of the parameter block (the executor reads missing
+    /// words as zero). Any other load is unknown but as uniform as its
+    /// address: a TB-uniform address loads one word into every lane, a
+    /// merely structurally uniform one may differ per thread, so the word
+    /// keeps the envelope but not the shared-constant bit.
+    #[must_use]
+    pub fn load(space: MemSpace, base: AffineVal, offset: i32, ctx: GridCtx) -> AffineVal {
+        if space != MemSpace::Param {
+            return AffineVal::opaque([base]);
+        }
+        let addr = base + AffineVal::constant(i64::from(offset));
+        if let (Some(launch), Some(byte)) = (ctx.launch, addr.as_const()) {
+            if byte >= 0 {
+                let word = usize::try_from(byte / 4).unwrap_or(usize::MAX);
+                let v = launch.params.get(word).map_or(0, |p| i64::from(p.0 as i32));
+                return AffineVal::constant(v);
+            }
+        }
+        AffineVal::opaque([addr])
+    }
+
+    /// The value each thread selects, `a` where the condition holds and
+    /// `b` elsewhere, for a condition of abstract value `cond`. Equal
+    /// arms are the value itself. A condition every thread shares hulls
+    /// the arms; one that is only structurally uniform hulls them without
+    /// the shared-constant bit; any other mixes two forms per thread.
+    #[must_use]
+    pub fn select(cond: AffineVal, a: AffineVal, b: AffineVal) -> AffineVal {
+        if a == b {
+            a
+        } else if cond.is_tb_uniform() {
+            a.meet(b, false)
+        } else if cond.is_uniform() {
+            a.meet(b, false).non_uniform()
+        } else {
+            AffineVal::Unknown
         }
     }
 }
@@ -827,6 +896,21 @@ impl PredVal {
         }
     }
 
+    /// The predicate as a 0/1 value: one shared truth value when it is
+    /// TB-uniform, a per-thread one when its operands are only
+    /// structurally uniform, unknown otherwise.
+    #[must_use]
+    pub fn value(self) -> AffineVal {
+        let bit = AffineVal::uniform_interval(0, 1);
+        if self.is_tb_uniform() {
+            bit
+        } else if self.is_uniform() {
+            bit.non_uniform()
+        } else {
+            AffineVal::Unknown
+        }
+    }
+
     /// True when both operand snapshots determine every thread's value
     /// outright (exact constants per thread), so old and new definitions
     /// of the predicate agree bit-for-bit.
@@ -976,74 +1060,13 @@ pub fn resolve(st: &FlowState, op: Operand) -> AffineVal {
 
 /// Abstract value an instruction computes for its general destination.
 fn value_of(st: &FlowState, instr: &Instruction, ctx: GridCtx) -> AffineVal {
-    let s = |i: usize| resolve(st, instr.srcs[i]);
+    let s = |i: usize| instr.srcs.get(i).map_or(AffineVal::constant(0), |&o| resolve(st, o));
     match instr.op {
-        Op::Mov => s(0),
-        Op::IAdd => s(0) + s(1),
-        Op::ISub => s(0) - s(1),
-        Op::IMul => s(0) * s(1),
-        Op::IMad => s(0) * s(1) + s(2),
-        Op::Shl => s(0) << s(1),
-        Op::IMin => min_max(s(0), s(1), ctx, true),
-        Op::IMax => min_max(s(0), s(1), ctx, false),
         Op::S2R(sp) => AffineVal::of_special(sp, ctx),
-        // A constant-address parameter load under a concrete launch reads
-        // a known word of the parameter block: resolve it exactly (the
-        // executor reads missing words as zero). Otherwise the value is
-        // opaque but as uniform as its address.
-        Op::Ld(MemSpace::Param) => {
-            let addr = s(0) + AffineVal::constant(i64::from(instr.offset));
-            if let (Some(launch), Some(byte)) = (ctx.launch, addr.as_const()) {
-                if byte >= 0 {
-                    let word = usize::try_from(byte / 4).unwrap_or(usize::MAX);
-                    let v = launch.params.get(word).map_or(0, |p| i64::from(p.0 as i32));
-                    return AffineVal::constant(v);
-                }
-            }
-            if addr.is_tb_uniform() {
-                AffineVal::uniform_unknown()
-            } else if addr.is_uniform() {
-                AffineVal::uniform_unknown().non_uniform()
-            } else {
-                AffineVal::Unknown
-            }
-        }
-        // A TB-uniform address loads one word into every lane; the value
-        // is unknown but shared within this dynamic instance. A merely
-        // structural-uniform address may differ per thread, so the loaded
-        // word keeps the envelope but not the shared-constant bit.
-        Op::Ld(_) => {
-            if s(0).is_tb_uniform() {
-                AffineVal::uniform_unknown()
-            } else if s(0).is_uniform() {
-                AffineVal::uniform_unknown().non_uniform()
-            } else {
-                AffineVal::Unknown
-            }
-        }
+        Op::Ld(space) => AffineVal::load(space, s(0), instr.offset, ctx),
         Op::Atom(_) => AffineVal::Unknown,
-        Op::Sel(p) => {
-            let (a, b) = (s(0), s(1));
-            let pred = st.preds[usize::from(p.0)];
-            if a == b {
-                a
-            } else if pred.is_uniform() {
-                let m = a.meet(b, false);
-                // All threads pick the same arm only when the predicate is
-                // shared, not merely coefficient-free.
-                if pred.is_tb_uniform() {
-                    m
-                } else {
-                    m.non_uniform()
-                }
-            } else {
-                // Per-thread mixture of two different affine forms.
-                AffineVal::Unknown
-            }
-        }
-        // Bitwise, shifts-by-register, float and conversion ops: uniform
-        // in, uniform out; thread-dependent in, unknown out.
-        _ => AffineVal::opaque((0..instr.srcs.len()).map(s)),
+        Op::Sel(p) => AffineVal::select(st.preds[usize::from(p.0)].value(), s(0), s(1)),
+        op => AffineVal::alu(op, [s(0), s(1), s(2)], ctx),
     }
 }
 
@@ -1357,15 +1380,9 @@ impl<'a> Flow<'a> {
                 AffineVal::Top => AffineVal::Unknown,
                 o => o,
             };
-            let merged = if instr.guard.is_none() || old == v {
-                v
-            } else if guard_pred.is_some_and(PredVal::is_uniform) {
-                // All threads together keep old or take new: hull is sound.
-                old.meet(v, false)
-            } else {
-                // Thread-dependent mixture of old and new values.
-                AffineVal::Unknown
-            };
+            // A guarded write selects, per thread, the new value where
+            // the guard holds and the old one elsewhere.
+            let merged = guard_pred.map_or(v, |g| AffineVal::select(g.value(), v, old));
             // A partial write leaves inactive threads holding other
             // values; the envelope survives but the shared-constant claim
             // does not.

@@ -17,7 +17,7 @@
 
 use crate::cfg::Cfg;
 use crate::class::{AbsClass, Pat, Red};
-use simt_isa::{Instruction, Kernel, MemSpace, Op, Operand, SpecialReg};
+use simt_isa::{Instruction, Kernel, Op, Operand, SpecialReg};
 
 /// Options controlling the analysis.
 #[derive(Debug, Clone, Copy, Default)]
@@ -197,17 +197,14 @@ fn value_class(instr: &Instruction, st: &State, opts: AnalysisOptions) -> AbsCla
                 if pc.pat == Pat::Uniform { src(0).pat.meet(src(1).pat) } else { Pat::Arbitrary };
             AbsClass { red, pat }
         }
-        Op::Ld(space) => {
+        Op::Ld(_) => {
             let addr = src(0);
-            match space {
-                // Parameter space is immutable and uniform per launch.
-                MemSpace::Param => AbsClass::UNIFORM,
-                MemSpace::Global | MemSpace::Shared => AbsClass {
-                    red: addr.red,
-                    // A uniform address loads the same word into every
-                    // lane; distinct addresses load arbitrary data.
-                    pat: if addr.pat == Pat::Uniform { Pat::Uniform } else { Pat::Arbitrary },
-                },
+            AbsClass {
+                red: addr.red,
+                // A uniform address loads the same word into every lane
+                // (an immediate one, as every parameter read by name, is
+                // uniform); distinct addresses load arbitrary data.
+                pat: if addr.pat == Pat::Uniform { Pat::Uniform } else { Pat::Arbitrary },
             }
         }
         // Atomics return a unique old value per executing thread.
@@ -391,6 +388,28 @@ mod tests {
             assert_eq!(cls.marking(), Marking::Redundant, "pc {pc}: {cls:?}");
             assert_eq!(cls.taxonomy(), Taxonomy::Uniform);
         }
+    }
+
+    /// A parameter word read at a warp-dependent address differs across
+    /// warps, so nothing computed from it is definitely redundant.
+    #[test]
+    fn param_loads_take_their_address_class() {
+        let mut b = KernelBuilder::new("param_by_warp");
+        let w = b.special(SpecialReg::WarpId);
+        let off = b.shl_imm(w, 2);
+        let v = b.load(MemSpace::Param, off, 0);
+        let y = b.iadd(v, 5u32);
+        b.store(MemSpace::Global, 0u32, y, 0);
+        let ck = crate::compile(b.finish());
+        let add = ck.kernel.instrs.iter().position(|i| i.op == Op::IAdd).unwrap();
+        assert_ne!(ck.markings[add], Marking::Redundant);
+        let by_name = {
+            let mut b = KernelBuilder::new("param_by_name");
+            let p = b.param(1);
+            b.store(MemSpace::Global, 0u32, p, 0);
+            classes(&b.finish())
+        };
+        assert_eq!(by_name[0], AbsClass::UNIFORM, "an immediate address is uniform");
     }
 
     #[test]

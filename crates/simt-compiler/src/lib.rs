@@ -52,5 +52,5 @@ pub use class::{AbsClass, Pat, Red, Taxonomy};
 pub use dom::{Doms, NaturalLoop, NaturalLoops, PostDoms, ReconvergenceTable, RECONVERGE_AT_EXIT};
 pub use pass::{compile, compile_with_options, promotes_tid_y, CompiledKernel, LaunchPlan};
 pub use refine::{refine, RefineReason, Refined, Upgrade};
-pub use term::{fold_alu, Deps, EvalCtx, TermArena, TermId, TermNode};
+pub use term::{Deps, EvalCtx, TermArena, TermId, TermNode};
 pub use trip::{infer_trips, LoopTrip, TripCounts, MAX_TRIPS};

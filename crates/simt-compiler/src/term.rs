@@ -22,11 +22,14 @@
 //!
 //! Terms are hash-consed: structurally equal terms share one id, so
 //! equality is O(1) and the executor's path merging cannot blow up on
-//! shared subexpressions. Constant folding mirrors the functional
-//! executor's ALU bit-for-bit ([`fold_alu`] — parity-tested against
-//! `gpu-sim` from that crate's test suite).
+//! shared subexpressions. Constant folding and concrete evaluation
+//! compute through the ISA's one ALU rule ([`simt_isa::op::alu`]), the
+//! function the functional executor's lane loops inline, and every
+//! node's affine value comes from [`crate::affine`]'s transfer functions
+//! under the generic context.
 
-use crate::affine::AffineVal;
+use crate::affine::{AffineVal, GridCtx, PredVal};
+use simt_isa::op::alu;
 use simt_isa::{CmpOp, MemSpace, Op, SpecialReg};
 use std::collections::HashMap;
 
@@ -164,53 +167,6 @@ pub enum TermNode {
     },
 }
 
-/// Constant-folds one ALU operation exactly like the functional
-/// executor's per-lane ALU (`gpu-sim`'s `exec::alu`, against which this
-/// is parity-tested). Returns `None` for non-ALU opcodes.
-#[must_use]
-pub fn fold_alu(op: Op, a: u32, b: u32, c: u32) -> Option<u32> {
-    let (ai, bi) = (a as i32, b as i32);
-    let (af, bf) = (f32::from_bits(a), f32::from_bits(b));
-    Some(match op {
-        Op::IAdd => a.wrapping_add(b),
-        Op::ISub => a.wrapping_sub(b),
-        Op::IMul => a.wrapping_mul(b),
-        Op::IMulHi => ((i64::from(ai) * i64::from(bi)) >> 32) as u32,
-        Op::IMad => a.wrapping_mul(b).wrapping_add(c),
-        Op::IMin => ai.min(bi) as u32,
-        Op::IMax => ai.max(bi) as u32,
-        Op::Shl => a.wrapping_shl(b & 31),
-        Op::Shr => a.wrapping_shr(b & 31),
-        Op::Sra => (ai >> (b & 31)) as u32,
-        Op::And => a & b,
-        Op::Or => a | b,
-        Op::Xor => a ^ b,
-        Op::Not => !a,
-        Op::FAdd => (af + bf).to_bits(),
-        Op::FSub => (af - bf).to_bits(),
-        Op::FMul => (af * bf).to_bits(),
-        Op::FFma => simt_isa::op::ffma(a, b, c),
-        Op::FMin => af.min(bf).to_bits(),
-        Op::FMax => af.max(bf).to_bits(),
-        Op::FDiv => (af / bf).to_bits(),
-        Op::FRcp => (1.0 / af).to_bits(),
-        Op::FSqrt => af.sqrt().to_bits(),
-        Op::FExp2 => af.exp2().to_bits(),
-        Op::FLog2 => af.log2().to_bits(),
-        Op::Mov => a,
-        Op::I2F => (ai as f32).to_bits(),
-        Op::F2I => {
-            let t = af.trunc();
-            if t.is_nan() {
-                0
-            } else {
-                (t.clamp(i32::MIN as f32, i32::MAX as f32) as i32) as u32
-            }
-        }
-        _ => return None,
-    })
-}
-
 /// Concrete evaluation context: one thread of one candidate launch of
 /// the 2D family (grid fixed to a single threadblock).
 pub struct EvalCtx<'a> {
@@ -284,7 +240,7 @@ impl TermArena {
         }
         // Canonicalize through the affine domain: a provably TB-uniform
         // value depends on no thread coordinate.
-        let deps = if affine.is_uniform() { Deps::NONE } else { deps };
+        let deps = if affine.is_tb_uniform() { Deps::NONE } else { deps };
         let id = TermId(u32::try_from(self.nodes.len()).expect("term arena overflow"));
         self.nodes.push(node);
         self.affine.push(affine);
@@ -325,11 +281,7 @@ impl TermArena {
             SpecialReg::WarpId => Deps::WARP,
             _ => Deps::NONE,
         };
-        self.intern(
-            TermNode::Special(s),
-            AffineVal::of_special(s, crate::affine::GridCtx::generic(1)),
-            deps,
-        )
+        self.intern(TermNode::Special(s), AffineVal::of_special(s, GridCtx::generic(1)), deps)
     }
 
     /// Interns a fresh opaque value.
@@ -364,7 +316,7 @@ impl TermArena {
         if let (Some(ka), Some(kb), Some(kc)) =
             (self.as_const(a), self.as_const(b), self.as_const(c))
         {
-            if let Some(v) = fold_alu(op, ka, kb, kc) {
+            if let Some(v) = alu(op, ka, kb, kc) {
                 return self.constant(v);
             }
         }
@@ -401,24 +353,10 @@ impl TermArena {
                 }
             }
         }
-        let affine = self.alu_affine(op, a, b, c);
+        let srcs = [self.affine(a), self.affine(b), self.affine(c)];
+        let affine = AffineVal::alu(op, srcs, GridCtx::generic(1));
         let deps = self.union3(a, b, c);
         self.intern(TermNode::Alu { op, a, b, c }, affine, deps)
-    }
-
-    /// Affine transfer mirroring `affine::value_of`.
-    fn alu_affine(&self, op: Op, a: TermId, b: TermId, c: TermId) -> AffineVal {
-        let (va, vb, vc) = (self.affine(a), self.affine(b), self.affine(c));
-        match op {
-            Op::IAdd => va + vb,
-            Op::ISub => va - vb,
-            Op::IMul => va * vb,
-            Op::IMad => va * vb + vc,
-            Op::Shl => va << vb,
-            Op::IMin => va.min_(vb),
-            Op::IMax => va.max_(vb),
-            _ => AffineVal::opaque([va, vb, vc]),
-        }
     }
 
     /// Interns a comparison (0 / 1 valued).
@@ -436,23 +374,8 @@ impl TermArena {
             let v = matches!(cmp, CmpOp::Eq | CmpOp::Le | CmpOp::Ge);
             return self.constant(u32::from(v));
         }
-        let uniform = self.affine(a).is_uniform() && self.affine(b).is_uniform();
-        let affine = if uniform {
-            // The truth value is shared across threads only when both
-            // operand constants are (divergence bit).
-            let shared = self.affine(a).is_tb_uniform() && self.affine(b).is_tb_uniform();
-            AffineVal::Aff(crate::affine::Affine {
-                a: 0,
-                b: 0,
-                d: 0,
-                e: 0,
-                lo: 0,
-                hi: 1,
-                uniform: shared,
-            })
-        } else {
-            AffineVal::Unknown
-        };
+        let (lhs, rhs) = (self.affine(a), self.affine(b));
+        let affine = PredVal::Cmp { cmp, lhs, rhs, lhs_reg: None }.value();
         let deps = self.deps(a).union(self.deps(b));
         self.intern(TermNode::Cmp { cmp, float, a, b }, affine, deps)
     }
@@ -471,50 +394,38 @@ impl TermArena {
         if t == e {
             return t;
         }
-        let (vt, ve) = (self.affine(t), self.affine(e));
-        // Mirrors the `Sel` rule of `affine::value_of`: a TB-uniform
-        // condition hulls the arms, a thread-dependent one mixes them.
-        let affine = if self.deps(c).is_empty() { vt.meet(ve, false) } else { AffineVal::Unknown };
+        // `Deps` is finer than the affine bit (a shared load after a store
+        // can have no deps and an unknown value), so it decides sharing.
+        let cond =
+            if self.deps(c).is_empty() { AffineVal::uniform_unknown() } else { self.affine(c) };
+        let affine = AffineVal::select(cond, self.affine(t), self.affine(e));
         let deps = self.union3(c, t, e);
         self.intern(TermNode::Ite { c, t, e }, affine, deps)
     }
 
     /// Interns a load of `space[base + offset]` at memory generation
     /// `gen`. Generation-0 shared memory is architecturally zeroed;
-    /// generation-0 loads elsewhere are pure functions of the address.
+    /// generation-0 loads elsewhere are pure functions of the address,
+    /// so they inherit its dependencies. Its affine value is the
+    /// dataflow's load rule (a TB-uniform address reads one word into
+    /// every thread, within this dynamic instance: the standing
+    /// assumption the race passes police).
     pub fn load(&mut self, space: MemSpace, base: TermId, offset: i32, gen: u32) -> TermId {
         if gen == 0 && space == MemSpace::Shared {
             return self.constant(0);
         }
-        let addr_uniform = self.affine(base).is_uniform();
-        let (affine, deps) = if gen == 0 {
-            // Initial symbolic memory: the value is a function of the
-            // address alone, so it inherits the address's dependencies.
-            let affine = if space == MemSpace::Param || addr_uniform {
-                AffineVal::uniform_unknown()
-            } else {
-                AffineVal::Unknown
-            };
-            (affine, self.deps(base))
-        } else if space == MemSpace::Param {
-            // Parameter space is read-only; stores never reach it.
-            (AffineVal::uniform_unknown(), self.deps(base))
-        } else if addr_uniform {
-            // One word read by every thread: TB-uniform within this
-            // dynamic instance (the same standing assumption the affine
-            // dataflow makes; the race passes police violations).
-            (AffineVal::uniform_unknown(), Deps::NONE)
-        } else if space == MemSpace::Shared {
+        let affine = AffineVal::load(space, self.affine(base), offset, GridCtx::generic(1));
+        let deps = if gen > 0 && space == MemSpace::Global {
+            // Post-store global memory may also have been written by
+            // other threadblocks in flight; stay conservative.
+            self.deps(base).union(Deps::OTHER)
+        } else {
             // Post-store shared memory is still one fixed address->value
             // function per dynamic TB instance (stores are ordered by
-            // barriers; the race passes police violations), so the value
-            // inherits the address's thread dependencies: equal addresses
-            // read equal words whichever thread stored them.
-            (AffineVal::Unknown, self.deps(base))
-        } else {
-            // Post-store global memory may also have been written by other
-            // threadblocks in flight; stay conservative.
-            (AffineVal::Unknown, self.deps(base).union(Deps::OTHER))
+            // barriers; the race passes police violations), so equal
+            // addresses read equal words whichever thread stored them.
+            // Parameter space is read-only and stays at generation 0.
+            self.deps(base)
         };
         self.intern(TermNode::Load { space, base, offset, gen }, affine, deps)
     }
@@ -545,7 +456,7 @@ impl TermArena {
             TermNode::Havoc(_) | TermNode::Summary(_) => None,
             TermNode::Alu { op, a, b, c } => {
                 let (a, b, c) = (self.eval(a, ctx)?, self.eval(b, ctx)?, self.eval(c, ctx)?);
-                fold_alu(op, a, b, c)
+                alu(op, a, b, c)
             }
             TermNode::Cmp { cmp, float, a, b } => {
                 let (a, b) = (self.eval(a, ctx)?, self.eval(b, ctx)?);
@@ -564,7 +475,7 @@ impl TermArena {
                 }
             }
             TermNode::Load { space, base, offset, gen } => {
-                if gen != 0 && space != MemSpace::Param {
+                if gen != 0 {
                     return None;
                 }
                 let base = self.eval(base, ctx)?;
@@ -732,6 +643,14 @@ mod tests {
         // Generation-0 shared memory is zeroed.
         let sld = t.load(MemSpace::Shared, addr, 0, 0);
         assert_eq!(t.as_const(sld), Some(0));
+        // Read-only parameter words are as uniform as their address too.
+        let w = t.special(SpecialReg::WarpId);
+        let waddr = t.alu(Op::Shl, w, Some(two), None);
+        let by_warp = t.load(MemSpace::Param, waddr, 0, 0);
+        assert_eq!(t.deps(by_warp), Deps::WARP, "param[warpid] differs across warps");
+        assert_eq!(t.affine(by_warp), AffineVal::Unknown);
+        let by_name = t.load(MemSpace::Param, uaddr, 4, 0);
+        assert!(t.deps(by_name).is_empty() && t.affine(by_name).is_tb_uniform());
     }
 
     fn ctx<'a>(

@@ -19,12 +19,49 @@
 //! - every transfer (`+`, `-`, `min_`, `max_`, `opaque`) is sound against
 //!   concrete per-thread evaluation, bit included: `opaque` may only
 //!   claim a shared result when the concrete inputs were forced shared;
+//! - the one ALU transfer, `AffineVal::alu`, admits what the ISA's ALU
+//!   computes for every opcode, in the generic context and under a
+//!   concrete launch (where `min`/`max` fall back to the grid hull);
 //! - widened meets terminate: every chain stabilizes after a bounded
 //!   number of strict decreases (each bound jumps straight to infinity,
 //!   the bit only clears, the shape only falls to `Unknown`).
 
 use proptest::prelude::*;
+use simt_compiler::affine::GridCtx;
 use simt_compiler::{Affine, AffineVal, NEG_INF, POS_INF};
+use simt_isa::{LaunchConfig, Op};
+
+/// Every opcode the ISA's ALU computes.
+const ALU_OPS: [Op; 28] = [
+    Op::IAdd,
+    Op::ISub,
+    Op::IMul,
+    Op::IMulHi,
+    Op::IMad,
+    Op::IMin,
+    Op::IMax,
+    Op::Shl,
+    Op::Shr,
+    Op::Sra,
+    Op::And,
+    Op::Or,
+    Op::Xor,
+    Op::Not,
+    Op::FAdd,
+    Op::FSub,
+    Op::FMul,
+    Op::FFma,
+    Op::FMin,
+    Op::FMax,
+    Op::FDiv,
+    Op::FRcp,
+    Op::FSqrt,
+    Op::FExp2,
+    Op::FLog2,
+    Op::Mov,
+    Op::I2F,
+    Op::F2I,
+];
 
 /// Generates an affine form with small finite coefficients (thread and
 /// block axes), an ordered interval, and independently-infinite bounds.
@@ -94,6 +131,13 @@ fn admits(v: AffineVal, threads: &[(i64, i64)], block: (i64, i64), vals: &[i64])
             in_range && (!f.uniform || cs.windows(2).all(|w| w[0] == w[1]))
         }
     }
+}
+
+/// An operand: any affine form, or (a third of the time) an exact
+/// grid-wide constant in `0..=8`, the shift amounts `shl` is exact on,
+/// small enough that no shifted sample wraps 32 bits.
+fn arb_operand() -> impl Strategy<Value = Affine> {
+    prop_oneof![2 => arb_affine(), 1 => (0i64..=8).prop_map(Affine::constant)]
 }
 
 /// Thread sets stay inside an 8×8 block so all concrete math is tiny.
@@ -204,6 +248,46 @@ proptest! {
         let mix: Vec<i64> =
             vx.iter().zip(&vy).map(|(a, b)| (a ^ (b << 1)).wrapping_mul(31)).collect();
         prop_assert!(admits(out, &threads, block, &mix), "opaque {x:?} {y:?}");
+    }
+
+    #[test]
+    fn alu_transfer_admits_what_the_isa_computes(
+        x in arb_operand(),
+        y in arb_operand(),
+        z in arb_operand(),
+        threads in arb_threads(),
+        block in arb_block(),
+        picks in (arb_picks(), arb_picks(), arb_picks()),
+        shared in (-64i64..=64, -64i64..=64, -64i64..=64),
+    ) {
+        // Samples stay within a few hundred of zero, so no product or
+        // shift leaves 32 bits and the words mean what the ideal
+        // integers do. The launch is the 4×4 grid of 8×8 blocks the
+        // samples are drawn from, so `min`/`max`'s hull covers them.
+        let launch = LaunchConfig::new((4u32, 4u32), (8u32, 8u32));
+        let ops = [x, y, z];
+        let vals = [
+            sample(x, &threads, block, &picks.0, shared.0),
+            sample(y, &threads, block, &picks.1, shared.1),
+            sample(z, &threads, block, &picks.2, shared.2),
+        ];
+        for op in ALU_OPS {
+            let used = |i: usize| i < op.num_srcs();
+            let srcs: [AffineVal; 3] = std::array::from_fn(|i| {
+                if used(i) { AffineVal::Aff(ops[i]) } else { AffineVal::constant(0) }
+            });
+            let out: Vec<i64> = (0..threads.len())
+                .map(|t| {
+                    let word = |i: usize| if used(i) { vals[i][t] as i32 as u32 } else { 0 };
+                    let r = simt_isa::op::alu(op, word(0), word(1), word(2)).expect("an ALU op");
+                    i64::from(r as i32)
+                })
+                .collect();
+            for ctx in [GridCtx::generic(1), GridCtx::launch(&launch)] {
+                let v = AffineVal::alu(op, srcs, ctx);
+                prop_assert!(admits(v, &threads, block, &out), "{op:?} {srcs:?} -> {v:?}: {out:?}");
+            }
+        }
     }
 
     #[test]

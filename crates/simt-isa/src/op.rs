@@ -123,30 +123,35 @@ impl AtomOp {
     }
 }
 
-/// The bits of `ffma a, b, c` on words holding floats: `a * b + c`
-/// rounded once. A NaN operand makes the result the first NaN of `a`,
-/// `b`, `c`, quieted. IEEE 754 leaves that choice open, and x86's FMA
-/// instruction and libm's `fmaf` make it differently, so the ISA fixes
-/// it: the executor and the constant folder both call this.
-#[must_use]
-#[inline]
-pub fn ffma(a: u32, b: u32, c: u32) -> u32 {
+/// `r`, the bits a float op computes, unless one of the operand words
+/// `ops` is NaN: then the first NaN of `ops`, quieted. IEEE 754 leaves
+/// open which NaN comes out when several operands are NaN, and compiled
+/// code chooses differently: x86's FMA instruction and libm's `fmaf`
+/// differ, and the AVX2 executor's vectorised `fadd` and `fmul` swap
+/// their operands. So the ISA makes the first NaN operand win. A
+/// two-operand op passes only its first operand: a sole NaN second
+/// operand already comes out of IEEE arithmetic quieted.
+#[inline(always)]
+fn first_nan_or<const N: usize>(ops: [u32; N], r: u32) -> u32 {
     const QUIET: u32 = 0x0040_0000;
-    let fused = f32::from_bits(a).mul_add(f32::from_bits(b), f32::from_bits(c)).to_bits();
-    // Selects on compares of the bits, so a lane loop vectorises.
-    let nan = |x: u32| x & 0x7FFF_FFFF > 0x7F80_0000;
-    let first = if nan(a) {
-        a
-    } else if nan(b) {
-        b
-    } else {
-        c
-    };
-    if nan(a) | nan(b) | nan(c) {
-        first | QUIET
-    } else {
-        fused
-    }
+    // Selects on compares, so a lane loop vectorises.
+    ops.into_iter().rev().fold(r, |acc, x| if f32::from_bits(x).is_nan() { x | QUIET } else { acc })
+}
+
+/// The bits ALU opcode `op` computes for one thread from operand words
+/// `a`, `b`, `c` (an operand the opcode does not take reads as 0), or
+/// `None` when `op` is not an ALU opcode. The executor, the symbolic
+/// constant folder and the test references all compute through this one
+/// rule ([`Op::eval`] is its body).
+///
+/// Never inlined: Rust leaves NaN payloads unspecified, and a caller
+/// whose operands are compile-time constants can see LLVM fold a float
+/// op to other NaN bits than the run-time code computes. Out of line,
+/// every caller gets the run-time bits.
+#[must_use]
+#[inline(never)]
+pub fn alu(op: Op, a: u32, b: u32, c: u32) -> Option<u32> {
+    op.eval(a, b, c)
 }
 
 impl fmt::Display for AtomOp {
@@ -286,6 +291,55 @@ pub enum Op {
 }
 
 impl Op {
+    /// The body of [`alu`], inlined into the executor's per-opcode lane
+    /// loops, whose operands are never compile-time constants. Any other
+    /// caller calls [`alu`].
+    #[must_use]
+    #[inline(always)]
+    pub fn eval(self, a: u32, b: u32, c: u32) -> Option<u32> {
+        let (ai, bi) = (a as i32, b as i32);
+        let (af, bf) = (f32::from_bits(a), f32::from_bits(b));
+        Some(match self {
+            Op::IAdd => a.wrapping_add(b),
+            Op::ISub => a.wrapping_sub(b),
+            Op::IMul => a.wrapping_mul(b),
+            Op::IMulHi => ((i64::from(ai) * i64::from(bi)) >> 32) as u32,
+            Op::IMad => a.wrapping_mul(b).wrapping_add(c),
+            Op::IMin => ai.min(bi) as u32,
+            Op::IMax => ai.max(bi) as u32,
+            Op::Shl => a.wrapping_shl(b & 31),
+            Op::Shr => a.wrapping_shr(b & 31),
+            Op::Sra => (ai >> (b & 31)) as u32,
+            Op::And => a & b,
+            Op::Or => a | b,
+            Op::Xor => a ^ b,
+            Op::Not => !a,
+            Op::FAdd => first_nan_or([a], (af + bf).to_bits()),
+            Op::FSub => first_nan_or([a], (af - bf).to_bits()),
+            Op::FMul => first_nan_or([a], (af * bf).to_bits()),
+            Op::FFma => first_nan_or([a, b, c], af.mul_add(bf, f32::from_bits(c)).to_bits()),
+            Op::FMin => af.min(bf).to_bits(),
+            Op::FMax => af.max(bf).to_bits(),
+            Op::FDiv => first_nan_or([a], (af / bf).to_bits()),
+            Op::FRcp => (1.0 / af).to_bits(),
+            Op::FSqrt => af.sqrt().to_bits(),
+            Op::FExp2 => af.exp2().to_bits(),
+            Op::FLog2 => af.log2().to_bits(),
+            Op::Mov => a,
+            Op::I2F => (ai as f32).to_bits(),
+            Op::F2I => {
+                // Round toward zero with saturation, like CUDA cvt.rzi.
+                let t = af.trunc();
+                if t.is_nan() {
+                    0
+                } else {
+                    (t.clamp(i32::MIN as f32, i32::MAX as f32) as i32) as u32
+                }
+            }
+            _ => return None,
+        })
+    }
+
     /// Functional class of this opcode.
     #[must_use]
     pub fn kind(self) -> OpKind {
@@ -464,6 +518,51 @@ mod tests {
         assert_eq!(AtomOp::Min.apply((-1i32) as u32, 4), (-1i32) as u32);
         assert_eq!(AtomOp::Exch.apply(3, 9), 9);
         assert_eq!(AtomOp::Add.apply(u32::MAX, 1), 0, "atomics wrap");
+    }
+
+    #[test]
+    fn alu_semantics() {
+        let alu = |op, a, b, c| alu(op, a, b, c).expect("an ALU op");
+        assert_eq!(alu(Op::IAdd, 7, u32::MAX, 0), 6, "wrapping add");
+        assert_eq!(alu(Op::ISub, 3, 5, 0) as i32, -2);
+        assert_eq!(alu(Op::IMulHi, 0x8000_0000, 2, 0), u32::MAX, "signed hi mul");
+        assert_eq!(alu(Op::IMad, 3, 4, 5), 17);
+        assert_eq!(alu(Op::Sra, (-8i32) as u32, 1, 0) as i32, -4);
+        assert_eq!(alu(Op::Shr, (-8i32) as u32, 1, 0), 0x7FFF_FFFC);
+        assert_eq!(alu(Op::Shl, 1, 33, 0), 2, "shift amounts are taken mod 32");
+        assert_eq!(
+            f32::from_bits(alu(Op::FFma, 2.0f32.to_bits(), 3.0f32.to_bits(), 1.0f32.to_bits())),
+            7.0
+        );
+        assert_eq!(f32::from_bits(alu(Op::FSqrt, 9.0f32.to_bits(), 0, 0)), 3.0);
+        assert_eq!(alu(Op::FFma, 0x7F80_0001, 0xFFC0_0001, 0), 0x7FC0_0001, "first NaN, quieted");
+        assert_eq!(alu(Op::FFma, 0, 0x7F80_0000, 0x7FC1_2345), 0x7FC1_2345, "0 * inf + NaN");
+        for op in [Op::FAdd, Op::FSub, Op::FMul, Op::FDiv] {
+            assert_eq!(alu(op, 0x7F80_0001, 0xFFC0_0001, 0), 0x7FC0_0001, "{op:?}: first NaN");
+            assert_eq!(alu(op, 0x3F80_0000, 0xFFBF_FFFF, 0), 0xFFFF_FFFF, "{op:?}: quieted");
+        }
+        assert_eq!(alu(Op::F2I, (-2.7f32).to_bits(), 0, 0) as i32, -2, "truncates toward zero");
+        assert_eq!(alu(Op::F2I, f32::NAN.to_bits(), 0, 0), 0);
+        assert_eq!(alu(Op::F2I, f32::INFINITY.to_bits(), 0, 0), i32::MAX as u32, "saturates");
+        assert_eq!(f32::from_bits(alu(Op::I2F, (-3i32) as u32, 0, 0)), -3.0);
+    }
+
+    #[test]
+    fn non_alu_ops_return_none() {
+        for op in [
+            Op::S2R(SpecialReg::TidX),
+            Op::Setp(CmpOp::Lt),
+            Op::SetpF(CmpOp::Eq),
+            Op::Sel(Pred(0)),
+            Op::Ld(MemSpace::Global),
+            Op::St(MemSpace::Shared),
+            Op::Atom(AtomOp::Add),
+            Op::Bra { target: 0 },
+            Op::Bar,
+            Op::Exit,
+        ] {
+            assert_eq!(alu(op, 1, 2, 3), None, "{op:?}");
+        }
     }
 
     #[test]

@@ -57,6 +57,25 @@ fn forged_dr_is_disproved_with_confirmed_counterexample() {
     assert!(p.report.with_code(LintCode::UnprovableMarking).is_empty(), "no hedging on a disproof");
 }
 
+/// A parameter word read at a warp-dependent address is as uniform as
+/// its address, so a forged DR on a value computed from it is refuted,
+/// not proved.
+#[test]
+fn forged_param_dr_is_disproved_with_confirmed_counterexample() {
+    let f = fixtures::symex_forged_param();
+    let p = symex::prove(&f.ck, Some((&f.launch, &f.memory)));
+    let s401 = p.report.with_code(LintCode::DisprovedMarking);
+    assert_eq!(s401.len(), 1, "{}", p.report.render());
+    let tampered =
+        f.ck.kernel
+            .instrs
+            .iter()
+            .position(|i| i.op == Op::IAdd && i.srcs.get(1) == Some(&Operand::Imm(5)));
+    assert_eq!(s401[0].pc, tampered, "S401 must point at the forged marking");
+    assert!(s401[0].message.contains("confirmed by functional replay"), "{}", s401[0].message);
+    assert_eq!(p.stats.disproved, 1);
+}
+
 /// The no-false-witness property, checked from the outside: the block
 /// shape named in the `S401` message really does make the functional
 /// executor observe non-redundant vectors at the same pc.

@@ -49,6 +49,7 @@
 //! | [`symex_warp_trip_control`] | `S402` (warp-dependent trip count taints the counter) |
 //! | [`symex_uniform_base`] | proved (uniform-not-exact base pointer; needs the TB-uniform bit) |
 //! | [`symex_divergent_write_control`] | `S402` (uniform value, divergent write: bit must not fire) |
+//! | [`symex_forged_param`] | `S401` (forged DR on a parameter read at a warp-dependent address) |
 //!
 //! | Fixture | Expected trip counts | Expected lint |
 //! |---|---|---|
@@ -692,6 +693,27 @@ pub fn symex_divergent_write_control() -> Fixture {
     fx
 }
 
+/// Forged DR on a parameter word read at a warp-dependent address:
+/// `param[warpid] + 5` reads the output pointer in warp 0 and the second
+/// parameter (7) in warp 1, so the values differ across warps although
+/// parameter space is read-only. The load's value is only as uniform as
+/// its address; the prover owes an `S401` the functional executor
+/// confirms.
+#[must_use]
+pub fn symex_forged_param() -> Fixture {
+    let mut b = KernelBuilder::new("symex_forged_param");
+    let w = b.special(SpecialReg::WarpId);
+    let off = b.shl_imm(w, 2);
+    let v = b.load(MemSpace::Param, off, 0);
+    let y = b.iadd(v, 5u32);
+    writeback(&mut b, y);
+    let mut fx = finish("symex_forged_param", b);
+    fx.launch.params.push(Value(7));
+    let pc = pc_of(&fx.ck, |i| i.op == Op::IAdd && i.srcs.get(1) == Some(&Operand::Imm(5)));
+    fx.ck.markings[pc] = Marking::Redundant;
+    fx
+}
+
 /// Straight-line estimator fixture: no loops, so every block is visited
 /// exactly once and the cycle bracket is a tight envelope around pure
 /// issue cost. The baseline for hand-checking the cost model.
@@ -846,5 +868,6 @@ pub fn symex() -> Vec<Fixture> {
         symex_warp_trip_control(),
         symex_uniform_base(),
         symex_divergent_write_control(),
+        symex_forged_param(),
     ]
 }
