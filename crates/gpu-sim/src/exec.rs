@@ -427,10 +427,10 @@ fn execute_body(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>)
                 ($($cmp:ident)*) => {
                     match (instr.op, cmp) {
                         $((Op::SetpF(_), CmpOp::$cmp) => mask_of(|i| {
-                            CmpOp::$cmp.eval_f32(f32::from_bits(a[i]), f32::from_bits(b[i]))
+                            CmpOp::$cmp.eval(f32::from_bits(a[i]), f32::from_bits(b[i]))
                         }),
                         (_, CmpOp::$cmp) => mask_of(|i| {
-                            CmpOp::$cmp.eval_i32(a[i] as i32, b[i] as i32)
+                            CmpOp::$cmp.eval(a[i] as i32, b[i] as i32)
                         }),)*
                     }
                 };

@@ -660,10 +660,17 @@ struct Site {
 ///
 /// A cell holds three site ids, 0 meaning none: `[0]` the last write's,
 /// `[1]` the lowest-block reader's, `[2]` the highest-block reader's. An
-/// empty cell is all zero, so a new page is one zeroed allocation.
+/// empty cell is all zero, so a new page is one zeroed allocation. Once
+/// several blocks applied one commuting op to the word, `[0]` keeps the
+/// first of those writes with `SHARED` set; a block that wrote the word
+/// with two kinds of write leaves a plain write on record.
 type GlobalShadowCell = [u32; 3];
 
 const _: () = assert!(std::mem::size_of::<GlobalShadowCell>() == 12);
+
+/// Set on a shadow cell's write id once blocks besides the recorded
+/// writer applied the same commuting op to the word.
+const SHARED: u32 = 1 << 31;
 
 /// `op` as a [`Site`] holds it: 0 for a plain access, one more than the
 /// op's discriminant for an atomic.
@@ -778,7 +785,8 @@ impl GlobalRaceSanitizer {
                 self.sites.len() - 1
             }
         };
-        u32::try_from(index + 1).expect("a launch has fewer than 2^32 access sites")
+        let id = u32::try_from(index + 1).ok().filter(|&id| id < SHARED);
+        id.expect("a launch has fewer than 2^31 access sites")
     }
 
     /// Records one global access of the current block. `atom` is the
@@ -802,6 +810,11 @@ impl GlobalRaceSanitizer {
         }
         let (block, code) = (self.block, atom_code(atom));
         let site = self.site(pc32, code);
+        // A block that writes one word with two kinds of write (a plain
+        // store then an atomic, or two different atomics) leaves a value
+        // no other block's write commutes with: the cell then records
+        // the atomic as a plain write.
+        let plain = if is_store && code != 0 { self.site(pc32, 0) } else { site };
         // Only two writes with the same commuting op may collide; a plain
         // read of a word another block wrote — even atomically — observes
         // an order-dependent value.
@@ -828,10 +841,12 @@ impl GlobalRaceSanitizer {
                 log.report(word, (race.first_pc, pc), race);
             };
             let [write, min, max] = cell;
-            // Judge the access against the cell, then update it.
-            if *write != 0 {
-                let w = at(*write);
-                if w.block != block {
+            // Judge the access against the cell, then update it. A word
+            // several blocks wrote with one commuting op is no one
+            // block's: only that op commutes with it.
+            let seen = (*write != 0).then(|| (at(*write & !SHARED), *write & SHARED != 0));
+            if let Some((w, shared)) = seen {
+                if w.block != block || shared {
                     if commutes && w.code == code {
                         *overlap = true;
                     } else {
@@ -844,7 +859,16 @@ impl GlobalRaceSanitizer {
                 if let Some(reader) = readers.find(|r| r.block != block) {
                     race(reader, false);
                 }
-                *write = site;
+                *write = match seen {
+                    // The first writer stays on record, now shared.
+                    Some((w, shared))
+                        if commutes && w.code == code && (shared || w.block != block) =>
+                    {
+                        *write | SHARED
+                    }
+                    Some((w, false)) if w.block == block && w.code != code => plain,
+                    _ => site,
+                };
             } else {
                 if *min == 0 || at(*min).block > block {
                     *min = site;
@@ -981,6 +1005,27 @@ mod tests {
         s.set_block(1);
         s.record_access(1, &word_16(), true, None);
         assert_eq!(s.races().len(), 1);
+
+        // A block's plain store under its own later atomic still orders
+        // against another block's atomic (found by the random programs).
+        let mut s = GlobalRaceSanitizer::new();
+        s.set_block(0);
+        s.record_access(0, &word_16(), true, None);
+        s.record_access(1, &word_16(), true, Some(AtomOp::Add));
+        s.set_block(1);
+        s.record_access(1, &word_16(), true, Some(AtomOp::Add));
+        assert_eq!(s.races().len(), 1);
+
+        // So does an earlier block's atomic under a later block's atomic
+        // and plain store.
+        let mut s = GlobalRaceSanitizer::new();
+        s.set_block(0);
+        s.record_access(0, &word_16(), true, Some(AtomOp::Add));
+        s.set_block(1);
+        s.record_access(0, &word_16(), true, Some(AtomOp::Add));
+        s.record_access(1, &word_16(), true, None);
+        let r = s.races();
+        assert_eq!((r.len(), r[0].first_block, r[0].second_block), (1, 0, 1));
     }
 
     #[test]

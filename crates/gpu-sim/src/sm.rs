@@ -677,8 +677,14 @@ impl<O: SmObserver> Sm<O> {
         self.observer.event(now, f.warp, pc, EventKind::Writeback);
         // The issuing warp exited (exit does not wait for pending writes);
         // its slot may now hold a younger warp whose scoreboard and skip
-        // table this completion must not touch.
-        let Some(w) = self.warps.get_mut(f.warp).filter(|w| w.age == f.age) else { return };
+        // table this completion must not touch. An exited leader's
+        // followers still wait for its writeback.
+        let Some(w) = self.warps.get_mut(f.warp).filter(|w| w.age == f.age) else {
+            if let Some((pc, instance)) = f.leader {
+                self.exited_leader_writeback(f.warp, pc, instance, now);
+            }
+            return;
+        };
         if f.dst.is_some() || f.pdst.is_some() {
             w.scoreboard_stall = None;
         }
@@ -698,6 +704,22 @@ impl<O: SmObserver> Sm<O> {
                     self.observer.leader_latency(now.saturating_sub(e.created));
                 }
                 let released = tb.skip_table.leader_writeback(pc, instance, warp_in_tb, now);
+                release_warps(&mut self.warps, &tb.warp_slots, released, |s| {
+                    s == WarpState::WaitLeader(pc, instance)
+                });
+            }
+        }
+    }
+
+    /// Writes back a leader execution whose warp, in SM slot `slot`, exited
+    /// before it completed: in the resident TB where that slot's warp is no
+    /// longer live, the skip entry is marked written back and its waiting
+    /// followers resume (the snapshot was taken at issue).
+    fn exited_leader_writeback(&mut self, slot: usize, pc: usize, instance: u32, now: u64) {
+        for tb in self.tbs.slots.iter_mut().flatten() {
+            let Some(w) = tb.warp_slots.iter().position(|&s| s == slot) else { continue };
+            if tb.live_mask & (1 << w) == 0 {
+                let released = tb.skip_table.leader_writeback(pc, instance, w as u32, now);
                 release_warps(&mut self.warps, &tb.warp_slots, released, |s| {
                     s == WarpState::WaitLeader(pc, instance)
                 });

@@ -20,54 +20,6 @@ use simt_isa::{
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-const ALU_OPS: [Op; 28] = [
-    Op::IAdd,
-    Op::ISub,
-    Op::IMul,
-    Op::IMulHi,
-    Op::IMad,
-    Op::IMin,
-    Op::IMax,
-    Op::Shl,
-    Op::Shr,
-    Op::Sra,
-    Op::And,
-    Op::Or,
-    Op::Xor,
-    Op::Not,
-    Op::FAdd,
-    Op::FSub,
-    Op::FMul,
-    Op::FFma,
-    Op::FMin,
-    Op::FMax,
-    Op::FDiv,
-    Op::FRcp,
-    Op::FSqrt,
-    Op::FExp2,
-    Op::FLog2,
-    Op::Mov,
-    Op::I2F,
-    Op::F2I,
-];
-
-const SPECIALS: [SpecialReg; 14] = [
-    SpecialReg::TidX,
-    SpecialReg::TidY,
-    SpecialReg::TidZ,
-    SpecialReg::CtaidX,
-    SpecialReg::CtaidY,
-    SpecialReg::CtaidZ,
-    SpecialReg::NtidX,
-    SpecialReg::NtidY,
-    SpecialReg::NtidZ,
-    SpecialReg::NctaidX,
-    SpecialReg::NctaidY,
-    SpecialReg::NctaidZ,
-    SpecialReg::LaneId,
-    SpecialReg::WarpId,
-];
-
 /// Register values that exercise wrapping, sign, shift masking and float
 /// specials (NaN payloads, infinities, denormals, negative zero).
 const CORNERS: [u32; 16] = [
@@ -323,9 +275,9 @@ fn per_lane(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> 
             for &lane in &lanes {
                 let (a, b) = (get(warp, src(0), lane), get(warp, src(1), lane));
                 let v = if matches!(instr.op, Op::SetpF(_)) {
-                    cmp.eval_f32(f32::from_bits(a), f32::from_bits(b))
+                    cmp.eval(f32::from_bits(a), f32::from_bits(b))
                 } else {
-                    cmp.eval_i32(a as i32, b as i32)
+                    cmp.eval(a as i32, b as i32)
                 };
                 warp.set_pred(p, lane, v);
             }
@@ -437,7 +389,7 @@ fn per_lane(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> 
 fn random_instr(rng: &mut Rng, m: &mut Machine) -> Instruction {
     let (op, dst, pdst, srcs) = match rng.below(8) {
         0..=2 => {
-            let op = rng.pick(&ALU_OPS);
+            let op = rng.pick(&Op::ALU);
             (op, Some(rng.reg()), None, vec![rng.operand(), rng.operand(), rng.operand()])
         }
         3 => {
@@ -450,7 +402,7 @@ fn random_instr(rng: &mut Rng, m: &mut Machine) -> Instruction {
             let p = Pred(rng.below(u64::from(simt_isa::reg::NUM_PREDS)) as u8);
             (Op::Sel(p), Some(rng.reg()), None, vec![rng.operand(), rng.operand()])
         }
-        5 => (Op::S2R(rng.pick(&SPECIALS)), Some(rng.reg()), None, vec![]),
+        5 => (Op::S2R(rng.pick(&SpecialReg::ALL)), Some(rng.reg()), None, vec![]),
         6 => {
             let space = rng.pick(&[MemSpace::Shared, MemSpace::Global, MemSpace::Param]);
             m.aim(rng, space);
@@ -505,7 +457,7 @@ proptest! {
 #[test]
 fn every_alu_op_and_comparison_matches_on_a_full_warp() {
     let mut rng = Rng(7);
-    let mut ops: Vec<Op> = ALU_OPS.to_vec();
+    let mut ops: Vec<Op> = Op::ALU.to_vec();
     ops.extend(CmpOp::ALL.iter().flat_map(|&c| [Op::Setp(c), Op::SetpF(c)]));
     for op in ops {
         let (dst, pdst) = if matches!(op, Op::Setp(_) | Op::SetpF(_)) {
@@ -725,7 +677,7 @@ fn dispatched_and_portable_executors_leave_the_same_bits() {
         println!("no AVX2+FMA on this CPU: only the portable executor was compared");
     }
     let mut ops: Vec<(Op, Option<Reg>, Option<Pred>)> =
-        ALU_OPS.iter().map(|&op| (op, Some(Reg(3)), None)).collect();
+        Op::ALU.iter().map(|&op| (op, Some(Reg(3)), None)).collect();
     for &cmp in &CmpOp::ALL {
         ops.extend([Op::Setp(cmp), Op::SetpF(cmp)].map(|op| (op, None, Some(Pred(2)))));
     }

@@ -457,3 +457,19 @@ fn stale_writeback_does_not_touch_a_recycled_warp_slot() {
         loads[1]
     );
 }
+
+/// A DARSIE leader whose skippable result is dead can exit before the
+/// result writes back; its completion must still release the followers
+/// waiting on it (found by the random-program properties: the followers
+/// used to wait forever).
+#[test]
+fn exited_leader_releases_waiting_followers() {
+    let mut b = KernelBuilder::new("leader_exits");
+    let x = b.param(0);
+    let _dead = b.frcp(x);
+    let ck = simt_compiler::compile(b.finish());
+    let launch = LaunchConfig::new(1u32, 64u32).with_params(vec![Value(0x4000_0000)]);
+    let cfg = GpuConfig { max_cycles: 100_000, ..cfg() };
+    let res = Gpu::new(cfg, Technique::darsie()).launch(&ck, &launch, GlobalMemory::new());
+    assert!(res.stats.darsie.wait_for_leader_cycles > 0, "a follower waited on the leader");
+}

@@ -126,6 +126,8 @@ struct RefGlobal {
 #[derive(Clone, Copy, Default)]
 struct RefGlobalCell {
     write: Option<(u64, usize, Option<AtomOp>)>,
+    /// Several blocks applied the write's commuting op.
+    shared: bool,
     min_reader: Option<(u64, usize)>,
     max_reader: Option<(u64, usize)>,
 }
@@ -145,13 +147,10 @@ impl RefGlobal {
             let word = addr / 4;
             let seen = self.cells.get(&word).copied().unwrap_or_default();
             if is_store {
+                let same_commuting = |w: Option<AtomOp>| matches!((atom, w), (Some(x), Some(y)) if x == y && x != AtomOp::Exch);
                 if let Some((wb, wpc, watom)) = seen.write {
-                    if wb != block {
-                        let same_commuting = matches!(
-                            (atom, watom),
-                            (Some(x), Some(y)) if x == y && x != AtomOp::Exch
-                        );
-                        if same_commuting {
+                    if wb != block || seen.shared {
+                        if same_commuting(watom) {
                             self.commutative_overlap = true;
                         } else {
                             self.report(GlobalRace {
@@ -180,10 +179,21 @@ impl RefGlobal {
                     });
                 }
                 let cell = self.cells.entry(word).or_default();
-                cell.write = Some((block, pc, atom));
+                match seen.write {
+                    // The first of several blocks' commuting writes stays.
+                    Some((wb, _, w)) if same_commuting(w) && (seen.shared || wb != block) => {
+                        cell.shared = true;
+                    }
+                    // A block mixing two kinds of write on one word leaves
+                    // a value no other block's write commutes with.
+                    Some((wb, _, w)) if !seen.shared && wb == block && w != atom => {
+                        cell.write = Some((block, pc, None));
+                    }
+                    _ => (cell.write, cell.shared) = (Some((block, pc, atom)), false),
+                }
             } else {
                 if let Some((wb, wpc, _)) = seen.write {
-                    if wb != block {
+                    if wb != block || seen.shared {
                         self.report(GlobalRace {
                             first_pc: wpc,
                             first_block: wb,

@@ -692,17 +692,17 @@ impl AffineVal {
     }
 
     /// The value each thread selects, `a` where the condition holds and
-    /// `b` elsewhere, for a condition of abstract value `cond`. Equal
-    /// arms are the value itself. A condition every thread shares hulls
-    /// the arms; one that is only structurally uniform hulls them without
-    /// the shared-constant bit; any other mixes two forms per thread.
+    /// `b` elsewhere, for a condition of abstract value `cond`. A
+    /// condition every thread shares hulls the arms. Otherwise threads
+    /// mix the arms: a structurally uniform condition, or equal arms,
+    /// hull them without the shared-constant bit (two arms of one
+    /// abstract value may still hold two different shared constants);
+    /// any other condition mixes two forms per thread.
     #[must_use]
     pub fn select(cond: AffineVal, a: AffineVal, b: AffineVal) -> AffineVal {
-        if a == b {
-            a
-        } else if cond.is_tb_uniform() {
+        if cond.is_tb_uniform() {
             a.meet(b, false)
-        } else if cond.is_uniform() {
+        } else if cond.is_uniform() || a == b {
             a.meet(b, false).non_uniform()
         } else {
             AffineVal::Unknown
@@ -932,7 +932,7 @@ impl PredVal {
         let PredVal::Cmp { cmp, lhs, rhs, .. } = self else { return None };
         let l = lhs.affine()?.eval(tx, ty)?;
         let r = rhs.affine()?.eval(tx, ty)?;
-        Some(cmp_eval(cmp, l, r))
+        Some(cmp.eval(l, r))
     }
 
     /// Per-thread truth value for thread `(tx, ty)` of block `(cx, cy)`,
@@ -942,19 +942,7 @@ impl PredVal {
         let PredVal::Cmp { cmp, lhs, rhs, .. } = self else { return None };
         let l = lhs.affine()?.eval_at(tx, ty, cx, cy)?;
         let r = rhs.affine()?.eval_at(tx, ty, cx, cy)?;
-        Some(cmp_eval(cmp, l, r))
-    }
-}
-
-/// Concrete comparison semantics shared by the `eval` variants.
-fn cmp_eval(cmp: CmpOp, l: i64, r: i64) -> bool {
-    match cmp {
-        CmpOp::Eq => l == r,
-        CmpOp::Ne => l != r,
-        CmpOp::Lt => l < r,
-        CmpOp::Le => l <= r,
-        CmpOp::Gt => l > r,
-        CmpOp::Ge => l >= r,
+        Some(cmp.eval(l, r))
     }
 }
 
@@ -1079,16 +1067,36 @@ fn value_of(st: &FlowState, instr: &Instruction, ctx: GridCtx) -> AffineVal {
 /// `range_over` is monotone in every extent (larger dimensions widen the
 /// coordinate domain), so the boundary instantiation covers the hull of
 /// every member launch.
+///
+/// The ISA compares the words as `i32`s, the domain its unbounded
+/// integers; they order alike only while every value is an `i32` (over
+/// the launch's threads, or in generic mode over blocks of CUDA's
+/// 1024 × 1024 limit). When that is not known, a finite precise result
+/// falls back to the hull of the operands (each thread still holds one
+/// of them), and the grid hull is not taken.
 fn min_max(x: AffineVal, y: AffineVal, ctx: GridCtx, is_min: bool) -> AffineVal {
+    let i32_valued = |v: AffineVal| {
+        let Some(f) = v.affine() else { return false };
+        let (lo, hi) = match ctx.hull_dims() {
+            Some((bx, by, gx, gy)) => f.range_over(bx, by, gx, gy),
+            None => f.range(1024, 1024),
+        };
+        lo >= i64::from(i32::MIN) && hi <= i64::from(i32::MAX)
+    };
+    let wraps = !(i32_valued(x) && i32_valued(y));
     let precise = if is_min { x.min_(y) } else { x.max_(y) };
-    if !matches!(precise, AffineVal::Unknown) {
+    if let Some(f) = precise.affine() {
+        if wraps && f.lo != NEG_INF && f.hi != POS_INF {
+            let hull = x.meet(y, false);
+            return if x.is_tb_uniform() && y.is_tb_uniform() { hull } else { hull.non_uniform() };
+        }
         return precise;
     }
     let Some((bx, by, gx, gy)) = ctx.hull_dims() else { return AffineVal::Unknown };
     let (Some(fx), Some(fy)) = (x.affine(), y.affine()) else { return AffineVal::Unknown };
     let (xl, xh) = fx.range_over(bx, by, gx, gy);
     let (yl, yh) = fy.range_over(bx, by, gx, gy);
-    if xl == NEG_INF || xh == POS_INF || yl == NEG_INF || yh == POS_INF {
+    if wraps {
         return AffineVal::Unknown;
     }
     // Per thread, min(x_t, y_t) ∈ [min(xl, yl), min(xh, yh)] (and the
@@ -1479,6 +1487,16 @@ mod tests {
         assert_eq!(wrote_launch[2], Some(aff(1, 0, 4096, 4096)));
         // Generic mode keeps the parameter opaque but TB-uniform.
         assert_eq!(wrote(GridCtx::generic(1))[0], Some(AffineVal::uniform_unknown()));
+    }
+
+    #[test]
+    fn min_max_of_words_beyond_i32_take_the_hull() {
+        // `imax` compares i32 words: 2^40 is the word 0, so the max is 5
+        // (found by the random-program properties).
+        let k = AffineVal::constant;
+        let v = AffineVal::alu(Op::IMax, [k(1 << 40), k(5), k(0)], GridCtx::generic(1));
+        let f = v.affine().expect("a hull of two constants");
+        assert!(f.lo <= 5 && 5 <= f.hi && f.is_tb_uniform(), "{v:?}");
     }
 
     #[test]

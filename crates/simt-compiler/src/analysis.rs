@@ -15,8 +15,9 @@
 //! hardware (majority-path tracking, branch synchronization and register
 //! versioning) provides that illusion at runtime.
 
-use crate::cfg::Cfg;
+use crate::cfg::{reach, Cfg};
 use crate::class::{AbsClass, Pat, Red};
+use crate::dom::PostDoms;
 use simt_isa::{Instruction, Kernel, Op, Operand, SpecialReg};
 
 /// Options controlling the analysis.
@@ -277,6 +278,66 @@ fn refine_edge(st: &mut State, p: simt_isa::Pred, polarity: bool) {
     }
 }
 
+/// A divergent region as a block where its threads merge sees it: the
+/// two-way branch, and the registers and predicates written between the
+/// branch and its immediate post-dominator.
+struct Merge {
+    branch: usize,
+    regs: Vec<usize>,
+    preds: Vec<usize>,
+}
+
+/// For each block, the regions whose threads merge there: at the
+/// branch's immediate post-dominator, and at any block both of its
+/// successors reach before it (unstructured paths). Only the threads
+/// that took a path wrote its registers, so at a merge they mix per
+/// thread as the branch condition does.
+fn divergent_regions(kernel: &Kernel, cfg: &Cfg) -> Vec<Vec<Merge>> {
+    let nb = cfg.len();
+    let pdoms = PostDoms::compute(cfg);
+    let succs = |x: usize| cfg.blocks[x].succs.iter().copied();
+    let mut merges: Vec<Vec<Merge>> = (0..nb).map(|_| Vec::new()).collect();
+    for (b, block) in cfg.blocks.iter().enumerate() {
+        let guarded = block.range().last().is_some_and(|pc| {
+            matches!(kernel.instrs[pc].op, Op::Bra { .. }) && kernel.instrs[pc].guard.is_some()
+        });
+        let &[s0, s1] = &block.succs[..] else { continue };
+        if !guarded || s0 == s1 {
+            continue;
+        }
+        let join = pdoms.ipdom[b];
+        let [r0, r1] = [s0, s1].map(|s| reach(nb, [s], succs, |x| x == join));
+        let (mut regs, mut preds) = (Vec::new(), Vec::new());
+        for (x, _) in r0.iter().zip(&r1).enumerate().filter(|(_, (a, b))| **a || **b) {
+            for i in &kernel.instrs[cfg.blocks[x].range()] {
+                regs.extend(i.dst.map(|d| d.index()));
+                preds.extend(i.pdst.map(|p| p.index()));
+            }
+        }
+        for m in (0..nb).filter(|&m| m == join || (r0[m] && r1[m])) {
+            merges[m].push(Merge { branch: b, regs: regs.clone(), preds: preds.clone() });
+        }
+    }
+    merges
+}
+
+/// Folds each merging region's condition class (`cond`, by branch block)
+/// into the registers and predicates it wrote. A pattern survives only a
+/// uniform condition.
+fn merge_taint(st: &mut State, merges: &[Merge], cond: &[AbsClass]) {
+    for m in merges {
+        let c = cond[m.branch];
+        let pat = if c.pat == Pat::Uniform { Pat::Uniform } else { Pat::Arbitrary };
+        let t = AbsClass { red: c.red, pat };
+        for &r in &m.regs {
+            st.regs[r] = st.regs[r].meet(t);
+        }
+        for &p in &m.preds {
+            st.preds[p] = st.preds[p].meet(t);
+        }
+    }
+}
+
 /// Runs the analysis to a fixed point and returns per-instruction classes.
 #[must_use]
 pub fn analyze(kernel: &Kernel, cfg: &Cfg, opts: AnalysisOptions) -> Analysis {
@@ -287,12 +348,16 @@ pub fn analyze(kernel: &Kernel, cfg: &Cfg, opts: AnalysisOptions) -> Analysis {
     let mut ins: Vec<State> = vec![State::top(nr, np); nb];
     ins[0] = if opts.entry_uniform { State::uniform_entry(nr, np) } else { State::bottom(nr, np) };
 
+    let regions = divergent_regions(kernel, cfg);
+    // The condition class of each two-way branch, as the states fall.
+    let mut cond = vec![AbsClass::TOP; nb];
     let rpo = cfg.reverse_post_order();
     let mut changed = true;
     while changed {
         changed = false;
         for &b in &rpo {
             let mut st = ins[b].clone();
+            merge_taint(&mut st, &regions[b], &cond);
             for pc in cfg.blocks[b].range() {
                 let _ = transfer(&kernel.instrs[pc], &mut st, opts);
             }
@@ -302,6 +367,11 @@ pub fn analyze(kernel: &Kernel, cfg: &Cfg, opts: AnalysisOptions) -> Analysis {
                 _ => None,
             });
             let two_way = block.succs.len() == 2 && block.succs[0] != block.succs[1];
+            if let (true, Some(g)) = (two_way, branch_guard) {
+                let c = cond[b].meet(st.pred(g.pred));
+                changed |= c != cond[b];
+                cond[b] = c;
+            }
             for (i, &s) in block.succs.iter().enumerate() {
                 let mut out = st.clone();
                 if let (true, Some(g)) = (opts.branch_edge_refine && two_way, branch_guard) {
@@ -321,6 +391,7 @@ pub fn analyze(kernel: &Kernel, cfg: &Cfg, opts: AnalysisOptions) -> Analysis {
     let mut instr_class = vec![AbsClass::VECTOR; kernel.instrs.len()];
     for (b, block_in) in ins.iter().enumerate().take(nb) {
         let mut st = block_in.clone();
+        merge_taint(&mut st, &regions[b], &cond);
         for pc in cfg.blocks[b].range() {
             instr_class[pc] = transfer(&kernel.instrs[pc], &mut st, opts);
         }

@@ -93,7 +93,9 @@ fn raises(a: AbsClass, b: AbsClass) -> bool {
 
 /// Classes from the affine-interval closure: for each register-writing
 /// instruction, the post-write abstraction of its destination (which folds
-/// in guard hulls), mapped into the class lattice.
+/// in guard hulls), mapped into the class lattice. Only a shared constant
+/// claims anything across warps: a value whose threads may each hold
+/// their own constant gets no class.
 fn affine_classes(ck: &CompiledKernel, block_z: u32) -> Vec<Option<AbsClass>> {
     let flow = Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(block_z), true, &Clamps::new());
     let mut classes: Vec<Option<AbsClass>> = vec![None; ck.kernel.instrs.len()];
@@ -104,6 +106,9 @@ fn affine_classes(ck: &CompiledKernel, block_z: u32) -> Vec<Option<AbsClass>> {
         else {
             return;
         };
+        if !f.c_uniform() {
+            return;
+        }
         classes[pc] = Some(if f.is_uniform() {
             AbsClass::UNIFORM
         } else if f.b == 0 {

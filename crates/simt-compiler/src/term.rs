@@ -265,23 +265,22 @@ impl TermArena {
         }
     }
 
-    /// Interns a symbolic special register. The 2D launch family pins
-    /// `tid.z` to 0 and `ntid.z` to 1; a single-threadblock candidate
-    /// grid pins `ctaid.*` to 0 and `nctaid.*` to 1.
+    /// Interns a symbolic special register. `tid.z` differs between the
+    /// warps of a 3D block, so it is outside every claim family's allowed
+    /// dependencies and outside the affine domain. The candidate launches
+    /// [`TermArena::eval`] evaluates are one 2D block: `tid.z` reads 0,
+    /// `ctaid.*` 0 and `ntid.z`, `nctaid.*` 1.
     pub fn special(&mut self, s: SpecialReg) -> TermId {
-        match s {
-            SpecialReg::TidZ => return self.constant(0),
-            SpecialReg::NtidZ => return self.constant(1),
-            _ => {}
-        }
         let deps = match s {
             SpecialReg::TidX => Deps::TIDX,
             SpecialReg::TidY => Deps::TIDY,
+            SpecialReg::TidZ => Deps::OTHER,
             SpecialReg::LaneId => Deps::LANE,
             SpecialReg::WarpId => Deps::WARP,
             _ => Deps::NONE,
         };
-        self.intern(TermNode::Special(s), AffineVal::of_special(s, GridCtx::generic(1)), deps)
+        // A z extent other than 1: `tid.z` is unknown.
+        self.intern(TermNode::Special(s), AffineVal::of_special(s, GridCtx::generic(0)), deps)
     }
 
     /// Interns a fresh opaque value.
@@ -363,9 +362,9 @@ impl TermArena {
     pub fn cmp(&mut self, cmp: CmpOp, float: bool, a: TermId, b: TermId) -> TermId {
         if let (Some(ka), Some(kb)) = (self.as_const(a), self.as_const(b)) {
             let v = if float {
-                cmp.eval_f32(f32::from_bits(ka), f32::from_bits(kb))
+                cmp.eval(f32::from_bits(ka), f32::from_bits(kb))
             } else {
-                cmp.eval_i32(ka as i32, kb as i32)
+                cmp.eval(ka as i32, kb as i32)
             };
             return self.constant(u32::from(v));
         }
@@ -461,9 +460,9 @@ impl TermArena {
             TermNode::Cmp { cmp, float, a, b } => {
                 let (a, b) = (self.eval(a, ctx)?, self.eval(b, ctx)?);
                 let v = if float {
-                    cmp.eval_f32(f32::from_bits(a), f32::from_bits(b))
+                    cmp.eval(f32::from_bits(a), f32::from_bits(b))
                 } else {
-                    cmp.eval_i32(a as i32, b as i32)
+                    cmp.eval(a as i32, b as i32)
                 };
                 Some(u32::from(v))
             }
@@ -622,7 +621,7 @@ mod tests {
         assert_eq!(t.deps(warp), Deps::WARP);
         assert!(t.deps(cta).is_empty());
         let z = t.special(SpecialReg::TidZ);
-        assert_eq!(t.as_const(z), Some(0), "2D family pins tid.z");
+        assert_eq!(t.deps(z), Deps::OTHER, "tid.z differs between the warps of a 3D block");
     }
 
     #[test]

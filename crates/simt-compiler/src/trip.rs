@@ -248,15 +248,7 @@ struct Continue {
 
 impl Continue {
     fn holds(self, v: i128, bound: i128) -> bool {
-        let t = match self.cmp {
-            CmpOp::Eq => v == bound,
-            CmpOp::Ne => v != bound,
-            CmpOp::Lt => v < bound,
-            CmpOp::Le => v <= bound,
-            CmpOp::Gt => v > bound,
-            CmpOp::Ge => v >= bound,
-        };
-        t == self.polarity
+        self.cmp.eval(v, bound) == self.polarity
     }
 
     fn is_equality(self) -> bool {
@@ -285,15 +277,17 @@ fn infer_one(
     let bra = &kernel.instrs[l.back_edge_pc];
     let guard = bra.guard.ok_or("back-edge branch has no guard")?;
 
-    // The single in-body definition of the guard predicate.
-    let pred_defs: Vec<usize> = l
-        .body
-        .iter()
-        .flat_map(|&b| cfg.blocks[b].range())
-        .filter(|&pc| kernel.instrs[pc].pdst == Some(guard.pred))
-        .collect();
-    let &[setp_pc] = pred_defs.as_slice() else {
-        return Err(format!("guard predicate has {} in-body definitions", pred_defs.len()));
+    // The guard predicate's definition that reaches the branch: the last
+    // one in the branch's own block (it hides any earlier one), else the
+    // single in-body definition.
+    let writes_guard = |pc: &usize| kernel.instrs[*pc].pdst == Some(guard.pred);
+    let latch_block = cfg.blocks[cfg.block_of[l.back_edge_pc]].range();
+    let latch_def = latch_block.filter(|pc| *pc < l.back_edge_pc).rfind(writes_guard);
+    let pred_defs: Vec<usize> =
+        l.body.iter().flat_map(|&b| cfg.blocks[b].range()).filter(writes_guard).collect();
+    let setp_pc = match (latch_def, pred_defs.as_slice()) {
+        (Some(pc), _) | (None, &[pc]) => pc,
+        _ => return Err(format!("guard predicate has {} in-body definitions", pred_defs.len())),
     };
     let setp = &kernel.instrs[setp_pc];
     let Op::Setp(cmp) = setp.op else {

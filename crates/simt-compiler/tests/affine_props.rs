@@ -31,38 +31,6 @@ use simt_compiler::affine::GridCtx;
 use simt_compiler::{Affine, AffineVal, NEG_INF, POS_INF};
 use simt_isa::{LaunchConfig, Op};
 
-/// Every opcode the ISA's ALU computes.
-const ALU_OPS: [Op; 28] = [
-    Op::IAdd,
-    Op::ISub,
-    Op::IMul,
-    Op::IMulHi,
-    Op::IMad,
-    Op::IMin,
-    Op::IMax,
-    Op::Shl,
-    Op::Shr,
-    Op::Sra,
-    Op::And,
-    Op::Or,
-    Op::Xor,
-    Op::Not,
-    Op::FAdd,
-    Op::FSub,
-    Op::FMul,
-    Op::FFma,
-    Op::FMin,
-    Op::FMax,
-    Op::FDiv,
-    Op::FRcp,
-    Op::FSqrt,
-    Op::FExp2,
-    Op::FLog2,
-    Op::Mov,
-    Op::I2F,
-    Op::F2I,
-];
-
 /// Generates an affine form with small finite coefficients (thread and
 /// block axes), an ordered interval, and independently-infinite bounds.
 fn arb_affine() -> impl Strategy<Value = Affine> {
@@ -271,7 +239,7 @@ proptest! {
             sample(y, &threads, block, &picks.1, shared.1),
             sample(z, &threads, block, &picks.2, shared.2),
         ];
-        for op in ALU_OPS {
+        for op in Op::ALU {
             let used = |i: usize| i < op.num_srcs();
             let srcs: [AffineVal; 3] = std::array::from_fn(|i| {
                 if used(i) { AffineVal::Aff(ops[i]) } else { AffineVal::constant(0) }

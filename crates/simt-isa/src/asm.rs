@@ -108,15 +108,11 @@ fn parse_addr(line: usize, tok: &str) -> Result<(Operand, i32), AsmError> {
 }
 
 fn parse_cmp(line: usize, tok: &str) -> Result<CmpOp, AsmError> {
-    match tok {
-        "eq" => Ok(CmpOp::Eq),
-        "ne" => Ok(CmpOp::Ne),
-        "lt" => Ok(CmpOp::Lt),
-        "le" => Ok(CmpOp::Le),
-        "gt" => Ok(CmpOp::Gt),
-        "ge" => Ok(CmpOp::Ge),
-        _ => err(line, format!("unknown comparison `{tok}`")),
-    }
+    CmpOp::ALL
+        .iter()
+        .copied()
+        .find(|c| c.to_string() == tok)
+        .ok_or_else(|| AsmError { line, message: format!("unknown comparison `{tok}`") })
 }
 
 fn parse_special(line: usize, tok: &str) -> Result<SpecialReg, AsmError> {

@@ -24,24 +24,12 @@ impl CmpOp {
     /// All comparison operators.
     pub const ALL: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
 
-    /// Evaluates the comparison on signed integers.
+    /// Evaluates the comparison: `setp` on signed integers, `setp.f32`
+    /// on floats (where every comparison but `ne` with a NaN is false,
+    /// as `PartialOrd` has it), and the analyses on wider integers.
     #[must_use]
     #[inline]
-    pub fn eval_i32(self, a: i32, b: i32) -> bool {
-        match self {
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-            CmpOp::Lt => a < b,
-            CmpOp::Le => a <= b,
-            CmpOp::Gt => a > b,
-            CmpOp::Ge => a >= b,
-        }
-    }
-
-    /// Evaluates the comparison on floats.
-    #[must_use]
-    #[inline]
-    pub fn eval_f32(self, a: f32, b: f32) -> bool {
+    pub fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
         match self {
             CmpOp::Eq => a == b,
             CmpOp::Ne => a != b,
@@ -291,6 +279,38 @@ pub enum Op {
 }
 
 impl Op {
+    /// Every opcode [`alu`] computes, in declaration order.
+    pub const ALU: [Op; 28] = [
+        Op::IAdd,
+        Op::ISub,
+        Op::IMul,
+        Op::IMulHi,
+        Op::IMad,
+        Op::IMin,
+        Op::IMax,
+        Op::Shl,
+        Op::Shr,
+        Op::Sra,
+        Op::And,
+        Op::Or,
+        Op::Xor,
+        Op::Not,
+        Op::FAdd,
+        Op::FSub,
+        Op::FMul,
+        Op::FFma,
+        Op::FMin,
+        Op::FMax,
+        Op::FDiv,
+        Op::FRcp,
+        Op::FSqrt,
+        Op::FExp2,
+        Op::FLog2,
+        Op::Mov,
+        Op::I2F,
+        Op::F2I,
+    ];
+
     /// The body of [`alu`], inlined into the executor's per-opcode lane
     /// loops, whose operands are never compile-time constants. Any other
     /// caller calls [`alu`].
@@ -491,22 +511,22 @@ mod tests {
 
     #[test]
     fn cmp_op_int_semantics() {
-        assert!(CmpOp::Lt.eval_i32(-1, 0));
-        assert!(!CmpOp::Lt.eval_i32(0, -1));
-        assert!(CmpOp::Ge.eval_i32(3, 3));
-        assert!(CmpOp::Ne.eval_i32(1, 2));
-        assert!(CmpOp::Eq.eval_i32(7, 7));
-        assert!(CmpOp::Gt.eval_i32(1, 0));
-        assert!(CmpOp::Le.eval_i32(1, 1));
+        assert!(CmpOp::Lt.eval::<i32>(-1, 0));
+        assert!(!CmpOp::Lt.eval::<i32>(0, -1));
+        assert!(CmpOp::Ge.eval::<i32>(3, 3));
+        assert!(CmpOp::Ne.eval::<i32>(1, 2));
+        assert!(CmpOp::Eq.eval::<i32>(7, 7));
+        assert!(CmpOp::Gt.eval::<i32>(1, 0));
+        assert!(CmpOp::Le.eval::<i32>(1, 1));
     }
 
     #[test]
     fn cmp_op_float_nan_is_unordered() {
         for c in CmpOp::ALL {
             if c == CmpOp::Ne {
-                assert!(c.eval_f32(f32::NAN, 1.0));
+                assert!(c.eval::<f32>(f32::NAN, 1.0));
             } else {
-                assert!(!c.eval_f32(f32::NAN, 1.0), "{c} with NaN should be false");
+                assert!(!c.eval::<f32>(f32::NAN, 1.0), "{c} with NaN should be false");
             }
         }
     }
@@ -549,6 +569,7 @@ mod tests {
 
     #[test]
     fn non_alu_ops_return_none() {
+        assert!(Op::ALU.iter().all(|&op| alu(op, 1, 2, 3).is_some()));
         for op in [
             Op::S2R(SpecialReg::TidX),
             Op::Setp(CmpOp::Lt),

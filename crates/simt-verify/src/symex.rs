@@ -846,8 +846,9 @@ pub fn prove_with_threads(
     let Engine { t, value_visits, branch_visits, .. } = eng;
 
     // Pass 2: the launch-generic, divergence-aware affine fixpoint as a
-    // fallback prover.
-    let flow = affine::Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(1), true, &Clamps::new());
+    // fallback prover. The claims cover blocks of any depth, so the z
+    // extent is not pinned to 1 (`tid.z` stays unknown).
+    let flow = affine::Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(0), true, &Clamps::new());
     let mut aff_val: Vec<Option<AffineVal>> = vec![None; n];
     let mut aff_guard_uniform = vec![false; n];
     let mut reachable = vec![false; n];

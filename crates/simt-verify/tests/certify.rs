@@ -215,3 +215,34 @@ fn verify_full_surfaces_both_race_findings() {
         assert_eq!(r.with_code(code), cert_report.with_code(code), "{}", r.render());
     }
 }
+
+/// A store under a data-dependent branch inside a loop runs only where
+/// the branch is taken, so its collisions are possible, not definite:
+/// no `V310` (the footprint walk once followed the loop's back edge past
+/// the branch's post-dominator, dropped the condition, and witnessed a
+/// race the executor never ran; found by the random-program properties).
+#[test]
+fn store_under_a_branch_in_a_loop_is_no_definite_race() {
+    use simt_isa::{CmpOp, Guard, KernelBuilder, MemSpace, SpecialReg, Value};
+    let mut b = KernelBuilder::new("guarded_in_loop");
+    let tx = b.special(SpecialReg::TidX);
+    let out = b.param(0);
+    let flag = b.param(1);
+    let c = b.load(MemSpace::Global, flag, 0);
+    let off = b.shl_imm(tx, 2);
+    let addr = b.iadd(out, off);
+    b.for_count(2u32, |b, _| {
+        let m = b.and(c, 3u32);
+        let p = b.setp(CmpOp::Eq, m, 1u32);
+        b.if_then(Guard::if_true(p), |b| b.store(MemSpace::Global, addr, tx, 0));
+    });
+    let ck = simt_compiler::compile(b.finish());
+    let mut mem = GlobalMemory::new();
+    let (out_at, flag_at) = (mem.alloc(32 * 4), mem.alloc(4));
+    let launch = LaunchConfig::new(2u32, 32u32)
+        .with_params(vec![Value(out_at as u32), Value(flag_at as u32)]);
+    let (_, report) = blocks::analyze(&ck, &launch);
+    assert!(report.with_code(LintCode::InterBlockRace).is_empty(), "{}", report.render());
+    let (cert, report) = blocks::certify(&ck, &launch, mem);
+    assert_eq!(cert.classification, BlockIndependence::Independent, "{}", report.render());
+}

@@ -5,11 +5,10 @@
 //! inference behind it must agree with pinned fixture counts and with the
 //! symbolic prover's `S402` verdicts on the loop fixtures.
 
-use gpu_sim::{GlobalMemory, Gpu, GpuConfig, Technique};
-use proptest::prelude::*;
-use simt_compiler::{compile, CompiledKernel};
-use simt_isa::{CmpOp, Dim3, Guard, KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value};
+use gpu_sim::{Gpu, GpuConfig, Technique};
+use simt_isa::Value;
 use simt_verify::cost::{check, estimate, validate};
+use workloads::random::{self, Footprint};
 use workloads::{catalog, fixtures, Scale};
 
 /// Measured simulator cycles for one fixture under one technique.
@@ -61,7 +60,7 @@ fn catalog_cycles_inside_bracket() {
 
 /// The estimator fixtures have hand-computable trip counts, and the
 /// solver must pin them exactly — constant, launch-parameter, nested and
-/// geometric (doubling) induction.
+/// geometric (doubling) induction, and a guard predicate written twice.
 #[test]
 fn fixture_trip_counts_are_pinned() {
     assert!(trips_of(&fixtures::cost_straight_line()).is_empty());
@@ -74,6 +73,7 @@ fn fixture_trip_counts_are_pinned() {
     nested.sort_unstable();
     assert_eq!(nested, vec![(2, 2), (4, 4)]);
     assert_eq!(trips_of(&fixtures::cost_geometric_loop()), vec![Ok((4, 4))]);
+    assert_eq!(trips_of(&fixtures::cost_reused_guard_loop()), vec![Ok((4, 4))]);
 }
 
 /// The deliberately unboundable control: `E201` from both `estimate` and
@@ -141,148 +141,58 @@ fn trip_verdicts_agree_with_the_symex_summarizer() {
     assert!(p.report.items.iter().all(|d| d.code.code() != "S402"));
 }
 
-/// One generated statement for the random-kernel soundness property.
-/// Register operands index the value pool modulo its length.
-#[derive(Debug, Clone)]
-enum Stmt {
-    /// `pool.push(pool[a] + pool[b])`
-    Add(usize, usize),
-    /// `pool.push(pool[a] + imm)`
-    AddImm(usize, u32),
-    /// `pool.push(pool[a] & mask)` — deliberately non-affine.
-    And(usize, u32),
-    /// `pool.push(pool[a] << n)`, `n < 4`.
-    Shl(usize, u32),
-    /// `if (pool[c] cmp imm) { pool[d] += pool[a] }` — a possibly
-    /// divergent diamond the estimator must cover on both legs.
-    IfAdd { c: usize, lt: bool, imm: u32, d: usize, a: usize },
-}
-
-/// Builds a kernel from a recipe: a global load seeds the pool, the
-/// statements run either straight-line or wrapped in a `trips`-bounded
-/// do-while, and the last pool value is stored to `out[linear tid]`.
-fn build(stmts: &[Stmt], trips: Option<u32>, block: Dim3) -> CompiledKernel {
-    let mut b = KernelBuilder::new("random_cost");
-    let tx = b.special(SpecialReg::TidX);
-    let ty = b.special(SpecialReg::TidY);
-    let inp = b.param(1);
-    let off = b.shl_imm(tx, 2);
-    let laddr = b.iadd(inp, off);
-    let ld = b.load(MemSpace::Global, laddr, 0);
-    let mut pool = vec![tx, ty, ld];
-    let apply = |b: &mut KernelBuilder, pool: &mut Vec<simt_isa::Reg>| {
-        let pick = |pool: &Vec<simt_isa::Reg>, i: usize| pool[i % pool.len()];
-        for s in stmts {
-            match *s {
-                Stmt::Add(a, c) => {
-                    let r = b.iadd(pick(pool, a), pick(pool, c));
-                    pool.push(r);
-                }
-                Stmt::AddImm(a, imm) => {
-                    let r = b.iadd(pick(pool, a), imm);
-                    pool.push(r);
-                }
-                Stmt::And(a, mask) => {
-                    let r = b.and(pick(pool, a), mask);
-                    pool.push(r);
-                }
-                Stmt::Shl(a, n) => {
-                    let r = b.shl_imm(pick(pool, a), n % 4);
-                    pool.push(r);
-                }
-                Stmt::IfAdd { c, lt, imm, d, a } => {
-                    let cmp = if lt { CmpOp::Lt } else { CmpOp::Eq };
-                    let p = b.setp(cmp, pick(pool, c), imm);
-                    let dst = pick(pool, d);
-                    let src = pick(pool, a);
-                    b.if_then(Guard::if_true(p), |b| {
-                        b.iadd_to(dst, src, 1u32);
-                    });
-                }
-            }
-        }
-    };
-    if let Some(n) = trips {
-        let i = b.alloc();
-        b.mov_to(i, 0u32);
-        b.do_while(|b| {
-            apply(b, &mut pool);
-            b.iadd_to(i, i, 1u32);
-            let p = b.setp(CmpOp::Lt, i, n);
-            Guard::if_true(p)
-        });
-    } else {
-        apply(&mut b, &mut pool);
-    }
-    let last = *pool.last().unwrap();
-    let lin = b.imad(ty, block.x, tx);
-    let soff = b.shl_imm(lin, 2);
-    let out = b.param(0);
-    let saddr = b.iadd(out, soff);
-    b.store(MemSpace::Global, saddr, last, 0);
-    compile(b.finish())
-}
-
-fn stmt_strategy() -> impl Strategy<Value = Stmt> {
-    let ix = || 0usize..8;
-    prop_oneof![
-        (ix(), ix()).prop_map(|(a, c)| Stmt::Add(a, c)),
-        (ix(), 0u32..64).prop_map(|(a, imm)| Stmt::AddImm(a, imm)),
-        (ix(), 1u32..16).prop_map(|(a, mask)| Stmt::And(a, mask)),
-        (ix(), 0u32..4).prop_map(|(a, n)| Stmt::Shl(a, n)),
-        (ix(), any::<bool>(), 0u32..64, ix(), ix()).prop_map(|(c, lt, imm, d, a)| Stmt::IfAdd {
-            c,
-            lt,
-            imm,
-            d,
-            a
-        }),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Random structured kernels (divergent diamonds, non-affine values,
-    /// optional constant-trip loops, promoting and non-promoting blocks):
-    /// the measured cycles always land inside the static bracket, and a
-    /// loop-free or constant-trip kernel is never unbounded.
-    #[test]
-    fn random_kernel_cycles_inside_bracket(
-        stmts in prop::collection::vec(stmt_strategy(), 1..10),
-        raw_trips in 0u32..6,
-        two_d in any::<bool>(),
-        input in prop::collection::vec(0u32..1000, 64),
-    ) {
-        // 0 means "no loop"; 1..6 wraps the statements in a do-while.
-        let trips = (raw_trips > 0).then_some(raw_trips);
-        let block = if two_d { Dim3::two_d(16, 4) } else { Dim3::one_d(64) };
-        let ck = build(&stmts, trips, block);
-        let gc = GpuConfig::test_small();
+/// Random programs (race-free draws of `workloads::random`: divergent
+/// ifs, non-affine values, constant-trip loops, shared phases, atomics,
+/// 1D/2D/3D blocks, multi-block grids): the measured cycles always land
+/// inside the static bracket under Base and DARSIE, and no constant-trip
+/// loop is unbounded.
+#[test]
+fn random_kernel_cycles_inside_bracket() {
+    let gc = GpuConfig::test_small();
+    random::check(24, Footprint::RaceFree, |r| {
+        let fx = r.build();
         for technique in [Technique::Base, Technique::darsie()] {
-            let mut memory = GlobalMemory::new();
-            let out = memory.alloc(64 * 4);
-            let inp = memory.alloc(64 * 4);
-            memory.write_slice_u32(inp, &input);
-            let launch = LaunchConfig::new(1u32, block)
-                .with_params(vec![Value(out as u32), Value(inp as u32)]);
-            let est = estimate(&ck, &launch, &gc, &technique);
-            prop_assert!(
-                est.max_cycles.is_some(),
-                "constant-trip kernel reported unbounded: {:?}",
-                est.loops
-            );
-            let measured = Gpu::new(gc.clone(), technique.clone())
-                .launch(&ck, &launch, memory)
-                .stats
-                .cycles;
-            prop_assert!(
+            let est = estimate(&fx.ck, &fx.launch, &gc, &technique);
+            assert!(est.max_cycles.is_some(), "constant trips reported unbounded: {:?}", est.loops);
+            let measured = measure(&fx, &technique);
+            assert!(
                 validate(&est, measured).is_none(),
-                "{} measured {measured} outside [{}, {:?}] (trips {trips:?})",
+                "{} measured {measured} outside [{}, {:?}]",
                 technique.label(),
                 est.min_cycles,
                 est.max_cycles
             );
         }
-    }
+    });
+}
+
+/// The spin-wait probe as the toolchain treats it today: it validates,
+/// the verifier finds nothing, the estimator's only finding is an
+/// `E201` at the back edge, and the simulator stops at its cycle cap
+/// with block 0 holding the SM's only slot. (The functional replay does
+/// not return on it, so it is not run here.)
+#[test]
+fn spin_wait_draws_only_e201_statically() {
+    let fx = fixtures::spin_wait();
+    fx.ck.kernel.validate().expect("the probe is well-formed");
+    let report = simt_verify::verify_launch(&fx.ck, &fx.launch);
+    assert!(report.items.is_empty(), "{}", report.render());
+    let back_edge = fx
+        .ck
+        .kernel
+        .instrs
+        .iter()
+        .enumerate()
+        .rposition(|(pc, i)| matches!(i.op, simt_isa::Op::Bra { target } if target < pc));
+    let lints = check(&fx.ck, &fx.launch);
+    let found: Vec<_> = lints.items.iter().map(|d| (d.code.code(), d.pc)).collect();
+    assert_eq!(found, [("E201", back_edge)], "{}", lints.render());
+}
+
+#[test]
+#[should_panic(expected = "possible deadlock")]
+fn spin_wait_exceeds_the_cycle_cap() {
+    let fx = fixtures::spin_wait();
+    let cfg = GpuConfig { max_tbs_per_sm: 1, max_cycles: 200_000, ..GpuConfig::test_small() };
+    Gpu::new(cfg, Technique::Base).launch(&fx.ck, &fx.launch, fx.memory);
 }

@@ -153,3 +153,22 @@ fn race_fixtures_are_untouched_by_perf_lints() {
         }
     }
 }
+
+/// Two marking bugs the random-program properties found: a uniform
+/// register updated under a warp-dependent branch and read after the
+/// join (the marking pass ignored the merge), and a warp-dependent select
+/// between two parameter words (refinement trusted equal abstract arms).
+/// Neither read may be marked redundant, before or after refinement.
+#[test]
+fn divergent_merges_stay_vector() {
+    for fx in [fixtures::divergent_update(), fixtures::select_two_uniforms()] {
+        let stored = fx.ck.kernel.instrs.iter().rev().find_map(|i| i.srcs.get(1)).copied();
+        let pc = fx.ck.kernel.instrs.iter().rposition(|i| i.dst.map(Into::into) == stored);
+        let pc = pc.expect("the stored value has a producer");
+        for ck in [&fx.ck, &refine(&fx.ck, 1).ck] {
+            assert_eq!(ck.markings[pc], simt_isa::Marking::Vector, "{}: pc {pc}", fx.name);
+            let report = oracle::check(ck, &fx.launch, fx.memory.clone());
+            assert!(report.is_clean(), "{}:\n{}", fx.name, report.render());
+        }
+    }
+}

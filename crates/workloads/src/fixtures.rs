@@ -36,6 +36,8 @@
 //! | [`refine_branch_win`] | `V` | `DR` on the `v == 42` edge | skippable |
 //! | [`refine_affine_win`] | `CR` | `DR` (tid terms cancel) | skippable |
 //! | [`refine_tidy_win`] | `V` | `CRxy`, promoted by (8,4) | skippable |
+//! | [`divergent_update`] | `V` (a warp-dependent branch merges) | `V` | none |
+//! | [`select_two_uniforms`] | `V` | `V` (two shared words, mixed) | none |
 //!
 //! | Fixture | Expected prover verdict |
 //! |---|---|
@@ -58,7 +60,9 @@
 //! | [`cost_param_loop`] | `[6, 6]` (launch parameter 1) | none |
 //! | [`cost_nested_loop`] | outer `[4, 4]`, inner `[2, 2]` | none |
 //! | [`cost_geometric_loop`] | `[4, 4]` (doubling counter) | none |
+//! | [`cost_reused_guard_loop`] | `[4, 4]` (guard predicate written twice) | none |
 //! | [`cost_unbounded_control`] | unbounded (data-dependent bound) | `E201` |
+//! | [`spin_wait`] | unbounded (block 0 spins on a global word) | `E201` |
 
 use gpu_sim::GlobalMemory;
 use simt_compiler::{compile, AbsClass, CompiledKernel};
@@ -75,7 +79,7 @@ pub struct Fixture {
     pub name: &'static str,
     /// The compiled kernel.
     pub ck: CompiledKernel,
-    /// Single-TB launch with an output buffer as parameter 0.
+    /// The launch; parameter 0 is the output buffer.
     pub launch: LaunchConfig,
     /// Memory holding the output buffer.
     pub memory: GlobalMemory,
@@ -475,6 +479,40 @@ pub fn refine_tidy_win() -> Fixture {
     finish_sized("refine_tidy_win", b, Dim3::two_d(8, 4), 32 * 4)
 }
 
+/// A uniform register updated under a warp-dependent branch and read
+/// after the join: warp 0 adds 1 to 5, the other warps keep 5, so the
+/// read differs across warps although every write was uniform. The
+/// marking pass owes the read a vector class, before and after
+/// refinement (found by the random-program properties).
+#[must_use]
+pub fn divergent_update() -> Fixture {
+    let mut b = KernelBuilder::new("divergent_update");
+    let w = b.special(SpecialReg::WarpId);
+    let r = b.mov(5u32);
+    let p = b.setp(CmpOp::Eq, w, 0u32);
+    b.if_then(Guard::if_true(p), |b| b.iadd_to(r, r, 1u32));
+    let y = b.iadd(r, 3u32);
+    writeback(&mut b, y);
+    finish("divergent_update", b)
+}
+
+/// A warp-dependent select between two parameter words (7 and 9). Each
+/// arm is one shared word, and both have the same abstract value, but
+/// warp 0 picks one and the other warps the other: refinement owes the
+/// select no upgrade (found by the random-program properties).
+#[must_use]
+pub fn select_two_uniforms() -> Fixture {
+    let mut b = KernelBuilder::new("select_two_uniforms");
+    let w = b.special(SpecialReg::WarpId);
+    let (x, y) = (b.param(1), b.param(2));
+    let p = b.setp(CmpOp::Eq, w, 0u32);
+    let v = b.sel(p, x, y);
+    writeback(&mut b, v);
+    let mut fx = finish("select_two_uniforms", b);
+    fx.launch.params.extend([Value(7), Value(9)]);
+    fx
+}
+
 /// The refinement fixtures, in documentation order.
 #[must_use]
 pub fn refinement() -> Vec<Fixture> {
@@ -820,6 +858,29 @@ pub fn cost_geometric_loop() -> Fixture {
     finish("cost_geometric_loop", b)
 }
 
+/// Constant-trip loop whose continue predicate is also written earlier
+/// in the body, by a `setp` feeding a `sel`: only the definition that
+/// reaches the back edge decides the trip count, `[4, 4]` (found by the
+/// random-program properties).
+#[must_use]
+pub fn cost_reused_guard_loop() -> Fixture {
+    let mut b = KernelBuilder::new("cost_reused_guard_loop");
+    let t = b.special(SpecialReg::TidX);
+    let acc = b.mov(0u32);
+    let i = b.mov(0u32);
+    let p = b.alloc_pred();
+    b.do_while(|b| {
+        b.setp_to(p, CmpOp::Lt, t, 7u32);
+        let v = b.sel(p, t, acc);
+        b.iadd_to(acc, acc, v);
+        b.iadd_to(i, i, 1u32);
+        b.setp_to(p, CmpOp::Lt, i, 4u32);
+        Guard::if_true(p)
+    });
+    writeback(&mut b, acc);
+    finish("cost_reused_guard_loop", b)
+}
+
 /// The deliberately unboundable negative control: the loop bound is a
 /// value loaded from memory, which no launch-time constant can resolve.
 /// The estimator owes an `E201` and a one-sided bracket (sound minimum,
@@ -841,6 +902,33 @@ pub fn cost_unbounded_control() -> Fixture {
     finish("cost_unbounded_control", b)
 }
 
+/// A spin-wait across blocks: 9 blocks of 64 threads, the last block
+/// stores 1 to `out[0]`, and block 0 loops while `out[0] == 0`. CUDA
+/// promises no forward progress between blocks, so this kernel may
+/// never finish: it passes `Kernel::validate` and the verifier, the
+/// estimator owes an `E201` at its back edge, and the cycle-level
+/// simulator hits its cycle cap when block 0 holds the only slot. It
+/// is in no fixture list, since those lists are replayed to the end.
+#[must_use]
+pub fn spin_wait() -> Fixture {
+    let mut b = KernelBuilder::new("spin_wait");
+    let cx = b.special(SpecialReg::CtaidX);
+    let out = b.param(0);
+    let last = b.setp(CmpOp::Eq, cx, 8u32);
+    b.if_then(Guard::if_true(last), |b| b.store(MemSpace::Global, out, 1u32, 0));
+    let first = b.setp(CmpOp::Eq, cx, 0u32);
+    b.if_then(Guard::if_true(first), |b| {
+        b.do_while(|b| {
+            let v = b.load(MemSpace::Global, out, 0);
+            let p = b.setp(CmpOp::Eq, v, 0u32);
+            Guard::if_true(p)
+        });
+    });
+    let mut fx = finish("spin_wait", b);
+    fx.launch.grid = Dim3::one_d(9);
+    fx
+}
+
 /// The cost-estimator fixtures, in documentation order.
 #[must_use]
 pub fn cost() -> Vec<Fixture> {
@@ -850,6 +938,7 @@ pub fn cost() -> Vec<Fixture> {
         cost_param_loop(),
         cost_nested_loop(),
         cost_geometric_loop(),
+        cost_reused_guard_loop(),
         cost_unbounded_control(),
     ]
 }

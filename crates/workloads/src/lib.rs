@@ -27,6 +27,7 @@ pub mod common;
 pub mod ext_3d;
 pub mod fixtures;
 pub mod one_d;
+pub mod random;
 pub mod two_d_a;
 pub mod two_d_b;
 

@@ -1,442 +1,160 @@
-//! Property-based soundness: for *arbitrary* structured kernels, every
-//! elimination technique must produce exactly the baseline's architected
-//! state, and eliminated instructions must be conserved one-for-one.
-//!
-//! The generator builds random kernels from the public `KernelBuilder`
-//! DSL: random ALU dataflow over a live-register pool seeded with thread
-//! intrinsics and parameters, bounds-masked global loads and stores,
-//! predicated regions (`if_then`), bounded `do_while` loops and barriers.
+//! Property-based soundness over the one random-program generator,
+//! `workloads::random`, on race-free draws: every elimination technique
+//! leaves the baseline's architected state and conserves instructions
+//! one for one, the profiler's slot identity holds, and no marking claims
+//! more redundancy than the executed values show.
 
-use gpu_sim::{GlobalMemory, Gpu, GpuConfig, Technique};
-use proptest::prelude::*;
-use simt_isa::{
-    CmpOp, Dim3, Guard, KernelBuilder, LaunchConfig, MemSpace, Op, Reg, SpecialReg, Value,
-};
+use gpu_sim::{Gpu, GpuConfig, Technique};
+use simt_isa::{Dim3, Marking, MemSpace, Op};
+use workloads::fixtures::Fixture;
+use workloads::random::{check, Addr, Footprint, Recipe, Stmt};
 
-/// One step of the generated program.
-#[derive(Debug, Clone)]
-enum Step {
-    Alu(u8, u8, u8),     // op selector, src selectors
-    AluImm(u8, u8, u32), // op selector, src selector, immediate
-    Load(u8),            // address from selected reg (masked in-bounds)
-    Store(u8, u8),       // address selector, value selector
-    IfThen(u8, Vec<Step>),
-    Loop(u8, Vec<Step>), // trip count 1..=4, body
-    Barrier,
-}
+/// Cases per property.
+const CASES: u64 = 24;
 
-fn arb_step(depth: u32) -> impl Strategy<Value = Step> {
-    let leaf = prop_oneof![
-        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(o, a, b)| Step::Alu(o, a, b)),
-        (any::<u8>(), any::<u8>(), any::<u32>()).prop_map(|(o, a, i)| Step::AluImm(o, a, i)),
-        any::<u8>().prop_map(Step::Load),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, v)| Step::Store(a, v)),
-        Just(Step::Barrier),
-    ];
-    leaf.prop_recursive(depth, 24, 6, |inner| {
-        prop_oneof![
-            (any::<u8>(), prop::collection::vec(inner.clone(), 1..5))
-                .prop_map(|(s, body)| Step::IfThen(s, body)),
-            (1u8..=3, prop::collection::vec(inner, 1..4)).prop_map(|(n, body)| Step::Loop(n, body)),
-        ]
-    })
-}
-
-const ALU_OPS: [Op; 10] =
-    [Op::IAdd, Op::ISub, Op::IMul, Op::IMin, Op::IMax, Op::And, Op::Or, Op::Xor, Op::Shl, Op::IMad];
-
-struct Gen {
-    pool: Vec<Reg>,
-    /// Read-only data region (loads).
-    scratch_base: Reg,
-    /// Write-only region (stores) — disjoint from the load region so the
-    /// generated programs are race-free: racing stores write
-    /// address-derived values, and loads never observe stores.
-    store_base: Reg,
-    preds: Vec<simt_isa::Pred>,
-    next_pred: usize,
-    in_divergent: bool,
-}
-
-impl Gen {
-    fn pick(&self, sel: u8) -> Reg {
-        self.pool[usize::from(sel) % self.pool.len()]
+/// The static analysis is sound: every instruction the compiler marks
+/// skippable under the launch is, per the value-level oracle, TB-redundant
+/// in every occurrence the runtime would skip (all warps at the pc,
+/// aligned and fully active).
+fn static_markings_sound(r: &Recipe) {
+    let fx = r.build();
+    let plan = simt_compiler::LaunchPlan::new(&fx.ck, &fx.launch);
+    let (trace, _) = gpu_sim::trace_redundancy(&fx.ck, &fx.launch, fx.memory);
+    for (pc, _) in plan.skippable.iter().enumerate().filter(|(_, &s)| s) {
+        let bad = trace.per_pc_aligned_mismatch.get(&pc).copied().unwrap_or(0);
+        assert_eq!(bad, 0, "pc {pc} ({}) is skippable but disagreed", fx.ck.kernel.instrs[pc]);
     }
+}
 
-    /// Rotating predicate pool (the architecture has only 7; the root
-    /// generator pre-allocates four and every scope rotates through them).
-    fn pred(&mut self, _b: &mut KernelBuilder) -> simt_isa::Pred {
-        let p = self.preds[self.next_pred % self.preds.len()];
-        self.next_pred += 1;
-        p
+/// Launch-time finalization never upgrades an instruction past what the
+/// oracle accepts: under the drawn block and under a promoting 2D, an
+/// unpromoted 1D and a 3D block, the oracle finds nothing at all.
+fn finalize_within_the_oracle(r: &Recipe) {
+    for block in [r.block, Dim3::two_d(16, 16), Dim3::one_d(256), Dim3::three_d(8, 4, 4)] {
+        let fx = Recipe { block, ..r.clone() }.build();
+        let report = simt_verify::oracle::check(&fx.ck, &fx.launch, fx.memory);
+        assert!(report.items.is_empty(), "oracle findings under {block:?}:\n{}", report.render());
     }
+}
 
-    fn emit(&mut self, b: &mut KernelBuilder, steps: &[Step]) {
-        for s in steps {
-            match s {
-                Step::Alu(o, a, c) => {
-                    let op = ALU_OPS[usize::from(*o) % ALU_OPS.len()];
-                    let (ra, rc) = (self.pick(*a), self.pick(*c));
-                    let dst = if matches!(op, Op::IMad) {
-                        b.imad(ra, rc, self.pick(o.wrapping_add(13)))
-                    } else if matches!(op, Op::Shl) {
-                        // Bounded shift amounts.
-                        let amt = b.and(rc, 7u32);
-                        b.shl(ra, amt)
-                    } else {
-                        let mut i =
-                            simt_isa::Instruction::new(op, None, None, vec![ra.into(), rc.into()]);
-                        let d = b.alloc();
-                        i.dst = Some(d);
-                        b.emit(i);
-                        d
-                    };
-                    self.pool.push(dst);
-                }
-                Step::AluImm(o, a, imm) => {
-                    let op = ALU_OPS[usize::from(*o) % 8]; // two-source ops only
-                    let mut i = simt_isa::Instruction::new(
-                        op,
-                        None,
-                        None,
-                        vec![self.pick(*a).into(), simt_isa::Operand::Imm(*imm % 64)],
-                    );
-                    let d = b.alloc();
-                    i.dst = Some(d);
-                    b.emit(i);
-                    self.pool.push(d);
-                }
-                Step::Load(a) => {
-                    // addr = data_base + (reg & 0x3FC): 4-aligned, in the
-                    // 1 KiB scratch region.
-                    let off = b.and(self.pick(*a), 0x3FCu32);
-                    let addr = b.iadd(self.scratch_base, off);
-                    let v = b.load(MemSpace::Global, addr, 0);
-                    self.pool.push(v);
-                }
-                Step::Store(a, v) => {
-                    let off = b.and(self.pick(*a), 0x3FCu32);
-                    let addr = b.iadd(self.store_base, off);
-                    // Stores race between threads by construction; make
-                    // them deterministic by storing a value derived from
-                    // the address itself.
-                    let val = b.xor(off, 0x5Au32);
-                    let _ = v;
-                    b.store(MemSpace::Global, addr, val, 0);
-                }
-                Step::IfThen(selector, body) => {
-                    let cond = self.pick(*selector);
-                    let masked = b.and(cond, 3u32);
-                    let p = self.pred(b);
-                    b.setp_to(p, CmpOp::Eq, masked, 1u32);
-                    let was = self.in_divergent;
-                    self.in_divergent = true;
-                    let mut inner = std::mem::take(&mut self.pool);
-                    let (sb, wb) = (self.scratch_base, self.store_base);
-                    let preds = self.preds.clone();
-                    b.if_then(Guard::if_true(p), |b| {
-                        let mut g = Gen {
-                            pool: inner.clone(),
-                            scratch_base: sb,
-                            store_base: wb,
-                            preds,
-                            next_pred: 1,
-                            in_divergent: true,
-                        };
-                        g.emit(b, body);
-                        inner = g.pool;
-                    });
-                    // Registers defined inside a divergent region hold
-                    // path-dependent values; keep them (the analysis and
-                    // hardware must cope), but the original pool is what
-                    // is guaranteed defined.
-                    self.pool = inner;
-                    self.in_divergent = was;
-                }
-                Step::Loop(n, body) => {
-                    let trips = u32::from(*n);
-                    let i = b.mov(0u32);
-                    let p = self.pred(b);
-                    let body = body.clone();
-                    let mut pool = std::mem::take(&mut self.pool);
-                    let (sb, wb) = (self.scratch_base, self.store_base);
-                    let preds = self.preds.clone();
-                    let div = self.in_divergent;
-                    b.do_while(|b| {
-                        let mut g = Gen {
-                            pool: pool.clone(),
-                            scratch_base: sb,
-                            store_base: wb,
-                            preds,
-                            next_pred: 2,
-                            in_divergent: div,
-                        };
-                        g.emit(b, &body);
-                        pool = g.pool;
-                        b.iadd_to(i, i, 1u32);
-                        b.setp_to(p, CmpOp::Lt, i, trips);
-                        Guard::if_true(p)
-                    });
-                    self.pool = pool;
-                }
-                Step::Barrier => {
-                    // Barriers inside potentially divergent regions are
-                    // UB in the programming model; skip them there.
-                    if !self.in_divergent {
-                        b.barrier();
-                    }
-                }
+/// Without promotion every conditionally redundant marking collapses:
+/// nothing CR-marked stays skippable or finalizes to a redundant class.
+fn cr_markings_collapse(r: &Recipe) {
+    let fx = r.build();
+    for block in [Dim3::one_d(256), Dim3::two_d(12, 12)] {
+        let launch = simt_isa::LaunchConfig { block, ..fx.launch.clone() };
+        assert!(!launch.promotes_conditional_redundancy());
+        let plan = simt_compiler::LaunchPlan::new(&fx.ck, &launch);
+        for (pc, &m) in fx.ck.markings.iter().enumerate() {
+            if m == Marking::ConditionallyRedundant {
+                let i = &fx.ck.kernel.instrs[pc];
+                assert!(!plan.skippable[pc], "CR pc {pc} ({i}) stayed skippable under {block:?}");
+                assert!(!plan.final_class[pc].taxonomy().is_redundant(), "CR pc {pc} ({i})");
             }
         }
     }
 }
 
-fn build_kernel(steps: &[Step]) -> simt_compiler::CompiledKernel {
-    let mut b = KernelBuilder::new("random");
-    let tx = b.special(SpecialReg::TidX);
-    let ty = b.special(SpecialReg::TidY);
-    let cta = b.special(SpecialReg::CtaidX);
-    let p0 = b.param(0);
-    let scratch = b.param(1);
-    let wr = b.param(3);
-    let seed = b.imad(ty, 16u32, tx);
-    let preds: Vec<simt_isa::Pred> = (0..4).map(|_| b.alloc_pred()).collect();
-    let mut g = Gen {
-        pool: vec![tx, ty, cta, p0, seed],
-        scratch_base: scratch,
-        store_base: wr,
-        preds,
-        next_pred: 0,
-        in_divergent: false,
-    };
-    g.emit(&mut b, steps);
-    // Sink: store a combination of the last few live registers so the
-    // generated dataflow is observable.
-    let lane = b.special(SpecialReg::LaneId);
-    let warp = b.special(SpecialReg::WarpId);
-    let lin0 = b.imad(warp, 32u32, lane);
-    let lin = b.imad(cta, 1024u32, lin0);
-    let off = b.shl_imm(lin, 2);
-    let out = b.param(2);
-    let addr = b.iadd(out, off);
-    let mut acc = g.pool[g.pool.len() - 1];
-    if g.pool.len() >= 2 {
-        acc = b.xor(acc, g.pool[g.pool.len() - 2]);
+/// Final memory fingerprint, executed and eliminated instructions.
+fn run(fx: &Fixture, tech: Technique) -> (u64, u64, u64) {
+    let r = Gpu::new(GpuConfig::test_small(), tech).launch(&fx.ck, &fx.launch, fx.memory.clone());
+    let eliminated = r.stats.instrs_skipped.total() + r.stats.instrs_reused.total();
+    (r.memory.fingerprint(), r.stats.instrs_executed, eliminated)
+}
+
+fn techniques_match_baseline(r: &Recipe) {
+    let fx = r.build();
+    let (base_fp, base_exec, _) = run(&fx, Technique::Base);
+    for tech in [Technique::darsie(), Technique::DacIdeal, Technique::Uv] {
+        let (fp, exec, elim) = run(&fx, tech.clone());
+        assert_eq!(fp, base_fp, "memory diverged under {}", tech.label());
+        assert_eq!(exec + elim, base_exec, "conservation failed under {}", tech.label());
     }
-    b.store(MemSpace::Global, addr, acc, 0);
-    simt_compiler::compile(b.finish())
 }
 
-fn run(ck: &simt_compiler::CompiledKernel, tech: Technique) -> (u64, u64, u64) {
-    let mut mem = GlobalMemory::new();
-    let scratch = mem.alloc(1024);
-    let out = mem.alloc(2 * 1024 * 4);
-    let wr = mem.alloc(1024);
-    mem.write_slice_u32(
-        scratch,
-        &(0..256u32).map(|i| i.wrapping_mul(2654435761)).collect::<Vec<_>>(),
-    );
-    let launch = LaunchConfig::new(2u32, Dim3::two_d(16, 16)).with_params(vec![
-        Value(12345),
-        Value(scratch as u32),
-        Value(out as u32),
-        Value(wr as u32),
-    ]);
-    let cfg = GpuConfig::test_small(); // shadow checks on
-    let r = Gpu::new(cfg, tech).launch(ck, &launch, mem);
-    (
-        r.memory.fingerprint(),
-        r.stats.instrs_executed,
-        r.stats.instrs_skipped.total() + r.stats.instrs_reused.total(),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
-
-    /// The static analysis is sound: every instruction the compiler marks
-    /// skippable under a promoted launch is, per the value-level oracle,
-    /// TB-redundant in *every* dynamic execution.
-    #[test]
-    fn static_markings_sound_on_random_kernels(
-        steps in prop::collection::vec(arb_step(2), 1..10)
-    ) {
-        let ck = build_kernel(&steps);
-        let mut mem = GlobalMemory::new();
-        let scratch = mem.alloc(1024);
-        let out = mem.alloc(2 * 1024 * 4);
-        let wr = mem.alloc(1024);
-        mem.write_slice_u32(
-            scratch,
-            &(0..256u32).map(|i| i.wrapping_mul(2654435761)).collect::<Vec<_>>(),
+/// Each SM attributes every issue slot of every cycle to one cause, and
+/// the issued slots equal the instructions executed or reused.
+fn profile_identity_holds(r: &Recipe) {
+    let fx = r.build();
+    for tech in [Technique::Base, Technique::darsie(), Technique::Uv] {
+        let cfg = GpuConfig { profile: true, ..GpuConfig::test_small() };
+        let res = Gpu::new(cfg, tech.clone()).launch(&fx.ck, &fx.launch, fx.memory.clone());
+        let prof = res.profile.as_ref().expect("profiling enabled");
+        for sm in &prof.sms {
+            assert_eq!(sm.check_identity(), Ok(()), "slot accounting under {}", tech.label());
+        }
+        assert_eq!(
+            prof.slots().get(gpu_sim::StallCause::Issued),
+            res.stats.instrs_executed + res.stats.instrs_reused.total(),
+            "issued slots != executed + reused under {}",
+            tech.label()
         );
-        let launch = LaunchConfig::new(2u32, Dim3::two_d(16, 16)).with_params(vec![
-            Value(12345),
-            Value(scratch as u32),
-            Value(out as u32),
-            Value(wr as u32),
-        ]);
-        let plan = simt_compiler::LaunchPlan::new(&ck, &launch);
-        let (trace, _) = gpu_sim::trace_redundancy(&ck, &launch, mem);
-        // Skippable instructions may execute under divergence (where the
-        // runtime never skips them — the oracle calls those occurrences
-        // non-redundant, as the paper does). The soundness claim is about
-        // the occurrences the runtime *would* skip: whenever every warp
-        // executed the PC aligned and fully active, values must agree.
-        for (pc, &skippable) in plan.skippable.iter().enumerate() {
-            if !skippable {
-                continue;
-            }
-            let bad = trace.per_pc_aligned_mismatch.get(&pc).copied().unwrap_or(0);
-            prop_assert_eq!(
-                bad, 0,
-                "pc {} ({}) marked skippable but {} aligned occurrences disagreed",
-                pc, ck.kernel.instrs[pc], bad
-            );
-        }
     }
+}
 
-    /// Marking monotonicity: launch-time finalization never *upgrades* an
-    /// instruction past what the differential oracle accepts. For every
-    /// launch shape — promoting or not — the `simt-verify` oracle replays
-    /// the kernel per-warp and must find no instruction whose finalized
-    /// marking claims TB-redundancy while its warps produced different
-    /// values.
-    #[test]
-    fn finalize_never_upgrades_past_the_oracle(
-        steps in prop::collection::vec(arb_step(2), 1..8)
-    ) {
-        let ck = build_kernel(&steps);
-        // 2D promoted, 1D unpromoted, and a 3D shape that also passes the
-        // tid.y check: promotion decisions differ across all three.
-        for block in [Dim3::two_d(16, 16), Dim3::one_d(256), Dim3::three_d(8, 4, 4)] {
-            let mut mem = GlobalMemory::new();
-            let scratch = mem.alloc(1024);
-            let out = mem.alloc(2 * 1024 * 4);
-            let wr = mem.alloc(1024);
-            mem.write_slice_u32(
-                scratch,
-                &(0..256u32).map(|i| i.wrapping_mul(2654435761)).collect::<Vec<_>>(),
-            );
-            let launch = LaunchConfig::new(2u32, block).with_params(vec![
-                Value(12345),
-                Value(scratch as u32),
-                Value(out as u32),
-                Value(wr as u32),
-            ]);
-            let report = simt_verify::oracle::check(&ck, &launch, mem);
-            // Random kernels address global memory without ctaid terms, so
-            // with two blocks they legitimately race across blocks; the
-            // inter-block findings (V312 and the block-order taint
-            // downgrades) are the certifier's subject, exercised by its
-            // own differential suite. This property is about *warp-level*
-            // marking monotonicity, so only the warp-level findings count.
-            let warp_level: Vec<_> = report
-                .items
-                .iter()
-                .filter(|d| {
-                    d.code != simt_verify::LintCode::InterBlockRaceDynamic
-                        && !d.message.contains("inter-block data race")
-                })
-                .collect();
-            prop_assert!(
-                warp_level.is_empty(),
-                "oracle rejected a finalized marking at TB=({},{},{}):\n{}",
-                block.x, block.y, block.z, report.render()
-            );
-        }
-    }
+/// Each property as a test over `CASES` race-free draws, and
+/// `all_properties` running every one of them on one recipe.
+macro_rules! properties {
+    ($($test:ident: $property:ident,)*) => {
+        $(#[test]
+        fn $test() {
+            check(CASES, Footprint::RaceFree, $property);
+        })*
 
-    /// When the launch-time dimensionality check fails, every
-    /// conditionally redundant marking must collapse to vector: nothing
-    /// CR-marked may stay skippable, and its finalized class must not
-    /// claim redundancy.
-    #[test]
-    fn conditional_markings_collapse_without_promotion(
-        steps in prop::collection::vec(arb_step(2), 1..8)
-    ) {
-        let ck = build_kernel(&steps);
-        // 1D 256 threads: x check fails. 2D 12x12: non-power-of-two x.
-        for block in [Dim3::one_d(256), Dim3::two_d(12, 12)] {
-            let launch = LaunchConfig::new(2u32, block).with_params(vec![Value(0); 4]);
-            prop_assert!(!launch.promotes_conditional_redundancy());
-            let plan = simt_compiler::LaunchPlan::new(&ck, &launch);
-            for (pc, &m) in ck.markings.iter().enumerate() {
-                if m != simt_isa::Marking::ConditionallyRedundant {
-                    continue;
-                }
-                prop_assert!(
-                    !plan.skippable[pc],
-                    "pc {} ({}) is CR-marked but stayed skippable under \
-                     TB=({},{},{})",
-                    pc, ck.kernel.instrs[pc], block.x, block.y, block.z
-                );
-                prop_assert!(
-                    !plan.final_class[pc].taxonomy().is_redundant(),
-                    "pc {} ({}) finalized to a redundant class without promotion",
-                    pc, ck.kernel.instrs[pc]
-                );
-            }
+        fn all_properties(r: &Recipe) {
+            $($property(r);)*
         }
-    }
+    };
+}
 
-    #[test]
-    fn techniques_match_baseline_on_random_kernels(
-        steps in prop::collection::vec(arb_step(2), 1..10)
-    ) {
-        let ck = build_kernel(&steps);
-        let (base_fp, base_exec, _) = run(&ck, Technique::Base);
-        for tech in [Technique::darsie(), Technique::DacIdeal, Technique::Uv] {
-            let (fp, exec, elim) = run(&ck, tech.clone());
-            prop_assert_eq!(fp, base_fp, "memory diverged under {}", tech.label());
-            prop_assert_eq!(
-                exec + elim,
-                base_exec,
-                "instruction conservation failed under {}",
-                tech.label()
-            );
-        }
-    }
+properties! {
+    static_markings_sound_on_random_kernels: static_markings_sound,
+    finalize_never_upgrades_past_the_oracle: finalize_within_the_oracle,
+    conditional_markings_collapse_without_promotion: cr_markings_collapse,
+    techniques_match_baseline_on_random_kernels: techniques_match_baseline,
+    profile_identity_holds_on_random_kernels: profile_identity_holds,
+}
 
-    /// The profiler's accounting identity holds on arbitrary kernels and
-    /// every technique: each SM attributes every issue slot of every
-    /// cycle to exactly one cause, and the `issued` slots equal the
-    /// instructions the simulator executed or reused.
-    #[test]
-    fn profile_identity_holds_on_random_kernels(
-        steps in prop::collection::vec(arb_step(2), 1..10)
-    ) {
-        let ck = build_kernel(&steps);
-        for tech in [Technique::Base, Technique::darsie(), Technique::Uv] {
-            let mut mem = GlobalMemory::new();
-            let scratch = mem.alloc(1024);
-            let out = mem.alloc(2 * 1024 * 4);
-            let wr = mem.alloc(1024);
-            mem.write_slice_u32(
-                scratch,
-                &(0..256u32).map(|i| i.wrapping_mul(2654435761)).collect::<Vec<_>>(),
-            );
-            let launch = LaunchConfig::new(2u32, Dim3::two_d(16, 16)).with_params(vec![
-                Value(12345),
-                Value(scratch as u32),
-                Value(out as u32),
-                Value(wr as u32),
-            ]);
-            let cfg = GpuConfig { profile: true, ..GpuConfig::test_small() };
-            let r = Gpu::new(cfg, tech.clone()).launch(&ck, &launch, mem);
-            let prof = r.profile.as_ref().expect("profiling enabled");
-            for sm in &prof.sms {
-                prop_assert_eq!(
-                    sm.check_identity(), Ok(()),
-                    "slot accounting under {}", tech.label()
-                );
-            }
-            prop_assert_eq!(
-                prof.slots().get(gpu_sim::StallCause::Issued),
-                r.stats.instrs_executed + r.stats.instrs_reused.total(),
-                "issued slots != executed + reused under {}",
-                tech.label()
-            );
-        }
-    }
+fn load(i: u8) -> Stmt {
+    Stmt::Load(MemSpace::Global, Addr::Reg(i))
+}
+
+fn store(a: u8, v: u8) -> Stmt {
+    Stmt::Store(Addr::Reg(a), v)
+}
+
+fn alu(op: Op, a: u8, b: u8) -> Stmt {
+    Stmt::Alu(op, [a, b, 0])
+}
+
+/// Two recorded failures of an earlier generator, as recipes on its
+/// launch (two 16×16 blocks): a loop around a divergent load-and-add, and
+/// stores, loads and barriers in nested ifs and loops.
+#[test]
+fn recorded_case_loop_around_divergent_loads() {
+    use Op::{IAdd, ISub, Shl};
+    use Stmt::{If, Loop};
+    let body = vec![
+        Loop(1, vec![If(0, vec![load(10), alu(IAdd, 122, 209), alu(IAdd, 87, 130)])]),
+        If(59, vec![store(88, 197), load(24)]),
+        Loop(3, vec![Stmt::Barrier, load(100)]),
+        If(85, vec![alu(Shl, 236, 218), store(0, 204), store(229, 157), alu(ISub, 209, 231)]),
+    ];
+    all_properties(&Recipe { grid: Dim3::one_d(2), block: Dim3::two_d(16, 16), body });
+}
+
+#[test]
+fn recorded_case_nested_ifs_with_barriers() {
+    use Op::{IAdd, IMul, ISub, Shl, Xor};
+    use Stmt::{AluImm, Barrier, If, Loop};
+    let inner = vec![alu(ISub, 127, 145), load(216), AluImm(Xor, 50, 11), Barrier];
+    let trips = vec![AluImm(IMul, 111, 59), AluImm(ISub, 76, 0)];
+    let outer = vec![alu(Shl, 165, 70), If(229, inner), store(190, 158), Loop(3, trips)];
+    let body = vec![
+        If(0, vec![If(0, vec![AluImm(IAdd, 0, 6)])]),
+        If(239, outer),
+        If(222, vec![Loop(1, vec![alu(Xor, 109, 96)])]),
+        If(106, vec![Barrier, load(65)]),
+    ];
+    all_properties(&Recipe { grid: Dim3::one_d(2), block: Dim3::two_d(16, 16), body });
 }
