@@ -153,6 +153,8 @@ pub struct Sm<O> {
     icache: TagCache,
     l1d: TagCache,
     inflight: Vec<InFlight>,
+    /// The earliest `done` in `inflight` (`u64::MAX` when empty).
+    inflight_due: u64,
     sp_busy: Vec<u64>,
     sfu_busy: u64,
     lsu_busy: u64,
@@ -164,8 +166,11 @@ pub struct Sm<O> {
     used_regs: u32,
     used_smem: u32,
     next_age: u64,
-    /// Occupied entries of `warps`.
-    resident_warps: usize,
+    /// Resident warp slots, ascending, and per scheduler (slot `i` is scheduler
+    /// `i % schedulers`'s) in visit order: by age under GTO, by slot under LRR.
+    /// Only `launch_tb` and a warp's exit change them; they never reallocate.
+    resident: Vec<usize>,
+    order: Vec<Vec<usize>>,
     /// Per-cycle register-bank use (operand-collector conflicts), reused.
     banks_used: Vec<u32>,
     /// One scheduler's ordered issue candidates, reused.
@@ -206,28 +211,31 @@ impl<O: SmObserver> Sm<O> {
             Technique::Darsie(d) => d.clone(),
             _ => DarsieConfig::default(),
         };
+        let (n, sched) = (cfg.max_warps_per_sm as usize, cfg.schedulers_per_sm);
         Sm {
             id,
             cfg: cfg.clone(),
             technique,
             kd,
-            warps: Slots::new(cfg.max_warps_per_sm as usize, "warp exists"),
+            warps: Slots::new(n, "warp exists"),
             tbs: Slots::new(cfg.max_tbs_per_sm as usize, "TB exists"),
             icache: TagCache::new(cfg.icache_lines, cfg.icache_assoc),
             l1d: TagCache::new(cfg.l1d_lines, cfg.l1d_assoc),
             inflight: Vec::new(),
-            sp_busy: vec![0; cfg.schedulers_per_sm],
+            inflight_due: u64::MAX,
+            sp_busy: vec![0; sched],
             sfu_busy: 0,
             lsu_busy: 0,
             fetch_rr: 0,
-            gto_last: vec![None; cfg.schedulers_per_sm],
-            lrr_next: vec![0; cfg.schedulers_per_sm],
+            gto_last: vec![None; sched],
+            lrr_next: vec![0; sched],
             pc_coalescer: PcCoalescer::new(dc.skip_table_ports),
             uv_reuse: ReuseBuffer::new(64),
             used_regs: 0,
             used_smem: 0,
             next_age: 0,
-            resident_warps: 0,
+            resident: Vec::with_capacity(n),
+            order: (0..sched).map(|_| Vec::with_capacity(n.div_ceil(sched))).collect(),
             banks_used: vec![0; cfg.rf_banks],
             candidates: Vec::new(),
             uv_sig: Vec::new(),
@@ -273,7 +281,7 @@ impl<O: SmObserver> Sm<O> {
         // warp- and slot-limited)? The spare registers are shared among
         // them so none loses its seat to renaming space.
         let free_tb_slots = self.tbs.free_count() as u32;
-        let free_warps = (self.warps.len() - self.resident_warps) as u32;
+        let free_warps = (self.warps.len() - self.resident.len()) as u32;
         let wpb = self.kd.launch.warps_per_block().max(1);
         let placeable = (regs_free / base).min(free_tb_slots).min(free_warps / wpb).max(1);
         let spare_after = regs_free - placeable * base;
@@ -285,7 +293,7 @@ impl<O: SmObserver> Sm<O> {
     #[must_use]
     pub fn can_accept_tb(&self) -> bool {
         let warps_needed = self.kd.launch.warps_per_block() as usize;
-        let free_warps = self.warps.len() - self.resident_warps;
+        let free_warps = self.warps.len() - self.resident.len();
         let free_tbs = self.tbs.first_free().is_some();
         free_warps >= warps_needed
             && free_tbs
@@ -296,7 +304,7 @@ impl<O: SmObserver> Sm<O> {
     /// True while any warp is resident.
     #[must_use]
     pub fn busy(&self) -> bool {
-        self.resident_warps > 0 || !self.inflight.is_empty()
+        !self.resident.is_empty() || !self.inflight.is_empty()
     }
 
     /// Folds one warp's architectural and scheduling state into `h` (the
@@ -553,7 +561,11 @@ impl<O: SmObserver> Sm<O> {
             let warp = Warp::in_block(slot, tb_slot, w, num_regs, launch, self.next_age);
             self.next_age += 1;
             self.warps.put(slot, warp);
-            self.resident_warps += 1;
+            self.resident.insert(self.resident.partition_point(|&s| s < slot), slot);
+            let order = &mut self.order[slot % self.cfg.schedulers_per_sm];
+            let lrr = self.cfg.scheduler == SchedulerPolicy::Lrr;
+            let at = if lrr { order.partition_point(|&s| s < slot) } else { order.len() };
+            order.insert(at, slot);
             slots.push(slot);
         }
         let mut dc = self.darsie().cloned().unwrap_or_default();
@@ -605,10 +617,18 @@ impl<O: SmObserver> Sm<O> {
     /// execution unit or the LSU frees up. Everything else a stalled warp
     /// waits on changes only when one of these does.
     fn wake_cycle(&self, now: u64) -> u64 {
-        let timers = self.sp_busy.iter().chain([&self.sfu_busy, &self.lsu_busy]).copied();
-        let fetches = self.warps.iter().map(|w| w.fetch_ready_at);
-        let writebacks = self.inflight.iter().map(|f| f.done);
-        timers.chain(fetches).chain(writebacks).filter(|&t| t > now).min().unwrap_or(u64::MAX)
+        let timers = [&self.sfu_busy, &self.lsu_busy, &self.inflight_due];
+        let timers = self.sp_busy.iter().chain(timers).copied();
+        let fetches = self.resident.iter().map(|&s| self.warps[s].fetch_ready_at);
+        debug_assert!(self.index_matches_scan());
+        timers.chain(fetches).filter(|&t| t > now).min().unwrap_or(u64::MAX)
+    }
+
+    /// Debug re-check: the resident index and `inflight_due` by full scans.
+    fn index_matches_scan(&self) -> bool {
+        let occupied = self.warps.occupied().map(|(i, _)| i);
+        let due = self.inflight.iter().map(|f| f.done).min().unwrap_or(u64::MAX);
+        self.resident.iter().copied().eq(occupied) && self.inflight_due == due
     }
 
     /// Brings a sleeping SM up to date through cycle `through`, then
@@ -644,8 +664,9 @@ impl<O: SmObserver> Sm<O> {
         if self.darsie().is_none() {
             return;
         }
-        for w in self.warps.iter() {
-            match w.state {
+        debug_assert!(self.index_matches_scan());
+        for &slot in &self.resident {
+            match self.warps[slot].state {
                 WarpState::WaitLeader(..) => self.stats.darsie.wait_for_leader_cycles += k,
                 WarpState::BranchSync(..) => self.stats.darsie.branch_sync_cycles += k,
                 _ => {}
@@ -656,20 +677,23 @@ impl<O: SmObserver> Sm<O> {
     // ----- writeback ---------------------------------------------------------
 
     /// Completes every due in-flight instruction in issue order, compacting
-    /// the rest in place.
+    /// the rest in place; a cycle with nothing due skips the list.
     fn writeback(&mut self, now: u64) {
-        let mut kept = 0;
-        for i in 0..self.inflight.len() {
-            let f = self.inflight[i];
-            if f.done <= now {
-                self.complete(f, now);
-            } else {
-                self.inflight[kept] = f;
-                kept += 1;
-            }
+        debug_assert!(self.index_matches_scan());
+        if self.inflight_due > now {
+            return;
         }
-        self.progress |= kept < self.inflight.len();
-        self.inflight.truncate(kept);
+        let (mut inflight, mut due) = (std::mem::take(&mut self.inflight), u64::MAX);
+        inflight.retain(|&f| {
+            let keep = f.done > now;
+            if keep {
+                due = due.min(f.done)
+            } else {
+                self.complete(f, now)
+            }
+            keep
+        });
+        (self.inflight, self.inflight_due, self.progress) = (inflight, due, true);
     }
 
     fn complete(&mut self, f: InFlight, now: u64) {
@@ -801,8 +825,8 @@ impl<O: SmObserver> Sm<O> {
             self.progress |= issued_from.is_some() || self.gto_last[s].is_some();
             self.gto_last[s] = issued_from;
             if O::OBSERVES {
-                let (warps, schedulers) = (&self.warps, self.cfg.schedulers_per_sm);
-                let blame = || blame.unwrap_or_else(|| idle_cause(warps, s, schedulers));
+                let (warps, sched) = (&self.warps, self.cfg.schedulers_per_sm);
+                let blame = || blame.unwrap_or_else(|| idle_cause(warps, &self.resident, s, sched));
                 self.observer.issue_slots(s, sched_issued, issued_from, blame);
             }
         }
@@ -840,14 +864,20 @@ impl<O: SmObserver> Sm<O> {
     /// (highest priority first). Scheduler `s` owns warp slots `s`,
     /// `s + schedulers`, ...
     fn warp_candidates(&mut self, s: usize, candidates: &mut Vec<usize>) {
-        let warps = &self.warps;
+        let (warps, step) = (&self.warps, self.cfg.schedulers_per_sm);
+        let gto = self.cfg.scheduler == SchedulerPolicy::Gto;
+        let ready = |&i: &usize| {
+            let w = &warps[i];
+            matches!(w.state, WarpState::Ready | WarpState::WaitLeader(..)) && !w.ibuffer.is_empty()
+        };
         candidates.clear();
-        candidates.extend((s..warps.len()).step_by(self.cfg.schedulers_per_sm).filter(|&slot| {
-            warps.get(slot).is_some_and(|w| {
-                matches!(w.state, WarpState::Ready | WarpState::WaitLeader(..))
-                    && !w.ibuffer.is_empty()
-            })
-        }));
+        candidates.extend(self.order[s].iter().copied().filter(ready));
+        debug_assert!({
+            let own = (s..warps.len()).step_by(step).filter(|&i| warps.get(i).is_some());
+            let mut scan: Vec<usize> = own.filter(ready).collect();
+            scan.sort_unstable_by_key(|&i| if gto { warps[i].age } else { i as u64 });
+            scan == *candidates
+        });
         if candidates.is_empty() {
             return;
         }
@@ -855,7 +885,6 @@ impl<O: SmObserver> Sm<O> {
             SchedulerPolicy::Gto => {
                 // Oldest first (ages are unique); the greedy warp (last
                 // issued) leads.
-                candidates.sort_unstable_by_key(|&slot| warps[slot].age);
                 if let Some(last) = self.gto_last[s] {
                     if let Some(pos) = candidates.iter().position(|&c| c == last) {
                         candidates[..=pos].rotate_right(1);
@@ -917,8 +946,7 @@ impl<O: SmObserver> Sm<O> {
                         // WAW with an older in-flight write.
                         return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
                     }
-                    let Some(IBufEntry::SkipMarker { pc, dst, values }) = w.ibuffer.pop_front()
-                    else {
+                    let Some(IBufEntry::SkipMarker { pc, dst, values }) = w.pop_ibuffer() else {
                         unreachable!()
                     };
                     self.shadow_check(wslot, pc, dst, &values, global);
@@ -936,7 +964,7 @@ impl<O: SmObserver> Sm<O> {
                     if !w.scoreboard_ready(instr) {
                         return IssueOutcome::Stall { cause: StallCause::Scoreboard, pc: Some(pc) };
                     }
-                    w.ibuffer.pop_front();
+                    w.pop_ibuffer();
                     w.advance();
                     absorbed += 1;
                     self.progress = true;
@@ -1082,7 +1110,7 @@ impl<O: SmObserver> Sm<O> {
             self.stats.rf_writes += 1;
         }
         let w = &mut self.warps[wslot];
-        w.ibuffer.pop_front();
+        w.pop_ibuffer();
         w.advance();
         w.reconverge();
         self.stats.instrs_reused.add(self.kd.plan.taxonomy[pc], 1);
@@ -1154,7 +1182,7 @@ impl<O: SmObserver> Sm<O> {
 
         // Functional execution.
         let w = &mut self.warps[wslot];
-        w.ibuffer.pop_front();
+        w.pop_ibuffer();
         w.advance();
         let mut addrs = LaneAddrs::default();
         let effect = self.execute_warp(wslot, instr, global, &mut addrs);
@@ -1225,7 +1253,8 @@ impl<O: SmObserver> Sm<O> {
                         self.after_majority_change(tb_idx);
                     }
                     self.warps.clear(wslot);
-                    self.resident_warps -= 1;
+                    self.resident.retain(|&s| s != wslot);
+                    self.order[wslot % self.cfg.schedulers_per_sm].retain(|&s| s != wslot);
                 }
                 IssueOutcome::IssuedControl { tb_done }
             }
@@ -1273,6 +1302,7 @@ impl<O: SmObserver> Sm<O> {
         if let Some(p) = instr.pdst {
             w.mark_pending_pred(p);
         }
+        self.inflight_due = self.inflight_due.min(done);
         self.inflight.push(InFlight {
             done,
             warp: wslot,
@@ -1514,15 +1544,20 @@ impl<O: SmObserver> Sm<O> {
 
     // ----- fetch ---------------------------------------------------------------
 
+    /// Offers fetch to the resident warps in rotation from `fetch_rr`.
     fn fetch(&mut self, now: u64) {
         self.pc_coalescer.begin_cycle();
         let n = self.warps.len();
+        let resident = std::mem::take(&mut self.resident);
+        let from = resident.partition_point(|&s| s < self.fetch_rr);
+        let walk = || resident[from..].iter().chain(&resident[..from]).copied();
+        let scan = (0..n).map(|off| (self.fetch_rr + off) % n);
+        debug_assert!(walk().eq(scan.filter(|&s| self.warps.get(s).is_some())));
         let mut served = 0;
-        for off in 0..n {
+        for slot in walk() {
             if served >= self.cfg.fetch_width {
                 break;
             }
-            let slot = (self.fetch_rr + off) % n;
             let eligible = self.warps.get(slot).is_some_and(|w| {
                 w.state == WarpState::Ready
                     && !w.fetch_blocked
@@ -1537,6 +1572,7 @@ impl<O: SmObserver> Sm<O> {
                 served += 1;
             }
         }
+        self.resident = resident;
         self.fetch_rr = (self.fetch_rr + 1) % n;
     }
 
@@ -1628,7 +1664,7 @@ impl<O: SmObserver> Sm<O> {
             let op = self.kd.instr(pc).op;
             self.observer.event(now, wslot, pc, EventKind::Fetch);
             let w = &mut self.warps[wslot];
-            w.ibuffer.push_back(IBufEntry::Instr { pc, leader: None });
+            w.push_ibuffer(IBufEntry::Instr { pc, leader: None });
             self.stats.instrs_fetched += 1;
             delivered += 1;
             if matches!(op, Op::Bra { .. } | Op::Exit) {
@@ -1663,7 +1699,7 @@ impl<O: SmObserver> Sm<O> {
             if pc >= self.kd.ck.kernel.len() || !self.kd.plan.dac_affine[pc] {
                 return;
             }
-            self.warps[wslot].ibuffer.push_back(IBufEntry::Ghost { pc });
+            self.warps[wslot].push_ibuffer(IBufEntry::Ghost { pc });
             self.progress = true;
         }
     }
@@ -1741,7 +1777,7 @@ impl<O: SmObserver> Sm<O> {
                         .get(&(pc, instance))
                         .expect("leader_wb implies a snapshot")
                         .clone();
-                    self.warps[wslot].ibuffer.push_back(IBufEntry::SkipMarker { pc, dst, values });
+                    self.warps[wslot].push_ibuffer(IBufEntry::SkipMarker { pc, dst, values });
                     let tb = &mut self.tbs[tb_idx];
                     // Rename bookkeeping: the follower rebinds its view of
                     // the register to the leader's version, releasing the
@@ -1810,9 +1846,7 @@ impl<O: SmObserver> Sm<O> {
                         .allocate_version(warp_in_tb, dst.0, &mut self.stats.darsie)
                         .expect("freelist checked non-empty this cycle");
                     tb.entry_versions.insert((pc, instance), (dst.0, version));
-                    self.warps[wslot]
-                        .ibuffer
-                        .push_back(IBufEntry::Instr { pc, leader: Some(instance) });
+                    self.warps[wslot].push_ibuffer(IBufEntry::Instr { pc, leader: Some(instance) });
                     self.stats.instrs_fetched += 1;
                     self.observer.event(now, wslot, pc, EventKind::Lead);
                     // The leader's instruction still consumes fetch work:
@@ -1844,10 +1878,10 @@ enum IssueOutcome {
 /// Why scheduler `s` of `schedulers` had no issue candidate at all this
 /// cycle: the highest-priority parked state among its warps, or
 /// idle-no-warp.
-fn idle_cause(warps: &Slots<Warp>, s: usize, schedulers: usize) -> Blame {
+fn idle_cause(warps: &Slots<Warp>, resident: &[usize], s: usize, schedulers: usize) -> Blame {
     let mut best: Option<(u32, StallCause, Option<usize>, usize)> = None;
-    for slot in (s..warps.len()).step_by(schedulers) {
-        let Some(w) = warps.get(slot) else { continue };
+    for &slot in resident.iter().filter(|&&i| i % schedulers == s) {
+        let w = &warps[slot];
         let (rank, cause, pc) = match w.state {
             WarpState::WaitLeader(pc, _) => (0, StallCause::WaitLeader, Some(pc)),
             WarpState::BranchSync(pc) => (1, StallCause::BranchSync, Some(pc)),

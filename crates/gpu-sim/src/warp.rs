@@ -101,8 +101,10 @@ pub struct Warp {
     pub full_mask: LaneMask,
     /// SIMT stack; the top entry is the executing path.
     pub stack: Vec<StackEntry>,
-    /// Instruction buffer.
-    pub ibuffer: VecDeque<IBufEntry>,
+    /// Instruction buffer; `push_ibuffer`/`pop_ibuffer` keep `buffered_instrs`.
+    pub(crate) ibuffer: VecDeque<IBufEntry>,
+    /// `Instr` entries in `ibuffer`.
+    buffered_instrs: usize,
     /// Registers with writes in flight (bitset over 256 ids).
     pending_regs: [u64; 4],
     /// Predicates with writes in flight.
@@ -168,6 +170,7 @@ impl Warp {
             full_mask,
             stack: vec![StackEntry { next_pc: 0, mask: full_mask, reconv: usize::MAX }],
             ibuffer: VecDeque::new(),
+            buffered_instrs: 0,
             pending_regs: [0; 4],
             pending_preds: 0,
             state: WarpState::Ready,
@@ -215,6 +218,7 @@ impl Warp {
             full_mask,
             stack,
             ibuffer,
+            buffered_instrs,
             pending_regs,
             pending_preds,
             state,
@@ -232,6 +236,7 @@ impl Warp {
         stack.clear();
         stack.push(StackEntry { next_pc: 0, mask: *full_mask, reconv: usize::MAX });
         ibuffer.clear();
+        *buffered_instrs = 0;
         *pending_regs = [0; 4];
         *pending_preds = 0;
         *state = WarpState::Ready;
@@ -295,7 +300,24 @@ impl Warp {
     /// Number of real (fetched-instruction) entries in the I-buffer.
     #[must_use]
     pub fn ibuffer_instrs(&self) -> usize {
-        self.ibuffer.iter().filter(|e| matches!(e, IBufEntry::Instr { .. })).count()
+        debug_assert_eq!(
+            self.buffered_instrs,
+            self.ibuffer.iter().filter(|e| matches!(e, IBufEntry::Instr { .. })).count()
+        );
+        self.buffered_instrs
+    }
+
+    /// Appends `e` to the I-buffer.
+    pub(crate) fn push_ibuffer(&mut self, e: IBufEntry) {
+        self.buffered_instrs += usize::from(matches!(e, IBufEntry::Instr { .. }));
+        self.ibuffer.push_back(e);
+    }
+
+    /// Removes the I-buffer's head.
+    pub(crate) fn pop_ibuffer(&mut self) -> Option<IBufEntry> {
+        let e = self.ibuffer.pop_front()?;
+        self.buffered_instrs -= usize::from(matches!(e, IBufEntry::Instr { .. }));
+        Some(e)
     }
 
     /// Flushes wrong-path entries: after reconvergence switched paths, the
@@ -309,6 +331,7 @@ impl Warp {
         );
         if stale {
             self.ibuffer.clear();
+            self.buffered_instrs = 0;
             self.fetch_blocked = false;
         }
         stale
@@ -656,7 +679,7 @@ mod tests {
         assert_eq!(w.frontier_instance(8), 3);
         assert_eq!(w.frontier_instance(16), 1, "independent per pc");
         // Buffered occurrences advance the frontier without a pass.
-        w.ibuffer.push_back(IBufEntry::Instr { pc: 8, leader: None });
+        w.push_ibuffer(IBufEntry::Instr { pc: 8, leader: None });
         assert_eq!(w.frontier_instance(8), 4);
         assert_eq!(w.passes(8), 2);
     }
@@ -669,7 +692,7 @@ mod tests {
         w.set_pred(Pred(1), 3, true);
         w.advance();
         w.take_branch(0, 6, 0x00F0, 4);
-        w.ibuffer.push_back(IBufEntry::Ghost { pc: 6 });
+        w.push_ibuffer(IBufEntry::Ghost { pc: 6 });
         w.mark_pending(Reg(2));
         w.mark_pending_pred(Pred(0));
         w.record_pass(6);
@@ -684,9 +707,9 @@ mod tests {
     fn fetch_pc_runs_ahead_of_issue_pc() {
         let mut w = warp();
         assert_eq!(w.fetch_pc(), Some(0));
-        w.ibuffer.push_back(IBufEntry::Instr { pc: 0, leader: None });
+        w.push_ibuffer(IBufEntry::Instr { pc: 0, leader: None });
         assert_eq!(w.fetch_pc(), Some(1));
-        w.ibuffer.push_back(IBufEntry::SkipMarker {
+        w.push_ibuffer(IBufEntry::SkipMarker {
             pc: 1,
             dst: Reg(0),
             values: vec![0; 32].into_boxed_slice(),

@@ -473,3 +473,105 @@ fn exited_leader_releases_waiting_followers() {
     let res = Gpu::new(cfg, Technique::darsie()).launch(&ck, &launch, GlobalMemory::new());
     assert!(res.stats.darsie.wait_for_leader_cycles > 0, "a follower waited on the leader");
 }
+
+/// TBs of unequal length retire out of launch order, so a younger warp
+/// takes a lower slot than an older one that is still resident on the
+/// same scheduler. GTO must still visit warps oldest first, LRR in slot
+/// rotation and fetch in `fetch_rr` rotation: cycles, executed
+/// instructions, the digest root and the whole event trace are pinned
+/// under both policies, on a DARSIE run and on a 96-warp SM.
+#[test]
+fn younger_warps_in_lower_slots_keep_the_visit_orders() {
+    let mut b = KernelBuilder::new("ragged");
+    let ctaid = b.special(SpecialReg::CtaidX);
+    let warp = b.special(SpecialReg::WarpId);
+    let lane = b.special(SpecialReg::LaneId);
+    let tid = b.special(SpecialReg::TidX);
+    let inp = b.param(0);
+    let out = b.param(1);
+    // Trip count 2..=30, varying with the TB and the warp within it.
+    let mix = b.imad(ctaid, 5u32, warp);
+    let bits = b.and(mix, 7u32);
+    let trip = b.imad(bits, 4u32, 2u32);
+    let acc = b.mov(0u32);
+    let i = b.mov(0u32);
+    let p = b.alloc_pred();
+    b.do_while(|b| {
+        let word = b.and(i, 15u32);
+        let off = b.shl_imm(word, 2);
+        let a = b.iadd(inp, off);
+        let v = b.load(MemSpace::Global, a, 0);
+        b.imad_to(acc, acc, 3u32, v);
+        b.iadd_to(acc, acc, lane);
+        b.iadd_to(i, i, 1u32);
+        b.setp_to(p, CmpOp::Lt, i, trip);
+        Guard::if_true(p)
+    });
+    let ntid = b.special(SpecialReg::NtidX);
+    let gid = b.imad(ctaid, ntid, tid);
+    let goff = b.shl_imm(gid, 2);
+    let a_out = b.iadd(out, goff);
+    b.store(MemSpace::Global, a_out, acc, 0);
+    let ck = simt_compiler::compile(b.finish());
+
+    let run = |cfg: GpuConfig, technique: Technique, blocks: u32| {
+        let mut mem = GlobalMemory::new();
+        let a_in = mem.alloc(16 * 4);
+        for k in 0..16 {
+            mem.write_u32(a_in + 4 * k, (k as u32).wrapping_mul(0x9e37_79b9));
+        }
+        let a_out = mem.alloc(u64::from(blocks) * 128 * 4);
+        let launch = LaunchConfig::new(blocks, 128u32)
+            .with_params(vec![Value(a_in as u32), Value(a_out as u32)]);
+        let cfg = GpuConfig { trace_events: true, ..cfg };
+        let mut res = Gpu::new(cfg.clone(), technique).launch(&ck, &launch, mem);
+        assert_eq!(res.events.dropped, 0, "the whole trace is kept");
+        let events = res.events.events();
+        // Each slot's residencies as (first event, `WarpDone`) cycles.
+        let mut lives: Vec<Vec<(u64, u64)>> = vec![Vec::new(); cfg.max_warps_per_sm as usize];
+        let mut open: Vec<Option<u64>> = vec![None; cfg.max_warps_per_sm as usize];
+        for e in events {
+            let start = *open[e.warp].get_or_insert(e.cycle);
+            if e.kind == gpu_sim::EventKind::WarpDone {
+                lives[e.warp].push((start, e.cycle));
+                open[e.warp] = None;
+            }
+        }
+        let sched = cfg.schedulers_per_sm;
+        let inverted = (0..lives.len()).any(|lo| {
+            (lo + sched..lives.len()).step_by(sched).any(|hi| {
+                lives[lo].iter().any(|&(young, _)| {
+                    lives[hi].iter().any(|&(old, done)| old < young && young < done)
+                })
+            })
+        });
+        assert!(inverted, "a younger warp sits below a resident older one on its scheduler");
+        let top = events.iter().map(|e| e.warp).max().unwrap_or(0);
+        assert!(cfg.max_warps_per_sm <= 64 || top >= 64, "the wide SM fills slots past 64");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for e in events {
+            for word in [e.cycle, e.warp as u64, e.pc as u64, e.kind as u64] {
+                h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        (res.cycles, res.stats.instrs_executed, res.stats.digest_root, h)
+    };
+    let small = GpuConfig { max_tbs_per_sm: 3, ..cfg() };
+    let lrr = GpuConfig { scheduler: SchedulerPolicy::Lrr, ..small.clone() };
+    let wide = GpuConfig { max_warps_per_sm: 96, max_tbs_per_sm: 24, ..cfg() };
+    let got = [
+        run(small.clone(), Technique::Base, 24),
+        run(lrr.clone(), Technique::Base, 24),
+        run(small, Technique::darsie(), 24),
+        run(lrr, Technique::darsie(), 24),
+        run(wide, Technique::darsie(), 60),
+    ];
+    let pinned = [
+        (12354, 15456, 2949236460300884682, 1726661838113271749),
+        (12438, 15456, 16496107933188851812, 14612719654958088877),
+        (8609, 8867, 16822541318203456363, 1089505481011908225),
+        (8615, 8803, 9245442558885856156, 11962839432029655967),
+        (9278, 21544, 17068663120681229818, 7871239113583756921),
+    ];
+    assert_eq!(got, pinned);
+}

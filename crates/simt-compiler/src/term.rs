@@ -167,11 +167,11 @@ pub enum TermNode {
     },
 }
 
-/// Concrete evaluation context: one thread of one candidate launch of
-/// the 2D family (grid fixed to a single threadblock).
+/// Concrete evaluation context: one thread of one candidate launch (grid
+/// fixed to a single threadblock).
 pub struct EvalCtx<'a> {
-    /// Block shape `(ntid.x, ntid.y)`; `ntid.z = 1`.
-    pub block: (u32, u32),
+    /// Block shape `(ntid.x, ntid.y, ntid.z)`.
+    pub block: (u32, u32, u32),
     /// SIMT width.
     pub warp_size: u32,
     /// Warp index within the threadblock.
@@ -268,8 +268,8 @@ impl TermArena {
     /// Interns a symbolic special register. `tid.z` differs between the
     /// warps of a 3D block, so it is outside every claim family's allowed
     /// dependencies and outside the affine domain. The candidate launches
-    /// [`TermArena::eval`] evaluates are one 2D block: `tid.z` reads 0,
-    /// `ctaid.*` 0 and `ntid.z`, `nctaid.*` 1.
+    /// [`TermArena::eval`] evaluates are one block: `ctaid.*` read 0 and
+    /// `nctaid.*` 1.
     pub fn special(&mut self, s: SpecialReg) -> TermId {
         let deps = match s {
             SpecialReg::TidX => Deps::TIDX,
@@ -445,7 +445,7 @@ impl TermArena {
                     SpecialReg::TidZ => (lin / (bx * by)) as u32,
                     SpecialReg::NtidX => ctx.block.0,
                     SpecialReg::NtidY => ctx.block.1,
-                    SpecialReg::NtidZ => 1,
+                    SpecialReg::NtidZ => ctx.block.2,
                     SpecialReg::CtaidX | SpecialReg::CtaidY | SpecialReg::CtaidZ => 0,
                     SpecialReg::NctaidX | SpecialReg::NctaidY | SpecialReg::NctaidZ => 1,
                     SpecialReg::LaneId => ctx.lane,
@@ -660,7 +660,7 @@ mod tests {
         params: &'a [u32],
         read: &'a dyn Fn(u64) -> u32,
     ) -> EvalCtx<'a> {
-        EvalCtx { block: (bx, by), warp_size: 32, warp, lane, params, read_global: read }
+        EvalCtx { block: (bx, by, 1), warp_size: 32, warp, lane, params, read_global: read }
     }
 
     #[test]

@@ -79,12 +79,20 @@ const FUEL: usize = 1 << 16;
 const MAX_FORK_DEPTH: usize = 64;
 /// Term-arena ceiling; blowing past it aborts to the affine fallback.
 const MAX_TERMS: usize = 1 << 20;
-/// Candidate `(ntid.x, ntid.y)` shapes for disproving claims quantified
-/// over *every* launch: two full warps each, 1D and promoted 2D.
-const DIMS_ALL: [(u32, u32); 4] = [(64, 1), (32, 2), (16, 4), (8, 8)];
+/// A block shape `(ntid.x, ntid.y, ntid.z)`.
+type Shape = (u32, u32, u32);
+/// Candidate shapes for disproving claims quantified over *every*
+/// launch: two full warps each, 1D, promoted 2D, and 3D with one warp
+/// per z plane (`tid.z` is the warp index).
+const DIMS_ALL: [Shape; 5] = [(64, 1, 1), (32, 2, 1), (16, 4, 1), (8, 8, 1), (16, 2, 2)];
 /// Candidate shapes for claims quantified over the `px` promotion family
-/// (2D, `ntid.x` a power of two ≤ warp size): two full warps each.
-const DIMS_PX: [(u32, u32); 4] = [(32, 2), (16, 4), (8, 8), (4, 16)];
+/// (`ntid.y > 1`, `ntid.x` a power of two ≤ warp size): two full warps
+/// each.
+const DIMS_PX: [Shape; 5] = [(32, 2, 1), (16, 4, 1), (8, 8, 1), (4, 16, 1), (16, 2, 2)];
+/// Candidate shapes for claims quantified over the xy promotion family
+/// (the x check, and `ntid.x * ntid.y` a power of two ≤ warp size): a
+/// block with two warps needs `ntid.z > 1`.
+const DIMS_XY: [Shape; 1] = [(16, 2, 2)];
 
 /// How a claim quantifies over launch configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +101,8 @@ enum Family {
     All,
     /// Claimed whenever the x-dimension promotion check passes.
     PromotedX,
-    /// Claimed only when both x- and y-checks pass (single-warp TBs).
+    /// Claimed only when both x- and y-checks pass (each warp covers
+    /// whole (x, y) planes).
     PromotedXY,
 }
 
@@ -103,19 +112,17 @@ impl Family {
         match self {
             Family::All => Deps::LANE,
             Family::PromotedX => Deps::TIDX.union(Deps::LANE),
-            // Single warp per TB: cross-warp redundancy is vacuous.
-            Family::PromotedXY => {
-                Deps::TIDX.union(Deps::TIDY).union(Deps::LANE).union(Deps::WARP).union(Deps::OTHER)
-            }
+            // tid.x and tid.y repeat in every warp; tid.z and warpid do not.
+            Family::PromotedXY => Deps::TIDX.union(Deps::TIDY).union(Deps::LANE),
         }
     }
 
     /// Candidate block shapes used to hunt counterexamples.
-    fn candidate_dims(self) -> &'static [(u32, u32)] {
+    fn candidate_dims(self) -> &'static [Shape] {
         match self {
             Family::All => &DIMS_ALL,
             Family::PromotedX => &DIMS_PX,
-            Family::PromotedXY => &[],
+            Family::PromotedXY => &DIMS_XY,
         }
     }
 
@@ -142,8 +149,8 @@ pub enum FamilyCover {
     /// Launches passing the x-dimension promotion check
     /// ([`LaunchConfig::promotes_conditional_redundancy`]).
     PromotedX,
-    /// Launches passing both the x- and y-promotion checks
-    /// (single-warp threadblocks, [`simt_compiler::promotes_tid_y`]).
+    /// Launches passing both the x- and y-promotion checks (each warp
+    /// covers whole (x, y) planes, [`simt_compiler::promotes_tid_y`]).
     PromotedXY,
 }
 
@@ -179,9 +186,8 @@ impl FamilyCover {
                 let lo = r.block_y.round_up(2)?;
                 r.block_y = simt_isa::AxisRange::strided(lo, r.block_y.hi, r.block_y.step);
                 if self == FamilyCover::PromotedXY {
-                    // Single-warp TBs: every member must keep x*y a power
-                    // of two within the warp; demand it of every admitted
-                    // extent pair.
+                    // Every member must keep x*y a power of two within the
+                    // warp; demand it of every admitted extent pair.
                     let xy_ok = r.block_x.values().all(|x| {
                         r.block_y.values().all(|y| (x * y).is_power_of_two() && x * y <= warp_size)
                     });
@@ -955,7 +961,7 @@ fn judge_claim(ctx: &JudgeCtx<'_>, task: &ClaimTask) -> ClaimOutcome {
 
 /// A cross-warp mismatch found by concrete evaluation of a visit's term.
 struct Witness {
-    block: (u32, u32),
+    block: Shape,
     lane: u32,
     values: (u32, u32),
     term: TermId,
@@ -971,28 +977,21 @@ fn hunt(
     t: &TermArena,
     visits: &[Visit],
     failing: &[bool],
-    dims: &[(u32, u32)],
+    dims: &[Shape],
     params: &[u32],
     memory: &GlobalMemory,
     cross_warp_only: bool,
     evals: &mut usize,
 ) -> Option<Witness> {
     let read = |addr: u64| memory.read_u32(addr);
-    for &(bx, by) in dims {
+    for &block in dims {
         for (visit, fail) in visits.iter().zip(failing) {
             if !fail {
                 continue;
             }
             let mut eval_at = |warp: u32, lane: u32| -> Option<u32> {
                 *evals += 1;
-                let ctx = EvalCtx {
-                    block: (bx, by),
-                    warp_size: 32,
-                    warp,
-                    lane,
-                    params,
-                    read_global: &read,
-                };
+                let ctx = EvalCtx { block, warp_size: 32, warp, lane, params, read_global: &read };
                 if t.eval(visit.path, &ctx)? == 0 {
                     return None;
                 }
@@ -1002,12 +1001,7 @@ fn hunt(
                 for lane in 0..32 {
                     if let (Some(a), Some(b)) = (eval_at(0, lane), eval_at(1, lane)) {
                         if a != b {
-                            return Some(Witness {
-                                block: (bx, by),
-                                lane,
-                                values: (a, b),
-                                term: visit.term,
-                            });
+                            return Some(Witness { block, lane, values: (a, b), term: visit.term });
                         }
                     }
                 }
@@ -1022,7 +1016,7 @@ fn hunt(
                                 None => first = Some((lane, v)),
                                 Some((l0, v0)) if v0 != v => {
                                     return Some(Witness {
-                                        block: (bx, by),
+                                        block,
                                         lane: l0,
                                         values: (v0, v),
                                         term: visit.term,
@@ -1051,9 +1045,8 @@ fn judge_value(ctx: &JudgeCtx<'_>, pc: usize, family: Family) -> ClaimOutcome {
     let JudgeCtx { ck, t, ref_params, ref_memory, complete, .. } = *ctx;
     let mut evals = 0usize;
     let proved = |evals| ClaimOutcome { verdict: Verdict::Proved, diag: None, evals };
-    if !ctx.reachable[pc] || family == Family::PromotedXY {
-        // Dead code proves anything; single-warp TBs have no second warp
-        // to diverge from.
+    if !ctx.reachable[pc] {
+        // Dead code proves anything.
         return proved(evals);
     }
     // Affine prover: launch-generic by construction. A proof needs the
@@ -1066,7 +1059,8 @@ fn judge_value(ctx: &JudgeCtx<'_>, pc: usize, family: Family) -> ClaimOutcome {
             // a*tid.x + c with a shared c is a lane function under the
             // px promotion.
             Family::PromotedX => av.affine().is_some_and(|f| f.b == 0 && f.c_uniform()),
-            Family::PromotedXY => true,
+            // a*tid.x + b*tid.y + c likewise under the xy promotion.
+            Family::PromotedXY => av.affine().is_some_and(|f| f.c_uniform()),
         };
         if affine_proof {
             return proved(evals);
@@ -1091,12 +1085,11 @@ fn judge_value(ctx: &JudgeCtx<'_>, pc: usize, family: Family) -> ClaimOutcome {
                 LintCode::DisprovedMarking,
                 Some(pc),
                 format!(
-                    "{} marking disproved for block ({},{}): lane {} sees {:#x} in warp 0 \
+                    "{} marking disproved for block {}: lane {} sees {:#x} in warp 0 \
                      but {:#x} in warp 1; value {}; counterexample confirmed by functional \
                      replay ({confirming})",
                     marking_name(ck, pc),
-                    w.block.0,
-                    w.block.1,
+                    shape_name(w.block),
                     w.lane,
                     w.values.0,
                     w.values.1,
@@ -1129,10 +1122,7 @@ fn judge_branch(ctx: &JudgeCtx<'_>, pc: usize, family: Family) -> ClaimOutcome {
     let JudgeCtx { t, ref_params, ref_memory, complete, .. } = *ctx;
     let mut evals = 0usize;
     let proved = |evals| ClaimOutcome { verdict: Verdict::Proved, diag: None, evals };
-    if !ctx.reachable[pc] || family == Family::PromotedXY {
-        return proved(evals);
-    }
-    if ctx.aff_guard_uniform[pc] {
+    if !ctx.reachable[pc] || ctx.aff_guard_uniform[pc] {
         return proved(evals);
     }
     let empty = Vec::new();
@@ -1147,10 +1137,9 @@ fn judge_branch(ctx: &JudgeCtx<'_>, pc: usize, family: Family) -> ClaimOutcome {
             LintCode::BranchSyncViolation,
             Some(pc),
             format!(
-                "skippable branch diverges for block ({},{}): threads disagree on the \
+                "skippable branch diverges for block {}: threads disagree on the \
                  predicate ({} vs {}); condition {}",
-                w.block.0,
-                w.block.1,
+                shape_name(w.block),
                 w.values.0,
                 w.values.1,
                 t.render(w.term),
@@ -1185,7 +1174,7 @@ fn judge_branch(ctx: &JudgeCtx<'_>, pc: usize, family: Family) -> ClaimOutcome {
 fn replay(
     ck: &CompiledKernel,
     pc: usize,
-    block: (u32, u32),
+    block: Shape,
     params: &[u32],
     memory: &GlobalMemory,
 ) -> Option<&'static str> {
@@ -1198,6 +1187,15 @@ fn replay(
         }
     }
     None
+}
+
+/// `(x,y)` for a 2D block, `(x,y,z)` otherwise.
+fn shape_name((x, y, z): Shape) -> String {
+    if z == 1 {
+        format!("({x},{y})")
+    } else {
+        format!("({x},{y},{z})")
+    }
 }
 
 fn marking_name(ck: &CompiledKernel, pc: usize) -> String {

@@ -76,6 +76,46 @@ fn forged_param_dr_is_disproved_with_confirmed_counterexample() {
     assert_eq!(p.stats.disproved, 1);
 }
 
+/// A forged CR on a `tid.z` value holds in every 2D block; the prover's
+/// 3D candidate block refutes it, and the functional executor confirms
+/// the counterexample.
+#[test]
+fn forged_tid_z_cr_is_disproved_in_a_3d_block() {
+    let f = fixtures::symex_forged_tid_z();
+    let p = symex::prove(&f.ck, Some((&f.launch, &f.memory)));
+    let s401 = p.report.with_code(LintCode::DisprovedMarking);
+    assert_eq!(s401.len(), 1, "{}", p.report.render());
+    let tampered =
+        f.ck.kernel
+            .instrs
+            .iter()
+            .position(|i| i.op == Op::IAdd && i.srcs.get(1) == Some(&Operand::Imm(5)));
+    assert_eq!(s401[0].pc, tampered, "S401 must point at the forged marking");
+    assert_eq!(
+        s401[0].message,
+        "CR marking disproved for block (16,2,2): lane 0 sees 0x5 in warp 0 but 0x6 in warp 1; \
+         value (iadd %tid.z 5); counterexample confirmed by functional replay (V202)"
+    );
+    assert_eq!((p.stats.disproved, p.stats.unknown), (1, 0));
+    let launch = LaunchConfig::new(1u32, (16u32, 2u32, 2u32)).with_params(f.launch.params.clone());
+    let replay = oracle::check(&f.ck, &launch, f.memory.clone());
+    assert!(
+        replay.with_code(LintCode::UnsoundPromotion).iter().any(|d| d.pc == s401[0].pc),
+        "executor does not confirm the witness:\n{}",
+        replay.render()
+    );
+    // Classed `CondRedundantXY`, the claim holds only under the xy
+    // promotion, whose blocks need not be single-warp: (16,2,2) still
+    // refutes it.
+    let mut f = f;
+    let pc = s401[0].pc.expect("S401 carries a pc");
+    f.ck.classes[pc].red = simt_compiler::Red::CondRedundantXY;
+    let p = symex::prove(&f.ck, Some((&f.launch, &f.memory)));
+    let s401 = p.report.with_code(LintCode::DisprovedMarking);
+    assert_eq!(s401.len(), 1, "{}", p.report.render());
+    assert!(s401[0].message.contains("block (16,2,2)"), "{}", s401[0].message);
+}
+
 /// The no-false-witness property, checked from the outside: the block
 /// shape named in the `S401` message really does make the functional
 /// executor observe non-redundant vectors at the same pc.

@@ -24,11 +24,12 @@ fn forge(ck: &mut CompiledKernel) {
     }
 }
 
-/// Parses the `block (bx,by)` witness out of an `S401` message.
-fn witness_block(msg: &str) -> (u32, u32) {
+/// Parses the `block (bx,by)` or `block (bx,by,bz)` witness out of an
+/// `S401` message.
+fn witness_block(msg: &str) -> Dim3 {
     let dims = msg.split("block (").nth(1).and_then(|s| s.split(')').next()).expect("dims");
-    let (bx, by) = dims.split_once(',').expect("two dims");
-    (bx.trim().parse().unwrap(), by.trim().parse().unwrap())
+    let d: Vec<u32> = dims.split(',').map(|v| v.trim().parse().expect("a dim")).collect();
+    Dim3::three_d(d[0], d[1], d.get(2).copied().unwrap_or(1))
 }
 
 /// Soundness both ways on a forged fixture: (a) any marking the oracle

@@ -752,6 +752,23 @@ pub fn symex_forged_param() -> Fixture {
     fx
 }
 
+/// Forged CR on a `tid.z` value: `tid.z + 5` holds the same value in
+/// every warp of a 2D block, so only a 3D block refutes the marking. In
+/// block (16,2,2), which passes the x-promotion check, warp 1 is the
+/// `z = 1` plane; the prover owes an `S401` the functional executor
+/// confirms.
+#[must_use]
+pub fn symex_forged_tid_z() -> Fixture {
+    let mut b = KernelBuilder::new("symex_forged_tid_z");
+    let z = b.special(SpecialReg::TidZ);
+    let y = b.iadd(z, 5u32);
+    writeback(&mut b, y);
+    let mut fx = finish("symex_forged_tid_z", b);
+    let pc = pc_of(&fx.ck, |i| i.op == Op::IAdd && i.srcs.get(1) == Some(&Operand::Imm(5)));
+    fx.ck.markings[pc] = Marking::ConditionallyRedundant;
+    fx
+}
+
 /// Straight-line estimator fixture: no loops, so every block is visited
 /// exactly once and the cycle bracket is a tight envelope around pure
 /// issue cost. The baseline for hand-checking the cost model.
@@ -958,5 +975,6 @@ pub fn symex() -> Vec<Fixture> {
         symex_uniform_base(),
         symex_divergent_write_control(),
         symex_forged_param(),
+        symex_forged_tid_z(),
     ]
 }
