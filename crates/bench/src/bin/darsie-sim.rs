@@ -34,7 +34,8 @@
 //! with byte-identical output.
 //!
 //! The `certify` subcommand is the inter-thread-block independence
-//! certifier gating the sharded engine: for each workload it runs the
+//! certifier, which establishes that block replay order is unobservable
+//! for a launch: for each workload it runs the
 //! static block-affine global-footprint analysis and then replays the
 //! whole launch under the dynamic global-memory shadow sanitizer, and
 //! reports the classification (`block-independent`,
@@ -509,8 +510,9 @@ fn verify(cmd: &Command, args: &[String]) {
     tally.finish(&mut cx, records, "verified");
 }
 
-/// `darsie-sim certify`: the inter-thread-block independence certifier
-/// gating the sharded engine. For each selected workload it runs the
+/// `darsie-sim certify`: the inter-thread-block independence certifier,
+/// which establishes that block replay order is unobservable for a
+/// launch. For each selected workload it runs the
 /// static block-affine footprint analysis plus a dynamic replay under
 /// the global-memory shadow sanitizer, prints the classification and
 /// any `V310`–`V313` findings, and exits 1 on any error-severity

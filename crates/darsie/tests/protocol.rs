@@ -1,12 +1,12 @@
-//! Property-based tests of the DARSIE hardware protocol: arbitrary event
+//! Randomized tests of the DARSIE hardware protocol: random event
 //! sequences against the skip table, rename state and majority mask must
 //! preserve the structural invariants the SM integration relies on.
 
 use darsie::{DarsieStats, MajorityMask, ProbeOutcome, RenameState, SkipTable};
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
-#[derive(Debug, Clone)]
 enum Event {
     Probe { pc: u8, instance: u8, warp: u8 },
     Writeback { pc: u8, instance: u8, warp: u8 },
@@ -21,34 +21,37 @@ enum Event {
     ReleaseWarp { warp: u8 },
 }
 
-fn arb_event() -> impl Strategy<Value = Event> {
-    prop_oneof![
-        (0u8..6, 1u8..4, 0u8..8).prop_map(|(pc, i, w)| Event::Probe { pc, instance: i, warp: w }),
-        (0u8..6, 1u8..4, 0u8..8).prop_map(|(pc, i, w)| Event::Writeback {
-            pc,
-            instance: i,
-            warp: w
-        }),
-        (0u8..6, 1u8..4, 0u8..8).prop_map(|(pc, i, w)| Event::Wait { pc, instance: i, warp: w }),
-        (0u8..6, 1u8..4, 0u8..8).prop_map(|(pc, i, w)| Event::Pass { pc, instance: i, warp: w }),
-        Just(Event::InvalidateLoads),
-        (0u8..8).prop_map(|w| Event::Diverge { warp: w }),
-        Just(Event::Barrier),
-        (0u8..8, 0u8..5).prop_map(|(w, r)| Event::AllocVersion { warp: w, reg: r }),
-        (0u8..8, 0u8..5, 1u8..6).prop_map(|(w, r, v)| Event::Bind { warp: w, reg: r, version: v }),
-        (0u8..8, 0u8..5).prop_map(|(w, r)| Event::Unbind { warp: w, reg: r }),
-        (0u8..8).prop_map(|w| Event::ReleaseWarp { warp: w }),
-    ]
+/// One random event, each of the 11 variants equally likely.
+fn event(rng: &mut SmallRng) -> Event {
+    let warp = |rng: &mut SmallRng| rng.gen_range(0..8);
+    let reg = |rng: &mut SmallRng| rng.gen_range(0..5);
+    let (pc, instance) = (rng.gen_range(0..6), rng.gen_range(1..4));
+    match rng.gen_range(0..11) {
+        0 => Event::Probe { pc, instance, warp: warp(rng) },
+        1 => Event::Writeback { pc, instance, warp: warp(rng) },
+        2 => Event::Wait { pc, instance, warp: warp(rng) },
+        3 => Event::Pass { pc, instance, warp: warp(rng) },
+        4 => Event::InvalidateLoads,
+        5 => Event::Diverge { warp: warp(rng) },
+        6 => Event::Barrier,
+        7 => Event::AllocVersion { warp: warp(rng), reg: reg(rng) },
+        8 => Event::Bind { warp: warp(rng), reg: reg(rng), version: rng.gen_range(1..6) },
+        9 => Event::Unbind { warp: warp(rng), reg: reg(rng) },
+        _ => Event::ReleaseWarp { warp: warp(rng) },
+    }
 }
 
 const CAPACITY: usize = 4;
 const RENAME: usize = 6;
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
-
-    #[test]
-    fn protocol_invariants_hold(events in prop::collection::vec(arb_event(), 0..120)) {
+#[test]
+fn protocol_invariants_hold() {
+    let mut kinds = HashSet::new();
+    for case in 0..256 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let len = rng.gen_range(0..120);
+        let events: Vec<Event> = (0..len).map(|_| event(&mut rng)).collect();
+        kinds.extend(events.iter().map(std::mem::discriminant));
         let mut table = SkipTable::new(CAPACITY);
         let mut rename = RenameState::new(RENAME);
         let mut majority = MajorityMask::new(8);
@@ -61,8 +64,7 @@ proptest! {
                 Event::Probe { pc, instance, warp } => {
                     let pc = usize::from(pc);
                     let outcome = table.probe(pc, u32::from(instance), &mut stats);
-                    if outcome == ProbeOutcome::BecomeLeader && majority.contains(u32::from(warp))
-                    {
+                    if outcome == ProbeOutcome::BecomeLeader && majority.contains(u32::from(warp)) {
                         let _ = table.insert_leader(
                             pc,
                             u32::from(instance),
@@ -81,7 +83,7 @@ proptest! {
                         now,
                     );
                     // Released warps must have been registered as waiting.
-                    prop_assert_eq!(released & !0xFF, 0, "release outside warp range");
+                    assert_eq!(released & !0xFF, 0, "case {case}: release outside warp range");
                 }
                 Event::Wait { pc, instance, warp } => {
                     table.record_wait(usize::from(pc), u32::from(instance), u32::from(warp), now);
@@ -98,9 +100,9 @@ proptest! {
                 }
                 Event::InvalidateLoads => {
                     let (_, waiting) = table.invalidate_loads(&mut stats);
-                    prop_assert_eq!(waiting & !0xFF, 0);
+                    assert_eq!(waiting & !0xFF, 0, "case {case}");
                     // No load entries survive.
-                    prop_assert!(table.iter().all(|e| !e.is_load));
+                    assert!(table.iter().all(|e| !e.is_load), "case {case}");
                 }
                 Event::Diverge { warp } => {
                     majority.remove(u32::from(warp));
@@ -119,34 +121,45 @@ proptest! {
             }
 
             // --- invariants after every event ---
-            prop_assert!(table.len() <= CAPACITY, "table overflows capacity");
-            let keys: HashSet<(usize, u32)> =
-                table.iter().map(|e| (e.pc, e.instance)).collect();
-            prop_assert_eq!(keys.len(), table.len(), "duplicate (pc, instance) entries");
+            assert!(table.len() <= CAPACITY, "case {case}: table overflows capacity");
+            let keys: HashSet<(usize, u32)> = table.iter().map(|e| (e.pc, e.instance)).collect();
+            assert_eq!(keys.len(), table.len(), "case {case}: duplicate (pc, instance) entries");
             for e in table.iter() {
-                prop_assert_eq!(
+                assert_eq!(
                     e.waiting_mask & e.passed_mask & !(1 << e.leader),
                     0,
-                    "a non-leader warp cannot both wait and have passed"
+                    "case {case}: a non-leader warp cannot both wait and have passed"
                 );
             }
             // Physical-register conservation: every live version holds
             // exactly one preg; the rest are free.
-            prop_assert_eq!(
+            assert_eq!(
                 rename.free_regs() + rename.live_versions(),
                 RENAME,
-                "physical registers leaked or double-freed"
+                "case {case}: physical registers leaked or double-freed"
             );
         }
     }
+    assert_eq!(kinds.len(), 11, "an event kind was never drawn");
+}
 
-    #[test]
-    fn leader_writeback_releases_exactly_the_waiters(
-        waiters in prop::collection::hash_set(0u8..8, 0..6)
-    ) {
+/// Waiters are redrawn until warp 0, the leader, is not among them.
+#[test]
+fn leader_writeback_releases_exactly_the_waiters() {
+    for case in 0..256 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let waiters = loop {
+            let len = rng.gen_range(0..6);
+            let mut waiters = HashSet::new();
+            while waiters.len() < len {
+                waiters.insert(rng.gen_range(0u8..8));
+            }
+            if !waiters.contains(&0) {
+                break waiters;
+            }
+        };
         let mut table = SkipTable::new(4);
         let mut stats = DarsieStats::default();
-        prop_assume!(!waiters.contains(&0));
         assert!(table.insert_leader(8, 1, 0, false, 1, &mut stats));
         let mut expect = 0u32;
         for &w in &waiters {
@@ -154,15 +167,17 @@ proptest! {
             expect |= 1 << w;
         }
         let released = table.leader_writeback(8, 1, 0, 3);
-        prop_assert_eq!(released, expect);
+        assert_eq!(released, expect, "case {case}");
         // Idempotent: a second writeback releases nobody.
-        prop_assert_eq!(table.leader_writeback(8, 1, 0, 4), 0);
+        assert_eq!(table.leader_writeback(8, 1, 0, 4), 0, "case {case}");
     }
+}
 
-    #[test]
-    fn entry_removal_requires_every_must_pass_warp(
-        warps in prop::collection::vec(0u8..6, 1..12)
-    ) {
+#[test]
+fn entry_removal_requires_every_must_pass_warp() {
+    for case in 0..256 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let warps: Vec<u8> = (0..rng.gen_range(1..12)).map(|_| rng.gen_range(0..6)).collect();
         let mut table = SkipTable::new(4);
         let mut stats = DarsieStats::default();
         let must: u32 = 0b111111;
@@ -176,6 +191,6 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(removed, passed & must == must);
+        assert_eq!(removed, passed & must == must, "case {case}");
     }
 }

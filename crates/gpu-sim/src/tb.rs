@@ -1,9 +1,9 @@
 //! Per-threadblock simulator state: shared memory, barrier bookkeeping and
 //! the per-TB banks of the DARSIE structures.
 
+use crate::fasthash::FastMap;
 use darsie::{DarsieConfig, MajorityMask, RenameState, SkipTable, WarpMask};
 use simt_isa::Dim3;
-use std::collections::HashMap;
 
 /// State of a DARSIE branch-synchronization point (paper Section 4.3.3):
 /// majority-path warps wait at each potentially divergent branch so that
@@ -38,12 +38,12 @@ pub struct TbState {
     pub rename: RenameState,
     /// DARSIE: leader result snapshots, keyed by `(pc, instance)`. The
     /// 32-lane value a follower copies when it skips.
-    pub snapshots: HashMap<(usize, u32), Box<[u32]>>,
+    pub snapshots: FastMap<(usize, u32), Box<[u32]>>,
     /// DARSIE: the `(register, version)` each live skip entry renames,
     /// keyed by `(pc, instance)`; followers bind to it when they skip.
-    pub entry_versions: HashMap<(usize, u32), (u8, u32)>,
+    pub entry_versions: FastMap<(usize, u32), (u8, u32)>,
     /// DARSIE: in-progress branch synchronizations, keyed by branch PC.
-    pub branch_syncs: HashMap<usize, BranchSync>,
+    pub branch_syncs: FastMap<usize, BranchSync>,
     /// SILICON-SYNC: basic-block boundary crossings completed per warp.
     pub bb_crossings: Vec<u64>,
     /// SILICON-SYNC: warps blocked at their next crossing.
@@ -70,9 +70,9 @@ impl TbState {
             skip_table: SkipTable::new(darsie.skip_entries_per_tb),
             majority: MajorityMask::new(num_warps),
             rename: RenameState::new(darsie.rename_regs_per_tb),
-            snapshots: HashMap::new(),
-            entry_versions: HashMap::new(),
-            branch_syncs: HashMap::new(),
+            snapshots: FastMap::default(),
+            entry_versions: FastMap::default(),
+            branch_syncs: FastMap::default(),
             bb_crossings: vec![0; warp_slots.len()],
             bb_waiting: 0,
             warp_slots,
@@ -150,7 +150,7 @@ impl TbState {
         }
         let e = self.branch_syncs.remove(&pc).expect("entry just found");
         // Majority outcome among the arrivals still on the path.
-        let mut counts: HashMap<usize, u32> = HashMap::new();
+        let mut counts: FastMap<usize, u32> = FastMap::default();
         for &(w, npc) in &e.outcomes {
             if expected & (1 << w) != 0 && npc != usize::MAX {
                 *counts.entry(npc).or_default() += 1;

@@ -13,7 +13,8 @@
 use gpu_sim::exec::{execute, execute_portable, ExecContext, ExecEffect};
 use gpu_sim::warp::LaneMask;
 use gpu_sim::{GlobalMemory, LaneAddrs, Warp};
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, RngCore, SeedableRng};
 use simt_isa::op::alu;
 use simt_isa::{
     AtomOp, CmpOp, Dim3, Guard, Instruction, MemSpace, Op, Operand, Pred, Reg, SpecialReg, Value,
@@ -53,44 +54,52 @@ const GLOBAL_WORDS: u64 = 2 * PAGE_WORDS;
 const PAGE_WORDS: u64 = 1024;
 const PARAMS: [Value; 3] = [Value(11), Value(22), Value(0xDEAD_BEEF)];
 
-/// splitmix64: one random case per seed.
-struct Rng(u64);
+/// How often each alternative of each generator was drawn.
+#[derive(Debug, Default)]
+struct Draws {
+    /// [`random_instr`]'s ALU, `setp`, `sel`, `s2r`, load/store and
+    /// atomic instructions.
+    instrs: [u32; 6],
+    /// [`Machine::aim`]'s global lane patterns.
+    aims: [u32; 4],
+    /// Guarded, negated-guard and unguarded instructions.
+    guards: [u32; 3],
+    /// [`Machine::random`]'s warps with every lane present and with a
+    /// random subset of them.
+    warps: [u32; 2],
+    /// [`Machine::random`]'s full, empty and random active masks.
+    masks: [u32; 3],
+    /// [`value`]'s corner and arbitrary words.
+    values: [u32; 2],
+    /// [`operand`]'s immediates and registers.
+    operands: [u32; 2],
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+fn pick<T: Copy>(rng: &mut SmallRng, xs: &[T]) -> T {
+    xs[rng.gen_range(0..xs.len())]
+}
+
+fn value(rng: &mut SmallRng, draws: &mut Draws) -> u32 {
+    let arm = rng.gen_range(0..2usize);
+    draws.values[arm] += 1;
+    if arm == 0 {
+        pick(rng, &CORNERS)
+    } else {
+        rng.next_u32()
     }
+}
 
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
+fn reg(rng: &mut SmallRng) -> Reg {
+    Reg(rng.gen_range(0..NUM_REGS) as u8)
+}
 
-    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-        xs[self.below(xs.len() as u64) as usize]
-    }
-
-    fn value(&mut self) -> u32 {
-        if self.below(2) == 0 {
-            self.pick(&CORNERS)
-        } else {
-            self.next() as u32
-        }
-    }
-
-    fn reg(&mut self) -> Reg {
-        Reg(self.below(u64::from(NUM_REGS)) as u8)
-    }
-
-    fn operand(&mut self) -> Operand {
-        if self.below(4) == 0 {
-            Operand::Imm(self.value())
-        } else {
-            Operand::Reg(self.reg())
-        }
+fn operand(rng: &mut SmallRng, draws: &mut Draws) -> Operand {
+    let imm = rng.gen_range(0..4) == 0;
+    draws.operands[usize::from(!imm)] += 1;
+    if imm {
+        Operand::Imm(value(rng, draws))
+    } else {
+        Operand::Reg(reg(rng))
     }
 }
 
@@ -104,34 +113,35 @@ struct Machine {
 }
 
 impl Machine {
-    fn random(rng: &mut Rng) -> Machine {
-        let ws = 1 + rng.below(32) as u32;
+    fn random(rng: &mut SmallRng, draws: &mut Draws) -> Machine {
+        let ws = rng.gen_range(1..=32);
         let lanes = LaneMask::MAX >> (32 - ws);
-        let full = match rng.below(3) {
-            0 => lanes,
-            _ => rng.next() as u32 & lanes,
-        };
-        let mut warp = Warp::new(0, 0, rng.below(4) as u32, NUM_REGS, ws, full, 0);
-        warp.stack.last_mut().expect("fresh warp has a path").mask = match rng.below(4) {
+        let arm = rng.gen_range(0..3usize).min(1);
+        draws.warps[arm] += 1;
+        let full = if arm == 0 { lanes } else { rng.next_u32() & lanes };
+        let mut warp = Warp::new(0, 0, rng.gen_range(0..4), NUM_REGS, ws, full, 0);
+        let arm = rng.gen_range(0..4usize).min(2);
+        draws.masks[arm] += 1;
+        warp.stack.last_mut().expect("fresh warp has a path").mask = match arm {
             0 => full,
             1 => 0,
-            _ => rng.next() as u32 & full,
+            _ => rng.next_u32() & full,
         };
         for r in 0..NUM_REGS {
             for lane in 0..ws {
-                warp.set_reg(Reg(r as u8), lane, rng.value());
+                warp.set_reg(Reg(r as u8), lane, value(rng, draws));
             }
         }
         for p in 0..simt_isa::reg::NUM_PREDS {
             for lane in 0..ws {
-                warp.set_pred(Pred(p), lane, rng.below(2) == 0);
+                warp.set_pred(Pred(p), lane, rng.gen_range(0..2) == 0);
             }
         }
-        let shared = (0..SHARED_WORDS).map(|_| rng.value()).collect();
+        let shared = (0..SHARED_WORDS).map(|_| value(rng, draws)).collect();
         let mut global = GlobalMemory::new();
         for _ in 0..16 {
-            let a = GLOBAL_BASE + 4 * rng.below(GLOBAL_WORDS);
-            global.write_u32(a, rng.value());
+            let a = GLOBAL_BASE + 4 * rng.gen_range(0..GLOBAL_WORDS);
+            global.write_u32(a, value(rng, draws));
         }
         // A fresh epoch: the digest after the instruction folds exactly
         // the pages it wrote.
@@ -143,18 +153,24 @@ impl Machine {
     /// room for an offset of up to 15 words. Global lanes scatter over two
     /// pages, run consecutively across the page boundary, alternate
     /// between the pages, or all name one word.
-    fn aim(&mut self, rng: &mut Rng, space: MemSpace) {
-        let global: fn(&mut Rng, u64) -> u64 = match rng.below(4) {
-            0 => |rng: &mut Rng, _lane: u64| GLOBAL_BASE + 4 * rng.below(GLOBAL_WORDS - 16),
-            1 => |_: &mut Rng, lane: u64| GLOBAL_BASE + PAGE_WORDS * 4 - 4 * 13 + 4 * lane,
-            2 => |_: &mut Rng, lane: u64| GLOBAL_BASE + (lane % 2) * PAGE_WORDS * 4 + 4 * lane,
-            _ => |_: &mut Rng, _lane: u64| GLOBAL_BASE + PAGE_WORDS * 4 - 4,
+    fn aim(&mut self, rng: &mut SmallRng, space: MemSpace, draws: &mut Draws) {
+        let pattern = rng.gen_range(0..4usize);
+        if space == MemSpace::Global {
+            draws.aims[pattern] += 1;
+        }
+        let global: fn(&mut SmallRng, u64) -> u64 = match pattern {
+            0 => |rng: &mut SmallRng, _lane: u64| {
+                GLOBAL_BASE + 4 * rng.gen_range(0..GLOBAL_WORDS - 16)
+            },
+            1 => |_: &mut SmallRng, lane: u64| GLOBAL_BASE + PAGE_WORDS * 4 - 4 * 13 + 4 * lane,
+            2 => |_: &mut SmallRng, lane: u64| GLOBAL_BASE + (lane % 2) * PAGE_WORDS * 4 + 4 * lane,
+            _ => |_: &mut SmallRng, _lane: u64| GLOBAL_BASE + PAGE_WORDS * 4 - 4,
         };
         for lane in 0..self.warp.warp_size() {
             let a = match space {
-                MemSpace::Shared => 4 * rng.below(SHARED_WORDS as u64 - 16),
+                MemSpace::Shared => 4 * rng.gen_range(0..SHARED_WORDS as u64 - 16),
                 MemSpace::Global => global(rng, u64::from(lane)),
-                MemSpace::Param => 4 * rng.below(PARAMS.len() as u64 + 2),
+                MemSpace::Param => 4 * rng.gen_range(0..PARAMS.len() as u64 + 2),
             };
             self.warp.set_reg(BASE, lane, a as u32);
         }
@@ -386,69 +402,75 @@ fn per_lane(warp: &mut Warp, instr: &Instruction, ctx: &mut ExecContext<'_>) -> 
 
 /// One random instruction, with the machine aimed at valid addresses when
 /// it accesses memory.
-fn random_instr(rng: &mut Rng, m: &mut Machine) -> Instruction {
-    let (op, dst, pdst, srcs) = match rng.below(8) {
-        0..=2 => {
-            let op = rng.pick(&Op::ALU);
-            (op, Some(rng.reg()), None, vec![rng.operand(), rng.operand(), rng.operand()])
+fn random_instr(rng: &mut SmallRng, m: &mut Machine, draws: &mut Draws) -> Instruction {
+    let arm = rng.gen_range(0..8usize).saturating_sub(2);
+    draws.instrs[arm] += 1;
+    let (op, dst, pdst, srcs) = match arm {
+        0 => {
+            let op = pick(rng, &Op::ALU);
+            let srcs = (0..3).map(|_| operand(rng, draws)).collect();
+            (op, Some(reg(rng)), None, srcs)
         }
-        3 => {
-            let cmp = rng.pick(&CmpOp::ALL);
-            let op = if rng.below(2) == 0 { Op::Setp(cmp) } else { Op::SetpF(cmp) };
-            let p = Pred(rng.below(u64::from(simt_isa::reg::NUM_PREDS)) as u8);
-            (op, None, Some(p), vec![rng.operand(), rng.operand()])
+        1 => {
+            let cmp = pick(rng, &CmpOp::ALL);
+            let op = if rng.gen_range(0..2) == 0 { Op::Setp(cmp) } else { Op::SetpF(cmp) };
+            let p = Pred(rng.gen_range(0..simt_isa::reg::NUM_PREDS));
+            (op, None, Some(p), vec![operand(rng, draws), operand(rng, draws)])
         }
+        2 => {
+            let p = Pred(rng.gen_range(0..simt_isa::reg::NUM_PREDS));
+            (Op::Sel(p), Some(reg(rng)), None, vec![operand(rng, draws), operand(rng, draws)])
+        }
+        3 => (Op::S2R(pick(rng, &SpecialReg::ALL)), Some(reg(rng)), None, vec![]),
         4 => {
-            let p = Pred(rng.below(u64::from(simt_isa::reg::NUM_PREDS)) as u8);
-            (Op::Sel(p), Some(rng.reg()), None, vec![rng.operand(), rng.operand()])
-        }
-        5 => (Op::S2R(rng.pick(&SpecialReg::ALL)), Some(rng.reg()), None, vec![]),
-        6 => {
-            let space = rng.pick(&[MemSpace::Shared, MemSpace::Global, MemSpace::Param]);
-            m.aim(rng, space);
-            let store = space != MemSpace::Param && rng.below(2) == 0;
+            let space = pick(rng, &[MemSpace::Shared, MemSpace::Global, MemSpace::Param]);
+            m.aim(rng, space, draws);
+            let store = space != MemSpace::Param && rng.gen_range(0..2) == 0;
             if store {
-                (Op::St(space), None, None, vec![BASE.into(), rng.operand()])
+                (Op::St(space), None, None, vec![BASE.into(), operand(rng, draws)])
             } else {
-                (Op::Ld(space), Some(rng.reg()), None, vec![BASE.into()])
+                (Op::Ld(space), Some(reg(rng)), None, vec![BASE.into()])
             }
         }
         _ => {
-            m.aim(rng, MemSpace::Global);
+            m.aim(rng, MemSpace::Global, draws);
             // A small address spread makes lanes collide on one word.
-            if rng.below(2) == 0 {
+            if rng.gen_range(0..2) == 0 {
                 let w = m.warp.reg(BASE, 0);
                 for lane in 0..m.warp.warp_size() {
                     m.warp.set_reg(BASE, lane, w + 4 * (lane % 3));
                 }
             }
-            let op = Op::Atom(rng.pick(&AtomOp::ALL));
-            (op, Some(rng.reg()), None, vec![BASE.into(), rng.operand()])
+            let op = Op::Atom(pick(rng, &AtomOp::ALL));
+            (op, Some(reg(rng)), None, vec![BASE.into(), operand(rng, draws)])
         }
     };
     let mut instr = Instruction::new(op, dst, pdst, srcs);
     if matches!(op, Op::Ld(_) | Op::St(_) | Op::Atom(_)) {
-        instr = instr.with_offset(4 * rng.below(16) as i32);
+        instr = instr.with_offset(4 * rng.gen_range(0..16));
     }
-    let pred = Pred(rng.below(u64::from(simt_isa::reg::NUM_PREDS)) as u8);
-    match rng.below(3) {
+    let pred = Pred(rng.gen_range(0..simt_isa::reg::NUM_PREDS));
+    let arm = rng.gen_range(0..3usize);
+    draws.guards[arm] += 1;
+    match arm {
         0 => instr.with_guard(Guard::if_true(pred)),
         1 => instr.with_guard(Guard::if_false(pred)),
         _ => instr,
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
-
-    #[test]
-    fn vector_executor_matches_per_lane_reference(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
-        let mut before = Machine::random(&mut rng);
-        let instr = random_instr(&mut rng, &mut before);
-        let outcome = check(&before, &instr);
-        prop_assert!(outcome.is_ok(), "{:?}", outcome);
+#[test]
+fn vector_executor_matches_per_lane_reference() {
+    let mut draws = Draws::default();
+    for case in 0..4096 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let mut before = Machine::random(&mut rng, &mut draws);
+        let instr = random_instr(&mut rng, &mut before, &mut draws);
+        check(&before, &instr).unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
+    let Draws { instrs, aims, guards, warps, masks, values, operands } = &draws;
+    let all = [&instrs[..], aims, guards, warps, masks, values, operands].concat();
+    assert!(!all.contains(&0), "an arm was never drawn: {draws:?}");
 }
 
 /// Every ALU op and comparison on full warps: eight of random registers
@@ -456,7 +478,8 @@ proptest! {
 /// `ffma`/`imad`) in registers.
 #[test]
 fn every_alu_op_and_comparison_matches_on_a_full_warp() {
-    let mut rng = Rng(7);
+    let mut rng = SmallRng::seed_from_u64(7);
+    let mut draws = Draws::default();
     let mut ops: Vec<Op> = Op::ALU.to_vec();
     ops.extend(CmpOp::ALL.iter().flat_map(|&c| [Op::Setp(c), Op::SetpF(c)]));
     for op in ops {
@@ -466,14 +489,15 @@ fn every_alu_op_and_comparison_matches_on_a_full_warp() {
             (Some(Reg(1)), None)
         };
         for _ in 0..8 {
-            let mut before = Machine::random(&mut rng);
+            let mut before = Machine::random(&mut rng, &mut draws);
             before.warp = Warp::new(0, 0, 0, NUM_REGS, 32, u32::MAX, 0);
             for r in 0..NUM_REGS {
                 for lane in 0..32 {
-                    before.warp.set_reg(Reg(r as u8), lane, rng.value());
+                    before.warp.set_reg(Reg(r as u8), lane, value(&mut rng, &mut draws));
                 }
             }
-            let srcs = vec![Reg(1).into(), rng.operand(), rng.operand()];
+            let srcs =
+                vec![Reg(1).into(), operand(&mut rng, &mut draws), operand(&mut rng, &mut draws)];
             let instr = Instruction::new(op, dst, pdst, srcs);
             check(&before, &instr).unwrap();
         }

@@ -6,7 +6,8 @@
 
 use gpu_sim::mem::{coalesce_lines, smem_conflict_degree};
 use gpu_sim::GpuConfig;
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 
 /// Reference: distinct lines, sorted.
@@ -33,38 +34,56 @@ fn oracle_degree(addrs: &[u64]) -> u32 {
 /// One lane's byte address: mostly from a small pool (a few banks, a few
 /// rows per bank, any byte within a word) so broadcasts, duplicate words
 /// and bank collisions are common; sometimes anywhere in the address space.
-fn arb_lane() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        (0u64..4, 0u64..4, 0u64..4).prop_map(|(bank, row, byte)| 4 * (bank + 32 * row) + byte),
-        (0u64..64).prop_map(|word| 4 * word),
-        any::<u32>().prop_map(u64::from),
-    ]
+/// `arms` counts the three kinds drawn.
+fn lane(rng: &mut SmallRng, arms: &mut [u32; 3]) -> u64 {
+    let arm = rng.gen_range(0..3usize);
+    arms[arm] += 1;
+    match arm {
+        0 => {
+            let (bank, row, byte) =
+                (rng.gen_range(0..4u64), rng.gen_range(0..4u64), rng.gen_range(0..4u64));
+            4 * (bank + 32 * row) + byte
+        }
+        1 => 4 * rng.gen_range(0..64u64),
+        _ => u64::from(rng.next_u32()),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+fn lanes(rng: &mut SmallRng, arms: &mut [u32; 3]) -> Vec<u64> {
+    (0..rng.gen_range(1..=32)).map(|_| lane(rng, arms)).collect()
+}
 
-    #[test]
-    fn warp_access_helpers_match_their_oracles(
-        base in any::<u32>(),
-        lanes in prop::collection::vec(arb_lane(), 1..=32),
-    ) {
+#[test]
+fn warp_access_helpers_match_their_oracles() {
+    let mut arms = [0; 3];
+    for case in 0..512 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let base = rng.next_u32();
+        let lanes = lanes(&mut rng, &mut arms);
         let addrs: Vec<u64> = lanes.iter().map(|&a| u64::from(base) * 4 + a).collect();
-        prop_assert_eq!(coalesce_lines(addrs.iter().copied()).to_vec(), oracle_lines(&addrs));
-        prop_assert_eq!(smem_conflict_degree(addrs.iter().copied()), oracle_degree(&addrs));
+        let lines = coalesce_lines(addrs.iter().copied()).to_vec();
+        assert_eq!(lines, oracle_lines(&addrs), "case {case}");
+        let degree = smem_conflict_degree(addrs.iter().copied());
+        assert_eq!(degree, oracle_degree(&addrs), "case {case}");
     }
+    assert!(!arms.contains(&0), "a lane kind was never drawn: {arms:?}");
+}
 
-    /// The lemma `simt_verify::perf` evaluates bank conflicts by: shifting
-    /// every lane by `k` whole words rotates the banks by `k`, so the
-    /// degree is unchanged.
-    #[test]
-    fn a_whole_word_shift_keeps_the_conflict_degree(
-        k in 0u64..(1 << 20),
-        lanes in prop::collection::vec(arb_lane(), 1..=32),
-    ) {
+/// The lemma `simt_verify::perf` evaluates bank conflicts by: shifting
+/// every lane by `k` whole words rotates the banks by `k`, so the
+/// degree is unchanged.
+#[test]
+fn a_whole_word_shift_keeps_the_conflict_degree() {
+    let mut arms = [0; 3];
+    for case in 0..512 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let k = rng.gen_range(0u64..(1 << 20));
+        let lanes = lanes(&mut rng, &mut arms);
         let shifted = lanes.iter().map(|&a| a + 4 * k);
-        prop_assert_eq!(smem_conflict_degree(shifted), smem_conflict_degree(lanes.iter().copied()));
+        let degree = smem_conflict_degree(lanes.iter().copied());
+        assert_eq!(smem_conflict_degree(shifted), degree, "case {case}");
     }
+    assert!(!arms.contains(&0), "a lane kind was never drawn: {arms:?}");
 }
 
 #[test]

@@ -12,9 +12,11 @@
 use gpu_sim::{
     FunctionalObserver, GlobalRace, GlobalRaceSanitizer, LaneAddrs, RaceSanitizer, SharedRace,
 };
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use simt_isa::AtomOp;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 const WARP_SIZE: u32 = 32;
 /// Words the generated streams touch: few, so collisions are common, on
@@ -218,61 +220,94 @@ impl RefGlobal {
     }
 }
 
+/// How often each alternative of each generator was drawn.
+#[derive(Debug, Default)]
+struct Draws {
+    /// [`shared_event`]'s accesses and barriers.
+    shared: [u32; 2],
+    /// [`global_event`]'s block switches, loads and stores.
+    global: [u32; 3],
+    /// [`global_pc`]'s picks from [`PCS`] and from a range.
+    pcs: [u32; 2],
+    /// The block switches' picks from [`BLOCKS`] and from a range.
+    blocks: [u32; 2],
+}
+
+fn pick<T: Copy>(rng: &mut SmallRng, xs: &[T]) -> T {
+    xs[rng.gen_range(0..xs.len())]
+}
+
 /// One warp access in the only shape [`LaneAddrs`] admits: a lane mask
 /// (at most six lanes, so collisions are common, or none) and one byte
 /// address per lane over [`WORDS`], any byte within a word.
-fn arb_addrs() -> impl Strategy<Value = LaneAddrs> {
-    let addr = (prop::sample::select(WORDS.to_vec()), 0u64..4).prop_map(|(w, b)| 4 * w + b);
-    let lanes = prop::collection::vec(0u32..WARP_SIZE, 0..=6);
-    (lanes, prop::collection::vec(addr, WARP_SIZE as usize)).prop_map(|(lanes, addrs)| {
-        let mask = lanes.iter().fold(0, |m, &lane| m | 1 << lane);
-        LaneAddrs::new(mask, addrs.try_into().expect("one address per lane"))
-    })
-}
-
-fn arb_pc() -> impl Strategy<Value = usize> {
-    prop::sample::select(PCS.to_vec())
+fn addrs(rng: &mut SmallRng) -> LaneAddrs {
+    let lanes = rng.gen_range(0..=6);
+    let mask = (0..lanes).fold(0, |m, _| m | 1 << rng.gen_range(0..WARP_SIZE));
+    let addrs = std::array::from_fn(|_| 4 * pick(rng, &WORDS) + rng.gen_range(0..4u64));
+    LaneAddrs::new(mask, addrs)
 }
 
 /// A pc of a global stream: one of [`PCS`], or one of 64 more, so a
 /// stream's accesses name hundreds of distinct sites.
-fn arb_global_pc() -> impl Strategy<Value = usize> {
-    prop_oneof![arb_pc(), 4usize..68]
+fn global_pc(rng: &mut SmallRng, draws: &mut Draws) -> usize {
+    let arm = rng.gen_range(0..2usize);
+    draws.pcs[arm] += 1;
+    if arm == 0 {
+        pick(rng, &PCS)
+    } else {
+        rng.gen_range(4..68)
+    }
 }
 
 /// Shared stream event: `Some((warp, pc, addrs, is_store))` or a barrier.
 type SharedEvent = Option<(usize, usize, LaneAddrs, bool)>;
 
-fn arb_shared_event() -> impl Strategy<Value = SharedEvent> {
-    prop_oneof![
-        8 => (0usize..3, arb_pc(), arb_addrs(), any::<bool>()).prop_map(Some),
-        1 => Just(None),
-    ]
+/// Eight accesses to one barrier.
+fn shared_event(rng: &mut SmallRng, draws: &mut Draws) -> SharedEvent {
+    let access = rng.gen_range(0..9) < 8;
+    draws.shared[usize::from(!access)] += 1;
+    access.then(|| {
+        let (warp, pc, addrs) = (rng.gen_range(0..3), pick(rng, &PCS), addrs(rng));
+        (warp, pc, addrs, rng.gen_range(0..2) == 1)
+    })
+}
+
+fn shared_events(rng: &mut SmallRng, draws: &mut Draws, len: Range<usize>) -> Vec<SharedEvent> {
+    (0..rng.gen_range(len)).map(|_| shared_event(rng, draws)).collect()
 }
 
 /// Global stream event: a block switch, or `(pc, addrs, is_store, atom)`.
-#[derive(Debug, Clone)]
 enum GlobalEvent {
     Block(u64),
     Access(usize, Box<LaneAddrs>, bool, Option<AtomOp>),
 }
 
-fn arb_global_event() -> impl Strategy<Value = GlobalEvent> {
-    let atom = prop::sample::select(vec![
-        None,
-        Some(AtomOp::Add),
-        Some(AtomOp::Max),
-        Some(AtomOp::Min),
-        Some(AtomOp::Exch),
-    ]);
-    let block = prop_oneof![prop::sample::select(BLOCKS.to_vec()), 4u64..24];
-    prop_oneof![
-        1 => block.prop_map(GlobalEvent::Block),
-        3 => (arb_global_pc(), arb_addrs())
-            .prop_map(|(pc, a)| GlobalEvent::Access(pc, Box::new(a), false, None)),
-        4 => (arb_global_pc(), arb_addrs(), atom)
-            .prop_map(|(pc, a, atom)| GlobalEvent::Access(pc, Box::new(a), true, atom)),
-    ]
+/// One block switch to three loads to four stores.
+fn global_event(rng: &mut SmallRng, draws: &mut Draws) -> GlobalEvent {
+    let arm = match rng.gen_range(0..8) {
+        0 => 0,
+        1..=3 => 1,
+        _ => 2,
+    };
+    draws.global[arm] += 1;
+    if arm == 0 {
+        let list = rng.gen_range(0..2usize);
+        draws.blocks[list] += 1;
+        let block = if list == 0 { pick(rng, &BLOCKS) } else { rng.gen_range(4..24) };
+        return GlobalEvent::Block(block);
+    }
+    let (pc, a) = (global_pc(rng, draws), Box::new(addrs(rng)));
+    if arm == 1 {
+        GlobalEvent::Access(pc, a, false, None)
+    } else {
+        let atoms =
+            [None, Some(AtomOp::Add), Some(AtomOp::Max), Some(AtomOp::Min), Some(AtomOp::Exch)];
+        GlobalEvent::Access(pc, a, true, pick(rng, &atoms))
+    }
+}
+
+fn global_events(rng: &mut SmallRng, draws: &mut Draws, len: Range<usize>) -> Vec<GlobalEvent> {
+    (0..rng.gen_range(len)).map(|_| global_event(rng, draws)).collect()
 }
 
 /// How many distinct `(block, pc, atom)` sites the non-empty accesses
@@ -292,13 +327,12 @@ fn sites(events: &[GlobalEvent]) -> usize {
     sites.len()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
-
-    #[test]
-    fn shared_sanitizer_matches_its_reference(
-        events in prop::collection::vec(arb_shared_event(), 1..40),
-    ) {
+#[test]
+fn shared_sanitizer_matches_its_reference() {
+    let mut draws = Draws::default();
+    for case in 0..512 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let events = shared_events(&mut rng, &mut draws, 1..40);
         let mut got = RaceSanitizer::new(WARP_SIZE);
         let mut want = RefShared::default();
         for e in &events {
@@ -313,16 +347,21 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(got.races(), &want.races[..]);
+        assert_eq!(got.races(), &want.races[..], "case {case}");
         for word in WORDS {
-            prop_assert_eq!(got.is_tainted(word), want.tainted.contains(&word));
+            assert_eq!(got.is_tainted(word), want.tainted.contains(&word), "case {case}");
         }
     }
+    assert!(!draws.shared.contains(&0), "an arm was never drawn: {draws:?}");
+}
 
-    #[test]
-    fn shared_sanitizer_moved_through_blocks_matches_a_fresh_one_per_block(
-        blocks in prop::collection::vec(prop::collection::vec(arb_shared_event(), 0..30), 1..6),
-    ) {
+#[test]
+fn shared_sanitizer_moved_through_blocks_matches_a_fresh_one_per_block() {
+    let mut draws = Draws::default();
+    for case in 0..512 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let blocks: Vec<_> =
+            (0..rng.gen_range(1..6)).map(|_| shared_events(&mut rng, &mut draws, 0..30)).collect();
         let mut shared = RaceSanitizer::new(WARP_SIZE);
         for events in &blocks {
             shared.next_block();
@@ -339,37 +378,43 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(shared.races(), fresh.races());
+            assert_eq!(shared.races(), fresh.races(), "case {case}");
             for word in WORDS {
-                prop_assert_eq!(shared.is_tainted(word), fresh.is_tainted(word));
+                assert_eq!(shared.is_tainted(word), fresh.is_tainted(word), "case {case}");
             }
         }
     }
-
-    #[test]
-    fn global_sanitizer_matches_its_reference(
-        events in prop::collection::vec(arb_global_event(), 1..40),
-    ) {
-        check_global(&events);
-    }
+    assert!(!draws.shared.contains(&0), "an arm was never drawn: {draws:?}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+#[test]
+fn global_sanitizer_matches_its_reference() {
+    let mut draws = Draws::default();
+    for case in 0..512 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        check_global(case, &global_events(&mut rng, &mut draws, 1..40));
+    }
+    let Draws { global, pcs, blocks, .. } = &draws;
+    assert!(![&global[..], pcs, blocks].concat().contains(&0), "an arm was never drawn: {draws:?}");
+}
 
-    #[test]
-    fn global_sanitizer_matches_its_reference_over_hundreds_of_sites(
-        events in prop::collection::vec(arb_global_event(), 300..400),
-    ) {
+#[test]
+fn global_sanitizer_matches_its_reference_over_hundreds_of_sites() {
+    let mut draws = Draws::default();
+    for case in 0..64 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let events = global_events(&mut rng, &mut draws, 300..400);
         let sites = sites(&events);
-        prop_assert!(sites >= 100, "only {} distinct sites", sites);
-        check_global(&events);
+        assert!(sites >= 100, "case {case}: only {sites} distinct sites");
+        check_global(case, &events);
     }
+    let Draws { global, pcs, blocks, .. } = &draws;
+    assert!(![&global[..], pcs, blocks].concat().contains(&0), "an arm was never drawn: {draws:?}");
 }
 
-/// Drives the global sanitizer and its reference through `events` and
-/// compares their races, overlap and taint.
-fn check_global(events: &[GlobalEvent]) {
+/// Drives the global sanitizer and its reference through case `case`'s
+/// `events` and compares their races, overlap and taint.
+fn check_global(case: u64, events: &[GlobalEvent]) {
     let mut got = GlobalRaceSanitizer::new();
     let mut want = RefGlobal::default();
     for e in events {
@@ -384,9 +429,9 @@ fn check_global(events: &[GlobalEvent]) {
             }
         }
     }
-    assert_eq!(got.races(), &want.races[..]);
-    assert_eq!(got.commutative_overlap(), want.commutative_overlap);
+    assert_eq!(got.races(), &want.races[..], "case {case}");
+    assert_eq!(got.commutative_overlap(), want.commutative_overlap, "case {case}");
     for word in WORDS {
-        assert_eq!(got.is_tainted(word), want.tainted.contains(&word));
+        assert_eq!(got.is_tainted(word), want.tainted.contains(&word), "case {case}");
     }
 }

@@ -26,35 +26,46 @@
 //!   number of strict decreases (each bound jumps straight to infinity,
 //!   the bit only clears, the shape only falls to `Unknown`).
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use simt_compiler::affine::GridCtx;
 use simt_compiler::{Affine, AffineVal, NEG_INF, POS_INF};
 use simt_isa::{LaunchConfig, Op};
 
+/// How often each alternative of each generator was drawn.
+#[derive(Debug, Default)]
+struct Draws {
+    /// [`val`]'s `Top`, `Unknown` and affine elements.
+    vals: [u32; 3],
+    /// [`operand`]'s affine forms and exact constants.
+    operands: [u32; 2],
+}
+
+fn flip(rng: &mut SmallRng) -> bool {
+    rng.gen_range(0..2) == 1
+}
+
 /// Generates an affine form with small finite coefficients (thread and
 /// block axes), an ordered interval, and independently-infinite bounds.
-fn arb_affine() -> impl Strategy<Value = Affine> {
-    (-3i64..=3, -3i64..=3, -3i64..=3, -3i64..=3, -16i64..=16, 0i64..=8, any::<bool>(), 0u8..4)
-        .prop_map(|(a, b, d, e, lo, w, uniform, inf)| {
-            let mut lo = lo;
-            let mut hi = lo + w;
-            if inf & 1 != 0 {
-                lo = NEG_INF;
-            }
-            if inf & 2 != 0 {
-                hi = POS_INF;
-            }
-            Affine { a, b, d, e, lo, hi, uniform }
-        })
+fn affine(rng: &mut SmallRng) -> Affine {
+    let [a, b, d, e] = std::array::from_fn(|_| rng.gen_range(-3i64..=3));
+    let lo = rng.gen_range(-16i64..=16);
+    let hi = lo + rng.gen_range(0i64..=8);
+    let (uniform, inf) = (flip(rng), rng.gen_range(0u8..4));
+    let lo = if inf & 1 != 0 { NEG_INF } else { lo };
+    let hi = if inf & 2 != 0 { POS_INF } else { hi };
+    Affine { a, b, d, e, lo, hi, uniform }
 }
 
 /// Generates a lattice element, biased toward the affine middle layer.
-fn arb_val() -> impl Strategy<Value = AffineVal> {
-    prop_oneof![
-        1 => Just(AffineVal::Top),
-        1 => Just(AffineVal::Unknown),
-        6 => arb_affine().prop_map(AffineVal::Aff),
-    ]
+fn val(rng: &mut SmallRng, draws: &mut Draws) -> AffineVal {
+    let arm = rng.gen_range(0..8usize).min(2);
+    draws.vals[arm] += 1;
+    match arm {
+        0 => AffineVal::Top,
+        1 => AffineVal::Unknown,
+        _ => AffineVal::Aff(affine(rng)),
+    }
 }
 
 /// Draws one concrete per-thread sample from `γ(f)` at block `(cx, cy)`:
@@ -104,107 +115,129 @@ fn admits(v: AffineVal, threads: &[(i64, i64)], block: (i64, i64), vals: &[i64])
 /// An operand: any affine form, or (a third of the time) an exact
 /// grid-wide constant in `0..=8`, the shift amounts `shl` is exact on,
 /// small enough that no shifted sample wraps 32 bits.
-fn arb_operand() -> impl Strategy<Value = Affine> {
-    prop_oneof![2 => arb_affine(), 1 => (0i64..=8).prop_map(Affine::constant)]
+fn operand(rng: &mut SmallRng, draws: &mut Draws) -> Affine {
+    let arm = rng.gen_range(0..3usize).saturating_sub(1);
+    draws.operands[arm] += 1;
+    if arm == 0 {
+        affine(rng)
+    } else {
+        Affine::constant(rng.gen_range(0i64..=8))
+    }
 }
 
 /// Thread sets stay inside an 8×8 block so all concrete math is tiny.
-fn arb_threads() -> impl Strategy<Value = Vec<(i64, i64)>> {
-    prop::collection::vec((0i64..8, 0i64..8), 1..6)
+fn threads(rng: &mut SmallRng) -> Vec<(i64, i64)> {
+    (0..rng.gen_range(1..6)).map(|_| (rng.gen_range(0i64..8), rng.gen_range(0i64..8))).collect()
 }
 
 /// Block coordinates inside a 4×4 grid.
-fn arb_block() -> impl Strategy<Value = (i64, i64)> {
-    (0i64..4, 0i64..4)
+fn block(rng: &mut SmallRng) -> (i64, i64) {
+    (rng.gen_range(0i64..4), rng.gen_range(0i64..4))
+}
+
+/// A shared constant pick.
+fn constant(rng: &mut SmallRng) -> i64 {
+    rng.gen_range(-64i64..=64)
 }
 
 /// Per-thread constant picks (indexed modulo length, so any thread-set
 /// size is served).
-fn arb_picks() -> impl Strategy<Value = Vec<i64>> {
-    prop::collection::vec(-64i64..=64, 6..7)
+fn picks(rng: &mut SmallRng) -> Vec<i64> {
+    (0..6).map(|_| constant(rng)).collect()
 }
 
-proptest! {
-    #[test]
-    fn meet_is_commutative(x in arb_val(), y in arb_val(), widen in any::<bool>()) {
-        prop_assert_eq!(x.meet(y, widen), y.meet(x, widen));
-    }
+/// Cases per property.
+const CASES: u64 = 256;
 
-    #[test]
-    fn meet_is_idempotent(x in arb_val(), widen in any::<bool>()) {
-        prop_assert_eq!(x.meet(x, widen), x);
+#[test]
+fn meet_is_commutative() {
+    let mut draws = Draws::default();
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (x, y) = (val(&mut rng, &mut draws), val(&mut rng, &mut draws));
+        let widen = flip(&mut rng);
+        assert_eq!(x.meet(y, widen), y.meet(x, widen), "case {case}");
     }
+    assert!(!draws.vals.contains(&0), "an arm was never drawn: {draws:?}");
+}
 
-    #[test]
-    fn meet_over_approximates_both_sides(
-        x in arb_affine(),
-        y in arb_val(),
-        widen in any::<bool>(),
-        threads in arb_threads(),
-        block in arb_block(),
-        picks in arb_picks(),
-        shared in -64i64..=64,
-    ) {
+#[test]
+fn meet_is_idempotent() {
+    let mut draws = Draws::default();
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (x, widen) = (val(&mut rng, &mut draws), flip(&mut rng));
+        assert_eq!(x.meet(x, widen), x, "case {case}");
+    }
+    assert!(!draws.vals.contains(&0), "an arm was never drawn: {draws:?}");
+}
+
+#[test]
+fn meet_over_approximates_both_sides() {
+    let mut draws = Draws::default();
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (x, y, widen) = (affine(&mut rng), val(&mut rng, &mut draws), flip(&mut rng));
+        let (threads, block) = (threads(&mut rng), block(&mut rng));
+        let (picks, shared) = (picks(&mut rng), constant(&mut rng));
         // Any sample of γ(x) stays in γ(x ⊓ y); by commutativity the same
         // holds for y, so the meet upper-bounds both operands.
         let vals = sample(x, &threads, block, &picks, shared);
-        prop_assert!(admits(AffineVal::Aff(x), &threads, block, &vals));
-        prop_assert!(admits(AffineVal::Aff(x).meet(y, widen), &threads, block, &vals));
+        assert!(admits(AffineVal::Aff(x), &threads, block, &vals), "case {case}");
+        let meet = AffineVal::Aff(x).meet(y, widen);
+        assert!(admits(meet, &threads, block, &vals), "case {case}");
     }
+    assert!(!draws.vals.contains(&0), "an arm was never drawn: {draws:?}");
+}
 
-    #[test]
-    fn meet_never_forges_the_uniform_bit(
-        x in arb_affine(),
-        y in arb_affine(),
-        widen in any::<bool>(),
-    ) {
+#[test]
+fn meet_never_forges_the_uniform_bit() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (x, y, widen) = (affine(&mut rng), affine(&mut rng), flip(&mut rng));
         if let AffineVal::Aff(m) = AffineVal::Aff(x).meet(AffineVal::Aff(y), widen) {
-            prop_assert!(!m.uniform || (x.uniform && y.uniform));
+            assert!(!m.uniform || (x.uniform && y.uniform), "case {case}");
         }
     }
+}
 
-    #[test]
-    fn arithmetic_transfer_is_sound(
-        x in arb_affine(),
-        y in arb_affine(),
-        threads in arb_threads(),
-        block in arb_block(),
-        px in arb_picks(),
-        py in arb_picks(),
-        sx in -64i64..=64,
-        sy in -64i64..=64,
-    ) {
+#[test]
+fn arithmetic_transfer_is_sound() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (x, y) = (affine(&mut rng), affine(&mut rng));
+        let (threads, block) = (threads(&mut rng), block(&mut rng));
+        let (px, py) = (picks(&mut rng), picks(&mut rng));
+        let (sx, sy) = (constant(&mut rng), constant(&mut rng));
         let vx = sample(x, &threads, block, &px, sx);
         let vy = sample(y, &threads, block, &py, sy);
         let (ax, ay) = (AffineVal::Aff(x), AffineVal::Aff(y));
 
         let add: Vec<i64> = vx.iter().zip(&vy).map(|(a, b)| a + b).collect();
-        prop_assert!(admits(ax + ay, &threads, block, &add), "add {x:?} {y:?}");
+        assert!(admits(ax + ay, &threads, block, &add), "case {case}: add {x:?} {y:?}");
 
         let sub: Vec<i64> = vx.iter().zip(&vy).map(|(a, b)| a - b).collect();
-        prop_assert!(admits(ax - ay, &threads, block, &sub), "sub {x:?} {y:?}");
+        assert!(admits(ax - ay, &threads, block, &sub), "case {case}: sub {x:?} {y:?}");
 
         let neg: Vec<i64> = vx.iter().map(|a| -a).collect();
-        prop_assert!(admits(-ax, &threads, block, &neg), "neg {x:?}");
+        assert!(admits(-ax, &threads, block, &neg), "case {case}: neg {x:?}");
 
         let min: Vec<i64> = vx.iter().zip(&vy).map(|(a, b)| *a.min(b)).collect();
-        prop_assert!(admits(ax.min_(ay), &threads, block, &min), "min {x:?} {y:?}");
+        assert!(admits(ax.min_(ay), &threads, block, &min), "case {case}: min {x:?} {y:?}");
 
         let max: Vec<i64> = vx.iter().zip(&vy).map(|(a, b)| *a.max(b)).collect();
-        prop_assert!(admits(ax.max_(ay), &threads, block, &max), "max {x:?} {y:?}");
+        assert!(admits(ax.max_(ay), &threads, block, &max), "case {case}: max {x:?} {y:?}");
     }
+}
 
-    #[test]
-    fn opaque_transfer_is_sound_for_any_pure_op(
-        x in arb_affine(),
-        y in arb_affine(),
-        threads in arb_threads(),
-        block in arb_block(),
-        px in arb_picks(),
-        py in arb_picks(),
-        sx in -64i64..=64,
-        sy in -64i64..=64,
-    ) {
+#[test]
+fn opaque_transfer_is_sound_for_any_pure_op() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (x, y) = (affine(&mut rng), affine(&mut rng));
+        let (threads, block) = (threads(&mut rng), block(&mut rng));
+        let (px, py) = (picks(&mut rng), picks(&mut rng));
+        let (sx, sy) = (constant(&mut rng), constant(&mut rng));
         // `opaque` models an op the domain cannot interpret. Soundness:
         // whatever pure per-thread function the op computes, the result
         // sample must be admitted — in particular the TB-uniform claim may
@@ -215,34 +248,34 @@ proptest! {
         let out = AffineVal::opaque([AffineVal::Aff(x), AffineVal::Aff(y)]);
         let mix: Vec<i64> =
             vx.iter().zip(&vy).map(|(a, b)| (a ^ (b << 1)).wrapping_mul(31)).collect();
-        prop_assert!(admits(out, &threads, block, &mix), "opaque {x:?} {y:?}");
+        assert!(admits(out, &threads, block, &mix), "case {case}: opaque {x:?} {y:?}");
     }
+}
 
-    #[test]
-    fn alu_transfer_admits_what_the_isa_computes(
-        x in arb_operand(),
-        y in arb_operand(),
-        z in arb_operand(),
-        threads in arb_threads(),
-        block in arb_block(),
-        picks in (arb_picks(), arb_picks(), arb_picks()),
-        shared in (-64i64..=64, -64i64..=64, -64i64..=64),
-    ) {
-        // Samples stay within a few hundred of zero, so no product or
-        // shift leaves 32 bits and the words mean what the ideal
-        // integers do. The launch is the 4×4 grid of 8×8 blocks the
-        // samples are drawn from, so `min`/`max`'s hull covers them.
-        let launch = LaunchConfig::new((4u32, 4u32), (8u32, 8u32));
-        let ops = [x, y, z];
-        let vals = [
-            sample(x, &threads, block, &picks.0, shared.0),
-            sample(y, &threads, block, &picks.1, shared.1),
-            sample(z, &threads, block, &picks.2, shared.2),
-        ];
+#[test]
+fn alu_transfer_admits_what_the_isa_computes() {
+    // Samples stay within a few hundred of zero, so no product or
+    // shift leaves 32 bits and the words mean what the ideal
+    // integers do. The launch is the 4×4 grid of 8×8 blocks the
+    // samples are drawn from, so `min`/`max`'s hull covers them.
+    let launch = LaunchConfig::new((4u32, 4u32), (8u32, 8u32));
+    let mut draws = Draws::default();
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let ops: [Affine; 3] = std::array::from_fn(|_| operand(&mut rng, &mut draws));
+        let (threads, block) = (threads(&mut rng), block(&mut rng));
+        let picks: [Vec<i64>; 3] = std::array::from_fn(|_| picks(&mut rng));
+        let shared: [i64; 3] = std::array::from_fn(|_| constant(&mut rng));
+        let vals: [Vec<i64>; 3] =
+            std::array::from_fn(|i| sample(ops[i], &threads, block, &picks[i], shared[i]));
         for op in Op::ALU {
             let used = |i: usize| i < op.num_srcs();
             let srcs: [AffineVal; 3] = std::array::from_fn(|i| {
-                if used(i) { AffineVal::Aff(ops[i]) } else { AffineVal::constant(0) }
+                if used(i) {
+                    AffineVal::Aff(ops[i])
+                } else {
+                    AffineVal::constant(0)
+                }
             });
             let out: Vec<i64> = (0..threads.len())
                 .map(|t| {
@@ -253,13 +286,24 @@ proptest! {
                 .collect();
             for ctx in [GridCtx::generic(1), GridCtx::launch(&launch)] {
                 let v = AffineVal::alu(op, srcs, ctx);
-                prop_assert!(admits(v, &threads, block, &out), "{op:?} {srcs:?} -> {v:?}: {out:?}");
+                assert!(
+                    admits(v, &threads, block, &out),
+                    "case {case}: {op:?} {srcs:?} -> {v:?}: {out:?}"
+                );
             }
         }
     }
+    assert!(!draws.operands.contains(&0), "an arm was never drawn: {draws:?}");
+}
 
-    #[test]
-    fn widened_meets_terminate(x in arb_val(), ys in prop::collection::vec(arb_val(), 1..12)) {
+#[test]
+fn widened_meets_terminate() {
+    let mut draws = Draws::default();
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let x = val(&mut rng, &mut draws);
+        let ys: Vec<AffineVal> =
+            (0..rng.gen_range(1..12)).map(|_| val(&mut rng, &mut draws)).collect();
         // Each strict decrease spends a finite resource: Top → Aff, lo and
         // hi each jump straight to their infinity, the bit only clears,
         // and the final fall is to Unknown. Five is the longest chain.
@@ -272,17 +316,17 @@ proptest! {
             }
             cur = next;
         }
-        prop_assert!(changes <= 5, "widened chain changed {changes} times");
+        assert!(changes <= 5, "case {case}: widened chain changed {changes} times");
     }
+    assert!(!draws.vals.contains(&0), "an arm was never drawn: {draws:?}");
+}
 
-    #[test]
-    fn exactness_implies_shared_even_without_the_bit(
-        v in -16i64..=16,
-        a in -3i64..=3,
-        b in -3i64..=3,
-        d in -3i64..=3,
-        e in -3i64..=3,
-    ) {
+#[test]
+fn exactness_implies_shared_even_without_the_bit() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let v = rng.gen_range(-16i64..=16);
+        let [a, b, d, e] = std::array::from_fn(|_| rng.gen_range(-3i64..=3));
         // A single known constant is trivially one shared value, so
         // `c_uniform` must hold with the bit clear — and `is_tb_uniform`
         // exactly when the thread coefficients vanish (the block terms are
@@ -290,21 +334,22 @@ proptest! {
         // demands the block coefficients vanish: with them a value is only
         // exact *given* the block coordinates.
         let f = Affine { a, b, d, e, lo: v, hi: v, uniform: false };
-        prop_assert!(f.c_uniform());
-        prop_assert_eq!(f.is_tb_uniform(), a == 0 && b == 0);
-        prop_assert_eq!(f.has_block_terms(), d != 0 || e != 0);
-        prop_assert_eq!(f.as_const(), (a == 0 && b == 0 && d == 0 && e == 0).then_some(v));
-        prop_assert!(Affine::constant(v).is_tb_uniform());
+        assert!(f.c_uniform(), "case {case}");
+        assert_eq!(f.is_tb_uniform(), a == 0 && b == 0, "case {case}");
+        assert_eq!(f.has_block_terms(), d != 0 || e != 0, "case {case}");
+        let exact = (a == 0 && b == 0 && d == 0 && e == 0).then_some(v);
+        assert_eq!(f.as_const(), exact, "case {case}");
+        assert!(Affine::constant(v).is_tb_uniform(), "case {case}");
     }
+}
 
-    #[test]
-    fn range_bounds_every_thread_in_block(
-        f in arb_affine(),
-        threads in arb_threads(),
-        block in arb_block(),
-        picks in arb_picks(),
-        shared in -64i64..=64,
-    ) {
+#[test]
+fn range_bounds_every_thread_in_block() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let f = affine(&mut rng);
+        let (threads, block) = (threads(&mut rng), block(&mut rng));
+        let (picks, shared) = (picks(&mut rng), constant(&mut rng));
         // `range(bx, by)` must envelope the value of every thread of an
         // 8×8 block whenever the block terms vanish (with block terms it
         // widens to infinity), and `range_over` must envelope every thread
@@ -313,10 +358,10 @@ proptest! {
         let (rlo, rhi) = f.range(8, 8);
         let (glo, ghi) = f.range_over(8, 8, 4, 4);
         for v in sample(f, &threads, block, &picks, shared) {
-            prop_assert!(rlo == NEG_INF || v >= rlo, "{f:?}: {v} < {rlo}");
-            prop_assert!(rhi == POS_INF || v <= rhi, "{f:?}: {v} > {rhi}");
-            prop_assert!(glo == NEG_INF || v >= glo, "{f:?}: {v} < grid {glo}");
-            prop_assert!(ghi == POS_INF || v <= ghi, "{f:?}: {v} > grid {ghi}");
+            assert!(rlo == NEG_INF || v >= rlo, "case {case}: {f:?}: {v} < {rlo}");
+            assert!(rhi == POS_INF || v <= rhi, "case {case}: {f:?}: {v} > {rhi}");
+            assert!(glo == NEG_INF || v >= glo, "case {case}: {f:?}: {v} < grid {glo}");
+            assert!(ghi == POS_INF || v <= ghi, "case {case}: {f:?}: {v} > grid {ghi}");
         }
     }
 }

@@ -20,16 +20,30 @@
 //!   without passing the header, instead of a backward walk from the
 //!   latch.
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use simt_compiler::cfg::{postorder, reach};
 use simt_compiler::{BlockId, Cfg, Doms, NaturalLoops, PostDoms};
 use simt_isa::{Guard, Instruction, Kernel, Op, Operand, Pred, Reg};
 
-/// One instruction slot: `(kind, target)`, the target taken modulo the
-/// stream length.
-fn arb_stream() -> impl Strategy<Value = Vec<(u8, u8)>> {
-    prop::collection::vec((0u8..4, any::<u8>()), 1..16)
+/// One instruction slot per entry: `(kind, target)`, the target taken
+/// modulo the stream length; `kinds` counts the kinds drawn.
+fn stream(rng: &mut SmallRng, kinds: &mut [u32; 4]) -> Vec<(u8, u8)> {
+    (0..rng.gen_range(1..16))
+        .map(|_| {
+            let kind = rng.gen_range(0..4u8);
+            kinds[usize::from(kind)] += 1;
+            (kind, rng.gen_range(0..=u8::MAX))
+        })
+        .collect()
 }
+
+fn bytes(rng: &mut SmallRng) -> Vec<u8> {
+    (0..rng.gen_range(0..4)).map(|_| rng.gen_range(0..=u8::MAX)).collect()
+}
+
+/// Cases per property.
+const CASES: u64 = 512;
 
 /// Kind 0 is filler, 1 a guarded branch, 2 an unguarded branch, 3 `Exit`.
 fn kernel_of(stream: &[(u8, u8)]) -> Kernel {
@@ -171,6 +185,7 @@ fn idoms_ref(dom: &[Vec<bool>], root: usize) -> Vec<usize> {
 
 /// Checks one direction's solver output against the set formulation.
 fn check_dominators(
+    case: u64,
     cfg: &Cfg,
     root: usize,
     reversed: bool,
@@ -179,73 +194,87 @@ fn check_dominators(
 ) {
     let n = cfg.len();
     let dom = dominator_sets(n, root, edges(cfg, reversed), edges(cfg, !reversed));
-    assert_eq!(idom, &idoms_ref(&dom, root)[..], "reversed = {reversed}");
+    assert_eq!(idom, &idoms_ref(&dom, root)[..], "case {case}, reversed = {reversed}");
     for b in (0..n).filter(|&b| dom[b][b]) {
         for (a, &d) in dom[b].iter().enumerate() {
-            assert_eq!(dominates(a, b), d, "{a} over {b} (reversed = {reversed})");
+            assert_eq!(dominates(a, b), d, "case {case}: {a} over {b} (reversed = {reversed})");
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
-
-    #[test]
-    fn reach_matches_the_fixpoint(
-        stream in arb_stream(),
-        seeds in prop::collection::vec(any::<u8>(), 0..4),
-        stops in prop::collection::vec(any::<u8>(), 0..4),
-        reversed in any::<bool>(),
-    ) {
+#[test]
+fn reach_matches_the_fixpoint() {
+    let mut kinds = [0; 4];
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let stream = stream(&mut rng, &mut kinds);
+        let (seeds, stops, reversed) = (bytes(&mut rng), bytes(&mut rng), rng.gen_range(0..2) == 1);
         let cfg = Cfg::build(&kernel_of(&stream));
         let n = cfg.len();
         let seeds: Vec<usize> = seeds.iter().map(|&s| usize::from(s) % n).collect();
         let stops: Vec<usize> = stops.iter().map(|&s| usize::from(s) % n).collect();
         let stop = |b: usize| stops.contains(&b);
         let walked = reach(n, seeds.iter().copied(), edges(&cfg, reversed), stop);
-        prop_assert_eq!(walked, reach_ref(n, &seeds, edges(&cfg, reversed), stop));
+        assert_eq!(walked, reach_ref(n, &seeds, edges(&cfg, reversed), stop), "case {case}");
     }
+    assert!(!kinds.contains(&0), "an instruction kind was never drawn: {kinds:?}");
+}
 
-    #[test]
-    fn postorders_match_the_recursive_dfs(stream in arb_stream()) {
-        let cfg = Cfg::build(&kernel_of(&stream));
+#[test]
+fn postorders_match_the_recursive_dfs() {
+    let mut kinds = [0; 4];
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let cfg = Cfg::build(&kernel_of(&stream(&mut rng, &mut kinds)));
         let n = cfg.len();
         let mut rpo = postorder_ref(n, 0, &edges(&cfg, false));
         rpo.reverse();
-        prop_assert_eq!(cfg.reverse_post_order(), rpo);
+        assert_eq!(cfg.reverse_post_order(), rpo, "case {case}");
         let exit = cfg.exit_block();
-        prop_assert_eq!(
+        assert_eq!(
             postorder(n, exit, edges(&cfg, true)),
-            postorder_ref(n, exit, &edges(&cfg, true))
+            postorder_ref(n, exit, &edges(&cfg, true)),
+            "case {case}"
         );
     }
+    assert!(!kinds.contains(&0), "an instruction kind was never drawn: {kinds:?}");
+}
 
-    #[test]
-    fn dominators_match_the_set_formulation(stream in arb_stream()) {
-        let cfg = Cfg::build(&kernel_of(&stream));
+#[test]
+fn dominators_match_the_set_formulation() {
+    let mut kinds = [0; 4];
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let cfg = Cfg::build(&kernel_of(&stream(&mut rng, &mut kinds)));
         let doms = Doms::compute(&cfg);
-        check_dominators(&cfg, 0, false, &doms.idom, |a, b| doms.dominates(a, b));
+        check_dominators(case, &cfg, 0, false, &doms.idom, |a, b| doms.dominates(a, b));
         let pdoms = PostDoms::compute(&cfg);
-        check_dominators(&cfg, cfg.exit_block(), true, &pdoms.ipdom, |a, b| {
+        check_dominators(case, &cfg, cfg.exit_block(), true, &pdoms.ipdom, |a, b| {
             pdoms.post_dominates(a, b)
         });
     }
+    assert!(!kinds.contains(&0), "an instruction kind was never drawn: {kinds:?}");
+}
 
-    #[test]
-    fn natural_loop_bodies_match_forward_reachability(stream in arb_stream()) {
-        let kernel = kernel_of(&stream);
+#[test]
+fn natural_loop_bodies_match_forward_reachability() {
+    let mut kinds = [0; 4];
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let kernel = kernel_of(&stream(&mut rng, &mut kinds));
         let cfg = Cfg::build(&kernel);
         let n = cfg.len();
         let doms = Doms::compute(&cfg);
         for l in &NaturalLoops::compute(&kernel, &cfg, &doms).loops {
-            prop_assert!(doms.dominates(l.header, l.latch));
+            assert!(doms.dominates(l.header, l.latch), "case {case}");
             let body: Vec<BlockId> = (0..n)
                 .filter(|&b| {
                     b == l.header
                         || reach_ref(n, &[b], edges(&cfg, false), |x| x == l.header)[l.latch]
                 })
                 .collect();
-            prop_assert_eq!(&l.body, &body, "loop at pc {}", l.back_edge_pc);
+            assert_eq!(l.body, body, "case {case}: loop at pc {}", l.back_edge_pc);
         }
     }
+    assert!(!kinds.contains(&0), "an instruction kind was never drawn: {kinds:?}");
 }

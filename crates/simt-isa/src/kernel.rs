@@ -294,22 +294,6 @@ impl Kernel {
         }
         Ok(())
     }
-
-    /// Pretty-prints the kernel with byte PCs, one instruction per line.
-    #[must_use]
-    pub fn disassemble(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "// kernel {} (regs={}, smem={}B)",
-            self.name, self.num_regs, self.shared_mem_bytes
-        );
-        for (pc, i) in self.instrs.iter().enumerate() {
-            let _ = writeln!(out, "{:#06x}  {}", Kernel::byte_pc(pc), i);
-        }
-        out
-    }
 }
 
 /// A kernel launch: grid and block shapes plus parameter words.
@@ -620,17 +604,5 @@ mod tests {
         assert!(!l.promotes_conditional_redundancy());
         let l = LaunchConfig::new(1u32, (4u32, 2u32)).with_warp_size(4);
         assert!(l.promotes_conditional_redundancy());
-    }
-
-    #[test]
-    fn disassemble_contains_pcs() {
-        let k = Kernel::new(
-            "t",
-            vec![Instruction::new(Op::Mov, Some(Reg(0)), None, vec![Operand::Imm(1)]), exit()],
-        );
-        let d = k.disassemble();
-        assert!(d.contains("0x0000"), "{d}");
-        assert!(d.contains("0x0008"), "{d}");
-        assert!(d.contains("mov R0"), "{d}");
     }
 }

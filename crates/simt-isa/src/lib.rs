@@ -35,7 +35,6 @@
 //! assert!(kernel.validate().is_ok());
 //! ```
 
-pub mod asm;
 pub mod builder;
 pub mod encode;
 pub mod family;
@@ -45,7 +44,6 @@ pub mod op;
 pub mod reg;
 pub mod value;
 
-pub use asm::{parse_instruction, parse_kernel, AsmError};
 pub use builder::KernelBuilder;
 pub use encode::{decode, encode, EncodeError};
 pub use family::{AxisRange, FamilyError, LaunchFamily};

@@ -1,164 +1,164 @@
-//! Property-based round-trip of the 64-bit instruction encoding: any
+//! Randomized round-trip of the 64-bit instruction encoding: any
 //! encodable instruction must decode to itself, with its marking intact.
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, RngCore, SeedableRng};
 use simt_isa::{
     decode, encode, AtomOp, CmpOp, Guard, Instruction, Marking, MemSpace, Op, Operand, Pred, Reg,
     SpecialReg,
 };
 
-fn arb_reg() -> impl Strategy<Value = Reg> {
-    (0u8..=254).prop_map(Reg)
+/// How often each alternative of each generator was drawn.
+#[derive(Debug, Default)]
+struct Draws {
+    /// [`instruction`]'s shapes.
+    shapes: [u32; 12],
+    /// [`src`]'s register and immediate operands.
+    srcs: [u32; 2],
+    /// [`guard`]'s unguarded and guarded instructions.
+    guards: [u32; 2],
 }
 
-fn arb_pred() -> impl Strategy<Value = Pred> {
-    (0u8..7).prop_map(Pred)
+fn pick<T: Copy>(rng: &mut SmallRng, xs: &[T]) -> T {
+    xs[rng.gen_range(0..xs.len())]
 }
 
-fn arb_src() -> impl Strategy<Value = Operand> {
-    prop_oneof![
-        arb_reg().prop_map(Operand::Reg),
+fn reg(rng: &mut SmallRng) -> Reg {
+    Reg(rng.gen_range(0..=254))
+}
+
+fn pred(rng: &mut SmallRng) -> Pred {
+    Pred(rng.gen_range(0..7))
+}
+
+fn src(rng: &mut SmallRng, draws: &mut Draws) -> Operand {
+    let arm = rng.gen_range(0..2usize);
+    draws.srcs[arm] += 1;
+    if arm == 0 {
+        Operand::Reg(reg(rng))
+    } else {
         // Immediates within the encodable 16-bit signed range.
-        (-32768i32..=32767).prop_map(|v| Operand::Imm(v as u32)),
-    ]
+        Operand::Imm(rng.gen_range(-32768i32..=32767) as u32)
+    }
 }
 
-fn arb_guard() -> impl Strategy<Value = Option<Guard>> {
-    prop_oneof![
-        Just(None),
-        (arb_pred(), any::<bool>()).prop_map(|(p, n)| Some(Guard { pred: p, negate: n })),
-    ]
+fn guard(rng: &mut SmallRng, draws: &mut Draws) -> Option<Guard> {
+    let arm = rng.gen_range(0..2usize);
+    draws.guards[arm] += 1;
+    (arm == 1).then(|| Guard { pred: pred(rng), negate: rng.gen_range(0..2) == 1 })
 }
 
-fn arb_instruction() -> impl Strategy<Value = Instruction> {
-    let two_src_ops = prop::sample::select(vec![
-        Op::IAdd,
-        Op::ISub,
-        Op::IMul,
-        Op::IMulHi,
-        Op::IMin,
-        Op::IMax,
-        Op::Shl,
-        Op::Shr,
-        Op::Sra,
-        Op::And,
-        Op::Or,
-        Op::Xor,
-        Op::FAdd,
-        Op::FSub,
-        Op::FMul,
-        Op::FMin,
-        Op::FMax,
-        Op::FDiv,
-    ]);
-    let one_src_ops = prop::sample::select(vec![
-        Op::Not,
-        Op::I2F,
-        Op::F2I,
-        Op::FRcp,
-        Op::FSqrt,
-        Op::FExp2,
-        Op::FLog2,
-    ]);
-    prop_oneof![
+/// One encodable instruction of a random shape.
+fn instruction(rng: &mut SmallRng, draws: &mut Draws) -> Instruction {
+    let shape = rng.gen_range(0..draws.shapes.len());
+    draws.shapes[shape] += 1;
+    match shape {
         // Two-source ALU.
-        (two_src_ops, arb_reg(), arb_src(), arb_src(), arb_guard()).prop_map(|(op, d, a, b, g)| {
+        0 => {
+            let op = pick(
+                rng,
+                &[
+                    Op::IAdd,
+                    Op::ISub,
+                    Op::IMul,
+                    Op::IMulHi,
+                    Op::IMin,
+                    Op::IMax,
+                    Op::Shl,
+                    Op::Shr,
+                    Op::Sra,
+                    Op::And,
+                    Op::Or,
+                    Op::Xor,
+                    Op::FAdd,
+                    Op::FSub,
+                    Op::FMul,
+                    Op::FMin,
+                    Op::FMax,
+                    Op::FDiv,
+                ],
+            );
+            let (d, a, b) = (reg(rng), src(rng, draws), src(rng, draws));
             let mut i = Instruction::new(op, Some(d), None, vec![a, b]);
-            i.guard = g;
+            i.guard = guard(rng, draws);
             i
-        }),
+        }
         // One-source ALU.
-        (one_src_ops, arb_reg(), arb_src(), arb_guard()).prop_map(|(op, d, a, g)| {
+        1 => {
+            let op =
+                pick(rng, &[Op::Not, Op::I2F, Op::F2I, Op::FRcp, Op::FSqrt, Op::FExp2, Op::FLog2]);
+            let (d, a) = (reg(rng), src(rng, draws));
             let mut i = Instruction::new(op, Some(d), None, vec![a]);
-            i.guard = g;
+            i.guard = guard(rng, draws);
             i
-        }),
+        }
         // Three-source (registers in the first two slots).
-        (
-            prop::sample::select(vec![Op::IMad, Op::FFma]),
-            arb_reg(),
-            arb_reg(),
-            arb_reg(),
-            arb_src()
-        )
-            .prop_map(|(op, d, a, b, c)| Instruction::new(
-                op,
-                Some(d),
-                None,
-                vec![a.into(), b.into(), c]
-            )),
+        2 => {
+            let op = pick(rng, &[Op::IMad, Op::FFma]);
+            let (d, a, b, c) = (reg(rng), reg(rng), reg(rng), src(rng, draws));
+            Instruction::new(op, Some(d), None, vec![a.into(), b.into(), c])
+        }
         // Wide-immediate MOV.
-        (arb_reg(), any::<u32>()).prop_map(|(d, v)| Instruction::new(
-            Op::Mov,
-            Some(d),
-            None,
-            vec![Operand::Imm(v)]
-        )),
-        // S2R.
-        (prop::sample::select(SpecialReg::ALL.to_vec()), arb_reg())
-            .prop_map(|(s, d)| Instruction::new(Op::S2R(s), Some(d), None, vec![])),
-        // SETP.
-        (
-            prop::sample::select(CmpOp::ALL.to_vec()),
-            any::<bool>(),
-            arb_pred(),
-            arb_src(),
-            arb_src()
-        )
-            .prop_map(|(c, f, p, a, b)| {
-                let op = if f { Op::SetpF(c) } else { Op::Setp(c) };
-                Instruction::new(op, None, Some(p), vec![a, b])
-            }),
+        3 => {
+            let d = reg(rng);
+            Instruction::new(Op::Mov, Some(d), None, vec![Operand::Imm(rng.next_u32())])
+        }
+        4 => {
+            let s = pick(rng, &SpecialReg::ALL);
+            Instruction::new(Op::S2R(s), Some(reg(rng)), None, vec![])
+        }
+        5 => {
+            let (c, f, p) = (pick(rng, &CmpOp::ALL), rng.gen_range(0..2) == 1, pred(rng));
+            let op = if f { Op::SetpF(c) } else { Op::Setp(c) };
+            let (a, b) = (src(rng, draws), src(rng, draws));
+            Instruction::new(op, None, Some(p), vec![a, b])
+        }
         // Loads with 15-bit offsets.
-        (prop::sample::select(MemSpace::ALL.to_vec()), arb_reg(), arb_src(), -16384i32..16383)
-            .prop_map(|(sp, d, a, off)| {
-                Instruction::new(Op::Ld(sp), Some(d), None, vec![a]).with_offset(off)
-            }),
+        6 => {
+            let (sp, d, a) = (pick(rng, &MemSpace::ALL), reg(rng), src(rng, draws));
+            Instruction::new(Op::Ld(sp), Some(d), None, vec![a])
+                .with_offset(rng.gen_range(-16384i32..16383))
+        }
         // Stores with 12-bit offsets and register values.
-        (
-            prop::sample::select(vec![MemSpace::Global, MemSpace::Shared]),
-            arb_src(),
-            arb_reg(),
-            -2048i32..2047
-        )
-            .prop_map(|(sp, a, v, off)| {
-                Instruction::new(Op::St(sp), None, None, vec![a, v.into()]).with_offset(off)
-            }),
-        // Atomics.
-        (prop::sample::select(AtomOp::ALL.to_vec()), arb_reg(), arb_src(), arb_reg()).prop_map(
-            |(a, d, addr, v)| Instruction::new(Op::Atom(a), Some(d), None, vec![addr, v.into()])
-        ),
-        // Branches.
-        ((0usize..1 << 24), arb_guard()).prop_map(|(t, g)| {
-            let mut i = Instruction::new(Op::Bra { target: t }, None, None, vec![]);
-            i.guard = g;
+        7 => {
+            let (sp, a, v) =
+                (pick(rng, &[MemSpace::Global, MemSpace::Shared]), src(rng, draws), reg(rng));
+            Instruction::new(Op::St(sp), None, None, vec![a, v.into()])
+                .with_offset(rng.gen_range(-2048i32..2047))
+        }
+        8 => {
+            let (a, d, addr, v) = (pick(rng, &AtomOp::ALL), reg(rng), src(rng, draws), reg(rng));
+            Instruction::new(Op::Atom(a), Some(d), None, vec![addr, v.into()])
+        }
+        9 => {
+            let target = rng.gen_range(0usize..1 << 24);
+            let mut i = Instruction::new(Op::Bra { target }, None, None, vec![]);
+            i.guard = guard(rng, draws);
             i
-        }),
-        Just(Instruction::new(Op::Bar, None, None, vec![])),
-        Just(Instruction::new(Op::Exit, None, None, vec![])),
-    ]
+        }
+        10 => Instruction::new(Op::Bar, None, None, vec![]),
+        _ => Instruction::new(Op::Exit, None, None, vec![]),
+    }
 }
 
-fn arb_marking() -> impl Strategy<Value = Marking> {
-    prop::sample::select(vec![Marking::Vector, Marking::ConditionallyRedundant, Marking::Redundant])
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 2048, .. ProptestConfig::default() })]
-
-    #[test]
-    fn encode_decode_roundtrips(instr in arb_instruction(), marking in arb_marking()) {
-        let word = encode(&instr, marking).expect("generator stays in encodable ranges");
-        let (decoded, m2) = decode(word).expect("own encodings decode");
-        prop_assert_eq!(&decoded, &instr, "word {:#018x}", word);
-        prop_assert_eq!(m2, marking);
+#[test]
+fn encode_decode_roundtrips() {
+    let mut draws = Draws::default();
+    for case in 0..2048 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let instr = instruction(&mut rng, &mut draws);
+        let marking =
+            pick(&mut rng, &[Marking::Vector, Marking::ConditionallyRedundant, Marking::Redundant]);
+        let word =
+            encode(&instr, marking).unwrap_or_else(|e| panic!("case {case}: `{instr}`: {e}"));
+        let (decoded, m2) =
+            decode(word).unwrap_or_else(|e| panic!("case {case}: word {word:#018x}: {e}"));
+        assert_eq!(decoded, instr, "case {case}: word {word:#018x}");
+        assert_eq!(m2, marking, "case {case}: `{instr}`");
     }
-
-    #[test]
-    fn text_roundtrips(instr in arb_instruction()) {
-        let text = instr.to_string();
-        let parsed = simt_isa::parse_instruction(1, &text)
-            .unwrap_or_else(|e| panic!("`{text}`: {e}"));
-        prop_assert_eq!(&parsed, &instr, "text `{}`", text);
-    }
+    let Draws { shapes, srcs, guards } = &draws;
+    assert!(
+        ![&shapes[..], srcs, guards].concat().contains(&0),
+        "an arm was never drawn: {draws:?}"
+    );
 }

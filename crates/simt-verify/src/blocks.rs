@@ -1,9 +1,9 @@
 //! Inter-thread-block independence certifier.
 //!
-//! The sharded engine (ROADMAP item 1) replays thread blocks of one
-//! launch concurrently and in arbitrary order, which is only sound when
-//! no observable value depends on that order. This pass certifies the
-//! precondition statically: it builds a per-block *global-memory
+//! The simulator replays the thread blocks of one launch in one order of
+//! many; a certificate establishes that this order is unobservable for
+//! the launch: no observable value depends on it. This pass certifies
+//! that statically: it builds a per-block *global-memory
 //! footprint* for every global load, store and atomic from the
 //! block-affine domain (`a*tid.x + b*tid.y + d*ctaid.x + e*ctaid.y + c`)
 //! under the concrete launch, and proves pairwise inter-block
@@ -836,6 +836,8 @@ fn exact_words(side: Side, s: Shape, block: Dim3) -> Option<Vec<i64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Up to two distinct blocks known to touch one word through one
@@ -971,14 +973,8 @@ mod tests {
 
     #[test]
     fn exact_refine_matches_the_ordered_map_it_replaced() {
-        let mut state = 0x5eed_u64;
-        let mut next = |n: u64| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % n
-        };
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let mut next = |n: u64| rng.gen_range(0..n);
         let mut collisions = 0;
         for _ in 0..2000 {
             let mut coeff = |n: u64| next(2 * n + 1) as i64 - n as i64;

@@ -36,7 +36,7 @@
 //! latencies) and a final drain. Every cycle the simulator spends either
 //! serves one of those resources or burns exposed latency, so the sum
 //! dominates the schedule; `DESIGN.md` states the model assumptions and
-//! the `E202` differential gate (plus a random-kernel proptest) enforces
+//! the `E202` differential gate (plus a random-program property) enforces
 //! the bracket against measured [`gpu_sim::SimStats::cycles`] on every
 //! catalog workload under Base and DARSIE.
 

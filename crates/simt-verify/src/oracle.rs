@@ -39,7 +39,7 @@
 //! the block-independence certifier's `V310`), and a checked redundancy
 //! claim that read an inter-block-raced word is downgraded the same way
 //! a shared-race taint downgrades it — the replay's block order is one
-//! of many the sharded engine may choose.
+//! of many, and a raced word's value depends on which.
 
 use crate::{blocks, Diagnostic, Diagnostics, LintCode};
 use gpu_sim::{
@@ -291,8 +291,8 @@ pub fn check_with_headroom(
             vec![0; if read { shared_words.div_ceil(64) } else { 0 }].into_boxed_slice()
         })
         .collect();
-    // The global shadow lives across the whole launch: block replay
-    // order is exactly what the sharded engine is free to permute.
+    // The global shadow lives across the whole launch: it sees every
+    // pair of blocks whose relative replay order could be observed.
     let mut obs = (
         OracleObserver {
             checked: &checked,
@@ -376,7 +376,7 @@ pub fn check_with_headroom(
     }
 
     // Inter-block races observed by the global shadow: each is a concrete
-    // witness for the sharded engine's unsoundness under this launch.
+    // witness that block replay order is observable under this launch.
     for r in gsan.races() {
         report.push(blocks::dynamic_race(r, launch.grid));
     }

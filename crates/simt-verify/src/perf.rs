@@ -353,6 +353,8 @@ pub fn validate(predictions: &[MemPrediction], stats: &SimStats) -> Vec<Validati
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use simt_compiler::compile;
     use simt_isa::{KernelBuilder, Op, SpecialReg};
 
@@ -540,14 +542,8 @@ mod tests {
 
     #[test]
     fn alignment_classes_bound_like_every_residue() {
-        let mut state = 0xb0_u64;
-        let mut next = |n: u64| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % n
-        };
+        let mut rng = SmallRng::seed_from_u64(0xb0);
+        let mut next = |n: u64| rng.gen_range(0..n);
         let (mut errs, mut oks) = (0, 0);
         for _ in 0..3000 {
             let mut coeff = || match next(10) {

@@ -95,8 +95,8 @@ fn commutative_counter_certifies_commutative_atomics_only() {
 /// blocks leave the final value block-order-dependent, even though each
 /// op commutes with itself. The masked (non-affine) address defeats the
 /// static pass, so the verdict rides entirely on the dynamic replay —
-/// exactly the path where a too-permissive exemption would certify a
-/// racy kernel for the sharded engine.
+/// exactly the path where a too-permissive exemption would certify
+/// block replay order unobservable for a racy kernel.
 #[test]
 fn mixed_op_atomics_are_not_discharged_as_commutative() {
     use simt_isa::{AtomOp, KernelBuilder, SpecialReg, Value};

@@ -1,9 +1,8 @@
-//! Binary- and text-format integration: every instruction of every
-//! Table-1 workload kernel must survive a round trip through the 64-bit
-//! encoder (including its two DARSIE marking bits) and through the text
-//! assembler, unchanged.
+//! Binary-format integration: every instruction of every Table-1 workload
+//! kernel must survive a round trip through the 64-bit encoder (including
+//! its two DARSIE marking bits) unchanged.
 
-use simt_isa::{decode, encode, parse_kernel, EncodeError, Marking};
+use simt_isa::{decode, encode, EncodeError, Marking};
 use workloads::{catalog, Scale};
 
 #[test]
@@ -40,27 +39,6 @@ fn workload_kernels_roundtrip_through_the_64bit_encoding() {
         "too many unencodable instructions: {legalization_needed}/{}",
         encoded + legalization_needed
     );
-}
-
-#[test]
-fn workload_kernels_roundtrip_through_the_assembler() {
-    for w in catalog(Scale::Test) {
-        let text = w.ck.kernel.disassemble();
-        let (parsed, _) =
-            parse_kernel(&w.ck.kernel.name, &text).unwrap_or_else(|e| panic!("{}: {e}", w.abbr));
-        assert_eq!(parsed.instrs, w.ck.kernel.instrs, "{}", w.abbr);
-    }
-}
-
-#[test]
-fn annotated_disassembly_preserves_markings() {
-    for w in catalog(Scale::Test) {
-        let text = w.ck.annotated_disassembly();
-        let (parsed, markings) =
-            parse_kernel(&w.ck.kernel.name, &text).unwrap_or_else(|e| panic!("{}: {e}", w.abbr));
-        assert_eq!(parsed.instrs, w.ck.kernel.instrs, "{}", w.abbr);
-        assert_eq!(markings, w.ck.markings, "{}: markings corrupted in text", w.abbr);
-    }
 }
 
 #[test]

@@ -1,11 +1,12 @@
-//! Property-based check of the shared-memory race detector: a two-phase
+//! Randomized check of the shared-memory race detector: a two-phase
 //! neighbor-exchange kernel is verified clean with its barrier in place,
 //! and injecting the race (dropping the barrier between the store phase
 //! and a `tid.x + d` load) must always be caught — statically (the
 //! addresses are affine) and dynamically (V303).
 
 use gpu_sim::GlobalMemory;
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use simt_compiler::CompiledKernel;
 use simt_isa::{Dim3, KernelBuilder, LaunchConfig, MemSpace, SpecialReg, Value};
 use simt_verify::{verify_full, LintCode};
@@ -38,33 +39,31 @@ fn verify(ck: &CompiledKernel, threads: u32) -> simt_verify::Diagnostics {
     verify_full(ck, &launch, mem)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
+#[test]
+fn injected_race_is_always_caught() {
+    for case in 0..16 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (threads, delta) = (rng.gen_range(8u32..=64), rng.gen_range(1u32..=4));
+        let at = format!("case {case} (threads={threads} delta={delta})");
 
-    #[test]
-    fn injected_race_is_always_caught(threads in 8u32..=64, delta in 1u32..=4) {
         // Control: with the barrier, no race pass may fire at all.
         let clean = exchange_kernel(threads, delta, true);
         let r = verify(&clean, threads);
-        prop_assert!(
+        assert!(
             r.with_code(LintCode::SharedRaceStatic).is_empty()
                 && r.with_code(LintCode::SharedAddrUnknown).is_empty()
                 && r.with_code(LintCode::SharedRaceDynamic).is_empty(),
-            "clean kernel flagged (threads={} delta={}):\n{}", threads, delta, r.render()
+            "clean kernel flagged, {at}:\n{}",
+            r.render()
         );
 
         // Injected race: both detectors must catch it, and the report
         // must fail verification.
         let racy = exchange_kernel(threads, delta, false);
         let r = verify(&racy, threads);
-        prop_assert!(
-            !r.with_code(LintCode::SharedRaceStatic).is_empty(),
-            "no V301 (threads={} delta={}):\n{}", threads, delta, r.render()
-        );
-        prop_assert!(
-            !r.with_code(LintCode::SharedRaceDynamic).is_empty(),
-            "no V303 (threads={} delta={}):\n{}", threads, delta, r.render()
-        );
-        prop_assert!(!r.is_clean());
+        let render = r.render();
+        assert!(!r.with_code(LintCode::SharedRaceStatic).is_empty(), "no V301, {at}:\n{render}");
+        assert!(!r.with_code(LintCode::SharedRaceDynamic).is_empty(), "no V303, {at}:\n{render}");
+        assert!(!r.is_clean(), "{at}");
     }
 }
