@@ -8,7 +8,7 @@
 //! reported identical; when they disagree, the coarse chains (at
 //! [`REPLAY_DIGEST_INTERVAL`]) bracket the first divergent epoch via
 //! binary search, both
-//! runs are re-executed in fine mode (`Cycle(1)` cadence with component
+//! runs are re-executed in fine mode (an epoch every cycle, with component
 //! sub-digests, recording only inside the bracketing window), and
 //! [`gpu_sim::localize`] names the chain, cycle, component and — for
 //! warp-state breaks — the warp slot that first disagreed.
@@ -19,8 +19,8 @@
 //! recording of the whole execution.
 
 use gpu_sim::{
-    localize, CoarseDivergence, DigestCadence, DigestConfig, Divergence, GpuConfig, Perturb,
-    RunDigests, SchedulerPolicy, Technique,
+    localize, CoarseDivergence, DigestConfig, Divergence, GpuConfig, Perturb, RunDigests,
+    SchedulerPolicy, Technique,
 };
 use workloads::Workload;
 
@@ -110,10 +110,7 @@ pub fn replay_diff(
     b: &RunSpec,
     perturb_b: Option<Perturb>,
 ) -> ReplayReport {
-    let coarse_cfg = DigestConfig {
-        cadence: DigestCadence::Cycle(REPLAY_DIGEST_INTERVAL),
-        ..DigestConfig::default()
-    };
+    let coarse_cfg = DigestConfig { interval: REPLAY_DIGEST_INTERVAL, ..DigestConfig::default() };
     let ra = run(w, a, coarse_cfg, None);
     let rb = run(w, b, coarse_cfg, perturb_b);
     let epochs = ra.digests.sm_chains.first().map_or(0, |c| c.entries.len());

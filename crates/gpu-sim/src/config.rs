@@ -130,8 +130,8 @@ pub struct GpuConfig {
     /// samples, returned in [`SimResult::profile`](crate::SimResult).
     pub profile: bool,
     /// Epoch-chained state-digest layer (the determinism observatory):
-    /// cadence, fine-mode component sub-digests and recording window. On
-    /// by default at coarse cadence; the per-run root lands on
+    /// epoch interval, fine-mode component sub-digests and recording
+    /// window. On by default at a coarse interval; the per-run root lands on
     /// [`SimStats::digest_root`](crate::SimStats::digest_root).
     pub digest: DigestConfig,
     /// Deliberate reproducible state perturbation, injected at a fixed

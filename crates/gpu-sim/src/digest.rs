@@ -4,7 +4,7 @@
 //! The simulator's determinism contract ("identical runs produce
 //! bit-identical results") used to be checkable only as a binary
 //! end-of-run comparison. This module turns it into an audit trail: at a
-//! configurable cadence ([`DigestCadence`]) every SM folds its
+//! configurable interval ([`DigestConfig::interval`]) every SM folds its
 //! architectural state — per-warp PC stacks, active masks, register and
 //! predicate files, the scoreboard, DARSIE skip-table/renaming state,
 //! in-flight memory-queue occupancy — into a cheap FNV-style digest, and
@@ -19,7 +19,7 @@
 //! Two chained runs that agree on their roots agree (w.h.p.) on every
 //! epoch; when they disagree, the chaining makes "first divergent epoch" a
 //! monotone predicate, so [`DigestChain::first_divergence`] binary-searches
-//! it with `partition_point`. A fine re-run (cadence `Cycle(1)`, component
+//! it with `partition_point`. A fine re-run (`interval` 1, component
 //! sub-digests on, recording window bracketing the divergent epoch) then
 //! lets [`localize`] name the SM, warp and component (scoreboard vs
 //! skip-table vs memory vs ...) that first disagreed.
@@ -54,35 +54,23 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Default digest interval (cycles) for [`DigestCadence::Cycle`]: coarse
+/// Default digest interval (cycles) for [`DigestConfig::interval`]: coarse
 /// enough to keep wall-time overhead in the low single digits (the
 /// dominant per-epoch cost is folding every resident warp's full register
 /// file; `bench` measures the overhead on every snapshot), fine enough
 /// that a bisected divergence window stays about a thousand cycles wide.
 pub const DEFAULT_DIGEST_INTERVAL: u64 = 1024;
 
-/// When the digest layer snapshots architectural state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DigestCadence {
-    /// Every `n` cycles (and once at drain). `n = 1` digests every cycle.
-    Cycle(u64),
-}
-
-impl Default for DigestCadence {
-    fn default() -> DigestCadence {
-        DigestCadence::Cycle(DEFAULT_DIGEST_INTERVAL)
-    }
-}
-
 /// Digest-layer configuration, carried on
 /// [`GpuConfig::digest`](crate::GpuConfig::digest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct DigestConfig {
     /// Master switch. On by default; benches measuring raw simulator speed
     /// turn it off via [`DigestConfig::off`].
     pub enabled: bool,
-    /// Epoch cadence.
-    pub cadence: DigestCadence,
+    /// An epoch every `interval` cycles (and once at drain); 1 digests
+    /// every cycle.
+    pub interval: u64,
     /// Record per-component and per-warp sub-digests on every epoch (the
     /// bisector's fine mode). Costs an allocation per epoch, so pair it
     /// with a recording `window`.
@@ -96,10 +84,24 @@ impl Default for DigestConfig {
     fn default() -> DigestConfig {
         DigestConfig {
             enabled: true,
-            cadence: DigestCadence::default(),
+            interval: DEFAULT_DIGEST_INTERVAL,
             components: false,
             window: None,
         }
+    }
+}
+
+/// `config_fingerprint` hashes `GpuConfig`'s `Debug` rendering, so the
+/// interval keeps the spelling it had as a one-variant cadence enum
+/// (`cadence: Cycle(n)`): an unchanged machine keeps its fingerprint.
+impl std::fmt::Debug for DigestConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DigestConfig")
+            .field("enabled", &self.enabled)
+            .field("cadence", &format_args!("Cycle({})", self.interval))
+            .field("components", &self.components)
+            .field("window", &self.window)
+            .finish()
     }
 }
 
@@ -114,12 +116,7 @@ impl DigestConfig {
     /// recording only inside `window`.
     #[must_use]
     pub fn fine(window: (u64, u64)) -> DigestConfig {
-        DigestConfig {
-            enabled: true,
-            cadence: DigestCadence::Cycle(1),
-            components: true,
-            window: Some(window),
-        }
+        DigestConfig { enabled: true, interval: 1, components: true, window: Some(window) }
     }
 
     /// True when an epoch at `cycle` falls inside the recording window.
@@ -432,7 +429,7 @@ impl RunDigests {
 }
 
 /// Localizes the first divergence between two *fine-mode* run digests
-/// (cadence `Cycle(1)`, components recorded): names the chain, epoch,
+/// (`interval` 1, components recorded): names the chain, epoch,
 /// cycle, component and — when warp state diverged — the warp slot.
 #[must_use]
 pub fn localize(a: &RunDigests, b: &RunDigests) -> Option<Divergence> {

@@ -2,9 +2,7 @@
 //! simulation run loop.
 
 use crate::config::{GpuConfig, Technique};
-use crate::digest::{
-    fold, splitmix64, DigestCadence, DigestConfig, Perturb, RunDigests, FNV_OFFSET,
-};
+use crate::digest::{fold, splitmix64, DigestConfig, Perturb, RunDigests, FNV_OFFSET};
 use crate::events::{EventLog, TRACE_CAPACITY};
 use crate::functional::{ctaid_at, NullObserver};
 use crate::mem::{DramModel, GlobalMemory, TagCache};
@@ -13,7 +11,6 @@ use crate::sm::{KernelData, Sm};
 use crate::stats::SimStats;
 use simt_compiler::CompiledKernel;
 use simt_isa::LaunchConfig;
-use std::sync::Arc;
 
 /// Result of a kernel simulation.
 #[derive(Debug)]
@@ -46,7 +43,7 @@ fn record_epoch<O: SmObserver>(
     d: &mut RunDigests,
     dcfg: &DigestConfig,
     now: u64,
-    sms: &[Sm<O>],
+    sms: &[Sm<'_, O>],
     global: &mut GlobalMemory,
     l2: &TagCache,
     dram: &DramModel,
@@ -118,9 +115,9 @@ impl Gpu {
         memory: GlobalMemory,
         observer: impl Fn(usize) -> O,
     ) -> (SimResult, Vec<O>) {
-        let kd = Arc::new(KernelData::new(ck.clone(), launch.clone()));
+        let kd = KernelData::new(ck, launch);
         let mut sms: Vec<Sm<O>> = (0..self.cfg.num_sms)
-            .map(|i| Sm::new(i, &self.cfg, self.technique.clone(), Arc::clone(&kd), observer(i)))
+            .map(|i| Sm::new(i, &self.cfg, self.technique.clone(), &kd, observer(i)))
             .collect();
 
         // Grid iteration order: x fastest, like the hardware dispatcher.
@@ -182,8 +179,7 @@ impl Gpu {
                 any_busy |= sm.busy();
             }
             if let Some(d) = digests.as_mut() {
-                let DigestCadence::Cycle(n) = dcfg.cadence;
-                if now.is_multiple_of(n.max(1)) && dcfg.in_window(now) {
+                if now.is_multiple_of(dcfg.interval.max(1)) && dcfg.in_window(now) {
                     for sm in &mut sms {
                         sm.catch_up(now);
                     }

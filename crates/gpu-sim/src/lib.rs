@@ -74,8 +74,8 @@ pub mod warp;
 
 pub use config::{GpuConfig, SchedulerPolicy, Technique};
 pub use digest::{
-    localize, CoarseDivergence, ComponentDigests, DigestCadence, DigestChain, DigestConfig,
-    Divergence, EpochDigest, Perturb, RunDigests,
+    localize, CoarseDivergence, ComponentDigests, DigestChain, DigestConfig, Divergence,
+    EpochDigest, Perturb, RunDigests,
 };
 pub use events::{EventKind, EventLog, PipeEvent};
 pub use exec::LaneAddrs;

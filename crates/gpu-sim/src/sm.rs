@@ -19,25 +19,25 @@ use simt_isa::{Dim3, LaunchConfig, MemSpace, Op, Reg};
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-/// Everything static about the running kernel, shared by all SMs.
+/// Everything static about the running kernel, which every SM borrows.
 #[derive(Debug)]
-pub struct KernelData {
+pub struct KernelData<'k> {
     /// Compiler output (kernel, markings, reconvergence).
-    pub ck: CompiledKernel,
+    pub ck: &'k CompiledKernel,
     /// Launch-time finalization (skippable / affine / uniform sets).
     pub plan: LaunchPlan,
     /// The launch geometry and parameters.
-    pub launch: LaunchConfig,
+    pub launch: &'k LaunchConfig,
     /// `bb_start[pc]`: instruction starts a basic block (SILICON-SYNC
     /// instrumentation points).
     pub bb_start: Vec<bool>,
 }
 
-impl KernelData {
+impl<'k> KernelData<'k> {
     /// Bundles a compiled kernel with its launch.
     #[must_use]
-    pub fn new(ck: CompiledKernel, launch: LaunchConfig) -> KernelData {
-        let plan = LaunchPlan::new(&ck, &launch);
+    pub fn new(ck: &'k CompiledKernel, launch: &'k LaunchConfig) -> KernelData<'k> {
+        let plan = LaunchPlan::new(ck, launch);
         let mut bb_start = vec![false; ck.kernel.len()];
         for b in &ck.cfg.blocks {
             if b.start < bb_start.len() {
@@ -47,7 +47,7 @@ impl KernelData {
         KernelData { ck, plan, launch, bb_start }
     }
 
-    fn instr(&self, pc: usize) -> &simt_isa::Instruction {
+    fn instr(&self, pc: usize) -> &'k simt_isa::Instruction {
         &self.ck.kernel.instrs[pc]
     }
 }
@@ -140,14 +140,15 @@ impl<T> IndexMut<usize> for Slots<T> {
     }
 }
 
-/// One streaming multiprocessor, reporting to the observer `O`.
+/// One streaming multiprocessor running the kernel `'k` borrows,
+/// reporting to the observer `O`.
 #[derive(Debug)]
-pub struct Sm<O> {
+pub struct Sm<'k, O> {
     /// SM index (for round-robin TB placement and debugging).
     pub id: usize,
     cfg: GpuConfig,
     technique: Technique,
-    kd: Arc<KernelData>,
+    kd: &'k KernelData<'k>,
     warps: Slots<Warp>,
     tbs: Slots<TbState>,
     icache: TagCache,
@@ -197,16 +198,16 @@ pub struct Sm<O> {
     pub(crate) cycles_simulated: u64,
 }
 
-impl<O: SmObserver> Sm<O> {
+impl<'k, O: SmObserver> Sm<'k, O> {
     /// Creates an idle SM.
     #[must_use]
     pub fn new(
         id: usize,
         cfg: &GpuConfig,
         technique: Technique,
-        kd: Arc<KernelData>,
+        kd: &'k KernelData<'k>,
         observer: O,
-    ) -> Sm<O> {
+    ) -> Sm<'k, O> {
         let dc = match &technique {
             Technique::Darsie(d) => d.clone(),
             _ => DarsieConfig::default(),
@@ -601,10 +602,9 @@ impl<O: SmObserver> Sm<O> {
         self.progress = false;
         let (tbs, warps) = (&self.tbs, &self.warps);
         self.observer.cycle(now, |c| occupancy(tbs, warps, c));
-        let kd = Arc::clone(&self.kd);
         self.count_stall_cycles(1);
         self.writeback(now);
-        let completed = self.issue(now, &kd, global, l2, dram);
+        let completed = self.issue(now, global, l2, dram);
         self.fetch(now);
         if !self.progress {
             self.sleep_until = Some(self.wake_cycle(now));
@@ -757,7 +757,6 @@ impl<O: SmObserver> Sm<O> {
     fn issue(
         &mut self,
         now: u64,
-        kd: &KernelData,
         global: &mut GlobalMemory,
         l2: &mut TagCache,
         dram: &mut DramModel,
@@ -782,8 +781,7 @@ impl<O: SmObserver> Sm<O> {
                 let mut stop: Option<(StallCause, Option<usize>)> = None;
                 let mut control = false;
                 while issued < width {
-                    match self.try_issue_head(now, kd, wslot, s, global, l2, dram, &mut banks_used)
-                    {
+                    match self.try_issue_head(now, wslot, s, global, l2, dram, &mut banks_used) {
                         IssueOutcome::Issued => {
                             issued += 1;
                             issued_any = true;
@@ -908,7 +906,6 @@ impl<O: SmObserver> Sm<O> {
     fn try_issue_head(
         &mut self,
         now: u64,
-        kd: &KernelData,
         wslot: usize,
         sched: usize,
         global: &mut GlobalMemory,
@@ -916,6 +913,7 @@ impl<O: SmObserver> Sm<O> {
         dram: &mut DramModel,
         banks_used: &mut [u32],
     ) -> IssueOutcome {
+        let kd = self.kd;
         {
             let Some(w) = self.warps.get_mut(wslot) else {
                 return IssueOutcome::Stall { cause: StallCause::IdleNoWarp, pc: None };
@@ -1526,8 +1524,7 @@ impl<O: SmObserver> Sm<O> {
         if !self.cfg.shadow_check {
             return;
         }
-        let kd = Arc::clone(&self.kd);
-        let instr = kd.instr(pc);
+        let instr = self.kd.instr(pc);
         let before = self.warps[wslot].reg_vector(dst);
         let _ = self.execute_warp(wslot, instr, global, &mut LaneAddrs::default());
         let w = &mut self.warps[wslot];

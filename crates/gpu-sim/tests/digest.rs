@@ -171,7 +171,7 @@ fn digest_chains_are_deterministic_and_stats_sensitive() {
         let interval = [64u64, 256, 1024][rng.gen_range(0usize..3)];
         let seed = rng.next_u32();
         let mut cfg = GpuConfig::test_small();
-        cfg.digest.cadence = gpu_sim::DigestCadence::Cycle(interval);
+        cfg.digest.interval = interval;
 
         let mk = |tech: &Technique| {
             let ck = add_one_kernel();

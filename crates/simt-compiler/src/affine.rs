@@ -43,7 +43,7 @@
 //! any value whose bounds leave the representable range collapses to
 //! [`AffineVal::Unknown`], which the race pass escalates conservatively.
 
-use crate::cfg::{reach, Cfg};
+use crate::cfg::Cfg;
 use simt_isa::{
     CmpOp, Instruction, Kernel, LaunchConfig, LaunchFamily, MemSpace, Op, Operand, Reg, SpecialReg,
 };
@@ -1172,9 +1172,9 @@ pub type Clamps = BTreeMap<(usize, usize), Affine>;
 /// **in**-states, the divergent-region flags, the [`GridCtx`] they were
 /// solved under and the kernel/CFG they describe.
 ///
-/// `divergent[b]` is true when block `b` lies between some branch whose
-/// predicate is not provably one shared value and that branch's immediate
-/// post-dominator: writes there reach only the active threads, so they
+/// `divergent[b]` is true when block `b` lies on a leg of some branch
+/// whose predicate is not provably one shared value (before the branch's
+/// join, [`crate::Branch`]): writes there reach only the active threads, so they
 /// lose the shared-constant bit and predicate redefinitions degrade like
 /// non-uniform guards. [`Flow::replay_block`] is the only place an
 /// instruction's transfer runs — the solver's own sweeps included — so
@@ -1214,45 +1214,33 @@ impl<'a> Flow<'a> {
             divergent: vec![false; nb],
         };
         flow.in_states[0] = FlowState::entry(nregs, npreds, entry_zeroed);
-        let pdoms = crate::dom::PostDoms::compute(cfg);
-        let succs = |b: usize| cfg.blocks[b].succs.iter().copied();
-        let rpo = cfg.reverse_post_order();
         // Scratch for a block's out-state and for one edge's state,
         // reused across blocks and sweeps.
         let (mut st, mut out) = (FlowState::empty(), FlowState::empty());
         for sweep in 0.. {
             let widen = sweep >= MAX_PRECISE_SWEEPS;
             let mut changed = false;
-            for &b in &rpo {
+            for &b in &cfg.rpo {
                 if !flow.in_states[b].reachable {
                     continue;
                 }
                 flow.replay_block_into(b, &mut st, |_, _, _| {});
-                let block = &cfg.blocks[b];
-                let two_way = block.succs.len() == 2 && block.succs[0] != block.succs[1];
-                let branch_guard = block.range().last().and_then(|pc| match kernel.instrs[pc].op {
-                    Op::Bra { .. } if two_way => kernel.instrs[pc].guard,
-                    _ => None,
-                });
-                if let Some(g) = branch_guard {
+                let branch = cfg.branch(b);
+                let branch_guard = branch.and_then(|br| kernel.instrs[br.pc].guard);
+                if let (Some(br), Some(g)) = (branch, branch_guard) {
                     let pv = st.preds[usize::from(g.pred.0)];
                     // Top (never defined) is the zero-initialized register:
                     // uniformly false, not divergent.
                     if !matches!(pv, PredVal::Top) && !pv.is_tb_uniform() {
-                        // The divergent region: everything the branch's
-                        // successors reach before its immediate
-                        // post-dominator.
-                        let join = pdoms.ipdom[b];
-                        let region = reach(nb, block.succs.iter().copied(), succs, |r| r == join);
-                        for (d, &r) in flow.divergent.iter_mut().zip(&region) {
-                            if r && !*d {
+                        for (x, d) in flow.divergent.iter_mut().enumerate() {
+                            if br.in_region(x) && !*d {
                                 *d = true;
                                 changed = true;
                             }
                         }
                     }
                 }
-                for (i, &succ) in block.succs.iter().enumerate() {
+                for (i, &succ) in cfg.blocks[b].succs.iter().enumerate() {
                     out.clone_from(&st);
                     if let Some(g) = branch_guard {
                         // succs[0] is the taken edge: the guard accepted.
@@ -1337,7 +1325,7 @@ impl<'a> Flow<'a> {
     /// post-order.
     pub fn replay(&self, mut visit: impl FnMut(usize, &FlowState, Option<AffineVal>)) {
         let mut st = FlowState::empty();
-        for b in self.cfg.reverse_post_order() {
+        for &b in &self.cfg.rpo {
             if self.in_states[b].reachable {
                 self.replay_block_into(b, &mut st, &mut visit);
             }

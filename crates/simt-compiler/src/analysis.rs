@@ -15,9 +15,8 @@
 //! hardware (majority-path tracking, branch synchronization and register
 //! versioning) provides that illusion at runtime.
 
-use crate::cfg::{reach, Cfg};
+use crate::cfg::Cfg;
 use crate::class::{AbsClass, Pat, Red};
-use crate::dom::PostDoms;
 use simt_isa::{Instruction, Kernel, Op, Operand, SpecialReg};
 
 /// Options controlling the analysis.
@@ -288,34 +287,24 @@ struct Merge {
 }
 
 /// For each block, the regions whose threads merge there: at the
-/// branch's immediate post-dominator, and at any block both of its
-/// successors reach before it (unstructured paths). Only the threads
-/// that took a path wrote its registers, so at a merge they mix per
-/// thread as the branch condition does.
+/// branch's join, and at any block both of its legs reach before it
+/// (unstructured paths). Only the threads that took a path wrote its
+/// registers, so at a merge they mix per thread as the branch condition
+/// does.
 fn divergent_regions(kernel: &Kernel, cfg: &Cfg) -> Vec<Vec<Merge>> {
     let nb = cfg.len();
-    let pdoms = PostDoms::compute(cfg);
-    let succs = |x: usize| cfg.blocks[x].succs.iter().copied();
     let mut merges: Vec<Vec<Merge>> = (0..nb).map(|_| Vec::new()).collect();
-    for (b, block) in cfg.blocks.iter().enumerate() {
-        let guarded = block.range().last().is_some_and(|pc| {
-            matches!(kernel.instrs[pc].op, Op::Bra { .. }) && kernel.instrs[pc].guard.is_some()
-        });
-        let &[s0, s1] = &block.succs[..] else { continue };
-        if !guarded || s0 == s1 {
-            continue;
-        }
-        let join = pdoms.ipdom[b];
-        let [r0, r1] = [s0, s1].map(|s| reach(nb, [s], succs, |x| x == join));
+    for br in &cfg.branches {
         let (mut regs, mut preds) = (Vec::new(), Vec::new());
-        for (x, _) in r0.iter().zip(&r1).enumerate().filter(|(_, (a, b))| **a || **b) {
+        for x in (0..nb).filter(|&x| br.in_region(x)) {
             for i in &kernel.instrs[cfg.blocks[x].range()] {
                 regs.extend(i.dst.map(|d| d.index()));
                 preds.extend(i.pdst.map(|p| p.index()));
             }
         }
-        for m in (0..nb).filter(|&m| m == join || (r0[m] && r1[m])) {
-            merges[m].push(Merge { branch: b, regs: regs.clone(), preds: preds.clone() });
+        let [r0, r1] = &br.legs;
+        for m in (0..nb).filter(|&m| m == br.join || (r0[m] && r1[m])) {
+            merges[m].push(Merge { branch: br.block, regs: regs.clone(), preds: preds.clone() });
         }
     }
     merges
@@ -351,30 +340,24 @@ pub fn analyze(kernel: &Kernel, cfg: &Cfg, opts: AnalysisOptions) -> Analysis {
     let regions = divergent_regions(kernel, cfg);
     // The condition class of each two-way branch, as the states fall.
     let mut cond = vec![AbsClass::TOP; nb];
-    let rpo = cfg.reverse_post_order();
     let mut changed = true;
     while changed {
         changed = false;
-        for &b in &rpo {
+        for &b in &cfg.rpo {
             let mut st = ins[b].clone();
             merge_taint(&mut st, &regions[b], &cond);
             for pc in cfg.blocks[b].range() {
                 let _ = transfer(&kernel.instrs[pc], &mut st, opts);
             }
-            let block = &cfg.blocks[b];
-            let branch_guard = block.range().last().and_then(|pc| match kernel.instrs[pc].op {
-                Op::Bra { .. } => kernel.instrs[pc].guard,
-                _ => None,
-            });
-            let two_way = block.succs.len() == 2 && block.succs[0] != block.succs[1];
-            if let (true, Some(g)) = (two_way, branch_guard) {
+            let guard = cfg.branch(b).and_then(|br| kernel.instrs[br.pc].guard);
+            if let Some(g) = guard {
                 let c = cond[b].meet(st.pred(g.pred));
                 changed |= c != cond[b];
                 cond[b] = c;
             }
-            for (i, &s) in block.succs.iter().enumerate() {
+            for (i, &s) in cfg.blocks[b].succs.iter().enumerate() {
                 let mut out = st.clone();
-                if let (true, Some(g)) = (opts.branch_edge_refine && two_way, branch_guard) {
+                if let (true, Some(g)) = (opts.branch_edge_refine, guard) {
                     // succs[0] is the taken edge: the guard accepted.
                     let polarity = if i == 0 { !g.negate } else { g.negate };
                     refine_edge(&mut out, g.pred, polarity);

@@ -15,13 +15,10 @@
 //! in the spirit of DARM's divergence analysis.
 
 use crate::class::AbsClass;
+use crate::defs::{ReachingDefs, ENTRY};
 use crate::pass::CompiledKernel;
-use simt_isa::{Marking, Op, Operand, SpecialReg};
+use simt_isa::{Marking, Op, SpecialReg};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// Sentinel definition site: the register was never written on some path,
-/// so its value is the machine's zero-initialized contents.
-const ENTRY: usize = usize::MAX;
 
 /// The root cause a blame chain terminates in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -86,58 +83,6 @@ impl Blame {
     }
 }
 
-/// Reaching-definition sets: per register and predicate, the set of pcs
-/// whose write may reach this point ([`ENTRY`] for no-write paths).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Defs {
-    regs: Vec<BTreeSet<usize>>,
-    preds: Vec<BTreeSet<usize>>,
-}
-
-impl Defs {
-    fn entry(nregs: usize, npreds: usize) -> Defs {
-        let one = BTreeSet::from([ENTRY]);
-        Defs { regs: vec![one.clone(); nregs], preds: vec![one; npreds] }
-    }
-
-    fn empty(nregs: usize, npreds: usize) -> Defs {
-        Defs { regs: vec![BTreeSet::new(); nregs], preds: vec![BTreeSet::new(); npreds] }
-    }
-
-    fn union_with(&mut self, other: &Defs) -> bool {
-        let mut changed = false;
-        for (a, b) in self
-            .regs
-            .iter_mut()
-            .chain(self.preds.iter_mut())
-            .zip(other.regs.iter().chain(other.preds.iter()))
-        {
-            for &d in b {
-                changed |= a.insert(d);
-            }
-        }
-        changed
-    }
-
-    fn transfer(&mut self, pc: usize, instr: &simt_isa::Instruction) {
-        let guarded = instr.guard.is_some();
-        if let Some(d) = instr.dst {
-            let slot = &mut self.regs[usize::from(d.0)];
-            if !guarded {
-                slot.clear();
-            }
-            slot.insert(pc);
-        }
-        if let Some(p) = instr.pdst {
-            let slot = &mut self.preds[usize::from(p.0)];
-            if !guarded {
-                slot.clear();
-            }
-            slot.insert(pc);
-        }
-    }
-}
-
 /// The intrinsic seed kind of one instruction, if any.
 fn seed_of(instr: &simt_isa::Instruction) -> Option<BlameSeed> {
     match instr.op {
@@ -161,66 +106,36 @@ pub fn blame(ck: &CompiledKernel, classes: &[AbsClass]) -> Blame {
     let instrs = &ck.kernel.instrs;
     let n = instrs.len();
     assert!(classes.len() >= n, "one class per instruction required");
-    let nregs = usize::from(ck.kernel.num_regs);
-    let npreds = usize::from(simt_isa::reg::NUM_PREDS);
     let is_vector = |pc: usize| classes[pc].marking() == Marking::Vector;
-
-    // ---- reaching definitions over the CFG -----------------------------
-    let nb = ck.cfg.blocks.len();
-    let mut ins: Vec<Defs> = vec![Defs::empty(nregs, npreds); nb];
-    ins[0] = Defs::entry(nregs, npreds);
-    let rpo = ck.cfg.reverse_post_order();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &rpo {
-            let mut st = ins[b].clone();
-            for pc in ck.cfg.blocks[b].range() {
-                st.transfer(pc, &instrs[pc]);
-            }
-            for &s in &ck.cfg.blocks[b].succs {
-                changed |= ins[s].union_with(&st);
-            }
-        }
-    }
 
     // ---- def-use edges between vector instructions ---------------------
     // parents[pc]: vector defs (or ENTRY) this instruction's class folds in.
+    let defs = ReachingDefs::solve(&ck.kernel, &ck.cfg);
     let mut parents: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (b, block_in) in ins.iter().enumerate().take(nb) {
-        let mut st = block_in.clone();
-        for pc in ck.cfg.blocks[b].range() {
+    for b in 0..ck.cfg.len() {
+        defs.replay_block(b, |pc, st| {
             let instr = &instrs[pc];
-            if is_vector(pc) {
-                let mut sources: Vec<&BTreeSet<usize>> = Vec::new();
-                for &o in &instr.srcs {
-                    if let Operand::Reg(r) = o {
-                        sources.push(&st.regs[usize::from(r.0)]);
-                    }
-                }
-                if let Op::Sel(p) = instr.op {
-                    sources.push(&st.preds[usize::from(p.0)]);
-                }
-                if let Some(g) = instr.guard {
-                    sources.push(&st.preds[usize::from(g.pred.0)]);
-                    // Guard-false lanes keep the old contents.
-                    if let Some(d) = instr.dst {
-                        sources.push(&st.regs[usize::from(d.0)]);
-                    }
-                    if let Some(p) = instr.pdst {
-                        sources.push(&st.preds[usize::from(p.0)]);
-                    }
-                }
-                for set in sources {
-                    for &d in set {
-                        if d == ENTRY || (d != pc && is_vector(d)) {
-                            parents[pc].insert(d);
-                        }
+            if !is_vector(pc) {
+                return;
+            }
+            let mut sources: Vec<&BTreeSet<usize>> = instr.src_regs().map(|r| st.reg(r)).collect();
+            if let Op::Sel(p) = instr.op {
+                sources.push(st.pred(p));
+            }
+            if let Some(g) = instr.guard {
+                sources.push(st.pred(g.pred));
+                // Guard-false lanes keep the old contents.
+                sources.extend(instr.dst.map(|d| st.reg(d)));
+                sources.extend(instr.pdst.map(|p| st.pred(p)));
+            }
+            for set in sources {
+                for &d in set {
+                    if d == ENTRY || (d != pc && is_vector(d)) {
+                        parents[pc].insert(d);
                     }
                 }
             }
-            st.transfer(pc, instr);
-        }
+        });
     }
 
     // ---- multi-source BFS from the seeds -------------------------------

@@ -1,5 +1,10 @@
-//! Control-flow graph construction over a kernel's instruction stream.
+//! Control-flow graph construction over a kernel's instruction stream,
+//! with every fact the passes derive from the graph alone: reverse
+//! post-order, reachability, dominators, post-dominators, natural loops
+//! and the legs of every two-way branch. [`Cfg::build`] computes each of
+//! them once.
 
+use crate::dom::{Doms, NaturalLoops, PostDoms};
 use simt_isa::{Kernel, Op};
 
 /// Identifier of a basic block (index into [`Cfg::blocks`]).
@@ -38,6 +43,30 @@ impl BasicBlock {
     }
 }
 
+/// A guarded two-way branch: the block it ends, the block where its
+/// threads reconverge, and what each side runs before they do.
+#[derive(Debug, Clone)]
+pub struct Branch {
+    /// Program counter of the guarded `bra` (its block's last instruction).
+    pub pc: usize,
+    /// The block the branch ends.
+    pub block: BlockId,
+    /// The branch block's immediate post-dominator.
+    pub join: BlockId,
+    /// `legs[i][x]`: block `x` is reachable from the block's successor
+    /// `succs[i]` without entering `join` (`succs[0]` is the taken edge).
+    pub legs: [Vec<bool>; 2],
+}
+
+impl Branch {
+    /// True when block `x` lies on either leg — the branch's divergent
+    /// region.
+    #[must_use]
+    pub fn in_region(&self, x: BlockId) -> bool {
+        self.legs[0][x] || self.legs[1][x]
+    }
+}
+
 /// A control-flow graph. Block 0 is the entry; the last block is a virtual
 /// exit that every `Exit` instruction flows into (it has an empty
 /// instruction range), which keeps the post-dominator analysis single-exit.
@@ -47,6 +76,19 @@ pub struct Cfg {
     pub blocks: Vec<BasicBlock>,
     /// Map from instruction index to owning block.
     pub block_of: Vec<BlockId>,
+    /// The blocks reachable from the entry, in reverse post-order (the
+    /// iteration order for forward dataflow).
+    pub rpo: Vec<BlockId>,
+    /// `reachable[b]`: block `b` is reachable from the entry.
+    pub reachable: Vec<bool>,
+    /// Forward dominators, rooted at the entry.
+    pub doms: Doms,
+    /// Post-dominators, rooted at the virtual exit.
+    pub pdoms: PostDoms,
+    /// The summarizable natural loops.
+    pub loops: NaturalLoops,
+    /// Every guarded two-way branch, in block order.
+    pub branches: Vec<Branch>,
 }
 
 impl Cfg {
@@ -129,7 +171,36 @@ impl Cfg {
                 blocks[s].preds.push(b);
             }
         }
-        Cfg { blocks, block_of }
+        let nb = blocks.len();
+        let mut cfg = Cfg {
+            blocks,
+            block_of,
+            rpo: Vec::new(),
+            reachable: vec![false; nb],
+            doms: Doms::default(),
+            pdoms: PostDoms::default(),
+            loops: NaturalLoops::default(),
+            branches: Vec::new(),
+        };
+        cfg.rpo = postorder(nb, 0, |b| cfg.blocks[b].succs.iter().copied());
+        cfg.rpo.reverse();
+        for &b in &cfg.rpo {
+            cfg.reachable[b] = true;
+        }
+        cfg.doms = Doms::compute(&cfg);
+        cfg.pdoms = PostDoms::compute(&cfg);
+        cfg.loops = NaturalLoops::compute(kernel, &cfg);
+        // Only a guarded branch gives a block two successors.
+        let succs = |x: BlockId| cfg.blocks[x].succs.iter().copied();
+        cfg.branches = (0..nb)
+            .filter_map(|b| {
+                let &[s0, s1] = &cfg.blocks[b].succs[..] else { return None };
+                let join = cfg.pdoms.ipdom[b];
+                let legs = [s0, s1].map(|s| reach(nb, [s], succs, |x| x == join));
+                Some(Branch { pc: cfg.blocks[b].end - 1, block: b, join, legs })
+            })
+            .collect();
+        cfg
     }
 
     /// Number of blocks including the virtual exit.
@@ -150,13 +221,10 @@ impl Cfg {
         self.blocks.len() - 1
     }
 
-    /// Blocks in reverse post-order from the entry (good iteration order
-    /// for forward dataflow).
+    /// The guarded two-way branch ending block `b`, if any.
     #[must_use]
-    pub fn reverse_post_order(&self) -> Vec<BlockId> {
-        let mut rpo = postorder(self.len(), 0, |b| self.blocks[b].succs.iter().copied());
-        rpo.reverse();
-        rpo
+    pub fn branch(&self, b: BlockId) -> Option<&Branch> {
+        self.branches.binary_search_by_key(&b, |br| br.block).ok().map(|i| &self.branches[i])
     }
 }
 
@@ -311,7 +379,7 @@ mod tests {
         );
         let k = b.finish();
         let cfg = Cfg::build(&k);
-        let rpo = cfg.reverse_post_order();
+        let rpo = &cfg.rpo;
         assert_eq!(rpo[0], 0);
         assert_eq!(rpo.len(), cfg.len(), "all blocks reachable");
         // Every block appears before its dominated join in RPO terms:

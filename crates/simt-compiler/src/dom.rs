@@ -70,9 +70,8 @@ fn immediate_dominators<'a>(
     idom
 }
 
-/// Immediate post-dominators of every block, plus per-branch reconvergence
-/// program counters.
-#[derive(Debug, Clone)]
+/// Immediate post-dominators of every block ([`Cfg::pdoms`]).
+#[derive(Debug, Clone, Default)]
 pub struct PostDoms {
     /// `ipdom[b]` is the immediate post-dominator of block `b` (the virtual
     /// exit post-dominates itself).
@@ -86,8 +85,7 @@ impl PostDoms {
     /// Blocks that cannot reach the exit (closed infinite loops) keep the
     /// exit as their immediate post-dominator, which is harmless for
     /// reconvergence purposes.
-    #[must_use]
-    pub fn compute(cfg: &Cfg) -> PostDoms {
+    pub(crate) fn compute(cfg: &Cfg) -> PostDoms {
         // The reversed graph: its edges are CFG predecessors.
         let ipdom = immediate_dominators(
             cfg.len(),
@@ -115,8 +113,9 @@ impl PostDoms {
     }
 }
 
-/// Immediate (forward) dominators of every block, rooted at the entry.
-#[derive(Debug, Clone)]
+/// Immediate (forward) dominators of every block, rooted at the entry
+/// ([`Cfg::doms`]).
+#[derive(Debug, Clone, Default)]
 pub struct Doms {
     /// `idom[b]` is the immediate dominator of block `b` (the entry
     /// dominates itself). Blocks unreachable from the entry are pinned to
@@ -127,8 +126,7 @@ pub struct Doms {
 impl Doms {
     /// Computes forward dominators of `cfg` with the Cooper–Harvey–Kennedy
     /// algorithm, rooted at block 0.
-    #[must_use]
-    pub fn compute(cfg: &Cfg) -> Doms {
+    pub(crate) fn compute(cfg: &Cfg) -> Doms {
         let idom =
             immediate_dominators(cfg.len(), 0, |b| &cfg.blocks[b].succs, |b| &cfg.blocks[b].preds);
         Doms { idom }
@@ -171,7 +169,8 @@ pub struct NaturalLoop {
     pub body: Vec<BlockId>,
 }
 
-/// All summarizable natural loops of a kernel, indexed by back-edge pc.
+/// All summarizable natural loops of a kernel, indexed by back-edge pc
+/// ([`Cfg::loops`]).
 #[derive(Debug, Clone, Default)]
 pub struct NaturalLoops {
     /// Loops in discovery order (by back-edge pc).
@@ -182,9 +181,8 @@ impl NaturalLoops {
     /// Finds single-back-edge natural loops whose only exit is the back
     /// edge's fall-through. Loops that share a header with another back
     /// edge, or whose body has a side exit, are skipped — the symbolic
-    /// engine falls back to unrolling those.
-    #[must_use]
-    pub fn compute(kernel: &simt_isa::Kernel, cfg: &Cfg, doms: &Doms) -> NaturalLoops {
+    /// engine falls back to unrolling those. Reads `cfg.doms`.
+    pub(crate) fn compute(kernel: &simt_isa::Kernel, cfg: &Cfg) -> NaturalLoops {
         let mut back_edges: Vec<(BlockId, BlockId, usize)> = Vec::new();
         for (pc, i) in kernel.instrs.iter().enumerate() {
             if let Op::Bra { target } = i.op {
@@ -203,7 +201,7 @@ impl NaturalLoops {
                     if cfg.blocks[header].start != target {
                         continue;
                     }
-                    if doms.dominates(header, latch) {
+                    if cfg.doms.dominates(header, latch) {
                         back_edges.push((latch, header, pc));
                     }
                 }
@@ -270,15 +268,15 @@ pub struct ReconvergenceTable {
 pub const RECONVERGE_AT_EXIT: usize = usize::MAX;
 
 impl ReconvergenceTable {
-    /// Computes the table for `kernel` using `cfg` and its post-dominators.
+    /// Computes the table for `kernel` from its CFG's post-dominators.
     #[must_use]
-    pub fn compute(kernel: &simt_isa::Kernel, cfg: &Cfg, pdoms: &PostDoms) -> ReconvergenceTable {
+    pub fn compute(kernel: &simt_isa::Kernel, cfg: &Cfg) -> ReconvergenceTable {
         let mut recon = vec![None; kernel.instrs.len()];
         for (pc, i) in kernel.instrs.iter().enumerate() {
             if let Op::Bra { .. } = i.op {
                 if i.guard.is_some() {
                     let b = cfg.block_of[pc];
-                    let j = pdoms.ipdom[b];
+                    let j = cfg.pdoms.ipdom[b];
                     recon[pc] = Some(if j == cfg.exit_block() {
                         RECONVERGE_AT_EXIT
                     } else {
@@ -306,8 +304,7 @@ mod tests {
         b.store(simt_isa::MemSpace::Global, 0u32, out, 0);
         let k = b.finish();
         let cfg = Cfg::build(&k);
-        let pd = PostDoms::compute(&cfg);
-        let rt = ReconvergenceTable::compute(&k, &cfg, &pd);
+        let rt = ReconvergenceTable::compute(&k, &cfg);
         // The first guarded branch must reconverge at the store instruction.
         let store_pc = k.instrs.iter().position(|i| i.op.is_store()).expect("kernel stores");
         let branch_pc = k
@@ -331,8 +328,7 @@ mod tests {
         b.store(simt_isa::MemSpace::Global, 4u32, x, 0);
         let k = b.finish();
         let cfg = Cfg::build(&k);
-        let pd = PostDoms::compute(&cfg);
-        let rt = ReconvergenceTable::compute(&k, &cfg, &pd);
+        let rt = ReconvergenceTable::compute(&k, &cfg);
         let branch_pc = 2;
         assert!(k.instrs[branch_pc].op.is_branch());
         // Joins at the `mov 9` after the body (instruction 5).
@@ -351,8 +347,7 @@ mod tests {
         b.store(simt_isa::MemSpace::Global, 0u32, i, 0);
         let k = b.finish();
         let cfg = Cfg::build(&k);
-        let pd = PostDoms::compute(&cfg);
-        let rt = ReconvergenceTable::compute(&k, &cfg, &pd);
+        let rt = ReconvergenceTable::compute(&k, &cfg);
         let branch_pc = k.instrs.iter().position(|x| x.op.is_branch()).unwrap();
         let store_pc = k.instrs.iter().position(|x| x.op.is_store()).unwrap();
         assert_eq!(rt.recon[branch_pc], Some(store_pc));
@@ -368,7 +363,7 @@ mod tests {
         });
         let k = b.finish();
         let cfg = Cfg::build(&k);
-        let pd = PostDoms::compute(&cfg);
+        let pd = &cfg.pdoms;
         let exit = cfg.exit_block();
         for blk in 0..cfg.len() {
             assert!(pd.post_dominates(exit, blk), "exit post-dominates everything");
@@ -389,12 +384,12 @@ mod tests {
         b.store(simt_isa::MemSpace::Global, 0u32, i, 0);
         let k = b.finish();
         let cfg = Cfg::build(&k);
-        let doms = Doms::compute(&cfg);
+        let doms = &cfg.doms;
         // Entry dominates everything.
         for blk in 0..cfg.len() {
             assert!(doms.dominates(0, blk), "entry dominates block {blk}");
         }
-        let loops = NaturalLoops::compute(&k, &cfg, &doms);
+        let loops = &cfg.loops;
         assert_eq!(loops.loops.len(), 1, "one natural loop");
         let l = &loops.loops[0];
         let branch_pc = k.instrs.iter().position(|x| x.op.is_branch()).unwrap();
@@ -429,8 +424,7 @@ mod tests {
         b.store(simt_isa::MemSpace::Global, 4u32, i, 0);
         let k = b.finish();
         let cfg = Cfg::build(&k);
-        let doms = Doms::compute(&cfg);
-        let loops = NaturalLoops::compute(&k, &cfg, &doms);
+        let (doms, loops) = (&cfg.doms, &cfg.loops);
         // The inner if_then is fine (not a loop); the back edge itself is a
         // well-formed single-exit loop, so it IS summarizable. What must
         // never appear is a loop keyed on the if_then's branch.
@@ -453,9 +447,7 @@ mod tests {
         b.store(simt_isa::MemSpace::Global, a, t, 0);
         let k = b.finish();
         let cfg = Cfg::build(&k);
-        let doms = Doms::compute(&cfg);
-        let loops = NaturalLoops::compute(&k, &cfg, &doms);
-        assert!(loops.loops.is_empty());
+        assert!(cfg.loops.loops.is_empty());
     }
 
     #[test]
@@ -474,8 +466,7 @@ mod tests {
         );
         let k = b.finish();
         let cfg = Cfg::build(&k);
-        let pd = PostDoms::compute(&cfg);
-        let rt = ReconvergenceTable::compute(&k, &cfg, &pd);
+        let rt = ReconvergenceTable::compute(&k, &cfg);
         for (pc, i) in k.instrs.iter().enumerate() {
             if i.op.is_branch() && i.guard.is_none() {
                 assert_eq!(rt.recon[pc], None, "unguarded branch at {pc}");

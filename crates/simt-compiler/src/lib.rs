@@ -3,9 +3,12 @@
 //!
 //! The pipeline is:
 //!
-//! 1. [`Cfg::build`] — basic blocks and edges;
-//! 2. [`PostDoms::compute`] + [`ReconvergenceTable::compute`] — SIMT
-//!    reconvergence points for the simulator's divergence stack;
+//! 1. [`Cfg::build`] — basic blocks and edges, plus everything derived
+//!    from the graph alone: reverse post-order, reachability,
+//!    [`Doms`], [`PostDoms`], [`NaturalLoops`] and every two-way
+//!    [`Branch`] with its join and legs;
+//! 2. [`ReconvergenceTable::compute`] — SIMT reconvergence points for the
+//!    simulator's divergence stack;
 //! 3. [`analysis::analyze`] — the redundancy dataflow over the
 //!    [`class::AbsClass`] lattice (redundancy × lane-pattern);
 //! 4. [`compile`] — bundles it all into a [`CompiledKernel`] with
@@ -38,6 +41,7 @@ pub mod analysis;
 pub mod blame;
 pub mod cfg;
 pub mod class;
+pub mod defs;
 pub mod dom;
 pub mod pass;
 pub mod refine;
@@ -47,8 +51,9 @@ pub mod trip;
 pub use affine::{Affine, AffineVal, NEG_INF, POS_INF};
 pub use analysis::{analyze, Analysis, AnalysisOptions};
 pub use blame::{blame, Blame, BlameChain, BlameSeed};
-pub use cfg::{BasicBlock, BlockId, Cfg};
+pub use cfg::{BasicBlock, BlockId, Branch, Cfg};
 pub use class::{AbsClass, Pat, Red, Taxonomy};
+pub use defs::{Defs, ReachingDefs};
 pub use dom::{Doms, NaturalLoop, NaturalLoops, PostDoms, ReconvergenceTable, RECONVERGE_AT_EXIT};
 pub use pass::{compile, compile_with_options, promotes_tid_y, CompiledKernel, LaunchPlan};
 pub use refine::{refine, RefineReason, Refined, Upgrade};

@@ -10,7 +10,7 @@
 use crate::analysis::{analyze, Analysis, AnalysisOptions};
 use crate::cfg::Cfg;
 use crate::class::{AbsClass, Taxonomy};
-use crate::dom::{PostDoms, ReconvergenceTable};
+use crate::dom::ReconvergenceTable;
 use simt_isa::{Kernel, LaunchConfig, Marking, Op};
 
 /// A kernel plus everything the static compiler derived from it.
@@ -24,8 +24,9 @@ pub struct CompiledKernel {
     pub markings: Vec<Marking>,
     /// SIMT reconvergence points for guarded branches.
     pub recon: ReconvergenceTable,
-    /// The control-flow graph (kept for clients such as the
-    /// basic-block-boundary sync instrumentation of Figure 12).
+    /// The control-flow graph with its dominators, loops and branch legs
+    /// (every static pass reads them here; the basic-block-boundary sync
+    /// instrumentation of Figure 12 reads its blocks).
     pub cfg: Cfg,
 }
 
@@ -48,8 +49,7 @@ pub fn compile(kernel: Kernel) -> CompiledKernel {
 pub fn compile_with_options(kernel: Kernel, opts: AnalysisOptions) -> CompiledKernel {
     kernel.validate().expect("kernel must validate before compilation");
     let cfg = Cfg::build(&kernel);
-    let pdoms = PostDoms::compute(&cfg);
-    let recon = ReconvergenceTable::compute(&kernel, &cfg, &pdoms);
+    let recon = ReconvergenceTable::compute(&kernel, &cfg);
     let Analysis { instr_class } = analyze(&kernel, &cfg, opts);
     let markings = instr_class.iter().map(|c| c.marking()).collect();
     CompiledKernel { kernel, classes: instr_class, markings, recon, cfg }

@@ -1,4 +1,5 @@
-//! Static loop trip-count inference over [`crate::dom::NaturalLoops`].
+//! Static loop trip-count inference over the CFG's natural loops
+//! ([`crate::Cfg::loops`]).
 //!
 //! For each natural loop the pass recognizes the canonical counted shape
 //! the [`simt_isa::KernelBuilder`] loop combinators emit — a single
@@ -25,7 +26,7 @@
 
 use crate::affine::{self, Affine, AffineVal, Clamps, Flow, FlowState};
 use crate::cfg::Cfg;
-use crate::dom::{Doms, NaturalLoop, NaturalLoops};
+use crate::dom::NaturalLoop;
 use simt_isa::{
     CmpOp, Instruction, Kernel, LaunchConfig, LaunchFamily, MemSpace, Op, Operand, Reg,
 };
@@ -51,7 +52,7 @@ pub struct LoopTrip {
 /// Trip bounds for every natural loop of a kernel under one launch.
 #[derive(Debug, Clone, Default)]
 pub struct TripCounts {
-    /// One entry per [`NaturalLoops`] loop, same order.
+    /// One entry per [`crate::NaturalLoops`] loop, same order.
     pub loops: Vec<LoopTrip>,
 }
 
@@ -85,23 +86,17 @@ impl TripCounts {
 /// register file; passing it in lets callers share one fixpoint across
 /// passes.
 #[must_use]
-pub fn infer_trips(
-    flow: &Flow,
-    doms: &Doms,
-    loops: &NaturalLoops,
-    launch: &LaunchConfig,
-) -> TripCounts {
-    let loops_out = loops
-        .loops
-        .iter()
+pub fn infer_trips(flow: &Flow, launch: &LaunchConfig) -> TripCounts {
+    let loops = flow.cfg().loops.loops.iter();
+    let loops = loops
         .map(|l| LoopTrip {
             back_edge_pc: l.back_edge_pc,
             header: l.header,
             body: l.body.clone(),
-            bound: infer_one(flow, doms, loops, l, launch),
+            bound: infer_one(flow, l, launch),
         })
         .collect();
-    TripCounts { loops: loops_out }
+    TripCounts { loops }
 }
 
 /// Trip-bounded interval clamps for loop-carried affine accumulators,
@@ -124,16 +119,10 @@ pub fn infer_trips(
 /// (typically launch-aware) context, so they resolve params and grid
 /// geometry.
 #[must_use]
-pub fn induction_clamps(
-    flow: &Flow,
-    doms: &Doms,
-    loops: &NaturalLoops,
-    trips: &TripCounts,
-    launch: &LaunchConfig,
-) -> Clamps {
+pub fn induction_clamps(flow: &Flow, trips: &TripCounts, launch: &LaunchConfig) -> Clamps {
     let (kernel, cfg) = (flow.kernel(), flow.cfg());
     let mut clamps = Clamps::new();
-    for (l, t) in loops.loops.iter().zip(&trips.loops) {
+    for (l, t) in cfg.loops.loops.iter().zip(&trips.loops) {
         let Some(&(_, tmax)) = t.bound.as_ref().ok() else { continue };
         let latch_exits = cfg.blocks[l.latch].succs.len() == 2;
         let iters = i128::from(if latch_exits { tmax.saturating_sub(1) } else { tmax });
@@ -141,8 +130,7 @@ pub fn induction_clamps(
         for rnum in 0..kernel.num_regs {
             let Ok(r8) = u8::try_from(rnum) else { break };
             let r = Reg(r8);
-            let Some((_, Update::Affine(s))) = find_induction(kernel, cfg, doms, loops, l, r)
-            else {
+            let Some((_, Update::Affine(s))) = find_induction(kernel, cfg, l, r) else {
                 continue;
             };
             let Some(k) = resolve_const(kernel, launch, s, 0) else { continue };
@@ -190,15 +178,13 @@ pub fn induction_clamps(
 #[must_use]
 pub fn induction_clamps_family(
     flow: &Flow,
-    doms: &Doms,
-    loops: &NaturalLoops,
     family: &LaunchFamily,
     reference: &LaunchConfig,
 ) -> Clamps {
     let mut agreed: Option<Clamps> = None;
     for corner in family.corners(reference) {
-        let trips = infer_trips(flow, doms, loops, &corner);
-        let clamps = induction_clamps(flow, doms, loops, &trips, &corner);
+        let trips = infer_trips(flow, &corner);
+        let clamps = induction_clamps(flow, &trips, &corner);
         agreed = Some(match agreed {
             None => clamps,
             Some(prev) => {
@@ -266,13 +252,7 @@ fn mirror(cmp: CmpOp) -> CmpOp {
     }
 }
 
-fn infer_one(
-    flow: &Flow,
-    doms: &Doms,
-    loops: &NaturalLoops,
-    l: &NaturalLoop,
-    launch: &LaunchConfig,
-) -> Result<(u64, u64), String> {
+fn infer_one(flow: &Flow, l: &NaturalLoop, launch: &LaunchConfig) -> Result<(u64, u64), String> {
     let (kernel, cfg) = (flow.kernel(), flow.cfg());
     let bra = &kernel.instrs[l.back_edge_pc];
     let guard = bra.guard.ok_or("back-edge branch has no guard")?;
@@ -296,22 +276,19 @@ fn infer_one(
     if setp.guard.is_some() {
         return Err("guard setp is itself predicated".to_string());
     }
-    if !doms.dominates(cfg.block_of[setp_pc], l.latch) {
+    if !cfg.doms.dominates(cfg.block_of[setp_pc], l.latch) {
         return Err("guard setp does not dominate the latch".to_string());
     }
 
     // Orient the comparison as `ctr <cmp> bound`.
     let (ctr, cmp, bound_op) = match (setp.srcs[0], setp.srcs[1]) {
-        (Operand::Reg(r), other) if find_induction(kernel, cfg, doms, loops, l, r).is_some() => {
-            (r, cmp, other)
-        }
-        (other, Operand::Reg(r)) if find_induction(kernel, cfg, doms, loops, l, r).is_some() => {
+        (Operand::Reg(r), other) if find_induction(kernel, cfg, l, r).is_some() => (r, cmp, other),
+        (other, Operand::Reg(r)) if find_induction(kernel, cfg, l, r).is_some() => {
             (r, mirror(cmp), other)
         }
         _ => return Err("no compared operand is a recognized induction counter".to_string()),
     };
-    let (update_pc, update) =
-        find_induction(kernel, cfg, doms, loops, l, ctr).expect("checked above");
+    let (update_pc, update) = find_induction(kernel, cfg, l, ctr).expect("checked above");
     let step = match update {
         Update::Affine(s) => resolve_const(kernel, launch, s, 0)
             .ok_or("induction step is not a launch-time constant")?,
@@ -411,8 +388,6 @@ enum Update {
 fn find_induction(
     kernel: &Kernel,
     cfg: &Cfg,
-    doms: &Doms,
-    loops: &NaturalLoops,
     l: &NaturalLoop,
     ctr: Reg,
 ) -> Option<(usize, Update)> {
@@ -424,12 +399,12 @@ fn find_induction(
         .collect();
     let &[pc] = defs.as_slice() else { return None };
     let i = &kernel.instrs[pc];
-    if i.guard.is_some() || !doms.dominates(cfg.block_of[pc], l.latch) {
+    if i.guard.is_some() || !cfg.doms.dominates(cfg.block_of[pc], l.latch) {
         return None;
     }
     // Executed once per iteration: not inside a strictly-nested loop.
     let b = cfg.block_of[pc];
-    let nested = loops.loops.iter().any(|l2| {
+    let nested = cfg.loops.loops.iter().any(|l2| {
         l2.back_edge_pc != l.back_edge_pc
             && l2.body.contains(&b)
             && l2.body.iter().all(|bb| l.body.contains(bb))

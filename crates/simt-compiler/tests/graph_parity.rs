@@ -18,12 +18,20 @@
 //!   directions, and immediate dominators are read off those sets;
 //! - a natural-loop body is every block that reaches the latch *forward*
 //!   without passing the header, instead of a backward walk from the
-//!   latch.
+//!   latch;
+//! - the two-way branches are read off the instruction stream (a guarded
+//!   `bra` whose target and fall-through start different blocks), their
+//!   joins off the post-dominator sets, and each leg is the whole-set
+//!   reachability fixpoint from one successor, stopped at the join.
+//!
+//! The facts `Cfg::build` stores (`rpo`, `reachable`, `doms`, `pdoms`,
+//! `loops`, `branches`) are what every pass reads, so they are checked
+//! as stored.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simt_compiler::cfg::{postorder, reach};
-use simt_compiler::{BlockId, Cfg, Doms, NaturalLoops, PostDoms};
+use simt_compiler::{BlockId, Cfg};
 use simt_isa::{Guard, Instruction, Kernel, Op, Operand, Pred, Reg};
 
 /// One instruction slot per entry: `(kind, target)`, the target taken
@@ -229,7 +237,8 @@ fn postorders_match_the_recursive_dfs() {
         let n = cfg.len();
         let mut rpo = postorder_ref(n, 0, &edges(&cfg, false));
         rpo.reverse();
-        assert_eq!(cfg.reverse_post_order(), rpo, "case {case}");
+        assert_eq!(cfg.rpo, rpo, "case {case}");
+        assert_eq!(cfg.reachable, reach_ref(n, &[0], edges(&cfg, false), |_| false), "case {case}");
         let exit = cfg.exit_block();
         assert_eq!(
             postorder(n, exit, edges(&cfg, true)),
@@ -246,9 +255,8 @@ fn dominators_match_the_set_formulation() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(case);
         let cfg = Cfg::build(&kernel_of(&stream(&mut rng, &mut kinds)));
-        let doms = Doms::compute(&cfg);
+        let (doms, pdoms) = (&cfg.doms, &cfg.pdoms);
         check_dominators(case, &cfg, 0, false, &doms.idom, |a, b| doms.dominates(a, b));
-        let pdoms = PostDoms::compute(&cfg);
         check_dominators(case, &cfg, cfg.exit_block(), true, &pdoms.ipdom, |a, b| {
             pdoms.post_dominates(a, b)
         });
@@ -264,9 +272,8 @@ fn natural_loop_bodies_match_forward_reachability() {
         let kernel = kernel_of(&stream(&mut rng, &mut kinds));
         let cfg = Cfg::build(&kernel);
         let n = cfg.len();
-        let doms = Doms::compute(&cfg);
-        for l in &NaturalLoops::compute(&kernel, &cfg, &doms).loops {
-            assert!(doms.dominates(l.header, l.latch), "case {case}");
+        for l in &cfg.loops.loops {
+            assert!(cfg.doms.dominates(l.header, l.latch), "case {case}");
             let body: Vec<BlockId> = (0..n)
                 .filter(|&b| {
                     b == l.header
@@ -277,4 +284,40 @@ fn natural_loop_bodies_match_forward_reachability() {
         }
     }
     assert!(!kinds.contains(&0), "an instruction kind was never drawn: {kinds:?}");
+}
+
+#[test]
+fn branch_legs_match_the_fixpoint() {
+    let (mut kinds, mut branches) = ([0; 4], 0);
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let kernel = kernel_of(&stream(&mut rng, &mut kinds));
+        let cfg = Cfg::build(&kernel);
+        let (n, exit) = (cfg.len(), cfg.exit_block());
+        let pdom = dominator_sets(n, exit, edges(&cfg, true), edges(&cfg, false));
+        let ipdom = idoms_ref(&pdom, exit);
+        let mut want = Vec::new();
+        for (b, block) in cfg.blocks.iter().enumerate().filter(|(_, x)| !x.is_empty()) {
+            let (pc, instr) = (block.end - 1, &kernel.instrs[block.end - 1]);
+            let Op::Bra { target } = instr.op else { continue };
+            if instr.guard.is_none() || block.end == kernel.len() {
+                continue;
+            }
+            let (taken, fall) = (cfg.block_of[target], cfg.block_of[block.end]);
+            if taken == fall {
+                continue;
+            }
+            let leg = |s: usize| reach_ref(n, &[s], edges(&cfg, false), |x| x == ipdom[b]);
+            want.push((pc, b, ipdom[b], [leg(taken), leg(fall)]));
+        }
+        let got: Vec<_> =
+            cfg.branches.iter().map(|br| (br.pc, br.block, br.join, br.legs.clone())).collect();
+        assert_eq!(got, want, "case {case}");
+        for &(_, b, ..) in &want {
+            assert_eq!(cfg.branch(b).map(|br| br.block), Some(b), "case {case}");
+        }
+        branches += want.len();
+    }
+    assert!(!kinds.contains(&0), "an instruction kind was never drawn: {kinds:?}");
+    assert!(branches > 0, "no two-way branch was drawn");
 }

@@ -44,7 +44,6 @@ use crate::races::{guarded_threads, mem_accesses, thread_xy, AccessKind, MemAcce
 use crate::{Diagnostic, Diagnostics, LintCode};
 use gpu_sim::{FastMap, GlobalRace};
 use simt_compiler::affine::{Affine, Clamps, Flow, GridCtx, PredVal};
-use simt_compiler::dom::{Doms, NaturalLoops};
 use simt_compiler::trip::{induction_clamps, induction_clamps_family, infer_trips};
 use simt_compiler::CompiledKernel;
 use simt_isa::{AtomOp, Dim3, LaunchConfig, LaunchFamily, MemSpace, Op};
@@ -169,20 +168,18 @@ struct Side<'a> {
 /// Trip-bounded narrowing: loop-carried pointer walks widen to infinite
 /// intervals, but a solved trip count bounds them (a `p += 16` walk in an
 /// 8-trip loop touches 128 bytes). When the kernel has loops, `clamps`
-/// derives induction clamps from the first flow, the dominators and the
-/// loops, and a non-empty set solves the flow again under them.
+/// derives induction clamps from the first flow, and a non-empty set
+/// solves the flow again under them.
 fn walk_pairs(
     ck: &CompiledKernel,
     ctx: GridCtx,
     shape: Shape,
-    clamps: impl FnOnce(&Flow, &Doms, &NaturalLoops) -> Clamps,
+    clamps: impl FnOnce(&Flow) -> Clamps,
     mut visit: impl FnMut(&MemAccess, &MemAccess, PairVerdict),
 ) -> (usize, usize) {
     let mut flow = Flow::solve(&ck.kernel, &ck.cfg, ctx, true, &Clamps::new());
-    let doms = Doms::compute(&ck.cfg);
-    let nloops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
-    if !nloops.loops.is_empty() {
-        let clamps = clamps(&flow, &doms, &nloops);
+    if !ck.cfg.loops.loops.is_empty() {
+        let clamps = clamps(&flow);
         if !clamps.is_empty() {
             flow = Flow::solve(&ck.kernel, &ck.cfg, ctx, true, &clamps);
         }
@@ -253,9 +250,7 @@ pub fn analyze(ck: &CompiledKernel, launch: &LaunchConfig) -> (Certificate, Diag
         grid: Dim3::three_d(launch.grid.x.max(1), launch.grid.y.max(1), launch.grid.z.max(1)),
     };
     let ctx = GridCtx::launch(launch);
-    let clamps = |flow: &Flow, doms: &Doms, nloops: &NaturalLoops| {
-        induction_clamps(flow, doms, nloops, &infer_trips(flow, doms, nloops, launch), launch)
-    };
+    let clamps = |flow: &Flow| induction_clamps(flow, &infer_trips(flow, launch), launch);
 
     let mut v310: BTreeMap<(usize, usize), (String, RaceWitness)> = BTreeMap::new();
     let mut v311: BTreeMap<(usize, usize), String> = BTreeMap::new();
@@ -403,9 +398,7 @@ pub(crate) fn family_static(
     // Region-invariant induction clamps (identical at every corner) keep
     // loop-carried pointer walks finite, exactly as in the per-launch
     // pass.
-    let clamps = |flow: &Flow, doms: &Doms, nloops: &NaturalLoops| {
-        induction_clamps_family(flow, doms, nloops, family, reference)
-    };
+    let clamps = |flow: &Flow| induction_clamps_family(flow, family, reference);
 
     let mut nonaffine: BTreeSet<usize> = BTreeSet::new();
     (out.global_accesses, out.checked_pairs) =

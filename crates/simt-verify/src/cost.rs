@@ -5,9 +5,9 @@
 //! The estimator is an abstract interpreter over the kernel CFG that
 //! composes machinery other passes already provide:
 //!
-//! * [`simt_compiler::dom::NaturalLoops`] + [`simt_compiler::trip`] give
-//!   per-loop trip brackets (`E201` when a loop is unboundable, which
-//!   widens the upper bound to "unbounded");
+//! * the CFG's natural loops ([`simt_compiler::Cfg::loops`]) and
+//!   [`simt_compiler::trip`] give per-loop trip brackets (`E201` when a
+//!   loop is unboundable, which widens the upper bound to "unbounded");
 //! * per-instruction issue/latency/occupancy figures come from
 //!   [`gpu_sim::timing`] — the *same* shared table the SM model executes,
 //!   pinned by `gpu-sim/tests/timing_parity.rs`, never copied constants;
@@ -46,8 +46,6 @@ use gpu_sim::config::{GpuConfig, Technique};
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::timing;
 use simt_compiler::affine::{Clamps, Flow, GridCtx, PredVal};
-use simt_compiler::cfg::reach;
-use simt_compiler::dom::{Doms, NaturalLoops, PostDoms};
 use simt_compiler::trip::{infer_trips, TripCounts};
 use simt_compiler::{CompiledKernel, LaunchPlan};
 use simt_isa::{LaunchConfig, MemSpace, Op, OpKind};
@@ -351,11 +349,9 @@ pub fn estimate(
         Technique::Darsie(d) => Some(d),
         _ => None,
     };
-    let doms = Doms::compute(cfg);
-    let pdoms = PostDoms::compute(cfg);
-    let nloops = NaturalLoops::compute(kernel, cfg, &doms);
+    let doms = &cfg.doms;
     let flow = Flow::solve(kernel, cfg, GridCtx::generic(launch.block.z), true, &Clamps::new());
-    let trips = infer_trips(&flow, &doms, &nloops, launch);
+    let trips = infer_trips(&flow, launch);
     let mempred: BTreeMap<usize, MemPredKind> = predict_envelope(&flow, launch, launch.warp_size)
         .into_iter()
         .map(|p| (p.pc, p.kind))
@@ -396,11 +392,7 @@ pub fn estimate(
         // every enclosing loop (every completed iteration passes through).
         let always = doms.dominates(b, exit)
             && trips.loops.iter().filter(|l| l.body.contains(&b)).all(|l| {
-                nloops
-                    .loops
-                    .iter()
-                    .find(|nl| nl.back_edge_pc == l.back_edge_pc)
-                    .is_some_and(|nl| doms.dominates(b, nl.latch))
+                cfg.loops.at_back_edge(l.back_edge_pc).is_some_and(|nl| doms.dominates(b, nl.latch))
             });
         vmin[b] = if always { pmin } else { 0 };
         vmax[b] = pmax;
@@ -452,7 +444,7 @@ pub fn estimate(
     let mut claimed = vec![false; nb];
     #[allow(clippy::needless_range_loop)] // b is a block id indexing several parallel arrays
     for b in 0..nb {
-        if let Some((la, lb)) = uniform_diamond(&flow, &pdoms, b) {
+        if let Some((la, lb)) = uniform_diamond(&flow, b) {
             if la.iter().chain(&lb).any(|&x| claimed[x]) {
                 continue;
             }
@@ -685,20 +677,12 @@ fn icache_miss_cost(gc: &GpuConfig, kernel_len: usize, total_bursts: u64) -> u64
 }
 
 /// Detects a TB-uniform two-way diamond at block `b`: both legs are
-/// single-entry regions meeting at the branch's immediate post-dominator
-/// and sharing no block. Returns the two leg block sets.
-fn uniform_diamond(flow: &Flow, pdoms: &PostDoms, b: usize) -> Option<(Vec<usize>, Vec<usize>)> {
+/// single-entry regions meeting at the branch's join and sharing no
+/// block. Returns the two leg block sets.
+fn uniform_diamond(flow: &Flow, b: usize) -> Option<(Vec<usize>, Vec<usize>)> {
     let (kernel, cfg) = (flow.kernel(), flow.cfg());
-    let block = &cfg.blocks[b];
-    if block.succs.len() != 2 || block.succs[0] == block.succs[1] {
-        return None;
-    }
-    let term = block.range().last()?;
-    let i = &kernel.instrs[term];
-    let g = match i.op {
-        Op::Bra { .. } => i.guard?,
-        _ => return None,
-    };
+    let br = cfg.branch(b)?;
+    let g = kernel.instrs[br.pc].guard?;
     // Uniformity at the branch point: the block's out-state (the branch
     // itself writes nothing).
     let st = flow.replay_block(b, |_, _, _| {});
@@ -710,10 +694,7 @@ fn uniform_diamond(flow: &Flow, pdoms: &PostDoms, b: usize) -> Option<(Vec<usize
     if !uniform {
         return None;
     }
-    let join = pdoms.ipdom[b];
-    let leg = |entry: usize| -> Option<Vec<usize>> {
-        let in_leg =
-            reach(cfg.len(), [entry], |x| cfg.blocks[x].succs.iter().copied(), |x| x == join);
+    let leg = |in_leg: &[bool]| -> Option<Vec<usize>> {
         let out: Vec<usize> = (0..cfg.len()).filter(|&x| in_leg[x]).collect();
         // Single entry: no edges into the leg from outside except from b.
         for &x in &out {
@@ -725,8 +706,8 @@ fn uniform_diamond(flow: &Flow, pdoms: &PostDoms, b: usize) -> Option<(Vec<usize
         }
         Some(out)
     };
-    let la = leg(block.succs[0])?;
-    let lb = leg(block.succs[1])?;
+    let la = leg(&br.legs[0])?;
+    let lb = leg(&br.legs[1])?;
     if la.iter().any(|x| lb.contains(x)) {
         return None;
     }
@@ -740,11 +721,9 @@ fn uniform_diamond(flow: &Flow, pdoms: &PostDoms, b: usize) -> Option<(Vec<usize
 /// independent of any GPU configuration.
 #[must_use]
 pub fn check(ck: &CompiledKernel, launch: &LaunchConfig) -> Diagnostics {
-    let doms = Doms::compute(&ck.cfg);
-    let nloops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
     let flow =
         Flow::solve(&ck.kernel, &ck.cfg, GridCtx::generic(launch.block.z), true, &Clamps::new());
-    trip_lints(&ck.kernel.name, &infer_trips(&flow, &doms, &nloops, launch))
+    trip_lints(&ck.kernel.name, &infer_trips(&flow, launch))
 }
 
 /// An `E201` warning for each loop of `kernel` whose trips are unbounded.

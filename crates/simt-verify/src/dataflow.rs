@@ -1,115 +1,46 @@
 //! Pass 1: def-before-use and dead-write checking over the compiler's
-//! CFG.
+//! CFG, read off its reaching definitions
+//! ([`simt_compiler::ReachingDefs`]).
 //!
-//! A forward must/may-initialization analysis finds reads of registers
-//! and predicates that no path (V001, error) or only some paths (V002,
-//! warning — the untaken path reads architectural zero) define before
-//! use, plus unreachable basic blocks (V003). A backward liveness
-//! analysis finds register and predicate writes that no path ever
-//! observes (V004).
+//! A read of a register or predicate that only the `ENTRY`
+//! pseudo-definition reaches is defined on no path (V001, error); one that
+//! `ENTRY` and a real definition both reach is defined on only some paths
+//! (V002, warning — the other paths read architectural zero). Blocks the
+//! entry cannot reach are V003, and a definition that reaches no read is
+//! V004.
 //!
 //! Guarded (predicated) instructions merge with the old destination value
-//! lane-wise, so a guarded write counts as a *may*-definition only and
-//! never kills liveness of the previous value.
+//! lane-wise, so a guarded write is a definition that kills none before
+//! it.
 
 use crate::{Diagnostic, Diagnostics, LintCode};
-use simt_compiler::cfg::reach;
-use simt_compiler::CompiledKernel;
-use simt_isa::{Op, Pred, Reg};
+use simt_compiler::defs::ENTRY;
+use simt_compiler::{CompiledKernel, Defs, ReachingDefs};
+use simt_isa::{Instruction, Op};
+use std::collections::BTreeSet;
 
-/// Dense bitset over `regs + preds` slots.
-#[derive(Clone, PartialEq, Eq)]
-struct Bits(Vec<u64>);
-
-impl Bits {
-    fn empty(n: usize) -> Bits {
-        Bits(vec![0; n.div_ceil(64)])
-    }
-    fn full(n: usize) -> Bits {
-        let mut b = Bits(vec![u64::MAX; n.div_ceil(64)]);
-        let tail = n % 64;
-        if tail != 0 {
-            if let Some(last) = b.0.last_mut() {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        b
-    }
-    fn get(&self, i: usize) -> bool {
-        self.0[i / 64] >> (i % 64) & 1 == 1
-    }
-    fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-    fn clear(&mut self, i: usize) {
-        self.0[i / 64] &= !(1 << (i % 64));
-    }
-    fn and_with(&mut self, other: &Bits) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a &= b;
-        }
-    }
-    fn or_with(&mut self, other: &Bits) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a |= b;
-        }
-    }
-}
-
-/// Slot index of a register in the combined reg+pred domain.
-fn reg_slot(r: Reg) -> usize {
-    usize::from(r.0)
-}
-
-/// What one instruction touches, in dataflow terms.
-struct Access {
-    reads: Vec<usize>,
-    /// `(slot, guarded)` — guarded defs are may-only and don't kill.
-    defs: Vec<(usize, bool)>,
-}
-
-fn access(instr: &simt_isa::Instruction, nregs: usize) -> Access {
-    let mut reads: Vec<usize> = instr.src_regs().map(reg_slot).collect();
-    if let Some(g) = instr.guard {
-        reads.push(nregs + usize::from(g.pred.0));
-    }
+/// The registers and predicates `instr` reads, in operand order: sources,
+/// then the guard, then a `sel` condition. Each comes with its name, the
+/// destination its definitions write (0 `dst`, 1 `pdst`) and the
+/// definitions reaching it in `st`.
+fn reads<'d>(instr: &Instruction, st: &'d Defs) -> Vec<(String, usize, &'d BTreeSet<usize>)> {
+    let mut out: Vec<_> = instr.src_regs().map(|r| (r.to_string(), 0, st.reg(r))).collect();
+    out.extend(instr.guard.map(|g| (g.pred.to_string(), 1, st.pred(g.pred))));
     if let Op::Sel(p) = instr.op {
-        reads.push(nregs + usize::from(p.0));
+        out.push((p.to_string(), 1, st.pred(p)));
     }
-    let guarded = instr.guard.is_some();
-    let mut defs = Vec::new();
-    if let Some(d) = instr.dst {
-        defs.push((reg_slot(d), guarded));
-    }
-    if let Some(p) = instr.pdst {
-        defs.push((nregs + usize::from(p.0), guarded));
-    }
-    Access { reads, defs }
-}
-
-fn slot_name(slot: usize, nregs: usize) -> String {
-    if slot < nregs {
-        format!("R{slot}")
-    } else {
-        format!("P{}", slot - nregs)
-    }
+    out
 }
 
 /// Runs the dataflow checks and returns their findings.
 #[must_use]
 pub fn check(ck: &CompiledKernel) -> Diagnostics {
-    let kernel = &ck.kernel;
-    let cfg = &ck.cfg;
-    let nregs = usize::from(kernel.num_regs);
-    let npreds = usize::from(simt_isa::reg::NUM_PREDS);
-    let n = nregs + npreds;
-    let nblocks = cfg.blocks.len();
+    let (kernel, cfg) = (&ck.kernel, &ck.cfg);
     let mut report = Diagnostics::new(kernel.name.clone());
 
     // --- Reachability (V003) ---
-    let reachable = reach(nblocks, [0], |b| cfg.blocks[b].succs.iter().copied(), |_| false);
     for (b, block) in cfg.blocks.iter().enumerate() {
-        if !reachable[b] && !block.is_empty() {
+        if !cfg.reachable[b] && !block.is_empty() {
             report.push(Diagnostic::new(
                 LintCode::UnreachableBlock,
                 Some(block.start),
@@ -121,189 +52,63 @@ pub fn check(ck: &CompiledKernel) -> Diagnostics {
         }
     }
 
-    // --- Forward must/may-initialization (V001, V002) ---
-    let rpo = cfg.reverse_post_order();
-    let mut out_must: Vec<Bits> = vec![Bits::full(n); nblocks];
-    let mut out_may: Vec<Bits> = vec![Bits::empty(n); nblocks];
-    let entry = 0usize;
-    let block_in = |b: usize,
-                    out_must: &[Bits],
-                    out_may: &[Bits],
-                    reachable: &[bool],
-                    cfg: &simt_compiler::Cfg| {
-        let mut in_must = if b == entry { Bits::empty(n) } else { Bits::full(n) };
-        let mut in_may = Bits::empty(n);
-        for &p in &cfg.blocks[b].preds {
-            if !reachable[p] {
-                continue;
-            }
-            in_must.and_with(&out_must[p]);
-            in_may.or_with(&out_may[p]);
-        }
-        if b == entry {
-            // The entry has no initialized state even if a back-edge
-            // targets instruction 0.
-            in_must = Bits::empty(n);
-        }
-        (in_must, in_may)
-    };
-    loop {
-        let mut changed = false;
-        for &b in &rpo {
-            if !reachable[b] {
-                continue;
-            }
-            let (mut must, mut may) = block_in(b, &out_must, &out_may, &reachable, cfg);
-            for pc in cfg.blocks[b].range() {
-                for (slot, guarded) in access(&kernel.instrs[pc], nregs).defs {
-                    may.set(slot);
-                    if !guarded {
-                        must.set(slot);
-                    }
+    // --- Reads reached by ENTRY (V001, V002) ---
+    let defs = ReachingDefs::solve(kernel, cfg);
+    // `observed[pc][k]`: a reachable read sees `pc`'s `dst` (k = 0) or
+    // `pdst` (k = 1) write.
+    let mut observed = vec![[false; 2]; kernel.instrs.len()];
+    for &b in &cfg.rpo {
+        defs.replay_block(b, |pc, st| {
+            let instr = &kernel.instrs[pc];
+            for (name, k, reaching) in reads(instr, st) {
+                let mut defined = false;
+                for &d in reaching.iter().filter(|&&d| d != ENTRY) {
+                    observed[d][k] = true;
+                    defined = true;
                 }
+                let (code, paths) = match (defined, reaching.contains(&ENTRY)) {
+                    (false, _) => (LintCode::UninitRead, "no path"),
+                    (true, true) => (LintCode::MaybeUninitRead, "only some paths"),
+                    (true, false) => continue,
+                };
+                report.push(Diagnostic::new(
+                    code,
+                    Some(pc),
+                    format!("{name} is read by `{instr}` but {paths} from entry defines it"),
+                ));
             }
-            if must != out_must[b] || may != out_may[b] {
-                out_must[b] = must;
-                out_may[b] = may;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Reporting pass with the converged in-sets.
-    for &b in &rpo {
-        if !reachable[b] {
-            continue;
-        }
-        let (mut must, mut may) = block_in(b, &out_must, &out_may, &reachable, cfg);
-        for pc in cfg.blocks[b].range() {
-            let acc = access(&kernel.instrs[pc], nregs);
-            for &slot in &acc.reads {
-                if !may.get(slot) {
-                    report.push(Diagnostic::new(
-                        LintCode::UninitRead,
-                        Some(pc),
-                        format!(
-                            "{} is read by `{}` but no path from entry defines it",
-                            slot_name(slot, nregs),
-                            kernel.instrs[pc]
-                        ),
-                    ));
-                } else if !must.get(slot) {
-                    report.push(Diagnostic::new(
-                        LintCode::MaybeUninitRead,
-                        Some(pc),
-                        format!(
-                            "{} is read by `{}` but only some paths from entry define it",
-                            slot_name(slot, nregs),
-                            kernel.instrs[pc]
-                        ),
-                    ));
-                }
-            }
-            for (slot, guarded) in acc.defs {
-                may.set(slot);
-                if !guarded {
-                    must.set(slot);
-                }
-            }
-        }
+        });
     }
 
-    // --- Backward liveness (V004) ---
-    let mut in_live: Vec<Bits> = vec![Bits::empty(n); nblocks];
-    let back_transfer = |b: usize, in_live: &[Bits], cfg: &simt_compiler::Cfg| {
-        let mut live = Bits::empty(n);
-        for &s in &cfg.blocks[b].succs {
-            live.or_with(&in_live[s]);
-        }
-        for pc in cfg.blocks[b].range().rev() {
-            let acc = access(&kernel.instrs[pc], nregs);
-            for &(slot, guarded) in &acc.defs {
-                if !guarded {
-                    live.clear(slot);
-                }
-            }
-            for &slot in &acc.reads {
-                live.set(slot);
-            }
-        }
-        live
-    };
-    loop {
-        let mut changed = false;
-        for &b in rpo.iter().rev() {
-            if !reachable[b] {
-                continue;
-            }
-            let live = back_transfer(b, &in_live, cfg);
-            if live != in_live[b] {
-                in_live[b] = live;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for &b in &rpo {
-        if !reachable[b] {
-            continue;
-        }
-        let mut live = Bits::empty(n);
-        for &s in &cfg.blocks[b].succs {
-            live.or_with(&in_live[s]);
-        }
-        // Reverse scan collecting dead defs against the live-after set.
-        let mut dead: Vec<(usize, usize)> = Vec::new();
-        for pc in cfg.blocks[b].range().rev() {
+    // --- Definitions no read observes (V004) ---
+    for &b in &cfg.rpo {
+        for pc in cfg.blocks[b].range() {
             let instr = &kernel.instrs[pc];
-            let acc = access(instr, nregs);
             // An atomic's destination is its memory side effect's return
             // value; ignoring it is idiomatic, not a dead write.
-            let side_effect_dst = matches!(instr.op, Op::Atom(_));
-            for &(slot, guarded) in &acc.defs {
-                if !live.get(slot) && !side_effect_dst {
-                    dead.push((pc, slot));
-                }
-                if !guarded {
-                    live.clear(slot);
-                }
+            if matches!(instr.op, Op::Atom(_)) {
+                continue;
             }
-            for &slot in &acc.reads {
-                live.set(slot);
+            let written = [instr.dst.map(|d| d.to_string()), instr.pdst.map(|p| p.to_string())];
+            for (k, name) in written.into_iter().enumerate() {
+                let Some(name) = name.filter(|_| !observed[pc][k]) else { continue };
+                report.push(Diagnostic::new(
+                    LintCode::DeadWrite,
+                    Some(pc),
+                    format!("{name} written by `{instr}` is never observed on any path"),
+                ));
             }
-        }
-        dead.sort_unstable();
-        for (pc, slot) in dead {
-            report.push(Diagnostic::new(
-                LintCode::DeadWrite,
-                Some(pc),
-                format!(
-                    "{} written by `{}` is never observed on any path",
-                    slot_name(slot, nregs),
-                    kernel.instrs[pc]
-                ),
-            ));
         }
     }
 
     report
 }
 
-/// Convenience for tests: the slot of a predicate in diagnostics.
-#[allow(dead_code)]
-fn pred_slot(p: Pred, nregs: usize) -> usize {
-    nregs + usize::from(p.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LintCode;
-    use simt_isa::{CmpOp, Guard, Instruction, Kernel, Operand, SpecialReg};
+    use simt_isa::{CmpOp, Guard, Instruction, Kernel, Operand, Pred, Reg, SpecialReg};
 
     fn compile(instrs: Vec<Instruction>) -> CompiledKernel {
         simt_compiler::compile(Kernel::new("t", instrs))

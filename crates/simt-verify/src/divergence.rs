@@ -4,9 +4,9 @@
 //! threadblock hangs or silently mis-synchronizes the rest. Two shapes are
 //! flagged:
 //!
-//! * **V101** — a barrier located between a potentially divergent guarded
-//!   branch and that branch's reconvergence point (from the compiler's
-//!   [`ReconvergenceTable`](simt_compiler::ReconvergenceTable)). A branch
+//! * **V101** — a barrier on a leg of a potentially divergent two-way
+//!   branch, before the branch's join (the compiler's
+//!   [`Branch`](simt_compiler::Branch)). A branch
 //!   counts as divergent unless its abstract class proves the guard
 //!   TB-uniform — `Red::Redundant` with `Pat::Uniform`. With a
 //!   [`LaunchConfig`], the launch's dimensionality promotion is applied
@@ -18,8 +18,7 @@
 //!   kernels built without validation.
 
 use crate::{Diagnostic, Diagnostics, LintCode};
-use simt_compiler::cfg::reach;
-use simt_compiler::{promotes_tid_y, CompiledKernel, RECONVERGE_AT_EXIT};
+use simt_compiler::{promotes_tid_y, CompiledKernel};
 use simt_isa::{LaunchConfig, Op};
 
 /// Runs the divergence-safety lint. Without a launch config, no promotion
@@ -46,9 +45,7 @@ pub fn check(ck: &CompiledKernel, launch: Option<&LaunchConfig>) -> Diagnostics 
             }
             continue;
         }
-        if !matches!(instr.op, Op::Bra { .. }) || instr.guard.is_none() {
-            continue;
-        }
+        let Some(br) = cfg.branch(cfg.block_of[pc]).filter(|br| br.pc == pc) else { continue };
         // The instruction class already folds the guard predicate's class
         // in, so it describes how uniformly this branch resolves.
         let class = ck.classes[pc].finalize(px, py);
@@ -56,19 +53,11 @@ pub fn check(ck: &CompiledKernel, launch: Option<&LaunchConfig>) -> Diagnostics 
             continue;
         }
 
-        // Scan the divergent region: every block reachable from the branch
-        // without passing through its reconvergence point.
-        let recon_block = match ck.recon.recon[pc] {
-            Some(RECONVERGE_AT_EXIT) | None => cfg.exit_block(),
-            Some(r) => cfg.block_of[r],
+        let join = match br.join {
+            j if j == cfg.exit_block() => " (thread exit)".to_string(),
+            j => format!(" (pc {})", cfg.blocks[j].start),
         };
-        let region = reach(
-            cfg.len(),
-            cfg.blocks[cfg.block_of[pc]].succs.iter().copied(),
-            |b| cfg.blocks[b].succs.iter().copied(),
-            |b| b == recon_block,
-        );
-        for b in (0..cfg.len()).filter(|&b| region[b]) {
+        for b in (0..cfg.len()).filter(|&b| br.in_region(b)) {
             for bar_pc in cfg.blocks[b].range() {
                 if matches!(kernel.instrs[bar_pc].op, Op::Bar) {
                     report.push(Diagnostic::new(
@@ -77,13 +66,7 @@ pub fn check(ck: &CompiledKernel, launch: Option<&LaunchConfig>) -> Diagnostics 
                         format!(
                             "barrier is reachable under the potentially divergent branch \
                              `{}` at pc {} before its reconvergence point{}",
-                            kernel.instrs[pc],
-                            pc,
-                            match ck.recon.recon[pc] {
-                                Some(RECONVERGE_AT_EXIT) => " (thread exit)".to_string(),
-                                Some(r) => format!(" (pc {r})"),
-                                None => String::new(),
-                            }
+                            kernel.instrs[pc], pc, join
                         ),
                     ));
                 }
@@ -266,8 +249,7 @@ mod tests {
         );
         assert!(k.validate().is_err(), "validate should also reject this");
         let cfg = simt_compiler::Cfg::build(&k);
-        let pdoms = simt_compiler::PostDoms::compute(&cfg);
-        let recon = simt_compiler::ReconvergenceTable::compute(&k, &cfg, &pdoms);
+        let recon = simt_compiler::ReconvergenceTable::compute(&k, &cfg);
         let analysis = simt_compiler::analyze(&k, &cfg, simt_compiler::AnalysisOptions::default());
         let markings = analysis.instr_class.iter().map(|c| c.marking()).collect();
         let ck = CompiledKernel { kernel: k, classes: analysis.instr_class, markings, recon, cfg };

@@ -41,7 +41,7 @@
 use crate::{Diagnostic, Diagnostics, LintCode};
 use simt_compiler::affine::{resolve, Affine, AffineVal, Clamps, Flow, GridCtx, PredVal};
 use simt_compiler::cfg::reach;
-use simt_compiler::{BlockId, Cfg, CompiledKernel, Doms, PostDoms};
+use simt_compiler::{Cfg, CompiledKernel};
 use simt_isa::{AtomOp, Dim3, LaunchConfig, MemSpace, Op};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -98,29 +98,20 @@ impl Epochs {
 
 /// Per-block execution conditions from dominating divergent branches:
 /// for each block, the `(predicate, required polarity)` pairs of every
-/// dominating two-way branch whose chosen side exclusively reaches it
-/// before the branch's immediate post-dominator (past it, a loop's back
-/// edge would lead both sides everywhere).
+/// dominating two-way branch whose chosen leg alone reaches it before the
+/// branch's join (past it, a loop's back edge would lead both sides
+/// everywhere).
 /// `branch[b]` is block `b`'s guarded branch: its predicate snapshot and
 /// the polarity that takes the first successor. Branches are visited in
 /// block order, so every list is reproducible.
 fn block_conditions(cfg: &Cfg, branch: &[Option<(PredVal, bool)>]) -> Vec<Vec<(PredVal, bool)>> {
     let nb = cfg.blocks.len();
-    let doms = Doms::compute(cfg);
-    let pdoms = PostDoms::compute(cfg);
-    let succs = |b: BlockId| cfg.blocks[b].succs.iter().copied();
     let mut block_conds: Vec<Vec<(PredVal, bool)>> = vec![Vec::new(); nb];
-    for (b, &info) in branch.iter().enumerate() {
-        let Some((pv, taken_polarity)) = info else { continue };
-        let bs = &cfg.blocks[b].succs;
-        if bs.len() != 2 || bs[0] == bs[1] {
-            continue;
-        }
-        let join = pdoms.ipdom[b];
-        let rt = reach(nb, [bs[0]], succs, |x| x == join);
-        let rf = reach(nb, [bs[1]], succs, |x| x == join);
+    for br in &cfg.branches {
+        let Some((pv, taken_polarity)) = branch[br.block] else { continue };
+        let [rt, rf] = &br.legs;
         for x in 0..nb {
-            if x == b || !doms.dominates(b, x) {
+            if x == br.block || !cfg.doms.dominates(br.block, x) {
                 continue;
             }
             if rt[x] && !rf[x] {

@@ -67,9 +67,7 @@
 use crate::{oracle, Diagnostic, Diagnostics, LintCode};
 use gpu_sim::GlobalMemory;
 use simt_compiler::affine::{self, AffineVal, Clamps, GridCtx};
-use simt_compiler::{
-    CompiledKernel, Deps, Doms, EvalCtx, NaturalLoops, TermArena, TermId, RECONVERGE_AT_EXIT,
-};
+use simt_compiler::{CompiledKernel, Deps, EvalCtx, TermArena, TermId, RECONVERGE_AT_EXIT};
 use simt_isa::{Instruction, LaunchConfig, LaunchFamily, Marking, MemSpace, Op, Operand, Value};
 use std::collections::HashMap;
 
@@ -305,8 +303,6 @@ struct Engine<'a> {
     branch_sites: Vec<bool>,
     value_visits: HashMap<usize, Vec<Visit>>,
     branch_visits: HashMap<usize, Vec<Visit>>,
-    /// Summarizable natural loops, keyed by their back-edge branch.
-    loops: NaturalLoops,
     /// `is_header[pc]` marks the first instruction of a loop header.
     is_header: Vec<bool>,
     /// Register/predicate state observed at each loop header, used as
@@ -318,10 +314,8 @@ struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     fn new(ck: &'a CompiledKernel, value_sites: Vec<bool>, branch_sites: Vec<bool>) -> Engine<'a> {
-        let doms = Doms::compute(&ck.cfg);
-        let loops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
         let mut is_header = vec![false; ck.kernel.instrs.len()];
-        for l in &loops.loops {
+        for l in &ck.cfg.loops.loops {
             is_header[l.header_pc] = true;
         }
         Engine {
@@ -333,7 +327,6 @@ impl<'a> Engine<'a> {
             branch_sites,
             value_visits: HashMap::new(),
             branch_visits: HashMap::new(),
-            loops,
             is_header,
             header_snap: HashMap::new(),
             recording: true,
@@ -581,10 +574,10 @@ impl<'a> Engine<'a> {
         path: TermId,
         depth: usize,
     ) -> Result<Option<usize>, Exhausted> {
-        let Some(lp) = self.loops.at_back_edge(pc) else {
+        let ck = self.ck;
+        let Some(lp) = ck.cfg.loops.at_back_edge(pc) else {
             return Ok(None);
         };
-        let lp = lp.clone();
         let Some(snap) = self.header_snap.get(&lp.header_pc).cloned() else {
             return Ok(None);
         };

@@ -13,7 +13,7 @@ use gpu_sim::{
 };
 use simt_compiler::affine::{Clamps, Flow, GridCtx};
 use simt_compiler::trip::{induction_clamps, infer_trips};
-use simt_compiler::{refine, Affine, AffineVal, Doms, NaturalLoops};
+use simt_compiler::{refine, Affine, AffineVal};
 use simt_compiler::{NEG_INF, POS_INF};
 use simt_isa::{Dim3, Instruction};
 use simt_verify::blocks::{self, BlockIndependence};
@@ -119,10 +119,8 @@ fn flow_admits_what_every_thread_computes() {
             solve(GridCtx::generic(launch.block.z), &Clamps::new()),
             solve(GridCtx::launch(launch), &Clamps::new()),
         ];
-        let doms = Doms::compute(&ck.cfg);
-        let nloops = NaturalLoops::compute(&ck.kernel, &ck.cfg, &doms);
-        let trips = infer_trips(&flows[1], &doms, &nloops, launch);
-        let clamps = induction_clamps(&flows[1], &doms, &nloops, &trips, launch);
+        let trips = infer_trips(&flows[1], launch);
+        let clamps = induction_clamps(&flows[1], &trips, launch);
         flows.push(solve(GridCtx::launch(launch), &clamps));
         let writes = flows
             .iter()
