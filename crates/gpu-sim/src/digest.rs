@@ -93,14 +93,17 @@ impl Default for DigestConfig {
 
 /// `config_fingerprint` hashes `GpuConfig`'s `Debug` rendering, so the
 /// interval keeps the spelling it had as a one-variant cadence enum
-/// (`cadence: Cycle(n)`): an unchanged machine keeps its fingerprint.
+/// (`cadence: Cycle(n)`): an unchanged machine keeps its fingerprint. The
+/// exhaustive destructuring makes a new field fail to compile until it is
+/// printed here too, so no field escapes the fingerprint.
 impl std::fmt::Debug for DigestConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let DigestConfig { enabled, interval, components, window } = *self;
         f.debug_struct("DigestConfig")
-            .field("enabled", &self.enabled)
-            .field("cadence", &format_args!("Cycle({})", self.interval))
-            .field("components", &self.components)
-            .field("window", &self.window)
+            .field("enabled", &enabled)
+            .field("cadence", &format_args!("Cycle({interval})"))
+            .field("components", &components)
+            .field("window", &window)
             .finish()
     }
 }

@@ -266,7 +266,7 @@ fn run_tb<O: FunctionalObserver>(
 
             match effect {
                 ExecEffect::Branch { taken, target } => {
-                    let reconv = ck.recon.recon[pc].unwrap_or(usize::MAX);
+                    let reconv = ck.recon.get(pc).unwrap_or(usize::MAX);
                     warp.take_branch(pc, target, taken, reconv);
                 }
                 ExecEffect::Barrier => at_barrier[w] = true,

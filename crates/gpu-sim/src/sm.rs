@@ -1323,7 +1323,7 @@ impl<'k, O: SmObserver> Sm<'k, O> {
         taken: u32,
         target: usize,
     ) -> IssueOutcome {
-        let reconv = self.kd.ck.recon.recon[pc].unwrap_or(usize::MAX);
+        let reconv = self.kd.ck.recon.get(pc).unwrap_or(usize::MAX);
         let (diverged, next_pc) = {
             let w = &mut self.warps[wslot];
             let diverged = w.take_branch(pc, target, taken, reconv);

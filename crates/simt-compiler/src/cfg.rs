@@ -200,6 +200,8 @@ impl Cfg {
                 Some(Branch { pc: cfg.blocks[b].end - 1, block: b, join, legs })
             })
             .collect();
+        // The facts live as long as the compiled kernel: keep no slack.
+        cfg.branches.shrink_to_fit();
         cfg
     }
 

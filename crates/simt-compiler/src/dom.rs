@@ -235,7 +235,8 @@ impl NaturalLoops {
                     }
                 }
             }
-            let body: Vec<BlockId> = (0..cfg.len()).filter(|&b| in_body[b]).collect();
+            let mut body: Vec<BlockId> = (0..cfg.len()).filter(|&b| in_body[b]).collect();
+            body.shrink_to_fit();
             loops.push(NaturalLoop {
                 header,
                 latch,
@@ -244,6 +245,7 @@ impl NaturalLoops {
                 body,
             });
         }
+        loops.shrink_to_fit();
         NaturalLoops { loops }
     }
 
@@ -259,9 +261,11 @@ impl NaturalLoops {
 /// instruction of the branch block's immediate post-dominator).
 #[derive(Debug, Clone)]
 pub struct ReconvergenceTable {
-    /// `recon[pc]` is `Some(join_pc)` when instruction `pc` is a guarded
-    /// branch; `join_pc == usize::MAX` denotes reconvergence at exit.
-    pub recon: Vec<Option<usize>>,
+    /// `(pc, join_pc)` for every guarded branch, by ascending pc;
+    /// `join_pc == RECONVERGE_AT_EXIT` denotes reconvergence at exit. Only
+    /// branches have entries, so the table lives beside every compiled
+    /// kernel at the size of its branch count, not its length.
+    joins: Vec<(usize, usize)>,
 }
 
 /// Sentinel reconvergence PC meaning "at thread exit".
@@ -271,21 +275,23 @@ impl ReconvergenceTable {
     /// Computes the table for `kernel` from its CFG's post-dominators.
     #[must_use]
     pub fn compute(kernel: &simt_isa::Kernel, cfg: &Cfg) -> ReconvergenceTable {
-        let mut recon = vec![None; kernel.instrs.len()];
-        for (pc, i) in kernel.instrs.iter().enumerate() {
-            if let Op::Bra { .. } = i.op {
-                if i.guard.is_some() {
-                    let b = cfg.block_of[pc];
-                    let j = cfg.pdoms.ipdom[b];
-                    recon[pc] = Some(if j == cfg.exit_block() {
-                        RECONVERGE_AT_EXIT
-                    } else {
-                        cfg.blocks[j].start
-                    });
-                }
-            }
-        }
-        ReconvergenceTable { recon }
+        let mut joins: Vec<(usize, usize)> = (kernel.instrs.iter().enumerate())
+            .filter(|(_, i)| matches!(i.op, Op::Bra { .. }) && i.guard.is_some())
+            .map(|(pc, _)| {
+                let j = cfg.pdoms.ipdom[cfg.block_of[pc]];
+                (pc, if j == cfg.exit_block() { RECONVERGE_AT_EXIT } else { cfg.blocks[j].start })
+            })
+            .collect();
+        joins.shrink_to_fit();
+        ReconvergenceTable { joins }
+    }
+
+    /// The reconvergence pc of the guarded branch at `pc`, or `None` when
+    /// `pc` is no guarded branch.
+    #[must_use]
+    pub fn get(&self, pc: usize) -> Option<usize> {
+        let i = self.joins.binary_search_by_key(&pc, |&(p, _)| p).ok()?;
+        Some(self.joins[i].1)
     }
 }
 
@@ -312,7 +318,7 @@ mod tests {
             .iter()
             .position(|i| i.op.is_branch() && i.guard.is_some())
             .expect("guarded branch");
-        assert_eq!(rt.recon[branch_pc], Some(store_pc));
+        assert_eq!(rt.get(branch_pc), Some(store_pc));
     }
 
     #[test]
@@ -332,7 +338,7 @@ mod tests {
         let branch_pc = 2;
         assert!(k.instrs[branch_pc].op.is_branch());
         // Joins at the `mov 9` after the body (instruction 5).
-        assert_eq!(rt.recon[branch_pc], Some(5));
+        assert_eq!(rt.get(branch_pc), Some(5));
     }
 
     #[test]
@@ -350,7 +356,7 @@ mod tests {
         let rt = ReconvergenceTable::compute(&k, &cfg);
         let branch_pc = k.instrs.iter().position(|x| x.op.is_branch()).unwrap();
         let store_pc = k.instrs.iter().position(|x| x.op.is_store()).unwrap();
-        assert_eq!(rt.recon[branch_pc], Some(store_pc));
+        assert_eq!(rt.get(branch_pc), Some(store_pc));
     }
 
     #[test]
@@ -469,7 +475,7 @@ mod tests {
         let rt = ReconvergenceTable::compute(&k, &cfg);
         for (pc, i) in k.instrs.iter().enumerate() {
             if i.op.is_branch() && i.guard.is_none() {
-                assert_eq!(rt.recon[pc], None, "unguarded branch at {pc}");
+                assert_eq!(rt.get(pc), None, "unguarded branch at {pc}");
             }
         }
     }

@@ -256,4 +256,38 @@ mod tests {
         let r = check(&ck, None);
         assert_eq!(r.with_code(LintCode::PredicatedBarrier).len(), 1, "{}", r.render());
     }
+
+    /// A guarded `bra` whose target is its own fall-through gives its block
+    /// one successor, so the branch cannot diverge and has no region, even
+    /// when the barrier after it sits in a closed loop that never reaches
+    /// the exit (where the post-dominator tree pins every block to the
+    /// exit, so a walk to the join would find the barrier).
+    #[test]
+    fn branch_to_its_own_fall_through_has_no_region() {
+        let ck = compile(vec![
+            // 0: R0 = tid.x
+            Instruction::new(Op::S2R(SpecialReg::TidX), Some(Reg(0)), None, vec![]),
+            // 1: P0 = tid.x < 16
+            Instruction::new(
+                Op::Setp(CmpOp::Lt),
+                None,
+                Some(Pred(0)),
+                vec![Reg(0).into(), Operand::Imm(16)],
+            ),
+            // 2: @P0 bra 3 (the fall-through)
+            Instruction::new(Op::Bra { target: 3 }, None, None, vec![])
+                .with_guard(Guard::if_true(Pred(0))),
+            // 3: bar.sync
+            Instruction::new(Op::Bar, None, None, vec![]),
+            // 4: bra 3 (a closed loop: the exit is never reached)
+            Instruction::new(Op::Bra { target: 3 }, None, None, vec![]),
+            exit(),
+        ]);
+        let b = ck.cfg.block_of[2];
+        assert_eq!(ck.cfg.blocks[b].succs.len(), 1, "one successor");
+        assert_eq!(ck.cfg.pdoms.ipdom[b], ck.cfg.exit_block(), "the join is pinned to the exit");
+        assert!(ck.cfg.branch(b).is_none(), "no two-way branch");
+        let r = check(&ck, None);
+        assert!(r.with_code(LintCode::BarrierUnderDivergence).is_empty(), "{}", r.render());
+    }
 }

@@ -442,10 +442,7 @@ impl<'a> Engine<'a> {
                             if depth >= MAX_FORK_DEPTH {
                                 return Err(Exhausted(UnknownReason::ForkBudget));
                             }
-                            let join = match self.ck.recon.recon[pc] {
-                                Some(j) => j,
-                                None => RECONVERGE_AT_EXIT,
-                            };
+                            let join = self.ck.recon.get(pc).unwrap_or(RECONVERGE_AT_EXIT);
                             let not_c = self.t.not(c);
                             let path_t = self.t.alu(Op::And, path, Some(c), None);
                             let path_e = self.t.alu(Op::And, path, Some(not_c), None);
