@@ -5,11 +5,11 @@
 //! darsie-sim MM --technique darsie --sms 4 --scale eval
 //! darsie-sim LIB --technique base --scheduler lrr
 //! darsie-sim --list
-//! darsie-sim verify [ABBR ...] [--workload NAME] [--scale test|eval] [--json] [--threads N]
-//! darsie-sim certify [ABBR ...] [--workload NAME] [--scale test|eval] [--json] [--threads N]
-//! darsie-sim certify --family [ABBR ...] [--scale test|eval] [--json] [--threads N] [--samples N]
+//! darsie-sim verify [ABBR ...] [--workload NAME] [--scale test|eval] [--json]
+//! darsie-sim certify [ABBR ...] [--workload NAME] [--scale test|eval] [--json]
+//! darsie-sim certify --family [ABBR ...] [--scale test|eval] [--json]
 //! darsie-sim analyze [ABBR ...] [--workload NAME] [--scale test|eval] [--json]
-//! darsie-sim prove [ABBR ...] [--workload NAME] [--scale test|eval] [--json] [--threads N]
+//! darsie-sim prove [ABBR ...] [--workload NAME] [--scale test|eval] [--json]
 //! darsie-sim profile [ABBR ...] [--workload NAME] [--scale test|eval] [--json] [--perfetto PATH]
 //! darsie-sim estimate [ABBR ...] [--workload NAME] [--scale test|eval] [--json]
 //! darsie-sim replay-diff [ABBR ...] [--scale test|eval] [--json] [--technique T] [--sms N]
@@ -23,15 +23,17 @@
 //! digest roots — is written there on exit, success or failure. All modes
 //! parse through one shared parser ([`Command::parse`]), so a repeated
 //! single-valued flag is a usage error everywhere, and every document is
-//! built as a [`Json`] tree.
+//! built as a [`Json`] tree. `verify`, `certify` and `certify --family`
+//! shard their workloads over one pool of as many workers as the host
+//! has hardware threads; rendering stays sequential and in selection
+//! order, so every document is byte-identical whatever the host.
 //!
 //! The `verify` subcommand runs the `simt-verify` static checks (including
 //! the shared-memory race detector) and the differential marking-soundness
 //! oracle over the selected workloads (all of them by default) and exits
 //! non-zero on any error-severity finding. `--json` swaps the report for a
 //! machine-readable document for CI consumption, including per-lint-code
-//! totals. `--threads N` shards the workloads across a scoped thread pool
-//! with byte-identical output.
+//! totals.
 //!
 //! The `certify` subcommand is the inter-thread-block independence
 //! certifier, which establishes that block replay order is unobservable
@@ -42,13 +44,12 @@
 //! `commutative-atomics-only` or `potentially-racy`) with any
 //! `V310`–`V313` findings and the first concrete block-pair witness. It
 //! exits non-zero on any error-severity finding (`V310`/`V312`).
-//! `--threads N` shards the workloads with byte-identical output.
 //!
 //! `certify --family` switches to launch-family-parametric mode: one
 //! certificate per kernel covering the workload's whole declared
 //! grid/block region, tiered `FamilyProved` / `FamilySampled` /
 //! `PerLaunchOnly`, each cross-checked by a differential gate that
-//! certifies `--samples N` (default 25) deterministic member launches
+//! certifies `family::SAMPLES` (25) deterministic member launches
 //! concretely. Exits non-zero on any refutation or disagreement.
 //!
 //! The `analyze` subcommand is the static performance analyzer: for each
@@ -66,8 +67,7 @@
 //! claim over the whole launch family the marking quantifies over, and
 //! reports per-workload proved/disproved/unknown counts plus a per-claim
 //! ledger (`--json`) with verdicts, unknown reasons and evaluation costs.
-//! `--threads N` shards the discharge across a thread pool with
-//! byte-identical output; wall time is printed to stderr. It exits
+//! Claims are judged in order; wall time is printed to stderr. It exits
 //! non-zero on any disproof (`S401`) or branch-sync violation (`S403`).
 //!
 //! The `profile` subcommand runs each selected workload under the
@@ -116,7 +116,7 @@ use gpu_sim::{GpuConfig, Perturb, SchedulerPolicy, Technique};
 use simt_compiler::LaunchPlan;
 use simt_isa::Dim3;
 use simt_verify::perf::{MemPredKind, MemPrediction};
-use simt_verify::{parallel_map, Diagnostic, Diagnostics};
+use simt_verify::{Diagnostic, Diagnostics};
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::slice::Iter;
@@ -130,13 +130,11 @@ static ALLOC: darsie_bench::manifest::CountingAlloc = darsie_bench::manifest::Co
 fn usage() -> ! {
     eprintln!(
         "usage: darsie-sim <ABBR> [options]   |   darsie-sim --list   |   \
-         darsie-sim verify [ABBR ...] [--workload NAME] [--scale test|eval] [--json] \
-         [--threads N]   |   \
+         darsie-sim verify [ABBR ...] [--workload NAME] [--scale test|eval] [--json]   |   \
          darsie-sim certify [ABBR ...] [--workload NAME] [--scale test|eval] [--json] \
-         [--threads N] [--family [--samples N]]   |   \
+         [--family]   |   \
          darsie-sim analyze [ABBR ...] [--workload NAME] [--scale test|eval] [--json]   |   \
-         darsie-sim prove [ABBR ...] [--workload NAME] [--scale test|eval] [--json] \
-         [--threads N]   |   \
+         darsie-sim prove [ABBR ...] [--workload NAME] [--scale test|eval] [--json]   |   \
          darsie-sim profile [ABBR ...] [--workload NAME] [--scale test|eval] [--json] \
          [--perfetto PATH]   |   \
          darsie-sim estimate [ABBR ...] [--workload NAME] [--scale test|eval] [--json]   |   \
@@ -154,8 +152,7 @@ fn usage() -> ! {
            --rename-regs N          (default 32)\n\
            --skip-ports N           (default 2)\n\
            --max-leader-stall N     (default 64)\n\
-           --trace N                print the first N pipeline events\n\
-           --no-validate            skip the CPU-reference check"
+           --trace N                print the first N pipeline events"
     );
     std::process::exit(2);
 }
@@ -189,10 +186,9 @@ fn number<T: std::str::FromStr>(it: &mut Iter<String>) -> T {
     value(it).parse().unwrap_or_else(|_| usage())
 }
 
-/// A count that must be at least 1. Zero threads, samples, SMs or
-/// skip-table ports leave nothing to run on — an empty GPU panics and a
-/// portless skip table never grants a probe — so anything else exits 2
-/// with a message.
+/// A count that must be at least 1. Zero SMs or skip-table ports leave
+/// nothing to run on — an empty GPU panics and a portless skip table
+/// never grants a probe — so anything else exits 2 with a message.
 fn positive(flag: &str, v: Option<&str>) -> usize {
     match v.and_then(|n| n.parse::<usize>().ok()).filter(|&n| n >= 1) {
         Some(n) => n,
@@ -232,21 +228,18 @@ struct Command {
     scale: Option<Scale>,
     /// Takes a workload selection (positional abbreviations and/or
     /// `--workload NAME` filters matching the abbreviation or full name,
-    /// case-insensitively; the whole catalog when empty) and `--threads`.
+    /// case-insensitively; the whole catalog when empty).
     select: bool,
-    /// Consumes `--threads`; other selecting modes warn and ignore it.
-    threaded: bool,
     /// Takes `--json`.
     json: bool,
     run: fn(&Command, &[String]),
 }
 
-/// What the shared parser hands a mode: the selection, output mode and
-/// thread count, plus the run manifest every exit goes through.
+/// What the shared parser hands a mode: the selection and output mode,
+/// plus the run manifest every exit goes through.
 struct Ctx {
     json: bool,
     selected: Vec<Workload>,
-    threads: usize,
     scale: Scale,
     mf: RunManifest,
     manifest: Option<String>,
@@ -255,18 +248,17 @@ struct Ctx {
 impl Command {
     /// A workload-selecting subcommand with `--json` and `--scale`
     /// (default test).
-    const fn sub(name: &'static str, threaded: bool, run: fn(&Command, &[String])) -> Command {
-        Command { name, scale: Some(Scale::Test), select: true, threaded, json: true, run }
+    const fn sub(name: &'static str, run: fn(&Command, &[String])) -> Command {
+        Command { name, scale: Some(Scale::Test), select: true, json: true, run }
     }
 
     /// The shared parser. Every mode goes through it, so
     /// unknown-abbreviation rejection (exit 2, listing the valid names),
-    /// `--workload` semantics, the `--threads` warn-and-ignore rule and
-    /// duplicate rejection cannot drift between modes. `extra` sees every
-    /// flag the mode does not share (plus the argument iterator, so it can
-    /// consume a value) and returns whether it recognized it; flags it
-    /// rejects are a usage error. Only `--workload` and `--against` may
-    /// repeat.
+    /// `--workload` semantics and duplicate rejection cannot drift
+    /// between modes. `extra` sees every flag the mode does not share
+    /// (plus the argument iterator, so it can consume a value) and
+    /// returns whether it recognized it; flags it rejects are a usage
+    /// error. Only `--workload` and `--against` may repeat.
     fn parse(
         &self,
         args: &[String],
@@ -274,7 +266,6 @@ impl Command {
     ) -> Ctx {
         let mut scale: Option<Scale> = None;
         let mut json = false;
-        let mut threads: Option<usize> = None;
         let mut manifest: Option<String> = None;
         let mut abbrs: Vec<&str> = Vec::new();
         let mut names: Vec<String> = Vec::new();
@@ -298,9 +289,6 @@ impl Command {
                     }
                 }
                 "--json" if self.json => json = true,
-                "--threads" if self.select => {
-                    threads = Some(positive(flag, it.next().map(String::as_str)));
-                }
                 "--workload" if self.select => names.push(value(&mut it)),
                 s if self.select && !s.starts_with("--") => abbrs.push(s),
                 s => {
@@ -329,46 +317,62 @@ impl Command {
         if self.select && selected.is_empty() {
             selected = catalog(scale);
         }
-        if threads.is_some() && !self.threaded {
-            eprintln!(
-                "warning: --threads is only used by `verify`, `certify` and `prove`; \
-                 `{}` ignores it",
-                self.name
-            );
-            threads = None;
-        }
-        Ctx {
-            json,
-            selected,
-            threads: threads.unwrap_or(1),
-            scale,
-            mf: RunManifest::new(self.name, args),
-            manifest,
-        }
+        Ctx { json, selected, scale, mf: RunManifest::new(self.name, args), manifest }
     }
 }
 
 /// The subcommand table; anything else is the bare benchmark mode.
 static COMMANDS: [Command; 8] = [
-    Command::sub("verify", true, verify),
-    Command::sub("certify", true, certify),
-    Command::sub("analyze", false, analyze),
-    Command::sub("prove", true, prove),
-    Command::sub("profile", false, profile),
-    Command::sub("estimate", false, estimate),
-    Command::sub("replay-diff", false, replay),
-    Command { name: "lints", scale: None, select: false, threaded: false, json: true, run: lints },
+    Command::sub("verify", verify),
+    Command::sub("certify", certify),
+    Command::sub("analyze", analyze),
+    Command::sub("prove", prove),
+    Command::sub("profile", profile),
+    Command::sub("estimate", estimate),
+    Command::sub("replay-diff", replay),
+    Command { name: "lints", scale: None, select: false, json: true, run: lints },
 ];
 
 /// The bare benchmark mode: `darsie-sim ABBR [options]`.
-static RUN: Command = Command {
-    name: "run",
-    scale: Some(Scale::Eval),
-    select: false,
-    threaded: false,
-    json: false,
-    run,
-};
+static RUN: Command =
+    Command { name: "run", scale: Some(Scale::Eval), select: false, json: false, run };
+
+/// Order-preserving map over the selected workloads: `items` split into
+/// contiguous chunks across at most `workers` scoped threads, results
+/// returned in input order, so a document rendered from them is the same
+/// for any worker count. One worker (or one item) is a plain sequential
+/// map.
+fn parallel_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.clamp(1, items.len().max(1));
+    if workers == 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(workers);
+    let mut out: Vec<Option<R>> = Vec::new();
+    out.resize_with(items.len(), || None);
+    std::thread::scope(|s| {
+        for (inp, outp) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
+            let f = &f;
+            s.spawn(move || {
+                for (i, o) in inp.iter().zip(outp.iter_mut()) {
+                    *o = Some(f(i));
+                }
+            });
+        }
+    });
+    out.into_iter().map(|r| r.expect("worker filled every slot")).collect()
+}
+
+/// [`parallel_map`] over `workloads` with one worker per hardware thread
+/// of the host.
+fn shard<R: Send>(workloads: &[Workload], f: impl Fn(&Workload) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    parallel_map(workloads, workers, f)
+}
 
 impl Ctx {
     /// Writes the run manifest (when `--manifest PATH` was given) carrying
@@ -475,15 +479,11 @@ impl Tally {
 /// `darsie-sim verify`: run every `simt-verify` pass over the selected
 /// workloads at their native launches and exit 1 on any error-severity
 /// finding. With `--json`, print one machine-readable document instead of
-/// the human report. `--threads N` shards the workloads across scoped
-/// worker threads; rendering stays sequential, so output is
-/// byte-identical whatever the thread count.
+/// the human report.
 fn verify(cmd: &Command, args: &[String]) {
     let mut cx = cmd.parse(args, |_, _| false);
     let reports = cx.mf.phase("verify", || {
-        parallel_map(&cx.selected, cx.threads, |w| {
-            simt_verify::verify_full(&w.ck, &w.launch, w.memory.clone())
-        })
+        shard(&cx.selected, |w| simt_verify::verify_full(&w.ck, &w.launch, w.memory.clone()))
     });
 
     let mut tally = Tally::default();
@@ -516,38 +516,22 @@ fn verify(cmd: &Command, args: &[String]) {
 /// static block-affine footprint analysis plus a dynamic replay under
 /// the global-memory shadow sanitizer, prints the classification and
 /// any `V310`–`V313` findings, and exits 1 on any error-severity
-/// finding. `--threads N` shards the workloads with byte-identical
-/// output. `--family` switches to [`certify_family`].
+/// finding. `--family` switches to [`certify_family`].
 fn certify(cmd: &Command, args: &[String]) {
     let mut family = false;
-    let mut samples: Option<usize> = None;
-    let mut cx = cmd.parse(args, |flag, it| match flag {
-        "--family" => {
-            family = true;
-            true
-        }
-        "--samples" => {
-            samples = Some(positive(flag, it.next().map(String::as_str)));
-            true
-        }
-        _ => false,
+    let mut cx = cmd.parse(args, |flag, _| {
+        let hit = flag == "--family";
+        family |= hit;
+        hit
     });
-    if let Some(n) = samples {
-        if !family {
-            eprintln!("--samples {n} only applies to `certify --family`");
-            std::process::exit(2);
-        }
-    }
     if family {
         cx.mf.subcommand = "certify-family".to_string();
-        let code = certify_family(&mut cx, samples.unwrap_or(25));
+        let code = certify_family(&mut cx);
         cx.finish(code);
         return;
     }
     let results = cx.mf.phase("certify", || {
-        parallel_map(&cx.selected, cx.threads, |w| {
-            simt_verify::blocks::certify(&w.ck, &w.launch, w.memory.clone())
-        })
+        shard(&cx.selected, |w| simt_verify::blocks::certify(&w.ck, &w.launch, w.memory.clone()))
     });
 
     let mut tally = Tally::default();
@@ -596,20 +580,21 @@ fn certify(cmd: &Command, args: &[String]) {
 /// For each selected workload it certifies inter-thread-block
 /// independence over the workload's declared [`simt_isa::LaunchFamily`]
 /// region — one certificate per kernel covering the whole grid sweep —
-/// and then runs the sampled differential gate (`--samples N` member
-/// launches, default 25, each certified concretely) against the family
+/// and then runs the sampled differential gate ([`family::SAMPLES`]
+/// member launches, each certified concretely) against the family
 /// verdict. Returns 1 on any `PerLaunchOnly` refutation or any
 /// family-vs-concrete disagreement.
-fn certify_family(cx: &mut Ctx, samples: usize) -> i32 {
-    use simt_verify::family::{self, FamilyVerdict};
+///
+/// [`family::SAMPLES`]: simt_verify::family::SAMPLES
+fn certify_family(cx: &mut Ctx) -> i32 {
+    use simt_verify::family::{self, FamilyVerdict, SAMPLES};
     let cfg = GpuConfig::test_small();
     cx.mf.set_config(&cfg);
     let results = cx.mf.phase("certify-family", || {
-        parallel_map(&cx.selected, cx.threads, |w| {
+        shard(&cx.selected, |w| {
             family::certify_family(&w.ck, &w.family, &w.launch, &w.memory, &cfg).map(|cert| {
-                let disagreements = family::differential_check(
-                    &w.ck, &w.family, &w.launch, &w.memory, &cert, samples, 1,
-                );
+                let disagreements =
+                    family::differential_check(&w.ck, &w.family, &w.launch, &w.memory, &cert);
                 (cert, disagreements)
             })
         })
@@ -704,7 +689,7 @@ fn certify_family(cx: &mut Ctx, samples: usize) -> i32 {
     if cx.json {
         let doc = json_header("certify-family", Some(&cfg))
             .field("workloads", records)
-            .field("samples", samples)
+            .field("samples", SAMPLES)
             .field("proved", proved)
             .field("sampled", sampled)
             .field("refuted", refuted)
@@ -714,7 +699,7 @@ fn certify_family(cx: &mut Ctx, samples: usize) -> i32 {
         println!(
             "certified {} family region(s): {proved} proved, {sampled} sampled, \
              {refuted} refuted, {total_disagreements} differential disagreement(s) \
-             over {samples} sample(s) each",
+             over {SAMPLES} sample(s) each",
             cx.selected.len()
         );
     }
@@ -731,7 +716,7 @@ fn certify_family(cx: &mut Ctx, samples: usize) -> i32 {
 /// workloads over their full quantified launch families and exits 1 on
 /// any `S401` disproof or `S403` branch-sync violation.
 fn prove(cmd: &Command, args: &[String]) {
-    use simt_verify::symex::{prove_with_threads, Verdict};
+    use simt_verify::symex::{self, Verdict};
     let mut cx = cmd.parse(args, |_, _| false);
 
     let mut tally = Tally::default();
@@ -741,7 +726,7 @@ fn prove(cmd: &Command, args: &[String]) {
     let wall = std::time::Instant::now();
     for w in &cx.selected {
         let p = cx.mf.phase(&format!("prove:{}", w.abbr), || {
-            prove_with_threads(&w.ck, Some((&w.launch, &w.memory)), cx.threads)
+            symex::prove(&w.ck, Some((&w.launch, &w.memory)))
         });
         let s = &p.stats;
         for c in &p.claims {
@@ -834,8 +819,8 @@ fn prove(cmd: &Command, args: &[String]) {
         }
     }
     // Wall time goes to stderr so `--json` stdout stays byte-identical
-    // across `--threads N`.
-    eprintln!("prover wall time: {:.3}s ({} thread(s))", elapsed.as_secs_f64(), cx.threads);
+    // from run to run.
+    eprintln!("prover wall time: {:.3}s", elapsed.as_secs_f64());
     cx.mf.count("workloads", cx.selected.len() as u64);
     cx.mf.count("total_proved", totals.0 as u64);
     cx.mf.count("total_disproved", totals.1 as u64);
@@ -950,9 +935,8 @@ fn analyze(cmd: &Command, args: &[String]) {
 
         // Memory performance: predict statically, measure on the cycle
         // simulator under the baseline technique, check the bounds.
-        let predictions = simt_verify::perf::predict(&w.ck, &w.launch, cfg.warp_size);
-        let result =
-            cx.mf.phase(&format!("simulate:{}", w.abbr), || w.run_unchecked(&cfg, Technique::Base));
+        let predictions = simt_verify::perf::predict(&w.ck, &w.launch);
+        let result = cx.mf.phase(&format!("simulate:{}", w.abbr), || w.run(&cfg, Technique::Base));
         cx.mf.digest_root(&format!("{}/BASE", w.abbr), result.stats.digest_root);
         let checks = simt_verify::perf::validate(&predictions, &result.stats);
         let violations = checks.iter().filter(|c| !c.ok).count();
@@ -1201,7 +1185,7 @@ fn profile(cmd: &Command, args: &[String]) {
             };
             cx.mf.set_config(&cfg);
             let r = cx.mf.phase(&format!("profile:{}/{}", w.abbr, technique.label()), || {
-                w.run_unchecked(&cfg, technique.clone())
+                w.run(&cfg, technique.clone())
             });
             cx.mf.digest_root(&format!("{}/{}", w.abbr, technique.label()), r.stats.digest_root);
             let prof = r.profile.as_ref().expect("profiling was enabled");
@@ -1294,7 +1278,7 @@ fn estimate(cmd: &Command, args: &[String]) {
             let stats = cx
                 .mf
                 .phase(&format!("simulate:{}/{}", w.abbr, technique.label()), || {
-                    w.run_unchecked(&cfg, technique.clone())
+                    w.run(&cfg, technique.clone())
                 })
                 .stats;
             let measured = stats.cycles;
@@ -1564,7 +1548,6 @@ fn run(cmd: &Command, args: &[String]) {
     let mut sms = 4usize;
     let mut scheduler = SchedulerPolicy::Gto;
     let mut dcfg = DarsieConfig::default();
-    let mut validate = true;
     let mut trace = 0usize;
     let mut cx = cmd.parse(&args[1..], |flag, it| {
         match flag {
@@ -1575,7 +1558,6 @@ fn run(cmd: &Command, args: &[String]) {
             "--rename-regs" => dcfg.rename_regs_per_tb = number(it),
             "--skip-ports" => dcfg.skip_table_ports = positive(flag, it.next().map(String::as_str)),
             "--max-leader-stall" => dcfg.max_leader_stall = number(it),
-            "--no-validate" => validate = false,
             "--trace" => trace = number(it),
             _ => return false,
         }
@@ -1594,13 +1576,7 @@ fn run(cmd: &Command, args: &[String]) {
 
     cx.mf.set_config(&cfg);
     let start = std::time::Instant::now();
-    let mut r = cx.mf.phase(&format!("run:{}", w.abbr), || {
-        if validate {
-            w.run(&cfg, technique.clone())
-        } else {
-            w.run_unchecked(&cfg, technique.clone())
-        }
-    });
+    let mut r = cx.mf.phase(&format!("run:{}", w.abbr), || w.run(&cfg, technique.clone()));
     let wall = start.elapsed();
     cx.mf.digest_root(&format!("{}/{}", w.abbr, technique.label()), r.stats.digest_root);
     let s = &r.stats;
@@ -1670,9 +1646,7 @@ fn run(cmd: &Command, args: &[String]) {
             println!("  {e}");
         }
     }
-    if validate {
-        println!("  validation           OK (matches CPU reference)");
-    }
+    println!("  validation           OK (matches CPU reference)");
     cx.finish(0);
 }
 
@@ -1694,5 +1668,20 @@ fn main() {
     match COMMANDS.iter().find(|c| args.first().is_some_and(|a| a == c.name)) {
         Some(cmd) => (cmd.run)(cmd, &args[1..]),
         None => (RUN.run)(&RUN, &args),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parallel_map;
+
+    #[test]
+    fn parallel_map_keeps_input_order_for_any_worker_count() {
+        let items: Vec<u32> = (0..13).collect();
+        let want: Vec<u32> = items.iter().map(|i| i * i + 1).collect();
+        for workers in 1..=items.len() + 1 {
+            assert_eq!(parallel_map(&items, workers, |i| i * i + 1), want, "{workers} worker(s)");
+        }
+        assert!(parallel_map(&[] as &[u32], 4, |i| *i).is_empty());
     }
 }

@@ -281,7 +281,7 @@ pub fn render_ablations(scale: Scale, cfg: &GpuConfig) -> String {
         if let Some((.., c)) = runs.iter().find(|(c, t, _)| c == cfg && *t == tech) {
             return c.clone();
         }
-        let c: Vec<u64> = two_d.iter().map(|w| w.run_unchecked(cfg, tech.clone()).cycles).collect();
+        let c: Vec<u64> = two_d.iter().map(|w| w.run(cfg, tech.clone()).cycles).collect();
         runs.push((cfg.clone(), tech, c.clone()));
         c
     };

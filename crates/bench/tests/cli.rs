@@ -182,8 +182,9 @@ fn analyze_json_schema() {
 /// catalog workload proves every claim with nothing left unknown.
 #[test]
 fn prove_json_schema() {
-    let (code, out, _) = run(&["prove", "BIN", "--scale", "test", "--json"]);
+    let (code, out, err) = run(&["prove", "BIN", "--scale", "test", "--json"]);
     assert_eq!(code, Some(0));
+    assert!(err.contains("prover wall time"), "wall time must go to stderr");
     let doc = read(&out);
     assert_header(&doc, "prove");
     let w = &doc.at("workloads").list()[0];
@@ -218,33 +219,15 @@ fn prove_json_schema() {
     assert!(matches!(doc.at("unknown_reasons"), Json::Obj(_)));
 }
 
-/// `--threads N` must not change the document: the discharge engine
-/// shards work but merges results in deterministic claim order, so the
-/// JSON output is byte-identical for any thread count.
-#[test]
-fn prove_threads_output_is_byte_identical() {
-    let (code1, base, _) = run(&["prove", "BIN", "MM", "--scale", "test", "--json"]);
-    assert_eq!(code1, Some(0));
-    for threads in ["1", "2", "7"] {
-        let (code, out, err) =
-            run(&["prove", "BIN", "MM", "--scale", "test", "--json", "--threads", threads]);
-        assert_eq!(code, Some(0));
-        assert_eq!(out, base, "--threads {threads} changed the JSON document");
-        assert!(err.contains("prover wall time"), "wall time must go to stderr");
-    }
-}
-
 /// Repeated single-valued flags are usage errors (exit 2), not
-/// silently-take-the-last; `--threads` outside `prove` warns and is
-/// ignored; a non-positive or malformed `--threads` value exits 2.
+/// silently-take-the-last; so are options the CLI no longer takes and a
+/// non-positive SM or port count.
 #[test]
 fn flag_validation_rejects_duplicates_and_bad_thread_counts() {
     for args in [
         &["prove", "BIN", "--scale", "test", "--json", "--json"][..],
         &["prove", "BIN", "--scale", "test", "--scale", "test"][..],
-        &["prove", "BIN", "--scale", "test", "--threads", "2", "--threads", "2"][..],
         &["BIN", "--scale", "test", "--sms", "2", "--sms", "3"][..],
-        &["BIN", "--scale", "test", "--no-validate", "--no-validate"][..],
         &["replay-diff", "BIN", "--scale", "test", "--sms", "2", "--sms", "3"][..],
         &["replay-diff", "BIN", "--scale", "test", "--against", "sms=2", "--against", "sms=3"][..],
     ] {
@@ -252,13 +235,20 @@ fn flag_validation_rejects_duplicates_and_bad_thread_counts() {
         assert_eq!(code, Some(2), "{args:?} must exit 2");
         assert!(err.contains("duplicate"), "{args:?}: {err}");
     }
-    for bad in ["0", "-1", "many"] {
-        let (code, _, err) = run(&["prove", "BIN", "--scale", "test", "--threads", bad]);
-        assert_eq!(code, Some(2), "--threads {bad} must exit 2");
-        assert!(err.contains("positive integer"), "--threads {bad}: {err}");
+    for args in [
+        &["verify", "BIN", "--scale", "test", "--threads", "2"][..],
+        &["prove", "BIN", "--scale", "test", "--threads", "2"][..],
+        &["analyze", "BIN", "--scale", "test", "--threads", "2"][..],
+        &["certify", "--family", "BIN", "--scale", "test", "--samples", "5"][..],
+        &["certify", "BIN", "--scale", "test", "--samples", "5"][..],
+        &["BIN", "--scale", "test", "--no-validate"][..],
+    ] {
+        let (code, _, err) = run(args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2");
+        assert!(err.starts_with("usage: darsie-sim"), "{args:?}: {err}");
     }
     // Zero SMs or skip-table ports used to panic or spin until
-    // `max_cycles`; they are usage errors like a zero thread count.
+    // `max_cycles`; they are usage errors.
     for args in [
         &["BIN", "--scale", "test", "--sms", "0"][..],
         &["BIN", "--scale", "test", "--skip-ports", "0"][..],
@@ -269,12 +259,6 @@ fn flag_validation_rejects_duplicates_and_bad_thread_counts() {
         assert_eq!(code, Some(2), "{args:?} must exit 2");
         assert!(err.contains("positive integer"), "{args:?}: {err}");
     }
-    let (code, _, err) = run(&["analyze", "BIN", "--scale", "test", "--threads", "4"]);
-    assert_eq!(code, Some(0));
-    assert!(err.contains("ignores it"), "analyze must warn: {err}");
-    let (code, _, err) = run(&["verify", "BIN", "--scale", "test", "--threads", "4"]);
-    assert_eq!(code, Some(0));
-    assert!(!err.contains("ignores it"), "verify consumes --threads: {err}");
 }
 
 /// Golden schema for `certify --json`, plus the headline acceptance
@@ -314,18 +298,28 @@ fn certify_json_schema_and_catalog_certifies() {
     assert_eq!(doc.at("total_errors").number(), 0.0);
 }
 
-/// `verify --threads N` and `certify --threads N` shard workloads across
-/// worker threads but must render byte-identical documents.
+/// `verify`, `certify` and `certify --family` shard their workloads
+/// over the host's hardware threads, yet each workload's record in a
+/// multi-workload document is byte-for-byte the record a run selecting
+/// only that workload prints, in selection order.
 #[test]
-fn verify_and_certify_threads_output_is_byte_identical() {
-    for sub in ["verify", "certify"] {
-        let (code1, base, _) = run(&[sub, "--scale", "test", "--json"]);
-        assert_eq!(code1, Some(0));
-        for threads in ["1", "3", "8"] {
-            let (code, out, _) = run(&[sub, "--scale", "test", "--json", "--threads", threads]);
-            assert_eq!(code, Some(0));
-            assert_eq!(out, base, "{sub} --threads {threads} changed the JSON document");
-        }
+fn sharded_documents_match_single_workload_runs() {
+    let record = |args: &[&str]| -> Vec<String> {
+        let (code, out, _) = run(args);
+        assert_eq!(code, Some(0), "{args:?}");
+        read(&out).at("workloads").list().iter().map(ToString::to_string).collect()
+    };
+    for (sub, abbrs) in [
+        (&["verify"][..], &["BIN", "MM", "LIB", "FW", "CP"][..]),
+        (&["certify"][..], &["BIN", "MM", "LIB", "FW", "CP"][..]),
+        (&["certify", "--family"][..], &["BIN", "MM", "LIB"][..]),
+    ] {
+        let all: Vec<&str> = [sub, abbrs, &["--scale", "test", "--json"]].concat();
+        let one_by_one: Vec<String> = abbrs
+            .iter()
+            .flat_map(|&a| record(&[sub, &[a, "--scale", "test", "--json"]].concat()))
+            .collect();
+        assert_eq!(record(&all), one_by_one, "{sub:?}");
     }
 }
 
@@ -390,65 +384,6 @@ fn certify_family_json_schema_and_catalog_proves() {
     assert_eq!(doc.at("refuted").number(), 0.0);
     assert_eq!(doc.at("disagreements").number(), 0.0);
     assert_eq!(doc.at("samples").number(), 25.0);
-}
-
-/// `certify --family --threads N` shards workloads but must render
-/// byte-identical documents, and `--samples` without `--family` is a
-/// usage error.
-#[test]
-fn certify_family_threads_and_samples_validation() {
-    let (code1, base, _) = run(&["certify", "--family", "BIN", "MM", "--scale", "test", "--json"]);
-    assert_eq!(code1, Some(0));
-    for threads in ["2", "5"] {
-        let (code, out, _) = run(&[
-            "certify",
-            "--family",
-            "BIN",
-            "MM",
-            "--scale",
-            "test",
-            "--json",
-            "--threads",
-            threads,
-        ]);
-        assert_eq!(code, Some(0));
-        assert_eq!(out, base, "--threads {threads} changed the JSON document");
-    }
-    let (code, _, err) = run(&["certify", "BIN", "--scale", "test", "--samples", "5"]);
-    assert_eq!(code, Some(2));
-    assert!(err.contains("only applies to `certify --family`"), "{err}");
-    for bad in ["0", "nope"] {
-        let (code, _, err) =
-            run(&["certify", "--family", "BIN", "--scale", "test", "--samples", bad]);
-        assert_eq!(code, Some(2), "--samples {bad} must exit 2");
-        assert!(err.contains("positive integer"), "--samples {bad}: {err}");
-    }
-}
-
-/// `--threads` on a subcommand that does not consume it warns with one
-/// shared message — the acceptance/warn-ignore decision lives in the one
-/// parser, so the text is pinned identical across all of them.
-#[test]
-fn threads_warning_is_identical_across_non_threaded_subcommands() {
-    let mut warnings: Vec<String> = Vec::new();
-    for sub in ["analyze", "profile", "estimate", "replay-diff"] {
-        let (code, _, err) = run(&[sub, "BIN", "--scale", "test", "--threads", "4"]);
-        assert_eq!(code, Some(0), "{sub}: exit code");
-        let warn = err
-            .lines()
-            .find(|l| l.starts_with("warning:"))
-            .unwrap_or_else(|| panic!("{sub} must warn about --threads:\n{err}"));
-        assert_eq!(
-            warn,
-            format!(
-                "warning: --threads is only used by `verify`, `certify` and `prove`; \
-                 `{sub}` ignores it"
-            )
-        );
-        warnings.push(warn.replace(&format!("`{sub}`"), "`<sub>`"));
-    }
-    warnings.dedup();
-    assert_eq!(warnings.len(), 1, "warning text drifted between subcommands: {warnings:?}");
 }
 
 /// Golden schema for `profile --json`, plus the headline invariant: the

@@ -352,10 +352,8 @@ pub fn estimate(
     let doms = &cfg.doms;
     let flow = Flow::solve(kernel, cfg, GridCtx::generic(launch.block.z), true, &Clamps::new());
     let trips = infer_trips(&flow, launch);
-    let mempred: BTreeMap<usize, MemPredKind> = predict_envelope(&flow, launch, launch.warp_size)
-        .into_iter()
-        .map(|p| (p.pc, p.kind))
-        .collect();
+    let mempred: BTreeMap<usize, MemPredKind> =
+        predict_envelope(&flow, launch).into_iter().map(|p| (p.pc, p.kind)).collect();
 
     let report = trip_lints(&kernel.name, &trips);
     let loops: Vec<LoopReport> = trips

@@ -33,7 +33,7 @@
 
 use crate::blocks::{self, BlockIndependence, RaceWitness};
 use crate::cost::{estimate_family, FamilyCostBracket};
-use crate::{parallel_map, Diagnostics, LintCode};
+use crate::{Diagnostics, LintCode};
 use gpu_sim::config::{GpuConfig, Technique};
 use gpu_sim::GlobalMemory;
 use simt_compiler::CompiledKernel;
@@ -263,9 +263,12 @@ pub fn certify_family(
     Ok(cert)
 }
 
-/// Differential gate: `samples` deterministic member launch draws (seeded
-/// by the kernel name, possibly repeated; each distinct launch is
-/// certified once) must agree with the family certificate. For a proved
+/// Member launch draws the differential gate certifies per kernel.
+pub const SAMPLES: usize = 25;
+
+/// Differential gate: [`SAMPLES`] deterministic member launch draws
+/// (seeded by the kernel name, possibly repeated; each distinct launch is
+/// certified once, in draw order) must agree with the family certificate. For a proved
 /// or sampled certificate every sampled launch must certify concretely
 /// (classification better than potentially-racy, dynamic discharge
 /// counting); for a refutation the recorded witness launch must
@@ -278,13 +281,11 @@ pub fn differential_check(
     reference: &LaunchConfig,
     memory: &GlobalMemory,
     cert: &FamilyCertificate,
-    samples: usize,
-    threads: usize,
 ) -> Vec<String> {
     let mut out = Vec::new();
     match cert.verdict {
         FamilyVerdict::FamilyProved | FamilyVerdict::FamilySampled => {
-            let launches = family.sample(sample_seed(&ck.kernel.name), samples, reference);
+            let launches = family.sample(sample_seed(&ck.kernel.name), SAMPLES, reference);
             // The draws repeat members: certify each distinct one once.
             let mut distinct: Vec<&LaunchConfig> = Vec::new();
             let member: Vec<usize> = launches
@@ -296,9 +297,10 @@ pub fn differential_check(
                     })
                 })
                 .collect();
-            let verdicts = parallel_map(&distinct, threads, |l| {
-                blocks::certify(ck, l, memory.clone()).0.classification
-            });
+            let verdicts: Vec<BlockIndependence> = distinct
+                .iter()
+                .map(|l| blocks::certify(ck, l, memory.clone()).0.classification)
+                .collect();
             for (l, v) in launches.iter().zip(member.iter().map(|&m| verdicts[m])) {
                 if v == BlockIndependence::PotentiallyRacy {
                     out.push(format!(

@@ -52,38 +52,6 @@ use simt_compiler::CompiledKernel;
 use simt_isa::LaunchConfig;
 use std::fmt;
 
-/// Order-preserving scoped-thread map: shards `items` into contiguous
-/// chunks across at most `threads` workers and returns the results in
-/// input order. With `threads <= 1` (or a single item) it degenerates to
-/// a sequential map, so callers are byte-identical whatever the thread
-/// count. Shared by `verify`/`certify` CLI sharding,
-/// [`symex::prove_with_threads`] claim discharge, and the family
-/// differential gate.
-pub fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let workers = threads.clamp(1, items.len().max(1));
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    std::thread::scope(|s| {
-        for (inp, outp) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            s.spawn(move || {
-                for (i, o) in inp.iter().zip(outp.iter_mut()) {
-                    *o = Some(f(i));
-                }
-            });
-        }
-    });
-    out.into_iter().map(|r| r.expect("worker filled every slot")).collect()
-}
-
 /// How bad a finding is. `Error` findings fail verification; warnings and
 /// notes are advisory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -173,12 +173,12 @@ fn bound_access(
 
 /// Predicts bank-conflict degrees and coalescing line counts for every
 /// shared/global load, store and atomic of `ck` under `launch`, with
-/// per-warp lane grouping by `warp_size`.
+/// lanes grouped into warps of the launch's `warp_size`.
 #[must_use]
-pub fn predict(ck: &CompiledKernel, launch: &LaunchConfig, warp_size: u32) -> Vec<MemPrediction> {
+pub fn predict(ck: &CompiledKernel, launch: &LaunchConfig) -> Vec<MemPrediction> {
     let ctx = GridCtx::generic(launch.block.z.max(1));
     let flow = Flow::solve(&ck.kernel, &ck.cfg, ctx, true, &Clamps::new());
-    predict_inner(&flow, launch, warp_size, false)
+    predict_inner(&flow, launch, false)
 }
 
 /// Like [`predict`], but when the execution mask is not exactly
@@ -191,17 +191,12 @@ pub fn predict(ck: &CompiledKernel, launch: &LaunchConfig, warp_size: u32) -> Ve
 /// [`predict`]. `flow` is the kernel's flow as [`predict`] solves it:
 /// under `GridCtx::generic(launch.block.z)`, entry-zeroed, unclamped.
 #[must_use]
-pub fn predict_envelope(flow: &Flow, launch: &LaunchConfig, warp_size: u32) -> Vec<MemPrediction> {
-    predict_inner(flow, launch, warp_size, true)
+pub fn predict_envelope(flow: &Flow, launch: &LaunchConfig) -> Vec<MemPrediction> {
+    predict_inner(flow, launch, true)
 }
 
-fn predict_inner(
-    flow: &Flow,
-    launch: &LaunchConfig,
-    warp_size: u32,
-    mask_free: bool,
-) -> Vec<MemPrediction> {
-    let (bx, by) = (launch.block.x.max(1), launch.block.y.max(1));
+fn predict_inner(flow: &Flow, launch: &LaunchConfig, mask_free: bool) -> Vec<MemPrediction> {
+    let (bx, by, warp_size) = (launch.block.x.max(1), launch.block.y.max(1), launch.warp_size);
     let threads = launch.threads_per_block();
 
     // The walk visits blocks in reverse post-order; predictions are
@@ -377,7 +372,7 @@ mod tests {
     #[test]
     fn unit_stride_is_clean() {
         let ck = unit_stride();
-        let preds = predict(&ck, &launch_1d(), 32);
+        let preds = predict(&ck, &launch_1d());
         assert_eq!(preds.len(), 2);
         assert_eq!(preds[0].kind, MemPredKind::SharedConflict { min_degree: 1, max_degree: 1 });
         // The global base is the exact constant 0 here, so one residue.
@@ -397,7 +392,7 @@ mod tests {
         let sa = b.iadd(off, smem);
         b.store(MemSpace::Shared, sa, t, 0);
         let ck = compile(b.finish());
-        let preds = predict(&ck, &launch_1d(), 32);
+        let preds = predict(&ck, &launch_1d());
         assert_eq!(preds[0].kind, MemPredKind::SharedConflict { min_degree: 32, max_degree: 32 });
         let report = lint(&ck, &preds);
         assert_eq!(report.items[0].code, LintCode::SharedBankConflict);
@@ -414,7 +409,7 @@ mod tests {
         let a = b.iadd(base, off);
         b.store(MemSpace::Global, a, t, 0);
         let ck = compile(b.finish());
-        let preds = predict(&ck, &launch_1d(), 32);
+        let preds = predict(&ck, &launch_1d());
         assert_eq!(
             preds[0].kind,
             MemPredKind::GlobalCoalesce { min_lines: 1, max_lines: 2, ideal_lines: 1 }
@@ -431,7 +426,7 @@ mod tests {
         let off = b.shl_imm(masked, 2);
         b.store(MemSpace::Global, off, t, 0);
         let ck = compile(b.finish());
-        let preds = predict(&ck, &launch_1d(), 32);
+        let preds = predict(&ck, &launch_1d());
         assert!(matches!(preds[0].kind, MemPredKind::Unpredictable { .. }));
         let report = lint(&ck, &preds);
         assert_eq!(report.items[0].code, LintCode::MemUnpredictable);
@@ -456,7 +451,7 @@ mod tests {
         b.store(MemSpace::Shared, sa, t, 0);
         b.branch_back(body);
         let ck = compile(b.finish());
-        let preds = predict(&ck, &launch_1d(), 32);
+        let preds = predict(&ck, &launch_1d());
         let spaces: Vec<MemSpace> = preds.iter().map(|p| p.space).collect();
         assert_eq!(spaces, [MemSpace::Global, MemSpace::Shared]);
         assert!(preds[0].pc < preds[1].pc);
@@ -479,7 +474,7 @@ mod tests {
         .with_guard(simt_isa::Guard::if_true(p));
         b.emit(st);
         let ck = compile(b.finish());
-        let preds = predict(&ck, &launch_1d(), 32);
+        let preds = predict(&ck, &launch_1d());
         assert_eq!(
             preds[0].kind,
             MemPredKind::GlobalCoalesce { min_lines: 1, max_lines: 1, ideal_lines: 1 }

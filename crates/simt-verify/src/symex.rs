@@ -55,14 +55,11 @@
 //! warning; concrete divergence of a skippable branch predicate is
 //! `S403`.
 //!
-//! Discharge is embarrassingly parallel: obligations are judged against
-//! the *frozen* post-run state (term arena, visits, affine flows), so
-//! [`prove_with_threads`] shards them across a scoped thread pool in
-//! contiguous chunks and re-assembles results in claim order — the
-//! report, stats and per-claim ledger are byte-identical for any thread
-//! count. Each [`ClaimRecord`] carries its verdict, the reason an
-//! unknown stayed open ([`UnknownReason`]), and the deterministic count
-//! of concrete evaluations counterexample hunting spent on it.
+//! Obligations are judged in claim order against the *frozen* post-run
+//! state (term arena, visits, affine flows). Each [`ClaimRecord`]
+//! carries its verdict, the reason an unknown stayed open
+//! ([`UnknownReason`]), and the deterministic count of concrete
+//! evaluations counterexample hunting spent on it.
 
 use crate::{oracle, Diagnostic, Diagnostics, LintCode};
 use gpu_sim::GlobalMemory;
@@ -761,16 +758,6 @@ pub struct Prove {
     pub claims: Vec<ClaimRecord>,
 }
 
-/// Proves (or refutes) every redundancy marking and branch-sync claim of
-/// `ck` over its whole quantified launch family. When a reference launch
-/// and memory image are supplied, counterexample hunting evaluates loads
-/// against that initial image and replays candidates with its parameters;
-/// otherwise a zeroed memory and empty parameter list are used.
-#[must_use]
-pub fn prove(ck: &CompiledKernel, reference: Option<(&LaunchConfig, &GlobalMemory)>) -> Prove {
-    prove_with_threads(ck, reference, 1)
-}
-
 /// What kind of obligation a [`ClaimTask`] discharges.
 #[derive(Clone, Copy)]
 enum ClaimKind {
@@ -793,8 +780,7 @@ struct ClaimOutcome {
     evals: usize,
 }
 
-/// Everything a discharge worker needs, shared read-only across the
-/// [`std::thread::scope`] pool.
+/// Everything judging one claim reads: the frozen post-run state.
 struct JudgeCtx<'a> {
     ck: &'a CompiledKernel,
     t: &'a TermArena,
@@ -808,17 +794,13 @@ struct JudgeCtx<'a> {
     complete: bool,
 }
 
-/// [`prove`] with the claim-discharge stage sharded over `threads`
-/// worker threads. Claims are independent of one another, so the work
-/// splits into contiguous chunks whose results are re-joined in claim
-/// order — the report, stats and ledger are byte-identical for every
-/// thread count.
+/// Proves (or refutes) every redundancy marking and branch-sync claim of
+/// `ck` over its whole quantified launch family. When a reference launch
+/// and memory image are supplied, counterexample hunting evaluates loads
+/// against that initial image and replays candidates with its parameters;
+/// otherwise a zeroed memory and empty parameter list are used.
 #[must_use]
-pub fn prove_with_threads(
-    ck: &CompiledKernel,
-    reference: Option<(&LaunchConfig, &GlobalMemory)>,
-    threads: usize,
-) -> Prove {
+pub fn prove(ck: &CompiledKernel, reference: Option<(&LaunchConfig, &GlobalMemory)>) -> Prove {
     let n = ck.kernel.instrs.len();
     let vclaims: Vec<Option<Family>> = (0..n).map(|pc| value_claim(ck, pc)).collect();
     let bclaims: Vec<Option<Family>> = (0..n).map(|pc| branch_claim(ck, pc)).collect();
@@ -896,13 +878,12 @@ pub fn prove_with_threads(
         ref_memory: &ref_memory,
         complete,
     };
-    let outcomes: Vec<ClaimOutcome> =
-        crate::parallel_map(&tasks, threads, |c| judge_claim(&ctx, c));
 
     let mut report = Diagnostics::new(ck.kernel.name.clone());
     let mut stats = ProveStats { complete, fuel_used, terms: t.len(), ..ProveStats::default() };
     let mut claims = Vec::with_capacity(tasks.len());
-    for (task, out) in tasks.iter().zip(outcomes) {
+    for task in &tasks {
+        let out = judge_claim(&ctx, task);
         let kind = match task.kind {
             ClaimKind::Value => {
                 stats.value_claims += 1;

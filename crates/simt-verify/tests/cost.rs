@@ -35,7 +35,7 @@ fn catalog_cycles_inside_bracket() {
     for technique in [Technique::Base, Technique::darsie()] {
         for w in catalog(Scale::Test) {
             let est = estimate(&w.ck, &w.launch, &gc, &technique);
-            let measured = w.run_unchecked(&gc, technique.clone()).stats.cycles;
+            let measured = w.run(&gc, technique.clone()).stats.cycles;
             let hi = est.max_cycles;
             if let Some(d) = validate(&est, measured) {
                 failures.push(format!("{} {}: {}", w.abbr, technique.label(), d.message));

@@ -23,8 +23,7 @@ fn catalog_families_certify_at_test_scale() {
             w.abbr,
             cert.notes,
         );
-        let disagreements =
-            differential_check(&w.ck, &w.family, &w.launch, &w.memory, &cert, 25, 4);
+        let disagreements = differential_check(&w.ck, &w.family, &w.launch, &w.memory, &cert);
         assert!(disagreements.is_empty(), "{}: {:?}", w.abbr, disagreements);
         if cert.verdict == FamilyVerdict::FamilyProved {
             proved += 1;
@@ -50,7 +49,7 @@ fn boundary_fixture_flips_at_the_panel_edge() {
     let wl = cert.witness_launch.as_ref().expect("refutation carries a witness launch");
     assert_eq!(wl.grid.x, fixtures::BOUNDARY_PANEL_BLOCKS + 1);
     assert!(cert.witness.is_some());
-    let disagreements = differential_check(&fx.ck, &over, &fx.launch, &fx.memory, &cert, 25, 2);
+    let disagreements = differential_check(&fx.ck, &over, &fx.launch, &fx.memory, &cert);
     assert!(disagreements.is_empty(), "{disagreements:?}");
 }
 

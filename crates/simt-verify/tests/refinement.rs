@@ -5,25 +5,20 @@
 //! leaving its negative control untouched — with the marking oracle
 //! accepting every refined kernel.
 
-use gpu_sim::GpuConfig;
 use simt_compiler::{refine, LaunchPlan};
 use simt_verify::perf::{self, MemPredKind};
 use simt_verify::{oracle, LintCode};
 use workloads::fixtures;
 
-fn warp_size() -> u32 {
-    GpuConfig::test_small().warp_size
-}
-
 fn lint_codes(fx: &fixtures::Fixture) -> Vec<&'static str> {
-    let predictions = perf::predict(&fx.ck, &fx.launch, warp_size());
+    let predictions = perf::predict(&fx.ck, &fx.launch);
     perf::lint(&fx.ck, &predictions).items.iter().map(|d| d.code.code()).collect()
 }
 
 #[test]
 fn conflict_stride_pins_p101_with_exact_degree() {
     let fx = fixtures::conflict_stride();
-    let predictions = perf::predict(&fx.ck, &fx.launch, warp_size());
+    let predictions = perf::predict(&fx.ck, &fx.launch);
     let shared: Vec<_> = predictions
         .iter()
         .filter(|p| matches!(p.kind, MemPredKind::SharedConflict { .. }))
@@ -49,7 +44,7 @@ fn conflict_free_stays_silent() {
 #[test]
 fn uncoalesced_stride_pins_p102_with_exact_lines() {
     let fx = fixtures::uncoalesced_stride();
-    let predictions = perf::predict(&fx.ck, &fx.launch, warp_size());
+    let predictions = perf::predict(&fx.ck, &fx.launch);
     let global: Vec<_> = predictions
         .iter()
         .filter(|p| matches!(p.kind, MemPredKind::GlobalCoalesce { .. }))
@@ -69,7 +64,7 @@ fn uncoalesced_stride_pins_p102_with_exact_lines() {
 #[test]
 fn coalesced_stride_stays_silent() {
     let fx = fixtures::coalesced_stride();
-    let predictions = perf::predict(&fx.ck, &fx.launch, warp_size());
+    let predictions = perf::predict(&fx.ck, &fx.launch);
     let global: Vec<_> = predictions
         .iter()
         .filter(|p| matches!(p.kind, MemPredKind::GlobalCoalesce { .. }))
@@ -90,7 +85,7 @@ fn coalesced_stride_stays_silent() {
 #[test]
 fn nonaffine_addr_reports_p103_instead_of_guessing() {
     let fx = fixtures::nonaffine_addr();
-    let predictions = perf::predict(&fx.ck, &fx.launch, warp_size());
+    let predictions = perf::predict(&fx.ck, &fx.launch);
     assert!(
         predictions.iter().any(|p| matches!(p.kind, MemPredKind::Unpredictable { .. })),
         "a tid.x & 1 address must be reported unpredictable"

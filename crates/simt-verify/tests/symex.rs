@@ -275,29 +275,6 @@ fn divergent_write_control_stays_unknown() {
     assert_eq!(claim.unknown_reason, Some(symex::UnknownReason::TermEscape));
 }
 
-/// Sharding the discharge stage must not change a single byte of the
-/// outcome: same verdicts, same ledger, same diagnostics in the same
-/// order for any worker count.
-#[test]
-fn parallel_discharge_is_deterministic() {
-    for f in fixtures::symex() {
-        let base = symex::prove_with_threads(&f.ck, Some((&f.launch, &f.memory)), 1);
-        for threads in [2, 3, 8] {
-            let par = symex::prove_with_threads(&f.ck, Some((&f.launch, &f.memory)), threads);
-            assert_eq!(par.stats.proved, base.stats.proved, "{}", f.name);
-            assert_eq!(par.stats.disproved, base.stats.disproved, "{}", f.name);
-            assert_eq!(par.stats.unknown, base.stats.unknown, "{}", f.name);
-            assert_eq!(par.claims.len(), base.claims.len(), "{}", f.name);
-            for (a, b) in par.claims.iter().zip(&base.claims) {
-                assert_eq!(a.pc, b.pc, "{}", f.name);
-                assert_eq!(a.verdict, b.verdict, "{}", f.name);
-                assert_eq!(a.evals, b.evals, "{}", f.name);
-            }
-            assert_eq!(par.report.render(), base.report.render(), "{}", f.name);
-        }
-    }
-}
-
 /// A warp-dependent-trip loop (`while (i < warpid) i++`) used to exhaust
 /// the fork budget; loop summarization now covers it, so the run is
 /// *complete* — but the forged DR on the increment must still degrade to

@@ -21,7 +21,8 @@ pub enum Scale {
 pub type Check = Box<dyn Fn(&gpu_sim::GlobalMemory) -> Result<(), String> + Send + Sync>;
 
 /// A ready-to-run benchmark: compiled kernel, launch, initial memory and a
-/// CPU-reference validator.
+/// CPU-reference validator. [`Workload::run`] is the one way to run it,
+/// and every run is checked against the reference.
 pub struct Workload {
     /// Full name (Table 1).
     pub name: &'static str,
@@ -59,7 +60,9 @@ impl std::fmt::Debug for Workload {
 
 impl Workload {
     /// Runs the workload under `technique` on `cfg`, validating the
-    /// outputs against the CPU reference.
+    /// outputs against the CPU reference. Skipping must leave every output
+    /// bit-identical to BASE, so timing-only variants (ablations, profiled
+    /// and estimated runs) are checked too.
     ///
     /// # Panics
     ///
@@ -72,14 +75,6 @@ impl Workload {
             panic!("{} under {}: validation failed: {e}", self.abbr, technique.label());
         }
         result
-    }
-
-    /// Runs without validating (for ablations that perturb timing only —
-    /// validation is unaffected by timing, so this is just a fast path).
-    #[must_use]
-    pub fn run_unchecked(&self, cfg: &GpuConfig, technique: Technique) -> SimResult {
-        let gpu = Gpu::new(cfg.clone(), technique);
-        gpu.launch(&self.ck, &self.launch, self.memory.clone())
     }
 }
 

@@ -22,8 +22,8 @@ fn main() {
         "bench", "speedup", "skip%", "sync-cyc", "wait-cyc", "flstall", "evict"
     );
     for w in catalog(Scale::Eval) {
-        let base = w.run_unchecked(&cfg, Technique::Base);
-        let d = w.run_unchecked(&cfg, Technique::darsie());
+        let base = w.run(&cfg, Technique::Base);
+        let d = w.run(&cfg, Technique::darsie());
         let sp = base.cycles as f64 / d.cycles as f64;
         println!(
             "{:8} {:>7.2} {:>6.1} {:>10} {:>9} {:>8} {:>7}",

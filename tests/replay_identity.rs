@@ -644,10 +644,10 @@ fn footprint_analyses_match_the_pinned_table() {
     for (name, ck, family, launch, memory) in &inputs {
         let cert = family::certify_family(ck, family, launch, memory, &cfg)
             .expect("declared families are well formed");
-        let predict = perf::predict(ck, launch, cfg.warp_size);
+        let predict = perf::predict(ck, launch);
         let ctx = GridCtx::generic(launch.block.z);
         let flow = Flow::solve(&ck.kernel, &ck.cfg, ctx, true, &Clamps::new());
-        let envelope = perf::predict_envelope(&flow, launch, cfg.warp_size);
+        let envelope = perf::predict_envelope(&flow, launch);
         got.push((
             name.clone(),
             cert.verdict.label(),
